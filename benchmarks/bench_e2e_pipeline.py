@@ -6,11 +6,12 @@ replay with cc-migration planning — twice:
 
 * **sparse** — per-access reference implementations everywhere: the
   ``sparse`` cache filter, pickle transport to each worker, the
-  ``scalar`` replay kernel, and the ``sparse`` dict-based policy layer.
-* **fused**  — the batched path this change builds: the ``array``
-  cache-filter kernel, one shared-memory segment resolved per worker,
-  the ``batched`` replay kernel, and the ``array`` policy layer with
-  the fused MEA+counter C kernel.
+  pure-Python reference replay, and the ``sparse`` dict-based policy
+  layer.
+* **fused**  — the production path: the ``array`` cache-filter kernel,
+  one shared-memory segment resolved per worker, the compiled replay
+  kernel, and the ``array`` policy layer with the fused MEA+counter C
+  kernel.
 
 Stage outputs are asserted bit-identical between the modes (residual
 trace, replay digest, handoff round-trip), wall time is recorded per
@@ -37,7 +38,7 @@ from repro.harness.shm import (
     share_payload,
     shm_available,
 )
-from repro.sim.engine import replay
+from repro.sim.engine import ReplaySpec, replay, replay_reference
 from repro.trace.workloads import Workload
 
 #: Default scale, default trace volume — the acceptance configuration.
@@ -120,9 +121,12 @@ def _pipeline(mode: str):
     hma.install_placement(pages[:fast_cap], pages)
     mech = CrossCountersMigration(
         policy_kernel="array" if fused else "sparse")
-    result = replay(config, hma, wt.trace, wt.times, mechanism=mech,
-                    num_intervals=INTERVALS,
-                    kernel="batched" if fused else "scalar")
+    if fused:
+        result = replay(config, hma, wt.trace, wt.times, mechanism=mech,
+                        num_intervals=INTERVALS)
+    else:
+        result = replay_reference(
+            ReplaySpec(config, hma, mech, INTERVALS), wt.trace, wt.times)
     stages["replay_policy"] = time.perf_counter() - t0
 
     digests = {"filtered": _trace_digest(filtered),

@@ -1,20 +1,23 @@
-"""Replay-kernel throughput: scalar oracle vs batched kernels.
+"""Replay throughput: the pure-Python reference vs production replay.
 
-Times the same default-scale workload replay through every available
-kernel (``scalar``, ``batched-python``, ``batched-native``), asserts
-the batched path is bit-identical AND at least 5x the scalar
-requests/second, and writes the numbers to ``BENCH_replay.json``
-(override the location with ``REPRO_BENCH_REPLAY_JSON``).
+Times the same default-scale workload replay through
+:func:`replay_reference` and through :func:`replay` (the compiled
+kernel whenever a C compiler exists), asserts the two are bit-identical
+AND that production replay is at least 5x the reference requests/second,
+and writes the numbers to ``BENCH_replay.json`` (override the location
+with ``REPRO_BENCH_REPLAY_JSON``).
 """
 
 import json
 import os
 import time
 
+import pytest
+
 from repro.core.placement import PerformanceFocusedPlacement
 from repro.dram.hma import HeterogeneousMemory
 from repro.sim import _ckernel
-from repro.sim.engine import replay
+from repro.sim.engine import ReplaySpec, replay, replay_reference
 from repro.sim.system import prepare_workload
 
 #: Default scale, default trace volume — the acceptance configuration.
@@ -34,7 +37,7 @@ def _best_of(func, repeats=REPEATS):
     return result, best
 
 
-def _make_run(prep, kernel):
+def _make_run(prep, reference):
     wt = prep.workload_trace
     fast_pages = PerformanceFocusedPlacement().select_fast_pages(
         prep.stats, prep.capacity_pages)
@@ -42,53 +45,50 @@ def _make_run(prep, kernel):
     def run():
         hma = HeterogeneousMemory(prep.config)
         hma.install_placement(fast_pages, prep.stats.pages)
+        if reference:
+            return replay_reference(
+                ReplaySpec(prep.config, hma, core_windows=wt.core_mlp),
+                wt.trace, wt.times)
         return replay(prep.config, hma, wt.trace, times=wt.times,
-                      core_windows=wt.core_mlp, kernel=kernel)
+                      core_windows=wt.core_mlp)
 
     return run
 
 
 def test_replay_kernel_speedup():
+    if _ckernel.load_multi() is None:
+        pytest.skip("no compiled replay kernel: replay is the reference")
     prep = prepare_workload("mcf", accesses_per_core=ACCESSES, seed=0)
-    kernels = ["scalar", "batched-python"]
-    if _ckernel.available():
-        kernels.append("batched-native")
 
     report = {"workload": "mcf", "accesses_per_core": ACCESSES,
-              "requests": 0, "kernels": {}}
+              "requests": 0, "paths": {}}
     results = {}
-    for kernel in kernels:
-        result, seconds = _best_of(_make_run(prep, kernel))
-        results[kernel] = result
+    for path in ("reference", "replay"):
+        result, seconds = _best_of(_make_run(prep, path == "reference"))
+        results[path] = result
         report["requests"] = result.requests
-        report["kernels"][kernel] = {
+        report["paths"][path] = {
             "seconds": seconds,
             "requests_per_second": result.requests / seconds,
         }
 
-    scalar = results["scalar"]
-    for kernel in kernels[1:]:
-        batched = results[kernel]
-        assert batched.total_seconds == scalar.total_seconds, kernel
-        assert batched.mean_read_latency == scalar.mean_read_latency, kernel
-        assert batched.per_core_ipc == scalar.per_core_ipc, kernel
+    ref, got = results["reference"], results["replay"]
+    assert got.total_seconds == ref.total_seconds
+    assert got.mean_read_latency == ref.mean_read_latency
+    assert got.per_core_ipc == ref.per_core_ipc
 
-    best = max(kernels[1:],
-               key=lambda k: report["kernels"][k]["requests_per_second"])
-    speedup = (report["kernels"][best]["requests_per_second"]
-               / report["kernels"]["scalar"]["requests_per_second"])
-    report["best_batched"] = best
-    report["speedup_vs_scalar"] = speedup
+    speedup = (report["paths"]["replay"]["requests_per_second"]
+               / report["paths"]["reference"]["requests_per_second"])
+    report["speedup_vs_reference"] = speedup
 
     out = os.environ.get("REPRO_BENCH_REPLAY_JSON", "BENCH_replay.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
 
     rps = {k: f"{v['requests_per_second']:,.0f} req/s"
-           for k, v in report["kernels"].items()}
-    print(f"\nreplay kernel throughput ({report['requests']} requests): "
-          f"{rps}; best batched = {best} at {speedup:.1f}x scalar "
-          f"-> {out}")
+           for k, v in report["paths"].items()}
+    print(f"\nreplay throughput ({report['requests']} requests): {rps}; "
+          f"replay at {speedup:.1f}x the reference -> {out}")
     assert speedup >= SPEEDUP_FLOOR, (
-        f"batched replay only {speedup:.2f}x scalar "
+        f"replay only {speedup:.2f}x the reference "
         f"(floor {SPEEDUP_FLOOR}x)")

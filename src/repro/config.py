@@ -298,11 +298,8 @@ def _knob_table(*knobs: Knob) -> "dict[str, Knob]":
 
 #: The full knob table, in display order.
 KNOBS: "dict[str, Knob]" = _knob_table(
-    Knob("replay_kernel", "REPRO_REPLAY_KERNEL", "str", None,
-         "replay engine kernel",
-         choices=("batched", "scalar", "batched-native", "batched-python")),
     Knob("replay_native", "REPRO_REPLAY_NATIVE", "bool", True,
-         "compile the C replay loop (0 = pure Python)"),
+         "compile the C replay loop (0 = pure-Python reference replay)"),
     Knob("mea_native", "REPRO_MEA_NATIVE", "bool", True,
          "compile the C MEA chunk kernel (0 = pure Python)"),
     Knob("ckernel_dir", "REPRO_CKERNEL_DIR", "str", None,
@@ -318,9 +315,6 @@ KNOBS: "dict[str, Knob]" = _knob_table(
     Knob("shm_handoff", "REPRO_SHM_HANDOFF", "bool", True,
          "pass prepared workloads to workers via shared memory "
          "(0 = pickle)"),
-    Knob("multirun", "REPRO_MULTIRUN", "bool", True,
-         "config-batched multi-run engine for sweeps "
-         "(0 = per-point oracle path)"),
     Knob("fault_trials", "REPRO_FAULT_TRIALS", "int", 0,
          "Monte-Carlo fault-sim trials (0 = analytic)"),
     Knob("seed", "REPRO_SEED", "int", 0,

@@ -122,6 +122,11 @@ class MeaTracker:
             if native is not None:
                 self._record_many_native(native, np.ascontiguousarray(arr))
                 return
+        self._record_many_python(arr)
+
+    def _record_many_python(self, arr: np.ndarray) -> None:
+        """Run one chunk (a 1-D int64 array) through the Python loop."""
+        n = int(arr.size)
         self.stream_length += n
         counters = self._counters
         start = 0

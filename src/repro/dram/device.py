@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.config import LINE_SIZE, MemoryConfig
 from repro.dram.bank import Bank
 
@@ -68,8 +66,8 @@ class MemoryDevice:
         self.channel_busy_until = [0.0] * self.num_channels
         self.stats = DeviceStats()
         # Row-buffer access latencies in seconds, precomputed so the
-        # batched replay kernel matches ``cycles * clock_period`` of
-        # the scalar path bit for bit.
+        # compiled replay kernel matches ``cycles * clock_period`` of
+        # the reference path bit for bit.
         self.hit_seconds = config.timing.row_hit_cycles() * self.clock_period
         self.miss_seconds = config.timing.row_miss_cycles() * self.clock_period
         self.conflict_seconds = (
@@ -90,17 +88,6 @@ class MemoryDevice:
         row_global = line_in_channel // LINES_PER_ROW
         bank = row_global % banks_per_channel
         row = row_global // banks_per_channel
-        return channel, bank, row
-
-    def route_arrays(
-        self, lines: "np.ndarray"
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Vectorised :meth:`route` over an array of line numbers."""
-        lines = np.asarray(lines, dtype=np.int64)
-        channel = lines % self.num_channels
-        row_global = (lines // self.num_channels) // LINES_PER_ROW
-        bank = row_global % self.banks_per_channel
-        row = row_global // self.banks_per_channel
         return channel, bank, row
 
     # -- request service ---------------------------------------------------

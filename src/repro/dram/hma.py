@@ -9,11 +9,11 @@ engines swap mappings at run time, paying the bandwidth cost of copying
 ... is governed by the slowest memory in the system").
 
 The page table is array-backed: two dense int arrays indexed by page
-number hold the owning device and frame, so whole trace chunks can be
-translated with one fancy-indexing operation (:meth:`route_batch`,
-:meth:`service_batch`) instead of a per-request dict lookup.  Page
-numbers produced by the trace generators are compact (0..footprint),
-which keeps the arrays small; they grow geometrically on demand.
+number hold the owning device and frame, so the compiled replay kernel
+translates requests straight from :meth:`page_tables` instead of
+through a per-request dict lookup.  Page numbers produced by the trace
+generators are compact (0..footprint), which keeps the arrays small;
+they grow geometrically on demand.
 """
 
 from __future__ import annotations
@@ -271,123 +271,6 @@ class HeterogeneousMemory:
         device = self._devices[device_id]
         local_line = frame * LINES_PER_PAGE + line_in_page
         return device.service(local_line, arrival, is_write)
-
-    def route_batch(
-        self, pages: np.ndarray, lines_in_page: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Translate whole request arrays through the page table.
-
-        Returns ``(device_ids, local_lines)``; unmapped pages fault
-        into DDR in first-touch order, exactly as the scalar
-        :meth:`service` path would.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        self.ensure_mapped(pages)
-        device_ids = self._pt_device[pages].astype(np.int64)
-        local_lines = (
-            self._pt_frame[pages] * LINES_PER_PAGE
-            + np.asarray(lines_in_page, dtype=np.int64)
-        )
-        return device_ids, local_lines
-
-    def service_batch(
-        self,
-        pages: np.ndarray,
-        lines_in_page: np.ndarray,
-        arrivals: np.ndarray,
-        is_write: np.ndarray,
-    ) -> np.ndarray:
-        """Serve a whole request batch; returns per-request finish times.
-
-        Equivalent to calling :meth:`service` once per request in
-        order (same timings, same device state afterwards), but the
-        address translation and channel/bank/row routing are computed
-        vectorially; only the inherently sequential bank/channel
-        busy-until resolution runs in a tight loop.
-        """
-        n = len(pages)
-        if n == 0:
-            return np.empty(0)
-        device_ids, local_lines = self.route_batch(pages, lines_in_page)
-        fast, slow = self.fast, self.slow
-        is_fast = device_ids == FAST
-        f_ch, f_bank, f_row = fast.route_arrays(local_lines)
-        s_ch, s_bank, s_row = slow.route_arrays(local_lines)
-        channel = np.where(is_fast, f_ch, s_ch)
-        bank = np.where(is_fast, f_bank, s_bank)
-        rows = np.where(is_fast, f_row, s_row).tolist()
-
-        # Flat global ids: fast banks/channels first, then slow.
-        f_bpc, s_bpc = fast.banks_per_channel, slow.banks_per_channel
-        gids = np.where(
-            is_fast,
-            channel * f_bpc + bank,
-            fast.num_banks_total + channel * s_bpc + bank,
-        ).tolist()
-        cids = np.where(is_fast, channel, fast.num_channels + channel).tolist()
-        hit_s = np.where(is_fast, fast.hit_seconds, slow.hit_seconds).tolist()
-        miss_s = np.where(is_fast, fast.miss_seconds,
-                          slow.miss_seconds).tolist()
-        conf_s = np.where(is_fast, fast.conflict_seconds,
-                          slow.conflict_seconds).tolist()
-        bursts = np.where(is_fast, fast.burst_seconds,
-                          slow.burst_seconds).tolist()
-        dev_list = device_ids.tolist()
-        arrivals_l = np.asarray(arrivals, dtype=float).tolist()
-        writes_l = np.asarray(is_write, dtype=bool).tolist()
-
-        bank_open, bank_busy, bank_hits, bank_misses, bank_conflicts = \
-            flatten_bank_state(fast, slow)
-        chan_busy = list(fast.channel_busy_until) + list(slow.channel_busy_until)
-        reads = [fast.stats.reads, slow.stats.reads]
-        writes = [fast.stats.writes, slow.stats.writes]
-        read_lat = [fast.stats.total_read_latency, slow.stats.total_read_latency]
-        busy = [fast.stats.busy_time, slow.stats.busy_time]
-
-        finishes = [0.0] * n
-        for i in range(n):
-            arrival = arrivals_l[i]
-            g = gids[i]
-            start = arrival if arrival > bank_busy[g] else bank_busy[g]
-            row = rows[i]
-            open_row = bank_open[g]
-            if open_row == row:
-                bank_hits[g] += 1
-                access_done = start + hit_s[i]
-            elif open_row < 0:
-                bank_misses[g] += 1
-                access_done = start + miss_s[i]
-            else:
-                bank_conflicts[g] += 1
-                access_done = start + conf_s[i]
-            bank_open[g] = row
-            burst = bursts[i]
-            c = cids[i]
-            burst_start = access_done - burst
-            if chan_busy[c] > burst_start:
-                burst_start = chan_busy[c]
-            finish = burst_start + burst
-            chan_busy[c] = finish
-            bank_busy[g] = finish
-            d = dev_list[i]
-            if writes_l[i]:
-                writes[d] += 1
-            else:
-                reads[d] += 1
-                read_lat[d] += finish - arrival
-            busy[d] += burst
-            finishes[i] = finish
-
-        restore_bank_state(fast, slow, bank_open, bank_busy,
-                           bank_hits, bank_misses, bank_conflicts)
-        fast.channel_busy_until = chan_busy[: fast.num_channels]
-        slow.channel_busy_until = chan_busy[fast.num_channels:]
-        for d, device in enumerate((fast, slow)):
-            device.stats.reads = reads[d]
-            device.stats.writes = writes[d]
-            device.stats.total_read_latency = read_lat[d]
-            device.stats.busy_time = busy[d]
-        return np.asarray(finishes)
 
     # -- migration -----------------------------------------------------------
 

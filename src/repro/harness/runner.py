@@ -306,7 +306,7 @@ def _run_experiment_worker(item):
     import inspect
 
     (name, accesses, scale, seed, cache_dir, fault_trials,
-     policy_kernel, cache_kernel, multirun, telemetry, obs_dir) = item
+     policy_kernel, cache_kernel, telemetry, obs_dir) = item
     # Imported lazily so forked workers reuse the parent's modules and
     # fresh processes pay the import only once each.
     from repro.config import knob_overrides
@@ -324,8 +324,7 @@ def _run_experiment_worker(item):
     # runs or sibling workers.
     with knob_overrides(fault_trials=fault_trials,
                         policy_kernel=policy_kernel,
-                        cache_kernel=cache_kernel,
-                        multirun=multirun):
+                        cache_kernel=cache_kernel):
         with run_context(
                 name,
                 config={"experiment": name, "accesses": accesses,
@@ -353,7 +352,6 @@ def run_experiments(
     fault_trials: "int | None" = None,
     policy_kernel: "str | None" = None,
     cache_kernel: "str | None" = None,
-    multirun: "bool | None" = None,
     telemetry: bool = False,
     obs_dir: "str | None" = None,
 ):
@@ -375,7 +373,7 @@ def run_experiments(
     """
     cache_dir = resolve_cache_dir(cache_dir)
     items = [(name, accesses_per_core, scale, seed, cache_dir, fault_trials,
-              policy_kernel, cache_kernel, multirun, telemetry, obs_dir)
+              policy_kernel, cache_kernel, telemetry, obs_dir)
              for name in names]
     manifest = None
     if checkpoint_dir is not None:

@@ -27,21 +27,19 @@ The views are read-only on purpose: workers share one physical copy,
 and a silent in-place mutation in one job would corrupt every sibling.
 Workers that need to mutate make an explicit ``np.array(...)`` copy.
 
-Sweep lifecycle — one segment per workload set, not per row
+Sweep lifecycle — one segment per workload set, not per job
 -----------------------------------------------------------
 
-A config-batched sweep (:func:`~repro.harness.sweeps.capacity_sweep`
-under the ``multirun`` knob) shares ONE segment across *every* job of
-the sweep, not one per (fraction, policy) row:
+A config-batched sweep (:func:`~repro.harness.sweeps.capacity_sweep`)
+shares ONE segment across *every* job of the sweep, not one per job:
 
 1. The parent prepares the workloads once and enters
    :func:`shared_handoff`, which hoists their trace arrays into a
    single segment and yields the handle.
-2. Every job item — one per *workload* under ``multirun``, one per
-   sweep row on the oracle path — carries that same tiny handle; a
-   worker's first :func:`resolve_payload` maps the segment and the
-   per-process cache serves every later job (and every sweep fraction
-   inside a job) from the mapping, zero-copy.
+2. Every job item — one per *workload* — carries that same tiny
+   handle; a worker's first :func:`resolve_payload` maps the segment
+   and the per-process cache serves every later job (and every sweep
+   fraction inside a job) from the mapping, zero-copy.
 3. The segment must outlive the whole map, including pool respawns
    after a worker crash (the fresh process just re-attaches), so the
    parent unlinks it only when the ``with`` block exits; the

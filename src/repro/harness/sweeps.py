@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.config import SystemConfig, knob_value
+from repro.config import SystemConfig
 from repro.core.placement import (
     PerformanceFocusedPlacement,
     PlacementPolicy,
@@ -26,12 +26,7 @@ from repro.core.placement import (
 from repro.faults.ser import SerModel
 from repro.harness.experiments import FigureResult
 from repro.harness.reporting import gmean
-from repro.sim.system import (
-    StaticSpec,
-    evaluate_static,
-    evaluate_static_multi,
-    prepare_workload,
-)
+from repro.sim.system import StaticSpec, evaluate_static_multi, prepare_workload
 
 
 def _config_with_fast_pages(base: SystemConfig, pages: int) -> SystemConfig:
@@ -39,44 +34,16 @@ def _config_with_fast_pages(base: SystemConfig, pages: int) -> SystemConfig:
     return replace(base, fast_memory=fast)
 
 
-def _capacity_row(item) -> list:
-    """One sweep row: every workload evaluated at one capacity fraction.
-
-    Module-level so process-pool workers can unpickle it; returns only
-    JSON-serialisable values so rows journal inline into a resume
-    manifest.
-    """
-    from repro.harness.shm import resolve_payload
-
-    fraction, preps = item
-    preps = resolve_payload(preps)
-    perf_i, perf_s, wr2_i, wr2_s = [], [], [], []
-    for prep in preps.values():
-        pages = max(1, int(prep.workload_trace.footprint_pages * fraction))
-        config = _config_with_fast_pages(prep.config, pages)
-        small_prep = replace_config(prep, config)
-        perf = evaluate_static(small_prep, PerformanceFocusedPlacement())
-        wr2 = evaluate_static(small_prep, Wr2RatioPlacement())
-        perf_i.append(perf.ipc_vs_ddr)
-        perf_s.append(perf.ser_vs_ddr)
-        wr2_i.append(wr2.ipc_vs_ddr)
-        wr2_s.append(max(wr2.ser_vs_ddr, 1e-9))
-    return [
-        f"{fraction:.2f}",
-        float(gmean(perf_i)), float(gmean(perf_s)),
-        float(gmean(wr2_i)), float(gmean(wr2_s)),
-    ]
-
-
 def _capacity_workload(item) -> "list[list[float]]":
-    """One multi-run job: every sweep fraction for one workload.
+    """One sweep job: every capacity fraction for one workload.
 
-    The config batch (two policies x all fractions) rides a single
+    Module-level so process-pool workers can unpickle it.  The config
+    batch (two policies x all fractions) rides a single
     :func:`~repro.sim.system.evaluate_static_multi` call, so the trace
-    is replayed through one stacked kernel pass instead of once per
-    (fraction, policy) point.  Returns one ``[perf_ipc, perf_ser,
-    wr2_ipc, wr2_ser]`` quartet per fraction for the parent to fold
-    across workloads.
+    is replayed through one stacked kernel pass.  Returns one
+    JSON-serialisable ``[perf_ipc, perf_ser, wr2_ipc, wr2_ser]`` quartet
+    per fraction (rows journal inline into a resume manifest) for the
+    parent to fold across workloads.
     """
     from repro.harness.shm import resolve_payload
 
@@ -121,21 +88,17 @@ def capacity_sweep(
     the workload preparation (see :mod:`repro.harness.runner`);
     ``preps`` injects already-prepared workloads and skips that step.
 
-    Under the ``multirun`` knob (the default) each *workload* is one
-    fault-tolerant job whose fractions ride a single config-batched
-    replay; with the knob off each *fraction* is one job evaluated
-    point by point (the oracle path — rows are bit-identical either
-    way).  Finished jobs journal into ``checkpoint_dir`` immediately,
-    so a killed sweep restarted with ``resume=True`` recomputes only
-    the unfinished jobs, and ``job_timeout``/``retries`` bound each
-    job's execution.
+    Each *workload* is one fault-tolerant job whose fractions ride a
+    single config-batched replay.  Finished jobs journal into
+    ``checkpoint_dir`` immediately, so a killed sweep restarted with
+    ``resume=True`` recomputes only the unfinished workloads, and
+    ``job_timeout``/``retries`` bound each job's execution.
     """
     from repro.harness.resilience import (RunManifest, checkpointed_map,
                                           run_key)
     from repro.harness.runner import prefetch_workloads
     from repro.harness.shm import shared_handoff
 
-    multirun = bool(knob_value("multirun"))
     if preps is None:
         preps = prefetch_workloads(
             workloads, scale=scale, accesses_per_core=accesses_per_core,
@@ -147,8 +110,7 @@ def capacity_sweep(
             checkpoint_dir,
             run_key=run_key(kind="capacity_sweep", workloads=list(workloads),
                             scale=scale, accesses=accesses_per_core,
-                            seed=seed,
-                            fanout="workload" if multirun else "fraction"),
+                            seed=seed),
             resume=resume)
     # Every job carries the same prepared workloads; the shared handoff
     # pickles their trace arrays into one shm segment for the whole
@@ -156,39 +118,28 @@ def capacity_sweep(
     # process.  The segment outlives pool respawns (resilient_map
     # re-dispatches into fresh workers, which simply re-attach) and is
     # unlinked here once the map has completed.
+    names = list(preps)
     with shared_handoff(preps) as preps_item:
-        if multirun:
-            names = list(preps)
-            report = checkpointed_map(
-                _capacity_workload,
-                [(name, tuple(fractions), preps_item) for name in names],
-                keys=[f"workload-{name}" for name in names],
-                manifest=manifest, store="json", jobs=jobs,
-                timeout=job_timeout, retries=retries)
-        else:
-            report = checkpointed_map(
-                _capacity_row,
-                [(fraction, preps_item) for fraction in fractions],
-                keys=[f"fraction-{fraction:.4f}" for fraction in fractions],
-                manifest=manifest, store="json", jobs=jobs,
-                timeout=job_timeout, retries=retries)
+        report = checkpointed_map(
+            _capacity_workload,
+            [(name, tuple(fractions), preps_item) for name in names],
+            keys=[f"workload-{name}" for name in names],
+            manifest=manifest, store="json", jobs=jobs,
+            timeout=job_timeout, retries=retries)
     report.raise_if_failed()
-    if multirun:
-        # Re-fold the per-workload quartets into the oracle's
-        # per-fraction rows (same values, same gmean order).
-        cols = dict(zip(names, report.results))
-        rows = []
-        for j, fraction in enumerate(fractions):
-            quads = [cols[name][j] for name in names]
-            rows.append([
-                f"{fraction:.2f}",
-                float(gmean([q[0] for q in quads])),
-                float(gmean([q[1] for q in quads])),
-                float(gmean([q[2] for q in quads])),
-                float(gmean([q[3] for q in quads])),
-            ])
-    else:
-        rows = report.results
+    # Fold the per-workload quartets into per-fraction rows (gmean
+    # across workloads, in workload order).
+    cols = dict(zip(names, report.results))
+    rows = []
+    for j, fraction in enumerate(fractions):
+        quads = [cols[name][j] for name in names]
+        rows.append([
+            f"{fraction:.2f}",
+            float(gmean([q[0] for q in quads])),
+            float(gmean([q[1] for q in quads])),
+            float(gmean([q[2] for q in quads])),
+            float(gmean([q[3] for q in quads])),
+        ])
     return FigureResult(
         figure="Sweep",
         description="HBM capacity as a fraction of footprint",
@@ -196,13 +147,6 @@ def capacity_sweep(
                  "wr2 IPC", "wr2 SER"],
         rows=rows,
     )
-
-
-def replace_config(prep, config: SystemConfig):
-    """A shallow PreparedWorkload copy bound to a different config."""
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(prep, config=config)
 
 
 def fit_multiplier_sweep(
@@ -223,34 +167,20 @@ def fit_multiplier_sweep(
     for multiplier in multipliers:
         fast = replace(prep.config.fast_memory, fit_multiplier=multiplier)
         configs.append(replace(prep.config, fast_memory=fast))
-    rows = []
-    if knob_value("multirun"):
-        # One deduplicated fault campaign and one batched replay pass:
-        # the multiplier only moves the fault model, so every point
-        # shares the same two (policy, placement) replays.
-        ser_models = SerModel.for_systems(configs)
-        perf_p, wr2_p = PerformanceFocusedPlacement(), Wr2RatioPlacement()
-        specs = []
-        for config, ser_model in zip(configs, ser_models):
-            specs.append(StaticSpec(perf_p, config=config,
-                                    ser_model=ser_model))
-            specs.append(StaticSpec(wr2_p, config=config,
-                                    ser_model=ser_model))
-        results = evaluate_static_multi(prep, specs)
-        for j, (multiplier, ser_model) in enumerate(
-                zip(multipliers, ser_models)):
-            rows.append([multiplier, ser_model.fit_ratio,
-                         results[2 * j].ser_vs_ddr,
-                         results[2 * j + 1].ser_vs_ddr])
-    else:
-        for multiplier, config in zip(multipliers, configs):
-            ser_model = SerModel.for_system(config)
-            swept = replace_config(prep, config)
-            swept.ser_model = ser_model
-            perf = evaluate_static(swept, PerformanceFocusedPlacement())
-            wr2 = evaluate_static(swept, Wr2RatioPlacement())
-            rows.append([multiplier, ser_model.fit_ratio,
-                         perf.ser_vs_ddr, wr2.ser_vs_ddr])
+    # One deduplicated fault campaign and one batched replay pass: the
+    # multiplier only moves the fault model, so every point shares the
+    # same two (policy, placement) replays.
+    ser_models = SerModel.for_systems(configs)
+    perf_p, wr2_p = PerformanceFocusedPlacement(), Wr2RatioPlacement()
+    specs = []
+    for config, ser_model in zip(configs, ser_models):
+        specs.append(StaticSpec(perf_p, config=config, ser_model=ser_model))
+        specs.append(StaticSpec(wr2_p, config=config, ser_model=ser_model))
+    results = evaluate_static_multi(prep, specs)
+    rows = [[multiplier, ser_model.fit_ratio, results[2 * j].ser_vs_ddr,
+             results[2 * j + 1].ser_vs_ddr]
+            for j, (multiplier, ser_model) in enumerate(
+                zip(multipliers, ser_models))]
     return FigureResult(
         figure="Sweep",
         description=f"Die-stacked raw-FIT multiplier ({workload})",
@@ -275,7 +205,7 @@ def mlp_sensitivity(
     bare latency difference.
     """
     from repro.dram.hma import HeterogeneousMemory
-    from repro.sim.engine import replay
+    from repro.sim.engine import ReplaySpec, replay_multi
 
     if policy is None:
         policy = PerformanceFocusedPlacement()
@@ -283,42 +213,23 @@ def mlp_sensitivity(
                             accesses_per_core=accesses_per_core, seed=seed)
     wt = prep.workload_trace
     fast_pages = policy.select_fast_pages(prep.stats, prep.capacity_pages)
-    rows = []
-    if knob_value("multirun"):
-        # Specs differ only in the miss window, which is per-config
-        # state in the stacked kernel: all (window, memory) points ride
-        # one replay_multi pass.
-        from repro.sim.engine import ReplaySpec, replay_multi
-
-        specs = []
-        for window in windows:
-            windows_vec = [window] * prep.config.num_cores
-            ddr = HeterogeneousMemory(prep.config)
-            ddr.install_placement([], prep.stats.pages)
+    # Specs differ only in the miss window, which is per-config state
+    # in the stacked kernel: all (window, memory) points ride one
+    # replay_multi pass.
+    specs = []
+    for window in windows:
+        windows_vec = [window] * prep.config.num_cores
+        for placement in ([], fast_pages):
             hma = HeterogeneousMemory(prep.config)
-            hma.install_placement(fast_pages, prep.stats.pages)
-            specs.append(ReplaySpec(config=prep.config, hma=ddr,
-                                    core_windows=windows_vec))
+            hma.install_placement(placement, prep.stats.pages)
             specs.append(ReplaySpec(config=prep.config, hma=hma,
                                     core_windows=windows_vec))
-        results = replay_multi(specs, wt.trace, wt.times)
-        for j, window in enumerate(windows):
-            base, res = results[2 * j], results[2 * j + 1]
-            rows.append([window, base.ipc, res.ipc,
-                         res.ipc / base.ipc if base.ipc else 0.0])
-    else:
-        for window in windows:
-            windows_vec = [window] * prep.config.num_cores
-            ddr = HeterogeneousMemory(prep.config)
-            ddr.install_placement([], prep.stats.pages)
-            base = replay(prep.config, ddr, wt.trace, wt.times,
-                          core_windows=windows_vec)
-            hma = HeterogeneousMemory(prep.config)
-            hma.install_placement(fast_pages, prep.stats.pages)
-            res = replay(prep.config, hma, wt.trace, wt.times,
-                         core_windows=windows_vec)
-            rows.append([window, base.ipc, res.ipc,
-                         res.ipc / base.ipc if base.ipc else 0.0])
+    results = replay_multi(specs, wt.trace, wt.times)
+    rows = []
+    for j, window in enumerate(windows):
+        base, res = results[2 * j], results[2 * j + 1]
+        rows.append([window, base.ipc, res.ipc,
+                     res.ipc / base.ipc if base.ipc else 0.0])
     return FigureResult(
         figure="Sweep",
         description=f"Miss-window (MLP) sensitivity ({workload})",

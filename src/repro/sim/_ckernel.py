@@ -1,26 +1,28 @@
-"""Optional compiled busy-until kernel for the batched replay path.
+"""Optional compiled kernels: the replay loop and the cache filter.
 
-The fused core/bank/channel resolution loop in
-:func:`repro.sim.engine._replay_batched` is inherently sequential, so
-its cost is pure interpreter dispatch.  This module compiles the same
-loop — operation for operation, in the same order, on IEEE-754
-doubles — to a tiny shared library with the system C compiler and
-loads it through :mod:`ctypes`.  No third-party packages and no build
-step: the library is built once per source revision into a cache
-directory and memoised per process.
+The per-request core/bank/channel resolution of the replay engine
+(:mod:`repro.sim.engine`) and the fused L1D+L2 cache filter
+(:mod:`repro.cache.filter_array`) are inherently sequential, so their
+cost is pure interpreter dispatch.  This module compiles each loop —
+operation for operation, in the same order, on IEEE-754 doubles — to a
+tiny shared library with the system C compiler and loads it through
+:mod:`ctypes`.  No third-party packages and no build step: each library
+is built once per source revision into a cache directory and memoised
+per process.
 
 Everything degrades gracefully: if there is no C compiler, the build
-fails, or ``REPRO_REPLAY_NATIVE=0`` is set, :func:`load` returns
-``None`` and the engine falls back to the pure-Python fused loop.
-Both produce bit-identical results (see ``tests/sim/test_parity.py``
-and ``tests/sim/test_ckernel_fallback.py``); the compiled loop is
-simply ~10x faster.
+fails, or ``REPRO_REPLAY_NATIVE=0`` is set, :func:`load_multi` returns
+``None`` and the engine replays through its pure-Python reference
+(:func:`repro.sim.engine.replay_reference`).  Both produce
+bit-identical results (see ``tests/sim/test_parity.py`` and
+``tests/sim/test_ckernel_fallback.py``); the compiled loop is simply
+much faster.
 
 Build *failure* is cached per process exactly like success: the first
 failed attempt emits one :class:`NativeKernelUnavailableWarning`
-carrying the compiler's stderr, and every later :func:`load` call
-returns ``None`` without re-invoking ``cc`` — a broken toolchain
-degrades once, not once per replay.
+carrying the compiler's stderr, and every later load returns ``None``
+without re-invoking ``cc`` — a broken toolchain degrades once, not once
+per replay.
 """
 
 from __future__ import annotations
@@ -36,127 +38,26 @@ import warnings
 
 
 class NativeKernelUnavailableWarning(RuntimeWarning):
-    """The compiled replay kernel could not be built or loaded.
+    """A compiled kernel could not be built or loaded.
 
-    Emitted once per process; the engine transparently falls back to
-    the bit-identical pure-Python fused loop.
+    Emitted once per process and kernel; callers transparently fall
+    back to the bit-identical pure-Python implementation.
     """
 
-_SOURCE = r"""
-#include <stdint.h>
-
-/* One chunk of the batched replay loop.  Mirrors the scalar path
- * (ReplayCore + MemoryDevice.service) float-operation for
- * float-operation; compiled without -ffast-math so the doubles round
- * exactly like CPython's.
- *
- * latconst layout: [device * 4 + {hit, miss, conflict, burst}].
- * ring is a per-core circular buffer of in-flight finish times
- * (capacity ringcap), the deque of the Python implementation.
- */
-void repro_replay_chunk(
-    int64_t n,
-    const int32_t *core,
-    const double *dts,
-    const int64_t *gid,
-    const int32_t *cid,
-    const uint8_t *dev,
-    const uint8_t *is_write,
-    const int64_t *row,
-    const double *latconst,
-    double *core_time,
-    const int32_t *windows,
-    double *ring,
-    int32_t *ring_head,
-    int32_t *ring_len,
-    int32_t ringcap,
-    double *bank_busy,
-    int64_t *bank_open,
-    int64_t *bank_hits,
-    int64_t *bank_misses,
-    int64_t *bank_conflicts,
-    double *chan_busy,
-    double *read_lat,
-    double *busy_acc,
-    double *read_total)
-{
-    double rtotal = read_total[0];
-    for (int64_t i = 0; i < n; i++) {
-        int32_t c = core[i];
-        double t = core_time[c] + dts[i];
-        double *r = ring + (int64_t)c * ringcap;
-        int32_t head = ring_head[c];
-        int32_t len = ring_len[c];
-        while (len > 0 && r[head] <= t) {
-            head++; if (head == ringcap) head = 0;
-            len--;
-        }
-        if (len >= windows[c]) {
-            double oldest = r[head];
-            head++; if (head == ringcap) head = 0;
-            len--;
-            if (oldest > t) t = oldest;
-            while (len > 0 && r[head] <= t) {
-                head++; if (head == ringcap) head = 0;
-                len--;
-            }
-        }
-        int64_t g = gid[i];
-        double bb = bank_busy[g];
-        double begin = t > bb ? t : bb;
-        int64_t open_row = bank_open[g];
-        int64_t rw = row[i];
-        const double *lc = latconst + dev[i] * 4;
-        double access_done;
-        if (open_row == rw) {
-            bank_hits[g]++;
-            access_done = begin + lc[0];
-        } else if (open_row < 0) {
-            bank_misses[g]++;
-            access_done = begin + lc[1];
-        } else {
-            bank_conflicts[g]++;
-            access_done = begin + lc[2];
-        }
-        bank_open[g] = rw;
-        double b = lc[3];
-        double burst_start = access_done - b;
-        double cb = chan_busy[cid[i]];
-        if (cb > burst_start) burst_start = cb;
-        double finish = burst_start + b;
-        chan_busy[cid[i]] = finish;
-        bank_busy[g] = finish;
-        if (!is_write[i]) {
-            double latency = finish - t;
-            read_lat[dev[i]] += latency;
-            rtotal += latency;
-        }
-        busy_acc[dev[i]] += b;
-        int32_t tail = head + len;
-        if (tail >= ringcap) tail -= ringcap;
-        r[tail] = finish;
-        len++;
-        ring_head[c] = head;
-        ring_len[c] = len;
-        core_time[c] = t;
-    }
-    read_total[0] = rtotal;
-}
-"""
 
 _MULTI_SOURCE = r"""
 #include <stdint.h>
 
-/* One chunk of the config-batched multi-run replay loop.
+/* One chunk of the config-batched replay loop.
  *
- * Identical timing arithmetic to repro_replay_chunk, with two
- * differences: (1) page-table translation and channel/bank/row routing
- * happen here, per request, instead of in numpy (the integer / and %
- * match numpy's floor division exactly for the non-negative operands
- * involved), and (2) an outer loop walks nspec system configurations
- * stacked along the leading axis of every state array, so one call
- * replays the shared request chunk against N page tables / capacities /
- * latency tables.  The request arrays (core, dts, page, line, is_write)
+ * Mirrors the reference path (ReplayCore + HeterogeneousMemory.service
+ * + MemoryDevice.service) float-operation for float-operation; compiled
+ * without -ffast-math so the doubles round exactly like CPython's.
+ * Page-table translation and channel/bank/row routing are pure integer
+ * arithmetic on non-negative operands, so C's / and % match Python's.
+ * An outer loop walks nspec system configurations stacked along the
+ * leading axis of every state array, so one call replays the shared
+ * request chunk against N page tables / capacities / latency tables.  The request arrays (core, dts, page, line, is_write)
  * are shared by every config and span the whole trace; the chunk is the
  * index range [start, stop), so callers pass full-trace pointers once
  * and move only the bounds between chunks.  Everything else is
@@ -238,7 +139,8 @@ void repro_multi_chunk(
             int64_t cd = d ? f_nc + channel : channel;
             counts[d ? (is_write[i] ? 3 : 1) : (is_write[i] ? 2 : 0)]++;
 
-            /* -- busy-until resolution (identical to repro_replay_chunk) */
+            /* -- busy-until resolution; ring is a per-core circular
+             * buffer of in-flight finish times (ReplayCore's deque) -- */
             int32_t c = core[i];
             double t = ctime[c] + dts[i];
             double *r = kring + (int64_t)c * ringcap;
@@ -424,12 +326,9 @@ void repro_cache_filter_chunk(
 """
 
 _lock = threading.Lock()
-#: ``(fn, error)`` once resolved, success or failure alike — the build
+#: ``(fn, error)`` once resolved, success or failure alike — each build
 #: (and any compiler invocation) happens at most once per process.
-_cached: "tuple[object, str | None] | None" = None
-#: Same memoisation for the cache-filter kernel.
 _filter_cached: "tuple[object, str | None] | None" = None
-#: Same memoisation for the config-batched multi-run kernel.
 _multi_cached: "tuple[object, str | None] | None" = None
 
 
@@ -443,7 +342,7 @@ def _cache_dir() -> str:
                         f"repro-ckernel-{os.getuid()}")
 
 
-def _build(so_path: str, source: str = _SOURCE) -> "str | None":
+def _build(so_path: str, source: str) -> "str | None":
     """Compile a kernel; returns None on success, an error detail on
     failure (including the compiler's stderr where available)."""
     compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
@@ -474,84 +373,12 @@ def _build(so_path: str, source: str = _SOURCE) -> "str | None":
         return detail
 
 
-def _bind(so_path: str):
-    lib = ctypes.CDLL(so_path)
-    fn = lib.repro_replay_chunk
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_i32 = ctypes.POINTER(ctypes.c_int32)
-    p_u8 = ctypes.POINTER(ctypes.c_uint8)
-    fn.argtypes = [
-        ctypes.c_int64,          # n
-        p_i32, p_f64, p_i64, p_i32, p_u8, p_u8, p_i64,   # request arrays
-        p_f64,                   # latconst
-        p_f64, p_i32,            # core_time, windows
-        p_f64, p_i32, p_i32, ctypes.c_int32,  # ring, head, len, ringcap
-        p_f64, p_i64, p_i64, p_i64, p_i64,    # bank state
-        p_f64,                   # chan_busy
-        p_f64, p_f64, p_f64,     # read_lat, busy_acc, read_total
-    ]
-    fn.restype = None
-    return fn
-
-
-def load():
-    """The compiled chunk kernel, or ``None`` when unavailable.
-
-    The outcome — success *or* failure — is memoised per process, so a
-    broken toolchain costs exactly one ``cc`` invocation and one
-    :class:`NativeKernelUnavailableWarning` (with the compiler stderr)
-    before every caller silently gets the Python fallback.
-    """
-    global _cached
-    if _cached is not None:
-        return _cached[0]
-    with _lock:
-        if _cached is not None:
-            return _cached[0]
-        from repro.config import knob_value
-
-        fn, error = None, None
-        if knob_value("replay_native"):
-            digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-            so_path = os.path.join(_cache_dir(), f"replay-{digest}.so")
-            try:
-                if not os.path.exists(so_path):
-                    error = _build(so_path)
-                if error is None:
-                    fn = _bind(so_path)
-            except OSError as exc:
-                fn, error = None, repr(exc)
-            if fn is None and error is None:
-                error = "unknown load failure"
-        _cached = (fn, error)
-        if error is not None:
-            warnings.warn(
-                "native replay kernel unavailable, falling back to the "
-                f"pure-Python fused loop (bit-identical, ~10x slower): "
-                f"{error}",
-                NativeKernelUnavailableWarning,
-                stacklevel=2,
-            )
-        return fn
-
-
-def build_error() -> "str | None":
-    """The cached build/load failure detail, if any (after :func:`load`)."""
-    return _cached[1] if _cached is not None else None
-
-
 def _reset_for_tests() -> None:
     """Forget the per-process memoised outcomes (chaos tests only)."""
-    global _cached, _filter_cached, _multi_cached
+    global _filter_cached, _multi_cached
     with _lock:
-        _cached = None
         _filter_cached = None
         _multi_cached = None
-
-
-def available() -> bool:
-    return load() is not None
 
 
 def _bind_filter(so_path: str):
@@ -578,7 +405,7 @@ def _bind_filter(so_path: str):
 def load_filter():
     """The compiled cache-filter kernel, or ``None`` when unavailable.
 
-    Memoised per process exactly like :func:`load`; gated by the
+    Memoised per process exactly like :func:`load_multi`; gated by the
     ``cache_native`` knob (``REPRO_CACHE_NATIVE``).  Failure warns once
     and every caller silently gets the bit-identical Python fallback in
     :mod:`repro.cache.filter_array`.
@@ -655,11 +482,13 @@ def _bind_multi(so_path: str):
 
 
 def load_multi():
-    """The compiled multi-config chunk kernel, or ``None``.
+    """The compiled replay kernel, or ``None`` when unavailable.
 
-    Gated by the same ``replay_native`` knob as :func:`load` and
-    memoised identically; failure warns once and the multi-run engine
-    transparently falls back to the bit-identical per-spec path.
+    Gated by the ``replay_native`` knob (``REPRO_REPLAY_NATIVE``).  The
+    outcome — success *or* failure — is memoised per process, so a
+    broken toolchain costs exactly one ``cc`` invocation and one
+    :class:`NativeKernelUnavailableWarning` (with the compiler stderr)
+    before every replay silently takes the reference path.
     """
     global _multi_cached
     if _multi_cached is not None:
@@ -685,8 +514,8 @@ def load_multi():
         _multi_cached = (fn, error)
         if error is not None:
             warnings.warn(
-                "native multi-run kernel unavailable, falling back to "
-                f"the per-spec replay path (bit-identical, slower): "
+                "native replay kernel unavailable, falling back to the "
+                f"pure-Python reference replay (bit-identical, slower): "
                 f"{error}",
                 NativeKernelUnavailableWarning,
                 stacklevel=2,
@@ -695,61 +524,27 @@ def load_multi():
 
 
 def multi_build_error() -> "str | None":
-    """The cached multi-kernel build/load failure, if any (after
+    """The cached replay-kernel build/load failure, if any (after
     :func:`load_multi`)."""
     return _multi_cached[1] if _multi_cached is not None else None
-
-
-def multi_available() -> bool:
-    return load_multi() is not None
 
 
 def _pi16(a):
     return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int16))
 
 
-def run_multi_chunk(fn, core, dts, page, line, is_write,
-                    lines_per_page, lines_per_row,
-                    f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-                    pt_device, pt_frame, pt_len,
-                    latconst, core_time, windows,
-                    ring, ring_head, ring_len, ringcap, ncores,
-                    bank_busy, bank_open, bank_hits, bank_misses,
-                    bank_conflicts, chan_busy, nbanks, nchan,
-                    read_lat, busy_acc, read_total, dev_counts) -> None:
-    """Invoke the compiled multi-config loop on C-contiguous arrays.
-
-    ``nspec`` is taken from ``read_total``; every per-config array must
-    be stacked ``[nspec, ...]`` C-contiguously.  Every page referenced
-    by the chunk must already be mapped in every config's page table
-    (``dev == -1`` would index out of bounds) — the engine guarantees
-    that by calling ``ensure_mapped`` per spec before the chunk.
-    """
-    fn(len(read_total), 0, len(core),
-       _pi32(core), _pf64(dts), _pi64(page), _pi64(line), _pu8(is_write),
-       int(lines_per_page), int(lines_per_row),
-       int(f_nc), int(s_nc), int(f_bpc), int(s_bpc), int(n_fast_banks),
-       _pi16(pt_device), _pi64(pt_frame), int(pt_len),
-       _pf64(latconst), _pf64(core_time), _pi32(windows),
-       _pf64(ring), _pi32(ring_head), _pi32(ring_len), int(ringcap),
-       int(ncores),
-       _pf64(bank_busy), _pi64(bank_open), _pi64(bank_hits),
-       _pi64(bank_misses), _pi64(bank_conflicts),
-       _pf64(chan_busy), int(nbanks), int(nchan),
-       _pf64(read_lat), _pf64(busy_acc), _pf64(read_total),
-       _pi64(dev_counts))
-
-
 class MultiCall:
-    """A pre-bound multi-kernel invocation for one chunked replay.
+    """A pre-bound replay-kernel invocation.
 
     Chunked replays call the kernel once per interval with the same
     request and state arrays every time; re-deriving ~20 ctypes
     pointers per call costs more than some chunks' C work.  This caches
     every pointer at construction (holding array references so the
-    memory stays alive) and per chunk passes only the request range and
+    memory stays alive) and per call passes only the request range and
     the page-table columns, which migrations may reallocate between
-    chunks.
+    chunks.  Every per-config array must be stacked ``[nspec, ...]``
+    C-contiguously (``nspec`` is taken from ``read_total``), and every
+    page a call references must be mapped in every config's page table.
     """
 
     def __init__(self, fn, core, dts, page, line, is_write,
@@ -831,19 +626,3 @@ def _pi32(a):
 
 def _pu8(a):
     return a.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8))
-
-
-def run_chunk(fn, core, dts, gid, cid, dev, is_write, row, latconst,
-              core_time, windows, ring, ring_head, ring_len, ringcap,
-              bank_busy, bank_open, bank_hits, bank_misses, bank_conflicts,
-              chan_busy, read_lat, busy_acc, read_total) -> None:
-    """Invoke the compiled chunk loop on C-contiguous numpy arrays."""
-    fn(len(core),
-       _pi32(core), _pf64(dts), _pi64(gid), _pi32(cid), _pu8(dev),
-       _pu8(is_write), _pi64(row), _pf64(latconst),
-       _pf64(core_time), _pi32(windows),
-       _pf64(ring), _pi32(ring_head), _pi32(ring_len), int(ringcap),
-       _pf64(bank_busy), _pi64(bank_open), _pi64(bank_hits),
-       _pi64(bank_misses), _pi64(bank_conflicts),
-       _pf64(chan_busy), _pf64(read_lat), _pf64(busy_acc),
-       _pf64(read_total))

@@ -1,45 +1,44 @@
 """The trace-replay engine: cores + HMA + optional migration.
 
-:func:`replay` drives a time-ordered multi-core memory trace through
-the :class:`~repro.sim.cpu.ReplayCore` models and a
-:class:`~repro.dram.hma.HeterogeneousMemory`, optionally invoking a
-:class:`~repro.core.migration.MigrationMechanism` at interval
-boundaries.  Interval boundaries are expressed in the trace's logical
-time (the generator's ``[0, 1)`` window); migration bandwidth is
-charged to both devices at the boundary, so migration-heavy intervals
-slow subsequent requests down — the paper's migration cost model.
+:func:`replay_multi` drives one time-ordered multi-core memory trace
+through N system configurations (:class:`ReplaySpec`).  Each spec pairs
+a :class:`~repro.dram.hma.HeterogeneousMemory` with the
+:class:`~repro.sim.cpu.ReplayCore` timing model and, optionally, a
+:class:`~repro.core.migration.MigrationMechanism` invoked at interval
+boundaries; :func:`replay` is the one-spec form.  Interval boundaries
+are expressed in the trace's logical time (the generator's ``[0, 1)``
+window); migration bandwidth is charged to both devices at the
+boundary, so migration-heavy intervals slow subsequent requests down —
+the paper's migration cost model.
 
-Two kernels implement the same timing model:
+Two implementations of the same timing model:
 
-* ``scalar`` — the original per-request call chain
-  (``hma.service`` → ``MemoryDevice.service`` → ``Bank.service``).
-  It is the reference oracle: slow, but written directly against the
-  component models.
-* ``batched`` (default) — page-table translation and channel/bank/row
-  routing are computed for a whole chunk with NumPy, and only the
-  inherently sequential core/bank/channel busy-until resolution runs
-  in a tight fused loop over flat lists.  The arithmetic mirrors the
-  scalar path operation for operation, so both kernels produce
-  bit-identical :class:`~repro.sim.results.ReplayResult` timings
-  (enforced by ``tests/sim/test_parity.py``).
+* the native path (the default) — page-table translation,
+  channel/bank/row routing and the core/bank/channel busy-until
+  resolution run in the compiled loop of :mod:`repro.sim._ckernel`.
+  Static specs that share core count, clocking and device geometry are
+  stacked along a config axis and replayed in one call; chunked specs
+  (a migration mechanism, or multi-interval residency sampling) replay
+  one at a time, one call per chunk.
+* :func:`replay_reference` — the per-request call chain
+  (``hma.service`` → ``MemoryDevice.service`` → ``Bank.service``),
+  written directly against the component models.  It is the fuzz
+  oracle, and the path for memories without page tables (the
+  DRAM-cache foil), for hosts without a C compiler, and for
+  ``REPRO_REPLAY_NATIVE=0``.
 
-The kernel is selected with the ``kernel`` argument or the
-``REPRO_REPLAY_KERNEL`` environment variable; memory models that lack
-the batch API (e.g. the DRAM-cache foil) automatically fall back to
-the scalar kernel.
+Both produce bit-identical :class:`~repro.sim.results.ReplayResult`
+timings (enforced by ``tests/sim/test_parity.py``).
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.config import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, SystemConfig
 from repro.core.migration import MigrationMechanism
-from repro.sim import _ckernel
 from repro.dram.device import LINES_PER_ROW
 from repro.dram.hma import (
     FAST,
@@ -50,6 +49,7 @@ from repro.dram.hma import (
 from repro.obs import metrics as _metrics
 from repro.obs.snapshots import replay_sink
 from repro.obs.tracing import span
+from repro.sim import _ckernel
 from repro.sim.cpu import ReplayCore
 from repro.sim.results import DeviceUtilisation, ReplayResult
 from repro.trace.record import Trace
@@ -62,44 +62,46 @@ def interval_boundaries(num_intervals: int) -> np.ndarray:
     return np.arange(1, num_intervals) / num_intervals
 
 
-#: Recognised values for ``replay(..., kernel=)`` and
-#: ``REPRO_REPLAY_KERNEL``.  Plain ``"batched"`` auto-selects the
-#: compiled loop when a C compiler is available, else the pure-Python
-#: fused loop; the explicit variants pin one implementation.
-KERNELS = ("batched", "scalar", "batched-native", "batched-python")
+@dataclass
+class ReplaySpec:
+    """One system configuration replayed by :func:`replay_multi`.
+
+    Every spec of one call replays the *same* trace, so only the system
+    side varies.
+    """
+
+    config: SystemConfig
+    hma: HeterogeneousMemory
+    mechanism: "MigrationMechanism | None" = None
+    num_intervals: int = 1
+    core_windows: "list[int] | None" = None
 
 
-def _resolve_kernel(kernel: "str | None", hma) -> str:
-    """Pick the replay kernel for this run."""
-    supported = (
-        hasattr(hma, "route_batch") and hasattr(hma, "fast_pages_snapshot")
-    )
-    if kernel is None:
-        from repro.config import knob_value
+def replay(
+    config: SystemConfig,
+    hma: HeterogeneousMemory,
+    trace: Trace,
+    times: "np.ndarray | None" = None,
+    mechanism: "MigrationMechanism | None" = None,
+    num_intervals: int = 1,
+    core_windows: "list[int] | None" = None,
+) -> ReplayResult:
+    """Replay ``trace`` through ``hma``; returns timing results.
 
-        kernel = knob_value("replay_kernel", kernel)
-    if kernel is None:
-        if not supported:
-            return "scalar"
-        kernel = "batched"
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}")
-    if kernel == "scalar":
-        return kernel
-    if not supported:
-        raise ValueError(
-            f"{type(hma).__name__} does not expose the batch API; "
-            "use kernel='scalar'"
-        )
-    if kernel == "batched":
-        return "batched-native" if _ckernel.available() else "batched-python"
-    if kernel == "batched-native" and not _ckernel.available():
-        raise RuntimeError(
-            "compiled replay kernel unavailable (no C compiler, build "
-            "failure, or REPRO_REPLAY_NATIVE=0)"
-        )
-    return kernel
+    ``times`` (logical time per request) is required when
+    ``num_intervals > 1`` so interval boundaries can be located.  The
+    residency of fast memory is snapshotted at the start of every
+    sub-interval for dynamic SER accounting.  ``core_windows`` gives
+    each core its workload's MLP-limited miss window.  This is
+    :func:`replay_multi` with a single spec.
+    """
+    spec = ReplaySpec(config, hma, mechanism, num_intervals, core_windows)
+    return replay_multi([spec], trace, times)[0]
 
+
+# ---------------------------------------------------------------------------
+# Shared helpers
+# ---------------------------------------------------------------------------
 
 def _residency_snapshot(hma) -> "set[int]":
     if hasattr(hma, "fast_pages_snapshot"):
@@ -128,6 +130,54 @@ def _plan_migration(
     return _page_list(to_fast), _page_list(to_slow)
 
 
+def _spec_windows(spec: ReplaySpec) -> "list[int]":
+    """The per-core miss windows for one spec (validated)."""
+    num_cores = spec.config.num_cores
+    if spec.core_windows is not None and len(spec.core_windows) != num_cores:
+        raise ValueError("core_windows must have one entry per core")
+    cap = spec.config.core.max_outstanding_misses
+    windows = (
+        [min(cap, w) for w in spec.core_windows]
+        if spec.core_windows is not None else [cap] * num_cores
+    )
+    if any(w < 1 for w in windows):
+        raise ValueError("miss window must be >= 1")
+    return windows
+
+
+def _total_chunks(spec: ReplaySpec) -> int:
+    sub = spec.mechanism.subintervals_per_interval if spec.mechanism else 1
+    return spec.num_intervals * sub
+
+
+def _chunk_bounds(n: int, total_chunks: int, times: "np.ndarray | None"):
+    """``(starts, stops, bounds)`` of ``total_chunks`` equal slices of
+    logical time over ``n`` requests."""
+    if total_chunks > 1:
+        if times is None:
+            raise ValueError("times required for interval-based replay")
+        bounds = interval_boundaries(total_chunks)
+        cut = np.searchsorted(times, bounds)
+        return (np.concatenate(([0], cut)), np.concatenate((cut, [n])),
+                bounds)
+    return np.array([0]), np.array([n]), np.empty(0)
+
+
+def _core_instructions(trace: Trace, num_cores: int) -> "list[int]":
+    """Per-core retired instructions: every gap plus the access itself."""
+    counts = np.bincount(trace.core, minlength=num_cores)
+    sums = np.bincount(trace.core, weights=trace.gap, minlength=num_cores)
+    if len(counts) == num_cores and float(sums.max(initial=0.0)) < 2.0 ** 53:
+        # uint32 gaps summed in float64 stay exact integers below 2^53,
+        # so this matches the per-core integer sums.
+        return [int(s) + int(c) for s, c in zip(sums, counts)]
+    out = []
+    for c in range(num_cores):
+        sel = trace.core == c
+        out.append(int(trace.gap[sel].sum()) + int(sel.sum()))
+    return out
+
+
 def _build_result(
     config: SystemConfig,
     hma,
@@ -138,15 +188,8 @@ def _build_result(
     read_count: int,
     residency: "list[set[int]]",
     bounds: np.ndarray,
-    core_instructions: "list[int] | None" = None,
+    core_instructions: "list[int]",
 ) -> ReplayResult:
-    if core_instructions is None:
-        core_instructions = [0] * config.num_cores
-        core_ids_all = trace.core
-        gaps_all = trace.gap
-        for c in range(config.num_cores):
-            sel = core_ids_all == c
-            core_instructions[c] = int(gaps_all[sel].sum()) + int(sel.sum())
     per_core_ipc = [
         (core_instructions[c]
          / (core_times[c] * config.core.frequency_hz))
@@ -177,82 +220,40 @@ def _build_result(
     )
 
 
-def replay(
-    config: SystemConfig,
-    hma: HeterogeneousMemory,
-    trace: Trace,
-    times: "np.ndarray | None" = None,
-    mechanism: "MigrationMechanism | None" = None,
-    num_intervals: int = 1,
-    core_windows: "list[int] | None" = None,
-    kernel: "str | None" = None,
-) -> ReplayResult:
-    """Replay ``trace`` through ``hma``; returns timing results.
+def _record_telemetry(result: ReplayResult, sink, requests: int,
+                      chunks: int) -> None:
+    """Attach a spec's epoch series and count its run (telemetry on)."""
+    if sink is None:
+        return
+    result.snapshots = sink.series
+    registry = _metrics.get_registry()
+    registry.counter("replay.requests").inc(requests)
+    registry.counter("replay.chunks").inc(chunks)
+    registry.counter("replay.runs").inc()
 
-    ``times`` (logical time per request) is required when
-    ``num_intervals > 1`` so interval boundaries can be located.  The
-    residency of fast memory is snapshotted at the start of every
-    sub-interval for dynamic SER accounting.  ``core_windows`` gives
-    each core its workload's MLP-limited miss window.  ``kernel``
-    selects the replay implementation (``"batched"`` or ``"scalar"``,
-    default: batched whenever ``hma`` supports it); both produce
-    identical results.
+
+# ---------------------------------------------------------------------------
+# The reference path
+# ---------------------------------------------------------------------------
+
+def replay_reference(
+    spec: ReplaySpec, trace: Trace, times: "np.ndarray | None" = None,
+) -> ReplayResult:
+    """Replay one spec through the per-request call chain.
+
+    The pure-Python reference of the timing model: every request walks
+    ``hma.service`` → ``MemoryDevice.service`` → ``Bank.service``.  It
+    is slow but written directly against the component models, and
+    bit-identical to :func:`replay` on the same spec.
     """
-    kernel = _resolve_kernel(kernel, hma)
+    config, hma, mechanism = spec.config, spec.hma, spec.mechanism
+    cores = [ReplayCore(config.core, window=w) for w in _spec_windows(spec)]
+    total_chunks = _total_chunks(spec)
     sub = mechanism.subintervals_per_interval if mechanism else 1
-    total_chunks = num_intervals * sub
-    if total_chunks > 1:
-        if times is None:
-            raise ValueError("times required for interval-based replay")
-        bounds = interval_boundaries(total_chunks)
-        cut = np.searchsorted(times, bounds)
-        starts = np.concatenate(([0], cut))
-        stops = np.concatenate((cut, [len(trace)]))
-    else:
-        starts, stops = np.array([0]), np.array([len(trace)])
-        bounds = np.empty(0)
-
-    if core_windows is not None and len(core_windows) != config.num_cores:
-        raise ValueError("core_windows must have one entry per core")
-
-    # Telemetry: None when disabled, so the kernels' chunk loops pay a
-    # single ``is None`` test per epoch.
+    starts, stops, bounds = _chunk_bounds(len(trace), total_chunks, times)
+    # Telemetry: None when disabled, so the chunk loop pays a single
+    # ``is None`` test per epoch.
     sink = replay_sink(hma)
-    args = (config, hma, trace, times, mechanism, core_windows,
-            starts, stops, bounds, total_chunks, sub, sink)
-    with span("replay", kernel=kernel, requests=len(trace),
-              chunks=total_chunks,
-              mechanism=mechanism.name if mechanism else None):
-        if kernel == "scalar":
-            result = _replay_scalar(*args)
-        elif kernel == "batched-native":
-            result = _replay_batched_native(*args)
-        else:
-            result = _replay_batched(*args)
-    if sink is not None:
-        result.snapshots = sink.series
-        registry = _metrics.get_registry()
-        registry.counter("replay.requests").inc(len(trace))
-        registry.counter("replay.chunks").inc(total_chunks)
-        registry.counter("replay.runs").inc()
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Scalar kernel (the reference oracle)
-# ---------------------------------------------------------------------------
-
-def _replay_scalar(
-    config, hma, trace, times, mechanism, core_windows,
-    starts, stops, bounds, total_chunks, sub, sink=None,
-) -> ReplayResult:
-    cores = [
-        ReplayCore(
-            config.core,
-            window=core_windows[c] if core_windows is not None else None,
-        )
-        for c in range(config.num_cores)
-    ]
     pages_arr = (trace.address // PAGE_SIZE).astype(np.int64)
     lines_arr = ((trace.address % PAGE_SIZE) // LINE_SIZE).astype(np.int64)
 
@@ -280,18 +281,13 @@ def _replay_scalar(
         for i in range(len(pages)):
             core = cores[core_ids[i]]
             core.advance(gaps[i])
-            if writes[i]:
-                # Writes are posted but hold a store-buffer slot (the
-                # shared miss window), so a saturated device back-
-                # pressures the core instead of accumulating unbounded
-                # write backlog.
-                issue = core.ready_to_issue_read()
-                done = service(pages[i], lines[i], issue, True)
-                core.complete_read(done)
-            else:
-                issue = core.ready_to_issue_read()
-                done = service(pages[i], lines[i], issue, False)
-                core.complete_read(done)
+            # Writes are posted but hold a store-buffer slot (the shared
+            # miss window), so a saturated device back-pressures the
+            # core instead of accumulating unbounded write backlog.
+            issue = core.ready_to_issue_read()
+            done = service(pages[i], lines[i], issue, writes[i])
+            core.complete_read(done)
+            if not writes[i]:
                 read_latency_total += done - issue
                 read_count += 1
 
@@ -312,479 +308,26 @@ def _replay_scalar(
                           hma.slow.stats.writes, window_ace)
 
     final = max(core.drain() for core in cores) if cores else 0.0
-    return _build_result(
+    result = _build_result(
         config, hma, trace, final, [core.time for core in cores],
         read_latency_total, read_count, residency, bounds,
+        _core_instructions(trace, config.num_cores),
     )
+    _record_telemetry(result, sink, len(trace), total_chunks)
+    return result
 
 
 # ---------------------------------------------------------------------------
-# Batched kernel
+# The native path
 # ---------------------------------------------------------------------------
-
-def _route_chunk(hma, chunk_pages, chunk_lines, f_nc, s_nc, f_bpc, s_bpc,
-                 n_fast_banks):
-    """Vectorised translation + routing for one chunk.
-
-    Returns ``(dev, is_fast, gid, cid, row)`` arrays where ``gid`` is a
-    global bank id (fast banks channel-major first, then slow) and
-    ``cid`` a global channel id, matching :func:`flatten_bank_state`.
-    """
-    dev, local = hma.route_batch(chunk_pages, chunk_lines)
-    is_fast = dev == FAST
-    channel = np.where(is_fast, local % f_nc, local % s_nc)
-    row_global = np.where(is_fast, local // f_nc, local // s_nc) \
-        // LINES_PER_ROW
-    bank = np.where(is_fast, row_global % f_bpc, row_global % s_bpc)
-    row = np.where(is_fast, row_global // f_bpc, row_global // s_bpc)
-    gid = np.where(
-        is_fast,
-        channel * f_bpc + bank,
-        n_fast_banks + channel * s_bpc + bank,
-    )
-    cid = np.where(is_fast, channel, f_nc + channel)
-    return dev, is_fast, gid, cid, row
-
-
-def _seq_sum(initial: float, values: np.ndarray) -> float:
-    """Strictly-sequential float64 sum, like a scalar ``+=`` loop.
-
-    ``np.add.accumulate`` applies the additions one at a time in array
-    order, so the result is bit-identical to folding ``values`` into
-    ``initial`` with a Python loop — unlike ``np.sum``, whose pairwise
-    reduction rounds differently.
-    """
-    seq = np.empty(len(values) + 1)
-    seq[0] = initial
-    seq[1:] = values
-    return float(np.add.accumulate(seq)[-1])
-
-
-def _replay_batched(
-    config, hma, trace, times, mechanism, core_windows,
-    starts, stops, bounds, total_chunks, sub, sink=None,
-) -> ReplayResult:
-    num_cores = config.num_cores
-    spi = 1.0 / (config.core.issue_width * config.core.frequency_hz)
-    cap = config.core.max_outstanding_misses
-    windows = (
-        [min(cap, w) for w in core_windows]
-        if core_windows is not None else [cap] * num_cores
-    )
-    if any(w < 1 for w in windows):
-        raise ValueError("miss window must be >= 1")
-    core_time = [0.0] * num_cores
-    outstanding = [deque() for _ in range(num_cores)]
-
-    pages_arr = (trace.address // PAGE_SIZE).astype(np.int64)
-    lines_arr = ((trace.address % PAGE_SIZE) // LINE_SIZE).astype(np.int64)
-
-    fast, slow = hma.fast, hma.slow
-    f_nc, s_nc = fast.num_channels, slow.num_channels
-    f_bpc, s_bpc = fast.banks_per_channel, slow.banks_per_channel
-    n_fast_banks = fast.num_banks_total
-
-    # Flattened device state, synced with the device objects at
-    # migration boundaries (migrations charge channel bandwidth) and
-    # at the end of the run.  Bank open rows and hit/miss/conflict
-    # counters are integer state independent of timing, kept as arrays
-    # and updated vectorially once per chunk.
-    bank_open_l, bank_busy, hits_l, misses_l, conflicts_l = \
-        flatten_bank_state(fast, slow)
-    bank_open_np = np.array(bank_open_l, dtype=np.int64)
-    hits_np = np.array(hits_l, dtype=np.int64)
-    misses_np = np.array(misses_l, dtype=np.int64)
-    conflicts_np = np.array(conflicts_l, dtype=np.int64)
-    total_banks = len(bank_busy)
-    chan_busy = list(fast.channel_busy_until) + list(slow.channel_busy_until)
-    reads_ct = [fast.stats.reads, slow.stats.reads]
-    writes_ct = [fast.stats.writes, slow.stats.writes]
-    read_lat = [fast.stats.total_read_latency, slow.stats.total_read_latency]
-    busy_acc = [fast.stats.busy_time, slow.stats.busy_time]
-
-    def _sync_to_devices() -> None:
-        fast.channel_busy_until = chan_busy[:f_nc]
-        slow.channel_busy_until = chan_busy[f_nc:]
-        for d, device in enumerate((fast, slow)):
-            device.stats.reads = reads_ct[d]
-            device.stats.writes = writes_ct[d]
-            device.stats.total_read_latency = read_lat[d]
-            device.stats.busy_time = busy_acc[d]
-
-    residency: "list[set[int]]" = []
-    read_latency_total = 0.0
-    read_count = 0
-
-    for chunk, (start, stop) in enumerate(zip(starts, stops)):
-        residency.append(_residency_snapshot(hma))
-
-        chunk_pages = pages_arr[start:stop]
-        chunk_writes = trace.is_write[start:stop]
-        if mechanism is not None and len(chunk_pages):
-            chunk_times = times[start:stop] if times is not None else None
-            mechanism.observe_chunk(chunk_pages, chunk_writes,
-                                    times=chunk_times)
-
-        n_req = int(stop - start)
-        if n_req:
-            # -- vectorised translation and routing --
-            dev, is_fast, g_arr, cid_arr, row_arr = _route_chunk(
-                hma, chunk_pages, lines_arr[start:stop],
-                f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-            )
-            cids = cid_arr.tolist()
-            core_ids = trace.core[start:stop].tolist()
-            # gap * spi is exact in float64 (gaps < 2^32), so
-            # precomputing the per-request time increment matches the
-            # scalar path.
-            dts = np.multiply(trace.gap[start:stop], spi).tolist()
-            writes_l = chunk_writes.tolist()
-            # Request/read/write counts are integer sums: tally them
-            # vectorially instead of incrementing inside the loop.
-            n_writes_fast = int(np.count_nonzero(is_fast & chunk_writes))
-            n_reads_fast = int(np.count_nonzero(is_fast)) - n_writes_fast
-            n_writes_slow = (int(np.count_nonzero(chunk_writes))
-                             - n_writes_fast)
-            n_reads_slow = (n_req - n_reads_fast - n_writes_fast
-                            - n_writes_slow)
-            reads_ct[0] += n_reads_fast
-            reads_ct[1] += n_reads_slow
-            writes_ct[0] += n_writes_fast
-            writes_ct[1] += n_writes_slow
-            read_count += n_reads_fast + n_reads_slow
-
-            # -- vectorised row-buffer classification --
-            # Whether an access hits, misses (bank closed), or
-            # conflicts depends only on the per-bank sequence of rows,
-            # not on timing: group requests by bank with a stable sort,
-            # compare each row to its predecessor in the same bank, and
-            # seed the first access per bank with the carried open row.
-            order = np.argsort(g_arr, kind="stable")
-            gs = g_arr[order]
-            rs = row_arr[order]
-            first = np.empty(n_req, dtype=bool)
-            first[0] = True
-            np.not_equal(gs[1:], gs[:-1], out=first[1:])
-            prev = np.empty(n_req, dtype=np.int64)
-            prev[1:] = rs[:-1]
-            prev[first] = bank_open_np[gs[first]]
-            hit = prev == rs
-            miss = ~hit & (prev == -1)
-            conflict = ~(hit | miss)
-            fast_sorted = is_fast[order]
-            lat_sorted = np.where(
-                hit,
-                np.where(fast_sorted, fast.hit_seconds, slow.hit_seconds),
-                np.where(
-                    miss,
-                    np.where(fast_sorted, fast.miss_seconds,
-                             slow.miss_seconds),
-                    np.where(fast_sorted, fast.conflict_seconds,
-                             slow.conflict_seconds),
-                ),
-            )
-            lats = np.empty(n_req)
-            lats[order] = lat_sorted
-            lats = lats.tolist()
-            bursts = np.where(is_fast, fast.burst_seconds,
-                              slow.burst_seconds).tolist()
-            hits_np += np.bincount(gs[hit], minlength=total_banks)
-            misses_np += np.bincount(gs[miss], minlength=total_banks)
-            conflicts_np += np.bincount(gs[conflict], minlength=total_banks)
-            # Carry each bank's last-opened row into the next chunk.
-            last = np.empty(n_req, dtype=bool)
-            last[-1] = True
-            np.not_equal(gs[1:], gs[:-1], out=last[:-1])
-            bank_open_np[gs[last]] = rs[last]
-            gids = g_arr.tolist()
-
-            # -- the fused busy-until resolution loop --
-            # Per-request work is the irreducibly sequential part of
-            # the timing model: each request couples its core's miss
-            # window, one bank, and one channel to all earlier
-            # requests.
-            rl: "list[float]" = []
-            rl_append = rl.append
-            for c, dt, g, cd, w, lat, b in zip(core_ids, dts, gids, cids,
-                                               writes_l, lats, bursts):
-                t = core_time[c] + dt
-                out = outstanding[c]
-                while out and out[0] <= t:
-                    out.popleft()
-                if len(out) >= windows[c]:
-                    oldest = out.popleft()
-                    if oldest > t:
-                        t = oldest
-                    while out and out[0] <= t:
-                        out.popleft()
-                bb = bank_busy[g]
-                begin = t if t > bb else bb
-                access_done = begin + lat
-                burst_start = access_done - b
-                cb = chan_busy[cd]
-                if cb > burst_start:
-                    burst_start = cb
-                finish = burst_start + b
-                chan_busy[cd] = finish
-                bank_busy[g] = finish
-                if not w:
-                    rl_append(finish - t)
-                out.append(finish)
-                core_time[c] = t
-
-            # Latency and busy-time accumulators fold one value per
-            # request in request order; _seq_sum replays the identical
-            # float64 additions out of the loop.
-            if rl:
-                lat_arr = np.asarray(rl)
-                read_latency_total = _seq_sum(read_latency_total, lat_arr)
-                read_dev = dev[~chunk_writes]
-                for d in (0, 1):
-                    dsel = lat_arr[read_dev == d]
-                    if len(dsel):
-                        read_lat[d] = _seq_sum(read_lat[d], dsel)
-            for d, count, burst in (
-                (0, n_reads_fast + n_writes_fast, fast.burst_seconds),
-                (1, n_reads_slow + n_writes_slow, slow.burst_seconds),
-            ):
-                if count:
-                    busy_acc[d] = _seq_sum(busy_acc[d],
-                                           np.full(count, burst))
-
-        # -- migration at the boundary --
-        window_ace = 0.0
-        if sink is not None and mechanism is not None:
-            # Sampled before the plan: planning resets the window.
-            window_ace = mechanism.window_ace_total()
-        if mechanism is not None and chunk < total_chunks - 1:
-            now = max(core_time)
-            to_fast, to_slow = _plan_migration(mechanism, hma, chunk, sub)
-            if to_fast or to_slow:
-                # Migration charges channel bandwidth on the device
-                # objects; hand the flattened state back, then reload.
-                _sync_to_devices()
-                hma.migrate_pairs(to_fast, to_slow, now)
-                chan_busy = (list(fast.channel_busy_until)
-                             + list(slow.channel_busy_until))
-                busy_acc = [fast.stats.busy_time, slow.stats.busy_time]
-
-        if sink is not None:
-            sink.on_epoch(chunk, reads_ct[0], writes_ct[0],
-                          reads_ct[1], writes_ct[1], window_ace)
-
-    final = 0.0
-    for c in range(num_cores):
-        t = core_time[c]
-        out = outstanding[c]
-        if out:
-            last = max(out)
-            if last > t:
-                t = last
-            out.clear()
-            core_time[c] = t
-        if t > final:
-            final = t
-
-    restore_bank_state(fast, slow, bank_open_np.tolist(), bank_busy,
-                       hits_np.tolist(), misses_np.tolist(),
-                       conflicts_np.tolist())
-    _sync_to_devices()
-    return _build_result(
-        config, hma, trace, final, core_time,
-        read_latency_total, read_count, residency, bounds,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batched kernel, compiled loop
-# ---------------------------------------------------------------------------
-
-def _replay_batched_native(
-    config, hma, trace, times, mechanism, core_windows,
-    starts, stops, bounds, total_chunks, sub, sink=None,
-) -> ReplayResult:
-    """The batched kernel with the fused loop compiled to C.
-
-    Identical structure to :func:`_replay_batched`, but the per-request
-    busy-until resolution (including row-buffer classification) runs in
-    :mod:`repro.sim._ckernel`; all mutable state lives in numpy arrays
-    shared with the C loop by pointer.
-    """
-    kernel_fn = _ckernel.load()
-    num_cores = config.num_cores
-    spi = 1.0 / (config.core.issue_width * config.core.frequency_hz)
-    cap = config.core.max_outstanding_misses
-    windows = (
-        [min(cap, w) for w in core_windows]
-        if core_windows is not None else [cap] * num_cores
-    )
-    if any(w < 1 for w in windows):
-        raise ValueError("miss window must be >= 1")
-    windows_np = np.asarray(windows, dtype=np.int32)
-    ringcap = int(max(windows))
-    core_time = np.zeros(num_cores)
-    ring = np.zeros((num_cores, ringcap))
-    ring_head = np.zeros(num_cores, dtype=np.int32)
-    ring_len = np.zeros(num_cores, dtype=np.int32)
-
-    pages_arr = (trace.address // PAGE_SIZE).astype(np.int64)
-    lines_arr = ((trace.address % PAGE_SIZE) // LINE_SIZE).astype(np.int64)
-
-    fast, slow = hma.fast, hma.slow
-    f_nc, s_nc = fast.num_channels, slow.num_channels
-    f_bpc, s_bpc = fast.banks_per_channel, slow.banks_per_channel
-    n_fast_banks = fast.num_banks_total
-    latconst = np.array([
-        fast.hit_seconds, fast.miss_seconds, fast.conflict_seconds,
-        fast.burst_seconds,
-        slow.hit_seconds, slow.miss_seconds, slow.conflict_seconds,
-        slow.burst_seconds,
-    ])
-
-    bank_open_l, bank_busy_l, hits_l, misses_l, conflicts_l = \
-        flatten_bank_state(fast, slow)
-    bank_open = np.asarray(bank_open_l, dtype=np.int64)
-    bank_busy = np.asarray(bank_busy_l)
-    bank_hits = np.asarray(hits_l, dtype=np.int64)
-    bank_misses = np.asarray(misses_l, dtype=np.int64)
-    bank_conflicts = np.asarray(conflicts_l, dtype=np.int64)
-    chan_busy = np.array(list(fast.channel_busy_until)
-                         + list(slow.channel_busy_until))
-    reads_ct = [fast.stats.reads, slow.stats.reads]
-    writes_ct = [fast.stats.writes, slow.stats.writes]
-    read_lat = np.array([fast.stats.total_read_latency,
-                         slow.stats.total_read_latency])
-    busy_acc = np.array([fast.stats.busy_time, slow.stats.busy_time])
-    read_total = np.zeros(1)
-    read_count = 0
-
-    def _sync_to_devices() -> None:
-        fast.channel_busy_until = chan_busy[:f_nc].tolist()
-        slow.channel_busy_until = chan_busy[f_nc:].tolist()
-        for d, device in enumerate((fast, slow)):
-            device.stats.reads = reads_ct[d]
-            device.stats.writes = writes_ct[d]
-            device.stats.total_read_latency = float(read_lat[d])
-            device.stats.busy_time = float(busy_acc[d])
-
-    residency: "list[set[int]]" = []
-
-    for chunk, (start, stop) in enumerate(zip(starts, stops)):
-        residency.append(_residency_snapshot(hma))
-
-        chunk_pages = pages_arr[start:stop]
-        chunk_writes = trace.is_write[start:stop]
-        if mechanism is not None and len(chunk_pages):
-            chunk_times = times[start:stop] if times is not None else None
-            mechanism.observe_chunk(chunk_pages, chunk_writes,
-                                    times=chunk_times)
-
-        n_req = int(stop - start)
-        if n_req:
-            dev, is_fast, g_arr, cid_arr, row_arr = _route_chunk(
-                hma, chunk_pages, lines_arr[start:stop],
-                f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-            )
-            n_writes_fast = int(np.count_nonzero(is_fast & chunk_writes))
-            n_reads_fast = int(np.count_nonzero(is_fast)) - n_writes_fast
-            n_writes_slow = (int(np.count_nonzero(chunk_writes))
-                             - n_writes_fast)
-            n_reads_slow = (n_req - n_reads_fast - n_writes_fast
-                            - n_writes_slow)
-            reads_ct[0] += n_reads_fast
-            reads_ct[1] += n_reads_slow
-            writes_ct[0] += n_writes_fast
-            writes_ct[1] += n_writes_slow
-            read_count += n_reads_fast + n_reads_slow
-
-            _ckernel.run_chunk(
-                kernel_fn,
-                np.ascontiguousarray(trace.core[start:stop],
-                                     dtype=np.int32),
-                np.multiply(trace.gap[start:stop], spi),
-                np.ascontiguousarray(g_arr, dtype=np.int64),
-                np.ascontiguousarray(cid_arr, dtype=np.int32),
-                np.ascontiguousarray(dev, dtype=np.uint8),
-                np.ascontiguousarray(chunk_writes, dtype=np.uint8),
-                np.ascontiguousarray(row_arr, dtype=np.int64),
-                latconst,
-                core_time, windows_np, ring, ring_head, ring_len, ringcap,
-                bank_busy, bank_open, bank_hits, bank_misses,
-                bank_conflicts, chan_busy, read_lat, busy_acc, read_total,
-            )
-
-        # -- migration at the boundary --
-        window_ace = 0.0
-        if sink is not None and mechanism is not None:
-            # Sampled before the plan: planning resets the window.
-            window_ace = mechanism.window_ace_total()
-        if mechanism is not None and chunk < total_chunks - 1:
-            now = float(core_time.max())
-            to_fast, to_slow = _plan_migration(mechanism, hma, chunk, sub)
-            if to_fast or to_slow:
-                _sync_to_devices()
-                hma.migrate_pairs(to_fast, to_slow, now)
-                chan_busy = np.array(list(fast.channel_busy_until)
-                                     + list(slow.channel_busy_until))
-                busy_acc = np.array([fast.stats.busy_time,
-                                     slow.stats.busy_time])
-
-        if sink is not None:
-            sink.on_epoch(chunk, reads_ct[0], writes_ct[0],
-                          reads_ct[1], writes_ct[1], window_ace)
-
-    core_times = core_time.tolist()
-    final = 0.0
-    for c in range(num_cores):
-        t = core_times[c]
-        n = int(ring_len[c])
-        if n:
-            h = int(ring_head[c])
-            live = [float(ring[c, (h + j) % ringcap]) for j in range(n)]
-            last = max(live)
-            if last > t:
-                t = last
-            core_times[c] = t
-        if t > final:
-            final = t
-
-    restore_bank_state(fast, slow, bank_open.tolist(), bank_busy.tolist(),
-                       bank_hits.tolist(), bank_misses.tolist(),
-                       bank_conflicts.tolist())
-    _sync_to_devices()
-    return _build_result(
-        config, hma, trace, final, core_times,
-        float(read_total[0]), read_count, residency, bounds,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Config-batched multi-run engine
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ReplaySpec:
-    """One configuration point for :func:`replay_multi`.
-
-    The fields mirror the per-point :func:`replay` arguments; every
-    spec replays the *same* trace, so only the system side varies.
-    """
-
-    config: SystemConfig
-    hma: HeterogeneousMemory
-    mechanism: "MigrationMechanism | None" = None
-    num_intervals: int = 1
-    core_windows: "list[int] | None" = None
-
 
 class _TraceShared:
-    """Trace-side precompute shared by every spec of one multi-run.
+    """Trace-side precompute shared by every spec of one call.
 
     Page/line decomposition, contiguous request arrays, per-core
-    instruction tallies, and the ``gap * seconds_per_instruction``
-    products depend only on the trace (and, for the last two, on
-    scalars most specs share), so they are computed once and reused —
-    per-point replay recomputes them per run.
+    instruction tallies, chunk bounds and the ``gap *
+    seconds_per_instruction`` products depend only on the trace (and,
+    for some, on scalars most specs share), so they are computed once.
     """
 
     def __init__(self, trace: Trace) -> None:
@@ -798,8 +341,7 @@ class _TraceShared:
         self._chunking: "dict[int, tuple]" = {}
 
     def dts(self, spi: float) -> np.ndarray:
-        """``gap * spi`` for the whole trace (slices match per-chunk
-        ``np.multiply(gap[start:stop], spi)`` element for element)."""
+        """``gap * spi`` for the whole trace."""
         arr = self._dts.get(spi)
         if arr is None:
             arr = np.multiply(self.trace.gap, spi)
@@ -807,44 +349,18 @@ class _TraceShared:
         return arr
 
     def core_instructions(self, num_cores: int) -> "list[int]":
-        """Per-core instruction totals (the :func:`_build_result` loop,
-        which is config-independent)."""
         got = self._instr.get(num_cores)
         if got is None:
-            core_ids_all = self.trace.core
-            gaps_all = self.trace.gap
-            counts = np.bincount(core_ids_all, minlength=num_cores)
-            sums = np.bincount(core_ids_all, weights=gaps_all,
-                               minlength=num_cores)
-            if len(counts) == num_cores and float(sums.max(initial=0.0)) < 2.0 ** 53:
-                # uint32 gaps summed in float64 stay exact integers
-                # below 2^53, so this matches the per-core int sums.
-                got = [int(s) + int(c) for s, c in zip(sums, counts)]
-            else:
-                got = [0] * num_cores
-                for c in range(num_cores):
-                    sel = core_ids_all == c
-                    got[c] = int(gaps_all[sel].sum()) + int(sel.sum())
-            self._instr[num_cores] = got
+            got = self._instr[num_cores] = _core_instructions(self.trace,
+                                                              num_cores)
         return got
 
     def chunking(self, total_chunks: int, times: "np.ndarray | None"):
         """``(starts, stops, bounds)`` for a chunk count, memoised."""
         got = self._chunking.get(total_chunks)
         if got is None:
-            if total_chunks > 1:
-                if times is None:
-                    raise ValueError(
-                        "times required for interval-based replay")
-                bounds = interval_boundaries(total_chunks)
-                cut = np.searchsorted(times, bounds)
-                starts = np.concatenate(([0], cut))
-                stops = np.concatenate((cut, [len(self.trace)]))
-            else:
-                starts, stops = np.array([0]), np.array([len(self.trace)])
-                bounds = np.empty(0)
-            got = (starts, stops, bounds)
-            self._chunking[total_chunks] = got
+            got = self._chunking[total_chunks] = _chunk_bounds(
+                len(self.trace), total_chunks, times)
         return got
 
 
@@ -875,21 +391,6 @@ class _ChunkCounts:
         return got
 
 
-def _spec_windows(spec: ReplaySpec) -> "list[int]":
-    """The per-core miss windows for one spec (validated)."""
-    num_cores = spec.config.num_cores
-    if spec.core_windows is not None and len(spec.core_windows) != num_cores:
-        raise ValueError("core_windows must have one entry per core")
-    cap = spec.config.core.max_outstanding_misses
-    windows = (
-        [min(cap, w) for w in spec.core_windows]
-        if spec.core_windows is not None else [cap] * num_cores
-    )
-    if any(w < 1 for w in windows):
-        raise ValueError("miss window must be >= 1")
-    return windows
-
-
 def _group_signature(spec: ReplaySpec) -> tuple:
     """Stacking compatibility key: specs whose state arrays share a
     shape (and whose traces share ``dts``) can ride one kernel call."""
@@ -904,310 +405,244 @@ def _group_signature(spec: ReplaySpec) -> tuple:
     )
 
 
-def replay_multi(
-    specs: "list[ReplaySpec]",
-    trace: Trace,
-    times: "np.ndarray | None" = None,
-    kernel: "str | None" = None,
-) -> "list[ReplayResult]":
-    """Replay one trace against N system configurations.
+class _KernelState:
+    """Native-kernel state of K specs stacked along a leading axis.
 
-    Returns one :class:`ReplayResult` per spec, bit-identical to
-    calling :func:`replay` per spec in order (the per-point path is the
-    oracle; ``tests/sim/test_multirun_parity.py`` enforces parity).
-
-    Static specs (no mechanism, one interval) that share core count,
-    clocking, and device geometry are stacked along a leading config
-    axis and replayed in a single compiled pass; chunked specs
-    (migration mechanisms or multi-interval residency sampling) replay
-    one spec at a time but share the trace-side precompute and move
-    routing into the compiled loop.  Anything the fast paths cannot
-    take — scalar-only memories, an explicit non-native ``kernel``,
-    active telemetry, or a missing C toolchain — falls back to
-    :func:`replay` per spec, which is always valid because the results
-    are identical by construction.
+    Every array is ``[K, ...]`` and C-contiguous, seeded from the specs'
+    device objects and bound once into a :class:`~repro.sim._ckernel.
+    MultiCall`.  The specs must share one :func:`_group_signature`.
+    Tier request counts start at zero and add to each device's own.
     """
-    results: "list[ReplayResult | None]" = [None] * len(specs)
-    shared: "_TraceShared | None" = None
-    static_groups: "dict[tuple, list[tuple[int, ReplaySpec]]]" = {}
-    chunked: "list[tuple[int, ReplaySpec]]" = []
 
-    multi_fn = _ckernel.load_multi()
-    telemetry_on = _metrics.enabled()
-    with span("replay_multi", specs=len(specs), requests=len(trace)):
-        for i, spec in enumerate(specs):
-            try:
-                resolved = _resolve_kernel(kernel, spec.hma)
-            except (ValueError, RuntimeError):
-                resolved = None
-            eligible = (
-                resolved == "batched-native"
-                and multi_fn is not None
-                and not telemetry_on
-                and hasattr(spec.hma, "page_tables")
+    def __init__(self, fn, specs: "list[ReplaySpec]",
+                 shared: _TraceShared) -> None:
+        self.specs = specs
+        K = len(specs)
+        config0 = specs[0].config
+        self.num_cores = num_cores = config0.num_cores
+        spi = 1.0 / (config0.core.issue_width * config0.core.frequency_hz)
+        fast0, slow0 = specs[0].hma.fast, specs[0].hma.slow
+        self.f_nc = f_nc = fast0.num_channels
+        n_fast_banks = fast0.num_banks_total
+        nbanks = n_fast_banks + slow0.num_banks_total
+        nchan = f_nc + slow0.num_channels
+
+        windows = np.empty((K, num_cores), dtype=np.int32)
+        for k, spec in enumerate(specs):
+            windows[k] = _spec_windows(spec)
+        self.ringcap = ringcap = int(windows.max())
+        self.core_time = np.zeros((K, num_cores))
+        self.ring = np.zeros((K, num_cores, ringcap))
+        self.ring_head = np.zeros((K, num_cores), dtype=np.int32)
+        self.ring_len = np.zeros((K, num_cores), dtype=np.int32)
+        latconst = np.empty((K, 8))
+        self.bank_busy = np.empty((K, nbanks))
+        self.bank_open = np.empty((K, nbanks), dtype=np.int64)
+        self.bank_hits = np.empty((K, nbanks), dtype=np.int64)
+        self.bank_misses = np.empty((K, nbanks), dtype=np.int64)
+        self.bank_conflicts = np.empty((K, nbanks), dtype=np.int64)
+        self.chan_busy = np.empty((K, nchan))
+        self.read_lat = np.empty((K, 2))
+        self.busy_acc = np.empty((K, 2))
+        self.read_total = np.zeros(K)
+        #: Per spec: [reads_fast, reads_slow, writes_fast, writes_slow].
+        self.dev_counts = np.zeros((K, 4), dtype=np.int64)
+        self.seed_counts = []
+        for k, spec in enumerate(specs):
+            fast, slow = spec.hma.fast, spec.hma.slow
+            latconst[k] = (
+                fast.hit_seconds, fast.miss_seconds, fast.conflict_seconds,
+                fast.burst_seconds,
+                slow.hit_seconds, slow.miss_seconds, slow.conflict_seconds,
+                slow.burst_seconds,
             )
-            if not eligible:
-                results[i] = replay(
-                    spec.config, spec.hma, trace, times,
-                    mechanism=spec.mechanism,
-                    num_intervals=spec.num_intervals,
-                    core_windows=spec.core_windows, kernel=kernel,
-                )
-                continue
-            if shared is None:
-                shared = _TraceShared(trace)
-            if spec.mechanism is None and spec.num_intervals == 1:
-                key = _group_signature(spec)
-                static_groups.setdefault(key, []).append((i, spec))
-            else:
-                chunked.append((i, spec))
-
-        for group in static_groups.values():
-            group_results = _replay_multi_static(
-                multi_fn, [spec for _, spec in group], trace, shared)
-            for (i, _), res in zip(group, group_results):
-                results[i] = res
-
-        if chunked:
-            by_chunks: "dict[int, list[tuple[int, ReplaySpec]]]" = {}
-            for i, spec in chunked:
-                sub = (spec.mechanism.subintervals_per_interval
-                       if spec.mechanism else 1)
-                by_chunks.setdefault(spec.num_intervals * sub,
-                                     []).append((i, spec))
-            for total_chunks, members in by_chunks.items():
-                cache = None
-                if len(members) > 1:
-                    starts, stops, _ = shared.chunking(total_chunks, times)
-                    cache = _ChunkCounts(shared, starts, stops)
-                for i, spec in members:
-                    results[i] = _replay_multi_chunked(
-                        multi_fn, spec, trace, times, shared, cache)
-    return results
-
-
-def _replay_multi_static(
-    fn, specs: "list[ReplaySpec]", trace: Trace, shared: _TraceShared,
-) -> "list[ReplayResult]":
-    """Stacked single-chunk replay for static (no-migration) specs.
-
-    All specs share one :func:`_group_signature`; their per-config
-    state is stacked ``[K, ...]`` and the compiled multi kernel walks
-    the shared request arrays once per config in a single call.
-    """
-    K = len(specs)
-    config0 = specs[0].config
-    num_cores = config0.num_cores
-    spi = 1.0 / (config0.core.issue_width * config0.core.frequency_hz)
-    n = len(trace)
-
-    fast0, slow0 = specs[0].hma.fast, specs[0].hma.slow
-    f_nc, s_nc = fast0.num_channels, slow0.num_channels
-    f_bpc, s_bpc = fast0.banks_per_channel, slow0.banks_per_channel
-    n_fast_banks = fast0.num_banks_total
-    nbanks = n_fast_banks + slow0.num_banks_total
-    nchan = f_nc + s_nc
-
-    windows_np = np.empty((K, num_cores), dtype=np.int32)
-    for k, spec in enumerate(specs):
-        windows_np[k] = _spec_windows(spec)
-    ringcap = int(windows_np.max())
-
-    residency = [[_residency_snapshot(spec.hma)] for spec in specs]
-
-    latconst = np.empty((K, 8))
-    core_time = np.zeros((K, num_cores))
-    ring = np.zeros((K, num_cores, ringcap))
-    ring_head = np.zeros((K, num_cores), dtype=np.int32)
-    ring_len = np.zeros((K, num_cores), dtype=np.int32)
-    bank_busy = np.empty((K, nbanks))
-    bank_open = np.empty((K, nbanks), dtype=np.int64)
-    bank_hits = np.empty((K, nbanks), dtype=np.int64)
-    bank_misses = np.empty((K, nbanks), dtype=np.int64)
-    bank_conflicts = np.empty((K, nbanks), dtype=np.int64)
-    chan_busy = np.empty((K, nchan))
-    read_lat = np.empty((K, 2))
-    busy_acc = np.empty((K, 2))
-    read_total = np.zeros(K)
-    dev_counts = np.zeros((K, 4), dtype=np.int64)
-
-    if n:
-        pt_len = int(shared.pages.max()) + 1
-        ptd = np.empty((K, pt_len), dtype=np.int16)
-        ptf = np.empty((K, pt_len), dtype=np.int64)
-
-    for k, spec in enumerate(specs):
-        hma = spec.hma
-        fast, slow = hma.fast, hma.slow
-        if n:
-            # Fault unmapped pages into DDR in first-touch order, as
-            # the per-point route would; the table copy then covers
-            # every page the chunk can reference.
-            hma.ensure_mapped(shared.pages)
-            d_col, f_col = hma.page_tables()
-            ptd[k] = d_col[:pt_len]
-            ptf[k] = f_col[:pt_len]
-        latconst[k] = (
-            fast.hit_seconds, fast.miss_seconds, fast.conflict_seconds,
-            fast.burst_seconds,
-            slow.hit_seconds, slow.miss_seconds, slow.conflict_seconds,
-            slow.burst_seconds,
-        )
-        bank_open_l, bank_busy_l, hits_l, misses_l, conflicts_l = \
-            flatten_bank_state(fast, slow)
-        bank_open[k] = bank_open_l
-        bank_busy[k] = bank_busy_l
-        bank_hits[k] = hits_l
-        bank_misses[k] = misses_l
-        bank_conflicts[k] = conflicts_l
-        chan_busy[k] = (list(fast.channel_busy_until)
-                        + list(slow.channel_busy_until))
-        read_lat[k] = (fast.stats.total_read_latency,
-                       slow.stats.total_read_latency)
-        busy_acc[k] = (fast.stats.busy_time, slow.stats.busy_time)
-
-    if n:
-        _ckernel.run_multi_chunk(
-            fn, shared.core_i32, shared.dts(spi), shared.pages,
-            shared.lines, shared.writes_u8,
+            (self.bank_open[k], self.bank_busy[k], self.bank_hits[k],
+             self.bank_misses[k], self.bank_conflicts[k]) = \
+                flatten_bank_state(fast, slow)
+            self.chan_busy[k] = (list(fast.channel_busy_until)
+                                 + list(slow.channel_busy_until))
+            self.read_lat[k] = (fast.stats.total_read_latency,
+                                slow.stats.total_read_latency)
+            self.busy_acc[k] = (fast.stats.busy_time, slow.stats.busy_time)
+            self.seed_counts.append((fast.stats.reads, slow.stats.reads,
+                                     fast.stats.writes, slow.stats.writes))
+        self.call = _ckernel.MultiCall(
+            fn, shared.core_i32, shared.dts(spi), shared.pages, shared.lines,
+            shared.writes_u8,
             LINES_PER_PAGE, LINES_PER_ROW,
-            f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-            ptd, ptf, pt_len,
-            latconst, core_time, windows_np,
-            ring, ring_head, ring_len, ringcap, num_cores,
-            bank_busy, bank_open, bank_hits, bank_misses,
-            bank_conflicts, chan_busy, nbanks, nchan,
-            read_lat, busy_acc, read_total, dev_counts,
+            f_nc, slow0.num_channels, fast0.banks_per_channel,
+            slow0.banks_per_channel, n_fast_banks,
+            latconst, self.core_time, windows,
+            self.ring, self.ring_head, self.ring_len, ringcap, num_cores,
+            self.bank_busy, self.bank_open, self.bank_hits, self.bank_misses,
+            self.bank_conflicts, self.chan_busy, nbanks, nchan,
+            self.read_lat, self.busy_acc, self.read_total, self.dev_counts,
         )
 
-    bounds = np.empty(0)
-    instr = shared.core_instructions(num_cores)
-    out: "list[ReplayResult]" = []
-    for k, spec in enumerate(specs):
-        hma = spec.hma
-        fast, slow = hma.fast, hma.slow
-        core_times = core_time[k].tolist()
+    def tier_counts(self, k: int) -> "tuple[int, int, int, int]":
+        """Spec ``k``'s cumulative (fast reads, fast writes, slow reads,
+        slow writes), the :meth:`ReplaySink.on_epoch` order."""
+        reads_f, reads_s, writes_f, writes_s = (
+            s + int(c) for s, c in zip(self.seed_counts[k],
+                                       self.dev_counts[k]))
+        return reads_f, writes_f, reads_s, writes_s
+
+    def sync(self, k: int) -> None:
+        """Hand spec ``k``'s channel and counter state to its devices."""
+        fast, slow = self.specs[k].hma.fast, self.specs[k].hma.slow
+        f_nc = self.f_nc
+        fast.channel_busy_until = self.chan_busy[k, :f_nc].tolist()
+        slow.channel_busy_until = self.chan_busy[k, f_nc:].tolist()
+        (fast.stats.reads, fast.stats.writes,
+         slow.stats.reads, slow.stats.writes) = self.tier_counts(k)
+        fast.stats.total_read_latency = float(self.read_lat[k, 0])
+        slow.stats.total_read_latency = float(self.read_lat[k, 1])
+        fast.stats.busy_time = float(self.busy_acc[k, 0])
+        slow.stats.busy_time = float(self.busy_acc[k, 1])
+
+    def reload(self, k: int) -> None:
+        """Pick up the bandwidth a migration charged to spec ``k``'s
+        devices (in place: the kernel binding holds these pointers)."""
+        fast, slow = self.specs[k].hma.fast, self.specs[k].hma.slow
+        self.chan_busy[k, :self.f_nc] = fast.channel_busy_until
+        self.chan_busy[k, self.f_nc:] = slow.channel_busy_until
+        self.busy_acc[k] = (fast.stats.busy_time, slow.stats.busy_time)
+
+    def finish(self, k: int, trace: Trace, bounds: np.ndarray,
+               residency: "list[set[int]]",
+               core_instructions: "list[int]") -> ReplayResult:
+        """Drain spec ``k``'s cores, write its state back, build its
+        result."""
+        spec = self.specs[k]
+        ringcap = self.ringcap
+        core_times = self.core_time[k].tolist()
         final = 0.0
-        for c in range(num_cores):
+        for c in range(self.num_cores):
             t = core_times[c]
-            live_n = int(ring_len[k, c])
+            live_n = int(self.ring_len[k, c])
             if live_n:
-                h = int(ring_head[k, c])
-                live = [float(ring[k, c, (h + j) % ringcap])
-                        for j in range(live_n)]
-                last = max(live)
+                h = int(self.ring_head[k, c])
+                last = max(float(self.ring[k, c, (h + j) % ringcap])
+                           for j in range(live_n))
                 if last > t:
                     t = last
                 core_times[c] = t
             if t > final:
                 final = t
         restore_bank_state(
-            fast, slow, bank_open[k].tolist(), bank_busy[k].tolist(),
-            bank_hits[k].tolist(), bank_misses[k].tolist(),
-            bank_conflicts[k].tolist())
-        fast.channel_busy_until = chan_busy[k, :f_nc].tolist()
-        slow.channel_busy_until = chan_busy[k, f_nc:].tolist()
-        reads_f, reads_s, writes_f, writes_s = (
-            int(x) for x in dev_counts[k])
-        fast.stats.reads += reads_f
-        slow.stats.reads += reads_s
-        fast.stats.writes += writes_f
-        slow.stats.writes += writes_s
-        fast.stats.total_read_latency = float(read_lat[k, 0])
-        slow.stats.total_read_latency = float(read_lat[k, 1])
-        fast.stats.busy_time = float(busy_acc[k, 0])
-        slow.stats.busy_time = float(busy_acc[k, 1])
-        out.append(_build_result(
-            spec.config, hma, trace, final, core_times,
-            float(read_total[k]), reads_f + reads_s, residency[k], bounds,
-            core_instructions=instr,
-        ))
+            spec.hma.fast, spec.hma.slow, self.bank_open[k].tolist(),
+            self.bank_busy[k].tolist(), self.bank_hits[k].tolist(),
+            self.bank_misses[k].tolist(), self.bank_conflicts[k].tolist())
+        self.sync(k)
+        reads = int(self.dev_counts[k, 0] + self.dev_counts[k, 1])
+        return _build_result(
+            spec.config, spec.hma, trace, final, core_times,
+            float(self.read_total[k]), reads, residency, bounds,
+            core_instructions)
+
+
+def replay_multi(
+    specs: "list[ReplaySpec]",
+    trace: Trace,
+    times: "np.ndarray | None" = None,
+) -> "list[ReplayResult]":
+    """Replay one trace against N system configurations.
+
+    Returns one :class:`ReplayResult` per spec, in order, each
+    bit-identical to :func:`replay_reference` on that spec.  A spec
+    runs on the native path when the compiled kernel loaded and its
+    memory exposes ``page_tables``; any other spec runs the reference
+    path.
+    """
+    results: "list[ReplayResult | None]" = [None] * len(specs)
+    static_groups: "dict[tuple, list[tuple[int, ReplaySpec]]]" = {}
+    by_chunks: "dict[int, list[tuple[int, ReplaySpec]]]" = {}
+
+    fn = _ckernel.load_multi()
+    with span("replay_multi", specs=len(specs), requests=len(trace)):
+        for i, spec in enumerate(specs):
+            if fn is None or not hasattr(spec.hma, "page_tables"):
+                results[i] = replay_reference(spec, trace, times)
+            elif spec.mechanism is None and spec.num_intervals == 1:
+                static_groups.setdefault(_group_signature(spec),
+                                         []).append((i, spec))
+            else:
+                by_chunks.setdefault(_total_chunks(spec),
+                                     []).append((i, spec))
+        if not (static_groups or by_chunks):
+            return results
+        shared = _TraceShared(trace)
+
+        for group in static_groups.values():
+            group_results = _replay_static(
+                fn, [spec for _, spec in group], trace, shared)
+            for (i, _), res in zip(group, group_results):
+                results[i] = res
+
+        for total_chunks, members in by_chunks.items():
+            counts = None
+            if len(members) > 1:
+                starts, stops, _ = shared.chunking(total_chunks, times)
+                counts = _ChunkCounts(shared, starts, stops)
+            for i, spec in members:
+                results[i] = _replay_chunked(fn, spec, trace, times,
+                                             shared, counts)
+    return results
+
+
+def _replay_static(
+    fn, specs: "list[ReplaySpec]", trace: Trace, shared: _TraceShared,
+) -> "list[ReplayResult]":
+    """Stacked single-chunk replay for static (no-migration) specs: the
+    kernel walks the shared request arrays once per config in one
+    call."""
+    residency = [[_residency_snapshot(spec.hma)] for spec in specs]
+    sinks = [replay_sink(spec.hma) for spec in specs]
+    state = _KernelState(fn, specs, shared)
+    n = len(trace)
+    if n:
+        pt_len = int(shared.pages.max()) + 1
+        ptd = np.empty((len(specs), pt_len), dtype=np.int16)
+        ptf = np.empty((len(specs), pt_len), dtype=np.int64)
+        for k, spec in enumerate(specs):
+            # Fault unmapped pages into DDR in first-touch order, as the
+            # per-request lookup would; the table copy then covers
+            # every page the trace references.
+            spec.hma.ensure_mapped(shared.pages)
+            d_col, f_col = spec.hma.page_tables()
+            ptd[k] = d_col[:pt_len]
+            ptf[k] = f_col[:pt_len]
+        state.call.run(0, n, ptd, ptf, pt_len)
+
+    bounds = np.empty(0)
+    instr = shared.core_instructions(state.num_cores)
+    out: "list[ReplayResult]" = []
+    for k, sink in enumerate(sinks):
+        result = state.finish(k, trace, bounds, residency[k], instr)
+        if sink is not None:
+            sink.on_epoch(0, *state.tier_counts(k), 0.0)
+        _record_telemetry(result, sink, n, 1)
+        out.append(result)
     return out
 
 
-def _replay_multi_chunked(
+def _replay_chunked(
     fn, spec: ReplaySpec, trace: Trace, times: "np.ndarray | None",
     shared: _TraceShared, counts_cache: "_ChunkCounts | None",
 ) -> ReplayResult:
-    """Chunked single-spec replay with compiled in-kernel routing.
+    """One spec replayed chunk by chunk, one kernel call per chunk.
 
-    Structure of :func:`_replay_batched_native` with the numpy
-    translation/routing stage folded into the compiled loop (the multi
-    kernel with a config axis of one): the page table is re-fetched and
-    re-sliced per chunk because migrations mutate it in place.
+    The page table is re-fetched per chunk because migrations mutate
+    it in place and faults may grow it.
     """
-    config, hma, mechanism = spec.config, spec.hma, spec.mechanism
+    hma, mechanism = spec.hma, spec.mechanism
     sub = mechanism.subintervals_per_interval if mechanism else 1
-    total_chunks = spec.num_intervals * sub
+    total_chunks = _total_chunks(spec)
     starts, stops, bounds = shared.chunking(total_chunks, times)
-
-    num_cores = config.num_cores
-    spi = 1.0 / (config.core.issue_width * config.core.frequency_hz)
-    windows_np = np.asarray(_spec_windows(spec), dtype=np.int32)
-    ringcap = int(windows_np.max())
-    core_time = np.zeros(num_cores)
-    ring = np.zeros((num_cores, ringcap))
-    ring_head = np.zeros(num_cores, dtype=np.int32)
-    ring_len = np.zeros(num_cores, dtype=np.int32)
-
-    fast, slow = hma.fast, hma.slow
-    f_nc, s_nc = fast.num_channels, slow.num_channels
-    f_bpc, s_bpc = fast.banks_per_channel, slow.banks_per_channel
-    n_fast_banks = fast.num_banks_total
-    nbanks = n_fast_banks + slow.num_banks_total
-    nchan = f_nc + s_nc
-    latconst = np.array([
-        fast.hit_seconds, fast.miss_seconds, fast.conflict_seconds,
-        fast.burst_seconds,
-        slow.hit_seconds, slow.miss_seconds, slow.conflict_seconds,
-        slow.burst_seconds,
-    ])
-
-    bank_open_l, bank_busy_l, hits_l, misses_l, conflicts_l = \
-        flatten_bank_state(fast, slow)
-    bank_open = np.asarray(bank_open_l, dtype=np.int64)
-    bank_busy = np.asarray(bank_busy_l)
-    bank_hits = np.asarray(hits_l, dtype=np.int64)
-    bank_misses = np.asarray(misses_l, dtype=np.int64)
-    bank_conflicts = np.asarray(conflicts_l, dtype=np.int64)
-    chan_busy = np.array(list(fast.channel_busy_until)
-                         + list(slow.channel_busy_until))
-    seed_reads = (fast.stats.reads, slow.stats.reads)
-    seed_writes = (fast.stats.writes, slow.stats.writes)
-    read_lat = np.array([fast.stats.total_read_latency,
-                         slow.stats.total_read_latency])
-    busy_acc = np.array([fast.stats.busy_time, slow.stats.busy_time])
-    read_total = np.zeros(1)
-    dev_counts = np.zeros((1, 4), dtype=np.int64)
-    dts_full = shared.dts(spi)
+    sink = replay_sink(hma)
+    state = _KernelState(fn, [spec], shared)
     use_counts = (counts_cache is not None and mechanism is not None
                   and mechanism.supports_observe_counts)
-    # One pointer-cached binding serves every chunk; only the request
-    # range and the page-table columns change between calls.
-    call = _ckernel.MultiCall(
-        fn, shared.core_i32, dts_full, shared.pages, shared.lines,
-        shared.writes_u8,
-        LINES_PER_PAGE, LINES_PER_ROW,
-        f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-        latconst, core_time, windows_np,
-        ring, ring_head, ring_len, ringcap, num_cores,
-        bank_busy, bank_open, bank_hits, bank_misses,
-        bank_conflicts, chan_busy, nbanks, nchan,
-        read_lat, busy_acc, read_total, dev_counts,
-    )
-
-    def _sync_to_devices() -> None:
-        fast.channel_busy_until = chan_busy[:f_nc].tolist()
-        slow.channel_busy_until = chan_busy[f_nc:].tolist()
-        fast.stats.reads = seed_reads[0] + int(dev_counts[0, 0])
-        slow.stats.reads = seed_reads[1] + int(dev_counts[0, 1])
-        fast.stats.writes = seed_writes[0] + int(dev_counts[0, 2])
-        slow.stats.writes = seed_writes[1] + int(dev_counts[0, 3])
-        fast.stats.total_read_latency = float(read_lat[0])
-        slow.stats.total_read_latency = float(read_lat[1])
-        fast.stats.busy_time = float(busy_acc[0])
-        slow.stats.busy_time = float(busy_acc[1])
-
     residency: "list[set[int]]" = []
 
     for chunk in range(total_chunks):
@@ -1227,43 +662,28 @@ def _replay_multi_chunked(
         if stop > start:
             hma.ensure_mapped(chunk_pages)
             d_col, f_col = hma.page_tables()
-            call.run(start, stop, d_col, f_col,
-                     int(chunk_pages.max()) + 1)
+            state.call.run(start, stop, d_col, f_col,
+                           int(chunk_pages.max()) + 1)
 
+        # -- migration at the boundary --
+        window_ace = 0.0
+        if sink is not None and mechanism is not None:
+            # Sampled before the plan: planning resets the window.
+            window_ace = mechanism.window_ace_total()
         if mechanism is not None and chunk < total_chunks - 1:
-            now = float(core_time.max())
+            now = float(state.core_time[0].max())
             to_fast, to_slow = _plan_migration(mechanism, hma, chunk, sub)
             if to_fast or to_slow:
-                _sync_to_devices()
+                # Migration charges channel bandwidth on the device
+                # objects; hand the state over, then reload it.
+                state.sync(0)
                 hma.migrate_pairs(to_fast, to_slow, now)
-                # In place: the kernel binding holds these pointers.
-                chan_busy[:f_nc] = fast.channel_busy_until
-                chan_busy[f_nc:] = slow.channel_busy_until
-                busy_acc[0] = fast.stats.busy_time
-                busy_acc[1] = slow.stats.busy_time
+                state.reload(0)
 
-    core_times = core_time.tolist()
-    final = 0.0
-    for c in range(num_cores):
-        t = core_times[c]
-        live_n = int(ring_len[c])
-        if live_n:
-            h = int(ring_head[c])
-            live = [float(ring[c, (h + j) % ringcap]) for j in range(live_n)]
-            last = max(live)
-            if last > t:
-                t = last
-            core_times[c] = t
-        if t > final:
-            final = t
+        if sink is not None:
+            sink.on_epoch(chunk, *state.tier_counts(0), window_ace)
 
-    restore_bank_state(fast, slow, bank_open.tolist(), bank_busy.tolist(),
-                       bank_hits.tolist(), bank_misses.tolist(),
-                       bank_conflicts.tolist())
-    _sync_to_devices()
-    return _build_result(
-        config, hma, trace, final, core_times,
-        float(read_total[0]),
-        int(dev_counts[0, 0] + dev_counts[0, 1]), residency, bounds,
-        core_instructions=shared.core_instructions(num_cores),
-    )
+    result = state.finish(0, trace, bounds, residency,
+                          shared.core_instructions(state.num_cores))
+    _record_telemetry(result, sink, len(trace), total_chunks)
+    return result

@@ -134,22 +134,7 @@ def evaluate_static(
     prep: PreparedWorkload, policy: PlacementPolicy
 ) -> ExperimentResult:
     """IPC and SER of one static placement on a prepared workload."""
-    fast_pages = policy.select_fast_pages(prep.stats, prep.capacity_pages)
-    hma = HeterogeneousMemory(prep.config)
-    hma.install_placement(fast_pages, prep.stats.pages)
-    wt = prep.workload_trace
-    result = replay(prep.config, hma, wt.trace, wt.times, core_windows=wt.core_mlp)
-    ser = prep.ser_model.ser_static(prep.stats, fast_pages)
-    base = prep.ddr_baseline
-    return ExperimentResult(
-        workload=prep.name,
-        scheme=policy.name,
-        ipc=result.ipc,
-        ser=ser,
-        ipc_vs_ddr=result.ipc / base.ipc if base.ipc else 0.0,
-        ser_vs_ddr=ser / base.ser if base.ser else 0.0,
-        mean_read_latency=result.mean_read_latency,
-    )
+    return evaluate_static_multi(prep, [StaticSpec(policy)])[0]
 
 
 def _attach_run_series(tag: str, result, ser_series) -> None:
@@ -179,40 +164,13 @@ def evaluate_migration(
     static placement of the corresponding flavour) to avoid cold-start
     effects, then migrates at every interval boundary.
     """
-    if initial_policy is None:
-        initial_policy = PerformanceFocusedPlacement()
-    fast_pages = initial_policy.select_fast_pages(prep.stats, prep.capacity_pages)
-    hma = HeterogeneousMemory(prep.config)
-    hma.install_placement(fast_pages, prep.stats.pages)
-
-    wt = prep.workload_trace
-    result = replay(
-        prep.config, hma, wt.trace, wt.times,
-        mechanism=mechanism, num_intervals=num_intervals,
-        core_windows=wt.core_mlp,
-    )
-    intervals = profile_intervals(wt.trace, wt.times, result.interval_boundaries)
-    ser = prep.ser_model.ser_dynamic(intervals, result.fast_residency)
-    if result.snapshots is not None:
-        _attach_run_series(
-            f"{prep.name}:{mechanism.name}", result,
-            prep.ser_model.ser_dynamic_series(intervals,
-                                              result.fast_residency))
-    base = prep.ddr_baseline
-    return ExperimentResult(
-        workload=prep.name,
-        scheme=mechanism.name,
-        ipc=result.ipc,
-        ser=ser,
-        ipc_vs_ddr=result.ipc / base.ipc if base.ipc else 0.0,
-        ser_vs_ddr=ser / base.ser if base.ser else 0.0,
-        migrations=hma.migration_stats.total,
-        mean_read_latency=result.mean_read_latency,
-    )
+    return evaluate_migration_multi(prep, [MigrationSpec(
+        mechanism, num_intervals=num_intervals,
+        initial_policy=initial_policy)])[0]
 
 
 # ---------------------------------------------------------------------------
-# Config-batched multi-run evaluation
+# Config-batched evaluation
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -294,9 +252,8 @@ def evaluate_static_multi(
     All specs replay the prepared workload's trace; the replays are
     batched through :func:`repro.sim.engine.replay_multi` (deduplicated
     when specs differ only in fault model) and each result is composed
-    with the spec's SER model.  Results are element-wise bit-identical
-    to per-point :func:`evaluate_static` calls on
-    ``replace_config(prep, spec.config)`` preps.
+    with the spec's SER model.  Each result equals evaluating its spec
+    alone on a prep carrying the spec's config and SER model.
     """
     from repro.sim.engine import ReplaySpec, replay_multi
 
@@ -353,8 +310,8 @@ def evaluate_migration_multi(
 
     One :func:`repro.sim.engine.replay_multi` call covers every spec,
     and one :class:`~repro.avf.page.IntervalProfileBuilder` serves the
-    dynamic-SER accounting of every interval count.  Results are
-    element-wise bit-identical to per-point :func:`evaluate_migration`.
+    dynamic-SER accounting of every interval count.  Each result equals
+    evaluating its spec alone.
     """
     from repro.avf.page import IntervalProfileBuilder
     from repro.sim.engine import ReplaySpec, replay_multi

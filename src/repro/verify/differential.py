@@ -3,13 +3,14 @@
 Every redundant implementation pair in the simulator is compared on
 randomized :class:`~repro.verify.cases.DiffCase` scenarios:
 
-* ``replay-kernels``   — scalar oracle vs fused-Python vs compiled-C
-  replay (:mod:`repro.sim.engine`), full result digests bit-exact.
+* ``replay-kernels``   — the pure-Python reference replay vs the
+  production (compiled) replay (:mod:`repro.sim.engine`), full result
+  digests bit-exact.
 * ``policy-kernels``   — ``sparse`` dict-based vs ``array`` vectorized
   migration planning, compared through whole replays so plan order,
   tie-breaks, and residency all participate.
-* ``mea``              — Misra-Gries tracker with the compiled chunk
-  kernel vs the pure-Python update loop.
+* ``mea``              — Misra-Gries tracker: the compiled chunk kernel
+  vs the pure-Python update loop, each driven explicitly.
 * ``ace``              — streaming :class:`AceTracker` vs chunk-batched
   :class:`WindowedAceTracker` vs the batch :func:`line_ace_times`.
 * ``faultsim``         — batched vs reference Monte-Carlo kernels
@@ -23,10 +24,10 @@ randomized :class:`~repro.verify.cases.DiffCase` scenarios:
 * ``serve``            — the placement service (:mod:`repro.serve`):
   streaming a trace through a tenant session (wire encoding, chunk
   spool, worker replay) must reproduce the batch result bit-exactly.
-* ``multirun``         — the config-batched multi-run engine
+* ``replay-multi``     — the config-batched engine
   (:func:`~repro.sim.engine.replay_multi`): a ragged config batch of
-  static placements plus a migration spec must match per-point
-  :func:`~repro.sim.engine.replay` digests spec by spec.
+  static placements plus a migration spec must match per-spec
+  :func:`~repro.sim.engine.replay_reference` digests.
 * ``ecc``              — the ECC design space: LUT compilation
   (:func:`~repro.faults.ecc.build_ecc_luts`) vs scalar classification
   on random geometries, vectorised ``decode_batch`` vs scalar decode
@@ -46,6 +47,7 @@ import os
 import numpy as np
 
 from repro.config import knob_overrides
+from repro.core import _mea_native
 from repro.verify.cases import (
     DiffCase,
     build_config,
@@ -123,24 +125,24 @@ def _make_mechanism(name: "str | None", policy_kernel: "str | None" = None):
     return factories[name](policy_kernel=policy_kernel)
 
 
-def _replay_case(case: DiffCase, kernel: str,
+def _replay_case(case: DiffCase, reference: bool = False,
                  policy_kernel: "str | None" = None) -> dict:
     from repro.dram.hma import HeterogeneousMemory
-    from repro.sim.engine import replay
+    from repro.sim.engine import ReplaySpec, replay_multi, replay_reference
 
     config = build_config(case)
     trace, times = build_trace(case)
     fast, all_pages = build_placement(case)
     hma = HeterogeneousMemory(config)
     hma.install_placement(fast, all_pages)
-    result = replay(
-        config, hma, trace, times,
+    spec = ReplaySpec(
+        config=config, hma=hma,
         mechanism=_make_mechanism(case.mechanism, policy_kernel),
         num_intervals=case.num_intervals if case.mechanism else 1,
-        core_windows=core_windows(case),
-        kernel=kernel,
-    )
-    return _digest(result)
+        core_windows=core_windows(case))
+    if reference:
+        return _digest(replay_reference(spec, trace, times))
+    return _digest(replay_multi([spec], trace, times)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +151,9 @@ def _replay_case(case: DiffCase, kernel: str,
 
 
 def check_replay_kernels(case: DiffCase) -> "str | None":
-    """Scalar oracle vs fused Python vs compiled C replay."""
-    from repro.sim import _ckernel
-
-    kernels = ["scalar", "batched-python"]
-    if _ckernel.available():
-        kernels.append("batched-native")
-    digests = {k: _replay_case(case, k) for k in kernels}
-    return _first_diff(digests)
+    """The pure-Python reference replay vs production replay."""
+    return _first_diff({"reference": _replay_case(case, reference=True),
+                        "replay": _replay_case(case)})
 
 
 def check_policy_kernels(case: DiffCase) -> "str | None":
@@ -164,7 +161,7 @@ def check_policy_kernels(case: DiffCase) -> "str | None":
     mechanism = case.mechanism or "fc-migration"
     case = DiffCase.from_dict({**case.to_dict(), "mechanism": mechanism})
     digests = {
-        pk: _replay_case(case, "batched", policy_kernel=pk)
+        pk: _replay_case(case, policy_kernel=pk)
         for pk in ("sparse", "array")
     }
     return _first_diff(digests)
@@ -180,20 +177,29 @@ def _mea_state(tracker) -> "tuple":
 
 
 def check_mea(case: DiffCase) -> "str | None":
-    """Compiled MEA chunk kernel vs the pure-Python update loop."""
+    """Compiled MEA chunk kernel vs the pure-Python update loop.
+
+    Each tracker is driven through its own update method, so the
+    comparison never depends on which path ``record_many`` would pick.
+    Without a compiled kernel there is nothing to compare.
+    """
     from repro.core.mea import MeaTracker
 
+    native = _mea_native.load()
+    if native is None:
+        return None
     trace, _times = build_trace(case)
     pages = (trace.address // 4096).astype(np.int64)
     capacity = max(2, case.fast_pages // 2)
     chunks = np.array_split(pages, max(1, case.num_intervals))
-    with knob_overrides(mea_native=False):
-        python_tracker = MeaTracker(capacity=capacity)
+    python_tracker = MeaTracker(capacity=capacity)
     native_tracker = MeaTracker(capacity=capacity)
     for idx, chunk in enumerate(chunks):
-        with knob_overrides(mea_native=False):
-            python_tracker.record_many(chunk)
-        native_tracker.record_many(chunk)
+        if not len(chunk):
+            continue
+        python_tracker._record_many_python(chunk)
+        native_tracker._record_many_native(native,
+                                           np.ascontiguousarray(chunk))
         py_state = _mea_state(python_tracker)
         nat_state = _mea_state(native_tracker)
         if py_state != nat_state:
@@ -608,18 +614,18 @@ def check_ecc(case: DiffCase) -> "str | None":
     return None
 
 
-def check_multirun(case: DiffCase) -> "str | None":
-    """Config-batched ``replay_multi`` vs per-point ``replay``.
+def check_replay_multi(case: DiffCase) -> "str | None":
+    """Config-batched ``replay_multi`` vs per-spec ``replay_reference``.
 
     The case becomes a ragged config batch — the case's placement, a
     half-capacity variant, DDR-only, and (when the case carries one) a
     migration spec — replayed in one :func:`replay_multi` call and
-    compared digest-by-digest against fresh per-point replays.  The
-    batch mixes static (stacked-kernel) and chunked specs, so the
-    grouping, dispatch, and both fast paths all participate.
+    compared digest-by-digest against fresh reference replays.  The
+    batch mixes static (stacked) and chunked specs, so the grouping,
+    dispatch, and both native paths all participate.
     """
     from repro.dram.hma import HeterogeneousMemory
-    from repro.sim.engine import ReplaySpec, replay, replay_multi
+    from repro.sim.engine import ReplaySpec, replay_multi, replay_reference
 
     config = build_config(case)
     trace, times = build_trace(case)
@@ -644,12 +650,9 @@ def check_multirun(case: DiffCase) -> "str | None":
 
     multi = replay_multi(build_specs(), trace, times)
     for i, spec in enumerate(build_specs()):
-        oracle = replay(config, spec.hma, trace, times,
-                        mechanism=spec.mechanism,
-                        num_intervals=spec.num_intervals,
-                        core_windows=windows)
-        diff = _first_diff({"oracle": _digest(oracle),
-                            "multirun": _digest(multi[i])})
+        reference = replay_reference(spec, trace, times)
+        diff = _first_diff({"reference": _digest(reference),
+                            "replay_multi": _digest(multi[i])})
         if diff:
             return f"spec {i}: {diff}"
     return None
@@ -665,7 +668,7 @@ CHECKS = {
     "cache-filter": check_cache_filter,
     "shm-roundtrip": check_shm_roundtrip,
     "serve": check_serve,
-    "multirun": check_multirun,
+    "replay-multi": check_replay_multi,
     "frontier": check_frontier,
     "ecc": check_ecc,
 }

@@ -191,66 +191,24 @@ class TestMigration:
         assert hma.migration_stats.migration_seconds > 0.0
 
 
-class TestServiceBatch:
-    """service_batch must equal per-request service() calls exactly."""
-
-    def _requests(self, n=200, seed=11):
+class TestEnsureMapped:
+    def test_faults_unmapped_pages_like_scalar(self, tiny_config):
+        """``ensure_mapped`` (the native replay's fault-in) assigns
+        frames in first-touch order, exactly like per-request
+        ``service`` lookups."""
         import numpy as np
 
-        rng = np.random.default_rng(seed)
-        pages = rng.integers(0, 40, size=n)
-        lines = rng.integers(0, 64, size=n)
-        arrivals = np.sort(rng.uniform(0.0, 1e-4, size=n))
-        writes = rng.random(size=n) < 0.3
-        return pages, lines, arrivals, writes
-
-    def test_matches_scalar_service(self, tiny_config):
         scalar = HeterogeneousMemory(tiny_config)
         batched = HeterogeneousMemory(tiny_config)
         for hma in (scalar, batched):
-            hma.install_placement(range(8), range(30))
-        pages, lines, arrivals, writes = self._requests()
-        expected = [
-            scalar.service(int(p), int(ln), float(t), bool(w))
-            for p, ln, t, w in zip(pages, lines, arrivals, writes)
-        ]
-        got = batched.service_batch(pages, lines, arrivals, writes)
-        assert got.tolist() == expected
-        for dev_s, dev_b in ((scalar.fast, batched.fast),
-                             (scalar.slow, batched.slow)):
-            assert dev_b.stats.reads == dev_s.stats.reads
-            assert dev_b.stats.writes == dev_s.stats.writes
-            assert dev_b.row_buffer_stats() == dev_s.row_buffer_stats()
-            assert (dev_b.stats.total_read_latency
-                    == dev_s.stats.total_read_latency)
-            assert dev_b.stats.busy_time == dev_s.stats.busy_time
-            assert (list(dev_b.channel_busy_until)
-                    == list(dev_s.channel_busy_until))
-
-    def test_faults_unmapped_pages_like_scalar(self, tiny_config):
-        scalar = HeterogeneousMemory(tiny_config)
-        batched = HeterogeneousMemory(tiny_config)
-        import numpy as np
-
-        pages = np.array([100, 101, 100, 102])
-        lines = np.zeros(4, dtype=int)
-        arrivals = np.array([0.0, 1e-6, 2e-6, 3e-6])
-        writes = np.zeros(4, dtype=bool)
-        expected = [
-            scalar.service(int(p), 0, float(t), False)
-            for p, t in zip(pages, arrivals)
-        ]
-        got = batched.service_batch(pages, lines, arrivals, writes)
-        assert got.tolist() == expected
-        assert ([e[:2] for e in scalar.page_entries()]
-                == [e[:2] for e in batched.page_entries()])
-
-    def test_empty_batch(self, hma):
-        import numpy as np
-
-        out = hma.service_batch(np.empty(0, dtype=int), np.empty(0, dtype=int),
-                                np.empty(0), np.empty(0, dtype=bool))
-        assert len(out) == 0
+            hma.install_placement([3], [3, 7])
+        pages = np.array([100, 7, 101, 100, 3, 250, 102, 101])
+        for t, page in enumerate(pages.tolist()):
+            scalar.service(page, 0, float(t), False)
+        batched.ensure_mapped(pages)
+        assert list(batched.page_entries()) == list(scalar.page_entries())
+        batched.ensure_mapped(np.empty(0, dtype=np.int64))
+        assert list(batched.page_entries()) == list(scalar.page_entries())
 
 
 def _tiny_system():

@@ -350,56 +350,47 @@ class TestReplicateResume:
 
 
 class TestCapacitySweepResume:
-    # The journal surgery below assumes the per-fraction fan-out; under
-    # the multirun knob (the default) each workload is one job, so pin
-    # the oracle path.  tests/sim/test_multirun_parity.py covers the
-    # knob-on rows being bit-identical.
-    @pytest.fixture(autouse=True)
-    def _fraction_fanout(self):
-        from repro.config import knob_overrides
+    # Each workload is one journaled job (key ``workload-<name>``), so
+    # the sweep needs at least two workloads to be interrupted mid-way.
+    KWARGS = dict(workloads=("mcf", "milc"), fractions=(0.1, 0.4),
+                  scale=1 / 2048, accesses_per_core=ACCESSES, seed=4)
 
-        with knob_overrides(multirun=False):
-            yield
-
-    def test_resume_serves_finished_fractions_from_journal(self, tmp_path,
+    def test_resume_serves_finished_workloads_from_journal(self, tmp_path,
                                                            monkeypatch):
         d = str(tmp_path / "run")
-        kwargs = dict(workloads=("mcf",), fractions=(0.1, 0.4),
-                      scale=1 / 2048, accesses_per_core=ACCESSES, seed=4)
-        uninterrupted = sweeps.capacity_sweep(**kwargs)
-        checkpointed = sweeps.capacity_sweep(checkpoint_dir=d, **kwargs)
+        uninterrupted = sweeps.capacity_sweep(**self.KWARGS)
+        checkpointed = sweeps.capacity_sweep(checkpoint_dir=d, **self.KWARGS)
         assert checkpointed.rows == uninterrupted.rows
 
         def boom(item):
-            raise AssertionError("resume must not recompute finished rows")
+            raise AssertionError("resume must not recompute finished jobs")
 
-        monkeypatch.setattr(sweeps, "_capacity_row", boom)
+        monkeypatch.setattr(sweeps, "_capacity_workload", boom)
         resumed = sweeps.capacity_sweep(checkpoint_dir=d, resume=True,
-                                        **kwargs)
+                                        **self.KWARGS)
         assert resumed.rows == uninterrupted.rows
 
-    def test_partial_journal_reruns_only_missing_fractions(self, tmp_path,
+    def test_partial_journal_reruns_only_missing_workloads(self, tmp_path,
                                                            monkeypatch):
         d = str(tmp_path / "run")
-        kwargs = dict(workloads=("mcf",), fractions=(0.1, 0.4),
-                      scale=1 / 2048, accesses_per_core=ACCESSES, seed=4)
-        full = sweeps.capacity_sweep(checkpoint_dir=d, **kwargs)
-        # Rewind the journal to "killed after the first fraction".
+        full = sweeps.capacity_sweep(checkpoint_dir=d, **self.KWARGS)
+        # Rewind the journal to "killed after the first workload".
         lines = open(os.path.join(d, "manifest.jsonl")).readlines()
         done = [line for line in lines if '"done"' in line]
+        assert '"workload-mcf"' in done[0]
         with open(os.path.join(d, "manifest.jsonl"), "w") as fh:
             fh.writelines([lines[0], done[0]])
         executed = []
-        original = sweeps._capacity_row
+        original = sweeps._capacity_workload
 
         def spy(item):
             executed.append(item[0])
             return original(item)
 
-        monkeypatch.setattr(sweeps, "_capacity_row", spy)
+        monkeypatch.setattr(sweeps, "_capacity_workload", spy)
         resumed = sweeps.capacity_sweep(checkpoint_dir=d, resume=True,
-                                        **kwargs)
-        assert executed == [0.4]
+                                        **self.KWARGS)
+        assert executed == ["milc"]
         assert resumed.rows == full.rows
 
 

@@ -49,3 +49,31 @@ class TestMlpSensitivity:
                               **SMALL)
         ipcs = [row[2] for row in res.rows]
         assert ipcs == sorted(ipcs)
+
+
+class TestSweepExperiments:
+    """``repro-hma run sweep-*`` honours the trace flags."""
+
+    def test_cli_flags_reach_the_sweep(self, capsys):
+        from repro.harness.cli import main
+
+        want = fit_multiplier_sweep(accesses_per_core=1500, seed=3).format()
+        assert main(["run", "sweep-fit", "--accesses", "1500",
+                     "--seed", "3"]) == 0
+        seed3 = capsys.readouterr().out
+        assert want in seed3
+        assert main(["run", "sweep-fit", "--accesses", "1500",
+                     "--seed", "4"]) == 0
+        seed4 = capsys.readouterr().out
+        assert seed4 != seed3
+
+    def test_explicit_kwargs_win_over_the_cache(self):
+        from repro.harness.experiments import EXPERIMENTS, WorkloadCache
+
+        cache = WorkloadCache(accesses_per_core=1500, scale=1 / 2048, seed=4)
+        got = EXPERIMENTS["sweep-fit"](cache=cache, workload="mcf",
+                                       multipliers=(1.0, 4.0), seed=3)
+        want = fit_multiplier_sweep(workload="mcf", multipliers=(1.0, 4.0),
+                                    scale=1 / 2048, accesses_per_core=1500,
+                                    seed=3)
+        assert got.rows == want.rows

@@ -2,37 +2,43 @@
 
 A broken toolchain must cost exactly one ``cc`` invocation and one
 structured warning (carrying the compiler's stderr) per process, after
-which every replay silently uses the pure-Python fused loop — with
-results identical to the scalar oracle down to the last IEEE-754 bit.
+which every replay silently takes the pure-Python reference path — with
+results identical to the compiled kernel's down to the last IEEE-754
+bit.
 """
 
-import os
 import stat
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.dram.hma import HeterogeneousMemory
+from repro.core.migration import ReliabilityAwareFCMigration
 from repro.core.placement import PerformanceFocusedPlacement
+from repro.dram.hma import HeterogeneousMemory
 from repro.sim import _ckernel
-from repro.sim.engine import _resolve_kernel, replay
+from repro.sim.engine import ReplaySpec, replay_multi
 from repro.sim.system import prepare_workload
 
 pytestmark = [pytest.mark.chaos, pytest.mark.slow]
 
 
-@pytest.fixture
-def broken_cc(tmp_path, monkeypatch):
+def _broken_compiler(directory):
     """A compiler that always fails, logging every invocation."""
-    log = tmp_path / "cc-invocations.log"
-    script = tmp_path / "cc"
+    log = directory / "cc-invocations.log"
+    script = directory / "cc"
     script.write_text(
         "#!/bin/sh\n"
         f"echo invoked >> {log}\n"
         "echo 'simulated toolchain breakage: ld returned 1' >&2\n"
         "exit 1\n")
     script.chmod(script.stat().st_mode | stat.S_IXUSR)
+    return script, log
+
+
+@pytest.fixture
+def broken_cc(tmp_path, monkeypatch):
+    script, log = _broken_compiler(tmp_path)
     monkeypatch.setenv("CC", str(script))
     monkeypatch.setenv("REPRO_CKERNEL_DIR", str(tmp_path / "ckernel"))
     monkeypatch.delenv("REPRO_REPLAY_NATIVE", raising=False)
@@ -49,15 +55,14 @@ class TestCompileFailureCaching:
     def test_single_cc_invocation_and_single_warning(self, broken_cc):
         with pytest.warns(_ckernel.NativeKernelUnavailableWarning,
                           match="simulated toolchain breakage"):
-            assert _ckernel.load() is None
+            assert _ckernel.load_multi() is None
         assert _invocations(broken_cc) == 1
-        assert "ld returned 1" in _ckernel.build_error()
+        assert "ld returned 1" in _ckernel.multi_build_error()
         # Failure is cached: no further compiles, no further warnings.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(3):
-                assert _ckernel.load() is None
-                assert not _ckernel.available()
+                assert _ckernel.load_multi() is None
         assert _invocations(broken_cc) == 1
 
     def test_missing_compiler_is_structured_too(self, tmp_path, monkeypatch):
@@ -66,36 +71,52 @@ class TestCompileFailureCaching:
         _ckernel._reset_for_tests()
         try:
             with pytest.warns(_ckernel.NativeKernelUnavailableWarning):
-                assert _ckernel.load() is None
-            assert _ckernel.build_error()
+                assert _ckernel.load_multi() is None
+            assert _ckernel.multi_build_error()
         finally:
             _ckernel._reset_for_tests()
 
 
 class TestBitExactFallback:
-    def test_batched_resolves_to_python_and_matches_scalar(self, broken_cc):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore",
-                                  _ckernel.NativeKernelUnavailableWarning)
-            prep = prepare_workload("mcf", accesses_per_core=1_500, seed=3)
-            assert _resolve_kernel(
-                "batched", HeterogeneousMemory(prep.config)
-            ) == "batched-python"
-            results = {}
-            for kernel in ("scalar", "batched"):
-                hma = HeterogeneousMemory(prep.config)
-                fast = PerformanceFocusedPlacement().select_fast_pages(
-                    prep.stats, prep.capacity_pages)
-                hma.install_placement(fast, prep.stats.pages)
-                wt = prep.workload_trace
-                results[kernel] = replay(prep.config, hma, wt.trace,
-                                         times=wt.times,
-                                         core_windows=wt.core_mlp,
-                                         kernel=kernel)
-        scalar, batched = results["scalar"], results["batched"]
-        assert batched.ipc == scalar.ipc
-        assert batched.total_seconds == scalar.total_seconds
-        assert batched.mean_read_latency == scalar.mean_read_latency
-        assert batched.per_core_ipc == scalar.per_core_ipc
-        assert np.array_equal(batched.interval_boundaries,
-                              scalar.interval_boundaries)
+    def _replay(self, prep):
+        """One static and one chunked migration spec in one call."""
+        fast = PerformanceFocusedPlacement().select_fast_pages(
+            prep.stats, prep.capacity_pages)
+        specs = []
+        for mechanism, n in ((None, 1), (ReliabilityAwareFCMigration(), 4)):
+            hma = HeterogeneousMemory(prep.config)
+            hma.install_placement(fast, prep.stats.pages)
+            specs.append(ReplaySpec(prep.config, hma, mechanism, n,
+                                    prep.workload_trace.core_mlp))
+        wt = prep.workload_trace
+        return replay_multi(specs, wt.trace, wt.times)
+
+    def test_fallback_matches_compiled_kernel(self, tmp_path, monkeypatch):
+        prep = prepare_workload("mcf", accesses_per_core=1_500, seed=3)
+        monkeypatch.delenv("REPRO_REPLAY_NATIVE", raising=False)
+        monkeypatch.setenv("REPRO_CKERNEL_DIR", str(tmp_path / "good"))
+        _ckernel._reset_for_tests()
+        try:
+            if _ckernel.load_multi() is None:
+                pytest.skip("no working C compiler to compare against")
+            compiled = self._replay(prep)
+
+            script, log = _broken_compiler(tmp_path)
+            monkeypatch.setenv("CC", str(script))
+            monkeypatch.setenv("REPRO_CKERNEL_DIR", str(tmp_path / "broken"))
+            _ckernel._reset_for_tests()
+            with pytest.warns(_ckernel.NativeKernelUnavailableWarning,
+                              match="simulated toolchain breakage"):
+                fallback = self._replay(prep)
+            assert _invocations(log) == 1
+        finally:
+            _ckernel._reset_for_tests()
+        for got, want in zip(fallback, compiled):
+            assert got.ipc == want.ipc
+            assert got.total_seconds == want.total_seconds
+            assert got.mean_read_latency == want.mean_read_latency
+            assert got.per_core_ipc == want.per_core_ipc
+            assert got.fast_residency == want.fast_residency
+            assert got.migrations == want.migrations
+            assert np.array_equal(got.interval_boundaries,
+                                  want.interval_boundaries)

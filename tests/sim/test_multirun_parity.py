@@ -1,12 +1,15 @@
-"""Parity: config-batched multi-run engine vs the per-point oracle.
+"""Parity: config-batched evaluation vs a per-point oracle loop.
 
 ``evaluate_static_multi`` / ``evaluate_migration_multi`` (and the
-sweeps rewired onto them) must be *bit-identical* to per-point
-``evaluate_static`` / ``evaluate_migration`` — the per-point path is
-retained as the oracle, and these tests enforce the contract at every
-layer: hypothesis-driven config batches, ragged capacity batches, the
-single-spec degenerate case, migration batches across mechanisms, and
-whole FigureResults with the ``multirun`` knob on vs off.
+sweeps and figures built on them) must be *bit-identical* to
+evaluating each point on its own the textbook way: the policy's own
+``select_fast_pages``, one :func:`replay_reference` per point, and
+``ser_static`` / ``profile_intervals`` + ``ser_dynamic`` for the SER.
+That oracle is written out here, independent of the batching, ranking
+reuse and interval-profile caching under test.  The contract is
+enforced at every layer: hypothesis-driven config batches, ragged
+capacity batches, the single-spec degenerate case, migration batches
+across mechanisms, and whole sweep and figure rows.
 """
 
 import dataclasses
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import knob_overrides
+from repro.avf.page import profile_intervals
 from repro.core.migration import (
     CrossCountersMigration,
     PerformanceFocusedMigration,
@@ -29,13 +32,16 @@ from repro.core.placement import (
     ReliabilityFocusedPlacement,
     Wr2RatioPlacement,
 )
+from repro.dram.hma import HeterogeneousMemory
+from repro.faults.ser import SerModel
+from repro.harness.reporting import gmean
 from repro.harness.sweeps import _config_with_fast_pages
+from repro.sim.engine import ReplaySpec, replay_reference
+from repro.sim.results import ExperimentResult
 from repro.sim.system import (
     MigrationSpec,
     StaticSpec,
-    evaluate_migration,
     evaluate_migration_multi,
-    evaluate_static,
     evaluate_static_multi,
     prepare_workload,
 )
@@ -60,14 +66,50 @@ def _same(got, want):
     assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
 
+def _result(prep, scheme, replayed, ser, migrations=0):
+    base = prep.ddr_baseline
+    return ExperimentResult(
+        workload=prep.name, scheme=scheme, ipc=replayed.ipc, ser=ser,
+        ipc_vs_ddr=replayed.ipc / base.ipc if base.ipc else 0.0,
+        ser_vs_ddr=ser / base.ser if base.ser else 0.0,
+        migrations=migrations,
+        mean_read_latency=replayed.mean_read_latency)
+
+
 def _oracle_static(prep, spec: StaticSpec):
-    """Per-point evaluation of one StaticSpec through the oracle."""
-    p = prep
-    if spec.config is not None:
-        p = dataclasses.replace(p, config=spec.config)
-    if spec.ser_model is not None:
-        p = dataclasses.replace(p, ser_model=spec.ser_model)
-    return evaluate_static(p, spec.policy)
+    """One StaticSpec evaluated on its own, point by point."""
+    config = spec.config if spec.config is not None else prep.config
+    ser_model = spec.ser_model if spec.ser_model is not None \
+        else prep.ser_model
+    fast_pages = spec.policy.select_fast_pages(prep.stats,
+                                               config.fast_memory.num_pages)
+    hma = HeterogeneousMemory(config)
+    hma.install_placement(fast_pages, prep.stats.pages)
+    wt = prep.workload_trace
+    replayed = replay_reference(
+        ReplaySpec(config, hma, core_windows=wt.core_mlp),
+        wt.trace, wt.times)
+    return _result(prep, spec.policy.name, replayed,
+                   ser_model.ser_static(prep.stats, fast_pages))
+
+
+def _oracle_migration(prep, mechanism, num_intervals=16,
+                      initial_policy=None):
+    """One migration point evaluated on its own."""
+    policy = initial_policy or PerformanceFocusedPlacement()
+    hma = HeterogeneousMemory(prep.config)
+    hma.install_placement(
+        policy.select_fast_pages(prep.stats, prep.capacity_pages),
+        prep.stats.pages)
+    wt = prep.workload_trace
+    replayed = replay_reference(
+        ReplaySpec(prep.config, hma, mechanism, num_intervals, wt.core_mlp),
+        wt.trace, wt.times)
+    intervals = profile_intervals(wt.trace, wt.times,
+                                  replayed.interval_boundaries)
+    ser = prep.ser_model.ser_dynamic(intervals, replayed.fast_residency)
+    return _result(prep, mechanism.name, replayed, ser,
+                   migrations=hma.migration_stats.total)
 
 
 class TestStaticMulti:
@@ -126,7 +168,7 @@ class TestMigrationMulti:
         got = evaluate_migration_multi(prep, specs)
         for res, spec in zip(got, specs):
             # Fresh mechanism per oracle run: mechanisms are stateful.
-            want = evaluate_migration(
+            want = _oracle_migration(
                 prep, type(spec.mechanism)(),
                 num_intervals=spec.num_intervals,
                 initial_policy=spec.initial_policy)
@@ -135,23 +177,39 @@ class TestMigrationMulti:
     def test_single_spec_degenerate(self, prep):
         (got,) = evaluate_migration_multi(
             prep, [MigrationSpec(PerformanceFocusedMigration())])
-        _same(got, evaluate_migration(prep, PerformanceFocusedMigration()))
+        _same(got, _oracle_migration(prep, PerformanceFocusedMigration()))
 
 
 class TestSweepRegression:
-    """Whole figures must not move when the knob flips."""
+    """Whole sweep and figure rows against per-point loops."""
 
     def test_capacity_sweep_rows(self):
         from repro.harness.sweeps import capacity_sweep
 
-        kwargs = dict(workloads=("mcf", "mix1"), fractions=(0.1, 0.4),
-                      accesses_per_core=ACCESSES, seed=3, jobs=1)
-        with knob_overrides(multirun=False):
-            want = capacity_sweep(**kwargs)
-        with knob_overrides(multirun=True):
-            got = capacity_sweep(**kwargs)
-        assert got.rows == want.rows
-        assert got.headers == want.headers
+        workloads, fractions = ("mcf", "mix1"), (0.1, 0.4)
+        got = capacity_sweep(workloads=workloads, fractions=fractions,
+                             accesses_per_core=ACCESSES, seed=3, jobs=1)
+        preps = {wl: prepare_workload(wl, scale=1 / 1024,
+                                      accesses_per_core=ACCESSES, seed=3)
+                 for wl in workloads}
+        want = []
+        for fraction in fractions:
+            cols = [[], [], [], []]
+            for prep in preps.values():
+                pages = max(1, int(prep.workload_trace.footprint_pages
+                                   * fraction))
+                config = _config_with_fast_pages(prep.config, pages)
+                perf = _oracle_static(
+                    prep, StaticSpec(PerformanceFocusedPlacement(), config))
+                wr2 = _oracle_static(
+                    prep, StaticSpec(Wr2RatioPlacement(), config))
+                for col, value in zip(cols, (
+                        perf.ipc_vs_ddr, perf.ser_vs_ddr, wr2.ipc_vs_ddr,
+                        max(wr2.ser_vs_ddr, 1e-9))):
+                    col.append(value)
+            want.append([f"{fraction:.2f}"]
+                        + [float(gmean(col)) for col in cols])
+        assert got.rows == want
 
     def test_fig13_rows(self):
         from repro.harness.experiments import (
@@ -159,37 +217,54 @@ class TestSweepRegression:
             fig13_interval_sweep,
         )
 
-        def run():
-            cache = WorkloadCache(accesses_per_core=ACCESSES, seed=3)
-            return fig13_interval_sweep(
-                workloads=("astar",), intervals=(4, 8), cache=cache,
-                accesses_per_core=ACCESSES, seed=3)
+        cache = WorkloadCache(accesses_per_core=ACCESSES, seed=3)
+        got = fig13_interval_sweep(workloads=("astar",), intervals=(4, 8),
+                                   cache=cache)
+        prep = cache.get("astar")
+        want = [[n, gmean([_oracle_migration(
+                    prep, PerformanceFocusedMigration(), num_intervals=n,
+                    initial_policy=DdrOnlyPlacement()).ipc_vs_ddr])]
+                for n in (4, 8)]
+        assert got.rows == want
 
-        with knob_overrides(multirun=False):
-            want = run()
-        with knob_overrides(multirun=True):
-            got = run()
-        assert got.rows == want.rows
-        assert got.summary == want.summary
-
-    def test_fit_sweep_rows(self):
+    def test_fit_sweep_rows(self, prep):
         from repro.harness.sweeps import fit_multiplier_sweep
 
-        kwargs = dict(workload="mcf", multipliers=(1.0, 7.0),
-                      accesses_per_core=ACCESSES, seed=3)
-        with knob_overrides(multirun=False):
-            want = fit_multiplier_sweep(**kwargs)
-        with knob_overrides(multirun=True):
-            got = fit_multiplier_sweep(**kwargs)
-        assert got.rows == want.rows
+        multipliers = (1.0, 7.0)
+        got = fit_multiplier_sweep(workload="mcf", multipliers=multipliers,
+                                   accesses_per_core=ACCESSES, seed=3)
+        want = []
+        for multiplier in multipliers:
+            fast = dataclasses.replace(prep.config.fast_memory,
+                                       fit_multiplier=multiplier)
+            config = dataclasses.replace(prep.config, fast_memory=fast)
+            ser_model = SerModel.for_system(config)
+            perf, wr2 = (
+                _oracle_static(prep, StaticSpec(policy(), config, ser_model))
+                for policy in (PerformanceFocusedPlacement,
+                               Wr2RatioPlacement))
+            want.append([multiplier, ser_model.fit_ratio, perf.ser_vs_ddr,
+                         wr2.ser_vs_ddr])
+        assert got.rows == want
 
-    def test_mlp_sweep_rows(self):
+    def test_mlp_sweep_rows(self, prep):
         from repro.harness.sweeps import mlp_sensitivity
 
-        kwargs = dict(workload="mcf", windows=(1, 4),
-                      accesses_per_core=ACCESSES, seed=3)
-        with knob_overrides(multirun=False):
-            want = mlp_sensitivity(**kwargs)
-        with knob_overrides(multirun=True):
-            got = mlp_sensitivity(**kwargs)
-        assert got.rows == want.rows
+        windows = (1, 4)
+        got = mlp_sensitivity(workload="mcf", windows=windows,
+                              accesses_per_core=ACCESSES, seed=3)
+        wt = prep.workload_trace
+        fast_pages = PerformanceFocusedPlacement().select_fast_pages(
+            prep.stats, prep.capacity_pages)
+        want = []
+        for window in windows:
+            ipcs = []
+            for placement in ([], fast_pages):
+                hma = HeterogeneousMemory(prep.config)
+                hma.install_placement(placement, prep.stats.pages)
+                spec = ReplaySpec(prep.config, hma,
+                                  core_windows=[window] * prep.config.num_cores)
+                ipcs.append(replay_reference(spec, wt.trace, wt.times).ipc)
+            base, res = ipcs
+            want.append([window, base, res, res / base if base else 0.0])
+        assert got.rows == want

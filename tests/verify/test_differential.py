@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.sim import engine
+from repro.sim import _ckernel, engine
 from repro.verify import differential
 from repro.verify.cases import (
     DiffCase,
@@ -202,14 +202,12 @@ class TestMutationSmoke:
 
     @pytest.fixture
     def planted_route_bug(self, monkeypatch):
-        """Off-by-one row aliasing in the batched kernels' routing."""
-        orig = engine._route_chunk
-
-        def mutated(*args, **kwargs):
-            dev, is_fast, gid, cid, row = orig(*args, **kwargs)
-            return dev, is_fast, gid, cid, row // 2
-
-        monkeypatch.setattr(engine, "_route_chunk", mutated)
+        """Row aliasing in the native kernel's routing: only the native
+        path reads the engine's row size, the reference reads the
+        device's."""
+        if _ckernel.load_multi() is None:
+            pytest.skip("no compiled replay kernel to plant a bug in")
+        monkeypatch.setattr(engine, "LINES_PER_ROW", 2 * engine.LINES_PER_ROW)
 
     def test_fuzzer_catches_and_shrinks(self, planted_route_bug, tmp_path):
         results = run_fuzz(
@@ -227,14 +225,8 @@ class TestMutationSmoke:
         # The shrunken case still reproduces while the bug is planted.
         assert differential.check_replay_kernels(case) is not None
 
-    def test_artifact_replays_clean_after_fix(self, tmp_path, monkeypatch):
-        orig = engine._route_chunk
-
-        def mutated(*args, **kwargs):
-            dev, is_fast, gid, cid, row = orig(*args, **kwargs)
-            return dev, is_fast, gid, cid, row // 2
-
-        monkeypatch.setattr(engine, "_route_chunk", mutated)
+    def test_artifact_replays_clean_after_fix(self, planted_route_bug,
+                                              tmp_path, monkeypatch):
         run_fuzz(num_cases=3, seed=0, artifact_dir=str(tmp_path),
                  checks={"replay-kernels":
                          differential.check_replay_kernels})
@@ -244,24 +236,23 @@ class TestMutationSmoke:
         live = replay_artifact(artifacts[0])
         assert not live.passed
         # ...and reports fixed once the mutation is reverted.
-        monkeypatch.setattr(engine, "_route_chunk", orig)
+        monkeypatch.undo()
         fixed = replay_artifact(artifacts[0])
         assert fixed.passed
 
     def test_mea_divergence_is_caught(self, monkeypatch, tmp_path):
-        """A planted bug on the python-only MEA path diverges from native."""
-        from repro.config import knob_value
+        """A planted bug in the Python MEA loop diverges from native."""
+        from repro.core import _mea_native
         from repro.core.mea import MeaTracker
 
-        orig = MeaTracker.record_many
+        if _mea_native.load() is None:
+            pytest.skip("no compiled MEA kernel to compare against")
+        orig = MeaTracker._record_many_python
 
-        def mutated(self, pages):
-            arr = np.asarray(pages, dtype=np.int64).ravel()
-            if not knob_value("mea_native", None) and arr.size:
-                arr = arr[:-1]  # python path silently drops one access
-            return orig(self, arr)
+        def mutated(self, arr):
+            return orig(self, arr[:-1])  # silently drops one access
 
-        monkeypatch.setattr(MeaTracker, "record_many", mutated)
+        monkeypatch.setattr(MeaTracker, "_record_many_python", mutated)
         results = run_fuzz(num_cases=2, seed=1,
                            checks={"mea": differential.check_mea})
         assert all(not r.passed for r in results)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 smoke gate: unit tests + a fast replay-kernel sanity benchmark.
+# Tier-1 smoke gate: unit tests + fast kernel sanity benchmarks.
 #
 # Usage: tools/ci_smoke.sh [extra pytest args...]
 #
@@ -14,19 +14,20 @@
 #    win over the perf-focused baseline.
 # 4. Runs the kill/resume smoke: SIGKILLs a real checkpointed sweep
 #    mid-run, resumes it, and asserts bit-identical rows with only the
-#    unfinished fractions recomputed.  Then the serve chaos smoke: a
+#    unfinished workloads recomputed.  Then the serve chaos smoke: a
 #    live placement daemon on a unix socket with a worker SIGKILL'd
 #    mid-replay and a poison tenant (survivors must be bit-identical
 #    to batch), plus a flooding tenant that must be throttled with
 #    retry_after without degrading a polite tenant's p95 latency.
-# 5. Runs the replay-kernel, policy-kernel, end-to-end pipeline,
-#    config-batched multi-run engine (oracle vs batched sweeps), and
-#    workload-generator throughput benchmarks at a small scale with
-#    relaxed JSON output paths, so CI catches both correctness drift
-#    (the benchmarks assert bit-exact parity of replay results,
-#    migration plans, residual cache-filter traces, shm handoffs,
-#    fault-simulator tallies, and seeded generator determinism) and
-#    gross performance regressions without a long wall-clock bill.
+# 5. Runs the replay (reference vs compiled), policy-kernel, end-to-end
+#    pipeline, workload-generator and ECC-codec throughput benchmarks at
+#    a small scale with relaxed JSON output paths, so CI catches both
+#    correctness drift (the benchmarks assert bit-exact parity of
+#    replay results, migration plans, residual cache-filter traces,
+#    shm handoffs, fault-simulator tallies, and seeded generator
+#    determinism) and gross performance regressions without a long
+#    wall-clock bill.  The config-batched sweep is measured end to end
+#    by the bench/ benchmark (workload capacity-fanout).
 # 6. Runs the telemetry smoke: a tiny migration experiment twice with
 #    REPRO_TELEMETRY on, asserting the run registry holds both rows
 #    with non-empty epoch series, that `report` renders, and that a
@@ -99,11 +100,6 @@ echo "== end-to-end pipeline smoke benchmark =="
 REPRO_BENCH_ACCESSES="${REPRO_SMOKE_ACCESSES:-4000}" \
 REPRO_BENCH_E2E_JSON="$workdir/BENCH_e2e.json" \
 python -m pytest benchmarks/bench_e2e_pipeline.py -q -s -p no:cacheprovider
-
-echo "== multi-run engine smoke benchmark =="
-REPRO_BENCH_ACCESSES="${REPRO_SMOKE_ACCESSES:-4000}" \
-REPRO_BENCH_MULTIRUN_JSON="$workdir/BENCH_multirun.json" \
-python -m pytest benchmarks/bench_multirun.py -q -s -p no:cacheprovider
 
 echo "== workload generator smoke benchmark =="
 REPRO_BENCH_ACCESSES="${REPRO_SMOKE_ACCESSES:-4000}" \
