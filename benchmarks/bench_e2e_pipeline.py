@@ -4,14 +4,14 @@ Drives the full pipeline — trace synthesis, cache filtering (the Moola
 role), worker handoff of the prepared arrays, and the routed/serviced
 replay with cc-migration planning — twice:
 
-* **sparse** — per-access reference implementations everywhere: the
-  ``sparse`` cache filter, pickle transport to each worker, the
-  pure-Python reference replay, and the ``sparse`` dict-based policy
-  layer.
-* **fused**  — the production path: the ``array`` cache-filter kernel,
-  one shared-memory segment resolved per worker, the compiled replay
-  kernel, and the ``array`` policy layer with the fused MEA+counter C
-  kernel.
+* **sparse** — per-access reference implementations everywhere:
+  :func:`~repro.cache.hierarchy.filter_trace_reference`, pickle
+  transport to each worker, the pure-Python reference replay, and the
+  dict-walk reference of cc-migration from :mod:`repro.verify.oracles`.
+* **fused**  — the production path: the compiled cache filter, one
+  shared-memory segment resolved per worker, the compiled replay
+  kernel, and the vectorised cc-migration planner with the fused
+  MEA+counter C kernel.
 
 Stage outputs are asserted bit-identical between the modes (residual
 trace, replay digest, handoff round-trip), wall time is recorded per
@@ -27,7 +27,11 @@ import time
 
 import numpy as np
 
-from repro.cache.hierarchy import CacheHierarchy, filter_trace
+from repro.cache.hierarchy import (
+    CacheHierarchy,
+    filter_trace,
+    filter_trace_reference,
+)
 from repro.config import PAGE_SIZE, knob_overrides, scaled_config
 from repro.core.migration import CrossCountersMigration
 from repro.dram.hma import HeterogeneousMemory
@@ -40,6 +44,7 @@ from repro.harness.shm import (
 )
 from repro.sim.engine import ReplaySpec, replay, replay_reference
 from repro.trace.workloads import Workload
+from repro.verify.oracles import ReferenceCrossCountersMigration
 
 #: Default scale, default trace volume — the acceptance configuration.
 ACCESSES = int(os.environ.get("REPRO_BENCH_ACCESSES", "20000"))
@@ -89,8 +94,8 @@ def _pipeline(mode: str):
     # Stage 2 — cache filtering (the Moola role).
     t0 = time.perf_counter()
     hierarchy = CacheHierarchy(config.caches, num_cores=config.num_cores)
-    filtered = filter_trace(wt.trace, hierarchy, flush_at_end=True,
-                            cache_kernel="array" if fused else "sparse")
+    filter_fn = filter_trace if fused else filter_trace_reference
+    filtered = filter_fn(wt.trace, hierarchy, flush_at_end=True)
     stages["cache_filter"] = time.perf_counter() - t0
 
     # Stage 3 — handoff of the prepared arrays to N_WORKERS workers.
@@ -119,8 +124,8 @@ def _pipeline(mode: str):
     fast_cap = config.fast_memory.capacity_bytes // PAGE_SIZE
     hma = HeterogeneousMemory(config)
     hma.install_placement(pages[:fast_cap], pages)
-    mech = CrossCountersMigration(
-        policy_kernel="array" if fused else "sparse")
+    mech = (CrossCountersMigration() if fused
+            else ReferenceCrossCountersMigration())
     if fused:
         result = replay(config, hma, wt.trace, wt.times, mechanism=mech,
                         num_intervals=INTERVALS)

@@ -1,18 +1,19 @@
-"""Policy-layer throughput: sparse oracle vs vectorised array kernels.
+"""Policy-layer throughput: the ``sparse`` oracles vs the ``array`` product.
 
 Drives each migration mechanism's policy layer in isolation — counter
 updates (``observe_chunk``) plus interval planning (``plan`` /
 ``plan_sub``) over an mcf trace, with the replay model factored out —
-asserts the ``array`` kernel's :data:`MigrationPlan` outputs are
-bit-identical to the ``sparse`` reference, and times the batched
-:class:`FaultSimulator` against the retained per-trial loop in the
+asserts the production mechanism's :data:`MigrationPlan` outputs
+(``array``) are bit-identical to its dict-walk reference mechanism
+from :mod:`repro.verify.oracles` (``sparse``), and times the batched
+:class:`FaultSimulator` against the per-trial reference loop in the
 event-dense regime.  Numbers land in ``BENCH_policies.json``
 (override the location with ``REPRO_BENCH_POLICY_JSON``).
 
-The cc-migration row is additionally compared against the *pre-PR*
-baseline: the sparse kernel driving a literal textbook decrement-all
-MEA, since the shared :class:`MeaTracker` was itself vectorised in
-this change and would otherwise flatter the sparse reference.
+The cc-migration row is additionally compared against the textbook
+baseline: the reference mechanism driving a literal decrement-all MEA,
+since the reference :class:`MeaTracker` is itself an offset-optimised
+tracker and would otherwise flatter the sparse reference.
 """
 
 import json
@@ -32,6 +33,7 @@ from repro.dram.hma import HeterogeneousMemory
 from repro.faults.faultsim import FaultSimulator
 from repro.faults.fit import rates_for_memory
 from repro.sim.system import prepare_workload
+from repro.verify.oracles import REFERENCE_MECHANISMS, run_faultsim_reference
 
 #: Default scale, default trace volume — the acceptance configuration.
 ACCESSES = int(os.environ.get("REPRO_BENCH_ACCESSES", "20000"))
@@ -117,12 +119,16 @@ class _TextbookMea:
 
 
 def _mechanisms(kernel):
-    return {
-        "perf-migration": PerformanceFocusedMigration(policy_kernel=kernel),
-        "fc-migration": ReliabilityAwareFCMigration(policy_kernel=kernel),
-        "cc-migration": CrossCountersMigration(policy_kernel=kernel),
-        "oracle-risk-migration": OracleRiskMigration(policy_kernel=kernel),
+    """The production mechanisms (``array``) or their references."""
+    products = {
+        "perf-migration": PerformanceFocusedMigration,
+        "fc-migration": ReliabilityAwareFCMigration,
+        "cc-migration": CrossCountersMigration,
+        "oracle-risk-migration": OracleRiskMigration,
     }
+    return {name: (cls if kernel == "array"
+                   else REFERENCE_MECHANISMS[cls])()
+            for name, cls in products.items()}
 
 
 def _make_run(prep, mech_factory):
@@ -196,9 +202,9 @@ def test_policy_kernel_speedup():
             "speedup_array_vs_sparse": speedup,
         }
 
-    # cc-migration against the true pre-PR baseline (textbook MEA).
+    # cc-migration against the textbook baseline (decrement-all MEA).
     def cc_textbook():
-        mech = CrossCountersMigration(policy_kernel="sparse")
+        mech = REFERENCE_MECHANISMS[CrossCountersMigration]()
         mech.mea = _TextbookMea(capacity=mech.mea.capacity)
         return mech
 
@@ -214,11 +220,11 @@ def test_policy_kernel_speedup():
         memory = factory()
         rates = rates_for_memory(memory).scaled(2000)
         ref_result, ref_s = _best_of(
-            lambda m=memory, r=rates: FaultSimulator(m, rates=r, seed=4)
-            .run(trials=FAULT_TRIALS, method="reference"))
+            lambda m=memory, r=rates: run_faultsim_reference(
+                FaultSimulator(m, rates=r, seed=4), FAULT_TRIALS))
         bat_result, bat_s = _best_of(
             lambda m=memory, r=rates: FaultSimulator(m, rates=r, seed=4)
-            .run(trials=FAULT_TRIALS, method="batched"))
+            .run(trials=FAULT_TRIALS))
         # Same seed, same Poisson draw: exact count parity.
         assert bat_result.corrected == ref_result.corrected, label
         assert bat_result.detected == ref_result.detected, label

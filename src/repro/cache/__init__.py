@@ -1,13 +1,11 @@
 """Cache substrate: set-associative caches and the Moola-style filter."""
 
 from repro.cache.cache import AccessResult, Cache, CacheStats
-from repro.cache.filter_array import filter_trace_array
 from repro.cache.hierarchy import (
-    CACHE_KERNELS,
     CacheHierarchy,
     MemoryRequest,
     filter_trace,
-    resolve_cache_kernel,
+    filter_trace_reference,
 )
 
 __all__ = [
@@ -16,8 +14,6 @@ __all__ = [
     "AccessResult",
     "CacheHierarchy",
     "MemoryRequest",
-    "CACHE_KERNELS",
     "filter_trace",
-    "filter_trace_array",
-    "resolve_cache_kernel",
+    "filter_trace_reference",
 ]

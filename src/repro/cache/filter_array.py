@@ -1,24 +1,23 @@
-"""The ``array`` cache-filter kernel (whole-trace batched filtering).
+"""The compiled cache-filter path (whole-trace batched filtering).
 
-:func:`repro.cache.hierarchy.filter_trace` owns the per-access
-``sparse`` reference loop; this module is its batched counterpart,
-selected by the ``cache_kernel`` knob (``REPRO_CACHE_KERNEL``).  The
+:func:`repro.cache.hierarchy.filter_trace` runs the trace through this
+module whenever :func:`repro.sim._ckernel.load_filter` compiled the
+fused L1D+L2 C loop, and through the per-access
+:func:`~repro.cache.hierarchy.filter_trace_reference` otherwise.  The
 hierarchy state converts to flat tag/dirty/stamp arrays, the whole
-trace runs through one fused L1D+L2 loop — compiled C when
-:func:`repro.sim._ckernel.load_filter` is available, a fused
-plain-dict Python loop otherwise — and the state syncs back into the
-:class:`~repro.cache.cache.Cache` objects, so ``hierarchy.stats()``
-and any later per-access use observe exactly what the sparse path
-would have left behind.
+trace runs through the compiled loop, and the state syncs back into
+the :class:`~repro.cache.cache.Cache` objects, so ``hierarchy.stats()``
+and any later per-access use observe exactly what the reference would
+have left behind.
 
 Bit-exactness rests on two invariants:
 
-* **Stamp-LRU equivalence.**  The sparse :class:`Cache` keeps each set
-  as an OrderedDict whose insertion order is recency (every hit pops
-  and re-inserts).  Giving every hit and insert a fresh strictly
+* **Stamp-LRU equivalence.**  :class:`Cache` keeps each set as an
+  OrderedDict whose insertion order is recency (every hit pops and
+  re-inserts).  Giving every hit and insert a fresh strictly
   increasing stamp makes "evict the min-stamp way" identical to
   ``popitem(last=False)``.
-* **Post-hoc gap accounting.**  The sparse loop folds the gap
+* **Post-hoc gap accounting.**  The reference loop folds the gap
   instructions of filtered-out hits onto the next residual of the same
   core.  That is a pure function of (a) each residual's source-access
   index and (b) the per-core cumulative sum of ``gap + 1``, so it
@@ -27,7 +26,7 @@ Bit-exactness rests on two invariants:
 Only data accesses flow through :func:`filter_trace` (the trace format
 carries no instruction fetches), so the hot loop touches the per-core
 L1D caches and the shared L2; the L1I caches participate only in the
-end-of-trace flush, which both kernels delegate to the same
+end-of-trace flush, which both paths delegate to the same
 :meth:`CacheHierarchy.flush`.
 """
 
@@ -89,7 +88,7 @@ def _unpack_state(caches, nsets: int, assoc: int, tag, dirty, stamp) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Fused filter loops (compiled and Python, bit-identical)
+# The compiled filter loop
 # ---------------------------------------------------------------------------
 
 
@@ -153,135 +152,6 @@ def _filter_native(fn, hierarchy, cores, lines, writes):
     return np.concatenate(srcs), np.concatenate(lns), np.concatenate(wrs)
 
 
-def _filter_python(hierarchy, cores, lines, writes):
-    """Fused plain-dict loop, bit-identical to the compiled kernel.
-
-    The per-set dicts are copies of the hierarchy's OrderedDicts
-    (plain-dict insertion order is the same recency encoding); the
-    inlined access logic mirrors :meth:`Cache.access` statement for
-    statement, minus the per-access object and method dispatch.
-    """
-    l1_cfg = hierarchy.config.l1d
-    l2_cfg = hierarchy.config.l2
-    l1_nsets, l1_assoc = l1_cfg.num_sets, l1_cfg.associativity
-    l2_nsets, l2_assoc = l2_cfg.num_sets, l2_cfg.associativity
-    l1_walloc, l1_wback = l1_cfg.write_allocate, l1_cfg.write_back
-    l2_walloc, l2_wback = l2_cfg.write_allocate, l2_cfg.write_back
-    num_cores = hierarchy.num_cores
-
-    l1_state = [[dict(s) for s in hierarchy.l1d[c]._sets]
-                for c in range(num_cores)]
-    l2_state = [dict(s) for s in hierarchy.l2._sets]
-    l1_miss = [0] * num_cores
-    l1_wbc = [0] * num_cores
-    l2_acc = l2_miss = l2_wbc = 0
-
-    out_src: "list[int]" = []
-    out_line: "list[int]" = []
-    out_write: "list[bool]" = []
-    src_append = out_src.append
-    line_append = out_line.append
-    write_append = out_write.append
-
-    cores_l = cores.tolist()
-    lines_l = lines.tolist()
-    writes_l = writes.astype(bool).tolist()
-    for i in range(len(cores_l)):
-        c = cores_l[i]
-        ln = lines_l[i]
-        w = writes_l[i]
-
-        si = ln % l1_nsets
-        cset = l1_state[c][si]
-        tg = ln // l1_nsets
-        if tg in cset:
-            cset[tg] = cset.pop(tg) or w
-            continue
-        l1_miss[c] += 1
-        wb_line = -1
-        if not (w and not l1_walloc):
-            if len(cset) >= l1_assoc:
-                vt = next(iter(cset))
-                vd = cset.pop(vt)
-                if vd and l1_wback:
-                    l1_wbc[c] += 1
-                    wb_line = vt * l1_nsets + si
-            cset[tg] = bool(w)
-
-        if wb_line >= 0:
-            # L1 victim write-back into the shared L2.
-            s2 = wb_line % l2_nsets
-            c2 = l2_state[s2]
-            t2 = wb_line // l2_nsets
-            l2_acc += 1
-            if t2 in c2:
-                c2.pop(t2)
-                c2[t2] = True
-            else:
-                l2_miss += 1
-                if l2_walloc:
-                    if len(c2) >= l2_assoc:
-                        vt2 = next(iter(c2))
-                        vd2 = c2.pop(vt2)
-                        if vd2 and l2_wback:
-                            l2_wbc += 1
-                            src_append(i)
-                            line_append(vt2 * l2_nsets + s2)
-                            write_append(True)
-                    c2[t2] = True
-
-        s2 = ln % l2_nsets
-        c2 = l2_state[s2]
-        t2 = ln // l2_nsets
-        l2_acc += 1
-        if t2 in c2:
-            c2[t2] = c2.pop(t2) or w
-        else:
-            l2_miss += 1
-            evicted = -1
-            if not (w and not l2_walloc):
-                if len(c2) >= l2_assoc:
-                    vt2 = next(iter(c2))
-                    vd2 = c2.pop(vt2)
-                    if vd2 and l2_wback:
-                        l2_wbc += 1
-                        evicted = vt2 * l2_nsets + s2
-                c2[t2] = bool(w)
-            src_append(i)
-            line_append(ln)
-            write_append(False)
-            if evicted >= 0:
-                src_append(i)
-                line_append(evicted)
-                write_append(True)
-
-    per_core = np.bincount(cores, minlength=num_cores)
-    for c in range(num_cores):
-        for si, state in enumerate(l1_state[c]):
-            cset = hierarchy.l1d[c]._sets[si]
-            cset.clear()
-            cset.update(state)
-        stats = hierarchy.l1d[c].stats
-        accesses = int(per_core[c])
-        stats.accesses += accesses
-        stats.hits += accesses - l1_miss[c]
-        stats.misses += l1_miss[c]
-        stats.writebacks += l1_wbc[c]
-    for si, state in enumerate(l2_state):
-        cset = hierarchy.l2._sets[si]
-        cset.clear()
-        cset.update(state)
-    stats = hierarchy.l2.stats
-    stats.accesses += l2_acc
-    stats.hits += l2_acc - l2_miss
-    stats.misses += l2_miss
-    stats.writebacks += l2_wbc
-
-    return (np.asarray(out_src, dtype=np.int64),
-            np.asarray(out_line, dtype=np.int64),
-            np.asarray(out_write, dtype=np.uint8))
-
-
 # ---------------------------------------------------------------------------
 # Gap accounting and assembly
 # ---------------------------------------------------------------------------
@@ -290,7 +160,7 @@ def _filter_python(hierarchy, cores, lines, writes):
 def _residual_gaps(out_src, cores, gaps, num_cores: int) -> np.ndarray:
     """Per-residual gap instructions, vectorised.
 
-    The sparse loop keeps ``pending[core] += gap + 1`` per access and
+    The reference loop keeps ``pending[core] += gap + 1`` per access and
     charges ``pending - 1`` to the first residual an access emits
     (later residuals of the same access get 0).  Equivalently: the
     first residual's gap is the difference of the per-core cumulative
@@ -325,28 +195,22 @@ def _residual_gaps(out_src, cores, gaps, num_cores: int) -> np.ndarray:
     return out_gap
 
 
-def filter_trace_array(trace: Trace, hierarchy,
-                       flush_at_end: bool = False) -> Trace:
-    """Batched :func:`~repro.cache.hierarchy.filter_trace` equivalent.
+def filter_trace_native(fn, trace: Trace, hierarchy,
+                        flush_at_end: bool = False) -> Trace:
+    """:func:`~repro.cache.hierarchy.filter_trace` through the compiled
+    loop ``fn`` (from :func:`repro.sim._ckernel.load_filter`).
 
     Same inputs, same output trace, same final hierarchy state and
-    stats as the sparse per-access loop — pinned by
-    ``tests/cache/test_filter_parity.py`` and the ``cache-filter``
-    differential fuzz check.
+    stats as :func:`~repro.cache.hierarchy.filter_trace_reference` —
+    pinned by ``tests/cache/test_filter_parity.py`` and the
+    ``cache-filter`` differential fuzz check.
     """
-    from repro.sim import _ckernel
-
     cores = np.ascontiguousarray(trace.core, dtype=np.int32)
     lines = np.ascontiguousarray(trace.lines, dtype=np.int64)
     writes = np.ascontiguousarray(trace.is_write, dtype=np.uint8)
 
-    fn = _ckernel.load_filter()
-    if fn is not None:
-        out_src, out_line, out_write = _filter_native(
-            fn, hierarchy, cores, lines, writes)
-    else:
-        out_src, out_line, out_write = _filter_python(
-            hierarchy, cores, lines, writes)
+    out_src, out_line, out_write = _filter_native(
+        fn, hierarchy, cores, lines, writes)
 
     out_gap = _residual_gaps(out_src, cores, trace.gap, hierarchy.num_cores)
     out_core = cores[out_src].astype(np.uint16)

@@ -5,7 +5,9 @@ activity reaches the DRAM simulator.  :class:`CacheHierarchy` models
 the paper's hierarchy — per-core private L1 I/D caches and one shared
 L2 — and :func:`filter_trace` replays a raw trace through it, emitting
 the residual main-memory trace: L2 read misses become memory reads and
-dirty L2 evictions become memory writes.
+dirty L2 evictions become memory writes.  It runs the compiled loop of
+:mod:`repro.cache.filter_array` when that built, and the per-access
+:func:`filter_trace_reference` otherwise.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class CacheHierarchy:
         The write-backs return in ascending line order — since the
         filter attributes them all to core 0, that is deterministic
         (core, line) order regardless of cache content history, and
-        both filter kernels reproduce the tail bit-exactly.
+        both filter paths reproduce the tail bit-exactly.
         """
         for caches in (self.l1i, self.l1d):
             for l1 in caches:
@@ -94,29 +96,10 @@ class CacheHierarchy:
         return out
 
 
-#: Recognised ``filter_trace(..., cache_kernel=)`` /
-#: ``REPRO_CACHE_KERNEL`` values.
-CACHE_KERNELS = ("array", "sparse")
-
-
-def resolve_cache_kernel(kernel: "str | None" = None) -> str:
-    """Resolve the filter backend via the ``cache_kernel`` knob
-    (argument > scoped override > ``REPRO_CACHE_KERNEL`` > ``array``)."""
-    from repro.config import knob_value
-
-    kernel = knob_value("cache_kernel", kernel)
-    if kernel not in CACHE_KERNELS:
-        raise ValueError(
-            f"cache kernel must be one of {CACHE_KERNELS}, got {kernel!r}"
-        )
-    return kernel
-
-
 def filter_trace(
     trace: Trace,
     hierarchy: CacheHierarchy,
     flush_at_end: bool = False,
-    cache_kernel: "str | None" = None,
 ) -> Trace:
     """Replay ``trace`` through ``hierarchy``; return the memory trace.
 
@@ -124,18 +107,29 @@ def filter_trace(
     onto the next surviving request of the same core, so MPKI of the
     output reflects main-memory MPKI as in the paper.
 
-    ``cache_kernel`` picks the backend: ``sparse`` is this module's
-    per-access reference loop; ``array`` (the default) runs the whole
-    trace through the batched kernel of
-    :mod:`repro.cache.filter_array` — bit-identical output trace,
-    final cache state, and stats.
+    Runs the compiled loop of :mod:`repro.cache.filter_array` when
+    :func:`repro.sim._ckernel.load_filter` built it (``native`` knob,
+    ``REPRO_NATIVE``), else :func:`filter_trace_reference` — the same
+    output trace, final cache state, and stats either way.
     """
-    if resolve_cache_kernel(cache_kernel) == "array":
-        from repro.cache.filter_array import filter_trace_array
+    from repro.sim import _ckernel
 
-        return filter_trace_array(trace, hierarchy,
-                                  flush_at_end=flush_at_end)
+    fn = _ckernel.load_filter()
+    if fn is None:
+        return filter_trace_reference(trace, hierarchy, flush_at_end)
+    from repro.cache.filter_array import filter_trace_native
 
+    return filter_trace_native(fn, trace, hierarchy, flush_at_end)
+
+
+def filter_trace_reference(
+    trace: Trace,
+    hierarchy: CacheHierarchy,
+    flush_at_end: bool = False,
+) -> Trace:
+    """:func:`filter_trace` one access at a time through
+    :meth:`CacheHierarchy.access`: the compile-failure fallback and the
+    oracle of the compiled loop."""
     out_core: "list[int]" = []
     out_line: "list[int]" = []
     out_write: "list[bool]" = []

@@ -273,7 +273,6 @@ class Knob:
     kind: str  # "int" | "float" | "str" | "bool"
     default: object
     help: str
-    choices: "tuple[str, ...] | None" = None
 
     def parse(self, raw: str):
         """Parse a (non-empty) environment string into the typed value."""
@@ -283,13 +282,7 @@ class Knob:
             return float(raw)
         if self.kind == "bool":
             return raw.strip().lower() not in ("0", "false", "no", "off")
-        value = raw
-        if self.choices is not None and value not in self.choices:
-            raise ValueError(
-                f"{self.name} ({self.env}) must be one of "
-                f"{self.choices}, got {value!r}"
-            )
-        return value
+        return raw
 
 
 def _knob_table(*knobs: Knob) -> "dict[str, Knob]":
@@ -298,20 +291,11 @@ def _knob_table(*knobs: Knob) -> "dict[str, Knob]":
 
 #: The full knob table, in display order.
 KNOBS: "dict[str, Knob]" = _knob_table(
-    Knob("replay_native", "REPRO_REPLAY_NATIVE", "bool", True,
-         "compile the C replay loop (0 = pure-Python reference replay)"),
-    Knob("mea_native", "REPRO_MEA_NATIVE", "bool", True,
-         "compile the C MEA chunk kernel (0 = pure Python)"),
+    Knob("native", "REPRO_NATIVE", "bool", True,
+         "compile the C kernels: replay, cache filter, MEA "
+         "(0 = their pure-Python fallbacks)"),
     Knob("ckernel_dir", "REPRO_CKERNEL_DIR", "str", None,
          "cache directory for compiled kernels"),
-    Knob("policy_kernel", "REPRO_POLICY_KERNEL", "str", "array",
-         "migration policy-layer backend",
-         choices=("array", "sparse")),
-    Knob("cache_kernel", "REPRO_CACHE_KERNEL", "str", "array",
-         "cache-filter backend (sparse = per-access oracle)",
-         choices=("array", "sparse")),
-    Knob("cache_native", "REPRO_CACHE_NATIVE", "bool", True,
-         "compile the C cache-filter loop (0 = pure Python)"),
     Knob("shm_handoff", "REPRO_SHM_HANDOFF", "bool", True,
          "pass prepared workloads to workers via shared memory "
          "(0 = pickle)"),
@@ -319,9 +303,6 @@ KNOBS: "dict[str, Knob]" = _knob_table(
          "Monte-Carlo fault-sim trials (0 = analytic)"),
     Knob("seed", "REPRO_SEED", "int", 0,
          "global RNG seed: trace synthesis and fault-sim Monte-Carlo"),
-    Knob("faultsim_method", "REPRO_FAULTSIM_METHOD", "str", "batched",
-         "fault-simulator Monte-Carlo kernel",
-         choices=("batched", "reference")),
     Knob("jobs", "REPRO_JOBS", "int", None,
          "worker processes for experiment fan-out (unset = one per CPU)"),
     Knob("cache_dir", "REPRO_CACHE_DIR", "str", None,
@@ -378,11 +359,6 @@ def knob_overrides(**values):
             continue
         if name not in KNOBS:
             raise KeyError(f"unknown knob {name!r}")
-        knob = KNOBS[name]
-        if knob.choices is not None and value not in knob.choices:
-            raise ValueError(
-                f"{name} must be one of {knob.choices}, got {value!r}"
-            )
         staged[name] = value
     saved = {name: _KNOB_OVERRIDES[name]
              for name in staged if name in _KNOB_OVERRIDES}

@@ -1,6 +1,10 @@
 """The paper's contribution: placements, migrations, annotations."""
 
-from repro.core.counters import CounterCost, FullCounters, SaturatingCounter
+from repro.core.counters import (
+    ArrayFullCounters,
+    CounterCost,
+    SaturatingCounter,
+)
 from repro.core.mea import MeaEntry, MeaTracker
 from repro.core.placement import (
     STATIC_POLICIES,
@@ -31,7 +35,7 @@ from repro.core.annotations import (
 
 __all__ = [
     "SaturatingCounter",
-    "FullCounters",
+    "ArrayFullCounters",
     "CounterCost",
     "MeaTracker",
     "MeaEntry",

@@ -1,46 +1,26 @@
-"""Optional compiled Misra-Gries chunk kernel for the MEA tracker.
+"""Compiled Misra-Gries chunk kernels for the MEA trackers.
 
-:meth:`repro.core.mea.MeaTracker.record_many` is inherently sequential
-— membership changes on every insert and decrement-all step — so after
-the leading hit-run batch its cost is pure interpreter dispatch.  This
-module compiles the literal textbook update loop over the tracker's
-(at most ``capacity``-entry) map to a tiny shared library with the
-system C compiler and loads it through :mod:`ctypes`, exactly like
-:mod:`repro.sim._ckernel` does for the replay loop.  A linear scan
-over <= 32 entries is a handful of cycles in C, so the kernel makes
-per-access cost negligible.
+The MEA update (:class:`repro.core.mea.ArrayMeaTracker.record_many`)
+is inherently sequential — membership changes on every insert and
+decrement-all step — so its cost is pure interpreter dispatch.  This
+module holds the C source of the textbook update loop over the
+tracker's (at most ``capacity``-entry) map, plus the fused
+cross-counters variant that also feeds the full-counter tables; the
+build, the ``native`` knob, and the memoised fallback are
+:class:`repro.sim._ckernel.NativeKernel`'s.  A linear scan over <= 32
+entries is a handful of cycles in C, so the kernel makes per-access
+cost negligible.
 
-The kernel operates on the *residual* counts (textbook semantics);
-the Python offset formulation is provably state-equivalent under
-normalisation (see the property tests pinning both against each
-other), so the tracker converts its state to residual arrays, runs
-the chunk, and reloads — same members, same residual counts, same
-insertion order.
-
-Everything degrades gracefully: no compiler, a failed build, or
-``REPRO_MEA_NATIVE=0`` mean :func:`load` returns ``None`` and the
-tracker keeps its tuned pure-Python loop, which is bit-identical.
+With no compiler, a failed build, or ``REPRO_NATIVE=0``, :func:`load`
+and :func:`load_cc` return ``None`` and the tracker runs its list-loop
+port of the same algorithm, which is bit-identical.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
-import warnings
 
-
-class NativeMeaUnavailableWarning(RuntimeWarning):
-    """The compiled MEA kernel could not be built or loaded.
-
-    Emitted once per process; the tracker transparently falls back to
-    the bit-identical pure-Python update loop.
-    """
-
+from repro.sim._ckernel import NativeKernel
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -234,52 +214,6 @@ void repro_cc_chunk(
 }
 """
 
-_lock = threading.Lock()
-#: ``((mea_fn, cc_fn) | None, error)`` once resolved, success or
-#: failure alike — the build (and any compiler invocation) happens at
-#: most once per process.
-_cached: "tuple[object, str | None] | None" = None
-
-
-def _cache_dir() -> str:
-    from repro.config import knob_value
-
-    override = knob_value("ckernel_dir")
-    if override:
-        return override
-    return os.path.join(tempfile.gettempdir(),
-                        f"repro-ckernel-{os.getuid()}")
-
-
-def _build(so_path: str) -> "str | None":
-    """Compile the kernel; None on success, else an error detail."""
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return "no C compiler found (set CC, or install cc/gcc)"
-    directory = os.path.dirname(so_path)
-    c_path = so_path[:-3] + ".c"
-    tmp_so = so_path + f".tmp{os.getpid()}"
-    try:
-        os.makedirs(directory, exist_ok=True)
-        with open(c_path, "w") as fh:
-            fh.write(_SOURCE)
-        subprocess.run(
-            [compiler, "-O3", "-fPIC", "-shared", "-o", tmp_so, c_path],
-            check=True, capture_output=True, timeout=120,
-        )
-        os.replace(tmp_so, so_path)  # atomic under concurrent builds
-        return None
-    except (OSError, subprocess.SubprocessError) as exc:
-        try:
-            os.unlink(tmp_so)
-        except OSError:
-            pass
-        stderr = getattr(exc, "stderr", None)
-        detail = f"{compiler}: {exc!r}"
-        if stderr:
-            detail += "\n" + stderr.decode(errors="replace").strip()
-        return detail
-
 
 def _bind(so_path: str):
     lib = ctypes.CDLL(so_path)
@@ -299,89 +233,22 @@ def _bind(so_path: str):
     return fn, cc
 
 
-def _load_all():
-    """``(mea_fn, cc_fn)`` or ``None`` when unavailable.
-
-    The outcome — success *or* failure — is memoised per process, so a
-    broken toolchain costs exactly one ``cc`` invocation and one
-    :class:`NativeMeaUnavailableWarning` before every caller silently
-    gets the Python fallback.
-    """
-    global _cached
-    if _cached is not None:
-        return _cached[0]
-    with _lock:
-        if _cached is not None:
-            return _cached[0]
-        from repro.config import knob_value
-
-        fns, error = None, None
-        if knob_value("mea_native"):
-            digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-            so_path = os.path.join(_cache_dir(), f"mea-{digest}.so")
-            try:
-                if not os.path.exists(so_path):
-                    error = _build(so_path)
-                if error is None:
-                    fns = _bind(so_path)
-            except OSError as exc:
-                fns, error = None, repr(exc)
-            if fns is None and error is None:
-                error = "unknown load failure"
-        _cached = (fns, error)
-        if error is not None:
-            warnings.warn(
-                "native MEA kernel unavailable, falling back to the "
-                f"pure-Python update loop (bit-identical, slower): "
-                f"{error}",
-                NativeMeaUnavailableWarning,
-                stacklevel=2,
-            )
-        return fns
+_KERNEL = NativeKernel("mea", _SOURCE, "-O3", _bind,
+                       "MEA", "the pure-Python update loop")
 
 
 def load():
     """The compiled MEA chunk kernel, or ``None`` when unavailable."""
-    fns = _load_all()
+    fns = _KERNEL.load()
     return fns[0] if fns is not None else None
 
 
 def load_cc():
     """The fused cross-counters (MEA+FC) chunk kernel, or ``None``."""
-    fns = _load_all()
+    fns = _KERNEL.load()
     return fns[1] if fns is not None else None
 
 
 def build_error() -> "str | None":
-    """The cached build/load failure detail, if any (after :func:`load`)."""
-    return _cached[1] if _cached is not None else None
-
-
-def _reset_for_tests() -> None:
-    """Forget the per-process memoised outcome (chaos tests only)."""
-    global _cached
-    with _lock:
-        _cached = None
-
-
-def available() -> bool:
-    return load() is not None
-
-
-def _pi64(a):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-
-
-def run_chunk(fn, pages, capacity, entry_pages, entry_counts,
-              n_entries: int) -> int:
-    """Invoke the compiled loop; returns the new entry count.
-
-    ``entry_pages``/``entry_counts`` are C-contiguous int64 arrays of
-    ``capacity`` slots holding the map in insertion order (the first
-    ``n_entries`` slots valid), mutated in place.  ``entry_counts``
-    carries residual counts on entry and exit.
-    """
-    count = ctypes.c_int64(n_entries)
-    fn(len(pages), _pi64(pages), int(capacity),
-       _pi64(entry_pages), _pi64(entry_counts), ctypes.byref(count))
-    return count.value
+    """The MEA kernel's build/load failure, if any (after :func:`load`)."""
+    return _KERNEL.build_error()

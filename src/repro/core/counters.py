@@ -10,48 +10,20 @@ hardware counters:
   measurable;
 * the Cross Counter scheme keeps FC counters only for the pages in HBM.
 
-The classes also expose the storage-cost arithmetic of Sections
-6.3/6.4 (8-bit saturating counters, 16 bits per page for FC).
-
-Two interchangeable backends implement the counter bank:
-
-* :class:`FullCounters` — sparse dict storage, one Python update per
-  unique page.  It is the reference oracle: simple, slow, and the
-  semantics the parity tests pin the fast path against.
-* :class:`ArrayFullCounters` — dense per-page read/write arrays
-  updated with ``np.bincount`` + clip saturation, so a whole trace
-  chunk lands in one vectorised pass and the planners can rank pages
-  without building per-page dicts.
-
-``make_counters`` picks the backend from the ``REPRO_POLICY_KERNEL``
-environment variable (``array``, the default, or ``sparse``).  Both
-backends are bit-identical: integer saturating counts, touched pages
-reported in ascending page order.
+:class:`ArrayFullCounters` is the counter bank: dense per-page
+read/write arrays updated with ``np.bincount`` + clip saturation, so a
+whole trace chunk lands in one vectorised pass and the planners rank
+pages without building per-page dicts.  Its storage-cost arithmetic
+follows Sections 6.3/6.4 (8-bit saturating counters, 16 bits per page
+for FC).  The sparse dict bank that pins its semantics lives with the
+other oracles in :mod:`repro.verify.oracles`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Recognised ``REPRO_POLICY_KERNEL`` / ``policy_kernel=`` values.
-POLICY_KERNELS = ("array", "sparse")
-
-
-def resolve_policy_kernel(kernel: "str | None" = None) -> str:
-    """Resolve the policy-layer backend via the ``policy_kernel`` knob
-    (argument > scoped override > ``REPRO_POLICY_KERNEL`` > default)."""
-    from repro.config import knob_value
-
-    kernel = knob_value("policy_kernel", kernel)
-    if kernel not in POLICY_KERNELS:
-        raise ValueError(
-            f"policy kernel must be one of {POLICY_KERNELS}, got {kernel!r}"
-        )
-    return kernel
-
 
 def check_parallel_arrays(name: str, pages, *others) -> None:
     """Validate that parallel per-request arrays have matching lengths.
@@ -107,132 +79,11 @@ class SaturatingCounter:
         self.value = 0
 
 
-class FullCounters:
-    """Per-page read/write saturating counters over a sparse page set.
-
-    The hardware proposal dedicates counters to every addressable
-    page; in simulation we store them sparsely but saturate and cost
-    them as the hardware would.
-    """
-
-    kind = "sparse"
-
-    def __init__(self, counter_bits: int = 8) -> None:
-        if counter_bits <= 0:
-            raise ValueError("counter_bits must be positive")
-        self.counter_bits = counter_bits
-        self.max_value = (1 << counter_bits) - 1
-        self._reads: "dict[int, int]" = {}
-        self._writes: "dict[int, int]" = {}
-
-    def record(self, page: int, is_write: bool) -> None:
-        table = self._writes if is_write else self._reads
-        table[page] = min(self.max_value, table.get(page, 0) + 1)
-
-    def record_batch(self, pages: np.ndarray, is_write: np.ndarray) -> None:
-        """Bulk update for a trace chunk (one Python step per page)."""
-        check_parallel_arrays("record_batch", pages, is_write)
-        is_write = np.asarray(is_write, dtype=bool)
-        for selector, table in ((is_write, self._writes), (~is_write, self._reads)):
-            if not selector.any():
-                continue
-            unique, counts = np.unique(np.asarray(pages)[selector],
-                                       return_counts=True)
-            for page, count in zip(unique, counts):
-                page = int(page)
-                table[page] = min(self.max_value, table.get(page, 0) + int(count))
-
-    def record_counts(self, pages_r: np.ndarray, counts_r: np.ndarray,
-                      pages_w: np.ndarray, counts_w: np.ndarray) -> None:
-        """Bulk update from pre-aggregated per-page tallies.
-
-        ``(pages, counts)`` pairs are the ``np.unique(...,
-        return_counts=True)`` of a chunk's read and write streams;
-        applying them lands the same saturated values (and the same
-        ascending writes-then-reads insertion order) as
-        :meth:`record_batch` on the raw chunk.  The multi-run engine
-        aggregates once per chunk and feeds every config from it.
-        """
-        for pages, counts, table in ((pages_w, counts_w, self._writes),
-                                     (pages_r, counts_r, self._reads)):
-            for page, count in zip(pages.tolist(), counts.tolist()):
-                table[page] = min(self.max_value,
-                                  table.get(page, 0) + count)
-
-    def reads(self, page: int) -> int:
-        return self._reads.get(page, 0)
-
-    def writes(self, page: int) -> int:
-        return self._writes.get(page, 0)
-
-    def hotness(self, page: int) -> int:
-        """Raw access count: reads + writes."""
-        return self.reads(page) + self.writes(page)
-
-    def write_ratio(self, page: int) -> float:
-        """Run-time risk metric Wr/Rd (low ratio = high risk)."""
-        return self.writes(page) / max(1, self.reads(page))
-
-    def touched_pages(self) -> "list[int]":
-        """Pages with any activity, in ascending page order.
-
-        The canonical ordering makes the planners deterministic and is
-        what the array backend reproduces bit-for-bit.
-        """
-        return sorted(self._reads.keys() | self._writes.keys())
-
-    def touched_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """``(pages, reads, writes)`` arrays in ascending page order."""
-        pages = np.array(self.touched_pages(), dtype=np.int64)
-        reads = np.array([self._reads.get(int(p), 0) for p in pages],
-                         dtype=np.int64)
-        writes = np.array([self._writes.get(int(p), 0) for p in pages],
-                          dtype=np.int64)
-        return pages, reads, writes
-
-    def reads_of(self, pages: np.ndarray) -> np.ndarray:
-        """Per-page read counts for an int64 page array."""
-        return np.array([self._reads.get(int(p), 0) for p in pages],
-                        dtype=np.int64)
-
-    def writes_of(self, pages: np.ndarray) -> np.ndarray:
-        """Per-page write counts for an int64 page array."""
-        return np.array([self._writes.get(int(p), 0) for p in pages],
-                        dtype=np.int64)
-
-    def hotness_of(self, pages: np.ndarray) -> np.ndarray:
-        """Per-page access counts (reads + writes) for a page array."""
-        return self.reads_of(pages) + self.writes_of(pages)
-
-    def snapshot(self) -> "dict[int, tuple[int, int]]":
-        """page -> (reads, writes) for every touched page."""
-        out = {}
-        for page in self.touched_pages():
-            out[page] = (self.reads(page), self.writes(page))
-        return out
-
-    def reset(self) -> None:
-        """Clear all counters (done at each migration interval)."""
-        self._reads.clear()
-        self._writes.clear()
-
-    @staticmethod
-    def storage_cost(pages_tracked: int, counter_bits: int = 8,
-                     counters_per_page: int = 2) -> CounterCost:
-        """Hardware cost of FC tracking (Sec. 6.3: 16 bits x 4.25M
-        pages = 8.5 MB for the example 17 GB HMA)."""
-        return CounterCost(
-            bits_per_page=counter_bits * counters_per_page,
-            pages_tracked=pages_tracked,
-        )
-
-
 class ArrayFullCounters:
     """Dense array-backed read/write saturating counters.
 
-    Same observable behaviour as :class:`FullCounters` (saturation per
-    recorded batch, ascending-page ``touched_pages``), but the counter
-    bank is two flat int64 arrays indexed by page number, grown
+    Saturation per recorded batch and ascending-page ``touched_pages``,
+    over two flat int64 arrays indexed by page number, grown
     geometrically on demand.  ``record_batch`` queues its chunk;
     pending chunks fold into the tables in one deferred ``np.bincount``
     + clip pass at the next query, so the full-table cost is paid once
@@ -242,8 +93,6 @@ class ArrayFullCounters:
     Page numbers from the trace generators are compact (0..footprint),
     which keeps the arrays small.
     """
-
-    kind = "array"
 
     def __init__(self, counter_bits: int = 8) -> None:
         if counter_bits <= 0:
@@ -418,12 +267,12 @@ class ArrayFullCounters:
         self._reads[:] = 0
         self._writes[:] = 0
 
-    storage_cost = staticmethod(FullCounters.storage_cost)
-
-
-def make_counters(counter_bits: int = 8,
-                  kernel: "str | None" = None):
-    """Counter bank for the resolved policy kernel (see module doc)."""
-    if resolve_policy_kernel(kernel) == "array":
-        return ArrayFullCounters(counter_bits=counter_bits)
-    return FullCounters(counter_bits=counter_bits)
+    @staticmethod
+    def storage_cost(pages_tracked: int, counter_bits: int = 8,
+                     counters_per_page: int = 2) -> CounterCost:
+        """Hardware cost of FC tracking (Sec. 6.3: 16 bits x 4.25M
+        pages = 8.5 MB for the example 17 GB HMA)."""
+        return CounterCost(
+            bits_per_page=counter_bits * counters_per_page,
+            pages_tracked=pages_tracked,
+        )

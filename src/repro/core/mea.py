@@ -10,20 +10,24 @@ The classic guarantee holds: any element occurring more than
 ``n / (k + 1)`` times in a stream of length ``n`` is present in a
 ``k``-entry map at the end of the stream.
 
-Implementation note: the textbook "decrement every counter" step is
-O(k) per non-member access, which made ``record_many`` the single
-hottest Python loop in dynamic-migration replay.  The tracker instead
-stores counters relative to a global offset (classic Misra-Gries
-optimisation): a decrement-all becomes one ``offset += 1``, an insert
-stores ``offset + 1``, and an entry is dead once its stored value
-falls to the offset.  A lazily maintained lower bound on the minimum
-stored value defers the dead-entry scan until a drop can actually
-occur.  ``record_many`` additionally batches the leading run of
-member hits in each chunk vectorially (hits cannot change the member
-set, so the run is one ``np.isin`` + ``np.unique`` pass).  All of
-this is *exactly* equivalent to the per-access reference semantics
-— same members, same residual counts, same map order (pinned by
-property tests against a literal decrement-all reimplementation).
+Two trackers keep the same members, residual counts, and map order
+after any stream (pinned by property tests against a literal
+decrement-all reimplementation):
+
+* :class:`ArrayMeaTracker` — Cross Counters' tracker: the map lives in
+  two flat arrays that the compiled chunk kernel
+  (:mod:`repro.core._mea_native`) updates in place, with a list-loop
+  port of that kernel as the compile-failure fallback.
+* :class:`MeaTracker` — pure Python, MemPod's per-pod tracker and the
+  MEA of the Cross Counters oracle.  The textbook "decrement every
+  counter" step is O(k) per non-member access, so it stores counters
+  relative to a global offset (classic Misra-Gries optimisation): a
+  decrement-all becomes one ``offset += 1``, an insert stores
+  ``offset + 1``, and an entry is dead once its stored value falls to
+  the offset.  A lazily maintained lower bound on the minimum stored
+  value defers the dead-entry scan until a drop can actually occur,
+  and the leading run of member hits in each chunk lands in one
+  vectorised pass.
 """
 
 from __future__ import annotations
@@ -102,31 +106,17 @@ class MeaTracker:
     def record_many(self, pages) -> None:
         """Process a chunk of accesses.
 
-        When the compiled chunk kernel is available the whole chunk
-        runs in C over the (<= ``capacity``-entry) map held as flat
-        arrays — same members, same residual counts, same insertion
-        order.  Otherwise the maximal leading run of member hits
-        cannot change the map (hits never insert, drop, or move the
-        offset), so it lands in one ``np.isin`` + ``np.unique`` pass;
-        the remainder runs through a tuned offset-relative loop whose
-        per-access work is one dict probe — the decrement-all and
-        dead-entry scans of the textbook algorithm are amortised
-        behind the lazy minimum.
+        The maximal leading run of member hits cannot change the map
+        (hits never insert, drop, or move the offset), so it lands in
+        one ``np.isin`` + ``np.unique`` pass; the remainder runs
+        through a tuned offset-relative loop whose per-access work is
+        one dict probe — the decrement-all and dead-entry scans of the
+        textbook algorithm are amortised behind the lazy minimum.
         """
         arr = np.asarray(pages, dtype=np.int64).ravel()
         n = int(arr.size)
         if n == 0:
             return
-        if n >= 64:
-            native = _mea_native.load()
-            if native is not None:
-                self._record_many_native(native, np.ascontiguousarray(arr))
-                return
-        self._record_many_python(arr)
-
-    def _record_many_python(self, arr: np.ndarray) -> None:
-        """Run one chunk (a 1-D int64 array) through the Python loop."""
-        n = int(arr.size)
         self.stream_length += n
         counters = self._counters
         start = 0
@@ -158,31 +148,6 @@ class MeaTracker:
                     floor = min(counters.values()) if counters else off
         self._off = off
         self._min = floor
-
-    def _record_many_native(self, native, arr: np.ndarray) -> None:
-        """Run one chunk through the compiled textbook kernel.
-
-        The offset formulation is state-equivalent to residual counts
-        under normalisation (future behaviour depends only on members,
-        residuals, and insertion order), so the dict converts to flat
-        arrays, the kernel mutates them in place, and the dict reloads
-        normalised (``off = 0``).
-        """
-        self.stream_length += int(arr.size)
-        counters = self._counters
-        off = self._off
-        entry_pages = np.zeros(self.capacity, dtype=np.int64)
-        entry_counts = np.zeros(self.capacity, dtype=np.int64)
-        for i, (page, stored) in enumerate(counters.items()):
-            entry_pages[i] = page
-            entry_counts[i] = stored - off
-        k = _mea_native.run_chunk(native, arr, self.capacity,
-                                  entry_pages, entry_counts, len(counters))
-        counters.clear()
-        for i in range(k):
-            counters[int(entry_pages[i])] = int(entry_counts[i])
-        self._off = 0
-        self._min = int(entry_counts[:k].min()) if k else 0
 
     # -- queries -------------------------------------------------------------
 
@@ -228,16 +193,14 @@ class MeaTracker:
 
 
 class ArrayMeaTracker:
-    """Flat-array Misra-Gries sketch for the ``array`` policy kernel.
+    """Flat-array Misra-Gries sketch: Cross Counters' MEA map.
 
     Behaviourally identical to :class:`MeaTracker` (same members, same
     residual counts, same insertion order — pinned by the parity
     suite), but the map lives permanently in two ``capacity``-slot
     int64 arrays, which is the native chunk kernel's working format.
     :meth:`record_many` therefore hands the arrays straight to the
-    compiled loop: no per-chunk dict→array conversion, no dict
-    rebuild, no offset normalisation — the conversion was the single
-    largest ``record_many`` cost for the (tiny, <= 32-entry) map.
+    compiled loop: no per-chunk conversion, no offset normalisation.
 
     Without a compiler the same textbook loop runs over Python lists
     — the literal port of the C kernel, so the fallback stays
@@ -336,7 +299,7 @@ class ArrayMeaTracker:
 
     def _ranked(self) -> np.ndarray:
         """Slot indices by descending residual count, insertion-order
-        ties (= the sparse tracker's stable sort over dict order)."""
+        ties (= :class:`MeaTracker`'s stable sort over dict order)."""
         return np.argsort(-self._counts[: self._n], kind="stable")
 
     def slot_lists(self) -> "tuple[list[int], list[int]]":

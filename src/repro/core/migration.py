@@ -22,23 +22,19 @@ Mechanisms:
 * :class:`OracleRiskMigration` — ablation upper bound driven by
   measured ACE time instead of the Wr/Rd proxy.
 
-Each mechanism carries two interchangeable planner kernels selected by
-``policy_kernel`` (argument > ``REPRO_POLICY_KERNEL`` env > ``array``):
-
-* ``sparse`` — the original dict/sort implementation, kept as the
-  reference oracle.  Its iteration order is *canonical*: touched pages
-  ascend, residents are walked in ascending page order, and every
-  ``sorted`` tie therefore breaks toward the lower page number.
-* ``array`` — dense NumPy kernels: thresholds from array means,
-  candidate/victim selection with masks, composite-key
-  ``argpartition`` top-k and ``lexsort`` rankings, residency via
-  :meth:`~repro.dram.hma.HeterogeneousMemory.fast_mask` instead of
-  ``set(hma.pages_in(FAST))``.
-
-Both kernels produce bit-identical :data:`MigrationPlan` outputs
-(pinned by ``tests/core/test_policy_parity.py``); thresholds are
-``np.mean`` over identically-ordered values, and every ranking
-reproduces the canonical stable-sort tie-breaks.
+Each mechanism has one planner: dense NumPy kernels over
+:class:`~repro.core.counters.ArrayFullCounters` — thresholds from array
+means, candidate/victim selection with masks, composite-key
+``argpartition`` top-k and ``lexsort`` rankings, residency via
+:meth:`~repro.dram.hma.HeterogeneousMemory.fast_mask`.  Their oracles
+are the dict/sort walks of the reference mechanisms in
+:mod:`repro.verify.oracles`, whose iteration order is *canonical*
+(touched pages ascend, residents are walked in ascending page order,
+so every ``sorted`` tie breaks toward the lower page number).  The
+planners reproduce it bit for bit — thresholds are ``np.mean`` over
+identically-ordered values, and every ranking reproduces the canonical
+stable-sort tie-breaks (pinned by ``tests/core/test_policy_parity.py``
+and the ``policy-kernels`` fuzz family).
 """
 
 from __future__ import annotations
@@ -48,14 +44,8 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core import _mea_native
-from repro.core.counters import (
-    ArrayFullCounters,
-    FullCounters,
-    check_parallel_arrays,
-    make_counters,
-    resolve_policy_kernel,
-)
-from repro.core.mea import ArrayMeaTracker, MeaTracker
+from repro.core.counters import ArrayFullCounters, check_parallel_arrays
+from repro.core.mea import ArrayMeaTracker
 from repro.dram.hma import FAST, HeterogeneousMemory
 from repro.obs import metrics as _metrics
 
@@ -65,8 +55,9 @@ MigrationPlan = "tuple[list[int], list[int]]"
 def _mean_threshold(values) -> float:
     """Mean of a list or array of per-page metrics (0.0 when empty).
 
-    Both kernels funnel through the same ``np.mean`` over values in
-    ascending page order, so the float result is bit-identical.
+    The planners and their oracles funnel through the same ``np.mean``
+    over values in ascending page order, so the float result is
+    bit-identical.
     """
     return float(np.mean(values)) if len(values) else 0.0
 
@@ -126,11 +117,6 @@ class MigrationMechanism(ABC):
     name: str = "base"
     #: Fine-grained planning steps per coarse interval (1 = none).
     subintervals_per_interval: int = 1
-    #: Planner backend; see the module docstring.
-    policy_kernel: str = "sparse"
-
-    def _use_array_kernel(self, hma) -> bool:
-        return self.policy_kernel == "array" and hasattr(hma, "fast_mask")
 
     #: Whether :meth:`observe_counts` may stand in for
     #: :meth:`observe_chunk`.  True only for mechanisms whose
@@ -210,14 +196,12 @@ class PerformanceFocusedMigration(MigrationMechanism):
 
     def __init__(self, counter_bits: int = 8,
                  max_swap_fraction: float = 0.1,
-                 fixed_threshold: "int | None" = None,
-                 policy_kernel: "str | None" = None) -> None:
+                 fixed_threshold: "int | None" = None) -> None:
         if not 0 < max_swap_fraction <= 1:
             raise ValueError("max_swap_fraction must be in (0, 1]")
         if fixed_threshold is not None and fixed_threshold < 0:
             raise ValueError("fixed_threshold must be non-negative")
-        self.policy_kernel = resolve_policy_kernel(policy_kernel)
-        self.counters = make_counters(counter_bits, self.policy_kernel)
+        self.counters = ArrayFullCounters(counter_bits)
         #: Bound on per-interval exchange volume, as a fraction of HBM
         #: capacity — the migration engine cannot move more data per
         #: interval than the slow memory's bandwidth absorbs.
@@ -238,51 +222,6 @@ class PerformanceFocusedMigration(MigrationMechanism):
         self.counters.record_counts(pages_r, counts_r, pages_w, counts_w)
 
     def plan(self, hma: HeterogeneousMemory) -> MigrationPlan:
-        if self._use_array_kernel(hma):
-            return self._record_plan(self._plan_array(hma))
-        return self._record_plan(self._plan_sparse(hma))
-
-    def _plan_sparse(self, hma) -> MigrationPlan:
-        counters = self.counters
-        touched = counters.touched_pages()
-        hotness = {p: counters.hotness(p) for p in touched}
-        if self.fixed_threshold is not None:
-            threshold = float(self.fixed_threshold)
-        else:
-            threshold = _mean_threshold(list(hotness.values()))
-
-        in_fast_list = hma.pages_in(FAST)
-        in_fast = set(in_fast_list)
-        budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
-        # Hot pages currently off-package, hottest first.
-        candidates_in = sorted(
-            (p for p in touched if hotness[p] > threshold and p not in in_fast),
-            key=lambda p: -hotness[p],
-        )[:budget]
-        # HBM pages ranked coldest first (untouched pages count 0);
-        # swaps stop once a victim would be hotter than its replacement.
-        eviction_order = iter(
-            sorted(in_fast_list, key=lambda p: hotness.get(p, 0))
-        )
-
-        free_slots = hma.fast_capacity_pages - len(in_fast)
-        to_fast: "list[int]" = []
-        to_slow: "list[int]" = []
-        for page in candidates_in:
-            if free_slots > 0:
-                to_fast.append(page)
-                free_slots -= 1
-                continue
-            victim = next(eviction_order, None)
-            if victim is None or hotness.get(victim, 0) >= hotness[page]:
-                break
-            to_slow.append(victim)
-            to_fast.append(page)
-
-        counters.reset()
-        return to_fast, to_slow
-
-    def _plan_array(self, hma) -> MigrationPlan:
         counters = self.counters
         pages, reads, writes = counters.touched_arrays()
         hot = reads + writes
@@ -319,11 +258,11 @@ class PerformanceFocusedMigration(MigrationMechanism):
             to_slow = vic_pages[:pairs]
 
         counters.reset()
-        return to_fast.tolist(), to_slow.tolist()
+        return self._record_plan((to_fast.tolist(), to_slow.tolist()))
 
     def hardware_cost_bytes(self, total_pages: int, fast_pages: int) -> int:
         # One 8-bit counter per addressable page.
-        return FullCounters.storage_cost(
+        return ArrayFullCounters.storage_cost(
             total_pages, counter_bits=self.counters.counter_bits,
             counters_per_page=1,
         ).total_bytes
@@ -342,12 +281,10 @@ class ReliabilityAwareFCMigration(MigrationMechanism):
     supports_observe_counts = True
 
     def __init__(self, counter_bits: int = 8,
-                 max_swap_fraction: float = 0.1,
-                 policy_kernel: "str | None" = None) -> None:
+                 max_swap_fraction: float = 0.1) -> None:
         if not 0 < max_swap_fraction <= 1:
             raise ValueError("max_swap_fraction must be in (0, 1]")
-        self.policy_kernel = resolve_policy_kernel(policy_kernel)
-        self.counters = make_counters(counter_bits, self.policy_kernel)
+        self.counters = ArrayFullCounters(counter_bits)
         self.max_swap_fraction = max_swap_fraction
 
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
@@ -361,57 +298,6 @@ class ReliabilityAwareFCMigration(MigrationMechanism):
         self.counters.record_counts(pages_r, counts_r, pages_w, counts_w)
 
     def plan(self, hma: HeterogeneousMemory) -> MigrationPlan:
-        if self._use_array_kernel(hma):
-            return self._record_plan(self._plan_array(hma))
-        return self._record_plan(self._plan_sparse(hma))
-
-    def _plan_sparse(self, hma) -> MigrationPlan:
-        counters = self.counters
-        touched = counters.touched_pages()
-        hotness = {p: counters.hotness(p) for p in touched}
-        risk = {p: counters.write_ratio(p) for p in touched}
-        hot_threshold = _mean_threshold(list(hotness.values()))
-        # Low Wr/Rd means long live intervals, i.e. high risk.
-        risk_threshold = _mean_threshold(list(risk.values()))
-
-        in_fast_list = hma.pages_in(FAST)
-        in_fast = set(in_fast_list)
-
-        def is_good(page: int) -> bool:
-            return (
-                hotness.get(page, 0) > hot_threshold
-                and risk.get(page, 0.0) >= risk_threshold
-            )
-
-        budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
-        candidates_in = sorted(
-            (p for p in touched if p not in in_fast and is_good(p)),
-            key=lambda p: -hotness[p],
-        )[:budget]
-        # Evict anything cold or high-risk.  Residents observed to be
-        # high-risk this interval (traffic with low Wr/Rd) leave first
-        # — they are the live SER exposure — then cold pages.  The
-        # exchange is one-sided if necessary: high-risk pages leave HBM
-        # even when too few hot & low-risk replacements exist, trading
-        # performance for reliability as the paper's FC mechanism does.
-        def eviction_key(page: int) -> "tuple[int, float, int]":
-            observed_risky = (
-                hotness.get(page, 0) > 0
-                and risk.get(page, 0.0) < risk_threshold
-            )
-            return (0 if observed_risky else 1, risk.get(page, 0.0),
-                    hotness.get(page, 0))
-
-        evictable = sorted(
-            (p for p in in_fast_list if not is_good(p)), key=eviction_key
-        )
-        to_slow = evictable[:budget]
-        free = hma.fast_capacity_pages - len(in_fast) + len(to_slow)
-        to_fast = candidates_in[:free]
-        counters.reset()
-        return to_fast, to_slow
-
-    def _plan_array(self, hma) -> MigrationPlan:
         counters = self.counters
         pages, reads, writes = counters.touched_arrays()
         hot = reads + writes
@@ -443,12 +329,12 @@ class ReliabilityAwareFCMigration(MigrationMechanism):
         free = hma.fast_capacity_pages - len(in_fast) + len(to_slow)
         to_fast = candidates_in[:max(free, 0)]
         counters.reset()
-        return to_fast.tolist(), to_slow.tolist()
+        return self._record_plan((to_fast.tolist(), to_slow.tolist()))
 
     def hardware_cost_bytes(self, total_pages: int, fast_pages: int) -> int:
         # Two 8-bit counters per addressable page (Sec. 6.3: 8.5 MB for
         # 4.25M pages; 4.25 MB *additional* over the perf scheme).
-        return FullCounters.storage_cost(
+        return ArrayFullCounters.storage_cost(
             total_pages, counter_bits=self.counters.counter_bits,
             counters_per_page=2,
         ).total_bytes
@@ -472,23 +358,14 @@ class CrossCountersMigration(MigrationMechanism):
         subintervals_per_interval: int = 16,
         counter_bits: int = 16,
         max_promotions: int = 32,
-        policy_kernel: "str | None" = None,
     ) -> None:
         if subintervals_per_interval < 1:
             raise ValueError("subintervals_per_interval must be >= 1")
         if max_promotions < 1:
             raise ValueError("max_promotions must be >= 1")
-        self.policy_kernel = resolve_policy_kernel(policy_kernel)
-        # The array kernel keeps the MEA map in the flat-array form the
-        # native chunk loop consumes directly; the sparse kernel keeps
-        # the dict-based reference tracker.  Same members, counts, and
-        # order either way.
-        if self.policy_kernel == "array":
-            self.mea = ArrayMeaTracker(capacity=mea_capacity)
-        else:
-            self.mea = MeaTracker(capacity=mea_capacity)
+        self.mea = ArrayMeaTracker(capacity=mea_capacity)
         self.max_promotions = max_promotions
-        self.counters = make_counters(counter_bits, self.policy_kernel)
+        self.counters = ArrayFullCounters(counter_bits)
         self.subintervals_per_interval = subintervals_per_interval
         #: High-risk pages awaiting demotion, set at FC intervals and
         #: drained by the performance unit at MEA intervals.
@@ -510,16 +387,13 @@ class CrossCountersMigration(MigrationMechanism):
 
         One C call walks the chunk once, feeding the MEA map and the
         risk counters' read/write tables together — no chunk copies,
-        no deferred bincount fold.  Only taken when both trackers are
-        the array kind, the fused kernel compiled, and the chunk
-        arrays are already in native layout; results are bit-identical
-        either way.
+        no deferred bincount fold.  Only taken when the fused kernel
+        compiled and the chunk arrays are already in native layout;
+        results are bit-identical either way.
         """
         mea = self.mea
         counters = self.counters
-        if not (type(mea) is ArrayMeaTracker
-                and type(counters) is ArrayFullCounters
-                and type(pages) is np.ndarray
+        if not (type(pages) is np.ndarray
                 and pages.dtype == np.int64 and pages.ndim == 1
                 and pages.flags.c_contiguous
                 and type(is_write) is np.ndarray
@@ -555,60 +429,15 @@ class CrossCountersMigration(MigrationMechanism):
         Two promotion tiers: any tracked page may fill a *free* HBM
         frame, but displacing a resident takes a page the MEA map is
         confident about (residual count >= 2).
-        """
-        if self._use_array_kernel(hma):
-            return self._plan_sub_array(hma)
-        return self._plan_sub_sparse(hma)
-
-    def _plan_sub_sparse(self, hma) -> MigrationPlan:
-        hot_all = self.mea.hot_pages()
-        hot_strong = self.mea.hot_pages(min_count=2)
-        self.mea.reset()
-
-        in_fast_list = hma.pages_in(FAST)
-        in_fast = set(in_fast_list)
-        weak = [p for p in hot_all
-                if p not in in_fast][: self.max_promotions]
-        strong = [p for p in hot_strong
-                  if p not in in_fast][: self.max_promotions]
-        if not weak:
-            return [], []
-
-        free = hma.fast_capacity_pages - len(in_fast_list)
-        to_fast = weak[:free]
-        promoted = set(to_fast)
-        swappers = [p for p in strong if p not in promoted]
-        if not swappers:
-            return to_fast, []
-
-        # Paired exchange: queued high-risk pages leave first, then the
-        # coldest residents, one per promotion, so HBM stays full.
-        to_slow = self._pending_out[: len(swappers)]
-        self._pending_out = self._pending_out[len(to_slow):]
-        if len(to_slow) < len(swappers):
-            extra = len(swappers) - len(to_slow)
-            # Pages already queued for demotion must not be picked as
-            # cold victims too — a page can only leave HBM once.
-            queued = set(to_slow)
-            victims = sorted(
-                (p for p in in_fast_list if p not in queued),
-                key=lambda p: self.counters.hotness(p),
-            )[:extra]
-            to_slow = to_slow + victims
-        return to_fast + swappers, to_slow
-
-    def _plan_sub_array(self, hma) -> MigrationPlan:
-        """Array-kernel :meth:`plan_sub`.
 
         The whole tiering pass is a handful of numpy calls over the
-        MEA map (at most ``capacity`` ~32 entries): one ``fast_mask``
-        call answers residency for the whole map, a stable argsort
-        ranks it (descending count, insertion-order ties — identical
-        to the reference walk), boolean selection builds the weak and
-        strong promotion tiers, ``fast_occupancy`` replaces the
-        resident scan for the free-frame count, and the (large)
-        resident array is only materialised when cold victims are
-        actually needed.  Plans are bit-identical to the sparse walk.
+        MEA map (at most ``capacity`` ~32 entries): one residency
+        gather answers for the whole map, a stable argsort ranks it
+        (descending count, insertion-order ties — identical to the
+        reference walk), boolean selection builds the weak and strong
+        promotion tiers, ``fast_occupancy`` replaces the resident scan
+        for the free-frame count, and the (large) resident array is
+        only materialised when cold victims are actually needed.
         """
         mea = self.mea
         k = len(mea)
@@ -680,28 +509,6 @@ class CrossCountersMigration(MigrationMechanism):
         mechanism cannot drain the fast memory); cold pages leave HBM
         only as victims of the performance unit's promotions.
         """
-        if self._use_array_kernel(hma):
-            return self._record_plan(self._plan_array(hma))
-        return self._record_plan(self._plan_sparse(hma))
-
-    def _plan_sparse(self, hma) -> MigrationPlan:
-        counters = self.counters
-        in_fast = hma.pages_in(FAST)
-        risks = {p: counters.write_ratio(p) for p in in_fast
-                 if counters.hotness(p) > 0}
-        threshold = _mean_threshold(list(risks.values()))
-        budget = max(1, hma.fast_capacity_pages // 4)
-        high_risk = sorted(
-            (p for p, r in risks.items() if r < threshold),
-            key=lambda p: risks[p],
-        )
-        self._pending_out = high_risk[:budget]
-        counters.reset()
-        # The reliability unit only queues demotions; the performance
-        # unit pairs them with promotions at the MEA steps that follow.
-        return [], []
-
-    def _plan_array(self, hma) -> MigrationPlan:
         counters = self.counters
         in_fast = hma.pages_in_array(FAST)
         reads = counters.reads_of(in_fast)
@@ -715,16 +522,18 @@ class CrossCountersMigration(MigrationMechanism):
         order = np.lexsort((r_pages[high], risks[high]))
         self._pending_out = r_pages[high][order][:budget].tolist()
         counters.reset()
-        return [], []
+        # The reliability unit only queues demotions; the performance
+        # unit pairs them with promotions at the MEA steps that follow.
+        return self._record_plan(([], []))
 
     def hardware_cost_bytes(self, total_pages: int, fast_pages: int) -> int:
         # 16-bit risk counters for HBM pages only + the MEA unit
         # (Sec. 6.4.2: 512 KB + ~164 KB = 676 KB for 262K HBM pages).
-        fc = FullCounters.storage_cost(
+        fc = ArrayFullCounters.storage_cost(
             fast_pages, counter_bits=self.counters.counter_bits,
             counters_per_page=1,
         ).total_bytes
-        return fc + MeaTracker.storage_cost_bytes(self.mea.capacity)
+        return fc + ArrayMeaTracker.storage_cost_bytes(self.mea.capacity)
 
 
 class OracleRiskMigration(MigrationMechanism):
@@ -733,31 +542,23 @@ class OracleRiskMigration(MigrationMechanism):
     Identical exchange policy to
     :class:`ReliabilityAwareFCMigration`, but the risk metric is the
     page's actual ACE time accumulated during the interval (tracked at
-    page granularity) instead of the Wr/Rd proxy.  The ``array``
-    kernel uses the chunk-batched
-    :class:`~repro.avf.tracker.WindowedAceTracker`; the ``sparse``
-    kernel keeps the per-request streaming
-    :class:`~repro.avf.tracker.AceTracker` as the reference.
-    Not hardware-realisable — AVF needs future knowledge the proxy
-    approximates — so this mechanism exists to bound how much of the
-    oracle's benefit the heuristic captures (paper Sec. 5.2/5.3
-    discussion).
+    page granularity by the chunk-batched
+    :class:`~repro.avf.tracker.WindowedAceTracker`) instead of the
+    Wr/Rd proxy.  Not hardware-realisable — AVF needs future knowledge
+    the proxy approximates — so this mechanism exists to bound how
+    much of the oracle's benefit the heuristic captures (paper Sec.
+    5.2/5.3 discussion).
     """
 
     name = "oracle-risk-migration"
 
-    def __init__(self, max_swap_fraction: float = 0.1,
-                 policy_kernel: "str | None" = None) -> None:
-        from repro.avf.tracker import AceTracker, WindowedAceTracker
+    def __init__(self, max_swap_fraction: float = 0.1) -> None:
+        from repro.avf.tracker import WindowedAceTracker
 
         if not 0 < max_swap_fraction <= 1:
             raise ValueError("max_swap_fraction must be in (0, 1]")
-        self.policy_kernel = resolve_policy_kernel(policy_kernel)
-        self.counters = make_counters(8, self.policy_kernel)
-        if self.policy_kernel == "array":
-            self.tracker = WindowedAceTracker()
-        else:
-            self.tracker = AceTracker()
+        self.counters = ArrayFullCounters(8)
+        self.tracker = WindowedAceTracker()
         self.max_swap_fraction = max_swap_fraction
 
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
@@ -767,95 +568,53 @@ class OracleRiskMigration(MigrationMechanism):
         self.counters.record_batch(pages, is_write)
         if times is None:
             raise ValueError(
-                "OracleRiskMigration needs per-request times; run it "
+                f"{type(self).__name__} needs per-request times; run it "
                 "through the replay engine"
             )
-        if self.policy_kernel == "array":
-            self.tracker.observe_chunk(pages, times, is_write)
-            return
-        access = self.tracker.access
-        for page, write, time in zip(np.asarray(pages).tolist(),
-                                     np.asarray(is_write).tolist(),
-                                     np.asarray(times).tolist()):
-            access(int(page), float(time), bool(write))
+        self.tracker.observe_chunk(pages, times, is_write)
 
     def window_ace_total(self) -> float:
         return float(sum(self.tracker.line_ace_times().values()))
 
+    def _risk_of(self, pages: np.ndarray) -> np.ndarray:
+        """Per-page interval risk: the measured window ACE time."""
+        return self.tracker.window_ace_of(pages)
+
     def plan(self, hma: HeterogeneousMemory) -> MigrationPlan:
-        if self._use_array_kernel(hma):
-            return self._record_plan(self._plan_array(hma))
-        return self._record_plan(self._plan_sparse(hma))
-
-    def _plan_sparse(self, hma) -> MigrationPlan:
         counters = self.counters
-        touched = counters.touched_pages()
-        hotness = {p: counters.hotness(p) for p in touched}
-        ace = self.tracker.reset_window()
-        hot_threshold = _mean_threshold(list(hotness.values()))
-        ace_values = [ace.get(p, 0.0) for p in touched]
-        ace_threshold = _mean_threshold(ace_values)
-
-        in_fast_list = hma.pages_in(FAST)
-        in_fast = set(in_fast_list)
-
-        def is_good(page: int) -> bool:
-            return (
-                hotness.get(page, 0) > hot_threshold
-                and ace.get(page, 0.0) <= ace_threshold
-            )
-
-        budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
-        candidates_in = sorted(
-            (p for p in touched if p not in in_fast and is_good(p)),
-            key=lambda p: -hotness[p],
-        )[:budget]
-        evictable = sorted(
-            (p for p in in_fast_list if not is_good(p)),
-            key=lambda p: -ace.get(p, 0.0),
-        )
-        to_slow = evictable[:budget]
-        free = hma.fast_capacity_pages - len(in_fast) + len(to_slow)
-        to_fast = candidates_in[:free]
-        counters.reset()
-        return to_fast, to_slow
-
-    def _plan_array(self, hma) -> MigrationPlan:
-        counters = self.counters
-        tracker = self.tracker
         pages, reads, writes = counters.touched_arrays()
         hot = reads + writes
-        ace = tracker.window_ace_of(pages)
+        risk = self._risk_of(pages)
         in_fast = hma.pages_in_array(FAST)
-        r_ace = tracker.window_ace_of(in_fast)
-        tracker.clear_window()
+        r_risk = self._risk_of(in_fast)
+        self.tracker.clear_window()
 
         hot_threshold = _mean_threshold(hot)
-        ace_threshold = _mean_threshold(ace)
+        risk_threshold = _mean_threshold(risk)
         budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
 
-        good = (hot > hot_threshold) & (ace <= ace_threshold)
+        good = (hot > hot_threshold) & (risk <= risk_threshold)
         cand_mask = good & ~hma.fast_mask(pages)
         sel = _top_hot_desc(pages[cand_mask], hot[cand_mask], budget)
         candidates_in = pages[cand_mask][sel]
 
         r_hot = counters.hotness_of(in_fast)
-        evict = ~((r_hot > hot_threshold) & (r_ace <= ace_threshold))
+        evict = ~((r_hot > hot_threshold) & (r_risk <= risk_threshold))
         e_pages = in_fast[evict]
-        # Highest measured ACE first, ascending-page ties.
-        order = np.lexsort((e_pages, -r_ace[evict]))
+        # Highest risk first, ascending-page ties.
+        order = np.lexsort((e_pages, -r_risk[evict]))
         to_slow = e_pages[order][:budget]
         free = hma.fast_capacity_pages - len(in_fast) + len(to_slow)
         to_fast = candidates_in[:max(free, 0)]
         counters.reset()
-        return to_fast.tolist(), to_slow.tolist()
+        return self._record_plan((to_fast.tolist(), to_slow.tolist()))
 
     def hardware_cost_bytes(self, total_pages: int, fast_pages: int) -> int:
         # Not realisable in hardware; report the FC cost as a floor.
-        return FullCounters.storage_cost(total_pages).total_bytes
+        return ArrayFullCounters.storage_cost(total_pages).total_bytes
 
 
-class ToleranceTieredMigration(MigrationMechanism):
+class ToleranceTieredMigration(OracleRiskMigration):
     """Tolerance-tiered placement: hotness x windowed AVF x tolerance.
 
     Extends :class:`OracleRiskMigration`'s measured-ACE exchange with
@@ -870,30 +629,16 @@ class ToleranceTieredMigration(MigrationMechanism):
     absorb the low-reliability fast tier under capacity pressure,
     while critical pages with the same measured ACE are evicted first.
     With no tolerance map every weight is 1.0 and the policy degrades
-    exactly to :class:`OracleRiskMigration`.
-
-    Both kernels rank identically: ``sparse`` streams per-request ACE
-    through :class:`~repro.avf.tracker.AceTracker`, ``array`` batches
-    through :class:`~repro.avf.tracker.WindowedAceTracker`; the
-    weighting is one float64 multiply per page in either, so plans
-    stay bit-identical across kernels.
+    exactly to :class:`OracleRiskMigration`.  The weighting is one
+    float64 multiply per page, so plans stay bit-identical to the
+    per-request reference in :mod:`repro.verify.oracles`.
     """
 
     name = "tolerance-tiered"
 
-    def __init__(self, tolerance=None, max_swap_fraction: float = 0.1,
-                 policy_kernel: "str | None" = None) -> None:
-        from repro.avf.tracker import AceTracker, WindowedAceTracker
-
-        if not 0 < max_swap_fraction <= 1:
-            raise ValueError("max_swap_fraction must be in (0, 1]")
-        self.policy_kernel = resolve_policy_kernel(policy_kernel)
-        self.counters = make_counters(8, self.policy_kernel)
-        if self.policy_kernel == "array":
-            self.tracker = WindowedAceTracker()
-        else:
-            self.tracker = AceTracker()
-        self.max_swap_fraction = max_swap_fraction
+    def __init__(self, tolerance=None,
+                 max_swap_fraction: float = 0.1) -> None:
+        super().__init__(max_swap_fraction=max_swap_fraction)
         self._weights = self._coerce_weights(tolerance)
 
     @staticmethod
@@ -904,12 +649,6 @@ class ToleranceTieredMigration(MigrationMechanism):
         if hasattr(tolerance, "weights"):  # ToleranceMap
             return np.asarray(tolerance.weights(), dtype=np.float64)
         return np.asarray(tolerance, dtype=np.float64)
-
-    def _weight(self, page: int) -> float:
-        weights = self._weights
-        if weights is None or not 0 <= page < len(weights):
-            return 1.0
-        return float(weights[page])
 
     def _weights_of(self, pages: np.ndarray) -> np.ndarray:
         weights = self._weights
@@ -922,101 +661,11 @@ class ToleranceTieredMigration(MigrationMechanism):
             out[valid] = weights[pages[valid]]
         return out
 
-    def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
-                      times: "np.ndarray | None" = None) -> None:
-        check_parallel_arrays(f"{self.name}.observe_chunk",
-                              pages, is_write, times)
-        self.counters.record_batch(pages, is_write)
-        if times is None:
-            raise ValueError(
-                "ToleranceTieredMigration needs per-request times; run "
-                "it through the replay engine"
-            )
-        if self.policy_kernel == "array":
-            self.tracker.observe_chunk(pages, times, is_write)
-            return
-        access = self.tracker.access
-        for page, write, time in zip(np.asarray(pages).tolist(),
-                                     np.asarray(is_write).tolist(),
-                                     np.asarray(times).tolist()):
-            access(int(page), float(time), bool(write))
-
-    def window_ace_total(self) -> float:
-        return float(sum(self.tracker.line_ace_times().values()))
-
-    def plan(self, hma: HeterogeneousMemory) -> MigrationPlan:
-        if self._use_array_kernel(hma):
-            return self._record_plan(self._plan_array(hma))
-        return self._record_plan(self._plan_sparse(hma))
-
-    def _plan_sparse(self, hma) -> MigrationPlan:
-        counters = self.counters
-        touched = counters.touched_pages()
-        hotness = {p: counters.hotness(p) for p in touched}
-        ace = self.tracker.reset_window()
-
-        def risk_of(page: int) -> float:
-            return ace.get(page, 0.0) * self._weight(page)
-
-        hot_threshold = _mean_threshold(list(hotness.values()))
-        risk_threshold = _mean_threshold([risk_of(p) for p in touched])
-
-        in_fast_list = hma.pages_in(FAST)
-        in_fast = set(in_fast_list)
-
-        def is_good(page: int) -> bool:
-            return (
-                hotness.get(page, 0) > hot_threshold
-                and risk_of(page) <= risk_threshold
-            )
-
-        budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
-        candidates_in = sorted(
-            (p for p in touched if p not in in_fast and is_good(p)),
-            key=lambda p: -hotness[p],
-        )[:budget]
-        evictable = sorted(
-            (p for p in in_fast_list if not is_good(p)),
-            key=lambda p: -risk_of(p),
-        )
-        to_slow = evictable[:budget]
-        free = hma.fast_capacity_pages - len(in_fast) + len(to_slow)
-        to_fast = candidates_in[:free]
-        counters.reset()
-        return to_fast, to_slow
-
-    def _plan_array(self, hma) -> MigrationPlan:
-        counters = self.counters
-        tracker = self.tracker
-        pages, reads, writes = counters.touched_arrays()
-        hot = reads + writes
-        risk = tracker.window_ace_of(pages) * self._weights_of(pages)
-        in_fast = hma.pages_in_array(FAST)
-        r_risk = tracker.window_ace_of(in_fast) * self._weights_of(in_fast)
-        tracker.clear_window()
-
-        hot_threshold = _mean_threshold(hot)
-        risk_threshold = _mean_threshold(risk)
-        budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
-
-        good = (hot > hot_threshold) & (risk <= risk_threshold)
-        cand_mask = good & ~hma.fast_mask(pages)
-        sel = _top_hot_desc(pages[cand_mask], hot[cand_mask], budget)
-        candidates_in = pages[cand_mask][sel]
-
-        r_hot = counters.hotness_of(in_fast)
-        evict = ~((r_hot > hot_threshold) & (r_risk <= risk_threshold))
-        e_pages = in_fast[evict]
-        # Highest weighted risk first, ascending-page ties.
-        order = np.lexsort((e_pages, -r_risk[evict]))
-        to_slow = e_pages[order][:budget]
-        free = hma.fast_capacity_pages - len(in_fast) + len(to_slow)
-        to_fast = candidates_in[:max(free, 0)]
-        counters.reset()
-        return to_fast.tolist(), to_slow.tolist()
+    def _risk_of(self, pages: np.ndarray) -> np.ndarray:
+        return self.tracker.window_ace_of(pages) * self._weights_of(pages)
 
     def hardware_cost_bytes(self, total_pages: int, fast_pages: int) -> int:
         # FC counters plus a 2-bit tolerance class per page (the class
         # itself comes free from the loader's annotation tables).
-        return (FullCounters.storage_cost(total_pages).total_bytes
+        return (ArrayFullCounters.storage_cost(total_pages).total_bytes
                 + (2 * total_pages + 7) // 8)

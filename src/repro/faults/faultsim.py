@@ -26,7 +26,6 @@ placements, which is insensitive to this constant.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,25 +49,6 @@ from repro.faults.fit import (
 DEFAULT_OVERLAP_WINDOW_HOURS = 12.0
 #: Default mission length: the field study's 11 months.
 DEFAULT_MISSION_HOURS = 11 * 30 * 24.0
-
-#: Recognised ``FaultSimulator.run(..., method=)`` /
-#: ``REPRO_FAULTSIM_METHOD`` values.
-FAULTSIM_METHODS = ("batched", "reference")
-
-
-def resolve_faultsim_method(method: "str | None" = None) -> str:
-    """Resolve the Monte-Carlo kernel via the ``faultsim_method`` knob
-    (argument > scoped override > ``REPRO_FAULTSIM_METHOD`` > default)."""
-    from repro.config import knob_value
-
-    method = knob_value("faultsim_method", method)
-    if method not in FAULTSIM_METHODS:
-        raise ValueError(
-            f"faultsim method must be one of {FAULTSIM_METHODS}, "
-            f"got {method!r}"
-        )
-    return method
-
 
 def resolve_fault_trials(trials: "int | None" = None) -> int:
     """Monte-Carlo trial count for SER models via the ``fault_trials``
@@ -151,33 +131,28 @@ class FaultSimulator:
 
     # -- core Monte-Carlo ----------------------------------------------------
 
-    def run(self, trials: int = 100_000,
-            method: "str | None" = None) -> FaultSimResult:
+    def run(self, trials: int = 100_000) -> FaultSimResult:
         """Simulate ``trials`` rank-missions and classify the outcomes.
 
-        ``method`` selects the kernel (argument > ``REPRO_FAULTSIM_METHOD``
-        env > ``batched``): ``reference`` is the original per-trial
-        Python loop with O(n^2) pair checks, kept as the oracle;
-        ``batched`` draws all events for all trials at once, classifies
-        singles through lookup tables, and enumerates pairs only inside
-        time-sorted overlap windows.  Both draw the same Poisson event
-        counts first, so corrected/detected totals and the single-fault
-        term are identical for a given seed; the pair term is a
-        statistically equivalent estimate of the same expectation
-        (cross-checked against :meth:`analytic_uncorrected_per_mission`).
+        Draws all events for all trials at once, classifies singles
+        through lookup tables, and enumerates pairs only inside
+        time-sorted overlap windows.  Its oracle is the per-trial loop
+        with O(n^2) pair checks,
+        :func:`repro.verify.oracles.run_faultsim_reference`: both draw
+        the same Poisson event counts first, so corrected/detected
+        totals and the single-fault term are identical for a given
+        seed; the pair term is a statistically equivalent estimate of
+        the same expectation (cross-checked against
+        :meth:`analytic_uncorrected_per_mission`).
         """
         if trials <= 0:
             raise ValueError("trials must be positive")
         from repro.obs import metrics as _metrics
         from repro.obs.tracing import span
 
-        method = resolve_faultsim_method(method)
         with span("faultsim.run", memory=self.memory.name,
-                  ecc=self.ecc.name, trials=trials, method=method):
-            if method == "batched":
-                result = self._run_batched(trials)
-            else:
-                result = self._run_reference(trials)
+                  ecc=self.ecc.name, trials=trials):
+            result = self._run_batched(trials)
         registry = _metrics.get_registry()
         registry.counter("faultsim.campaigns").inc()
         registry.counter("faultsim.trials").inc(trials)
@@ -239,56 +214,6 @@ class FaultSimulator:
                     self._pair_lut[comp_idx[a_idx], comp_idx[b_idx], same]
                     .sum()
                 )
-
-        per_mission = expected_uncorrected / trials
-        return FaultSimResult(
-            memory_name=self.memory.name,
-            ecc_name=self.ecc.name,
-            trials=trials,
-            mission_hours=self.mission_hours,
-            corrected=corrected,
-            detected=detected,
-            uncorrected=expected_uncorrected,
-            expected_uncorrected_per_mission=per_mission,
-        )
-
-    def _run_reference(self, trials: int) -> FaultSimResult:
-        rng = self._rng
-        counts = rng.poisson(self._lambdas, size=(trials, len(self._components)))
-        totals = counts.sum(axis=1)
-
-        corrected = 0
-        detected = 0
-        expected_uncorrected = 0.0
-
-        nonzero = np.nonzero(totals)[0]
-        for trial in nonzero:
-            events = []
-            for ci, comp in enumerate(self._components):
-                for _ in range(int(counts[trial, ci])):
-                    chip = int(rng.integers(self.chips))
-                    time = float(rng.random() * self.mission_hours)
-                    events.append((comp, chip, time))
-
-            for comp, _chip, _time in events:
-                outcome = self.ecc.classify_single(comp)
-                if outcome is Outcome.CORRECTED:
-                    corrected += 1
-                elif outcome is Outcome.DETECTED:
-                    detected += 1
-                else:
-                    expected_uncorrected += 1.0
-
-            # Pairwise combination (the ChipKill loss mode).
-            for i in range(len(events)):
-                for j in range(i + 1, len(events)):
-                    ca, chip_a, ta = events[i]
-                    cb, chip_b, tb = events[j]
-                    if abs(ta - tb) > self.overlap_window_hours:
-                        continue
-                    expected_uncorrected += self.ecc.pair_uncorrectable(
-                        ca, cb, chip_a == chip_b, self.geometry
-                    )
 
         per_mission = expected_uncorrected / trials
         return FaultSimResult(

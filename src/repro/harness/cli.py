@@ -18,9 +18,7 @@ import inspect
 import os
 import sys
 
-from repro.cache.hierarchy import CACHE_KERNELS
 from repro.config import knob_overrides, knob_value
-from repro.core.counters import POLICY_KERNELS
 from repro.harness.experiments import EXPERIMENTS, WorkloadCache
 from repro.sim.system import DEFAULT_SCALE
 
@@ -234,16 +232,6 @@ def _add_runner_args(sub) -> None:
              "uses the exact analytic expectation "
              "(env REPRO_FAULT_TRIALS)")
     sub.add_argument(
-        "--policy-kernel", choices=POLICY_KERNELS, default=None,
-        help="migration policy-layer backend: vectorised 'array' "
-             "(default) or the dict-based 'sparse' reference "
-             "(env REPRO_POLICY_KERNEL)")
-    sub.add_argument(
-        "--cache-kernel", choices=CACHE_KERNELS, default=None,
-        help="cache-filter backend: batched 'array' (default) or the "
-             "per-access 'sparse' reference "
-             "(env REPRO_CACHE_KERNEL)")
-    sub.add_argument(
         "--telemetry", action="store_true",
         help="record metrics, epoch snapshots, and tracing spans for "
              "each experiment into the run registry "
@@ -351,6 +339,11 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error("--resume requires --run-dir")
     if getattr(args, "fault_trials", None) is not None and args.fault_trials < 0:
         parser.error("--fault-trials must be >= 0")
+    for flag in ("cache_dir", "run_dir", "obs_dir"):
+        path = getattr(args, flag, None)
+        if path and os.path.exists(path) and not os.path.isdir(path):
+            parser.error(f"--{flag.replace('_', '-')} {path} exists and "
+                         "is not a directory")
     # Flags become scoped knob overrides (never os.environ mutations,
     # which would leak into later runs in the same process); the
     # process-fan-out path instead forwards them as explicit arguments
@@ -362,8 +355,6 @@ def main(argv: "list[str] | None" = None) -> int:
         args.seed = knob_value("seed", args.seed)
     with knob_overrides(
             fault_trials=getattr(args, "fault_trials", None),
-            policy_kernel=getattr(args, "policy_kernel", None),
-            cache_kernel=getattr(args, "cache_kernel", None),
             telemetry=True if getattr(args, "telemetry", False) else None,
             obs_dir=getattr(args, "obs_dir", None)):
         return _dispatch(parser, args)
@@ -595,7 +586,6 @@ def _run_checkpointed(targets, args):
         jobs=_effective_jobs(args), checkpoint_dir=args.run_dir,
         resume=args.resume, job_timeout=args.job_timeout,
         retries=args.retries, fault_trials=args.fault_trials,
-        policy_kernel=args.policy_kernel, cache_kernel=args.cache_kernel,
         telemetry=args.telemetry,
         obs_dir=args.obs_dir, return_report=True)
     failed = report.failed

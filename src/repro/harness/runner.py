@@ -117,21 +117,15 @@ def workload_cache_key(
     seed: int,
     config=None,
     ser_model=None,
-    cache_kernel: "str | None" = None,
 ) -> str:
     """Digest of everything :func:`prepare_workload` depends on.
 
     ``config`` and ``ser_model`` are dataclasses with value-style
     ``repr``; hashing the repr keys the cache on the full parameter
-    set without inventing a parallel serialisation.  ``cache_kernel``
-    (default: the resolved knob) keys entries per filter backend so a
-    cached preparation can never alias across kernels; the
-    ``shm_handoff`` knob is deliberately NOT part of the key — it only
-    changes how prepared workloads travel to workers, never their
-    contents.
+    set without inventing a parallel serialisation.  No knob is part
+    of the key: ``native`` and ``shm_handoff`` change how a prepared
+    workload is computed or travels, never its contents.
     """
-    from repro.cache.hierarchy import resolve_cache_kernel
-
     payload = "|".join([
         f"v{CACHE_VERSION}",
         str(workload),
@@ -140,7 +134,6 @@ def workload_cache_key(
         str(int(seed)),
         repr(config),
         repr(ser_model),
-        f"cache_kernel={resolve_cache_kernel(cache_kernel)}",
     ])
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
@@ -306,7 +299,7 @@ def _run_experiment_worker(item):
     import inspect
 
     (name, accesses, scale, seed, cache_dir, fault_trials,
-     policy_kernel, cache_kernel, telemetry, obs_dir) = item
+     telemetry, obs_dir) = item
     # Imported lazily so forked workers reuse the parent's modules and
     # fresh processes pay the import only once each.
     from repro.config import knob_overrides
@@ -322,9 +315,7 @@ def _run_experiment_worker(item):
     # Scoped overrides, not os.environ: each worker gets exactly the
     # knobs the CLI passed for *this* run, and nothing leaks into later
     # runs or sibling workers.
-    with knob_overrides(fault_trials=fault_trials,
-                        policy_kernel=policy_kernel,
-                        cache_kernel=cache_kernel):
+    with knob_overrides(fault_trials=fault_trials):
         with run_context(
                 name,
                 config={"experiment": name, "accesses": accesses,
@@ -350,8 +341,6 @@ def run_experiments(
     retries: "int | None" = None,
     return_report: bool = False,
     fault_trials: "int | None" = None,
-    policy_kernel: "str | None" = None,
-    cache_kernel: "str | None" = None,
     telemetry: bool = False,
     obs_dir: "str | None" = None,
 ):
@@ -373,21 +362,18 @@ def run_experiments(
     """
     cache_dir = resolve_cache_dir(cache_dir)
     items = [(name, accesses_per_core, scale, seed, cache_dir, fault_trials,
-              policy_kernel, cache_kernel, telemetry, obs_dir)
+              telemetry, obs_dir)
              for name in names]
     manifest = None
     if checkpoint_dir is not None:
         manifest = RunManifest(
             checkpoint_dir,
-            # fault_trials/policy_kernel/cache_kernel change (or could
-            # change) the numbers, so they are part of the run key: a
-            # resume with different knobs reruns instead of serving
-            # stale checkpointed results.
+            # fault_trials changes the numbers, so it is part of the
+            # run key: a resume with a different trial count reruns
+            # instead of serving stale checkpointed results.
             run_key=run_key(kind="experiments", accesses=accesses_per_core,
                             scale=scale, seed=seed,
-                            fault_trials=fault_trials,
-                            policy_kernel=policy_kernel,
-                            cache_kernel=cache_kernel),
+                            fault_trials=fault_trials),
             resume=resume)
     report = checkpointed_map(
         _run_experiment_worker, items, keys=list(names), manifest=manifest,

@@ -1,28 +1,31 @@
-"""Optional compiled kernels: the replay loop and the cache filter.
+"""Compiled C kernels and the one helper that builds them.
 
-The per-request core/bank/channel resolution of the replay engine
-(:mod:`repro.sim.engine`) and the fused L1D+L2 cache filter
-(:mod:`repro.cache.filter_array`) are inherently sequential, so their
-cost is pure interpreter dispatch.  This module compiles each loop —
-operation for operation, in the same order, on IEEE-754 doubles — to a
-tiny shared library with the system C compiler and loads it through
-:mod:`ctypes`.  No third-party packages and no build step: each library
-is built once per source revision into a cache directory and memoised
-per process.
+Three loops of the simulator are inherently sequential, so their cost
+is pure interpreter dispatch: the per-request core/bank/channel
+resolution of the replay engine (:mod:`repro.sim.engine`), the fused
+L1D+L2 cache filter (:mod:`repro.cache.filter_array`), and the
+Misra-Gries MEA update.  The first two are written in C here, the
+MEA loop in :mod:`repro.core._mea_native` — operation for operation,
+in the same order, on IEEE-754 doubles — and :class:`NativeKernel`
+builds all three: the system C compiler turns a source into a tiny
+shared library, once per source revision, in one kernel directory,
+and :mod:`ctypes` binds it.  No third-party packages and no build
+step.
 
-Everything degrades gracefully: if there is no C compiler, the build
-fails, or ``REPRO_REPLAY_NATIVE=0`` is set, :func:`load_multi` returns
-``None`` and the engine replays through its pure-Python reference
-(:func:`repro.sim.engine.replay_reference`).  Both produce
-bit-identical results (see ``tests/sim/test_parity.py`` and
-``tests/sim/test_ckernel_fallback.py``); the compiled loop is simply
-much faster.
+Everything degrades gracefully: with no C compiler, a failed build, or
+``REPRO_NATIVE=0`` (the ``native`` knob), a kernel's ``load`` returns
+``None`` and its caller runs the bit-identical pure-Python fallback —
+:func:`repro.sim.engine.replay_reference`,
+:func:`repro.cache.hierarchy.filter_trace_reference`, or the list loop
+of :class:`repro.core.mea.ArrayMeaTracker` (see
+``tests/sim/test_parity.py`` and ``tests/sim/test_ckernel_fallback.py``).
 
-Build *failure* is cached per process exactly like success: the first
-failed attempt emits one :class:`NativeKernelUnavailableWarning`
-carrying the compiler's stderr, and every later load returns ``None``
-without re-invoking ``cc`` — a broken toolchain degrades once, not once
-per replay.
+Build *failure* is memoised per process exactly like success: the
+first failed attempt of a kernel emits one
+:class:`NativeKernelUnavailableWarning` carrying the compiler's
+stderr, and every later load returns ``None`` without re-invoking
+``cc`` — a broken toolchain degrades once per kernel, not once per
+call.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ class NativeKernelUnavailableWarning(RuntimeWarning):
     Emitted once per process and kernel; callers transparently fall
     back to the bit-identical pure-Python implementation.
     """
-
 
 _MULTI_SOURCE = r"""
 #include <stdint.h>
@@ -326,13 +328,11 @@ void repro_cache_filter_chunk(
 """
 
 _lock = threading.Lock()
-#: ``(fn, error)`` once resolved, success or failure alike — each build
-#: (and any compiler invocation) happens at most once per process.
-_filter_cached: "tuple[object, str | None] | None" = None
-_multi_cached: "tuple[object, str | None] | None" = None
+#: Every kernel built through :class:`NativeKernel`.
+_KERNELS: "list[NativeKernel]" = []
 
 
-def _cache_dir() -> str:
+def _kernel_dir() -> str:
     from repro.config import knob_value
 
     override = knob_value("ckernel_dir")
@@ -342,7 +342,7 @@ def _cache_dir() -> str:
                         f"repro-ckernel-{os.getuid()}")
 
 
-def _build(so_path: str, source: str) -> "str | None":
+def _compile(so_path: str, source: str, opt: str) -> "str | None":
     """Compile a kernel; returns None on success, an error detail on
     failure (including the compiler's stderr where available)."""
     compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
@@ -356,7 +356,7 @@ def _build(so_path: str, source: str) -> "str | None":
         with open(c_path, "w") as fh:
             fh.write(source)
         subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path],
+            [compiler, opt, "-fPIC", "-shared", "-o", tmp_so, c_path],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp_so, so_path)  # atomic under concurrent builds
@@ -373,12 +373,73 @@ def _build(so_path: str, source: str) -> "str | None":
         return detail
 
 
+class NativeKernel:
+    """One C kernel: its source, optimisation flag, and binder.
+
+    :meth:`load` builds ``<stem>-<source digest>.so`` in the kernel
+    directory (``REPRO_CKERNEL_DIR``, default
+    ``$TMPDIR/repro-ckernel-<uid>``) unless it is already there, binds
+    it with ``bind(so_path)``, and memoises the outcome — success or
+    failure — for the rest of the process.
+    """
+
+    def __init__(self, stem: str, source: str, opt: str, bind,
+                 label: str, fallback: str) -> None:
+        self.stem = stem
+        self.source = source
+        self.opt = opt
+        self.bind = bind
+        self.label = label
+        self.fallback = fallback
+        #: ``(bound, error)`` once resolved.
+        self._outcome: "tuple[object, str | None] | None" = None
+        _KERNELS.append(self)
+
+    def load(self):
+        """The bound kernel, or ``None`` when unavailable or switched
+        off by the ``native`` knob."""
+        outcome = self._outcome
+        if outcome is None:
+            with _lock:
+                if self._outcome is None:
+                    self._outcome = self._resolve()
+                outcome = self._outcome
+        return outcome[0]
+
+    def build_error(self) -> "str | None":
+        """The memoised build/load failure, if any (after :meth:`load`)."""
+        return self._outcome[1] if self._outcome is not None else None
+
+    def _resolve(self) -> "tuple[object, str | None]":
+        from repro.config import knob_value
+
+        if not knob_value("native"):
+            return None, None
+        digest = hashlib.sha256(self.source.encode()).hexdigest()[:16]
+        so_path = os.path.join(_kernel_dir(), f"{self.stem}-{digest}.so")
+        bound, error = None, None
+        try:
+            if not os.path.exists(so_path):
+                error = _compile(so_path, self.source, self.opt)
+            if error is None:
+                bound = self.bind(so_path)
+        except OSError as exc:
+            bound, error = None, repr(exc)
+        if error is not None:
+            warnings.warn(
+                f"native {self.label} kernel unavailable, falling back to "
+                f"{self.fallback} (bit-identical, slower): {error}",
+                NativeKernelUnavailableWarning,
+                stacklevel=4,
+            )
+        return bound, error
+
+
 def _reset_for_tests() -> None:
-    """Forget the per-process memoised outcomes (chaos tests only)."""
-    global _filter_cached, _multi_cached
+    """Forget every kernel's memoised outcome (chaos tests only)."""
     with _lock:
-        _filter_cached = None
-        _multi_cached = None
+        for kernel in _KERNELS:
+            kernel._outcome = None
 
 
 def _bind_filter(so_path: str):
@@ -400,56 +461,6 @@ def _bind_filter(so_path: str):
     ]
     fn.restype = None
     return fn
-
-
-def load_filter():
-    """The compiled cache-filter kernel, or ``None`` when unavailable.
-
-    Memoised per process exactly like :func:`load_multi`; gated by the
-    ``cache_native`` knob (``REPRO_CACHE_NATIVE``).  Failure warns once
-    and every caller silently gets the bit-identical Python fallback in
-    :mod:`repro.cache.filter_array`.
-    """
-    global _filter_cached
-    if _filter_cached is not None:
-        return _filter_cached[0]
-    with _lock:
-        if _filter_cached is not None:
-            return _filter_cached[0]
-        from repro.config import knob_value
-
-        fn, error = None, None
-        if knob_value("cache_native"):
-            digest = hashlib.sha256(_FILTER_SOURCE.encode()).hexdigest()[:16]
-            so_path = os.path.join(_cache_dir(), f"cachefilter-{digest}.so")
-            try:
-                if not os.path.exists(so_path):
-                    error = _build(so_path, _FILTER_SOURCE)
-                if error is None:
-                    fn = _bind_filter(so_path)
-            except OSError as exc:
-                fn, error = None, repr(exc)
-            if fn is None and error is None:
-                error = "unknown load failure"
-        _filter_cached = (fn, error)
-        if error is not None:
-            warnings.warn(
-                "native cache-filter kernel unavailable, falling back to "
-                f"the fused Python loop (bit-identical, slower): {error}",
-                NativeKernelUnavailableWarning,
-                stacklevel=2,
-            )
-        return fn
-
-
-def filter_build_error() -> "str | None":
-    """The cached filter build/load failure, if any (after
-    :func:`load_filter`)."""
-    return _filter_cached[1] if _filter_cached is not None else None
-
-
-def filter_available() -> bool:
-    return load_filter() is not None
 
 
 def _bind_multi(so_path: str):
@@ -481,52 +492,30 @@ def _bind_multi(so_path: str):
     return fn
 
 
+_MULTI = NativeKernel("multi", _MULTI_SOURCE, "-O2", _bind_multi,
+                      "replay", "the pure-Python reference replay")
+_FILTER = NativeKernel("cachefilter", _FILTER_SOURCE, "-O2", _bind_filter,
+                       "cache-filter", "the per-access reference filter")
+
+
 def load_multi():
-    """The compiled replay kernel, or ``None`` when unavailable.
-
-    Gated by the ``replay_native`` knob (``REPRO_REPLAY_NATIVE``).  The
-    outcome — success *or* failure — is memoised per process, so a
-    broken toolchain costs exactly one ``cc`` invocation and one
-    :class:`NativeKernelUnavailableWarning` (with the compiler stderr)
-    before every replay silently takes the reference path.
-    """
-    global _multi_cached
-    if _multi_cached is not None:
-        return _multi_cached[0]
-    with _lock:
-        if _multi_cached is not None:
-            return _multi_cached[0]
-        from repro.config import knob_value
-
-        fn, error = None, None
-        if knob_value("replay_native"):
-            digest = hashlib.sha256(_MULTI_SOURCE.encode()).hexdigest()[:16]
-            so_path = os.path.join(_cache_dir(), f"multi-{digest}.so")
-            try:
-                if not os.path.exists(so_path):
-                    error = _build(so_path, _MULTI_SOURCE)
-                if error is None:
-                    fn = _bind_multi(so_path)
-            except OSError as exc:
-                fn, error = None, repr(exc)
-            if fn is None and error is None:
-                error = "unknown load failure"
-        _multi_cached = (fn, error)
-        if error is not None:
-            warnings.warn(
-                "native replay kernel unavailable, falling back to the "
-                f"pure-Python reference replay (bit-identical, slower): "
-                f"{error}",
-                NativeKernelUnavailableWarning,
-                stacklevel=2,
-            )
-        return fn
+    """The compiled replay kernel, or ``None`` when unavailable."""
+    return _MULTI.load()
 
 
 def multi_build_error() -> "str | None":
-    """The cached replay-kernel build/load failure, if any (after
-    :func:`load_multi`)."""
-    return _multi_cached[1] if _multi_cached is not None else None
+    """The replay kernel's build/load failure, if any."""
+    return _MULTI.build_error()
+
+
+def load_filter():
+    """The compiled cache-filter kernel, or ``None`` when unavailable."""
+    return _FILTER.load()
+
+
+def filter_build_error() -> "str | None":
+    """The cache-filter kernel's build/load failure, if any."""
+    return _FILTER.build_error()
 
 
 def _pi16(a):

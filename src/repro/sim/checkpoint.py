@@ -9,8 +9,13 @@ directory captures everything ``evaluate_*`` needs:
 * ``meta.json``    — workload identity, layouts, scale, SER model.
 
 Restoring skips generation and profiling entirely; the system config
-is rebuilt from the recorded scale (checkpoints of custom configs
-store the memory geometries explicitly).
+is rebuilt from the recorded scale with :func:`~repro.config.scaled_config`.
+Nothing else about the config is stored, nor are a trace's per-core
+MLPs or tolerance map, so :func:`save_prepared` refuses — before
+writing anything — a prep it could not restore: one whose config is
+not ``scaled_config(scale)`` (custom geometries, an ``ecc_budget``
+scheme selection), a frontier server workload, or a workload trace
+carrying ``core_mlps`` or ``tolerance``.
 """
 
 from __future__ import annotations
@@ -59,9 +64,35 @@ def _layout_from_dict(data: dict) -> RegionLayout:
     )
 
 
+def _unrestorable(prep: PreparedWorkload, scale: float) -> "list[str]":
+    """What :func:`load_prepared` would lose or get wrong for ``prep``."""
+    from repro.workloads import is_frontier
+
+    wt = prep.workload_trace
+    problems = []
+    if prep.config != scaled_config(scale):
+        problems.append(f"a config other than scaled_config({scale!r})")
+    if is_frontier(prep.workload.name):
+        problems.append(f"the frontier workload {prep.workload.name!r}")
+    for field in ("core_mlps", "tolerance"):
+        if getattr(wt, field, None) is not None:
+            problems.append(f"WorkloadTrace.{field}")
+    return problems
+
+
 def save_prepared(prep: PreparedWorkload,
                   directory: "str | os.PathLike") -> None:
-    """Write a checkpoint of ``prep`` into ``directory``."""
+    """Write a checkpoint of ``prep`` into ``directory``.
+
+    Raises :class:`ValueError`, before writing anything, when the
+    checkpoint could not restore ``prep`` (see the module docstring).
+    """
+    scale = prep.config.fast_memory.capacity_bytes / (1 << 30)
+    problems = _unrestorable(prep, scale)
+    if problems:
+        raise ValueError("cannot checkpoint a prepared workload with "
+                         + ", ".join(problems)
+                         + ": load_prepared could not restore it")
     path = pathlib.Path(directory)
     path.mkdir(parents=True, exist_ok=True)
 
@@ -79,7 +110,7 @@ def save_prepared(prep: PreparedWorkload,
         "version": FORMAT_VERSION,
         "workload_name": prep.workload.name,
         "cores": list(prep.workload.cores),
-        "scale": prep.config.fast_memory.capacity_bytes / (1 << 30),
+        "scale": scale,
         "footprint_pages": wt.footprint_pages,
         "core_benchmarks": wt.core_benchmarks,
         "core_layouts": [

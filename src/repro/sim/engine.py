@@ -25,7 +25,7 @@ Two implementations of the same timing model:
   written directly against the component models.  It is the fuzz
   oracle, and the path for memories without page tables (the
   DRAM-cache foil), for hosts without a C compiler, and for
-  ``REPRO_REPLAY_NATIVE=0``.
+  ``REPRO_NATIVE=0``.
 
 Both produce bit-identical :class:`~repro.sim.results.ReplayResult`
 timings (enforced by ``tests/sim/test_parity.py``).

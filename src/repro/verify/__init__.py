@@ -3,10 +3,11 @@
 Three gates, in increasing scope (see ``docs/testing.md``):
 
 1. :mod:`repro.verify.differential` — a seeded cross-kernel fuzzer
-   asserting bit-exact agreement between every redundant
-   implementation pair (replay kernels, policy kernels, MEA
-   native/Python, windowed/streaming ACE, batched/reference FaultSim),
-   shrinking and dumping a repro artifact on divergence.
+   asserting bit-exact agreement between every production kernel and
+   its oracle (replay, policy planners, MEA, windowed/streaming ACE,
+   batched FaultSim, cache filter; the oracles that are not also
+   fallbacks live in :mod:`repro.verify.oracles`), shrinking and
+   dumping a repro artifact on divergence.
 2. :mod:`repro.verify.invariants` — metamorphic checks of the paper's
    laws (SER monotonicity, write-masked AVF, scheme orderings,
    Monte-Carlo convergence) on small prepared workloads.

@@ -1,23 +1,30 @@
 """Cross-kernel differential checks and the seeded fuzz driver.
 
-Every redundant implementation pair in the simulator is compared on
-randomized :class:`~repro.verify.cases.DiffCase` scenarios:
+Every production kernel of the simulator is compared with its oracle
+on randomized :class:`~repro.verify.cases.DiffCase` scenarios.  The
+oracles are the references of :mod:`repro.verify.oracles` and the two
+pure-Python fallbacks that live next to their kernels
+(:func:`~repro.sim.engine.replay_reference`,
+:func:`~repro.cache.hierarchy.filter_trace_reference`):
 
 * ``replay-kernels``   — the pure-Python reference replay vs the
   production (compiled) replay (:mod:`repro.sim.engine`), full result
   digests bit-exact.
-* ``policy-kernels``   — ``sparse`` dict-based vs ``array`` vectorized
-  migration planning, compared through whole replays so plan order,
-  tie-breaks, and residency all participate.
-* ``mea``              — Misra-Gries tracker: the compiled chunk kernel
-  vs the pure-Python update loop, each driven explicitly.
+* ``policy-kernels``   — each mechanism's vectorised planner vs its
+  dict-walk reference mechanism, compared through whole replays so
+  plan order, tie-breaks, and residency all participate.
+* ``mea``              — Misra-Gries: the production
+  :class:`~repro.core.mea.ArrayMeaTracker` (compiled chunk kernel, or
+  its list loop without a compiler) vs the dict
+  :class:`~repro.core.mea.MeaTracker`.
 * ``ace``              — streaming :class:`AceTracker` vs chunk-batched
   :class:`WindowedAceTracker` vs the batch :func:`line_ace_times`.
-* ``faultsim``         — batched vs reference Monte-Carlo kernels
-  (identical Poisson draws, so corrected/detected tallies are exact).
-* ``cache-filter``     — per-access ``sparse`` cache filter vs the
-  batched ``array`` kernel (:mod:`repro.cache.filter_array`): residual
-  trace, final cache state, and the flush tail, chunk by chunk.
+* ``faultsim``         — the batched Monte-Carlo kernel vs the
+  per-trial reference loop (identical Poisson draws, so
+  corrected/detected tallies are exact).
+* ``cache-filter``     — :func:`~repro.cache.hierarchy.filter_trace`
+  vs the per-access reference filter: residual trace, final cache
+  state, and the flush tail, chunk by chunk.
 * ``shm-roundtrip``    — the shared-memory workload handoff
   (:mod:`repro.harness.shm`): arrays must come back bit-exact, with
   dtype and shape intact, through a pickled handle.
@@ -47,7 +54,6 @@ import os
 import numpy as np
 
 from repro.config import knob_overrides
-from repro.core import _mea_native
 from repro.verify.cases import (
     DiffCase,
     build_config,
@@ -104,7 +110,8 @@ def _first_diff(digests: "dict[str, dict]") -> "str | None":
     return None
 
 
-def _make_mechanism(name: "str | None", policy_kernel: "str | None" = None):
+def _make_mechanism(name: "str | None", reference: bool = False):
+    """A fresh mechanism by name; ``reference`` picks its oracle."""
     from repro.core.migration import (
         CrossCountersMigration,
         OracleRiskMigration,
@@ -122,11 +129,16 @@ def _make_mechanism(name: "str | None", policy_kernel: "str | None" = None):
     }
     if name is None:
         return None
-    return factories[name](policy_kernel=policy_kernel)
+    factory = factories[name]
+    if reference:
+        from repro.verify.oracles import REFERENCE_MECHANISMS
+
+        factory = REFERENCE_MECHANISMS[factory]
+    return factory()
 
 
 def _replay_case(case: DiffCase, reference: bool = False,
-                 policy_kernel: "str | None" = None) -> dict:
+                 reference_policy: bool = False) -> dict:
     from repro.dram.hma import HeterogeneousMemory
     from repro.sim.engine import ReplaySpec, replay_multi, replay_reference
 
@@ -137,7 +149,7 @@ def _replay_case(case: DiffCase, reference: bool = False,
     hma.install_placement(fast, all_pages)
     spec = ReplaySpec(
         config=config, hma=hma,
-        mechanism=_make_mechanism(case.mechanism, policy_kernel),
+        mechanism=_make_mechanism(case.mechanism, reference_policy),
         num_intervals=case.num_intervals if case.mechanism else 1,
         core_windows=core_windows(case))
     if reference:
@@ -157,14 +169,13 @@ def check_replay_kernels(case: DiffCase) -> "str | None":
 
 
 def check_policy_kernels(case: DiffCase) -> "str | None":
-    """Sparse (dict) vs array (vectorized) migration planning."""
+    """Vectorised planners vs the dict-walk reference mechanisms."""
     mechanism = case.mechanism or "fc-migration"
     case = DiffCase.from_dict({**case.to_dict(), "mechanism": mechanism})
-    digests = {
-        pk: _replay_case(case, policy_kernel=pk)
-        for pk in ("sparse", "array")
-    }
-    return _first_diff(digests)
+    return _first_diff({
+        "reference": _replay_case(case, reference_policy=True),
+        "planner": _replay_case(case),
+    })
 
 
 def _mea_state(tracker) -> "tuple":
@@ -177,34 +188,31 @@ def _mea_state(tracker) -> "tuple":
 
 
 def check_mea(case: DiffCase) -> "str | None":
-    """Compiled MEA chunk kernel vs the pure-Python update loop.
+    """The production MEA tracker vs the dict reference, chunk by chunk.
 
-    Each tracker is driven through its own update method, so the
-    comparison never depends on which path ``record_many`` would pick.
-    Without a compiled kernel there is nothing to compare.
+    :class:`~repro.core.mea.ArrayMeaTracker` runs the compiled chunk
+    kernel when it built and its list loop otherwise; either way it
+    must keep :class:`~repro.core.mea.MeaTracker`'s members, residual
+    counts, and ranking after every chunk.
     """
-    from repro.core.mea import MeaTracker
+    from repro.core.mea import ArrayMeaTracker, MeaTracker
 
-    native = _mea_native.load()
-    if native is None:
-        return None
     trace, _times = build_trace(case)
     pages = (trace.address // 4096).astype(np.int64)
     capacity = max(2, case.fast_pages // 2)
     chunks = np.array_split(pages, max(1, case.num_intervals))
-    python_tracker = MeaTracker(capacity=capacity)
-    native_tracker = MeaTracker(capacity=capacity)
+    reference = MeaTracker(capacity=capacity)
+    tracker = ArrayMeaTracker(capacity=capacity)
     for idx, chunk in enumerate(chunks):
         if not len(chunk):
             continue
-        python_tracker._record_many_python(chunk)
-        native_tracker._record_many_native(native,
-                                           np.ascontiguousarray(chunk))
-        py_state = _mea_state(python_tracker)
-        nat_state = _mea_state(native_tracker)
-        if py_state != nat_state:
+        reference.record_many(chunk)
+        tracker.record_many(np.ascontiguousarray(chunk))
+        ref_state = _mea_state(reference)
+        got_state = _mea_state(tracker)
+        if ref_state != got_state:
             return (f"MEA state diverged after chunk {idx}: "
-                    f"python={py_state!r} native={nat_state!r}")
+                    f"reference={ref_state!r} tracker={got_state!r}")
     return None
 
 
@@ -252,22 +260,23 @@ def check_ace_trackers(case: DiffCase) -> "str | None":
 
 
 def check_faultsim(case: DiffCase) -> "str | None":
-    """Batched vs reference Monte-Carlo fault-sim kernels.
+    """The batched Monte-Carlo kernel vs the per-trial reference loop.
 
-    Both kernels draw the same Poisson fault-count matrix for a given
-    seed, so the integer corrected/detected tallies must match
-    exactly; the fractional pair term differs only in enumeration
-    order and is compared loosely.
+    Both draw the same Poisson fault-count matrix for a given seed, so
+    the integer corrected/detected tallies must match exactly; the
+    fractional pair term differs only in enumeration order and is
+    compared loosely.
     """
     from repro.faults.faultsim import FaultSimulator
+    from repro.verify.oracles import run_faultsim_reference
 
     config = build_config(case)
     memory = config.fast_memory
     memory = type(memory)(**{**memory.__dict__, "ecc": case.fault_ecc})
-    ref = FaultSimulator(memory, seed=case.seed).run(
-        trials=case.fault_trials, method="reference")
+    ref = run_faultsim_reference(FaultSimulator(memory, seed=case.seed),
+                                 case.fault_trials)
     bat = FaultSimulator(memory, seed=case.seed).run(
-        trials=case.fault_trials, method="batched")
+        trials=case.fault_trials)
     for field in ("trials", "corrected", "detected"):
         a, b = getattr(ref, field), getattr(bat, field)
         if a != b:
@@ -280,21 +289,25 @@ def check_faultsim(case: DiffCase) -> "str | None":
 
 
 def check_cache_filter(case: DiffCase) -> "str | None":
-    """Sparse per-access cache filter vs the batched array kernel.
+    """:func:`filter_trace` vs the per-access reference filter.
 
-    The trace is fed in ``num_intervals`` chunks so the array kernel
+    The trace is fed in ``num_intervals`` chunks so the compiled loop
     must seed from and sync back to carried-over hierarchy state, and
     the last chunk flushes so the deterministic write-back tail
     participates too.
     """
-    from repro.cache.hierarchy import CacheHierarchy, filter_trace
+    from repro.cache.hierarchy import (
+        CacheHierarchy,
+        filter_trace,
+        filter_trace_reference,
+    )
     from repro.trace.record import Trace
 
     config = build_config(case)
     trace, _times = build_trace(case)
     bounds = np.linspace(0, len(trace), case.num_intervals + 1).astype(int)
 
-    def run(kernel):
+    def run(filter_fn):
         h = CacheHierarchy(config.caches, num_cores=case.num_cores)
         outs = []
         for w in range(case.num_intervals):
@@ -303,9 +316,8 @@ def check_cache_filter(case: DiffCase) -> "str | None":
                           address=trace.address[lo:hi],
                           is_write=trace.is_write[lo:hi],
                           gap=trace.gap[lo:hi])
-            out = filter_trace(chunk, h,
-                               flush_at_end=w == case.num_intervals - 1,
-                               cache_kernel=kernel)
+            out = filter_fn(chunk, h,
+                            flush_at_end=w == case.num_intervals - 1)
             outs.append((out.core.tolist(), out.lines.tolist(),
                          out.is_write.tolist(), out.gap.tolist()))
         state = {}
@@ -317,7 +329,8 @@ def check_cache_filter(case: DiffCase) -> "str | None":
                            tuple(tuple(s.items()) for s in cache._sets))
         return {"residual": outs, "state": state}
 
-    return _first_diff({k: run(k) for k in ("sparse", "array")})
+    return _first_diff({"reference": run(filter_trace_reference),
+                        "filter": run(filter_trace)})
 
 
 def check_shm_roundtrip(case: DiffCase) -> "str | None":
@@ -409,8 +422,7 @@ def check_frontier(case: DiffCase) -> "str | None":
        :class:`~repro.serve.client.ServiceClient` session running the
        ``tolerance-tiered`` mechanism must produce a digest
        bit-identical to :func:`~repro.serve.engine.run_session` on the
-       assembled trace (this also crosses the sparse/array policy
-       kernels via the session's default resolution).
+       assembled trace.
     3. *Injected drift (negative)*: flipping a single request's
        read/write bit must change the digest — proving the digest
        actually covers the payload and a real divergence cannot hide.

@@ -207,7 +207,7 @@ def check_faultsim_convergence(bundle: EvalBundle) -> CheckResult:
     errors = []
     for trials in trial_counts:
         result = FaultSimulator(memory, rates=rates, seed=5).run(
-            trials=trials, method="batched")
+            trials=trials)
         errors.append(abs(result.expected_uncorrected_per_mission
                           - analytic) / analytic)
     converged = errors[-1] <= 0.1 and errors[-1] <= errors[0] * 1.5

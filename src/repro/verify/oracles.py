@@ -1,0 +1,472 @@
+"""Reference implementations the production kernels are checked against.
+
+Each hot path of the simulator has one production implementation.  The
+simple, slow versions that pin its semantics live here, off the ``run``
+path: nothing outside :mod:`repro.verify` imports this module except
+the CLI's ``verify`` verb.  Each drops into the call site of the
+product it checks:
+
+* :class:`FullCounters` — the sparse dict counter bank whose semantics
+  :class:`~repro.core.counters.ArrayFullCounters` reproduces
+  (saturation per recorded batch, ascending-page ``touched_pages``).
+* Reference mechanisms — subclasses of the five migration mechanisms
+  whose ``plan``/``plan_sub`` are the canonical dict/sort walks over
+  :class:`FullCounters` and :class:`~repro.core.mea.MeaTracker`, and
+  whose ACE-driven variants feed a streaming
+  :class:`~repro.avf.tracker.AceTracker` one request at a time.  Pass
+  one as ``ReplaySpec(mechanism=...)`` to replay a case through the
+  oracle; :data:`REFERENCE_MECHANISMS` maps each product class to its
+  reference.
+* :func:`run_faultsim_reference` — the per-trial Monte-Carlo loop of
+  :class:`~repro.faults.faultsim.FaultSimulator`.
+
+Two references stay next to their kernels because they are also the
+compile-failure fallbacks: :func:`repro.sim.engine.replay_reference`
+and :func:`repro.cache.hierarchy.filter_trace_reference`.
+
+The walks' iteration order is *canonical*: touched pages ascend,
+residents are walked in ascending page order, and every ``sorted`` tie
+therefore breaks toward the lower page number.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.avf.tracker import AceTracker
+from repro.core.counters import check_parallel_arrays
+from repro.core.mea import MeaTracker
+from repro.core.migration import (
+    CrossCountersMigration,
+    MigrationPlan,
+    OracleRiskMigration,
+    PerformanceFocusedMigration,
+    ReliabilityAwareFCMigration,
+    ToleranceTieredMigration,
+    _mean_threshold,
+)
+from repro.dram.hma import FAST
+from repro.faults.ecc import Outcome
+from repro.faults.faultsim import FaultSimResult, FaultSimulator
+
+
+class FullCounters:
+    """Per-page read/write saturating counters over a sparse page set.
+
+    The hardware proposal dedicates counters to every addressable
+    page; the dicts store them sparsely but saturate them as the
+    hardware would.
+    """
+
+    def __init__(self, counter_bits: int = 8) -> None:
+        if counter_bits <= 0:
+            raise ValueError("counter_bits must be positive")
+        self.counter_bits = counter_bits
+        self.max_value = (1 << counter_bits) - 1
+        self._reads: "dict[int, int]" = {}
+        self._writes: "dict[int, int]" = {}
+
+    def record(self, page: int, is_write: bool) -> None:
+        table = self._writes if is_write else self._reads
+        table[page] = min(self.max_value, table.get(page, 0) + 1)
+
+    def record_batch(self, pages: np.ndarray, is_write: np.ndarray) -> None:
+        """Bulk update for a trace chunk (one Python step per page)."""
+        check_parallel_arrays("record_batch", pages, is_write)
+        is_write = np.asarray(is_write, dtype=bool)
+        for selector, table in ((is_write, self._writes), (~is_write, self._reads)):
+            if not selector.any():
+                continue
+            unique, counts = np.unique(np.asarray(pages)[selector],
+                                       return_counts=True)
+            for page, count in zip(unique, counts):
+                page = int(page)
+                table[page] = min(self.max_value, table.get(page, 0) + int(count))
+
+    def record_counts(self, pages_r: np.ndarray, counts_r: np.ndarray,
+                      pages_w: np.ndarray, counts_w: np.ndarray) -> None:
+        """Bulk update from pre-aggregated per-page tallies (the
+        ``np.unique(..., return_counts=True)`` of a chunk's read and
+        write streams)."""
+        for pages, counts, table in ((pages_w, counts_w, self._writes),
+                                     (pages_r, counts_r, self._reads)):
+            for page, count in zip(pages.tolist(), counts.tolist()):
+                table[page] = min(self.max_value,
+                                  table.get(page, 0) + count)
+
+    def reads(self, page: int) -> int:
+        return self._reads.get(page, 0)
+
+    def writes(self, page: int) -> int:
+        return self._writes.get(page, 0)
+
+    def hotness(self, page: int) -> int:
+        """Raw access count: reads + writes."""
+        return self.reads(page) + self.writes(page)
+
+    def write_ratio(self, page: int) -> float:
+        """Run-time risk metric Wr/Rd (low ratio = high risk)."""
+        return self.writes(page) / max(1, self.reads(page))
+
+    def touched_pages(self) -> "list[int]":
+        """Pages with any activity, in ascending page order."""
+        return sorted(self._reads.keys() | self._writes.keys())
+
+    def touched_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(pages, reads, writes)`` arrays in ascending page order."""
+        pages = np.array(self.touched_pages(), dtype=np.int64)
+        return pages, self.reads_of(pages), self.writes_of(pages)
+
+    def reads_of(self, pages: np.ndarray) -> np.ndarray:
+        """Per-page read counts for an int64 page array."""
+        return np.array([self._reads.get(int(p), 0) for p in pages],
+                        dtype=np.int64)
+
+    def writes_of(self, pages: np.ndarray) -> np.ndarray:
+        """Per-page write counts for an int64 page array."""
+        return np.array([self._writes.get(int(p), 0) for p in pages],
+                        dtype=np.int64)
+
+    def hotness_of(self, pages: np.ndarray) -> np.ndarray:
+        """Per-page access counts (reads + writes) for a page array."""
+        return self.reads_of(pages) + self.writes_of(pages)
+
+    def snapshot(self) -> "dict[int, tuple[int, int]]":
+        """page -> (reads, writes) for every touched page."""
+        return {page: (self.reads(page), self.writes(page))
+                for page in self.touched_pages()}
+
+    def reset(self) -> None:
+        """Clear all counters (done at each migration interval)."""
+        self._reads.clear()
+        self._writes.clear()
+
+
+# ---------------------------------------------------------------------------
+# Reference migration mechanisms
+# ---------------------------------------------------------------------------
+
+
+class ReferencePerformanceFocusedMigration(PerformanceFocusedMigration):
+    """:class:`PerformanceFocusedMigration` as a dict walk."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.counters = FullCounters(self.counters.counter_bits)
+
+    def plan(self, hma) -> MigrationPlan:
+        counters = self.counters
+        touched = counters.touched_pages()
+        hotness = {p: counters.hotness(p) for p in touched}
+        if self.fixed_threshold is not None:
+            threshold = float(self.fixed_threshold)
+        else:
+            threshold = _mean_threshold(list(hotness.values()))
+
+        in_fast_list = hma.pages_in(FAST)
+        in_fast = set(in_fast_list)
+        budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
+        # Hot pages currently off-package, hottest first.
+        candidates_in = sorted(
+            (p for p in touched if hotness[p] > threshold and p not in in_fast),
+            key=lambda p: -hotness[p],
+        )[:budget]
+        # HBM pages ranked coldest first (untouched pages count 0);
+        # swaps stop once a victim would be hotter than its replacement.
+        eviction_order = iter(
+            sorted(in_fast_list, key=lambda p: hotness.get(p, 0))
+        )
+
+        free_slots = hma.fast_capacity_pages - len(in_fast)
+        to_fast: "list[int]" = []
+        to_slow: "list[int]" = []
+        for page in candidates_in:
+            if free_slots > 0:
+                to_fast.append(page)
+                free_slots -= 1
+                continue
+            victim = next(eviction_order, None)
+            if victim is None or hotness.get(victim, 0) >= hotness[page]:
+                break
+            to_slow.append(victim)
+            to_fast.append(page)
+
+        counters.reset()
+        return self._record_plan((to_fast, to_slow))
+
+
+class ReferenceReliabilityAwareFCMigration(ReliabilityAwareFCMigration):
+    """:class:`ReliabilityAwareFCMigration` as a dict walk."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.counters = FullCounters(self.counters.counter_bits)
+
+    def plan(self, hma) -> MigrationPlan:
+        counters = self.counters
+        touched = counters.touched_pages()
+        hotness = {p: counters.hotness(p) for p in touched}
+        risk = {p: counters.write_ratio(p) for p in touched}
+        hot_threshold = _mean_threshold(list(hotness.values()))
+        # Low Wr/Rd means long live intervals, i.e. high risk.
+        risk_threshold = _mean_threshold(list(risk.values()))
+
+        in_fast_list = hma.pages_in(FAST)
+        in_fast = set(in_fast_list)
+
+        def is_good(page: int) -> bool:
+            return (
+                hotness.get(page, 0) > hot_threshold
+                and risk.get(page, 0.0) >= risk_threshold
+            )
+
+        budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
+        candidates_in = sorted(
+            (p for p in touched if p not in in_fast and is_good(p)),
+            key=lambda p: -hotness[p],
+        )[:budget]
+        # Evict anything cold or high-risk.  Residents observed to be
+        # high-risk this interval (traffic with low Wr/Rd) leave first
+        # — they are the live SER exposure — then cold pages.  The
+        # exchange is one-sided if necessary: high-risk pages leave HBM
+        # even when too few hot & low-risk replacements exist, trading
+        # performance for reliability as the paper's FC mechanism does.
+        def eviction_key(page: int) -> "tuple[int, float, int]":
+            observed_risky = (
+                hotness.get(page, 0) > 0
+                and risk.get(page, 0.0) < risk_threshold
+            )
+            return (0 if observed_risky else 1, risk.get(page, 0.0),
+                    hotness.get(page, 0))
+
+        evictable = sorted(
+            (p for p in in_fast_list if not is_good(p)), key=eviction_key
+        )
+        to_slow = evictable[:budget]
+        free = hma.fast_capacity_pages - len(in_fast) + len(to_slow)
+        to_fast = candidates_in[:free]
+        counters.reset()
+        return self._record_plan((to_fast, to_slow))
+
+
+class ReferenceCrossCountersMigration(CrossCountersMigration):
+    """:class:`CrossCountersMigration` as dict walks over a
+    :class:`~repro.core.mea.MeaTracker` and :class:`FullCounters`."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.mea = MeaTracker(capacity=self.mea.capacity)
+        self.counters = FullCounters(self.counters.counter_bits)
+
+    def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
+                      times: "np.ndarray | None" = None) -> None:
+        check_parallel_arrays(f"{self.name}.observe_chunk",
+                              pages, is_write, times)
+        self.mea.record_many(pages)
+        self.counters.record_batch(pages, is_write)
+
+    def plan_sub(self, hma) -> MigrationPlan:
+        hot_all = self.mea.hot_pages()
+        hot_strong = self.mea.hot_pages(min_count=2)
+        self.mea.reset()
+
+        in_fast_list = hma.pages_in(FAST)
+        in_fast = set(in_fast_list)
+        weak = [p for p in hot_all
+                if p not in in_fast][: self.max_promotions]
+        strong = [p for p in hot_strong
+                  if p not in in_fast][: self.max_promotions]
+        if not weak:
+            return [], []
+
+        free = hma.fast_capacity_pages - len(in_fast_list)
+        to_fast = weak[:free]
+        promoted = set(to_fast)
+        swappers = [p for p in strong if p not in promoted]
+        if not swappers:
+            return to_fast, []
+
+        # Paired exchange: queued high-risk pages leave first, then the
+        # coldest residents, one per promotion, so HBM stays full.
+        to_slow = self._pending_out[: len(swappers)]
+        self._pending_out = self._pending_out[len(to_slow):]
+        if len(to_slow) < len(swappers):
+            extra = len(swappers) - len(to_slow)
+            # Pages already queued for demotion must not be picked as
+            # cold victims too — a page can only leave HBM once.
+            queued = set(to_slow)
+            victims = sorted(
+                (p for p in in_fast_list if p not in queued),
+                key=lambda p: self.counters.hotness(p),
+            )[:extra]
+            to_slow = to_slow + victims
+        return to_fast + swappers, to_slow
+
+    def plan(self, hma) -> MigrationPlan:
+        counters = self.counters
+        in_fast = hma.pages_in(FAST)
+        risks = {p: counters.write_ratio(p) for p in in_fast
+                 if counters.hotness(p) > 0}
+        threshold = _mean_threshold(list(risks.values()))
+        budget = max(1, hma.fast_capacity_pages // 4)
+        high_risk = sorted(
+            (p for p, r in risks.items() if r < threshold),
+            key=lambda p: risks[p],
+        )
+        self._pending_out = high_risk[:budget]
+        counters.reset()
+        return self._record_plan(([], []))
+
+
+class ReferenceOracleRiskMigration(OracleRiskMigration):
+    """:class:`OracleRiskMigration` as a dict walk, with ACE time from
+    a streaming :class:`~repro.avf.tracker.AceTracker` fed one request
+    at a time."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.counters = FullCounters(self.counters.counter_bits)
+        self.tracker = AceTracker()
+
+    def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
+                      times: "np.ndarray | None" = None) -> None:
+        check_parallel_arrays(f"{self.name}.observe_chunk",
+                              pages, is_write, times)
+        self.counters.record_batch(pages, is_write)
+        if times is None:
+            raise ValueError(
+                f"{type(self).__name__} needs per-request times; run it "
+                "through the replay engine"
+            )
+        access = self.tracker.access
+        for page, write, time in zip(np.asarray(pages).tolist(),
+                                     np.asarray(is_write).tolist(),
+                                     np.asarray(times).tolist()):
+            access(int(page), float(time), bool(write))
+
+    def _page_weight(self, page: int) -> float:
+        return 1.0
+
+    def plan(self, hma) -> MigrationPlan:
+        counters = self.counters
+        touched = counters.touched_pages()
+        hotness = {p: counters.hotness(p) for p in touched}
+        ace = self.tracker.reset_window()
+
+        def risk_of(page: int) -> float:
+            return ace.get(page, 0.0) * self._page_weight(page)
+
+        hot_threshold = _mean_threshold(list(hotness.values()))
+        risk_threshold = _mean_threshold([risk_of(p) for p in touched])
+
+        in_fast_list = hma.pages_in(FAST)
+        in_fast = set(in_fast_list)
+
+        def is_good(page: int) -> bool:
+            return (
+                hotness.get(page, 0) > hot_threshold
+                and risk_of(page) <= risk_threshold
+            )
+
+        budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
+        candidates_in = sorted(
+            (p for p in touched if p not in in_fast and is_good(p)),
+            key=lambda p: -hotness[p],
+        )[:budget]
+        evictable = sorted(
+            (p for p in in_fast_list if not is_good(p)),
+            key=lambda p: -risk_of(p),
+        )
+        to_slow = evictable[:budget]
+        free = hma.fast_capacity_pages - len(in_fast) + len(to_slow)
+        to_fast = candidates_in[:free]
+        counters.reset()
+        return self._record_plan((to_fast, to_slow))
+
+
+class ReferenceToleranceTieredMigration(ReferenceOracleRiskMigration,
+                                        ToleranceTieredMigration):
+    """:class:`ToleranceTieredMigration` as the oracle-risk dict walk
+    with each page's ACE time scaled by its intolerance weight."""
+
+    def _page_weight(self, page: int) -> float:
+        weights = self._weights
+        if weights is None or not 0 <= page < len(weights):
+            return 1.0
+        return float(weights[page])
+
+
+#: Product mechanism class -> its reference.
+REFERENCE_MECHANISMS = {
+    PerformanceFocusedMigration: ReferencePerformanceFocusedMigration,
+    ReliabilityAwareFCMigration: ReferenceReliabilityAwareFCMigration,
+    CrossCountersMigration: ReferenceCrossCountersMigration,
+    OracleRiskMigration: ReferenceOracleRiskMigration,
+    ToleranceTieredMigration: ReferenceToleranceTieredMigration,
+}
+
+
+# ---------------------------------------------------------------------------
+# Reference FaultSim campaign
+# ---------------------------------------------------------------------------
+
+
+def run_faultsim_reference(sim: FaultSimulator,
+                           trials: int) -> FaultSimResult:
+    """``sim.run(trials)`` as the per-trial loop with O(n^2) pair checks.
+
+    Draws the same Poisson event counts from ``sim``'s generator as the
+    batched kernel, so for the same seed the corrected/detected tallies
+    are identical and the uncorrected term is a statistically
+    equivalent estimate.
+    """
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    rng = sim._rng
+    counts = rng.poisson(sim._lambdas, size=(trials, len(sim._components)))
+    totals = counts.sum(axis=1)
+
+    corrected = 0
+    detected = 0
+    expected_uncorrected = 0.0
+
+    nonzero = np.nonzero(totals)[0]
+    for trial in nonzero:
+        events = []
+        for ci, comp in enumerate(sim._components):
+            for _ in range(int(counts[trial, ci])):
+                chip = int(rng.integers(sim.chips))
+                time = float(rng.random() * sim.mission_hours)
+                events.append((comp, chip, time))
+
+        for comp, _chip, _time in events:
+            outcome = sim.ecc.classify_single(comp)
+            if outcome is Outcome.CORRECTED:
+                corrected += 1
+            elif outcome is Outcome.DETECTED:
+                detected += 1
+            else:
+                expected_uncorrected += 1.0
+
+        # Pairwise combination (the ChipKill loss mode).
+        for i in range(len(events)):
+            for j in range(i + 1, len(events)):
+                ca, chip_a, ta = events[i]
+                cb, chip_b, tb = events[j]
+                if abs(ta - tb) > sim.overlap_window_hours:
+                    continue
+                expected_uncorrected += sim.ecc.pair_uncorrectable(
+                    ca, cb, chip_a == chip_b, sim.geometry
+                )
+
+    per_mission = expected_uncorrected / trials
+    return FaultSimResult(
+        memory_name=sim.memory.name,
+        ecc_name=sim.ecc.name,
+        trials=trials,
+        mission_hours=sim.mission_hours,
+        corrected=corrected,
+        detected=detected,
+        uncorrected=expected_uncorrected,
+        expected_uncorrected_per_mission=per_mission,
+    )

@@ -1,24 +1,24 @@
-"""Property tests: sparse vs array cache-filter kernels, bit-exact.
+"""Property tests: the cache filter vs its per-access reference, bit-exact.
 
-The ``array`` kernel (compiled C or fused Python,
-``repro.cache.filter_array``) must reproduce the per-access ``sparse``
-reference loop exactly: same residual trace (cores, lines, writes,
-gaps), same final cache contents *and recency order*, same stats —
-over random hierarchies including write-through / no-write-allocate
-configurations, carried-over state, and the flush-at-end tail.
+:func:`filter_trace` (the compiled loop of ``repro.cache.filter_array``
+when it built) must reproduce :func:`filter_trace_reference` exactly:
+same residual trace (cores, lines, writes, gaps), same final cache
+contents *and recency order*, same stats — over random hierarchies
+including write-through / no-write-allocate configurations,
+carried-over state, and the flush-at-end tail.  Parametrised cases
+name the product ``array`` and the reference ``sparse``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import hierarchy as hierarchy_mod
 from repro.cache.hierarchy import (
     CacheHierarchy,
     filter_trace,
-    resolve_cache_kernel,
+    filter_trace_reference,
 )
 from repro.config import (
     LINE_SIZE,
@@ -28,6 +28,8 @@ from repro.config import (
 )
 from repro.sim import _ckernel
 from repro.trace.record import Trace
+
+FILTERS = {"array": filter_trace, "sparse": filter_trace_reference}
 
 
 def hierarchy_strategy():
@@ -91,21 +93,12 @@ def hierarchy_digest(h: CacheHierarchy):
     return out
 
 
-def run_kernel(config, cores, traces, flush_at_end, kernel, native):
+def run_kernel(config, cores, traces, flush_at_end, filter_fn):
     h = CacheHierarchy(config, num_cores=cores)
     outs = []
-    with knob_overrides(cache_native=native):
-        if not native:
-            _ckernel._reset_for_tests()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for i, trace in enumerate(traces):
-                last = i == len(traces) - 1
-                outs.append(filter_trace(
-                    trace, h, flush_at_end=flush_at_end and last,
-                    cache_kernel=kernel))
-        if not native:
-            _ckernel._reset_for_tests()
+    for i, trace in enumerate(traces):
+        last = i == len(traces) - 1
+        outs.append(filter_fn(trace, h, flush_at_end=flush_at_end and last))
     return [trace_digest(t) for t in outs], hierarchy_digest(h)
 
 
@@ -115,27 +108,26 @@ class TestFilterParity:
     def test_array_kernels_match_sparse(self, hc, data, flush):
         config, cores = hc
         # Two back-to-back traces so the second starts from carried-over
-        # cache state (the kernels must seed from and sync back to the
-        # hierarchy exactly).
+        # cache state (the compiled loop must seed from and sync back
+        # to the hierarchy exactly).
         traces = [build_trace(data.draw(trace_strategy(cores)))
                   for _ in range(2)]
-        ref = run_kernel(config, cores, traces, flush, "sparse", True)
-        py = run_kernel(config, cores, traces, flush, "array", False)
-        assert py == ref
-        if _ckernel.filter_available():
-            nat = run_kernel(config, cores, traces, flush, "array", True)
-            assert nat == ref
+        ref = run_kernel(config, cores, traces, flush,
+                         filter_trace_reference)
+        got = run_kernel(config, cores, traces, flush, filter_trace)
+        assert got == ref
 
     @settings(max_examples=30, deadline=None)
     @given(hierarchy_strategy(), st.data())
     def test_per_core_gap_accounting(self, hc, data):
         """Gaps of filtered-out hits fold onto the next residual of the
-        same core, identically in both kernels."""
+        same core, identically in both paths."""
         config, cores = hc
         trace = build_trace(data.draw(trace_strategy(cores, max_len=200)))
-        ref, _ = run_kernel(config, cores, [trace], False, "sparse", True)
-        arr, _ = run_kernel(config, cores, [trace], False, "array", True)
-        assert arr == ref
+        ref, _ = run_kernel(config, cores, [trace], False,
+                            filter_trace_reference)
+        got, _ = run_kernel(config, cores, [trace], False, filter_trace)
+        assert got == ref
         out_gaps = ref[0][3]
         out_cores = ref[0][0]
         # Instruction conservation per core: emitted gaps + accesses
@@ -187,6 +179,7 @@ class TestFlushOrdering:
 
     @pytest.mark.parametrize("kernel", ["sparse", "array"])
     def test_filter_flush_tail_sorted(self, kernel):
+        filter_fn = FILTERS[kernel]
         config = HierarchyConfig(
             l1i=CacheConfig(size_bytes=512, associativity=2),
             l1d=CacheConfig(size_bytes=512, associativity=2),
@@ -201,10 +194,9 @@ class TestFlushOrdering:
             is_write=np.ones(n, dtype=bool),
             gap=np.zeros(n, dtype=np.uint32),
         )
-        out = filter_trace(trace, h, flush_at_end=True, cache_kernel=kernel)
+        out = filter_fn(trace, h, flush_at_end=True)
         h2 = CacheHierarchy(config, num_cores=1)
-        base = filter_trace(trace, h2, flush_at_end=False,
-                            cache_kernel=kernel)
+        base = filter_fn(trace, h2, flush_at_end=False)
         # The flush tail: write requests attributed to core 0 with zero
         # gap, in ascending line order.
         tail = out.lines[len(base):].tolist()
@@ -214,9 +206,31 @@ class TestFlushOrdering:
         assert not out.gap[len(base):].any()
 
 
-def test_resolve_cache_kernel_rejects_unknown():
-    with pytest.raises(ValueError):
-        resolve_cache_kernel("simd")
-    with knob_overrides(cache_kernel="sparse"):
-        assert resolve_cache_kernel() == "sparse"
-    assert resolve_cache_kernel("array") == "array"
+def test_native_disabled_uses_reference(monkeypatch):
+    """``REPRO_NATIVE=0``: the filter never builds and every trace runs
+    through the reference loop."""
+    calls = []
+    original = hierarchy_mod.filter_trace_reference
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy_mod, "filter_trace_reference", spy)
+    config = HierarchyConfig(
+        l1i=CacheConfig(size_bytes=512, associativity=2),
+        l1d=CacheConfig(size_bytes=512, associativity=2),
+        l2=CacheConfig(size_bytes=2048, associativity=2),
+    )
+    trace = build_trace([(0, line, line % 3 == 0, 1)
+                         for line in range(40)])
+    _ckernel._reset_for_tests()
+    try:
+        with knob_overrides(native=False):
+            assert _ckernel.load_filter() is None
+            out = filter_trace(trace, CacheHierarchy(config, num_cores=1))
+    finally:
+        _ckernel._reset_for_tests()
+    assert calls == [1]
+    expect = original(trace, CacheHierarchy(config, num_cores=1))
+    assert trace_digest(out) == trace_digest(expect)

@@ -189,69 +189,84 @@ def test_offset_formulation_equals_textbook(chunks, capacity):
 
 
 class TestNativeKernel:
-    """The compiled chunk kernel vs the pure-Python update loop."""
+    """The compiled chunk kernel vs the pure-Python paths."""
 
     def _fill(self, tracker, rng, chunks=4, size=300, span=200):
         for _ in range(chunks):
             tracker.record_many(rng.integers(0, span, size=size))
 
-    def test_native_equals_python_fallback(self, monkeypatch):
+    def test_native_equals_python_fallback(self):
         import numpy as np
 
+        from repro.config import knob_overrides
         from repro.core import _mea_native
+        from repro.core.mea import ArrayMeaTracker
+        from repro.sim import _ckernel
 
-        if not _mea_native.available():
+        if _mea_native.load() is None:
             pytest.skip("no C compiler in this environment")
         rng = np.random.default_rng(3)
-        fast = MeaTracker(capacity=8)
+        fast = ArrayMeaTracker(capacity=8)
         self._fill(fast, rng)
-        monkeypatch.setenv("REPRO_MEA_NATIVE", "0")
-        _mea_native._reset_for_tests()
+        _ckernel._reset_for_tests()
         try:
-            rng = np.random.default_rng(3)
-            slow = MeaTracker(capacity=8)
-            self._fill(slow, rng)
+            with knob_overrides(native=False):
+                rng = np.random.default_rng(3)
+                slow = ArrayMeaTracker(capacity=8)
+                self._fill(slow, rng)
         finally:
-            _mea_native._reset_for_tests()
-        assert fast.hot_pages() == slow.hot_pages()
-        assert fast.hot_pages(min_count=2) == slow.hot_pages(min_count=2)
-        for page in slow.hot_pages():
-            assert fast.count(page) == slow.count(page)
-        assert fast.stream_length == slow.stream_length
+            _ckernel._reset_for_tests()
+        rng = np.random.default_rng(3)
+        reference = MeaTracker(capacity=8)
+        self._fill(reference, rng)
+        for tracker in (fast, slow):
+            assert tracker.hot_pages() == reference.hot_pages()
+            assert (tracker.hot_pages(min_count=2)
+                    == reference.hot_pages(min_count=2))
+            for page in reference.hot_pages():
+                assert tracker.count(page) == reference.count(page)
+            assert tracker.stream_length == reference.stream_length
 
     def test_disabled_by_env(self, monkeypatch):
         from repro.core import _mea_native
+        from repro.core.mea import ArrayMeaTracker
+        from repro.sim import _ckernel
 
-        monkeypatch.setenv("REPRO_MEA_NATIVE", "0")
-        _mea_native._reset_for_tests()
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        _ckernel._reset_for_tests()
         try:
             assert _mea_native.load() is None
+            assert _mea_native.load_cc() is None
+            assert _mea_native.build_error() is None
             # The tracker still works on large chunks via the fallback.
-            mea = MeaTracker(capacity=4)
+            mea = ArrayMeaTracker(capacity=4)
             mea.record_many(list(range(10)) * 20)
             assert len(mea) <= 4
         finally:
-            _mea_native._reset_for_tests()
+            _ckernel._reset_for_tests()
 
     def test_broken_compiler_degrades_once(self, tmp_path, monkeypatch):
         from repro.core import _mea_native
+        from repro.sim import _ckernel
 
         monkeypatch.setenv("CC", str(tmp_path / "does-not-exist"))
         monkeypatch.setenv("REPRO_CKERNEL_DIR", str(tmp_path / "ck"))
-        monkeypatch.delenv("REPRO_MEA_NATIVE", raising=False)
-        _mea_native._reset_for_tests()
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        _ckernel._reset_for_tests()
         try:
-            with pytest.warns(_mea_native.NativeMeaUnavailableWarning):
+            with pytest.warns(_ckernel.NativeKernelUnavailableWarning,
+                              match="MEA"):
                 assert _mea_native.load() is None
             assert _mea_native.build_error()
             # Memoised: no second warning, still None.
             assert _mea_native.load() is None
+            assert _mea_native.load_cc() is None
         finally:
-            _mea_native._reset_for_tests()
+            _ckernel._reset_for_tests()
 
 
 class TestArrayTracker:
-    """ArrayMeaTracker (flat-array form) vs the dict reference."""
+    """ArrayMeaTracker (the production tracker) vs the dict MeaTracker."""
 
     def _make(self):
         from repro.core.mea import ArrayMeaTracker
@@ -292,20 +307,21 @@ class TestArrayTracker:
         from repro.config import knob_overrides
         from repro.core import _mea_native
         from repro.core.mea import ArrayMeaTracker
+        from repro.sim import _ckernel
 
-        if not _mea_native.available():
+        if _mea_native.load() is None:
             pytest.skip("no C compiler in this environment")
         native = ArrayMeaTracker(capacity=capacity)
         for chunk in chunks:
             native.record_many(chunk)
-        _mea_native._reset_for_tests()
+        _ckernel._reset_for_tests()
         try:
-            with knob_overrides(mea_native=False):
+            with knob_overrides(native=False):
                 fallback = ArrayMeaTracker(capacity=capacity)
                 for chunk in chunks:
                     fallback.record_many(chunk)
         finally:
-            _mea_native._reset_for_tests()
+            _ckernel._reset_for_tests()
         assert fallback.hot_pages() == native.hot_pages()
         assert (fallback._pages[: len(fallback)].tolist()
                 == native._pages[: len(native)].tolist())

@@ -180,8 +180,12 @@ class TestCrossCounters:
             self, hma, kernel):
         """Regression: a page queued in ``_pending_out`` must not be
         picked again as a cold-eviction victim in the same plan — a
-        page can only leave HBM once."""
-        mech = CrossCountersMigration(policy_kernel=kernel)
+        page can only leave HBM once.  ``sparse`` is the reference
+        mechanism of :mod:`repro.verify.oracles`."""
+        from repro.verify.oracles import ReferenceCrossCountersMigration
+
+        mech = {"array": CrossCountersMigration,
+                "sparse": ReferenceCrossCountersMigration}[kernel]()
         # Residents 2..15 warm, resident 1 lukewarm, resident 0 cold
         # (untouched); two confident off-package MEA pages force two
         # paired demotions while only one pending page is queued.

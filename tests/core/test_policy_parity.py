@@ -1,60 +1,58 @@
-"""Bit-identity of the array policy kernels against the sparse oracle.
+"""Bit-identity of the policy layer against the reference oracles.
 
-The ``array`` kernels (dense counters, vectorised planners, windowed
-ACE tracking) must reproduce the retained ``sparse`` reference
-*exactly*: same migration plans in the same order, same counter
-snapshots, on randomized traces including counter saturation and
-empty-interval edge cases.
+The production counters, vectorised planners and windowed ACE tracking
+must reproduce the ``sparse`` dict-walk references of
+:mod:`repro.verify.oracles` *exactly*: same migration plans in the same
+order, same counter snapshots, on randomized traces including counter
+saturation and empty-interval edge cases.  Parametrised cases name the
+product ``array`` and the oracle ``sparse``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.counters import (
-    ArrayFullCounters,
-    FullCounters,
-    POLICY_KERNELS,
-    check_parallel_arrays,
-    make_counters,
-    resolve_policy_kernel,
-)
+from repro.avf.tracker import WindowedAceTracker
+from repro.core.counters import ArrayFullCounters, check_parallel_arrays
+from repro.core.mea import ArrayMeaTracker
 from repro.core.migration import (
     CrossCountersMigration,
     OracleRiskMigration,
     PerformanceFocusedMigration,
     ReliabilityAwareFCMigration,
+    ToleranceTieredMigration,
 )
 from repro.dram.hma import FAST, HeterogeneousMemory
+from repro.verify.oracles import REFERENCE_MECHANISMS, FullCounters
+
+#: The product and the oracle, by parametrisation id.
+KERNELS = ("array", "sparse")
+COUNTERS = {"array": ArrayFullCounters, "sparse": FullCounters}
 
 
-# ---------------------------------------------------------------------------
-# Kernel resolution
-# ---------------------------------------------------------------------------
+def mechanism_class(product, kernel):
+    """``product`` itself, or its reference mechanism for ``sparse``."""
+    return product if kernel == "array" else REFERENCE_MECHANISMS[product]
 
-class TestKernelResolution:
-    def test_default_is_array(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POLICY_KERNEL", raising=False)
-        assert resolve_policy_kernel() == "array"
 
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY_KERNEL", "array")
-        assert resolve_policy_kernel("sparse") == "sparse"
+class TestProductLayout:
+    """Each mechanism has one production implementation."""
 
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY_KERNEL", "sparse")
-        assert isinstance(make_counters(), FullCounters)
-        monkeypatch.setenv("REPRO_POLICY_KERNEL", "array")
-        assert isinstance(make_counters(), ArrayFullCounters)
+    @pytest.mark.parametrize("product", list(REFERENCE_MECHANISMS))
+    def test_mechanisms_use_array_trackers(self, product):
+        mech = product()
+        assert type(mech.counters) is ArrayFullCounters
+        if isinstance(mech, CrossCountersMigration):
+            assert type(mech.mea) is ArrayMeaTracker
+        if isinstance(mech, OracleRiskMigration):
+            assert type(mech.tracker) is WindowedAceTracker
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="policy kernel"):
-            resolve_policy_kernel("vectorised")
-
-    def test_mechanisms_resolve_kernel(self):
-        for kernel in POLICY_KERNELS:
-            mech = ReliabilityAwareFCMigration(policy_kernel=kernel)
-            assert mech.policy_kernel == kernel
-            assert mech.counters.kind == kernel
+    @pytest.mark.parametrize("product", list(REFERENCE_MECHANISMS))
+    def test_reference_is_a_drop_in_subclass(self, product):
+        reference = REFERENCE_MECHANISMS[product]
+        assert issubclass(reference, product)
+        assert reference().name == product.name
+        assert (reference.plan is not product.plan
+                or reference.plan_sub is not product.plan_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -77,34 +75,30 @@ class TestValidation:
     def test_none_entries_skipped(self):
         check_parallel_arrays("x", np.zeros(3), None, np.zeros(3))
 
-    @pytest.mark.parametrize("kernel", POLICY_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_record_batch_validates(self, kernel):
-        counters = make_counters(kernel=kernel)
+        counters = COUNTERS[kernel]()
         with pytest.raises(ValueError, match="record_batch"):
             counters.record_batch(np.array([1, 2, 3]),
                                   np.array([True, False]))
 
-    @pytest.mark.parametrize("kernel", POLICY_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_observe_chunk_validates(self, kernel):
-        for mech in (
-            PerformanceFocusedMigration(policy_kernel=kernel),
-            ReliabilityAwareFCMigration(policy_kernel=kernel),
-            CrossCountersMigration(policy_kernel=kernel),
-            OracleRiskMigration(policy_kernel=kernel),
-        ):
+        for product in REFERENCE_MECHANISMS:
+            mech = mechanism_class(product, kernel)()
             with pytest.raises(ValueError, match="observe_chunk"):
                 mech.observe_chunk(np.array([1, 2]), np.array([True]))
 
-    @pytest.mark.parametrize("kernel", POLICY_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_observe_chunk_validates_times(self, kernel):
-        mech = PerformanceFocusedMigration(policy_kernel=kernel)
+        mech = mechanism_class(PerformanceFocusedMigration, kernel)()
         with pytest.raises(ValueError, match="observe_chunk"):
             mech.observe_chunk(np.array([1, 2]), np.array([True, False]),
                                times=np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
-# Counter backend parity
+# Counter bank parity
 # ---------------------------------------------------------------------------
 
 class TestCounterParity:
@@ -139,7 +133,7 @@ class TestCounterParity:
                               dense.hotness_of(probe))
 
     def test_saturation_is_per_batch(self):
-        # Both backends add the whole batch count, then clip: a single
+        # Both banks add the whole batch count, then clip: a single
         # huge batch saturates identically to the scalar reference.
         sparse = FullCounters(counter_bits=4)
         dense = ArrayFullCounters(counter_bits=4)
@@ -163,16 +157,19 @@ class TestCounterParity:
 
 def _fresh_mechanism(name, kernel):
     if name == "perf":
-        return PerformanceFocusedMigration(counter_bits=4,
-                                           policy_kernel=kernel)
+        return mechanism_class(PerformanceFocusedMigration, kernel)(
+            counter_bits=4)
     if name == "fc":
-        return ReliabilityAwareFCMigration(counter_bits=4,
-                                           policy_kernel=kernel)
+        return mechanism_class(ReliabilityAwareFCMigration, kernel)(
+            counter_bits=4)
     if name == "cc":
-        return CrossCountersMigration(counter_bits=4,
-                                      subintervals_per_interval=4,
-                                      policy_kernel=kernel)
-    return OracleRiskMigration(policy_kernel=kernel)
+        return mechanism_class(CrossCountersMigration, kernel)(
+            counter_bits=4, subintervals_per_interval=4)
+    if name == "tolerance":
+        weights = np.linspace(0.25, 4.0, 64)
+        return mechanism_class(ToleranceTieredMigration, kernel)(
+            tolerance=weights)
+    return mechanism_class(OracleRiskMigration, kernel)()
 
 
 def _drive(name, kernel, config, seed, num_pages=64, intervals=6):
@@ -223,7 +220,7 @@ def test_plans_bit_identical(name, seed, tiny_config):
 def test_plan_with_no_observations(name, tiny_config):
     """An interval with zero traffic plans identically (and sanely)."""
     results = []
-    for kernel in POLICY_KERNELS:
+    for kernel in KERNELS:
         mech = _fresh_mechanism(name, kernel)
         hma = HeterogeneousMemory(tiny_config)
         hma.install_placement([0, 1], [0, 1, 2, 3])
@@ -237,12 +234,19 @@ def test_plan_with_no_observations(name, tiny_config):
 
 def test_fixed_threshold_parity(tiny_config):
     plans = []
-    for kernel in POLICY_KERNELS:
-        mech = PerformanceFocusedMigration(fixed_threshold=2,
-                                           policy_kernel=kernel)
+    for kernel in KERNELS:
+        mech = mechanism_class(PerformanceFocusedMigration, kernel)(
+            fixed_threshold=2)
         hma = HeterogeneousMemory(tiny_config)
         hma.install_placement([0, 1], list(range(8)))
         pages = np.array([2, 2, 2, 3, 3, 3, 4, 0])
         mech.observe_chunk(pages, np.zeros(len(pages), dtype=bool))
         plans.append(mech.plan(hma))
     assert plans[0] == plans[1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tolerance_plans_bit_identical(seed, tiny_config):
+    sparse = _drive("tolerance", "sparse", tiny_config, seed)
+    dense = _drive("tolerance", "array", tiny_config, seed)
+    assert sparse == dense

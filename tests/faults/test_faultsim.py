@@ -5,8 +5,8 @@ import pytest
 from repro.config import ddr3_config, hbm_config
 from repro.faults.faultsim import (FaultSimulator,
                                    resolve_fault_trials,
-                                   resolve_faultsim_method,
                                    uncorrected_fit_per_page)
+from repro.verify.oracles import run_faultsim_reference
 
 
 class TestAnalytic:
@@ -96,15 +96,15 @@ class TestPerPageFit:
 
 
 class TestBatchedKernel:
-    """The batched run() vs the retained per-trial reference loop."""
+    """The batched run() vs the per-trial reference loop of
+    :mod:`repro.verify.oracles`."""
 
     def test_same_seed_same_fault_counts(self):
         """Both kernels draw the identical Poisson counts matrix, so
         the corrected/detected tallies match exactly."""
-        ref = FaultSimulator(hbm_config(), seed=11).run(
-            trials=20_000, method="reference")
-        bat = FaultSimulator(hbm_config(), seed=11).run(
-            trials=20_000, method="batched")
+        ref = run_faultsim_reference(FaultSimulator(hbm_config(), seed=11),
+                                     20_000)
+        bat = FaultSimulator(hbm_config(), seed=11).run(trials=20_000)
         assert bat.corrected == ref.corrected
         assert bat.detected == ref.detected
         assert bat.trials == ref.trials
@@ -118,7 +118,7 @@ class TestBatchedKernel:
         memory = factory()
         rates = rates_for_memory(memory).scaled(2000)
         sim = FaultSimulator(memory, rates=rates, seed=4)
-        result = sim.run(trials=40_000, method="batched")
+        result = sim.run(trials=40_000)
         analytic = sim.analytic_uncorrected_per_mission()
         assert result.expected_uncorrected_per_mission == pytest.approx(
             analytic, rel=0.15
@@ -130,35 +130,16 @@ class TestBatchedKernel:
 
         memory = hbm_config()
         rates = rates_for_memory(memory).scaled(2000)
-        ref = FaultSimulator(memory, rates=rates, seed=6).run(
-            trials=20_000, method="reference")
+        ref = run_faultsim_reference(
+            FaultSimulator(memory, rates=rates, seed=6), 20_000)
         bat = FaultSimulator(memory, rates=rates, seed=6).run(
-            trials=20_000, method="batched")
+            trials=20_000)
         assert bat.expected_uncorrected_per_mission == pytest.approx(
             ref.expected_uncorrected_per_mission, rel=0.2
         )
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            FaultSimulator(hbm_config()).run(trials=100,
-                                             method="vectorised")
-
 
 class TestResolution:
-    def test_method_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTSIM_METHOD", raising=False)
-        assert resolve_faultsim_method() == "batched"
-
-    def test_method_env_and_argument(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTSIM_METHOD", "reference")
-        assert resolve_faultsim_method() == "reference"
-        assert resolve_faultsim_method("batched") == "batched"
-
-    def test_method_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTSIM_METHOD", "turbo")
-        with pytest.raises(ValueError, match="method"):
-            resolve_faultsim_method()
-
     def test_trials_default_zero(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_TRIALS", raising=False)
         assert resolve_fault_trials() == 0

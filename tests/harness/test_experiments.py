@@ -118,6 +118,21 @@ class TestCli:
         assert rc == 0
         assert "Figure 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--cache-dir", "--run-dir",
+                                      "--obs-dir"])
+    def test_directory_flag_naming_a_file_is_a_usage_error(
+            self, flag, tmp_path, capsys):
+        existing = tmp_path / "not-a-dir"
+        existing.write_text("")
+        argv = ["run", "fig05", "--accesses", "300", flag, str(existing)]
+        if flag == "--obs-dir":
+            argv.append("--telemetry")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert existing.read_text() == ""
+
 
 class TestCliTools:
     def test_workloads_listing(self, capsys):

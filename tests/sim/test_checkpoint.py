@@ -63,3 +63,27 @@ class TestErrors:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError):
             load_prepared(tmp_path / "ck")
+
+
+class TestUnrestorableRefused:
+    """``save_prepared`` refuses, before writing anything, a prep that
+    ``load_prepared`` would restore wrongly or not at all."""
+
+    def test_ecc_budget_config_refused(self, tmp_path):
+        # The budget selects ChipKill for both tiers; a restore would
+        # rebuild scaled_config's SEC-DED HBM around ChipKill FITs.
+        prep = prepare_workload("mcf", accesses_per_core=500, seed=0,
+                                ecc_budget=1e-3)
+        with pytest.raises(ValueError, match="scaled_config"):
+            save_prepared(prep, tmp_path / "ck")
+        assert not (tmp_path / "ck").exists()
+
+    def test_frontier_workload_refused(self, tmp_path):
+        # A restore would rebuild the workload from unknown benchmark
+        # names and drop the per-core MLPs and the tolerance map.
+        prep = prepare_workload("kvstore", accesses_per_core=500, seed=0)
+        with pytest.raises(ValueError, match="kvstore") as err:
+            save_prepared(prep, tmp_path / "ck")
+        assert "tolerance" in str(err.value)
+        assert "core_mlps" in str(err.value)
+        assert not (tmp_path / "ck").exists()

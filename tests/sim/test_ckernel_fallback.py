@@ -1,10 +1,10 @@
 """Chaos: C-kernel compile failure degrades once, bit-exactly.
 
 A broken toolchain must cost exactly one ``cc`` invocation and one
-structured warning (carrying the compiler's stderr) per process, after
-which every replay silently takes the pure-Python reference path — with
-results identical to the compiled kernel's down to the last IEEE-754
-bit.
+structured warning (carrying the compiler's stderr) per kernel and
+process, after which every caller silently takes its pure-Python
+fallback — with results identical to the compiled kernel's down to the
+last IEEE-754 bit.  ``REPRO_NATIVE=0`` skips the compiler altogether.
 """
 
 import stat
@@ -13,6 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.config import knob_overrides
+from repro.core import _mea_native
 from repro.core.migration import ReliabilityAwareFCMigration
 from repro.core.placement import PerformanceFocusedPlacement
 from repro.dram.hma import HeterogeneousMemory
@@ -41,7 +43,7 @@ def broken_cc(tmp_path, monkeypatch):
     script, log = _broken_compiler(tmp_path)
     monkeypatch.setenv("CC", str(script))
     monkeypatch.setenv("REPRO_CKERNEL_DIR", str(tmp_path / "ckernel"))
-    monkeypatch.delenv("REPRO_REPLAY_NATIVE", raising=False)
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
     _ckernel._reset_for_tests()
     yield log
     _ckernel._reset_for_tests()  # later tests rebuild with the real cc
@@ -64,6 +66,41 @@ class TestCompileFailureCaching:
             for _ in range(3):
                 assert _ckernel.load_multi() is None
         assert _invocations(broken_cc) == 1
+
+    def test_one_compile_and_one_warning_per_kernel(self, broken_cc):
+        """The shared build helper memoises each kernel's failure: the
+        replay, cache-filter and MEA loaders each try ``cc`` once."""
+        loaders = (_ckernel.load_multi, _ckernel.load_filter,
+                   _mea_native.load, _mea_native.load_cc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(3):
+                for load in loaders:
+                    assert load() is None
+        unavailable = [w for w in caught if issubclass(
+            w.category, _ckernel.NativeKernelUnavailableWarning)]
+        assert len(unavailable) == 3
+        for label in ("replay", "cache-filter", "MEA"):
+            assert sum(f"native {label} kernel" in str(w.message)
+                       for w in unavailable) == 1
+        assert _invocations(broken_cc) == 3
+        for error in (_ckernel.multi_build_error(),
+                      _ckernel.filter_build_error(),
+                      _mea_native.build_error()):
+            assert "ld returned 1" in error
+
+    def test_native_off_never_calls_the_compiler(self, broken_cc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with knob_overrides(native=False):
+                assert _ckernel.load_multi() is None
+                assert _ckernel.load_filter() is None
+                assert _mea_native.load() is None
+                assert _mea_native.load_cc() is None
+        assert _invocations(broken_cc) == 0
+        assert _ckernel.multi_build_error() is None
+        assert _ckernel.filter_build_error() is None
+        assert _mea_native.build_error() is None
 
     def test_missing_compiler_is_structured_too(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CC", str(tmp_path / "does-not-exist"))
@@ -93,7 +130,7 @@ class TestBitExactFallback:
 
     def test_fallback_matches_compiled_kernel(self, tmp_path, monkeypatch):
         prep = prepare_workload("mcf", accesses_per_core=1_500, seed=3)
-        monkeypatch.delenv("REPRO_REPLAY_NATIVE", raising=False)
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         monkeypatch.setenv("REPRO_CKERNEL_DIR", str(tmp_path / "good"))
         _ckernel._reset_for_tests()
         try:

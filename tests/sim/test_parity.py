@@ -185,11 +185,12 @@ def test_dram_cache_dispatches_to_reference(tiny_config, monkeypatch):
 
 
 def test_native_disabled_uses_reference(prep, monkeypatch):
-    """``REPRO_REPLAY_NATIVE=0`` sends every spec to the reference."""
-    # monkeypatch restores the memo afterwards, so the disabled probe
+    """``REPRO_NATIVE=0`` sends every spec to the reference."""
+    # monkeypatch restores the memos afterwards, so the disabled probe
     # does not leak into other tests.
-    monkeypatch.setattr(_ckernel, "_multi_cached", None)
-    monkeypatch.setenv("REPRO_REPLAY_NATIVE", "0")
+    for kernel in _ckernel._KERNELS:
+        monkeypatch.setattr(kernel, "_outcome", None)
+    monkeypatch.setenv("REPRO_NATIVE", "0")
     assert _ckernel.load_multi() is None
     calls = _count_reference_calls(monkeypatch)
     ref, ref_hma = _run(prep, "cc-mig", reference=True)

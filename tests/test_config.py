@@ -157,9 +157,9 @@ class TestKnobs:
             assert knob_value("telemetry") is False, raw
 
     def test_empty_env_counts_as_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY_KERNEL", "")
-        assert knob_value("policy_kernel") == "array"
-        assert knob_source("policy_kernel") == "default"
+        monkeypatch.setenv("REPRO_NATIVE", "")
+        assert knob_value("native") is True
+        assert knob_source("native") == "default"
 
     def test_explicit_beats_everything(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_TRIALS", "25")
@@ -177,34 +177,35 @@ class TestKnobs:
         with knob_overrides(fault_trials=None):
             assert knob_source("fault_trials") != "override"
 
-    def test_overrides_nest_and_restore(self):
-        with knob_overrides(policy_kernel="sparse"):
-            with knob_overrides(policy_kernel="array"):
-                assert knob_value("policy_kernel") == "array"
-            assert knob_value("policy_kernel") == "sparse"
-        assert knob_source("policy_kernel") == "default"
+    def test_overrides_nest_and_restore(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        with knob_overrides(native=False):
+            with knob_overrides(native=True):
+                assert knob_value("native") is True
+            assert knob_value("native") is False
+        assert knob_source("native") == "default"
 
     def test_override_unknown_knob_raises(self):
         with pytest.raises(KeyError):
             with knob_overrides(not_a_knob=1):
                 pass
 
-    def test_override_bad_choice_raises(self):
-        with pytest.raises(ValueError):
-            with knob_overrides(policy_kernel="cuda"):
-                pass
-
-    def test_env_bad_choice_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTSIM_METHOD", "magic")
-        with pytest.raises(ValueError, match="faultsim_method"):
-            knob_value("faultsim_method")
-
     def test_overrides_never_touch_environ(self, monkeypatch):
         import os
 
-        monkeypatch.delenv("REPRO_POLICY_KERNEL", raising=False)
-        with knob_overrides(policy_kernel="sparse"):
-            assert "REPRO_POLICY_KERNEL" not in os.environ
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        with knob_overrides(native=False):
+            assert "REPRO_NATIVE" not in os.environ
+
+    def test_one_native_knob(self):
+        """Two implementation knobs remain: ``native`` gates every C
+        kernel, ``shm_handoff`` the worker transport."""
+        assert list(KNOBS) == [
+            "native", "ckernel_dir", "shm_handoff", "fault_trials",
+            "seed", "jobs", "cache_dir", "job_timeout", "retries",
+            "telemetry", "obs_dir"]
+        assert KNOBS["native"].env == "REPRO_NATIVE"
+        assert KNOBS["native"].default is True
 
     def test_report_covers_every_knob(self):
         rows = knob_report()

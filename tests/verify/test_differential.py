@@ -241,18 +241,16 @@ class TestMutationSmoke:
         assert fixed.passed
 
     def test_mea_divergence_is_caught(self, monkeypatch, tmp_path):
-        """A planted bug in the Python MEA loop diverges from native."""
-        from repro.core import _mea_native
+        """A planted bug in the reference MEA loop diverges from the
+        production tracker."""
         from repro.core.mea import MeaTracker
 
-        if _mea_native.load() is None:
-            pytest.skip("no compiled MEA kernel to compare against")
-        orig = MeaTracker._record_many_python
+        orig = MeaTracker.record_many
 
-        def mutated(self, arr):
-            return orig(self, arr[:-1])  # silently drops one access
+        def mutated(self, pages):
+            return orig(self, pages[:-1])  # silently drops one access
 
-        monkeypatch.setattr(MeaTracker, "_record_many_python", mutated)
+        monkeypatch.setattr(MeaTracker, "record_many", mutated)
         results = run_fuzz(num_cases=2, seed=1,
                            checks={"mea": differential.check_mea})
         assert all(not r.passed for r in results)

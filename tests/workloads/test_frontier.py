@@ -225,15 +225,17 @@ class TestToleranceTieredMigration:
                                 accesses_per_core=ACCESSES, seed=5)
 
     def test_kernel_parity(self, prepared):
+        """The policy and its reference mechanism (dict walk over
+        per-request ACE) give the same run."""
+        from repro.verify.oracles import ReferenceToleranceTieredMigration
+
         tol = prepared.workload_trace.tolerance
         results = {}
-        for kernel in ("sparse", "array"):
-            res = evaluate_migration(
-                prepared,
-                ToleranceTieredMigration(tolerance=tol,
-                                         policy_kernel=kernel),
-                num_intervals=6)
-            results[kernel] = (res.ipc, res.ser, res.migrations)
+        for name, cls in (("sparse", ReferenceToleranceTieredMigration),
+                          ("array", ToleranceTieredMigration)):
+            res = evaluate_migration(prepared, cls(tolerance=tol),
+                                     num_intervals=6)
+            results[name] = (res.ipc, res.ser, res.migrations)
         assert results["sparse"] == results["array"]
 
     def test_neutral_weights_degrade_to_oracle_risk(self, prepared):

@@ -3,15 +3,18 @@
 #
 # Usage: tools/ci_smoke.sh [extra pytest args...]
 #
-# 1. Runs the full tier-1 unit suite (tests/), failing fast.
+# 1. Runs the full tier-1 unit suite (tests/), failing fast, then
+#    reruns the kernel parity suites (replay, policy, MEA, cache
+#    filter) with REPRO_NATIVE=0, so every compile-failure fallback
+#    stays tested end to end.
 # 2. Re-runs the chaos suites verbosely (worker SIGKILL, hangs past
 #    timeout, corrupted cache entries, compile failure) so a resilience
 #    regression is named in the CI log, not buried in the dots.
 # 3. Runs the workload-frontier smoke: one small server-workload
 #    generator per family (kvstore, webserver, compiler) through the
 #    fused pipeline with the tolerance-tiered policy, gated on
-#    seeded determinism, sparse/array plan parity, and a reliability
-#    win over the perf-focused baseline.
+#    seeded determinism, plan parity with its reference mechanism,
+#    and a reliability win over the perf-focused baseline.
 # 4. Runs the kill/resume smoke: SIGKILLs a real checkpointed sweep
 #    mid-run, resumes it, and asserts bit-identical rows with only the
 #    unfinished workloads recomputed.  Then the serve chaos smoke: a
@@ -19,7 +22,7 @@
 #    mid-replay and a poison tenant (survivors must be bit-identical
 #    to batch), plus a flooding tenant that must be throttled with
 #    retry_after without degrading a polite tenant's p95 latency.
-# 5. Runs the replay (reference vs compiled), policy-kernel, end-to-end
+# 5. Runs the replay (reference vs compiled), policy-layer, end-to-end
 #    pipeline, workload-generator and ECC-codec throughput benchmarks at
 #    a small scale with relaxed JSON output paths, so CI catches both
 #    correctness drift (the benchmarks assert bit-exact parity of
@@ -54,6 +57,11 @@ trap 'rm -rf "$workdir"' EXIT
 
 echo "== tier-1 unit tests =="
 python -m pytest -x -q "$@"
+
+echo "== kernel parity without the C kernels (REPRO_NATIVE=0) =="
+REPRO_NATIVE=0 python -m pytest -x -q tests/sim/test_parity.py \
+    tests/core/test_policy_parity.py tests/core/test_mea.py \
+    tests/cache/test_filter_parity.py
 
 echo "== chaos / fault-injection tests =="
 # The chaos suites are tagged slow+chaos and excluded from tier-1 by

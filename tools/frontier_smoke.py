@@ -6,8 +6,9 @@ CI-level proof that the server-workload frontier holds together:
 * each generator family (kvstore, webserver, compiler) produces a
   seeded-deterministic trace (byte-identical regeneration),
 * the trace runs through the fused pipeline with the tolerance-tiered
-  policy under BOTH policy kernels, and the sparse oracle and the
-  array kernel agree bit-exactly (parity gate),
+  policy and with its dict-walk reference mechanism from
+  ``repro.verify.oracles``, and the two agree bit-exactly (parity
+  gate),
 * basic invariants hold (positive IPC, finite non-negative SER, SER
   strictly below the perf-focused baseline's on at least one family —
   the reliability win the policy exists for).
@@ -30,6 +31,9 @@ from repro.core.migration import (  # noqa: E402
     ToleranceTieredMigration,
 )
 from repro.sim.system import evaluate_migration, prepare_workload  # noqa: E402
+from repro.verify.oracles import (  # noqa: E402
+    ReferenceToleranceTieredMigration,
+)
 from repro.workloads import FRONTIER_WORKLOADS, generate_frontier  # noqa: E402
 
 SCALE = 1 / 2048
@@ -64,12 +68,10 @@ def main() -> None:
             fail(f"{name}: prepared workload lost its tolerance map")
 
         results = {}
-        for kernel in ("sparse", "array"):
-            res = evaluate_migration(
-                prep,
-                ToleranceTieredMigration(tolerance=tol,
-                                         policy_kernel=kernel),
-                num_intervals=INTERVALS)
+        for kernel, cls in (("sparse", ReferenceToleranceTieredMigration),
+                            ("array", ToleranceTieredMigration)):
+            res = evaluate_migration(prep, cls(tolerance=tol),
+                                     num_intervals=INTERVALS)
             results[kernel] = res
         sparse, array = results["sparse"], results["array"]
         if (sparse.ipc, sparse.ser, sparse.migrations) != (
