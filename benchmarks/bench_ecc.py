@@ -3,8 +3,9 @@
 Times the two ECC hot paths the design-space sweep leans on:
 
 * **LUT compilation** — :func:`repro.faults.ecc.build_ecc_luts` across
-  the full scheme ladder (what every FaultSimulator construction and
-  ``SerModel.for_systems`` campaign pays once per scheme).
+  the full scheme ladder (what every FaultSimulator construction pays;
+  ``SerModel.for_systems`` builds one per memory to read its campaign
+  key, then runs each distinct campaign once).
 * **Batched decode** — ``decode_batch`` over a block of noisy
   codewords for each real codec (SEC-DED, SEC-DAEC, BCH, ChipKill RS)
   against the per-word scalar ``decode`` loop.

@@ -82,7 +82,12 @@ class FaultSimResult:
 
     @property
     def p_uncorrected(self) -> float:
-        """Probability a rank sees >= 1 uncorrected error per mission."""
+        """Upper bound on P(a rank sees >= 1 uncorrected error per mission).
+
+        With ``N`` the uncorrected errors of one rank-mission,
+        ``min(1, E[N])`` bounds ``P(N >= 1)`` from above (Markov's
+        inequality); it is not the probability itself.
+        """
         return min(1.0, self.expected_uncorrected_per_mission)
 
     def uncorrected_fit_per_rank(self) -> float:
@@ -106,7 +111,9 @@ class FaultSimulator:
 
         if overlap_window_hours <= 0 or mission_hours <= 0:
             raise ValueError("window and mission must be positive")
-        seed = knob_value("seed", seed)
+        #: The resolved seed (argument > ``seed`` knob): part of every
+        #: :meth:`campaign_key`.
+        self.seed = knob_value("seed", seed)
         self.memory = memory
         self.rates = rates if rates is not None else rates_for_memory(memory)
         self.geometry = geometry
@@ -114,7 +121,7 @@ class FaultSimulator:
         self.mission_hours = mission_hours
         self.ecc: EccScheme = make_scheme(memory.ecc)
         self.chips = devices_per_rank(memory)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(self.seed)
         # Outcome lookup tables, compiled once by the ECC module so the
         # scalar classification methods remain the single source of
         # truth (see :func:`repro.faults.ecc.build_ecc_luts`).
@@ -128,6 +135,35 @@ class FaultSimulator:
         self._single_detected = luts.single_detected
         self._single_uncorrected = luts.single_uncorrected
         self._pair_lut = luts.pair_uncorrectable
+
+    def campaign_key(self, trials: int) -> tuple:
+        """What a fresh simulator's campaign of ``trials`` reads.
+
+        ``trials`` 0 is the analytic expectation.  Two fresh simulators
+        with equal keys report the same rank FIT bit for bit (a second
+        :meth:`run` continues the random stream, so the key describes
+        the first).  The key holds the ECC scheme, the chip geometry,
+        the chips per rank, the per-component event rates (FIT base x
+        ``fit_multiplier`` x chips x mission), the overlap window, the
+        mission, the resolved seed and the trial count.  Capacity,
+        channels, ranks, banks and timing are not in it: they only set
+        how many pages share the rank (:func:`pages_per_rank`), which
+        callers apply to the rank FIT afterwards.
+        """
+        return (self.ecc.name, self.geometry, self.chips,
+                tuple(self._lambdas.tolist()), self.overlap_window_hours,
+                self.mission_hours, self.seed, trials)
+
+    def uncorrected_fit_per_rank(self, trials: int) -> float:
+        """Uncorrected FIT of one rank (``trials`` 0 = analytic).
+
+        A :meth:`run` of ``trials``, or the closed-form expectation of
+        :meth:`analytic_uncorrected_per_mission` when ``trials`` is 0.
+        """
+        if trials:
+            return self.run(trials).uncorrected_fit_per_rank()
+        return (self.analytic_uncorrected_per_mission()
+                / self.mission_hours * 1e9)
 
     # -- core Monte-Carlo ----------------------------------------------------
 
@@ -270,6 +306,11 @@ class FaultSimulator:
         return total
 
 
+def pages_per_rank(memory: MemoryConfig) -> float:
+    """Pages of ``memory`` that share one rank's uncorrected FIT."""
+    return memory.num_pages / (memory.channels * memory.ranks_per_channel)
+
+
 def uncorrected_fit_per_page(
     memory: MemoryConfig,
     trials: int = 100_000,
@@ -285,14 +326,10 @@ def uncorrected_fit_per_page(
     the ChipKill tail would need millions of trials — the paper itself
     runs 1M trials for ChipKill for the same reason).
     """
+    if not analytic and trials <= 0:
+        raise ValueError("trials must be positive")
     sim = FaultSimulator(
         memory, overlap_window_hours=overlap_window_hours, seed=seed
     )
-    if analytic:
-        per_mission = sim.analytic_uncorrected_per_mission()
-        fit_rank = per_mission / sim.mission_hours * 1e9
-    else:
-        fit_rank = sim.run(trials).uncorrected_fit_per_rank()
-    ranks = memory.channels * memory.ranks_per_channel
-    pages_per_rank = memory.num_pages / ranks
-    return fit_rank / pages_per_rank
+    fit_rank = sim.uncorrected_fit_per_rank(0 if analytic else trials)
+    return fit_rank / pages_per_rank(memory)

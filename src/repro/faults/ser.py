@@ -8,7 +8,6 @@ exposed to the weakly-protected fast memory.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,9 @@ from repro.config import SystemConfig
 from repro.avf.page import IntervalProfile, PageStats
 from repro.faults.faultsim import (
     DEFAULT_OVERLAP_WINDOW_HOURS,
+    FaultSimulator,
+    pages_per_rank,
     resolve_fault_trials,
-    uncorrected_fit_per_page,
 )
 
 
@@ -40,26 +40,11 @@ class SerModel:
         trials: "int | None" = None,
         seed: "int | None" = None,
         overlap_window_hours: float = DEFAULT_OVERLAP_WINDOW_HOURS,
+        campaigns: "dict[tuple, float] | None" = None,
     ) -> "SerModel":
-        """Run the fault simulator for both memories.
-
-        ``trials`` defaults to the ``REPRO_FAULT_TRIALS`` environment
-        variable, else 0.  ``0`` uses the analytic expectation, which
-        is exact for this model and avoids the millions of Monte-Carlo
-        trials the ChipKill tail needs.
-        """
-        trials = resolve_fault_trials(trials)
-        kwargs = dict(
-            seed=seed,
-            overlap_window_hours=overlap_window_hours,
-            analytic=trials == 0,
-        )
-        if trials:
-            kwargs["trials"] = trials
-        return cls(
-            fit_fast_per_page=uncorrected_fit_per_page(config.fast_memory, **kwargs),
-            fit_slow_per_page=uncorrected_fit_per_page(config.slow_memory, **kwargs),
-        )
+        """The one-config call of :meth:`for_systems`."""
+        return cls.for_systems([config], trials, seed, overlap_window_hours,
+                               campaigns)[0]
 
     @classmethod
     def for_systems(
@@ -68,39 +53,35 @@ class SerModel:
         trials: "int | None" = None,
         seed: "int | None" = None,
         overlap_window_hours: float = DEFAULT_OVERLAP_WINDOW_HOURS,
+        campaigns: "dict[tuple, float] | None" = None,
     ) -> "list[SerModel]":
-        """One :meth:`for_system` model per config, campaigns deduped.
+        """One model per config: both memories through the fault simulator.
 
-        Sweeps often vary only one memory (or neither — a FIT
-        multiplier applies downstream), so identical
-        ``(memory config, simulator arguments)`` campaigns run once and
-        fan out.  Deduplication is only applied when the campaign is
-        deterministic (analytic, or Monte-Carlo with an explicit seed);
-        the values are then exactly what per-config :meth:`for_system`
-        calls would produce.
+        ``trials`` resolves through the ``fault_trials`` knob (default
+        0).  ``0`` uses the analytic expectation, which is exact for
+        this model and avoids the millions of Monte-Carlo trials the
+        ChipKill tail needs.
+
+        Each distinct campaign runs once: ``campaigns`` maps
+        :meth:`FaultSimulator.campaign_key` to the rank FIT, and each
+        memory divides it by its own :func:`pages_per_rank`, exactly
+        as :func:`uncorrected_fit_per_page` does, so every model is
+        bit-identical to a fresh per-config one.  Pass one dict to
+        share campaigns across calls (a run's
+        :class:`~repro.harness.experiments.WorkloadCache` does);
+        without one, the memo lives for this call.
         """
         trials = resolve_fault_trials(trials)
-        kwargs = dict(
-            seed=seed,
-            overlap_window_hours=overlap_window_hours,
-            analytic=trials == 0,
-        )
-        if trials:
-            kwargs["trials"] = trials
-        deterministic = trials == 0 or seed is not None
-        memo: "dict[tuple, float]" = {}
+        if campaigns is None:
+            campaigns = {}
 
-        def fit(mem) -> float:
-            if deterministic:
-                try:
-                    key = (type(mem).__name__, dataclasses.astuple(mem))
-                except (TypeError, ValueError):
-                    key = None
-                if key is not None:
-                    if key not in memo:
-                        memo[key] = uncorrected_fit_per_page(mem, **kwargs)
-                    return memo[key]
-            return uncorrected_fit_per_page(mem, **kwargs)
+        def fit(memory) -> float:
+            sim = FaultSimulator(memory, seed=seed,
+                                 overlap_window_hours=overlap_window_hours)
+            key = sim.campaign_key(trials)
+            if key not in campaigns:
+                campaigns[key] = sim.uncorrected_fit_per_rank(trials)
+            return campaigns[key] / pages_per_rank(memory)
 
         return [
             cls(fit_fast_per_page=fit(config.fast_memory),

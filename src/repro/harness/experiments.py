@@ -103,7 +103,10 @@ class WorkloadCache:
     ``cache_dir`` adds a persistent on-disk layer underneath the
     in-memory dict (see :mod:`repro.harness.runner`), and
     :meth:`prefetch` warms both layers for a workload list across
-    ``jobs`` processes.
+    ``jobs`` processes.  ``campaigns`` is the run's fault-campaign memo
+    (see :meth:`~repro.faults.ser.SerModel.for_systems`): the cache's
+    own SER model and every experiment it serves share it, so each
+    distinct FaultSim campaign runs once per run.
     """
 
     def __init__(
@@ -119,8 +122,10 @@ class WorkloadCache:
         self.seed = knob_value("seed", seed)
         self.cache_dir = cache_dir
         self.jobs = jobs
+        self.campaigns: "dict[tuple, float]" = {}
         self._ser_model = SerModel.for_system(scaled_config(scale),
-                                              seed=self.seed)
+                                              seed=self.seed,
+                                              campaigns=self.campaigns)
         self._cache: "dict[str, PreparedWorkload]" = {}
 
     def get(self, name: str) -> PreparedWorkload:
@@ -813,7 +818,9 @@ def ecc_pareto(
     both tiers).  Rows on the per-capacity Pareto front — no other
     assignment at that capacity has both lower SER and lower cost —
     are flagged; IPC varies only with capacity, giving the third axis
-    across fronts.
+    across fronts.  The per-page FIT rates come from one FaultSim
+    campaign per (tier, scheme), shared through ``cache.campaigns``
+    with every workload, capacity and the cache's own SER model.
 
     Hand-checkable claim: every front contains the cheapest assignment
     (fast tier unprotected — nothing has lower cost) and the lowest-SER
@@ -855,7 +862,8 @@ def ecc_pareto(
                 slow_memory=dataclasses.replace(config.slow_memory,
                                                 ecc=slow_ecc),
             ))
-        models = SerModel.for_systems(configs, seed=cache.seed)
+        models = SerModel.for_systems(configs, seed=cache.seed,
+                                      campaigns=cache.campaigns)
         results = evaluate_static_multi(prep, [
             StaticSpec(policy, config=config, ser_model=model)
             for config, model in zip(configs, models)])

@@ -167,9 +167,10 @@ def fit_multiplier_sweep(
     for multiplier in multipliers:
         fast = replace(prep.config.fast_memory, fit_multiplier=multiplier)
         configs.append(replace(prep.config, fast_memory=fast))
-    # One deduplicated fault campaign and one batched replay pass: the
-    # multiplier only moves the fault model, so every point shares the
-    # same two (policy, placement) replays.
+    # One HBM campaign per multiplier, one DDR campaign for all points,
+    # and one batched replay pass: the multiplier only moves the fault
+    # model, so every point shares the same two (policy, placement)
+    # replays.
     ser_models = SerModel.for_systems(configs)
     perf_p, wr2_p = PerformanceFocusedPlacement(), Wr2RatioPlacement()
     specs = []

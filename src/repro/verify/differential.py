@@ -21,7 +21,9 @@ pure-Python fallbacks that live next to their kernels
   :class:`WindowedAceTracker` vs the batch :func:`line_ace_times`.
 * ``faultsim``         — the batched Monte-Carlo kernel vs the
   per-trial reference loop (identical Poisson draws, so
-  corrected/detected tallies are exact).
+  corrected/detected tallies are exact), and a ragged config batch
+  through :meth:`~repro.faults.ser.SerModel.for_systems` with one
+  shared campaign memo vs fresh per-memory campaigns, bit-exact.
 * ``cache-filter``     — :func:`~repro.cache.hierarchy.filter_trace`
   vs the per-access reference filter: residual trace, final cache
   state, and the flush tail, chunk by chunk.
@@ -259,13 +261,75 @@ def check_ace_trackers(case: DiffCase) -> "str | None":
     return None
 
 
-def check_faultsim(case: DiffCase) -> "str | None":
-    """The batched Monte-Carlo kernel vs the per-trial reference loop.
+def _campaign_batch(case: DiffCase) -> "list":
+    """A ragged batch of the case's system: random capacities, schemes
+    and FIT multipliers, drawn from two values each so campaigns repeat.
+    The first two fast tiers share a scheme and differ in multiplier, so
+    a campaign key that ignores the multiplier cannot go unseen."""
+    from dataclasses import replace
 
-    Both draw the same Poisson fault-count matrix for a given seed, so
-    the integer corrected/detected tallies must match exactly; the
-    fractional pair term differs only in enumeration order and is
-    compared loosely.
+    from repro.config import PAGE_SIZE
+    from repro.faults.ecc import SCHEME_LADDER
+
+    rng = np.random.default_rng((case.seed, case.case_id))
+    config = build_config(case)
+    schemes = (case.fault_ecc, str(rng.choice(SCHEME_LADDER)))
+    multipliers = (config.fast_memory.fit_multiplier,
+                   float(rng.uniform(1.0, 6.0)))
+    batch = []
+    for i in range(int(rng.integers(3, 7))):
+        fast = replace(
+            config.fast_memory,
+            capacity_bytes=int(rng.integers(1, 2 * case.fast_pages))
+            * PAGE_SIZE,
+            ecc=schemes[int(rng.integers(2))] if i >= 2 else schemes[0],
+            fit_multiplier=multipliers[i % 2])
+        slow = replace(
+            config.slow_memory,
+            capacity_bytes=int(rng.integers(1, 2 * case.slow_pages))
+            * PAGE_SIZE,
+            ecc=schemes[int(rng.integers(2))])
+        batch.append(replace(config, fast_memory=fast, slow_memory=slow))
+    return batch
+
+
+def _check_shared_campaigns(case: DiffCase) -> "str | None":
+    from repro.faults.faultsim import uncorrected_fit_per_page
+    from repro.faults.ser import SerModel
+
+    batch = _campaign_batch(case)
+    memo: "dict[tuple, float]" = {}
+    # Analytic campaigns are never zero, so they expose a key that
+    # merges two campaigns even when the Monte-Carlo tallies are 0.
+    for trials in (0, case.fault_trials):
+        models = SerModel.for_systems(batch, trials=trials, seed=case.seed,
+                                      campaigns=memo)
+        for i, (config, model) in enumerate(zip(batch, models)):
+            for tier, memory, shared in (
+                    ("fast", config.fast_memory, model.fit_fast_per_page),
+                    ("slow", config.slow_memory, model.fit_slow_per_page)):
+                fresh = uncorrected_fit_per_page(
+                    memory, trials=trials, seed=case.seed,
+                    analytic=trials == 0)
+                if shared != fresh:
+                    return (f"config {i} {tier} ({memory.ecc}, "
+                            f"x{memory.fit_multiplier}, {trials} trials): "
+                            f"shared campaign={shared!r} fresh={fresh!r}")
+    return None
+
+
+def check_faultsim(case: DiffCase) -> "str | None":
+    """Batched FaultSim vs its reference loop; shared vs fresh campaigns.
+
+    The batched kernel and the per-trial reference loop draw the same
+    Poisson fault-count matrix for a given seed, so the integer
+    corrected/detected tallies must match exactly; the fractional pair
+    term differs only in enumeration order and is compared loosely.
+    A ragged config batch (:func:`_campaign_batch`)
+    through :meth:`~repro.faults.ser.SerModel.for_systems` with one
+    campaign memo must then equal fresh per-memory
+    :func:`~repro.faults.faultsim.uncorrected_fit_per_page` exactly,
+    analytic and Monte-Carlo.
     """
     from repro.faults.faultsim import FaultSimulator
     from repro.verify.oracles import run_faultsim_reference
@@ -285,7 +349,7 @@ def check_faultsim(case: DiffCase) -> "str | None":
     b = bat.expected_uncorrected_per_mission
     if abs(a - b) > 0.5 * max(abs(a), abs(b), 1e-30):
         return f"expected_uncorrected_per_mission: reference={a} batched={b}"
-    return None
+    return _check_shared_campaigns(case)
 
 
 def check_cache_filter(case: DiffCase) -> "str | None":

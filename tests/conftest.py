@@ -88,3 +88,20 @@ def mix1_prep(test_scale):
 def mcf_prep(test_scale):
     return prepare_workload("mcf", scale=test_scale,
                             accesses_per_core=8_000, seed=7)
+
+
+@pytest.fixture
+def faultsim_runs(monkeypatch):
+    """``(memory name, scheme)`` of every ``FaultSimulator.run`` call
+    made while the test runs."""
+    from repro.faults.faultsim import FaultSimulator
+
+    calls = []
+    run = FaultSimulator.run
+
+    def counted(self, trials=100_000):
+        calls.append((self.memory.name, self.ecc.name))
+        return run(self, trials)
+
+    monkeypatch.setattr(FaultSimulator, "run", counted)
+    return calls

@@ -6,9 +6,11 @@ tests run each experiment at a very small scale and check structure.
 
 import pytest
 
+from repro.config import knob_overrides
 from repro.harness.experiments import (
     EXPERIMENTS,
     WorkloadCache,
+    ecc_pareto,
     fig01_frontier,
     fig02_avf,
     fig04_quadrants,
@@ -86,6 +88,19 @@ class TestFigureSmoke:
         assert res.summary["fc_additional_mb"] == pytest.approx(4.25,
                                                                 rel=0.02)
         assert res.summary["cc_total_kb"] <= 700
+
+
+class TestCampaignSharing:
+    def test_ecc_pareto_runs_each_campaign_once_per_run(self,
+                                                         faultsim_runs):
+        """The cache's SEC-DED/ChipKill pair and every (tier, scheme)
+        of the ladder run once, across all capacities."""
+        with knob_overrides(fault_trials=2000):
+            cache = WorkloadCache(accesses_per_core=1000, seed=0)
+            ecc_pareto(workloads=("mcf",), fractions=(0.25, 0.5),
+                       cache=cache)
+        assert len(faultsim_runs) == 7  # HBM x 5 schemes, DDR3 x 2
+        assert len(set(faultsim_runs)) == 7
 
 
 class TestRegistry:

@@ -255,6 +255,27 @@ class TestMutationSmoke:
                            checks={"mea": differential.check_mea})
         assert all(not r.passed for r in results)
 
+    def test_campaign_key_without_fit_multiplier_is_caught(self,
+                                                            monkeypatch):
+        """A campaign key that drops ``fit_multiplier`` shares one
+        campaign across multipliers, so shared and fresh FIT differ."""
+        from repro.faults.faultsim import FaultSimulator
+
+        key = FaultSimulator.campaign_key
+
+        def mutated(self, trials):
+            unit = FaultSimulator(
+                replace(self.memory, fit_multiplier=1.0), seed=self.seed,
+                overlap_window_hours=self.overlap_window_hours,
+                mission_hours=self.mission_hours)
+            return key(unit, trials)
+
+        monkeypatch.setattr(FaultSimulator, "campaign_key", mutated)
+        results = run_fuzz(num_cases=2, seed=1,
+                           checks={"faultsim": differential.check_faultsim})
+        assert results and all(not r.passed for r in results)
+        assert all("shared campaign" in r.details for r in results)
+
 
 class TestShrinker:
     def test_shrink_reduces_while_predicate_holds(self):

@@ -12,7 +12,11 @@ CI-level proof that the ECC subsystem holds together:
   same scheme named explicitly through the FaultSimulator,
 * a mini ``ecc-pareto`` run is seeded-deterministic and every flagged
   front row is genuinely non-dominated, with the cheapest (fast tier
-  unprotected) and lowest-SER assignments always on the front.
+  unprotected) and lowest-SER assignments always on the front,
+* rerun with Monte-Carlo FaultSim (2000 trials), the same mini run
+  calls ``FaultSimulator.run`` exactly once per distinct (tier, scheme)
+  campaign, the cache's own SEC-DED/ChipKill pair included: campaigns
+  are shared through the run's ``WorkloadCache``, not rerun per config.
 
 Run it standalone (``python tools/ecc_smoke.py``) or through
 ``tools/ci_smoke.sh``.  Exits non-zero with a message on any violation.
@@ -114,6 +118,9 @@ def selector_gate() -> None:
 
 
 def pareto_gate() -> None:
+    from repro.config import knob_overrides, scaled_config
+    from repro.faults.ecc import SCHEME_LADDER
+    from repro.faults.faultsim import FaultSimulator
     from repro.harness.experiments import WorkloadCache, ecc_pareto
 
     kwargs = dict(workloads=("mcf",), fractions=(0.25,),
@@ -143,6 +150,33 @@ def pareto_gate() -> None:
         fail("lowest-SER assignment missing from the front")
     print(f"  ecc-pareto: {len(rows)} points deterministic, "
           f"{len(front)} on the front, none dominated")
+
+    campaigns = []
+    run = FaultSimulator.run
+
+    def counted(self, trials=100_000):
+        campaigns.append((self.memory.name, self.ecc.name))
+        return run(self, trials)
+
+    FaultSimulator.run = counted
+    try:
+        with knob_overrides(fault_trials=2000):
+            cache = WorkloadCache(accesses_per_core=ACCESSES, scale=SCALE,
+                                  seed=SEED)
+            ecc_pareto(cache=cache, **kwargs)
+    finally:
+        FaultSimulator.run = run
+    config = scaled_config(SCALE)
+    fast, slow = config.fast_memory, config.slow_memory
+    expected = ({(fast.name, s) for s in SCHEME_LADDER + (fast.ecc,)}
+                | {(slow.name, s)
+                   for s in kwargs["slow_schemes"] + (slow.ecc,)})
+    if sorted(campaigns) != sorted(expected):
+        fail(f"ecc-pareto ran {len(campaigns)} FaultSim campaigns, want "
+             f"one per (tier, scheme): {len(expected)}; "
+             f"ran {sorted(campaigns)}")
+    print(f"  ecc-pareto: {len(campaigns)} Monte-Carlo campaigns, one per "
+          "(tier, scheme)")
 
 
 def main() -> None:
