@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import LINES_PER_PAGE
-from repro.avf.tracker import line_ace_times
+from repro.avf.tracker import _line_sorted_ace
 from repro.trace.record import Trace
 
 
@@ -68,8 +68,8 @@ class PageStats:
     def index_of(self, pages) -> np.ndarray:
         """Positions of ``pages`` within this profile's arrays."""
         idx = np.searchsorted(self.pages, pages)
-        idx = np.clip(idx, 0, len(self.pages) - 1)
-        if not np.all(self.pages[idx] == pages):
+        if (np.any(idx >= len(self.pages))
+                or not np.all(self.pages[idx] == pages)):
             raise KeyError("some pages are not in this profile")
         return idx
 
@@ -85,35 +85,37 @@ def profile_trace(
     ``times`` is the logical time of every request in ``[0, 1)``; the
     window length is 1, so per-line ACE time is already a per-line AVF
     and a page's AVF is the mean over its 64 lines.
+
+    The line-sorted ACE pass is the only sort: lines, then pages, are
+    run-length codes over its stream.  ``np.bincount`` sums each line's
+    spans in time order and each page's line totals in ascending line
+    order, one addition at a time from 0.0, so the float64 results are
+    those of accumulating the same values with ``np.add.at``.
     """
-    lines = trace.lines.astype(np.int64)
-    uline, ace = line_ace_times(
-        lines, times, trace.is_write, assume_live_at_start=assume_live_at_start
-    )
-    line_pages = uline // LINES_PER_PAGE
-
-    pages_all = trace.pages.astype(np.int64)
-    unique_pages = np.unique(pages_all)
-
-    # Per-page read/write counts.
-    inverse = np.searchsorted(unique_pages, pages_all)
-    reads = np.zeros(len(unique_pages), dtype=np.int64)
-    writes = np.zeros(len(unique_pages), dtype=np.int64)
-    np.add.at(reads, inverse[~trace.is_write], 1)
-    np.add.at(writes, inverse[trace.is_write], 1)
-
+    _order, sl, sw, first, span = _line_sorted_ace(
+        trace.lines, times, trace.is_write, assume_live_at_start)
+    line_starts = np.flatnonzero(first)
+    ace = np.bincount(np.cumsum(first) - 1, weights=span)
+    line_pages = sl[line_starts] // LINES_PER_PAGE
+    page_first = np.empty(len(line_pages), dtype=bool)
+    page_first[:1] = True
+    np.not_equal(line_pages[1:], line_pages[:-1], out=page_first[1:])
+    pages = line_pages[page_first]
     # Per-page AVF: sum line ACE over the page / 64 lines / window(=1).
-    avf = np.zeros(len(unique_pages))
-    page_idx = np.searchsorted(unique_pages, line_pages)
-    np.add.at(avf, page_idx, ace)
-    avf /= LINES_PER_PAGE
+    avf = (np.bincount(np.cumsum(page_first) - 1, weights=ace)
+           / LINES_PER_PAGE)
+
+    # Each page is one run of the sorted stream.
+    page_starts = line_starts[page_first]
+    writes = np.add.reduceat(sw, page_starts, dtype=np.int64)
+    reads = np.diff(page_starts, append=len(sw)) - writes
 
     return PageStats(
-        pages=unique_pages,
+        pages=pages,
         reads=reads,
         writes=writes,
         avf=np.clip(avf, 0.0, 1.0),
-        footprint_pages=max(footprint_pages, len(unique_pages)),
+        footprint_pages=max(footprint_pages, len(pages)),
     )
 
 
@@ -144,140 +146,83 @@ def profile_intervals(
     ACE spans crossing a boundary are attributed to the interval in
     which the read occurs — the same attribution the streaming
     tracker's :meth:`~repro.avf.tracker.AceTracker.reset_window` makes.
+    This is the one-shot form of :class:`IntervalProfileBuilder`; build
+    one directly to profile a trace at many boundary sets.
     """
-    lines = trace.lines.astype(np.int64)
-    is_write = trace.is_write
-
-    # Previous-access time per line (window start for first accesses).
-    order = np.argsort(lines, kind="stable")
-    sl, st, sw = lines[order], times[order], is_write[order]
-    first = np.empty(len(sl), dtype=bool)
-    if len(sl):
-        first[0] = True
-        first[1:] = sl[1:] != sl[:-1]
-    prev = np.empty_like(st)
-    if len(sl):
-        prev[1:] = st[:-1]
-        prev[0] = 0.0
-        prev[first] = 0.0
-    contrib = np.where(~sw, st - prev, 0.0)
-    if not assume_live_at_start:
-        contrib[first & ~sw] = 0.0
-
-    interval_of = np.searchsorted(boundaries, st, side="right")
-    n_intervals = len(boundaries) + 1
-    page_of = sl // LINES_PER_PAGE
-
-    profile = IntervalProfile(num_intervals=n_intervals,
-                              interval_avf=[{} for _ in range(n_intervals)])
-    active = contrib > 0
-    for iv, page, c in zip(interval_of[active], page_of[active], contrib[active]):
-        bucket = profile.interval_avf[iv]
-        bucket[int(page)] = bucket.get(int(page), 0.0) + c / LINES_PER_PAGE
-    return profile
+    return IntervalProfileBuilder(
+        trace, times, assume_live_at_start).profile(boundaries)
 
 
 class IntervalProfileBuilder:
     """Re-bucket one trace's ACE contributions for many boundary sets.
 
-    :func:`profile_intervals` recomputes the line-sorted previous-access
-    analysis *and* walks a Python dict loop for every call; when a sweep
-    profiles the same trace at many interval counts (``fig13``) or for
-    many configs at one count, both costs repeat.  The builder hoists
-    the boundary-independent analysis (the sort dominates) into
-    ``__init__`` and replaces the dict loop with grouped ``np.add.at``
-    accumulation per call.
-
-    Parity: contributions are accumulated in the same line-sorted
-    stream order as the oracle's dict loop (``np.add.at`` applies its
-    additions one at a time in index order), and keys come out in
-    first-occurrence order, so :meth:`profile` returns interval dicts
+    ``__init__`` runs the line-sorted ACE pass once and keeps, for each
+    read that commits ACE time, its trace position, its page's dense
+    code and its page-AVF contribution, in stream order; it references
+    ``times`` rather than copying them.  Each boundary set then costs
+    linear passes (:meth:`intervals_arrays`), and :meth:`profile`
+    returns the interval dicts of the per-read dict walk
+    (``profile_intervals_reference`` in :mod:`repro.verify.oracles`)
     with bit-identical values *and* iteration order.
-    :meth:`intervals_arrays` exposes the same data as ``(pages,
-    values)`` array pairs for consumers that never need a dict.
     """
 
     def __init__(self, trace: Trace, times: np.ndarray,
                  assume_live_at_start: bool = True) -> None:
-        lines = trace.lines.astype(np.int64)
-        is_write = trace.is_write
-        order = np.argsort(lines, kind="stable")
-        sl, st, sw = lines[order], times[order], is_write[order]
-        first = np.empty(len(sl), dtype=bool)
-        if len(sl):
-            first[0] = True
-            first[1:] = sl[1:] != sl[:-1]
-        prev = np.empty_like(st)
-        if len(sl):
-            prev[1:] = st[:-1]
-            prev[0] = 0.0
-            prev[first] = 0.0
-        contrib = np.where(~sw, st - prev, 0.0)
-        if not assume_live_at_start:
-            contrib[first & ~sw] = 0.0
-        active = contrib > 0
-        #: Read time, page, and scaled contribution per active span, in
-        #: the oracle's line-sorted stream order.
-        self._read_times = st[active]
-        self._pages = (sl[active] // LINES_PER_PAGE)
-        self._values = contrib[active] / LINES_PER_PAGE
-        # The stream is line-sorted, so pages are non-decreasing; dense
-        # page codes therefore come from one run-length pass, no sort.
-        pages = self._pages
-        if len(pages):
-            step = np.empty(len(pages), dtype=np.int64)
-            step[0] = 0
-            step[1:] = pages[1:] != pages[:-1]
-            self._codes = np.add.accumulate(step)
-            self._uniq_pages = pages[np.concatenate(
-                ([0], np.flatnonzero(step[1:] != 0) + 1))]
-        else:
-            self._codes = np.empty(0, dtype=np.int64)
-            self._uniq_pages = np.empty(0, dtype=np.int64)
+        self._times = np.asarray(times, dtype=np.float64)
+        order, sl, _sw, _first, span = _line_sorted_ace(
+            trace.lines, self._times, trace.is_write, assume_live_at_start)
+        active = span > 0
+        #: Trace position, page code, and scaled contribution per
+        #: active span, in line-sorted stream order.
+        self._positions = order[active]
+        self._values = span[active] / LINES_PER_PAGE
+        pages = sl[active] // LINES_PER_PAGE
+        del order, sl, span, active
+        opens = np.empty(len(pages), dtype=bool)
+        opens[:1] = True
+        np.not_equal(pages[1:], pages[:-1], out=opens[1:])
+        self._codes = np.cumsum(opens) - 1
+        self._uniq_pages = pages[opens]
 
     def intervals_arrays(
         self, boundaries: np.ndarray
     ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Per-interval ``(pages, avf_values)`` for one boundary set.
+        """Per-interval ``(pages, avf_values)`` at ascending ``boundaries``.
 
-        Pages appear in first-occurrence order (the oracle dicts'
-        insertion order); values carry the oracle's accumulation
-        rounding exactly: one ``np.bincount`` over combined
-        ``(interval, page)`` codes adds each bin's contributions one at
-        a time in stream order, the same float64 sequence as the dict
-        loop.
+        A read at time ``t`` falls in interval ``i`` when ``i``
+        boundaries are ``<= t``.  Pages come out ascending, which is the
+        dict walk's insertion (first-occurrence) order: the stream is
+        line-sorted, so within an interval pages never decrease.  One
+        ``np.bincount`` over combined ``(interval, page)`` codes adds
+        each bin's contributions one at a time in stream order, the dict
+        walk's float64 sequence.
         """
         n_intervals = len(boundaries) + 1
         n_codes = len(self._uniq_pages)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0))
         if not n_codes:
-            return [empty] * n_intervals
-        interval_of = np.searchsorted(boundaries, self._read_times,
-                                      side="right")
-        combined = interval_of * n_codes + self._codes
+            return [(np.empty(0, dtype=np.int64), np.empty(0))] * n_intervals
+        # cuts[i] is the trace position of the first access at or past
+        # boundary i; times are sorted, so the intervals are runs.
+        cuts = np.searchsorted(self._times, boundaries)
+        interval_at = np.repeat(
+            np.arange(n_intervals),
+            np.diff(cuts, prepend=0, append=len(self._times)))
+        combined = interval_at[self._positions]
+        del interval_at
+        combined *= n_codes
+        combined += self._codes
         n_bins = n_intervals * n_codes
         sums = np.bincount(combined, weights=self._values,
                            minlength=n_bins)
-        # First-occurrence position per (interval, page): reversed
-        # fancy assignment makes the earliest stream index win.
-        first = np.full(n_bins, -1, dtype=np.int64)
-        first[combined[::-1]] = np.arange(len(combined) - 1, -1, -1)
-        out: "list[tuple[np.ndarray, np.ndarray]]" = []
-        for i in range(n_intervals):
-            lo = i * n_codes
-            seg_first = first[lo:lo + n_codes]
-            present = np.flatnonzero(seg_first >= 0)
-            if not len(present):
-                out.append(empty)
-                continue
-            by_stream = present[np.argsort(seg_first[present],
-                                           kind="stable")]
-            out.append((self._uniq_pages[by_stream],
-                        sums[lo:lo + n_codes][by_stream]))
-        return out
+        present = np.zeros(n_bins, dtype=bool)
+        present[combined] = True
+        bins = np.flatnonzero(present)
+        splits = np.searchsorted(bins, np.arange(1, n_intervals) * n_codes)
+        return list(zip(np.split(self._uniq_pages[bins % n_codes], splits),
+                        np.split(sums[bins], splits)))
 
     def profile(self, boundaries: np.ndarray) -> IntervalProfile:
-        """An :class:`IntervalProfile` identical to the oracle's."""
+        """An :class:`IntervalProfile` of the trace at ``boundaries``."""
         interval_avf = [
             dict(zip(pages.tolist(), values.tolist()))
             for pages, values in self.intervals_arrays(boundaries)

@@ -10,18 +10,16 @@ used again — exactly as in the paper's Figure 3:
 * (a) ``WR1 .. RD1 .. RD2 .. WR2``: ACE over ``[WR1, RD2]``.
 * (b) a strike between two writes with no intervening read is masked.
 
-Three equivalent implementations are provided:
-
-* :class:`AceTracker` — an exact streaming tracker with explicit state
-  transitions (reference semantics; heavily unit-tested),
-* :func:`line_ace_times` — a vectorised batch computation over a full
-  trace, used for whole-workload AVF profiling, and
-* :class:`WindowedAceTracker` — a chunk-batched tracker for the
-  dynamic migration engine: each trace chunk is committed with the
-  same sorted-by-line vectorised pass as :func:`line_ace_times`, with
-  per-line boundary state (last access time, liveness) carried between
-  chunks and across measurement windows.  Property tests assert all
-  three agree bit-for-bit on random traces.
+The streaming :class:`AceTracker` is the reference semantics (heavily
+unit-tested).  The product computes the same sums in batch — over a
+whole time-sorted trace, :func:`line_ace_times` here and page and
+interval AVF in :mod:`repro.avf.page` all read one line-sorted pass
+built on a stable radix argsort (:func:`stable_int_argsort`), then
+aggregate with run-length codes and ``np.bincount`` — and chunk by
+chunk: :class:`WindowedAceTracker` commits each chunk of the dynamic
+migration engine with the same rule, carrying per-line state (last
+access time, liveness) across chunks and windows.  Property tests and
+the ``ace`` differential-fuzz family assert bit-for-bit agreement.
 """
 
 from __future__ import annotations
@@ -263,6 +261,66 @@ class WindowedAceTracker:
         self._ace[:] = 0.0
 
 
+def stable_int_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys, in linear time.
+
+    An LSD radix sort over 16-bit digits: each pass is numpy's stable
+    counting sort of a ``uint16`` digit, and the key range (keys are
+    offset by their minimum, in ``uint64``, so negative keys work)
+    sets the number of passes.  A stable sort's permutation is unique,
+    so the result is exactly the comparison sort's.
+    """
+    keys = np.asarray(keys)
+    if not len(keys):
+        return np.empty(0, dtype=np.intp)
+    offset = keys.astype(np.uint64)
+    offset -= keys.min().astype(np.uint64)
+    order = np.argsort(offset.astype(np.uint16), kind="stable")
+    for _ in range(16, int(offset.max()).bit_length(), 16):
+        offset >>= 16
+        digit = offset.astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
+def _line_sorted_ace(
+    lines: np.ndarray,
+    times: np.ndarray,
+    is_write: np.ndarray,
+    assume_live_at_start: bool = True,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """The line-sorted ACE pass every batch profile reads.
+
+    Takes parallel arrays describing a *time-sorted* trace and returns
+    ``(order, lines, is_write, first, span)``: the stable by-line
+    permutation of trace positions (time order within a line), the
+    sorted columns (lines as ``int64``), each line's first-access flag,
+    and the ACE time each access commits — the streaming tracker's rule
+    restated per access: a read commits the interval since the previous
+    access of its line (or since the window start, for a line's first
+    access if ``assume_live_at_start``); a write commits nothing.
+    """
+    if not (len(lines) == len(times) == len(is_write)):
+        raise ValueError("parallel arrays must have equal length")
+    times = np.asarray(times, dtype=np.float64)
+    if np.any(times[1:] < times[:-1]):
+        raise ValueError("trace must be time-sorted")
+
+    order = stable_int_argsort(lines)
+    sl = np.asarray(lines)[order].astype(np.int64, copy=False)
+    sw = np.asarray(is_write, dtype=bool)[order]
+    st = times[order]
+    first = np.empty(len(sl), dtype=bool)
+    first[:1] = True
+    np.not_equal(sl[1:], sl[:-1], out=first[1:])
+
+    span = np.empty_like(st)
+    np.subtract(st[1:], st[:-1], out=span[1:])
+    np.copyto(span, st if assume_live_at_start else 0.0, where=first)
+    np.copyto(span, 0.0, where=sw)
+    return order, sl, sw, first, span
+
+
 def line_ace_times(
     lines: np.ndarray,
     times: np.ndarray,
@@ -272,41 +330,13 @@ def line_ace_times(
     """Vectorised batch ACE computation.
 
     Parameters are parallel arrays describing a *time-sorted* trace.
-    Returns ``(unique_lines, ace_time)``: per-line total ACE time.
-
-    The rule is the streaming tracker's, restated per access: every
-    read commits the interval since the previous access of the same
-    line (or since the window start, if it is the line's first access
-    and ``assume_live_at_start``); writes commit nothing.
+    Returns ``(unique_lines, ace_time)``: per-line total ACE time,
+    lines ascending.  ``np.bincount`` adds each line's spans one at a
+    time in time order starting from 0.0 — the streaming tracker's
+    float64 sequence.
     """
-    if not (len(lines) == len(times) == len(is_write)):
-        raise ValueError("parallel arrays must have equal length")
-    if len(lines) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("trace must be time-sorted")
-
-    order = np.argsort(lines, kind="stable")  # stable keeps time order
-    sl = np.asarray(lines)[order]
-    st = np.asarray(times, dtype=np.float64)[order]
-    sw = np.asarray(is_write)[order]
-
-    first_of_line = np.empty(len(sl), dtype=bool)
-    first_of_line[0] = True
-    first_of_line[1:] = sl[1:] != sl[:-1]
-
-    prev_time = np.empty_like(st)
-    prev_time[1:] = st[:-1]
-    prev_time[0] = 0.0
-    # First access of each line has no predecessor: interval starts at
-    # the window start (0) if we assume pre-window liveness.
-    prev_time[first_of_line] = 0.0
-
-    contrib = np.where(~sw, st - prev_time, 0.0)
-    if not assume_live_at_start:
-        contrib[first_of_line & ~sw] = 0.0
-
-    unique, inverse = np.unique(sl, return_inverse=True)
-    ace = np.zeros(len(unique))
-    np.add.at(ace, inverse, contrib)
-    return unique.astype(np.int64), ace
+    _order, sl, _sw, first, span = _line_sorted_ace(
+        lines, times, is_write, assume_live_at_start)
+    if not len(sl):  # bincount of nothing is an integer array
+        return sl, np.empty(0)
+    return sl[first], np.bincount(np.cumsum(first) - 1, weights=span)

@@ -18,7 +18,11 @@ pure-Python fallbacks that live next to their kernels
   its list loop without a compiler) vs the dict
   :class:`~repro.core.mea.MeaTracker`.
 * ``ace``              — streaming :class:`AceTracker` vs chunk-batched
-  :class:`WindowedAceTracker` vs the batch :func:`line_ace_times`.
+  :class:`WindowedAceTracker` vs the batch :func:`line_ace_times`, and
+  :func:`~repro.avf.page.profile_trace` and
+  :class:`~repro.avf.page.IntervalProfileBuilder` vs their reference
+  profiles, bit-exact, on page ids multiplied by ``2**k`` so the radix
+  argsort runs one, two or three digit passes.
 * ``faultsim``         — the batched Monte-Carlo kernel vs the
   per-trial reference loop (identical Poisson draws, so
   corrected/detected tallies are exact), and a ragged config batch
@@ -219,7 +223,8 @@ def check_mea(case: DiffCase) -> "str | None":
 
 
 def check_ace_trackers(case: DiffCase) -> "str | None":
-    """Streaming vs windowed vs batch ACE accounting."""
+    """Streaming vs windowed vs batch ACE accounting, then the page and
+    interval AVF profiles vs their references."""
     from repro.avf.tracker import (
         AceTracker,
         WindowedAceTracker,
@@ -258,7 +263,68 @@ def check_ace_trackers(case: DiffCase) -> "str | None":
                 if got.get(l, 0.0) != expect.get(l, 0.0)}
         return (f"batch line_ace_times differs from streaming on lines "
                 f"{sorted(diff)[:5]}")
+    return _check_profiles(case, trace, times, times[bounds[1:-1]])
+
+
+#: Page-id multipliers ``2**k`` of the ``ace`` family's profile checks:
+#: case pages (< 2**9) times ``2**k`` need 1, 2 and 3 16-bit digits as
+#: line keys.
+ACE_PAGE_SHIFTS = (0, 10, 26)
+
+
+def ace_page_shift(case: DiffCase) -> int:
+    """The exponent ``k`` of the case's page-id multiplier, by seed."""
+    return ACE_PAGE_SHIFTS[case.seed % len(ACE_PAGE_SHIFTS)]
+
+
+def _check_profiles(case: DiffCase, trace, times: np.ndarray,
+                    boundaries: np.ndarray) -> "str | None":
+    """Page and interval AVF profiles vs their oracles, bit-exact.
+
+    Page ``p`` of the case trace becomes page ``p * 2**k`` (lines in
+    the page kept), and ``boundaries`` are access times, so reads
+    exactly at a boundary occur.
+    """
+    from repro.avf.page import IntervalProfileBuilder, profile_trace
+    from repro.config import PAGE_SIZE
+    from repro.trace.record import Trace
+    from repro.verify.oracles import (
+        profile_intervals_reference,
+        profile_trace_reference,
+    )
+
+    page_bytes = np.uint64(PAGE_SIZE)
+    spread = Trace(
+        core=trace.core,
+        address=((trace.address // page_bytes)
+                 * (page_bytes << np.uint64(ace_page_shift(case)))
+                 + trace.address % page_bytes),
+        is_write=trace.is_write,
+        gap=trace.gap,
+    )
+    for live in (True, False):
+        got = profile_trace(spread, times, case.footprint_pages, live)
+        want = profile_trace_reference(spread, times, case.footprint_pages,
+                                       live)
+        for field in ("pages", "reads", "writes", "avf"):
+            a, b = getattr(got, field), getattr(want, field)
+            if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+                return (f"profile_trace {field} differs from the reference "
+                        f"(assume_live_at_start={live})")
+        if got.footprint_pages != want.footprint_pages:
+            return "profile_trace footprint_pages differs from the reference"
+        got_iv = IntervalProfileBuilder(spread, times, live).profile(boundaries)
+        want_iv = profile_intervals_reference(spread, times, boundaries, live)
+        if _interval_bits(got_iv) != _interval_bits(want_iv):
+            return (f"IntervalProfileBuilder differs from the reference "
+                    f"(assume_live_at_start={live})")
     return None
+
+
+def _interval_bits(profile) -> list:
+    """Pages in order and the exact value bits of every interval."""
+    return [(list(iv), np.array(list(iv.values()), dtype=np.float64).tobytes())
+            for iv in profile.interval_avf]
 
 
 def _campaign_batch(case: DiffCase) -> "list":

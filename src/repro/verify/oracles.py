@@ -19,6 +19,12 @@ product it checks:
   reference.
 * :func:`run_faultsim_reference` — the per-trial Monte-Carlo loop of
   :class:`~repro.faults.faultsim.FaultSimulator`.
+* :func:`profile_trace_reference` and :func:`profile_intervals_reference`
+  — page AVF and interval AVF over a comparison-sorted line stream,
+  with ``np.unique``/``np.add.at`` aggregation and a per-read dict
+  walk, which :func:`~repro.avf.page.profile_trace` and
+  :class:`~repro.avf.page.IntervalProfileBuilder` reproduce bit for
+  bit.
 
 Two references stay next to their kernels because they are also the
 compile-failure fallbacks: :func:`repro.sim.engine.replay_reference`
@@ -33,7 +39,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.avf.page import IntervalProfile, PageStats
 from repro.avf.tracker import AceTracker
+from repro.config import LINES_PER_PAGE
 from repro.core.counters import check_parallel_arrays
 from repro.core.mea import MeaTracker
 from repro.core.migration import (
@@ -48,6 +56,7 @@ from repro.core.migration import (
 from repro.dram.hma import FAST
 from repro.faults.ecc import Outcome
 from repro.faults.faultsim import FaultSimResult, FaultSimulator
+from repro.trace.record import Trace
 
 
 class FullCounters:
@@ -470,3 +479,90 @@ def run_faultsim_reference(sim: FaultSimulator,
         uncorrected=expected_uncorrected,
         expected_uncorrected_per_mission=per_mission,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference page and interval AVF profiles
+# ---------------------------------------------------------------------------
+
+
+def _line_sorted_contrib(
+    trace: Trace, times: np.ndarray, assume_live_at_start: bool
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(lines, times, ace_contribution)`` per access, comparison-sorted
+    by line (time order within a line)."""
+    lines = trace.lines.astype(np.int64)
+    order = np.argsort(lines, kind="stable")  # stable keeps time order
+    sl = lines[order]
+    st = np.asarray(times, dtype=np.float64)[order]
+    sw = trace.is_write[order]
+    first = np.empty(len(sl), dtype=bool)
+    first[:1] = True
+    first[1:] = sl[1:] != sl[:-1]
+    prev = np.empty_like(st)
+    prev[1:] = st[:-1]
+    prev[first] = 0.0
+    contrib = np.where(~sw, st - prev, 0.0)
+    if not assume_live_at_start:
+        contrib[first & ~sw] = 0.0
+    return sl, st, contrib
+
+
+def profile_trace_reference(
+    trace: Trace,
+    times: np.ndarray,
+    footprint_pages: int = 0,
+    assume_live_at_start: bool = True,
+) -> PageStats:
+    """:func:`~repro.avf.page.profile_trace` by sorting twice: per-line
+    ACE through ``np.unique`` + ``np.add.at``, pages through
+    ``np.unique`` of the trace's pages and ``np.searchsorted``."""
+    sl, _st, contrib = _line_sorted_contrib(trace, times,
+                                            assume_live_at_start)
+    uline, inverse = np.unique(sl, return_inverse=True)
+    ace = np.zeros(len(uline))
+    np.add.at(ace, inverse, contrib)
+
+    pages_all = trace.pages.astype(np.int64)
+    unique_pages = np.unique(pages_all)
+    inverse = np.searchsorted(unique_pages, pages_all)
+    reads = np.zeros(len(unique_pages), dtype=np.int64)
+    writes = np.zeros(len(unique_pages), dtype=np.int64)
+    np.add.at(reads, inverse[~trace.is_write], 1)
+    np.add.at(writes, inverse[trace.is_write], 1)
+
+    avf = np.zeros(len(unique_pages))
+    np.add.at(avf, np.searchsorted(unique_pages, uline // LINES_PER_PAGE),
+              ace)
+    avf /= LINES_PER_PAGE
+    return PageStats(
+        pages=unique_pages,
+        reads=reads,
+        writes=writes,
+        avf=np.clip(avf, 0.0, 1.0),
+        footprint_pages=max(footprint_pages, len(unique_pages)),
+    )
+
+
+def profile_intervals_reference(
+    trace: Trace,
+    times: np.ndarray,
+    boundaries: np.ndarray,
+    assume_live_at_start: bool = True,
+) -> IntervalProfile:
+    """:func:`~repro.avf.page.profile_intervals` as a dict walk over the
+    reads that commit ACE time, in line-sorted stream order."""
+    sl, st, contrib = _line_sorted_contrib(trace, times,
+                                           assume_live_at_start)
+    interval_of = np.searchsorted(boundaries, st, side="right")
+    n_intervals = len(boundaries) + 1
+    page_of = sl // LINES_PER_PAGE
+
+    profile = IntervalProfile(num_intervals=n_intervals,
+                              interval_avf=[{} for _ in range(n_intervals)])
+    active = contrib > 0
+    for iv, page, c in zip(interval_of[active], page_of[active],
+                           contrib[active]):
+        bucket = profile.interval_avf[iv]
+        bucket[int(page)] = bucket.get(int(page), 0.0) + c / LINES_PER_PAGE
+    return profile

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.avf.page import PageStats, profile_intervals, profile_trace
+from repro.avf.page import (
+    IntervalProfileBuilder,
+    PageStats,
+    profile_intervals,
+    profile_trace,
+)
+from repro.avf.tracker import line_ace_times
 from repro.config import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE
 from repro.trace.record import Trace, TraceRecord
 
@@ -66,6 +72,14 @@ class TestPageStats:
         s = self.make()
         with pytest.raises(KeyError):
             s.index_of(np.array([99]))
+
+    def test_index_of_on_empty_profile_raises_key_error(self):
+        empty = np.empty(0, dtype=np.int64)
+        s = PageStats(pages=empty, reads=empty, writes=empty,
+                      avf=np.empty(0))
+        with pytest.raises(KeyError, match="not in this profile"):
+            s.index_of(np.array([0]))
+        assert s.index_of(empty).tolist() == []
 
     def test_len(self):
         assert len(self.make()) == 3
@@ -133,3 +147,23 @@ class TestProfileIntervals:
         trace, times = trace_of([(0, 0, True), (0, 0, False)])
         iv = profile_intervals(trace, times, np.empty(0))
         assert iv.num_intervals == 1
+
+
+def _unsorted_trace():
+    """One line written at 0.1, then read at 0.6 and at 0.4."""
+    trace = Trace.from_records([
+        TraceRecord(core=0, address=0, is_write=w, gap_instructions=0)
+        for w in (True, False, False)])
+    return trace, np.array([0.1, 0.6, 0.4])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda trace, times: line_ace_times(trace.lines, times, trace.is_write),
+    lambda trace, times: profile_trace(trace, times),
+    lambda trace, times: profile_intervals(trace, times, np.array([0.5])),
+    lambda trace, times: IntervalProfileBuilder(trace, times),
+], ids=["line_ace_times", "profile_trace", "profile_intervals",
+        "IntervalProfileBuilder"])
+def test_unsorted_times_rejected(entry):
+    with pytest.raises(ValueError, match="trace must be time-sorted"):
+        entry(*_unsorted_trace())

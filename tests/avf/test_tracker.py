@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.avf.tracker import (AceTracker, WindowedAceTracker,
-                               line_ace_times)
+                               line_ace_times, stable_int_argsort)
 
 
 def run_stream(events, assume_live_at_start=True):
@@ -304,3 +304,48 @@ def test_windowed_equals_streaming(events, cuts, resets, live):
         # Exact equality: the committed sums must be bit-identical.
         assert windowed.reset_window() == stream.reset_window()
         lo = hi
+
+
+# ---------------------------------------------------------------------------
+# stable_int_argsort: the radix sort under every batch profile
+# ---------------------------------------------------------------------------
+
+#: Keys at and around the 16-bit digit edges, so one to four passes run.
+_EDGE_KEYS = (0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 32, 2 ** 62)
+
+
+def _assert_stable_argsort(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    got = stable_int_argsort(keys)
+    assert got.dtype == np.intp
+    assert got.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("keys", [
+    [], [7], [-3], [5, 5, 5], [3, 1, 2, 1, 3],
+    [2 ** 63 - 1, -2 ** 63, 0, -1, 2 ** 63 - 1, -2 ** 63],
+])
+def test_radix_argsort_small_and_extreme_inputs(keys):
+    _assert_stable_argsort(keys)
+
+
+def test_radix_argsort_unsigned_keys():
+    keys = np.array([2 ** 64 - 1, 0, 2 ** 63, 5, 0], dtype=np.uint64)
+    assert (stable_int_argsort(keys).tolist()
+            == np.argsort(keys, kind="stable").tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keys=st.lists(
+        st.one_of(st.sampled_from(_EDGE_KEYS),
+                  st.integers(-2 ** 20, 2 ** 20),
+                  st.integers(-2 ** 62, 2 ** 62)),
+        max_size=80,
+    ),
+    dup=st.integers(1, 3),
+)
+def test_radix_argsort_equals_stable_comparison_sort(keys, dup):
+    """Same permutation as the stable comparison sort: empty and short
+    inputs, duplicates, negatives and keys at the digit edges."""
+    _assert_stable_argsort(keys * dup)

@@ -5,18 +5,15 @@ and slices the ranking per capacity, and
 :func:`~repro.sim.system.evaluate_migration_multi` composes dynamic SER
 from :class:`~repro.avf.page.IntervalProfileBuilder` arrays.  Both are
 exact only because of the two contracts property-tested here against
-the per-point functions they stand in for.
+the per-point functions and the reference interval profile they stand
+in for.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.avf.page import (
-    IntervalProfileBuilder,
-    PageStats,
-    profile_intervals,
-)
+from repro.avf.page import IntervalProfileBuilder, PageStats
 from repro.config import PAGE_SIZE
 from repro.core.placement import (
     BalancedPlacement,
@@ -30,6 +27,7 @@ from repro.core.placement import (
 from repro.faults.ser import SerModel
 from repro.sim.system import prepare_workload
 from repro.trace.record import Trace
+from repro.verify.oracles import profile_intervals_reference
 
 POLICIES = (
     DdrOnlyPlacement(),
@@ -102,8 +100,14 @@ def test_interval_builder_matches_profile_intervals(seed, counts):
     model = SerModel(fit_fast_per_page=rng.uniform(1e-4, 1e-2),
                      fit_slow_per_page=rng.uniform(1e-6, 1e-4))
     for count in counts:
-        bounds = np.sort(rng.random(count))
-        want = profile_intervals(trace, times, bounds)
+        # Random cut points, plus boundaries on access times (reads
+        # exactly at a boundary) and repeated ones (empty intervals).
+        bounds = np.sort(np.concatenate([
+            rng.random(count),
+            rng.choice(times, int(rng.integers(0, 3))),
+            np.repeat(rng.random(1), int(rng.integers(0, 3))),
+        ]))
+        want = profile_intervals_reference(trace, times, bounds)
         got = builder.profile(bounds)
         assert got.num_intervals == want.num_intervals
         # Same pages, same insertion order, same float64 values.

@@ -276,6 +276,33 @@ class TestMutationSmoke:
         assert results and all(not r.passed for r in results)
         assert all("shared campaign" in r.details for r in results)
 
+    def test_radix_sort_missing_its_last_digit_pass_is_caught(
+            self, monkeypatch):
+        """A radix argsort that drops its last 16-bit digit pass when
+        keys need more than one is wrong only on spread page ids: the
+        case trace's own ACE checks pass, the profile checks fail."""
+        from repro.avf import tracker
+
+        def mutated(keys):
+            keys = np.asarray(keys)
+            offset = keys.astype(np.uint64) - keys.min().astype(np.uint64)
+            bits = int(offset.max()).bit_length()
+            order = np.argsort(offset.astype(np.uint16), kind="stable")
+            for shift in range(16, bits - 16, 16):
+                digit = (offset[order] >> shift).astype(np.uint16)
+                order = order[np.argsort(digit, kind="stable")]
+            return order
+
+        monkeypatch.setattr(tracker, "stable_int_argsort", mutated)
+        rng = np.random.default_rng(5)
+        cases = [random_case(rng, i) for i in range(3)]
+        assert [differential.ace_page_shift(c) for c in cases] == [0, 10, 26]
+        results = run_fuzz(num_cases=3, seed=5,
+                           checks={"ace": differential.check_ace_trackers})
+        assert [r.passed for r in results] == [True, False, False]
+        assert all("differs from the reference" in r.details
+                   for r in results[1:])
+
 
 class TestShrinker:
     def test_shrink_reduces_while_predicate_holds(self):
