@@ -10,7 +10,7 @@ from repro.core.placement import DdrOnlyPlacement, PerformanceFocusedPlacement
 from repro.dram.hma import HeterogeneousMemory
 from repro.harness.reporting import print_table
 from repro.sim.engine import replay
-from repro.sim.event_engine import replay_event_driven
+from repro.verify.event_engine import replay_event_driven
 
 WORKLOADS = ("astar", "libquantum")
 

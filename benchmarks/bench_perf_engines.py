@@ -12,9 +12,9 @@ from repro.config import PAGE_SIZE, scaled_config
 from repro.avf.page import profile_trace
 from repro.dram.hma import HeterogeneousMemory
 from repro.sim.engine import replay
-from repro.sim.event_engine import replay_event_driven
 from repro.trace.record import Trace
 from repro.trace.workloads import Workload
+from repro.verify.event_engine import replay_event_driven
 
 N = 20_000
 

@@ -21,8 +21,8 @@ from repro.dram.dram_cache import DramCacheSystem
 from repro.dram.hma import HeterogeneousMemory
 from repro.harness.reporting import print_table
 from repro.sim.engine import replay
-from repro.sim.event_engine import replay_event_driven
 from repro.sim.system import prepare_workload
+from repro.verify.event_engine import replay_event_driven
 
 
 def main(workload: str = "milc") -> None:

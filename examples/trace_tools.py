@@ -1,12 +1,13 @@
-"""Trace tooling: persistence, SimPoint selection, cache filtering.
+"""Trace tooling: persistence and SimPoint selection.
 
 Demonstrates the trace-side substrates on their own:
 
-1. generate a workload trace and save/load it (npz + text),
+1. generate a workload trace and save/load it (npz + text), and
 2. pick SimPoint-style representative intervals and show how well the
-   weighted representatives estimate full-trace statistics, and
-3. filter a trace through the cache hierarchy (the Moola role) and
-   compare CPU-side vs memory-side request streams.
+   weighted representatives estimate full-trace statistics.
+
+The generator emits main-memory traffic directly (the role the paper's
+Moola-filtered traces play), so no cache is simulated here.
 
     python examples/trace_tools.py
 """
@@ -14,8 +15,6 @@ Demonstrates the trace-side substrates on their own:
 import os
 import tempfile
 
-from repro.cache.hierarchy import CacheHierarchy, filter_trace
-from repro.config import CacheConfig, HierarchyConfig
 from repro.harness.reporting import print_table
 from repro.trace.io import load_npz, save_npz, save_text
 from repro.trace.simpoints import estimate_with_simpoints, pick_simpoints
@@ -55,37 +54,6 @@ def main() -> None:
         true_value = stat(trace)
         print(f"{label}: full trace {true_value:.4f}, "
               f"simpoint estimate {estimate:.4f}")
-    print()
-
-    # -- 3. cache filtering --
-    hierarchy = CacheHierarchy(
-        HierarchyConfig(
-            l1i=CacheConfig(size_bytes=8 * 1024, associativity=2),
-            l1d=CacheConfig(size_bytes=8 * 1024, associativity=4),
-            l2=CacheConfig(size_bytes=512 * 1024, associativity=16),
-        ),
-        num_cores=16,
-    )
-    cpu_side = trace.slice(0, 40_000)
-    memory_side = filter_trace(cpu_side, hierarchy)
-    print_table(
-        ["stream", "requests", "MPKI", "write fraction"],
-        [
-            ["CPU-side", len(cpu_side), f"{cpu_side.mpki():.1f}",
-             f"{cpu_side.is_write.mean():.2f}"],
-            ["memory-side", len(memory_side), f"{memory_side.mpki():.1f}",
-             f"{memory_side.is_write.mean():.2f}"],
-        ],
-        title="Cache filtering (the Moola role)",
-    )
-    l2 = hierarchy.l2.stats
-    print(f"L2: {l2.accesses} accesses, hit rate {l2.hit_rate * 100:.0f}%, "
-          f"{l2.writebacks} write-backs became memory writes")
-    print()
-    print("Note: the generator emits *post-filter* main-memory traffic")
-    print("(as the paper's Moola-filtered traces are), so this second")
-    print("pass removes only residual short-term reuse while write-backs")
-    print("convert some read-side fills into memory writes.")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """repro — Reliability-aware data placement for heterogeneous memory.
 
 A full-system, trace-driven reproduction of Gupta et al., HPCA 2018:
-synthetic workload traces, a cache hierarchy, a two-level DRAM timing
-model, per-line AVF tracking, a Monte-Carlo DRAM fault simulator, and
-the paper's static / dynamic / annotation-based placement policies.
+synthetic main-memory workload traces, a two-level DRAM timing model,
+per-line AVF tracking, a Monte-Carlo DRAM fault simulator, and the
+paper's static / dynamic / annotation-based placement policies.
 
 Quickstart::
 

@@ -1,12 +1,13 @@
 """System configuration for the HPCA 2018 reproduction (paper Table 1).
 
-Every simulated component — the 16-core processor, the cache hierarchy,
-and both memory devices of the Heterogeneous Memory Architecture (HMA)
-— is described by a frozen dataclass here.  The default values mirror
-Table 1 of the paper:
+Every component of the modelled system — the 16-core processor, the
+cache hierarchy, and both memory devices of the Heterogeneous Memory
+Architecture (HMA) — is described by a frozen dataclass here.  The
+default values mirror Table 1 of the paper:
 
 * 16 out-of-order cores at 3.2 GHz, 4-wide issue, 128-entry ROB.
-* Private 32 KB L1-I and 16 KB L1-D, shared 16 MB L2.
+* Private 32 KB L1-I and 16 KB L1-D, shared 16 MB L2 (described, not
+  simulated: the synthetic traces are main-memory traffic).
 * Low-reliability memory: 1 GB HBM, 8 channels x 128-bit at DDR
   1.0 GHz, SEC-DED ECC.
 * High-reliability memory: 16 GB DDR3, 2 channels x 64-bit at DDR
@@ -42,7 +43,14 @@ class CoreConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """One cache level."""
+    """One cache level of Table 1's hierarchy; described, not simulated.
+
+    The synthetic traffic is assumed to have already passed this
+    hierarchy: the trace generator emits main-memory requests directly
+    (see :mod:`repro.trace.synthetic`).  The level is rendered in the
+    paper's Table 1 and, through ``repr(config)``, keys the
+    prepared-workload cache.
+    """
 
     size_bytes: int
     associativity: int
@@ -67,7 +75,11 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class HierarchyConfig:
-    """The paper's cache hierarchy: private L1s, one shared L2."""
+    """The paper's cache hierarchy: private L1s, one shared L2.
+
+    It describes the hierarchy the synthetic traffic is assumed to have
+    already passed; like :class:`CacheConfig`, nothing simulates it.
+    """
 
     l1i: CacheConfig = field(
         default_factory=lambda: CacheConfig(size_bytes=32 * 1024, associativity=2)
@@ -292,7 +304,7 @@ def _knob_table(*knobs: Knob) -> "dict[str, Knob]":
 #: The full knob table, in display order.
 KNOBS: "dict[str, Knob]" = _knob_table(
     Knob("native", "REPRO_NATIVE", "bool", True,
-         "compile the C kernels: replay, cache filter, MEA "
+         "compile the C kernels: replay, MEA "
          "(0 = their pure-Python fallbacks)"),
     Knob("ckernel_dir", "REPRO_CKERNEL_DIR", "str", None,
          "cache directory for compiled kernels"),

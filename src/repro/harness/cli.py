@@ -160,41 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--bench-root", default=None, metavar="DIR",
                          help="also check the candidate's metrics against "
                               "the BENCH_*.json floors found under DIR")
-
-    serve = sub.add_parser(
-        "serve", help="run the multi-tenant placement daemon on a unix "
-                      "socket (newline-JSON protocol)"
-    )
-    serve.add_argument("--socket", required=True, metavar="PATH",
-                       help="unix-socket path to listen on")
-    serve.add_argument("--serve-dir", default=None, metavar="DIR",
-                       help="session spool root (default: a fresh tempdir)")
-    serve.add_argument("--ledger-dir", default=None, metavar="DIR",
-                       help="record each finished session in the sqlite "
-                            "run registry under DIR")
-    serve.add_argument("--max-sessions", type=int, default=8, metavar="N",
-                       help="active sessions before new opens are shed "
-                            "(default 8)")
-    serve.add_argument("--pool-workers", type=int, default=2, metavar="N",
-                       help="concurrent session replays (default 2)")
-    serve.add_argument("--rate", type=float, default=2e6, metavar="A",
-                       help="per-tenant accesses/second token-bucket rate "
-                            "(default 2e6)")
-    serve.add_argument("--burst", type=float, default=4e5, metavar="A",
-                       help="per-tenant token-bucket depth (default 4e5)")
-    serve.add_argument("--job-timeout", type=float, default=30.0,
-                       metavar="SEC",
-                       help="per-attempt session replay watchdog "
-                            "(default 30; <=0 disables)")
-    serve.add_argument("--retries", type=int, default=2, metavar="N",
-                       help="replay attempts after the first (default 2)")
-    serve.add_argument("--idle-timeout", type=float, default=300.0,
-                       metavar="SEC",
-                       help="abort open sessions idle this long "
-                            "(default 300; <=0 disables)")
-    serve.add_argument("--inline", action="store_true",
-                       help="run sessions in the daemon process instead "
-                            "of isolated workers (debugging only)")
     return parser
 
 
@@ -378,8 +343,6 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         return _cmd_report(args)
     if args.command == "compare":
         return _cmd_compare(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     if args.command == "scatter":
         from repro.core.quadrant import quadrant_split
         from repro.harness.plots import ascii_scatter
@@ -538,36 +501,6 @@ def _cmd_compare(args) -> int:
     print(obs_report.render_compare(run_a, run_b, diffs, bench))
     regressed = obs_report.find_regressions(diffs) or bench
     return 1 if regressed else 0
-
-
-def _cmd_serve(args) -> int:
-    """Run the placement daemon until SIGTERM/SIGINT, then drain."""
-    from repro.serve.service import PlacementService, ServiceConfig
-    from repro.serve.socket import ServeDaemon
-
-    config = ServiceConfig(
-        max_sessions=args.max_sessions,
-        pool_workers=args.pool_workers,
-        rate_accesses_per_sec=args.rate,
-        burst_accesses=args.burst,
-        job_timeout=args.job_timeout if args.job_timeout > 0 else None,
-        retries=args.retries,
-        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
-        serve_dir=args.serve_dir,
-        ledger_dir=args.ledger_dir,
-        isolation="inline" if args.inline else "process",
-    )
-    service = PlacementService(config)
-    recovered = service.recover()
-    if recovered:
-        print(f"recovered {len(recovered)} unfinished session(s): "
-              + ", ".join(recovered))
-    print(f"placement service listening on {args.socket} "
-          f"(spool: {config.serve_dir})")
-    states = ServeDaemon(service, args.socket).run()
-    summary = ", ".join(f"{n} {state}" for state, n in sorted(states.items()))
-    print(f"drained: {summary or 'no sessions'}")
-    return 0
 
 
 def _run_checkpointed(targets, args):

@@ -316,7 +316,6 @@ def resilient_map(
     fault_plan: "FaultPlan | None" = None,
     max_pool_respawns: int = 4,
     on_result: "Callable[[JobOutcome], None] | None" = None,
-    isolate: bool = False,
 ) -> MapReport:
     """Order-preserving map that survives crashes, hangs, and errors.
 
@@ -342,11 +341,6 @@ def resilient_map(
       remaining jobs run serially in-process as a last resort.
     * ``on_result`` fires in the parent as each job *succeeds* —
       checkpointing hooks use it to journal results incrementally.
-    * ``isolate`` forces the process-pool path even for a single job
-      (which would otherwise run serially in-process): the job gets
-      real crash/hang isolation, timeout preemption, and kill/respawn
-      recovery — what the placement service needs when dispatching one
-      session at a time.
     """
     items = list(items)
     if keys is None:
@@ -366,7 +360,7 @@ def resilient_map(
     report = MapReport(outcomes=[])
     pending = deque(state)
     rng = _jitter_rng()
-    if items and context is not None and (jobs > 1 or isolate):
+    if items and context is not None and jobs > 1:
         pending = _run_pool(pending, func, jobs, context, timeout, retries,
                             backoff, fault_plan, max_pool_respawns, report,
                             on_result, rng)

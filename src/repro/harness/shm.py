@@ -310,10 +310,9 @@ def reap_orphaned_segments() -> "list[str]":
 
     The ``atexit`` backstop cannot run when the owner is SIGKILL'd, so
     its segments would otherwise leak until reboot.  Every creation
-    site calls this first (and long-lived services may call it on
-    startup): any ``repro-shm-<pid>-…`` entry whose pid is dead — and
-    which this process does not own — is removed.  Returns the reaped
-    segment names.
+    site calls this first: any ``repro-shm-<pid>-…`` entry whose pid is
+    dead — and which this process does not own — is removed.  Returns
+    the reaped segment names.
     """
     reaped = []
     try:

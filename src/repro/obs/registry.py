@@ -14,8 +14,7 @@ Writes open a fresh connection per operation with a busy timeout, the
 store runs in WAL journal mode (readers never block the single
 writer), and operations that still lose the write lock under heavy
 multi-process contention retry with bounded backoff — so parallel
-experiment workers and the placement service's runner threads can
-append concurrently.
+experiment workers can append concurrently.
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
 """Trace-driven performance simulation: cores, replay engine, glue."""
 
-from repro.sim.checkpoint import load_prepared, save_prepared
 from repro.sim.cpu import ReplayCore
 from repro.sim.engine import interval_boundaries, replay
-from repro.sim.event_engine import EventDrivenReplay, replay_event_driven
 from repro.sim.results import ExperimentResult, ReplayResult
 from repro.sim.system import (
     DEFAULT_SCALE,
@@ -19,11 +17,7 @@ from repro.sim.system import (
 
 __all__ = [
     "ReplayCore",
-    "save_prepared",
-    "load_prepared",
     "replay",
-    "replay_event_driven",
-    "EventDrivenReplay",
     "interval_boundaries",
     "ReplayResult",
     "ExperimentResult",

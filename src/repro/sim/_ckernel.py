@@ -1,23 +1,20 @@
 """Compiled C kernels and the one helper that builds them.
 
-Three loops of the simulator are inherently sequential, so their cost
+Two loops of the simulator are inherently sequential, so their cost
 is pure interpreter dispatch: the per-request core/bank/channel
-resolution of the replay engine (:mod:`repro.sim.engine`), the fused
-L1D+L2 cache filter (:mod:`repro.cache.filter_array`), and the
-Misra-Gries MEA update.  The first two are written in C here, the
-MEA loop in :mod:`repro.core._mea_native` — operation for operation,
-in the same order, on IEEE-754 doubles — and :class:`NativeKernel`
-builds all three: the system C compiler turns a source into a tiny
-shared library, once per source revision, in one kernel directory,
-and :mod:`ctypes` binds it.  No third-party packages and no build
-step.
+resolution of the replay engine (:mod:`repro.sim.engine`) and the
+Misra-Gries MEA update.  The first is written in C here, the MEA loop
+in :mod:`repro.core._mea_native` — operation for operation, in the
+same order, on IEEE-754 doubles — and :class:`NativeKernel` builds
+both: the system C compiler turns a source into a tiny shared
+library, once per source revision, in one kernel directory, and
+:mod:`ctypes` binds it.  No third-party packages and no build step.
 
 Everything degrades gracefully: with no C compiler, a failed build, or
 ``REPRO_NATIVE=0`` (the ``native`` knob), a kernel's ``load`` returns
 ``None`` and its caller runs the bit-identical pure-Python fallback —
-:func:`repro.sim.engine.replay_reference`,
-:func:`repro.cache.hierarchy.filter_trace_reference`, or the list loop
-of :class:`repro.core.mea.ArrayMeaTracker` (see
+:func:`repro.sim.engine.replay_reference` or the list loop of
+:class:`repro.core.mea.ArrayMeaTracker` (see
 ``tests/sim/test_parity.py`` and ``tests/sim/test_ckernel_fallback.py``).
 
 Build *failure* is memoised per process exactly like success: the
@@ -204,129 +201,6 @@ void repro_multi_chunk(
 }
 """
 
-_FILTER_SOURCE = r"""
-#include <stdint.h>
-
-/* One chunk of the fused L1D+L2 cache-filter loop (the `array` kernel
- * of repro.cache.hierarchy.filter_trace).  State per cache is three
- * parallel [sets * assoc] arrays: tag (-1 = empty way), dirty, and a
- * strictly increasing LRU stamp.  Every hit and every insert takes a
- * fresh stamp, so "evict the min-stamp way" is exactly the
- * OrderedDict popitem(last=False) of the Python Cache — insertion
- * order and last-access order coincide under that discipline.
- *
- * stats layout per cache: [accesses, hits, misses, writebacks].
- * Outputs are (source access index, line, is_write) triples; gap
- * accounting is vectorised afterwards in Python from out_src.
- */
-
-static int cache_access(
-    int64_t line, uint8_t is_write,
-    int64_t nsets, int64_t assoc,
-    int64_t *tag, uint8_t *dirty, int64_t *stamp,
-    uint8_t walloc, uint8_t wback,
-    int64_t *counter, int64_t *stats,
-    int64_t *evicted_line, uint8_t *evicted_wb)
-{
-    int64_t set = line % nsets;
-    int64_t tg = line / nsets;
-    int64_t base = set * assoc;
-    *evicted_line = -1;
-    *evicted_wb = 0;
-    stats[0]++;
-    for (int64_t w = 0; w < assoc; w++) {
-        if (tag[base + w] == tg) {
-            stats[1]++;
-            dirty[base + w] |= is_write;
-            counter[0]++;
-            stamp[base + w] = counter[0];
-            return 1;
-        }
-    }
-    stats[2]++;
-    if (is_write && !walloc)
-        return 0;
-    int64_t slot = -1;
-    for (int64_t w = 0; w < assoc; w++) {
-        if (tag[base + w] < 0) { slot = w; break; }
-    }
-    if (slot < 0) {
-        int64_t best = stamp[base];
-        slot = 0;
-        for (int64_t w = 1; w < assoc; w++) {
-            if (stamp[base + w] < best) { best = stamp[base + w]; slot = w; }
-        }
-        *evicted_line = tag[base + slot] * nsets + set;
-        if (dirty[base + slot] && wback) {
-            *evicted_wb = 1;
-            stats[3]++;
-        }
-    }
-    tag[base + slot] = tg;
-    dirty[base + slot] = is_write;
-    counter[0]++;
-    stamp[base + slot] = counter[0];
-    return 0;
-}
-
-void repro_cache_filter_chunk(
-    int64_t n,
-    const int32_t *core,
-    const int64_t *line,
-    const uint8_t *is_write,
-    int64_t l1_nsets, int64_t l1_assoc,
-    int64_t *l1_tag, uint8_t *l1_dirty, int64_t *l1_stamp,
-    uint8_t l1_walloc, uint8_t l1_wback,
-    int64_t l2_nsets, int64_t l2_assoc,
-    int64_t *l2_tag, uint8_t *l2_dirty, int64_t *l2_stamp,
-    uint8_t l2_walloc, uint8_t l2_wback,
-    int64_t *counter,
-    int64_t *l1_stats,   /* [core * 4 + {acc, hit, miss, wb}] */
-    int64_t *l2_stats,   /* [4] */
-    int64_t *out_src,
-    int64_t *out_line,
-    uint8_t *out_write,
-    int64_t *out_count)
-{
-    int64_t m = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int32_t c = core[i];
-        int64_t ln = line[i];
-        uint8_t w = is_write[i];
-        int64_t off = (int64_t)c * l1_nsets * l1_assoc;
-        int64_t ev; uint8_t evwb;
-        if (cache_access(ln, w, l1_nsets, l1_assoc,
-                         l1_tag + off, l1_dirty + off, l1_stamp + off,
-                         l1_walloc, l1_wback, counter,
-                         l1_stats + (int64_t)c * 4, &ev, &evwb))
-            continue;
-        if (evwb) {
-            /* L1 victim write-back into the shared L2; a dirty L2
-             * victim of *that* allocation goes to memory first. */
-            int64_t ev2; uint8_t evwb2;
-            if (!cache_access(ev, 1, l2_nsets, l2_assoc,
-                              l2_tag, l2_dirty, l2_stamp,
-                              l2_walloc, l2_wback, counter,
-                              l2_stats, &ev2, &evwb2)
-                && evwb2) {
-                out_src[m] = i; out_line[m] = ev2; out_write[m] = 1; m++;
-            }
-        }
-        int64_t ev3; uint8_t evwb3;
-        if (!cache_access(ln, w, l2_nsets, l2_assoc,
-                          l2_tag, l2_dirty, l2_stamp,
-                          l2_walloc, l2_wback, counter,
-                          l2_stats, &ev3, &evwb3)) {
-            out_src[m] = i; out_line[m] = ln; out_write[m] = 0; m++;
-            if (evwb3) {
-                out_src[m] = i; out_line[m] = ev3; out_write[m] = 1; m++;
-            }
-        }
-    }
-    *out_count = m;
-}
-"""
-
 _lock = threading.Lock()
 #: Every kernel built through :class:`NativeKernel`.
 _KERNELS: "list[NativeKernel]" = []
@@ -442,27 +316,6 @@ def _reset_for_tests() -> None:
             kernel._outcome = None
 
 
-def _bind_filter(so_path: str):
-    lib = ctypes.CDLL(so_path)
-    fn = lib.repro_cache_filter_chunk
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_i32 = ctypes.POINTER(ctypes.c_int32)
-    p_u8 = ctypes.POINTER(ctypes.c_uint8)
-    c_i64 = ctypes.c_int64
-    c_u8 = ctypes.c_uint8
-    fn.argtypes = [
-        c_i64,                           # n
-        p_i32, p_i64, p_u8,              # core, line, is_write
-        c_i64, c_i64, p_i64, p_u8, p_i64, c_u8, c_u8,   # L1D state
-        c_i64, c_i64, p_i64, p_u8, p_i64, c_u8, c_u8,   # L2 state
-        p_i64,                           # stamp counter
-        p_i64, p_i64,                    # l1_stats, l2_stats
-        p_i64, p_i64, p_u8, p_i64,       # out_src, out_line, out_write, count
-    ]
-    fn.restype = None
-    return fn
-
-
 def _bind_multi(so_path: str):
     lib = ctypes.CDLL(so_path)
     fn = lib.repro_multi_chunk
@@ -494,8 +347,6 @@ def _bind_multi(so_path: str):
 
 _MULTI = NativeKernel("multi", _MULTI_SOURCE, "-O2", _bind_multi,
                       "replay", "the pure-Python reference replay")
-_FILTER = NativeKernel("cachefilter", _FILTER_SOURCE, "-O2", _bind_filter,
-                       "cache-filter", "the per-access reference filter")
 
 
 def load_multi():
@@ -506,16 +357,6 @@ def load_multi():
 def multi_build_error() -> "str | None":
     """The replay kernel's build/load failure, if any."""
     return _MULTI.build_error()
-
-
-def load_filter():
-    """The compiled cache-filter kernel, or ``None`` when unavailable."""
-    return _FILTER.load()
-
-
-def filter_build_error() -> "str | None":
-    """The cache-filter kernel's build/load failure, if any."""
-    return _FILTER.build_error()
 
 
 def _pi16(a):
@@ -574,31 +415,6 @@ class MultiCall:
         self._fn(self._nspec, int(start), int(stop), *self._request,
                  _pi16(pt_device), _pi64(pt_frame), int(pt_len),
                  *self._state)
-
-
-def run_filter_chunk(fn, core, line, is_write,
-                     l1_nsets, l1_assoc, l1_tag, l1_dirty, l1_stamp,
-                     l1_walloc, l1_wback,
-                     l2_nsets, l2_assoc, l2_tag, l2_dirty, l2_stamp,
-                     l2_walloc, l2_wback,
-                     counter, l1_stats, l2_stats,
-                     out_src, out_line, out_write) -> int:
-    """Invoke the compiled filter loop; returns the residual count.
-
-    All arrays must be C-contiguous with the dtypes of the binder;
-    ``out_*`` must hold at least ``3 * len(core)`` slots (worst case:
-    L1-victim write-back + fill + L2-victim write-back per access).
-    """
-    count = ctypes.c_int64(0)
-    fn(len(core), _pi32(core), _pi64(line), _pu8(is_write),
-       int(l1_nsets), int(l1_assoc), _pi64(l1_tag), _pu8(l1_dirty),
-       _pi64(l1_stamp), int(l1_walloc), int(l1_wback),
-       int(l2_nsets), int(l2_assoc), _pi64(l2_tag), _pu8(l2_dirty),
-       _pi64(l2_stamp), int(l2_walloc), int(l2_wback),
-       _pi64(counter), _pi64(l1_stats), _pi64(l2_stats),
-       _pi64(out_src), _pi64(out_line), _pu8(out_write),
-       ctypes.byref(count))
-    return count.value
 
 
 def _pf64(a):

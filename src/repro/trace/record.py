@@ -1,7 +1,7 @@
 """Trace records and batched trace containers.
 
 A trace is the unit of exchange between the workload generator, the
-cache hierarchy, the DRAM model, and the AVF engine.  The paper's
+DRAM model, and the AVF engine.  The paper's
 traces carry, for every memory request: the number of intervening
 non-memory instructions, the program counter, the memory address, and
 the request type.  We keep the same fields (minus the PC, which none of

@@ -372,10 +372,8 @@ class WorkloadTrace:
     @property
     def core_mlp(self) -> "list[int]":
         """Per-core outstanding-miss windows from the profiles."""
-        # getattr: traces unpickled from pre-v3 caches lack the field.
-        mlps = getattr(self, "core_mlps", None)
-        if mlps is not None:
-            return list(mlps)
+        if self.core_mlps is not None:
+            return list(self.core_mlps)
         return [PROFILES[b].mlp for b in self.core_benchmarks]
 
     def structures(self) -> "dict[str, list[RegionLayout]]":

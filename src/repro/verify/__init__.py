@@ -5,9 +5,9 @@ Three gates, in increasing scope (see ``docs/testing.md``):
 1. :mod:`repro.verify.differential` — a seeded cross-kernel fuzzer
    asserting bit-exact agreement between every production kernel and
    its oracle (replay, policy planners, MEA, windowed/streaming ACE,
-   batched FaultSim, cache filter; the oracles that are not also
-   fallbacks live in :mod:`repro.verify.oracles`), shrinking and
-   dumping a repro artifact on divergence.
+   batched FaultSim; the oracles that are not also fallbacks live in
+   :mod:`repro.verify.oracles`), shrinking and dumping a repro
+   artifact on divergence.
 2. :mod:`repro.verify.invariants` — metamorphic checks of the paper's
    laws (SER monotonicity, write-masked AVF, scheme orderings,
    Monte-Carlo convergence) on small prepared workloads.
@@ -18,6 +18,10 @@ Three gates, in increasing scope (see ``docs/testing.md``):
 ``run_verify`` composes all three into one machine-readable
 :class:`~repro.verify.verdict.VerifyReport`, consumed by the
 ``repro-hma verify`` CLI verb and ``tools/ci_smoke.sh``.
+
+:mod:`repro.verify.event_engine` is a reference of another kind: a
+discrete-event FR-FCFS replay that bounds the fast engine's timing
+error (``benchmarks/bench_ablation_engine.py``).
 """
 
 from __future__ import annotations

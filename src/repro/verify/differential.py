@@ -2,10 +2,9 @@
 
 Every production kernel of the simulator is compared with its oracle
 on randomized :class:`~repro.verify.cases.DiffCase` scenarios.  The
-oracles are the references of :mod:`repro.verify.oracles` and the two
-pure-Python fallbacks that live next to their kernels
-(:func:`~repro.sim.engine.replay_reference`,
-:func:`~repro.cache.hierarchy.filter_trace_reference`):
+oracles are the references of :mod:`repro.verify.oracles` and the
+pure-Python replay fallback that lives next to its kernel
+(:func:`~repro.sim.engine.replay_reference`):
 
 * ``replay-kernels``   — the pure-Python reference replay vs the
   production (compiled) replay (:mod:`repro.sim.engine`), full result
@@ -28,19 +27,16 @@ pure-Python fallbacks that live next to their kernels
   corrected/detected tallies are exact), and a ragged config batch
   through :meth:`~repro.faults.ser.SerModel.for_systems` with one
   shared campaign memo vs fresh per-memory campaigns, bit-exact.
-* ``cache-filter``     — :func:`~repro.cache.hierarchy.filter_trace`
-  vs the per-access reference filter: residual trace, final cache
-  state, and the flush tail, chunk by chunk.
 * ``shm-roundtrip``    — the shared-memory workload handoff
   (:mod:`repro.harness.shm`): arrays must come back bit-exact, with
   dtype and shape intact, through a pickled handle.
-* ``serve``            — the placement service (:mod:`repro.serve`):
-  streaming a trace through a tenant session (wire encoding, chunk
-  spool, worker replay) must reproduce the batch result bit-exactly.
 * ``replay-multi``     — the config-batched engine
   (:func:`~repro.sim.engine.replay_multi`): a ragged config batch of
   static placements plus a migration spec must match per-spec
   :func:`~repro.sim.engine.replay_reference` digests.
+* ``frontier``         — the frontier server-workload generators:
+  seeded determinism, then the ``tolerance-tiered`` planner with the
+  generated tolerance map vs its reference mechanism, bit-exact.
 * ``ecc``              — the ECC design space: LUT compilation
   (:func:`~repro.faults.ecc.build_ecc_luts`) vs scalar classification
   on random geometries, vectorised ``decode_batch`` vs scalar decode
@@ -116,8 +112,10 @@ def _first_diff(digests: "dict[str, dict]") -> "str | None":
     return None
 
 
-def _make_mechanism(name: "str | None", reference: bool = False):
-    """A fresh mechanism by name; ``reference`` picks its oracle."""
+def _make_mechanism(name: "str | None", reference: bool = False,
+                    **params):
+    """A fresh mechanism by name; ``reference`` picks its oracle and
+    ``params`` go to its constructor."""
     from repro.core.migration import (
         CrossCountersMigration,
         OracleRiskMigration,
@@ -140,7 +138,7 @@ def _make_mechanism(name: "str | None", reference: bool = False):
         from repro.verify.oracles import REFERENCE_MECHANISMS
 
         factory = REFERENCE_MECHANISMS[factory]
-    return factory()
+    return factory(**params)
 
 
 def _replay_case(case: DiffCase, reference: bool = False,
@@ -418,51 +416,6 @@ def check_faultsim(case: DiffCase) -> "str | None":
     return _check_shared_campaigns(case)
 
 
-def check_cache_filter(case: DiffCase) -> "str | None":
-    """:func:`filter_trace` vs the per-access reference filter.
-
-    The trace is fed in ``num_intervals`` chunks so the compiled loop
-    must seed from and sync back to carried-over hierarchy state, and
-    the last chunk flushes so the deterministic write-back tail
-    participates too.
-    """
-    from repro.cache.hierarchy import (
-        CacheHierarchy,
-        filter_trace,
-        filter_trace_reference,
-    )
-    from repro.trace.record import Trace
-
-    config = build_config(case)
-    trace, _times = build_trace(case)
-    bounds = np.linspace(0, len(trace), case.num_intervals + 1).astype(int)
-
-    def run(filter_fn):
-        h = CacheHierarchy(config.caches, num_cores=case.num_cores)
-        outs = []
-        for w in range(case.num_intervals):
-            lo, hi = bounds[w], bounds[w + 1]
-            chunk = Trace(core=trace.core[lo:hi],
-                          address=trace.address[lo:hi],
-                          is_write=trace.is_write[lo:hi],
-                          gap=trace.gap[lo:hi])
-            out = filter_fn(chunk, h,
-                            flush_at_end=w == case.num_intervals - 1)
-            outs.append((out.core.tolist(), out.lines.tolist(),
-                         out.is_write.tolist(), out.gap.tolist()))
-        state = {}
-        for name, cache in [("l2", h.l2)] + \
-                [(f"l1d{c}", h.l1d[c]) for c in range(case.num_cores)] + \
-                [(f"l1i{c}", h.l1i[c]) for c in range(case.num_cores)]:
-            state[name] = (cache.stats.accesses, cache.stats.hits,
-                           cache.stats.misses, cache.stats.writebacks,
-                           tuple(tuple(s.items()) for s in cache._sets))
-        return {"residual": outs, "state": state}
-
-    return _first_diff({"reference": run(filter_trace_reference),
-                        "filter": run(filter_trace)})
-
-
 def check_shm_roundtrip(case: DiffCase) -> "str | None":
     """Shared-memory handoff must reconstruct arrays bit-exactly."""
     import pickle
@@ -496,51 +449,6 @@ def check_shm_roundtrip(case: DiffCase) -> "str | None":
     return None
 
 
-def check_serve(case: DiffCase) -> "str | None":
-    """Streaming the trace through the placement service vs batch.
-
-    The case's trace is chunked through a real
-    :class:`~repro.serve.client.ServiceClient` session — JSON wire
-    encoding, chunk spool, commit, worker replay — and the session's
-    digest must be bit-identical to :func:`~repro.serve.engine.
-    run_session` on the assembled trace.  Inline isolation keeps the
-    fuzz loop fork-free; the chaos suite covers the process path.
-    """
-    import shutil
-    import tempfile
-
-    from repro.serve.client import ServiceClient
-    from repro.serve.engine import run_session
-    from repro.serve.protocol import SessionSpec
-    from repro.serve.service import PlacementService, ServiceConfig
-
-    trace, times = build_trace(case)
-    spec = SessionSpec(
-        tenant=f"fuzz-{case.case_id}",
-        num_cores=case.num_cores,
-        fast_pages=case.fast_pages,
-        slow_pages=case.slow_pages,
-        mechanism=case.mechanism,
-        num_intervals=case.num_intervals,
-    )
-    batch = run_session(spec, trace, times)
-    serve_dir = tempfile.mkdtemp(prefix="repro-fuzz-serve-")
-    try:
-        config = ServiceConfig(isolation="inline", serve_dir=serve_dir,
-                               idle_timeout=None, pool_workers=1)
-        with PlacementService(config) as service:
-            chunk_size = max(1, -(-len(trace) // 4))  # ~4 wire chunks
-            served = ServiceClient(service).run(
-                spec, trace, times, chunk_size=chunk_size)
-    finally:
-        shutil.rmtree(serve_dir, ignore_errors=True)
-    if served.digest != batch.digest:
-        return _first_diff({"batch": batch.digest, "served": served.digest})
-    if served.sha != batch.sha:
-        return f"digest sha: batch={batch.sha} served={served.sha}"
-    return None
-
-
 def check_frontier(case: DiffCase) -> "str | None":
     """Frontier server-workload generators: determinism + parity.
 
@@ -548,22 +456,23 @@ def check_frontier(case: DiffCase) -> "str | None":
 
     1. *Seeded determinism*: generating the same frontier workload
        twice must be byte-identical, array for array.
-    2. *Streamed vs batch*: the generated trace chunked through a real
-       :class:`~repro.serve.client.ServiceClient` session running the
-       ``tolerance-tiered`` mechanism must produce a digest
-       bit-identical to :func:`~repro.serve.engine.run_session` on the
-       assembled trace.
+    2. *Tolerance-weighted parity*: the generated trace replayed under
+       the ``tolerance-tiered`` mechanism holding the workload's own
+       tolerance map — the vectorised planner through
+       :func:`~repro.sim.engine.replay_multi` vs its reference
+       mechanism through :func:`~repro.sim.engine.replay_reference` —
+       must produce bit-identical digests, so every per-page
+       intolerance weight takes part in the plans.
     3. *Injected drift (negative)*: flipping a single request's
-       read/write bit must change the digest — proving the digest
-       actually covers the payload and a real divergence cannot hide.
+       read/write bit must change the product digest — proving the
+       digest actually covers the payload and a real divergence cannot
+       hide.
     """
-    import shutil
-    import tempfile
-
-    from repro.serve.client import ServiceClient
-    from repro.serve.engine import run_session
-    from repro.serve.protocol import SessionSpec
-    from repro.serve.service import PlacementService, ServiceConfig
+    from repro.avf.page import profile_trace
+    from repro.config import scaled_config
+    from repro.core.placement import PerformanceFocusedPlacement
+    from repro.dram.hma import HeterogeneousMemory
+    from repro.sim.engine import ReplaySpec, replay_multi, replay_reference
     from repro.trace.record import Trace
     from repro.workloads import FRONTIER_WORKLOADS, generate_frontier
 
@@ -583,29 +492,32 @@ def check_frontier(case: DiffCase) -> "str | None":
     if wt.tolerance.page_class.tobytes() != twin.tolerance.page_class.tobytes():
         return f"{name}: non-deterministic tolerance map"
 
-    spec = SessionSpec(
-        tenant=f"frontier-{case.case_id}",
-        num_cores=len(wt.core_benchmarks),
-        fast_pages=max(4, wt.footprint_pages // 8),
-        slow_pages=wt.footprint_pages,
-        mechanism="tolerance-tiered",
-        num_intervals=max(1, min(case.num_intervals, 4)),
-    )
-    batch = run_session(spec, wt.trace, wt.times)
-    serve_dir = tempfile.mkdtemp(prefix="repro-fuzz-frontier-")
-    try:
-        config = ServiceConfig(isolation="inline", serve_dir=serve_dir,
-                               idle_timeout=None, pool_workers=1)
-        with PlacementService(config) as service:
-            chunk_size = max(1, -(-len(wt.trace) // 4))  # ~4 wire chunks
-            served = ServiceClient(service).run(
-                spec, wt.trace, wt.times, chunk_size=chunk_size)
-    finally:
-        shutil.rmtree(serve_dir, ignore_errors=True)
-    if served.digest != batch.digest:
-        return _first_diff({"batch": batch.digest, "served": served.digest})
-    if served.sha != batch.sha:
-        return f"digest sha: batch={batch.sha} served={served.sha}"
+    # A fast tier of most of the footprint (64 of 80-96 pages) and
+    # eight intervals give the planner enough exchanges that a wrong
+    # weight changes some plan.
+    config = scaled_config(1 / 4096)
+    stats = profile_trace(wt.trace, wt.times, wt.footprint_pages)
+    fast = PerformanceFocusedPlacement().select_fast_pages(
+        stats, config.fast_memory.num_pages)
+    num_intervals = 8
+
+    def run(trace, reference: bool = False) -> dict:
+        hma = HeterogeneousMemory(config)
+        hma.install_placement(fast, stats.pages)
+        spec = ReplaySpec(
+            config=config, hma=hma,
+            mechanism=_make_mechanism("tolerance-tiered", reference,
+                                      tolerance=wt.tolerance),
+            num_intervals=num_intervals, core_windows=wt.core_mlp)
+        if reference:
+            return _digest(replay_reference(spec, trace, wt.times))
+        return _digest(replay_multi([spec], trace, wt.times)[0])
+
+    product = run(wt.trace)
+    diff = _first_diff({"reference": run(wt.trace, reference=True),
+                        "planner": product})
+    if diff:
+        return f"{name}: {diff}"
 
     # Negative test: one flipped write bit must not digest-collide.
     flipped = wt.trace.is_write.copy()
@@ -613,10 +525,8 @@ def check_frontier(case: DiffCase) -> "str | None":
     flipped[mid] = ~flipped[mid]
     drift_trace = Trace(core=wt.trace.core, address=wt.trace.address,
                         is_write=flipped, gap=wt.trace.gap)
-    drifted = run_session(spec, drift_trace, wt.times)
-    if drifted.sha == batch.sha:
-        return (f"{name}: injected drift not detected "
-                f"(sha {batch.sha} unchanged)")
+    if run(drift_trace) == product:
+        return f"{name}: injected drift not detected (digest unchanged)"
     return None
 
 
@@ -807,9 +717,7 @@ CHECKS = {
     "mea": check_mea,
     "ace": check_ace_trackers,
     "faultsim": check_faultsim,
-    "cache-filter": check_cache_filter,
     "shm-roundtrip": check_shm_roundtrip,
-    "serve": check_serve,
     "replay-multi": check_replay_multi,
     "frontier": check_frontier,
     "ecc": check_ecc,

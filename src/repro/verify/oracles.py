@@ -26,9 +26,8 @@ product it checks:
   :class:`~repro.avf.page.IntervalProfileBuilder` reproduce bit for
   bit.
 
-Two references stay next to their kernels because they are also the
-compile-failure fallbacks: :func:`repro.sim.engine.replay_reference`
-and :func:`repro.cache.hierarchy.filter_trace_reference`.
+One reference stays next to its kernel because it is also the
+compile-failure fallback: :func:`repro.sim.engine.replay_reference`.
 
 The walks' iteration order is *canonical*: touched pages ascend,
 residents are walked in ascending page order, and every ``sorted`` tie

@@ -6,8 +6,8 @@ This module models three server workload families as *statistical
 generators* in the same vocabulary the SPEC profiles use
 (:class:`~repro.trace.synthetic.RegionSpec` regions, epoch-based
 expansion), so everything downstream — the flat-memory profiler, the
-fused cache-filter pipeline, the replay kernels, and the config-batched
-multi-run engine — consumes them unchanged:
+replay kernels, and the config-batched multi-run engine — consumes
+them unchanged:
 
 * ``kvstore``   — a memcached-like key-value store: Zipf-skewed key
   popularity with *hot-key churn* (the popular key set rotates every

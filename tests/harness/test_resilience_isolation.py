@@ -1,25 +1,19 @@
-"""Single-job isolation and seeded retry-backoff jitter.
+"""Single-job dispatch and seeded retry-backoff jitter.
 
-These two resilient_map behaviours back the placement service: each
-committed session is one job dispatched with ``isolate=True`` (so a
-crash or hang hits only that session), and the backoff jitter is drawn
-from a stream seeded by the unified ``seed`` knob so a chaos run
-replays with identical timing.
+A single job runs serially in the calling process: one job has nothing
+to fan out to, so ``resilient_map`` starts no pool for it.  The backoff
+jitter is drawn from a stream seeded by the unified ``seed`` knob, so
+a chaos run replays with identical timing.
 """
 
 import os
 
 from repro.config import knob_overrides
 from repro.harness.resilience import (
-    FaultPlan,
     _backoff_delay,
     _jitter_rng,
     resilient_map,
 )
-
-
-def _double(x):
-    return 2 * x
 
 
 def _my_pid(_x):
@@ -27,23 +21,9 @@ def _my_pid(_x):
 
 
 class TestIsolate:
-    def test_single_job_runs_out_of_process(self):
-        report = resilient_map(_my_pid, [0], jobs=1, isolate=True)
-        assert report.outcomes[0].succeeded
-        assert report.outcomes[0].result != os.getpid()
-
     def test_single_job_default_stays_in_process(self):
         report = resilient_map(_my_pid, [0], jobs=1)
         assert report.outcomes[0].result == os.getpid()
-
-    def test_isolated_job_survives_a_kill(self):
-        plan = FaultPlan({"0": ["kill"]})
-        report = resilient_map(_double, [21], jobs=1, retries=1,
-                               backoff=0, fault_plan=plan, isolate=True)
-        outcome = report.outcomes[0]
-        assert outcome.succeeded and outcome.result == 42
-        assert outcome.attempts == 2
-        assert report.pool_respawns >= 1
 
 
 class TestSeededJitter:

@@ -1,9 +1,9 @@
 """Orphaned shared-memory segments: name scheme and the reaper.
 
 The atexit backstop cannot run when a segment's owner is SIGKILL'd, so
-``reap_orphaned_segments`` (called by every creation site and by the
-placement service at startup) must clean up after dead owners — and
-must never touch segments whose owner is still alive.
+``reap_orphaned_segments`` (called by every creation site) must clean
+up after dead owners — and must never touch segments whose owner is
+still alive.
 """
 
 import os

@@ -156,31 +156,6 @@ class TestCrossValidation:
             expected = page_ace.get(int(page), 0.0) / LINES_PER_PAGE
             assert stats.avf[i] == pytest.approx(expected, abs=1e-9)
 
-    def test_cache_filter_compose_with_profiler(self, preps):
-        """Raw trace -> cache filter -> AVF profile end-to-end."""
-        from repro.cache.hierarchy import CacheHierarchy, filter_trace
-        from repro.config import CacheConfig, HierarchyConfig
-
-        prep = preps["astar"]
-        wt = prep.workload_trace
-        raw = wt.trace.slice(0, 2000)
-        hierarchy = CacheHierarchy(
-            HierarchyConfig(
-                l1i=CacheConfig(size_bytes=1024, associativity=2),
-                l1d=CacheConfig(size_bytes=1024, associativity=2),
-                l2=CacheConfig(size_bytes=4096, associativity=4),
-            ),
-            num_cores=16,
-        )
-        filtered = filter_trace(raw, hierarchy)
-        # A thrashing L2 can add write-backs, so the residual trace may
-        # exceed the raw request count but stays bounded by 2x.
-        assert 0 < len(filtered) <= 2 * len(raw)
-        times = np.linspace(0, 1, len(filtered), endpoint=False)
-        stats = profile_trace(filtered, times)
-        assert np.all(stats.avf >= 0)
-        assert np.all(stats.avf <= 1)
-
 
 class TestAnnotationShapes:
     def test_annotation_counts_small(self, preps):

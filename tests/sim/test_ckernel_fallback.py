@@ -69,9 +69,9 @@ class TestCompileFailureCaching:
 
     def test_one_compile_and_one_warning_per_kernel(self, broken_cc):
         """The shared build helper memoises each kernel's failure: the
-        replay, cache-filter and MEA loaders each try ``cc`` once."""
-        loaders = (_ckernel.load_multi, _ckernel.load_filter,
-                   _mea_native.load, _mea_native.load_cc)
+        replay and MEA loaders each try ``cc`` once."""
+        loaders = (_ckernel.load_multi, _mea_native.load,
+                   _mea_native.load_cc)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for _ in range(3):
@@ -79,13 +79,12 @@ class TestCompileFailureCaching:
                     assert load() is None
         unavailable = [w for w in caught if issubclass(
             w.category, _ckernel.NativeKernelUnavailableWarning)]
-        assert len(unavailable) == 3
-        for label in ("replay", "cache-filter", "MEA"):
+        assert len(unavailable) == 2
+        for label in ("replay", "MEA"):
             assert sum(f"native {label} kernel" in str(w.message)
                        for w in unavailable) == 1
-        assert _invocations(broken_cc) == 3
+        assert _invocations(broken_cc) == 2
         for error in (_ckernel.multi_build_error(),
-                      _ckernel.filter_build_error(),
                       _mea_native.build_error()):
             assert "ld returned 1" in error
 
@@ -94,12 +93,10 @@ class TestCompileFailureCaching:
             warnings.simplefilter("error")
             with knob_overrides(native=False):
                 assert _ckernel.load_multi() is None
-                assert _ckernel.load_filter() is None
                 assert _mea_native.load() is None
                 assert _mea_native.load_cc() is None
         assert _invocations(broken_cc) == 0
         assert _ckernel.multi_build_error() is None
-        assert _ckernel.filter_build_error() is None
         assert _mea_native.build_error() is None
 
     def test_missing_compiler_is_structured_too(self, tmp_path, monkeypatch):

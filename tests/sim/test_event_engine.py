@@ -7,8 +7,8 @@ import pytest
 from repro.config import PAGE_SIZE
 from repro.dram.hma import HeterogeneousMemory
 from repro.sim.engine import replay
-from repro.sim.event_engine import replay_event_driven
 from repro.trace.record import Trace
+from repro.verify.event_engine import replay_event_driven
 
 
 def make_trace(n=1500, pages=16, cores=4, seed=0, write_frac=0.3):

@@ -77,36 +77,9 @@ class TestCleanTree:
         assert not failed, failed
 
 
-class TestServeFamily:
-    """The streamed-service check family against the batch oracle."""
-
-    def test_registered(self):
-        assert "serve" in CHECKS
-
-    def test_clean_case_passes(self):
-        assert differential.check_serve(_some_case(2)) is None
-
-    def test_streamed_divergence_is_caught(self, monkeypatch):
-        # Plant a bug in the *streamed* path only: the worker's spool
-        # reassembly silently drops the last access.  The batch oracle
-        # sees the full trace, so the digests must disagree.
-        from repro.serve import session as serve_session
-
-        orig = serve_session.load_session_trace
-
-        def truncated(directory):
-            trace, times = orig(directory)
-            return trace.slice(0, len(trace) - 1), times[:-1]
-
-        monkeypatch.setattr(serve_session, "load_session_trace",
-                            truncated)
-        finding = differential.check_serve(_some_case(2))
-        assert finding is not None
-
-
 class TestFrontierFamily:
-    """The frontier-generator check family: determinism, streamed
-    parity, and the injected-drift negative gate."""
+    """The frontier-generator check family: determinism, tolerance-
+    weighted planner parity, and the injected-drift negative gate."""
 
     def test_registered(self):
         assert "frontier" in CHECKS
@@ -121,11 +94,9 @@ class TestFrontierFamily:
 
         assert "tolerance-tiered" in MECHANISMS
 
-    def test_policy_kernel_divergence_is_caught(self, monkeypatch):
-        # Plant a bug in the tolerance weighting used by the session's
-        # mechanism: the streamed and batch replays share the planted
-        # code, so instead divergence is checked at the generator level
-        # — a non-deterministic generator must be reported.
+    def test_non_deterministic_generator_is_caught(self, monkeypatch):
+        # Every other generation flips one write bit: the two draws of
+        # the determinism gate differ and the family must say so.
         from repro.workloads import frontier as frontier_mod
 
         orig = frontier_mod.FrontierWorkload.generate
@@ -143,6 +114,22 @@ class TestFrontierFamily:
         finding = differential.check_frontier(_some_case(4))
         assert finding is not None
         assert "non-deterministic" in finding
+
+    @pytest.mark.parametrize("case_id", [0, 1, 2])
+    def test_reversed_tolerance_weights_are_caught(self, monkeypatch,
+                                                   case_id):
+        # The vectorised planner reads each page's weight in reverse
+        # order; the reference mechanism reads the tolerance map
+        # directly, so the tolerance-weighted plans must diverge.
+        from repro.core.migration import ToleranceTieredMigration
+
+        weights_of = ToleranceTieredMigration._weights_of
+        monkeypatch.setattr(ToleranceTieredMigration, "_weights_of",
+                            lambda self, pages: weights_of(self, pages)[::-1])
+        case = replace(_some_case(4), case_id=case_id)
+        finding = differential.check_frontier(case)
+        assert finding is not None
+        assert "reference=" in finding
 
 
 class TestEccFamily:

@@ -5,7 +5,7 @@ CI-level proof that the server-workload frontier holds together:
 
 * each generator family (kvstore, webserver, compiler) produces a
   seeded-deterministic trace (byte-identical regeneration),
-* the trace runs through the fused pipeline with the tolerance-tiered
+* the trace runs through prepare + replay with the tolerance-tiered
   policy and with its dict-walk reference mechanism from
   ``repro.verify.oracles``, and the two agree bit-exactly (parity
   gate),
