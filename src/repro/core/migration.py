@@ -173,6 +173,18 @@ class MigrationMechanism(ABC):
         """
         return 0.0
 
+    def replay_key(self) -> "tuple | None":
+        """This mechanism's part of the replay-memo key, or ``None``.
+
+        Everything a replay driven by a *fresh* instance depends on (see
+        :func:`repro.sim.system.evaluate_migration_multi`): the exact
+        type, since a reference subclass in :mod:`repro.verify.oracles`
+        must never share its parent's key, plus every constructor
+        argument.  ``None`` means the replay is never memoised; a
+        mechanism keeps it until it declares its key.
+        """
+        return None
+
     def _record_plan(self, plan: MigrationPlan) -> MigrationPlan:
         """Telemetry tap on a plan decision; a no-op when disabled."""
         registry = _metrics.get_registry()
@@ -210,6 +222,10 @@ class PerformanceFocusedMigration(MigrationMechanism):
         #: the dynamic per-interval mean, which "serves every
         #: application fairly" (Sec. 6.1).
         self.fixed_threshold = fixed_threshold
+
+    def replay_key(self) -> tuple:
+        return (type(self), self.counters.counter_bits,
+                self.max_swap_fraction, self.fixed_threshold)
 
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
                       times: "np.ndarray | None" = None) -> None:
@@ -286,6 +302,10 @@ class ReliabilityAwareFCMigration(MigrationMechanism):
             raise ValueError("max_swap_fraction must be in (0, 1]")
         self.counters = ArrayFullCounters(counter_bits)
         self.max_swap_fraction = max_swap_fraction
+
+    def replay_key(self) -> tuple:
+        return (type(self), self.counters.counter_bits,
+                self.max_swap_fraction)
 
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
                       times: "np.ndarray | None" = None) -> None:
@@ -370,6 +390,11 @@ class CrossCountersMigration(MigrationMechanism):
         #: High-risk pages awaiting demotion, set at FC intervals and
         #: drained by the performance unit at MEA intervals.
         self._pending_out: "list[int]" = []
+
+    def replay_key(self) -> tuple:
+        return (type(self), self.mea.capacity,
+                self.subintervals_per_interval, self.counters.counter_bits,
+                self.max_promotions)
 
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
                       times: "np.ndarray | None" = None) -> None:
@@ -561,6 +586,9 @@ class OracleRiskMigration(MigrationMechanism):
         self.tracker = WindowedAceTracker()
         self.max_swap_fraction = max_swap_fraction
 
+    def replay_key(self) -> tuple:
+        return (type(self), self.max_swap_fraction)
+
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
                       times: "np.ndarray | None" = None) -> None:
         check_parallel_arrays(f"{self.name}.observe_chunk",
@@ -640,6 +668,11 @@ class ToleranceTieredMigration(OracleRiskMigration):
                  max_swap_fraction: float = 0.1) -> None:
         super().__init__(max_swap_fraction=max_swap_fraction)
         self._weights = self._coerce_weights(tolerance)
+
+    def replay_key(self) -> tuple:
+        weights = self._weights
+        return super().replay_key() + (
+            None if weights is None else weights.tobytes(),)
 
     @staticmethod
     def _coerce_weights(tolerance) -> "np.ndarray | None":

@@ -25,6 +25,7 @@ from repro.avf.heuristics import (
     write_ratio_histogram,
 )
 from repro.config import default_config, knob_value, scaled_config
+from repro.core.annotations import plan_annotations
 from repro.core.migration import (
     CrossCountersMigration,
     PerformanceFocusedMigration,
@@ -106,7 +107,10 @@ class WorkloadCache:
     ``jobs`` processes.  ``campaigns`` is the run's fault-campaign memo
     (see :meth:`~repro.faults.ser.SerModel.for_systems`): the cache's
     own SER model and every experiment it serves share it, so each
-    distinct FaultSim campaign runs once per run.
+    distinct FaultSim campaign runs once per run.  ``replays`` is the
+    run's replay memo (see
+    :func:`~repro.sim.system.evaluate_static_multi`): every experiment
+    passes it, so each distinct replay runs once per run.
     """
 
     def __init__(
@@ -123,6 +127,7 @@ class WorkloadCache:
         self.cache_dir = cache_dir
         self.jobs = jobs
         self.campaigns: "dict[tuple, float]" = {}
+        self.replays: dict = {}
         self._ser_model = SerModel.for_system(scaled_config(scale),
                                               seed=self.seed,
                                               campaigns=self.campaigns)
@@ -242,7 +247,8 @@ def fig01_frontier(
         ipcs, sers = [], []
         for wl in workloads:
             prep = cache.get(wl)
-            res = evaluate_static(prep, HotFractionPlacement(fraction))
+            res = evaluate_static(prep, HotFractionPlacement(fraction),
+                                  memo=cache.replays)
             ipcs.append(res.ipc_vs_ddr)
             sers.append(res.ser_vs_ddr)
         rel = 1.0 / gmean(sers)  # reliability normalised to DDR-only
@@ -391,7 +397,8 @@ def _static_figure(
         specs = [StaticSpec(policy)]
         if relative_to_perf:
             specs.append(StaticSpec(PerformanceFocusedPlacement()))
-        evals = evaluate_static_multi(cache.get(wl), specs)
+        evals = evaluate_static_multi(cache.get(wl), specs,
+                                      memo=cache.replays)
         res = evals[0]
         if relative_to_perf:
             base = evals[1]
@@ -563,9 +570,11 @@ def fig12_perf_migration(
     rows, ipcs, sers, vs_static = [], [], [], []
     for wl in workloads:
         prep = cache.get(wl)
-        static = evaluate_static(prep, PerformanceFocusedPlacement())
+        static = evaluate_static(prep, PerformanceFocusedPlacement(),
+                                 memo=cache.replays)
         res = evaluate_migration(
             prep, PerformanceFocusedMigration(), num_intervals=num_intervals,
+            memo=cache.replays,
         )
         rows.append([wl, res.ipc_vs_ddr, res.ser_vs_ddr, res.migrations])
         ipcs.append(res.ipc_vs_ddr)
@@ -619,7 +628,7 @@ def fig13_interval_sweep(
             MigrationSpec(PerformanceFocusedMigration(), num_intervals=n,
                           initial_policy=DdrOnlyPlacement())
             for n in intervals
-        ])
+        ], memo=cache.replays)
         for n, res in zip(intervals, per_wl):
             results[(n, wl)] = res
     rows = []
@@ -652,7 +661,7 @@ def _migration_vs_perf(
                           num_intervals=num_intervals),
             MigrationSpec(mechanism_factory(), num_intervals=num_intervals,
                           initial_policy=BalancedPlacement()),
-        ])
+        ], memo=cache.replays)
         ipc_ratio = res.ipc / base.ipc if base.ipc else 0.0
         ser_ratio = res.ser / base.ser if base.ser else 0.0
         rows.append([wl, ipc_ratio, ser_ratio, res.migrations])
@@ -747,7 +756,7 @@ def workload_frontier(
                           num_intervals=num_intervals,
                           initial_policy=BalancedPlacement()),
         ]
-        results = evaluate_migration_multi(prep, specs)
+        results = evaluate_migration_multi(prep, specs, memo=cache.replays)
         by_name = {res.scheme: res for res in results}
         for res in results:
             rows.append([wl, res.scheme, res.ipc_vs_ddr,
@@ -866,7 +875,7 @@ def ecc_pareto(
                                       campaigns=cache.campaigns)
         results = evaluate_static_multi(prep, [
             StaticSpec(policy, config=config, ser_model=model)
-            for config, model in zip(configs, models)])
+            for config, model in zip(configs, models)], memo=cache.replays)
         for i, res in enumerate(results):
             sers[i].append(max(res.ser, 1e-30))
             ipcs[i].append(res.ipc_vs_ddr)
@@ -915,8 +924,9 @@ def fig16_annotations(workloads=ALL_WORKLOADS, cache=None,
     rows, ipc_ratios, ser_ratios = [], [], []
     for wl in workloads:
         prep = cache.get(wl)
-        base = evaluate_static(prep, PerformanceFocusedPlacement())
-        res, plan = evaluate_annotations(prep)
+        base = evaluate_static(prep, PerformanceFocusedPlacement(),
+                               memo=cache.replays)
+        res, plan = evaluate_annotations(prep, memo=cache.replays)
         ipc_ratio = res.ipc / base.ipc if base.ipc else 0.0
         ser_ratio = res.ser / base.ser if base.ser else 0.0
         rows.append([wl, ipc_ratio, ser_ratio, plan.num_annotations])
@@ -945,7 +955,8 @@ def fig17_annotation_counts(workloads=ALL_WORKLOADS, cache=None,
     counts = []
     for wl in workloads:
         prep = cache.get(wl)
-        _res, plan = evaluate_annotations(prep)
+        plan = plan_annotations(prep.workload_trace, prep.stats,
+                                prep.capacity_pages)
         rows.append([wl, plan.num_annotations,
                      ", ".join(plan.structure_names[:4])
                      + ("..." if plan.num_annotations > 4 else "")])
@@ -983,8 +994,9 @@ def table3_summary(workloads=ALL_WORKLOADS, cache=None,
         ipc_ratios, ser_ratios = [], []
         for wl in workloads:
             prep = cache.get(wl)
-            base = evaluate_static(prep, PerformanceFocusedPlacement())
-            res = evaluate_static(prep, policy)
+            base = evaluate_static(prep, PerformanceFocusedPlacement(),
+                                   memo=cache.replays)
+            res = evaluate_static(prep, policy, memo=cache.replays)
             ipc_ratios.append(res.ipc / base.ipc)
             ser_ratios.append(base.ser / res.ser)
         rows.append([label, f"{(1 - gmean(ipc_ratios)) * 100:.1f}%",
@@ -1001,11 +1013,11 @@ def table3_summary(workloads=ALL_WORKLOADS, cache=None,
             prep = cache.get(wl)
             base = evaluate_migration(
                 prep, PerformanceFocusedMigration(),
-                num_intervals=num_intervals,
+                num_intervals=num_intervals, memo=cache.replays,
             )
             res = evaluate_migration(
                 prep, factory(), num_intervals=num_intervals,
-                initial_policy=BalancedPlacement(),
+                initial_policy=BalancedPlacement(), memo=cache.replays,
             )
             ipc_ratios.append(res.ipc / base.ipc)
             ser_ratios.append(base.ser / res.ser)
@@ -1016,8 +1028,9 @@ def table3_summary(workloads=ALL_WORKLOADS, cache=None,
     ipc_ratios, ser_ratios = [], []
     for wl in workloads:
         prep = cache.get(wl)
-        base = evaluate_static(prep, PerformanceFocusedPlacement())
-        res, _plan = evaluate_annotations(prep)
+        base = evaluate_static(prep, PerformanceFocusedPlacement(),
+                               memo=cache.replays)
+        res, _plan = evaluate_annotations(prep, memo=cache.replays)
         ipc_ratios.append(res.ipc / base.ipc)
         ser_ratios.append(base.ser / res.ser)
     rows.append(["Program annotations",

@@ -31,7 +31,7 @@ from repro.core.migration import MigrationMechanism
 from repro.core.placement import PerformanceFocusedPlacement, PlacementPolicy
 from repro.dram.hma import HeterogeneousMemory
 from repro.faults.ser import SerModel
-from repro.obs import current_run
+from repro.obs import current_run, metrics
 from repro.sim.engine import replay
 from repro.sim.results import ExperimentResult
 from repro.trace.workloads import Workload, WorkloadTrace
@@ -131,25 +131,11 @@ def prepare_workload(
 
 
 def evaluate_static(
-    prep: PreparedWorkload, policy: PlacementPolicy
+    prep: PreparedWorkload, policy: PlacementPolicy,
+    memo: "dict | None" = None,
 ) -> ExperimentResult:
     """IPC and SER of one static placement on a prepared workload."""
-    return evaluate_static_multi(prep, [StaticSpec(policy)])[0]
-
-
-def _attach_run_series(tag: str, result, ser_series) -> None:
-    """Hand a replay's epoch snapshots to the active telemetry run.
-
-    Annotates the series with per-epoch SER when the lengths line up
-    (one residency set per epoch) before attaching it under ``tag``.
-    """
-    ctx = current_run()
-    series = result.snapshots
-    if ctx is None or series is None:
-        return
-    if ser_series is not None and len(ser_series) == len(series):
-        series.annotate("ser", ser_series)
-    ctx.add_series(tag, series)
+    return evaluate_static_multi(prep, [StaticSpec(policy)], memo=memo)[0]
 
 
 def evaluate_migration(
@@ -157,6 +143,7 @@ def evaluate_migration(
     mechanism: MigrationMechanism,
     num_intervals: int = 16,
     initial_policy: "PlacementPolicy | None" = None,
+    memo: "dict | None" = None,
 ) -> ExperimentResult:
     """IPC and SER of one dynamic migration scheme.
 
@@ -166,7 +153,7 @@ def evaluate_migration(
     """
     return evaluate_migration_multi(prep, [MigrationSpec(
         mechanism, num_intervals=num_intervals,
-        initial_policy=initial_policy)])[0]
+        initial_policy=initial_policy)], memo=memo)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +205,39 @@ def _select_fast_pages(policy, stats, capacity_pages, memo):
     return policy.select_fast_pages(stats, capacity_pages)
 
 
-def _replay_dedup_key(config: SystemConfig, fast_pages):
-    """Hashable identity of one static replay, or ``None``.
+def _page_set(pages) -> bytes:
+    """The distinct pages of ``pages``, ascending, as bytes."""
+    return np.unique(np.asarray(pages, dtype=np.int64)).tobytes()
 
-    The fault-model-only fields — ``fit_multiplier`` and ``ecc`` — are
-    neutralised so sweeps that vary nothing else (the FIT sweep, the
-    ECC-Pareto scheme sweep) collapse to a single replay; every other
-    config field may affect timing and stays in the key.  Returns
-    ``None`` (no deduplication) for exotic configs that do not tuplify.
+
+def _replay_key(prep: PreparedWorkload, config: SystemConfig, fast_pages,
+                pinned=(), mechanism: "MigrationMechanism | None" = None,
+                num_intervals: int = 1):
+    """Hashable identity of one replay of ``prep``'s trace, or ``None``.
+
+    The key holds everything the replay reads:
+
+    * the prep (its trace, times, page order and SER model), by ``id``;
+      the memo entry holds the prep, so the ``id`` is never reused;
+    * the config, with the fault-model-only fields (``fit_multiplier``
+      and ``ecc``) neutralised, so sweeps that vary nothing else (the
+      FIT sweep, the ECC-Pareto scheme sweep) collapse to one replay;
+      every other config field may affect timing and stays in the key;
+    * the fast-page and pinned *sets* (``install_placement`` reads only
+      the set; frames follow ``prep.stats.pages``) and the core windows;
+    * whether telemetry is recording: an entry made with telemetry off
+      has no epoch series, so it must not serve a recording call;
+    * for a migration spec, the interval count and the mechanism's
+      :meth:`~repro.core.migration.MigrationMechanism.replay_key`.
+
+    Returns ``None`` (replay, and remember nothing) for a mechanism
+    without a key or an exotic config that does not tuplify.
     """
+    mech_key = None
+    if mechanism is not None:
+        mech_key = mechanism.replay_key()
+        if mech_key is None:
+            return None
     try:
         neutral = dataclasses.replace(
             config,
@@ -241,77 +252,157 @@ def _replay_dedup_key(config: SystemConfig, fast_pages):
         hash(cfg_key)
     except (TypeError, ValueError):
         return None
-    return (cfg_key, np.asarray(fast_pages, dtype=np.int64).tobytes())
+    return (id(prep), cfg_key, _page_set(fast_pages), _page_set(pinned),
+            tuple(prep.workload_trace.core_mlp), metrics.enabled(),
+            num_intervals, mech_key)
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """What the replay memo keeps of one replay.
+
+    The numbers a result is composed from, never the
+    :class:`~repro.sim.results.ReplayResult`: its per-chunk residency
+    sets are most of its memory.  ``prep`` is held so that the ``id``
+    in the key is never reused.
+    """
+
+    prep: PreparedWorkload
+    ipc: float
+    mean_read_latency: float
+    #: Migration specs only: pages moved, the dynamic SER under the
+    #: prep's SER model and, with telemetry recording, the epoch
+    #: series annotated with per-epoch SER.
+    migrations: int = 0
+    ser: float = 0.0
+    series: "object | None" = None
+
+
+def _memoised(memo: dict, keys: list, replay) -> "list[_Outcome]":
+    """Every spec's outcome, replaying only what ``memo`` lacks.
+
+    ``keys`` holds each spec's :func:`_replay_key`.  ``replay(indices)``
+    replays the specs at ``indices`` (the first spec of each key
+    missing from ``memo``, plus every keyless spec) in one batch and
+    returns their outcomes; keyed outcomes go into ``memo``.
+    """
+    todo: "dict[object, int]" = {}
+    for i, key in enumerate(keys):
+        if key is None or key not in memo:
+            todo.setdefault(i if key is None else key, i)
+    keyless: "dict[int, _Outcome]" = {}
+    if todo:
+        for (token, i), outcome in zip(todo.items(),
+                                       replay(list(todo.values()))):
+            if keys[i] is None:
+                keyless[i] = outcome
+            else:
+                memo[token] = outcome
+    return [keyless[i] if key is None else memo[key]
+            for i, key in enumerate(keys)]
+
+
+def _experiment(prep: PreparedWorkload, scheme: str, replayed, ser: float,
+                migrations: int = 0) -> ExperimentResult:
+    """A fresh result for one scheme: ``replayed`` (an outcome or a
+    replay result) normalised to the prep's all-DDR baseline."""
+    base = prep.ddr_baseline
+    return ExperimentResult(
+        workload=prep.name,
+        scheme=scheme,
+        ipc=replayed.ipc,
+        ser=ser,
+        ipc_vs_ddr=replayed.ipc / base.ipc if base.ipc else 0.0,
+        ser_vs_ddr=ser / base.ser if base.ser else 0.0,
+        migrations=migrations,
+        mean_read_latency=replayed.mean_read_latency,
+    )
+
+
+def _annotate_ser(series, ser_series) -> None:
+    """Annotate an epoch series with per-epoch SER when the lengths
+    line up (one residency set per epoch)."""
+    if len(ser_series) == len(series):
+        series.annotate("ser", ser_series)
+
+
+def _attach_run_series(tag: str, series) -> None:
+    """Hand an epoch series to the active telemetry run, if any."""
+    ctx = current_run()
+    if ctx is not None and series is not None:
+        ctx.add_series(tag, series)
 
 
 def evaluate_static_multi(
-    prep: PreparedWorkload, specs: "list[StaticSpec]"
+    prep: PreparedWorkload, specs: "list[StaticSpec]",
+    memo: "dict | None" = None,
 ) -> "list[ExperimentResult]":
     """:func:`evaluate_static` for N configuration points in one pass.
 
-    All specs replay the prepared workload's trace; the replays are
-    batched through :func:`repro.sim.engine.replay_multi` (deduplicated
-    when specs differ only in fault model) and each result is composed
-    with the spec's SER model.  Each result equals evaluating its spec
-    alone on a prep carrying the spec's config and SER model.
+    Replays are looked up in ``memo``, keyed on what a replay reads
+    (:func:`_replay_key`): specs that differ only in fault model, or
+    that an earlier call on the same memo replayed, share one replay.
+    Pass a :class:`~repro.harness.experiments.WorkloadCache`'s
+    ``replays`` to share replays across a run; ``None`` means a fresh
+    memo for this call.  The misses are batched through one
+    :func:`repro.sim.engine.replay_multi` call (none when every spec
+    hits), and each result is composed with the spec's SER model.  Each
+    result equals evaluating its spec alone on a prep carrying the
+    spec's config and SER model.
     """
     from repro.sim.engine import ReplaySpec, replay_multi
 
     wt = prep.workload_trace
     rankings: dict = {}
     placements = []
+    keys = []
     for spec in specs:
         config = spec.config if spec.config is not None else prep.config
         fast_pages = _select_fast_pages(
             spec.policy, prep.stats, config.fast_memory.num_pages, rankings)
         placements.append((config, fast_pages))
+        keys.append(_replay_key(prep, config, fast_pages))
 
-    replay_specs: "list[ReplaySpec]" = []
-    slot_of: "list[int]" = []
-    seen: dict = {}
-    for config, fast_pages in placements:
-        key = _replay_dedup_key(config, fast_pages)
-        slot = seen.get(key) if key is not None else None
-        if slot is None:
+    def replay_static(indices):
+        replay_specs = []
+        for i in indices:
+            config, fast_pages = placements[i]
             hma = HeterogeneousMemory(config)
             hma.install_placement(fast_pages, prep.stats.pages)
-            slot = len(replay_specs)
             replay_specs.append(ReplaySpec(
                 config=config, hma=hma, core_windows=wt.core_mlp))
-            if key is not None:
-                seen[key] = slot
-        slot_of.append(slot)
+        return [_Outcome(prep, result.ipc, result.mean_read_latency)
+                for result in replay_multi(replay_specs, wt.trace, wt.times)]
 
-    replays = replay_multi(replay_specs, wt.trace, wt.times)
-
-    base = prep.ddr_baseline
+    outcomes = _memoised({} if memo is None else memo, keys, replay_static)
     out = []
-    for spec, (config, fast_pages), slot in zip(specs, placements, slot_of):
-        result = replays[slot]
+    for spec, (config, fast_pages), outcome in zip(specs, placements,
+                                                   outcomes):
         ser_model = (spec.ser_model if spec.ser_model is not None
                      else prep.ser_model)
         ser = ser_model.ser_static(prep.stats, fast_pages)
-        out.append(ExperimentResult(
-            workload=prep.name,
-            scheme=spec.policy.name,
-            ipc=result.ipc,
-            ser=ser,
-            ipc_vs_ddr=result.ipc / base.ipc if base.ipc else 0.0,
-            ser_vs_ddr=ser / base.ser if base.ser else 0.0,
-            mean_read_latency=result.mean_read_latency,
-        ))
+        out.append(_experiment(prep, spec.policy.name, outcome, ser))
     return out
 
 
 def evaluate_migration_multi(
-    prep: PreparedWorkload, specs: "list[MigrationSpec]"
+    prep: PreparedWorkload, specs: "list[MigrationSpec]",
+    memo: "dict | None" = None,
 ) -> "list[ExperimentResult]":
     """:func:`evaluate_migration` for N mechanism points in one pass.
 
-    One :func:`repro.sim.engine.replay_multi` call covers every spec,
-    and one :class:`~repro.avf.page.IntervalProfileBuilder` serves the
-    dynamic-SER accounting of every interval count.  Each result equals
-    evaluating its spec alone.
+    Replays are looked up in ``memo`` as in
+    :func:`evaluate_static_multi`; the key adds the interval count and
+    the mechanism's
+    :meth:`~repro.core.migration.MigrationMechanism.replay_key`, and a
+    mechanism without one is always replayed.  A hit assumes each
+    spec's mechanism is fresh, as every caller that builds it inline
+    guarantees.  One :func:`repro.sim.engine.replay_multi` call covers
+    the misses, and one :class:`~repro.avf.page.IntervalProfileBuilder`
+    serves the dynamic-SER accounting of every interval count.  With
+    telemetry recording, each spec's epoch series (a hit's stored one)
+    is attached to the active run.  Each result equals evaluating its
+    spec alone.
     """
     from repro.avf.page import IntervalProfileBuilder
     from repro.sim.engine import ReplaySpec, replay_multi
@@ -319,88 +410,102 @@ def evaluate_migration_multi(
     wt = prep.workload_trace
     rankings: dict = {}
     default_policy = PerformanceFocusedPlacement()
-    replay_specs = []
+    placements = []
+    keys = []
     for spec in specs:
         policy = (spec.initial_policy if spec.initial_policy is not None
                   else default_policy)
         fast_pages = _select_fast_pages(
             policy, prep.stats, prep.capacity_pages, rankings)
-        hma = HeterogeneousMemory(prep.config)
-        hma.install_placement(fast_pages, prep.stats.pages)
-        replay_specs.append(ReplaySpec(
-            config=prep.config, hma=hma, mechanism=spec.mechanism,
-            num_intervals=spec.num_intervals, core_windows=wt.core_mlp))
+        placements.append(fast_pages)
+        keys.append(_replay_key(prep, prep.config, fast_pages,
+                                mechanism=spec.mechanism,
+                                num_intervals=spec.num_intervals))
 
-    replays = replay_multi(replay_specs, wt.trace, wt.times)
+    def replay_migration(indices):
+        replay_specs = []
+        for i in indices:
+            hma = HeterogeneousMemory(prep.config)
+            hma.install_placement(placements[i], prep.stats.pages)
+            replay_specs.append(ReplaySpec(
+                config=prep.config, hma=hma, mechanism=specs[i].mechanism,
+                num_intervals=specs[i].num_intervals,
+                core_windows=wt.core_mlp))
+        replays = replay_multi(replay_specs, wt.trace, wt.times)
 
-    # The builder depends only on the prep's (immutable) trace and
-    # times, so cache it on the prep across evaluate calls.
-    builder = getattr(prep, "_interval_builder", None)
-    if builder is None:
-        builder = IntervalProfileBuilder(wt.trace, wt.times)
-        prep._interval_builder = builder
-    pairs_memo: dict = {}
-    base = prep.ddr_baseline
+        # The builder depends only on the prep's (immutable) trace and
+        # times, so cache it on the prep across evaluate calls.
+        builder = getattr(prep, "_interval_builder", None)
+        if builder is None:
+            builder = IntervalProfileBuilder(wt.trace, wt.times)
+            prep._interval_builder = builder
+        pairs_memo: dict = {}
+        outcomes = []
+        for result in replays:
+            bounds = result.interval_boundaries
+            series = result.snapshots
+            if series is not None:
+                # Telemetry needs the dict-form profile for the epoch
+                # series; reuse the builder rather than re-profiling.
+                intervals = builder.profile(bounds)
+                ser = prep.ser_model.ser_dynamic(intervals,
+                                                 result.fast_residency)
+                _annotate_ser(series, prep.ser_model.ser_dynamic_series(
+                    intervals, result.fast_residency))
+            else:
+                key = bounds.tobytes()
+                pairs = pairs_memo.get(key)
+                if pairs is None:
+                    pairs = builder.intervals_arrays(bounds)
+                    pairs_memo[key] = pairs
+                ser = prep.ser_model.ser_dynamic_arrays(
+                    pairs, result.fast_residency)
+            outcomes.append(_Outcome(
+                prep, result.ipc, result.mean_read_latency,
+                migrations=result.migrations.total, ser=ser,
+                series=series))
+        return outcomes
+
+    outcomes = _memoised({} if memo is None else memo, keys,
+                         replay_migration)
     out = []
-    for spec, rspec, result in zip(specs, replay_specs, replays):
-        bounds = result.interval_boundaries
-        if result.snapshots is not None:
-            # Telemetry needs the dict-form profile for the epoch
-            # series; reuse the builder rather than re-profiling.
-            intervals = builder.profile(bounds)
-            ser = prep.ser_model.ser_dynamic(intervals, result.fast_residency)
-            _attach_run_series(
-                f"{prep.name}:{spec.mechanism.name}", result,
-                prep.ser_model.ser_dynamic_series(intervals,
-                                                  result.fast_residency))
-        else:
-            key = bounds.tobytes()
-            pairs = pairs_memo.get(key)
-            if pairs is None:
-                pairs = builder.intervals_arrays(bounds)
-                pairs_memo[key] = pairs
-            ser = prep.ser_model.ser_dynamic_arrays(pairs,
-                                                    result.fast_residency)
-        out.append(ExperimentResult(
-            workload=prep.name,
-            scheme=spec.mechanism.name,
-            ipc=result.ipc,
-            ser=ser,
-            ipc_vs_ddr=result.ipc / base.ipc if base.ipc else 0.0,
-            ser_vs_ddr=ser / base.ser if base.ser else 0.0,
-            migrations=rspec.hma.migration_stats.total,
-            mean_read_latency=result.mean_read_latency,
-        ))
+    for spec, outcome in zip(specs, outcomes):
+        scheme = spec.mechanism.name
+        _attach_run_series(f"{prep.name}:{scheme}", outcome.series)
+        out.append(_experiment(prep, scheme, outcome, outcome.ser,
+                               migrations=outcome.migrations))
     return out
 
 
 def evaluate_annotations(
-    prep: PreparedWorkload, avf_quantile: float = 0.7
+    prep: PreparedWorkload, avf_quantile: float = 0.7,
+    memo: "dict | None" = None,
 ) -> "tuple[ExperimentResult, AnnotationPlan]":
-    """IPC/SER of the program-annotation placement (paper Section 7)."""
+    """IPC/SER of the program-annotation placement (paper Section 7).
+
+    The pinned replay is looked up in ``memo`` as in
+    :func:`evaluate_static_multi`; a miss runs :func:`replay`.
+    """
     plan = plan_annotations(
         prep.workload_trace, prep.stats, prep.capacity_pages,
         avf_quantile=avf_quantile,
     )
-    hma = HeterogeneousMemory(prep.config)
-    hma.install_placement(plan.pinned_pages, prep.stats.pages)
-    hma.pin(plan.pinned_pages)
-    wt = prep.workload_trace
-    result = replay(prep.config, hma, wt.trace, wt.times, core_windows=wt.core_mlp)
-    ser = prep.ser_model.ser_static(prep.stats, plan.pinned_pages)
-    base = prep.ddr_baseline
-    return (
-        ExperimentResult(
-            workload=prep.name,
-            scheme="annotations",
-            ipc=result.ipc,
-            ser=ser,
-            ipc_vs_ddr=result.ipc / base.ipc if base.ipc else 0.0,
-            ser_vs_ddr=ser / base.ser if base.ser else 0.0,
-            mean_read_latency=result.mean_read_latency,
-        ),
-        plan,
-    )
+    pinned = plan.pinned_pages
+
+    def replay_pinned(_indices):
+        hma = HeterogeneousMemory(prep.config)
+        hma.install_placement(pinned, prep.stats.pages)
+        hma.pin(pinned)
+        wt = prep.workload_trace
+        result = replay(prep.config, hma, wt.trace, wt.times,
+                        core_windows=wt.core_mlp)
+        return [_Outcome(prep, result.ipc, result.mean_read_latency)]
+
+    key = _replay_key(prep, prep.config, pinned, pinned=pinned)
+    (outcome,) = _memoised({} if memo is None else memo, [key],
+                           replay_pinned)
+    ser = prep.ser_model.ser_static(prep.stats, pinned)
+    return _experiment(prep, "annotations", outcome, ser), plan
 
 
 def evaluate_annotation_migration(
@@ -439,25 +544,13 @@ def evaluate_annotation_migration(
     )
     intervals = profile_intervals(wt.trace, wt.times, result.interval_boundaries)
     ser = prep.ser_model.ser_dynamic(intervals, result.fast_residency)
+    scheme = f"annotations+{mechanism.name}"
     if result.snapshots is not None:
-        _attach_run_series(
-            f"{prep.name}:annotations+{mechanism.name}", result,
-            prep.ser_model.ser_dynamic_series(intervals,
-                                              result.fast_residency))
-    base = prep.ddr_baseline
-    return (
-        ExperimentResult(
-            workload=prep.name,
-            scheme=f"annotations+{mechanism.name}",
-            ipc=result.ipc,
-            ser=ser,
-            ipc_vs_ddr=result.ipc / base.ipc if base.ipc else 0.0,
-            ser_vs_ddr=ser / base.ser if base.ser else 0.0,
-            migrations=hma.migration_stats.total,
-            mean_read_latency=result.mean_read_latency,
-        ),
-        plan,
-    )
+        _annotate_ser(result.snapshots, prep.ser_model.ser_dynamic_series(
+            intervals, result.fast_residency))
+        _attach_run_series(f"{prep.name}:{scheme}", result.snapshots)
+    return (_experiment(prep, scheme, result, ser,
+                        migrations=hma.migration_stats.total), plan)
 
 
 def run_placement_experiment(

@@ -3,8 +3,9 @@
 Preparing a workload (trace synthesis, profiling, the all-DDR
 baseline) dominates gate runtime, and both gates score the same
 schemes on the same preps, so one :class:`EvalBundle` is built once
-per ``repro-hma verify`` run and handed to both.  Scheme evaluations
-are memoised on the bundle for the same reason.
+per ``repro-hma verify`` run and handed to both.  The bundle holds one
+replay memo for the same reason: it is keyed on what a replay reads,
+so each distinct scheme replays once whichever gate asks first.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ BUNDLE_SEED = 1234
 
 @dataclass
 class EvalBundle:
-    """Prepared workloads plus memoised scheme evaluations."""
+    """Prepared workloads plus the replay memo of their evaluations."""
 
     preps: "dict[str, PreparedWorkload]"
     accesses_per_core: int
     num_intervals: int
     quick: bool
-    _static: dict = field(default_factory=dict)
-    _migration: dict = field(default_factory=dict)
+    replays: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, quick: bool = False, progress=None) -> "EvalBundle":
@@ -54,21 +54,16 @@ class EvalBundle:
         return tuple(self.preps)
 
     def static(self, workload: str, policy):
-        """Memoised :func:`evaluate_static` result."""
-        key = (workload, policy.name)
-        if key not in self._static:
-            self._static[key] = evaluate_static(self.preps[workload], policy)
-        return self._static[key]
+        """:func:`evaluate_static` through the bundle's replay memo."""
+        return evaluate_static(self.preps[workload], policy,
+                               memo=self.replays)
 
-    def migration(self, workload: str, mechanism_factory, name: str):
-        """Memoised :func:`evaluate_migration` result.
+    def migration(self, workload: str, mechanism_factory):
+        """:func:`evaluate_migration` through the bundle's replay memo.
 
         ``mechanism_factory`` must build a *fresh* mechanism (they are
-        stateful); ``name`` keys the memo.
+        stateful, and a memo hit assumes an unused one).
         """
-        key = (workload, name)
-        if key not in self._migration:
-            self._migration[key] = evaluate_migration(
-                self.preps[workload], mechanism_factory(),
-                num_intervals=self.num_intervals)
-        return self._migration[key]
+        return evaluate_migration(
+            self.preps[workload], mechanism_factory(),
+            num_intervals=self.num_intervals, memo=self.replays)

@@ -122,7 +122,7 @@ def _migration_gains(bundle: EvalBundle) -> "dict[str, float]":
     }
     gains = {}
     for name, factory in factories.items():
-        ratios = [bundle.migration(w, factory, name).ser_vs_ddr
+        ratios = [bundle.migration(w, factory).ser_vs_ddr
                   for w in bundle.workloads]
         gains[name] = 1.0 / _gmean(ratios)  # SER gain vs the ddr baseline
     return gains

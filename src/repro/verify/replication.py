@@ -70,8 +70,7 @@ def measure(bundle: EvalBundle) -> Measurements:
         ipc[key] = _gmean(r.ipc_vs_ddr for r in results)
         ser[key] = _gmean(r.ser_vs_ddr for r in results)
     for key, factory in migrations.items():
-        results = [bundle.migration(w, factory, key)
-                   for w in bundle.workloads]
+        results = [bundle.migration(w, factory) for w in bundle.workloads]
         ipc[key] = _gmean(r.ipc_vs_ddr for r in results)
         ser[key] = _gmean(r.ser_vs_ddr for r in results)
     return Measurements(ipc=ipc, ser=ser)

@@ -105,3 +105,35 @@ def faultsim_runs(monkeypatch):
 
     monkeypatch.setattr(FaultSimulator, "run", counted)
     return calls
+
+
+@pytest.fixture
+def replay_runs(monkeypatch):
+    """One fingerprint per spec that ``replay_multi`` ran while the test
+    runs (``replay`` included): the trace, the config, the fast-page
+    and pinned sets, the interval count and the mechanism (its type
+    plus its scalar attributes, or ``None``)."""
+    import hashlib
+
+    from repro.dram.hma import FAST
+    from repro.sim import engine
+
+    runs = []
+    replay_multi = engine.replay_multi
+
+    def counted(specs, trace, times=None):
+        digest = hashlib.sha1(trace.address.tobytes()).hexdigest()
+        for spec in specs:
+            mech = spec.mechanism
+            if mech is not None:
+                mech = (type(mech).__qualname__, tuple(sorted(
+                    (name, value) for name, value in vars(mech).items()
+                    if isinstance(value, (bool, int, float, str)))))
+            runs.append((digest, repr(spec.config),
+                         tuple(sorted(spec.hma.pages_in(FAST))),
+                         tuple(sorted(spec.hma.pinned)),
+                         spec.num_intervals, mech))
+        return replay_multi(specs, trace, times)
+
+    monkeypatch.setattr(engine, "replay_multi", counted)
+    return runs
