@@ -233,7 +233,7 @@ def _bind(so_path: str):
     return fn, cc
 
 
-_KERNEL = NativeKernel("mea", _SOURCE, "-O3", _bind,
+_KERNEL = NativeKernel("mea", _SOURCE, ("-O3",), _bind,
                        "MEA", "the pure-Python update loop")
 
 

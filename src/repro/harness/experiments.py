@@ -620,7 +620,7 @@ def fig13_interval_sweep(
     # ever exploit the fast memory, short ones drown in migration
     # bandwidth.
     # One batched pass per workload covers every interval count
-    # (sharing the trace precompute and the interval profiler), then
+    # (sharing the page column and the interval profiler), then
     # the results regroup into per-count rows.
     results = {}
     for wl in workloads:

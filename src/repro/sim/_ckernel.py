@@ -6,9 +6,11 @@ resolution of the replay engine (:mod:`repro.sim.engine`) and the
 Misra-Gries MEA update.  The first is written in C here, the MEA loop
 in :mod:`repro.core._mea_native` — operation for operation, in the
 same order, on IEEE-754 doubles — and :class:`NativeKernel` builds
-both: the system C compiler turns a source into a tiny shared
-library, once per source revision, in one kernel directory, and
-:mod:`ctypes` binds it.  No third-party packages and no build step.
+both: the system C compiler turns a source and its flags into a tiny
+shared library, once per revision of either, in one kernel directory,
+and :mod:`ctypes` binds it.  No third-party packages and no build
+step.  The replay kernel reads a ``Trace``'s own columns in place, so
+a replay makes no per-request copy of the trace.
 
 Everything degrades gracefully: with no C compiler, a failed build, or
 ``REPRO_NATIVE=0`` (the ``native`` knob), a kernel's ``load`` returns
@@ -36,6 +38,8 @@ import tempfile
 import threading
 import warnings
 
+from repro.config import LINE_SIZE, PAGE_SIZE
+
 
 class NativeKernelUnavailableWarning(RuntimeWarning):
     """A compiled kernel could not be built or loaded.
@@ -44,36 +48,44 @@ class NativeKernelUnavailableWarning(RuntimeWarning):
     back to the bit-identical pure-Python implementation.
     """
 
-_MULTI_SOURCE = r"""
+#: Page and line sizes are compiled in: dividing by them is a shift.
+_MULTI_SOURCE = f"""
+#define PAGE_SIZE {PAGE_SIZE}u
+#define LINE_SIZE {LINE_SIZE}u
+""" + r"""
 #include <stdint.h>
 
 /* One chunk of the config-batched replay loop.
  *
  * Mirrors the reference path (ReplayCore + HeterogeneousMemory.service
  * + MemoryDevice.service) float-operation for float-operation; compiled
- * without -ffast-math so the doubles round exactly like CPython's.
- * Page-table translation and channel/bank/row routing are pure integer
- * arithmetic on non-negative operands, so C's / and % match Python's.
- * An outer loop walks nspec system configurations stacked along the
- * leading axis of every state array, so one call replays the shared
- * request chunk against N page tables / capacities / latency tables.  The request arrays (core, dts, page, line, is_write)
- * are shared by every config and span the whole trace; the chunk is the
- * index range [start, stop), so callers pass full-trace pointers once
- * and move only the bounds between chunks.  Everything else is
- * per-config with the config index as the leading dimension.
+ * without -ffast-math and with -ffp-contract=off so the doubles round
+ * exactly like CPython's (gap * spi is rounded before it is added).
+ * Page/line decomposition, page-table translation and channel/bank/row
+ * routing are pure integer arithmetic on non-negative operands, so C's
+ * / and % match Python's.  An outer loop walks nspec system
+ * configurations stacked along the leading axis of every state array,
+ * so one call replays the shared request chunk against N page tables /
+ * capacities / latency tables.  The request arrays (address, core,
+ * is_write, gap) are the trace's own columns, shared by every config
+ * and spanning the whole trace; the chunk is the index range
+ * [start, stop), so callers pass full-trace pointers once and move
+ * only the bounds between chunks.  Everything else is per-config with
+ * the config index as the leading dimension.
  *
- * dev_counts layout per config: [reads_fast, reads_slow, writes_fast,
- * writes_slow], incremented in place.
+ * instructions layout per config: [ncores] retired instructions (every
+ * gap plus the access itself), and dev_counts: [reads_fast,
+ * reads_slow, writes_fast, writes_slow]; both incremented in place.
  */
 void repro_multi_chunk(
     int64_t nspec,
     int64_t start,
     int64_t stop,
-    const int32_t *core,
-    const double *dts,
-    const int64_t *page,
-    const int64_t *line,
-    const uint8_t *is_write,
+    const uint64_t *address,
+    const uint16_t *core,
+    const uint8_t *is_write,      /* numpy bool: one byte, 0 or 1 */
+    const uint32_t *gap,
+    double spi,                   /* seconds per instruction */
     int64_t lines_per_page,
     int64_t lines_per_row,
     int64_t f_nc, int64_t s_nc,
@@ -84,6 +96,7 @@ void repro_multi_chunk(
     int64_t pt_len,
     const double *latconst,       /* [nspec][8] */
     double *core_time,            /* [nspec][ncores] */
+    int64_t *instructions,        /* [nspec][ncores] */
     const int32_t *windows,       /* [nspec][ncores] */
     double *ring,                 /* [nspec][ncores][ringcap] */
     int32_t *ring_head,           /* [nspec][ncores] */
@@ -108,6 +121,7 @@ void repro_multi_chunk(
         const int64_t *ptf = pt_frame + k * pt_len;
         const double *lconst = latconst + k * 8;
         double *ctime = core_time + k * ncores;
+        int64_t *instr = instructions + k * ncores;
         const int32_t *wins = windows + k * ncores;
         double *kring = ring + k * ncores * ringcap;
         int32_t *khead = ring_head + k * ncores;
@@ -124,9 +138,11 @@ void repro_multi_chunk(
         double rtotal = read_total[k];
         for (int64_t i = start; i < stop; i++) {
             /* -- translation + routing (pure integer, matches numpy) -- */
-            int64_t p = page[i];
+            uint64_t a = address[i];
+            int64_t p = (int64_t)(a / PAGE_SIZE);
             int64_t d = (int64_t)ptd[p];
-            int64_t local = ptf[p] * lines_per_page + line[i];
+            int64_t local = ptf[p] * lines_per_page
+                            + (int64_t)((a % PAGE_SIZE) / LINE_SIZE);
             int64_t nc = d ? s_nc : f_nc;
             int64_t bpc = d ? s_bpc : f_bpc;
             int64_t channel = local % nc;
@@ -141,7 +157,8 @@ void repro_multi_chunk(
             /* -- busy-until resolution; ring is a per-core circular
              * buffer of in-flight finish times (ReplayCore's deque) -- */
             int32_t c = core[i];
-            double t = ctime[c] + dts[i];
+            double t = ctime[c] + (double)gap[i] * spi;
+            instr[c] += (int64_t)gap[i] + 1;
             double *r = kring + (int64_t)c * ringcap;
             int32_t head = khead[c];
             int32_t len = klen[c];
@@ -216,7 +233,7 @@ def _kernel_dir() -> str:
                         f"repro-ckernel-{os.getuid()}")
 
 
-def _compile(so_path: str, source: str, opt: str) -> "str | None":
+def _compile(so_path: str, source: str, flags: tuple) -> "str | None":
     """Compile a kernel; returns None on success, an error detail on
     failure (including the compiler's stderr where available)."""
     compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
@@ -230,7 +247,7 @@ def _compile(so_path: str, source: str, opt: str) -> "str | None":
         with open(c_path, "w") as fh:
             fh.write(source)
         subprocess.run(
-            [compiler, opt, "-fPIC", "-shared", "-o", tmp_so, c_path],
+            [compiler, *flags, "-fPIC", "-shared", "-o", tmp_so, c_path],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp_so, so_path)  # atomic under concurrent builds
@@ -248,20 +265,21 @@ def _compile(so_path: str, source: str, opt: str) -> "str | None":
 
 
 class NativeKernel:
-    """One C kernel: its source, optimisation flag, and binder.
+    """One C kernel: its source, compiler flags, and binder.
 
-    :meth:`load` builds ``<stem>-<source digest>.so`` in the kernel
-    directory (``REPRO_CKERNEL_DIR``, default
+    ``flags`` is a tuple with one compiler argument per element.
+    :meth:`load` builds ``<stem>-<digest of source and flags>.so`` in
+    the kernel directory (``REPRO_CKERNEL_DIR``, default
     ``$TMPDIR/repro-ckernel-<uid>``) unless it is already there, binds
     it with ``bind(so_path)``, and memoises the outcome — success or
     failure — for the rest of the process.
     """
 
-    def __init__(self, stem: str, source: str, opt: str, bind,
+    def __init__(self, stem: str, source: str, flags: tuple, bind,
                  label: str, fallback: str) -> None:
         self.stem = stem
         self.source = source
-        self.opt = opt
+        self.flags = flags
         self.bind = bind
         self.label = label
         self.fallback = fallback
@@ -289,12 +307,13 @@ class NativeKernel:
 
         if not knob_value("native"):
             return None, None
-        digest = hashlib.sha256(self.source.encode()).hexdigest()[:16]
+        digest = hashlib.sha256(
+            "\0".join((self.source, *self.flags)).encode()).hexdigest()[:16]
         so_path = os.path.join(_kernel_dir(), f"{self.stem}-{digest}.so")
         bound, error = None, None
         try:
             if not os.path.exists(so_path):
-                error = _compile(so_path, self.source, self.opt)
+                error = _compile(so_path, self.source, self.flags)
             if error is None:
                 bound = self.bind(so_path)
         except OSError as exc:
@@ -319,34 +338,35 @@ def _reset_for_tests() -> None:
 def _bind_multi(so_path: str):
     lib = ctypes.CDLL(so_path)
     fn = lib.repro_multi_chunk
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_i32 = ctypes.POINTER(ctypes.c_int32)
-    p_i16 = ctypes.POINTER(ctypes.c_int16)
-    p_u8 = ctypes.POINTER(ctypes.c_uint8)
+    ptr = ctypes.c_void_p
     c_i64 = ctypes.c_int64
     fn.argtypes = [
         c_i64, c_i64, c_i64,                   # nspec, start, stop
-        p_i32, p_f64, p_i64, p_i64, p_u8,      # core, dts, page, line, write
+        ptr, ptr, ptr, ptr,                    # address, core, write, gap
+        ctypes.c_double,                       # spi
         c_i64, c_i64,                          # lines_per_page, lines_per_row
         c_i64, c_i64, c_i64, c_i64, c_i64,     # f_nc, s_nc, f_bpc, s_bpc,
                                                # n_fast_banks
-        p_i16, p_i64, c_i64,                   # pt_device, pt_frame, pt_len
-        p_f64,                                 # latconst
-        p_f64, p_i32,                          # core_time, windows
-        p_f64, p_i32, p_i32, ctypes.c_int32,   # ring, head, len, ringcap
+        ptr, ptr, c_i64,                       # pt_device, pt_frame, pt_len
+        ptr,                                   # latconst
+        ptr, ptr, ptr,                         # core_time, instr, windows
+        ptr, ptr, ptr, ctypes.c_int32,         # ring, head, len, ringcap
         c_i64,                                 # ncores
-        p_f64, p_i64, p_i64, p_i64, p_i64,     # bank state
-        p_f64, c_i64, c_i64,                   # chan_busy, nbanks, nchan
-        p_f64, p_f64, p_f64,                   # read_lat, busy_acc, read_total
-        p_i64,                                 # dev_counts
+        ptr, ptr, ptr, ptr, ptr,               # bank state
+        ptr, c_i64, c_i64,                     # chan_busy, nbanks, nchan
+        ptr, ptr, ptr,                         # read_lat, busy_acc, read_total
+        ptr,                                   # dev_counts
     ]
     fn.restype = None
     return fn
 
 
-_MULTI = NativeKernel("multi", _MULTI_SOURCE, "-O2", _bind_multi,
-                      "replay", "the pure-Python reference replay")
+#: -ffp-contract=off: the kernel computes ``ctime + gap * spi`` inline,
+#: and a fused multiply-add (aarch64, or x86-64 with -mfma) would round
+#: once where the reference rounds twice.
+_MULTI = NativeKernel("multi", _MULTI_SOURCE, ("-O2", "-ffp-contract=off"),
+                      _bind_multi, "replay",
+                      "the pure-Python reference replay")
 
 
 def load_multi():
@@ -359,10 +379,6 @@ def multi_build_error() -> "str | None":
     return _MULTI.build_error()
 
 
-def _pi16(a):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int16))
-
-
 class MultiCall:
     """A pre-bound replay-kernel invocation.
 
@@ -372,62 +388,54 @@ class MultiCall:
     every pointer at construction (holding array references so the
     memory stays alive) and per call passes only the request range and
     the page-table columns, which migrations may reallocate between
-    chunks.  Every per-config array must be stacked ``[nspec, ...]``
-    C-contiguously (``nspec`` is taken from ``read_total``), and every
-    page a call references must be mapped in every config's page table.
+    chunks.  The request arrays are the trace's own columns, read in
+    place: ``address`` uint64, ``core`` uint16, ``is_write`` bool and
+    ``gap`` uint32, each C-contiguous; the kernel derives pages, lines
+    and ``gap * spi`` per request.  Every per-config array must be
+    stacked ``[nspec, ...]`` C-contiguously (``nspec`` is taken from
+    ``read_total``), and every page a call references must be mapped in
+    every config's page table.
     """
 
-    def __init__(self, fn, core, dts, page, line, is_write,
+    def __init__(self, fn, address, core, is_write, gap, spi,
                  lines_per_page, lines_per_row,
                  f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-                 latconst, core_time, windows,
+                 latconst, core_time, instructions, windows,
                  ring, ring_head, ring_len, ringcap, ncores,
                  bank_busy, bank_open, bank_hits, bank_misses,
                  bank_conflicts, chan_busy, nbanks, nchan,
                  read_lat, busy_acc, read_total, dev_counts) -> None:
         self._fn = fn
         self._nspec = len(read_total)
-        self._keep = (core, dts, page, line, is_write, latconst,
-                      core_time, windows, ring, ring_head, ring_len,
+        self._keep = (address, core, is_write, gap, latconst, core_time,
+                      instructions, windows, ring, ring_head, ring_len,
                       bank_busy, bank_open, bank_hits, bank_misses,
                       bank_conflicts, chan_busy, read_lat, busy_acc,
                       read_total, dev_counts)
         self._request = (
-            _pi32(core), _pf64(dts), _pi64(page), _pi64(line),
-            _pu8(is_write),
-            int(lines_per_page), int(lines_per_row),
+            _ptr(address), _ptr(core), _ptr(is_write), _ptr(gap),
+            float(spi), int(lines_per_page), int(lines_per_row),
             int(f_nc), int(s_nc), int(f_bpc), int(s_bpc),
             int(n_fast_banks),
         )
         self._state = (
-            _pf64(latconst), _pf64(core_time), _pi32(windows),
-            _pf64(ring), _pi32(ring_head), _pi32(ring_len), int(ringcap),
-            int(ncores),
-            _pf64(bank_busy), _pi64(bank_open), _pi64(bank_hits),
-            _pi64(bank_misses), _pi64(bank_conflicts),
-            _pf64(chan_busy), int(nbanks), int(nchan),
-            _pf64(read_lat), _pf64(busy_acc), _pf64(read_total),
-            _pi64(dev_counts),
+            _ptr(latconst), _ptr(core_time), _ptr(instructions),
+            _ptr(windows), _ptr(ring), _ptr(ring_head), _ptr(ring_len),
+            int(ringcap), int(ncores),
+            _ptr(bank_busy), _ptr(bank_open), _ptr(bank_hits),
+            _ptr(bank_misses), _ptr(bank_conflicts),
+            _ptr(chan_busy), int(nbanks), int(nchan),
+            _ptr(read_lat), _ptr(busy_acc), _ptr(read_total),
+            _ptr(dev_counts),
         )
 
     def run(self, start, stop, pt_device, pt_frame, pt_len) -> None:
         """Replay requests ``[start, stop)`` against the bound state."""
         self._fn(self._nspec, int(start), int(stop), *self._request,
-                 _pi16(pt_device), _pi64(pt_frame), int(pt_len),
+                 _ptr(pt_device), _ptr(pt_frame), int(pt_len),
                  *self._state)
 
 
-def _pf64(a):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-
-def _pi64(a):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-
-
-def _pi32(a):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
-
-
-def _pu8(a):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8))
+def _ptr(a) -> int:
+    """The address of numpy array ``a``'s first element."""
+    return a.ctypes.data

@@ -15,7 +15,8 @@ Two implementations of the same timing model:
 
 * the native path (the default) — page-table translation,
   channel/bank/row routing and the core/bank/channel busy-until
-  resolution run in the compiled loop of :mod:`repro.sim._ckernel`.
+  resolution run in the compiled loop of :mod:`repro.sim._ckernel`,
+  which reads the trace's own columns in place.
   Static specs that share core count, clocking and device geometry are
   stacked along a config axis and replayed in one call; chunked specs
   (a migration mechanism, or multi-interval residency sampling) replay
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, SystemConfig
+from repro.core.counters import check_parallel_arrays
 from repro.core.migration import MigrationMechanism
 from repro.dram.device import LINES_PER_ROW
 from repro.dram.hma import (
@@ -321,49 +323,6 @@ def replay_reference(
 # The native path
 # ---------------------------------------------------------------------------
 
-class _TraceShared:
-    """Trace-side precompute shared by every spec of one call.
-
-    Page/line decomposition, contiguous request arrays, per-core
-    instruction tallies, chunk bounds and the ``gap *
-    seconds_per_instruction`` products depend only on the trace (and,
-    for some, on scalars most specs share), so they are computed once.
-    """
-
-    def __init__(self, trace: Trace) -> None:
-        self.trace = trace
-        self.pages = (trace.address // PAGE_SIZE).astype(np.int64)
-        self.lines = ((trace.address % PAGE_SIZE) // LINE_SIZE).astype(np.int64)
-        self.core_i32 = np.ascontiguousarray(trace.core, dtype=np.int32)
-        self.writes_u8 = np.ascontiguousarray(trace.is_write, dtype=np.uint8)
-        self._dts: "dict[float, np.ndarray]" = {}
-        self._instr: "dict[int, list[int]]" = {}
-        self._chunking: "dict[int, tuple]" = {}
-
-    def dts(self, spi: float) -> np.ndarray:
-        """``gap * spi`` for the whole trace."""
-        arr = self._dts.get(spi)
-        if arr is None:
-            arr = np.multiply(self.trace.gap, spi)
-            self._dts[spi] = arr
-        return arr
-
-    def core_instructions(self, num_cores: int) -> "list[int]":
-        got = self._instr.get(num_cores)
-        if got is None:
-            got = self._instr[num_cores] = _core_instructions(self.trace,
-                                                              num_cores)
-        return got
-
-    def chunking(self, total_chunks: int, times: "np.ndarray | None"):
-        """``(starts, stops, bounds)`` for a chunk count, memoised."""
-        got = self._chunking.get(total_chunks)
-        if got is None:
-            got = self._chunking[total_chunks] = _chunk_bounds(
-                len(self.trace), total_chunks, times)
-        return got
-
-
 class _ChunkCounts:
     """Memoised per-chunk unique-page read/write tallies.
 
@@ -372,8 +331,10 @@ class _ChunkCounts:
     ``np.unique`` pass per chunk instead of re-counting per spec.
     """
 
-    def __init__(self, shared: _TraceShared, starts, stops) -> None:
-        self._shared = shared
+    def __init__(self, pages: np.ndarray, is_write: np.ndarray,
+                 starts, stops) -> None:
+        self._pages = pages
+        self._is_write = is_write
         self._starts = starts
         self._stops = stops
         self._memo: "dict[int, tuple]" = {}
@@ -382,8 +343,8 @@ class _ChunkCounts:
         got = self._memo.get(chunk)
         if got is None:
             start, stop = int(self._starts[chunk]), int(self._stops[chunk])
-            pages = self._shared.pages[start:stop]
-            writes = self._shared.trace.is_write[start:stop]
+            pages = self._pages[start:stop]
+            writes = self._is_write[start:stop]
             pages_w, counts_w = np.unique(pages[writes], return_counts=True)
             pages_r, counts_r = np.unique(pages[~writes], return_counts=True)
             got = (pages_r, counts_r, pages_w, counts_w)
@@ -393,7 +354,8 @@ class _ChunkCounts:
 
 def _group_signature(spec: ReplaySpec) -> tuple:
     """Stacking compatibility key: specs whose state arrays share a
-    shape (and whose traces share ``dts``) can ride one kernel call."""
+    shape (and whose cores share seconds per instruction) can ride one
+    kernel call."""
     fast, slow = spec.hma.fast, spec.hma.slow
     return (
         spec.config.num_cores,
@@ -410,12 +372,13 @@ class _KernelState:
 
     Every array is ``[K, ...]`` and C-contiguous, seeded from the specs'
     device objects and bound once into a :class:`~repro.sim._ckernel.
-    MultiCall`.  The specs must share one :func:`_group_signature`.
-    Tier request counts start at zero and add to each device's own.
+    MultiCall` together with the trace's own columns.  The specs must
+    share one :func:`_group_signature`.  Tier request counts and
+    per-core instruction tallies start at zero; the request counts add
+    to each device's own.
     """
 
-    def __init__(self, fn, specs: "list[ReplaySpec]",
-                 shared: _TraceShared) -> None:
+    def __init__(self, fn, specs: "list[ReplaySpec]", trace: Trace) -> None:
         self.specs = specs
         K = len(specs)
         config0 = specs[0].config
@@ -432,6 +395,7 @@ class _KernelState:
             windows[k] = _spec_windows(spec)
         self.ringcap = ringcap = int(windows.max())
         self.core_time = np.zeros((K, num_cores))
+        self.instructions = np.zeros((K, num_cores), dtype=np.int64)
         self.ring = np.zeros((K, num_cores, ringcap))
         self.ring_head = np.zeros((K, num_cores), dtype=np.int32)
         self.ring_len = np.zeros((K, num_cores), dtype=np.int32)
@@ -467,12 +431,14 @@ class _KernelState:
             self.seed_counts.append((fast.stats.reads, slow.stats.reads,
                                      fast.stats.writes, slow.stats.writes))
         self.call = _ckernel.MultiCall(
-            fn, shared.core_i32, shared.dts(spi), shared.pages, shared.lines,
-            shared.writes_u8,
+            fn, np.ascontiguousarray(trace.address, dtype=np.uint64),
+            np.ascontiguousarray(trace.core, dtype=np.uint16),
+            np.ascontiguousarray(trace.is_write, dtype=bool),
+            np.ascontiguousarray(trace.gap, dtype=np.uint32), spi,
             LINES_PER_PAGE, LINES_PER_ROW,
             f_nc, slow0.num_channels, fast0.banks_per_channel,
             slow0.banks_per_channel, n_fast_banks,
-            latconst, self.core_time, windows,
+            latconst, self.core_time, self.instructions, windows,
             self.ring, self.ring_head, self.ring_len, ringcap, num_cores,
             self.bank_busy, self.bank_open, self.bank_hits, self.bank_misses,
             self.bank_conflicts, self.chan_busy, nbanks, nchan,
@@ -509,8 +475,7 @@ class _KernelState:
         self.busy_acc[k] = (fast.stats.busy_time, slow.stats.busy_time)
 
     def finish(self, k: int, trace: Trace, bounds: np.ndarray,
-               residency: "list[set[int]]",
-               core_instructions: "list[int]") -> ReplayResult:
+               residency: "list[set[int]]") -> ReplayResult:
         """Drain spec ``k``'s cores, write its state back, build its
         result."""
         spec = self.specs[k]
@@ -538,7 +503,7 @@ class _KernelState:
         return _build_result(
             spec.config, spec.hma, trace, final, core_times,
             float(self.read_total[k]), reads, residency, bounds,
-            core_instructions)
+            self.instructions[k].tolist())
 
 
 def replay_multi(
@@ -552,8 +517,12 @@ def replay_multi(
     bit-identical to :func:`replay_reference` on that spec.  A spec
     runs on the native path when the compiled kernel loaded and its
     memory exposes ``page_tables``; any other spec runs the reference
-    path.
+    path.  Every core id of ``trace`` must be below each spec's
+    ``config.num_cores``, and ``times``, when given, must have one
+    entry per request; otherwise it raises ``ValueError`` before
+    replaying anything.
     """
+    _check_trace(specs, trace, times)
     results: "list[ReplayResult | None]" = [None] * len(specs)
     static_groups: "dict[tuple, list[tuple[int, ReplaySpec]]]" = {}
     by_chunks: "dict[int, list[tuple[int, ReplaySpec]]]" = {}
@@ -571,54 +540,66 @@ def replay_multi(
                                      []).append((i, spec))
         if not (static_groups or by_chunks):
             return results
-        shared = _TraceShared(trace)
+        # Page of every request, for page-table faults and the planners;
+        # the quotient is below 2**52, so the view as int64 is exact.
+        pages = (trace.address // PAGE_SIZE).view(np.int64)
 
         for group in static_groups.values():
             group_results = _replay_static(
-                fn, [spec for _, spec in group], trace, shared)
+                fn, [spec for _, spec in group], trace, pages)
             for (i, _), res in zip(group, group_results):
                 results[i] = res
 
         for total_chunks, members in by_chunks.items():
-            counts = None
-            if len(members) > 1:
-                starts, stops, _ = shared.chunking(total_chunks, times)
-                counts = _ChunkCounts(shared, starts, stops)
+            chunking = _chunk_bounds(len(trace), total_chunks, times)
+            counts = (_ChunkCounts(pages, trace.is_write, *chunking[:2])
+                      if len(members) > 1 else None)
             for i, spec in members:
-                results[i] = _replay_chunked(fn, spec, trace, times,
-                                             shared, counts)
+                results[i] = _replay_chunked(fn, spec, trace, times, pages,
+                                             chunking, counts)
     return results
 
 
+def _check_trace(specs: "list[ReplaySpec]", trace: Trace,
+                 times: "np.ndarray | None") -> None:
+    """Reject trace-side input that would index past the state arrays
+    (the compiled kernel does not bounds-check)."""
+    if times is not None:
+        check_parallel_arrays("replay times", trace.address, times)
+    top = int(trace.core.max()) if len(trace) else -1
+    for spec in specs:
+        if top >= spec.config.num_cores:
+            raise ValueError(f"trace core id {top} is out of range for a "
+                             f"{spec.config.num_cores}-core config")
+
+
 def _replay_static(
-    fn, specs: "list[ReplaySpec]", trace: Trace, shared: _TraceShared,
+    fn, specs: "list[ReplaySpec]", trace: Trace, pages: np.ndarray,
 ) -> "list[ReplayResult]":
     """Stacked single-chunk replay for static (no-migration) specs: the
-    kernel walks the shared request arrays once per config in one
-    call."""
+    kernel walks the trace's columns once per config in one call."""
     residency = [[_residency_snapshot(spec.hma)] for spec in specs]
     sinks = [replay_sink(spec.hma) for spec in specs]
-    state = _KernelState(fn, specs, shared)
+    state = _KernelState(fn, specs, trace)
     n = len(trace)
     if n:
-        pt_len = int(shared.pages.max()) + 1
+        pt_len = int(pages.max()) + 1
         ptd = np.empty((len(specs), pt_len), dtype=np.int16)
         ptf = np.empty((len(specs), pt_len), dtype=np.int64)
         for k, spec in enumerate(specs):
             # Fault unmapped pages into DDR in first-touch order, as the
             # per-request lookup would; the table copy then covers
             # every page the trace references.
-            spec.hma.ensure_mapped(shared.pages)
+            spec.hma.ensure_mapped(pages)
             d_col, f_col = spec.hma.page_tables()
             ptd[k] = d_col[:pt_len]
             ptf[k] = f_col[:pt_len]
         state.call.run(0, n, ptd, ptf, pt_len)
 
     bounds = np.empty(0)
-    instr = shared.core_instructions(state.num_cores)
     out: "list[ReplayResult]" = []
     for k, sink in enumerate(sinks):
-        result = state.finish(k, trace, bounds, residency[k], instr)
+        result = state.finish(k, trace, bounds, residency[k])
         if sink is not None:
             sink.on_epoch(0, *state.tier_counts(k), 0.0)
         _record_telemetry(result, sink, n, 1)
@@ -628,7 +609,7 @@ def _replay_static(
 
 def _replay_chunked(
     fn, spec: ReplaySpec, trace: Trace, times: "np.ndarray | None",
-    shared: _TraceShared, counts_cache: "_ChunkCounts | None",
+    pages: np.ndarray, chunking: tuple, counts_cache: "_ChunkCounts | None",
 ) -> ReplayResult:
     """One spec replayed chunk by chunk, one kernel call per chunk.
 
@@ -638,9 +619,9 @@ def _replay_chunked(
     hma, mechanism = spec.hma, spec.mechanism
     sub = mechanism.subintervals_per_interval if mechanism else 1
     total_chunks = _total_chunks(spec)
-    starts, stops, bounds = shared.chunking(total_chunks, times)
+    starts, stops, bounds = chunking
     sink = replay_sink(hma)
-    state = _KernelState(fn, [spec], shared)
+    state = _KernelState(fn, [spec], trace)
     use_counts = (counts_cache is not None and mechanism is not None
                   and mechanism.supports_observe_counts)
     residency: "list[set[int]]" = []
@@ -649,7 +630,7 @@ def _replay_chunked(
         start, stop = int(starts[chunk]), int(stops[chunk])
         residency.append(_residency_snapshot(hma))
 
-        chunk_pages = shared.pages[start:stop]
+        chunk_pages = pages[start:stop]
         if mechanism is not None and stop > start:
             if use_counts:
                 mechanism.observe_counts(*counts_cache.get(chunk))
@@ -683,7 +664,6 @@ def _replay_chunked(
         if sink is not None:
             sink.on_epoch(chunk, *state.tier_counts(0), window_ace)
 
-    result = state.finish(0, trace, bounds, residency,
-                          shared.core_instructions(state.num_cores))
+    result = state.finish(0, trace, bounds, residency)
     _record_telemetry(result, sink, len(trace), total_chunks)
     return result

@@ -94,7 +94,14 @@ def random_case(rng: np.random.Generator, case_id: int) -> DiffCase:
 
 
 def build_config(case: DiffCase) -> SystemConfig:
-    """A tiny two-tier system sized by the case."""
+    """A tiny two-tier system sized by the case.
+
+    Channel counts, banks per rank and issue width are drawn from the
+    case's seed, each half the time not a power of two.
+    """
+    rng = np.random.default_rng(case.seed + 3)
+    fast_channels, slow_channels, banks, issue_width = (
+        int(rng.choice(pair)) for pair in ((3, 4), (2, 3), (6, 8), (3, 4)))
 
     def memory(name, pages, channels, ecc, fast):
         timing = (DramTiming(tCL=5, tRCD=5, tRP=5, burst_cycles=2)
@@ -105,6 +112,7 @@ def build_config(case: DiffCase) -> SystemConfig:
             bus_frequency_hz=500e6 if fast else 800e6,
             bus_width_bits=128 if fast else 64,
             channels=channels,
+            banks_per_rank=banks,
             ecc=ecc,
             timing=timing,
             fit_multiplier=7.0 if fast else 1.0,
@@ -112,14 +120,16 @@ def build_config(case: DiffCase) -> SystemConfig:
 
     return SystemConfig(
         num_cores=case.num_cores,
-        core=CoreConfig(),
+        core=CoreConfig(issue_width=issue_width),
         caches=HierarchyConfig(
             l1i=CacheConfig(size_bytes=1024, associativity=2),
             l1d=CacheConfig(size_bytes=1024, associativity=2),
             l2=CacheConfig(size_bytes=8192, associativity=4),
         ),
-        fast_memory=memory("HBM", case.fast_pages, 4, "secded", True),
-        slow_memory=memory("DDR3", case.slow_pages, 2, "chipkill", False),
+        fast_memory=memory("HBM", case.fast_pages, fast_channels,
+                           "secded", True),
+        slow_memory=memory("DDR3", case.slow_pages, slow_channels,
+                           "chipkill", False),
     )
 
 
@@ -135,14 +145,15 @@ def build_trace(case: DiffCase) -> "tuple[Trace, np.ndarray]":
                        case.footprint_pages - 1).astype(np.uint64)
     lines = rng.integers(0, LINES_PER_PAGE, size=n, dtype=np.uint64)
     address = pages * np.uint64(PAGE_SIZE) + lines * np.uint64(LINE_SIZE)
-    trace = Trace(
-        core=rng.integers(0, case.num_cores, size=n, dtype=np.uint16),
-        address=address,
-        is_write=rng.random(n) < case.write_fraction,
-        gap=rng.integers(0, 64, size=n, dtype=np.uint32),
-    )
+    core = rng.integers(0, case.num_cores, size=n, dtype=np.uint16)
+    is_write = rng.random(n) < case.write_fraction
+    gap = rng.integers(0, 64, size=n, dtype=np.uint32)
     times = np.cumsum(rng.random(n)) * 1e-7
-    return trace, times
+    # About a fifth of the gaps span the whole uint32 range, so the
+    # ``gap * seconds_per_instruction`` products are full-width.
+    wide = rng.random(n) < 0.2
+    gap[wide] = rng.integers(0, 2**32, size=int(wide.sum()), dtype=np.uint32)
+    return Trace(core, address, is_write, gap), times
 
 
 def build_placement(case: DiffCase) -> "tuple[list[int], list[int]]":

@@ -1,12 +1,22 @@
 """Unit tests for the trace-replay engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.config import PAGE_SIZE
 from repro.core.migration import PerformanceFocusedMigration
+from repro.core.placement import PerformanceFocusedPlacement
 from repro.dram.hma import FAST, HeterogeneousMemory
-from repro.sim.engine import interval_boundaries, replay
+from repro.sim import _ckernel
+from repro.sim.engine import (
+    ReplaySpec,
+    interval_boundaries,
+    replay,
+    replay_multi,
+)
+from repro.sim.system import prepare_workload
 from repro.trace.record import Trace
 
 
@@ -125,3 +135,45 @@ class TestReplay:
         result = replay(tiny_config, hma, Trace.empty(), np.empty(0))
         assert result.ipc == 0.0
         assert result.total_seconds == 0.0
+
+
+@pytest.mark.skipif(_ckernel.load_multi() is None,
+                    reason="no compiled replay kernel")
+class TestNoPerCallTraceCopies:
+    """A native ``replay_multi`` call reads the ``Trace``'s own columns:
+    its peak allocation is the int64 page column plus page-table
+    faulting, not a per-request copy of every column (about 45 B per
+    request when the call built page, line, core, write and
+    ``gap * spi`` arrays)."""
+
+    @pytest.fixture(scope="class")
+    def prep(self):
+        return prepare_workload("mcf", accesses_per_core=20_000, seed=0)
+
+    def _specs(self, prep, spec_set):
+        fast = PerformanceFocusedPlacement().select_fast_pages(
+            prep.stats, prep.capacity_pages)
+        placements = ([fast[: len(fast) * q // 4] for q in (4, 3, 2, 1)]
+                      if spec_set == "four-static" else [fast])
+        mechanism, intervals = ((PerformanceFocusedMigration(), 8)
+                                if spec_set == "perf-migration" else (None, 1))
+        specs = []
+        for placement in placements:
+            hma = HeterogeneousMemory(prep.config)
+            hma.install_placement(placement, prep.stats.pages)
+            specs.append(ReplaySpec(prep.config, hma, mechanism, intervals,
+                                    prep.workload_trace.core_mlp))
+        return specs
+
+    @pytest.mark.parametrize("spec_set",
+                             ["static", "four-static", "perf-migration"])
+    def test_peak_allocation_per_request(self, prep, spec_set):
+        wt = prep.workload_trace
+        specs = self._specs(prep, spec_set)
+        tracemalloc.start()
+        try:
+            replay_multi(specs, wt.trace, wt.times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(wt.trace) <= 20.0

@@ -1,14 +1,19 @@
 """Edge-case and failure-injection tests for the replay engine."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.config import PAGE_SIZE
+from repro.config import PAGE_SIZE, scaled_config
 from repro.core.migration import (
     MigrationMechanism,
     PerformanceFocusedMigration,
 )
 from repro.dram.hma import FAST, HeterogeneousMemory
+from repro.sim import _ckernel
 from repro.sim.engine import replay
 from repro.trace.record import Trace
 
@@ -109,3 +114,59 @@ class TestMigrationCostVisible:
                      mechanism=mech, num_intervals=16)
         if churny.migration_stats.total > 0:
             assert res.total_seconds >= base.total_seconds
+
+
+#: Malformed trace-side input: a core id equal to the core count, and
+#: four timestamps per request over two intervals.
+BAD_INPUTS = ("core-id-at-num-cores", "times-four-per-request")
+
+
+def bad_replay(case: str) -> None:
+    """Replay one of :data:`BAD_INPUTS` through ``replay``."""
+    config = scaled_config()
+    trace, times = make_trace(cores=config.num_cores)
+    intervals = 1
+    if case == "core-id-at-num-cores":
+        core = trace.core.copy()
+        core[len(core) // 2] = config.num_cores
+        trace = Trace(core, trace.address, trace.is_write, trace.gap)
+    else:
+        times, intervals = np.sort(np.tile(times, 4)), 2
+    hma = HeterogeneousMemory(config)
+    hma.install_placement([], range(8))
+    replay(config, hma, trace, times, num_intervals=intervals)
+
+
+#: Runs :func:`bad_replay` in a fresh interpreter on whichever path the
+#: environment selects and prints the exception it raised.
+_CHILD = """
+import runpy, sys
+bad_replay = runpy.run_path(sys.argv[1])["bad_replay"]
+try:
+    bad_replay(sys.argv[2])
+except Exception as exc:
+    print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+class TestBadTraceInput:
+    """Both paths reject malformed input with one ``ValueError`` before
+    any kernel call.  The native path runs in a child interpreter:
+    without the checks these inputs make the compiled kernel index
+    past its arrays (heap corruption, segfault), which must fail one
+    test rather than kill the run."""
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_native_and_reference_raise_the_same_error(self, case,
+                                                       monkeypatch):
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD, __file__, case],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert child.returncode == 0, (
+            f"replay killed the interpreter (exit {child.returncode}):\n"
+            + child.stderr[-2000:])
+        monkeypatch.setattr(_ckernel, "load_multi", lambda: None)
+        with pytest.raises(ValueError) as reference:
+            bad_replay(case)
+        assert child.stdout.strip() == f"ValueError: {reference.value}"

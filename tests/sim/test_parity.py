@@ -8,6 +8,8 @@ means the kernel's routing or busy-until resolution diverged from the
 component models.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,36 @@ def test_annotation_pinned_matches_reference(prep, case):
     ref, ref_hma = _run(prep, case, reference=True, pinned=True)
     got, got_hma = _run(prep, case, reference=False, pinned=True)
     _assert_identical(ref, ref_hma, got, got_hma)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_odd_geometry_and_wide_gaps_match_reference(prep, seed):
+    """3 HBM channels, 6 banks per rank, issue width 3, and a fifth of
+    the gaps drawn from the whole uint32 range.  Wide gaps make
+    ``gap * seconds_per_instruction`` a full-width product, so a kernel
+    whose compiler fuses it into the following add (one rounding where
+    the reference rounds twice) diverges here."""
+    base = prep.config
+    config = replace(
+        base, core=replace(base.core, issue_width=3),
+        fast_memory=replace(base.fast_memory, channels=3, banks_per_rank=6))
+    wt = prep.workload_trace
+    rng = np.random.default_rng(seed)
+    gap = wt.trace.gap.copy()
+    wide = rng.random(len(gap)) < 0.2
+    gap[wide] = rng.integers(0, 2**32, int(wide.sum()), dtype=np.uint32)
+    trace = Trace(wt.trace.core, wt.trace.address, wt.trace.is_write, gap)
+    fast = PerformanceFocusedPlacement().select_fast_pages(
+        prep.stats, prep.capacity_pages)
+    runs = []
+    for reference in (True, False):
+        hma = HeterogeneousMemory(config)
+        hma.install_placement(fast, prep.stats.pages)
+        spec = ReplaySpec(config, hma, core_windows=wt.core_mlp)
+        result = (replay_reference(spec, trace, wt.times) if reference
+                  else replay_multi([spec], trace, wt.times)[0])
+        runs.append((result, hma))
+    _assert_identical(*runs[0], *runs[1])
 
 
 @native_only

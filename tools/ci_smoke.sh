@@ -4,11 +4,12 @@
 # Usage: tools/ci_smoke.sh [extra pytest args...]
 #
 # 1. Runs the full tier-1 unit suite (tests/), failing fast, then
-#    reruns the kernel parity suites (replay, policy, MEA) and the
-#    replay-memo suite with REPRO_NATIVE=0, so every compile-failure
-#    fallback stays tested end to end and the memo's figures still
-#    equal fresh ones when every miss replays through
-#    replay_reference.
+#    reruns the kernel parity suites (replay, policy, MEA), the
+#    replay-memo suite and the replay edge cases with REPRO_NATIVE=0,
+#    so every compile-failure fallback stays tested end to end, the
+#    memo's figures still equal fresh ones when every miss replays
+#    through replay_reference, and replay's input checks hold on the
+#    reference path too.
 # 2. Re-runs the chaos suites verbosely (worker SIGKILL, hangs past
 #    timeout, corrupted cache entries, compile failure) so a resilience
 #    regression is named in the CI log, not buried in the dots.
@@ -59,7 +60,7 @@ python -m pytest -x -q "$@"
 echo "== kernel parity without the C kernels (REPRO_NATIVE=0) =="
 REPRO_NATIVE=0 python -m pytest -x -q tests/sim/test_parity.py \
     tests/core/test_policy_parity.py tests/core/test_mea.py \
-    tests/sim/test_replay_memo.py
+    tests/sim/test_replay_memo.py tests/sim/test_engine_edge.py
 
 echo "== chaos / fault-injection tests =="
 # The chaos suites are tagged slow+chaos and excluded from tier-1 by
