@@ -308,9 +308,6 @@ KNOBS: "dict[str, Knob]" = _knob_table(
          "(0 = their pure-Python fallbacks)"),
     Knob("ckernel_dir", "REPRO_CKERNEL_DIR", "str", None,
          "cache directory for compiled kernels"),
-    Knob("shm_handoff", "REPRO_SHM_HANDOFF", "bool", True,
-         "pass prepared workloads to workers via shared memory "
-         "(0 = pickle)"),
     Knob("fault_trials", "REPRO_FAULT_TRIALS", "int", 0,
          "Monte-Carlo fault-sim trials (0 = analytic)"),
     Knob("seed", "REPRO_SEED", "int", 0,

@@ -302,12 +302,6 @@ class ArrayMeaTracker:
         ties (= :class:`MeaTracker`'s stable sort over dict order)."""
         return np.argsort(-self._counts[: self._n], kind="stable")
 
-    def slot_lists(self) -> "tuple[list[int], list[int]]":
-        """Map contents in insertion order as ``(pages, counts)``
-        lists — the cheapest full read for small-``k`` consumers."""
-        return (self._pages[: self._n].tolist(),
-                self._counts[: self._n].tolist())
-
     def hot_arrays(self, min_count: int = 1) -> "tuple[np.ndarray, np.ndarray]":
         """Ranked ``(pages, residual_counts)`` arrays, hottest first."""
         order = self._ranked()

@@ -6,6 +6,7 @@ from repro.harness.experiments import (
     SWEEP_WORKLOADS,
     FigureResult,
     WorkloadCache,
+    run_experiment,
 )
 from repro.harness.plots import ascii_bars, ascii_scatter, ascii_series
 from repro.harness.replication import Replication, replicate
@@ -17,6 +18,7 @@ __all__ = [
     "SWEEP_WORKLOADS",
     "FigureResult",
     "WorkloadCache",
+    "run_experiment",
     "format_table",
     "print_table",
     "gmean",

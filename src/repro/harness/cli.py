@@ -14,12 +14,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 
 from repro.config import knob_overrides, knob_value
-from repro.harness.experiments import EXPERIMENTS, WorkloadCache
+from repro.harness.experiments import (
+    EXPERIMENTS,
+    WorkloadCache,
+    run_experiment,
+)
 from repro.sim.system import DEFAULT_SCALE
 
 
@@ -207,25 +210,6 @@ def _add_runner_args(sub) -> None:
              "(env REPRO_OBS_DIR; default ./.repro-obs)")
 
 
-def _run_one(name: str, cache: WorkloadCache, args) -> None:
-    from repro.obs import run_context
-
-    func = EXPERIMENTS[name]
-    kwargs = {}
-    if "cache" in inspect.signature(func).parameters:
-        kwargs["cache"] = cache
-    enabled = True if getattr(args, "telemetry", False) else None
-    with run_context(name,
-                     config={"experiment": name, "accesses": args.accesses,
-                             "scale": args.scale, "seed": args.seed},
-                     obs_dir=getattr(args, "obs_dir", None),
-                     enabled=enabled) as ctx:
-        result = func(**kwargs)
-        if ctx is not None and getattr(result, "summary", None):
-            ctx.add_metrics(result.summary)
-    result.print()
-
-
 def _cmd_workloads(args) -> int:
     from repro.trace.mixes import MIX_TABLE
     from repro.trace.workloads import PROFILES
@@ -310,12 +294,9 @@ def main(argv: "list[str] | None" = None) -> int:
             parser.error(f"--{flag.replace('_', '-')} {path} exists and "
                          "is not a directory")
     # Flags become scoped knob overrides (never os.environ mutations,
-    # which would leak into later runs in the same process); the
-    # process-fan-out path instead forwards them as explicit arguments
-    # to run_experiments so workers see them too.
-    # Resolve --seed once (flag > REPRO_SEED > 0) so process fan-out
-    # workers — which do not inherit scoped overrides — receive the
-    # explicit value.
+    # which would leak into later runs in the same process); forked
+    # workers inherit them.  --seed resolves once (flag > REPRO_SEED >
+    # 0), so the run key and every registry row record the value used.
     if hasattr(args, "seed"):
         args.seed = knob_value("seed", args.seed)
     with knob_overrides(
@@ -415,7 +396,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     if jobs != 1:
         cache.prefetch()
     for target in targets:
-        _run_one(target, cache, args)
+        run_experiment(target, cache).print()
     return 0
 
 

@@ -1143,3 +1143,30 @@ EXPERIMENTS = {
     "sweep-fit": _sweep("fit_multiplier_sweep"),
     "sweep-mlp": _sweep("mlp_sensitivity"),
 }
+
+
+def run_experiment(name: str, cache: WorkloadCache) -> FigureResult:
+    """Run one registered experiment on ``cache`` under the run registry.
+
+    Experiments that take a ``cache`` get this one.  The run is
+    recorded when the ``telemetry`` knob is on, into the registry under
+    the ``obs_dir`` knob.  The CLI,
+    :func:`~repro.harness.runner.run_experiments` and
+    :func:`~repro.harness.export.export_all` all run experiments
+    through here.
+    """
+    import inspect
+
+    from repro.obs import run_context
+
+    func = EXPERIMENTS[name]
+    kwargs = {}
+    if "cache" in inspect.signature(func).parameters:
+        kwargs["cache"] = cache
+    config = {"experiment": name, "accesses": cache.accesses_per_core,
+              "scale": cache.scale, "seed": cache.seed}
+    with run_context(name, config=config) as ctx:
+        result = func(**kwargs)
+        if ctx is not None and getattr(result, "summary", None):
+            ctx.add_metrics(result.summary)
+    return result

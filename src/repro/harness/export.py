@@ -12,11 +12,15 @@ own tooling can export any :class:`~repro.harness.experiments.FigureResult`:
 from __future__ import annotations
 
 import csv
-import inspect
 import json
 import os
 
-from repro.harness.experiments import EXPERIMENTS, FigureResult, WorkloadCache
+from repro.harness.experiments import (
+    EXPERIMENTS,
+    FigureResult,
+    WorkloadCache,
+    run_experiment,
+)
 
 
 def to_csv(result: FigureResult, path: "str | os.PathLike") -> None:
@@ -56,7 +60,9 @@ def export_all(
 ) -> "list[str]":
     """Run experiments and write one file per figure into ``directory``.
 
-    Returns the written paths.  ``fmt`` is ``json`` or ``csv``.
+    Each experiment runs through :func:`run_experiment`, so it is
+    recorded in the run registry when telemetry is on.  Returns the
+    written paths.  ``fmt`` is ``json`` or ``csv``.
     """
     if fmt not in ("json", "csv"):
         raise ValueError("fmt must be 'json' or 'csv'")
@@ -68,11 +74,7 @@ def export_all(
     for name in names:
         if name not in EXPERIMENTS:
             raise KeyError(f"unknown experiment {name!r}")
-        func = EXPERIMENTS[name]
-        kwargs = {}
-        if "cache" in inspect.signature(func).parameters:
-            kwargs["cache"] = cache
-        result = func(**kwargs)
+        result = run_experiment(name, cache)
         path = os.path.join(str(directory), f"{name}.{fmt}")
         if fmt == "json":
             to_json(result, path)

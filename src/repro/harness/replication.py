@@ -79,10 +79,10 @@ def replicate(
 ) -> Replication:
     """Evaluate ``metric`` on fresh workload draws, one per seed.
 
-    ``jobs`` fans the seeds out across processes (``metric`` must then
-    be a module-level callable so the workers can unpickle it); the
-    default of 1 keeps the historical serial behaviour.  ``jobs=None``
-    defers to ``REPRO_JOBS``/CPU count.
+    ``jobs`` fans the seeds out across forked workers, which inherit
+    ``metric``, so any callable works (a lambda or closure included);
+    the default of 1 keeps the historical serial behaviour.
+    ``jobs=None`` defers to ``REPRO_JOBS``/CPU count.
 
     ``checkpoint_dir`` journals each seed's value as it completes, so
     an interrupted replication restarted with ``resume=True`` reruns

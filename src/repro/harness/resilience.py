@@ -1,15 +1,15 @@
 """Fault-tolerant execution primitives for the experiment harness.
 
 The parallel runner (:mod:`repro.harness.runner`) fans multi-hour
-figure runs across a process pool; this module supplies the machinery
+figure runs across forked workers; this module supplies the machinery
 that keeps those runs alive when individual pieces misbehave:
 
-* :func:`resilient_map` — an order-preserving process-pool map with
-  per-job timeouts, bounded retries (exponential backoff + jitter),
-  ``BrokenProcessPool`` recovery (the pool is respawned and only
-  unfinished jobs re-dispatched; repeated breakage degrades to a
-  serial in-process loop), and a structured :class:`JobOutcome` per
-  job instead of all-or-nothing results.
+* :func:`resilient_map` — an order-preserving map over forked workers
+  that inherit the function and the items, with per-job timeouts,
+  bounded retries (exponential backoff + jitter), and a structured
+  :class:`JobOutcome` per job instead of all-or-nothing results.
+  Each worker owns a pipe and holds one job at a time, so a worker
+  that dies or overruns its timeout charges only the job it held.
 * :class:`RunManifest` — an append-only JSON journal of completed job
   keys and result locations, fsynced per entry, so an interrupted
   ``replicate`` / ``capacity_sweep`` / ``run_experiments`` resumes
@@ -45,9 +45,8 @@ import signal
 import tempfile
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Callable, Iterable, Mapping, Sequence
 
 #: Job outcome statuses.
@@ -119,7 +118,7 @@ class FaultPlan:
     consumed in attempt order; attempts past the end of the sequence
     run clean.  Directives:
 
-    * ``"kill"`` — SIGKILL the worker process mid-job (pool mode);
+    * ``"kill"`` — SIGKILL the worker process mid-job;
     * ``"fail"`` — raise :class:`FaultInjected` inside the job;
     * ``"hang:<seconds>"`` — sleep that long before running the job,
       so a configured timeout fires first.
@@ -155,13 +154,6 @@ def _apply_directive(directive: "str | None", in_process: bool) -> None:
         raise ValueError(f"unknown fault directive {directive!r}")
 
 
-def _invoke(payload):
-    """Worker-side wrapper: apply the fault directive, then the job."""
-    func, item, directive = payload
-    _apply_directive(directive, in_process=False)
-    return func(item)
-
-
 # ---------------------------------------------------------------------------
 # Structured job outcomes
 # ---------------------------------------------------------------------------
@@ -187,8 +179,6 @@ class MapReport:
     """Per-job outcomes of one :func:`resilient_map` invocation."""
 
     outcomes: "list[JobOutcome]"
-    pool_respawns: int = 0
-    degraded_serial: bool = False
 
     @property
     def results(self) -> list:
@@ -215,12 +205,7 @@ class MapReport:
             counts[o.status] = counts.get(o.status, 0) + 1
         parts = [f"{counts[s]} {s}" for s in (OK, CACHED, RETRIED, TIMEOUT,
                                               FAILED) if s in counts]
-        line = f"{len(self.outcomes)} jobs: " + ", ".join(parts)
-        if self.pool_respawns:
-            line += f" (pool respawned {self.pool_respawns}x)"
-        if self.degraded_serial:
-            line += " (degraded to serial execution)"
-        return line
+        return f"{len(self.outcomes)} jobs: " + ", ".join(parts)
 
     def raise_if_failed(self) -> None:
         if self.failed:
@@ -246,22 +231,16 @@ class PartialResultError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Resilient process-pool map
+# Resilient map over forked workers
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False)
 class _Job:
-    __slots__ = ("index", "key", "item", "attempts", "outcome", "deadline",
-                 "not_before", "suspect")
-
-    def __init__(self, index, key, item):
-        self.index = index
-        self.key = key
-        self.item = item
-        self.attempts = 0
-        self.outcome: "JobOutcome | None" = None
-        self.deadline: "float | None" = None
-        self.not_before = 0.0
-        self.suspect = False  # charged in a breakage: retry in isolation
+    index: int
+    key: str
+    attempts: int = 0
+    outcome: "JobOutcome | None" = None
+    not_before: float = 0.0
 
 
 def _jitter_rng() -> random.Random:
@@ -285,23 +264,58 @@ def _backoff_delay(backoff: float, attempts: int,
     return min(backoff * 2 ** (attempts - 1), 30.0) * (1 + 0.25 * rng.random())
 
 
-def _fork_context():
-    if "fork" in mp.get_all_start_methods():
-        return mp.get_context("fork")
-    return None
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcefully end a pool generation, hung workers included."""
-    for proc in list(getattr(pool, "_processes", {}).values()):
+def _serve(conn, parent_end, siblings, func, items) -> None:
+    """Worker loop: run each ``(index, directive)`` the parent sends and
+    reply ``(ok, result | error)``, pickled inside the ``try`` so that an
+    unpicklable result is a failed attempt.  The parent's ends of every
+    pipe are closed first, so the parent's exit (or death) is EOF here.
+    """
+    for end in (parent_end, *siblings):
+        end.close()
+    while True:
         try:
-            proc.kill()
-        except Exception:
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
+            index, directive = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            _apply_directive(directive, in_process=False)
+            reply = pickle.dumps((True, func(items[index])),
+                                 protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 — outcome, not crash
+            reply = pickle.dumps((False, repr(exc)))
+        try:
+            conn.send_bytes(reply)
+        except OSError:
+            return
+
+
+class _Worker:
+    """One forked worker: its own duplex pipe, at most one job held."""
+
+    def __init__(self, context, func, items, siblings) -> None:
+        self.conn, child_end = context.Pipe()
+        # Not daemonic: a job may fan out workers of its own.
+        self.process = context.Process(
+            target=_serve, args=(child_end, self.conn, siblings, func, items))
+        self.process.start()
+        child_end.close()
+        self.job: "_Job | None" = None
+        self.deadline: "float | None" = None
+
+    def receive(self):
+        """The held job's ``(ok, result | error)``; None if it died."""
+        try:
+            return pickle.loads(self.conn.recv_bytes())
+        except (EOFError, OSError):
+            return None
+        except Exception as exc:  # noqa: BLE001 — a result that won't load
+            return False, repr(exc)
+
+    def stop(self, kill: bool = False) -> None:
+        """Close the pipe: an idle worker reads EOF and exits."""
+        if kill:
+            self.process.kill()
+        self.conn.close()
 
 
 def resilient_map(
@@ -314,7 +328,6 @@ def resilient_map(
     backoff: float = 0.5,
     keys: "Sequence[str] | None" = None,
     fault_plan: "FaultPlan | None" = None,
-    max_pool_respawns: int = 4,
     on_result: "Callable[[JobOutcome], None] | None" = None,
 ) -> MapReport:
     """Order-preserving map that survives crashes, hangs, and errors.
@@ -324,21 +337,16 @@ def resilient_map(
     and the caller decides what a partial result means (see
     :meth:`MapReport.raise_if_failed`).
 
-    * ``timeout`` bounds each attempt's execution (pool mode only —
-      the serial fallback cannot preempt in-process work).  The
-      attempt's clock starts at dispatch; submission is windowed to
-      the worker count so queue wait never counts against a job.
+    * With ``jobs > 1`` and a ``fork`` start method, jobs run on that
+      many forked workers, which inherit ``func`` and the items: only
+      a job's index goes out and its result comes back.  A worker that
+      dies charges only the one job it held; a fresh fork replaces it.
+      Otherwise jobs run serially in-process.
+    * ``timeout`` bounds each attempt from the moment a worker takes
+      it; an overrunning worker is killed and only its job is charged
+      (the serial path cannot preempt in-process work).
     * ``retries`` failed or timed-out attempts are retried with
       exponential backoff (``backoff * 2**n``, 25% jitter).
-    * A worker crash breaks the whole ``ProcessPoolExecutor``; the
-      pool is respawned and only unfinished jobs re-dispatched.  The
-      culprit is unknowable from the parent, so every in-flight job is
-      charged one attempt (a poison job therefore still exhausts its
-      budget) — but charged jobs retry one at a time in single-worker
-      quarantine generations, so an innocent sibling pays at most one
-      collateral attempt while a poison job can only break pools
-      containing itself.  After ``max_pool_respawns`` teardowns the
-      remaining jobs run serially in-process as a last resort.
     * ``on_result`` fires in the parent as each job *succeeds* —
       checkpointing hooks use it to journal results incrementally.
     """
@@ -351,219 +359,138 @@ def resilient_map(
             raise ValueError("keys and items length mismatch")
         if len(set(keys)) != len(keys):
             raise ValueError("job keys must be unique")
-    timeout = resolve_job_timeout(timeout)
-    retries = resolve_retries(retries)
-    state = [_Job(i, keys[i], item) for i, item in enumerate(items)]
-
+    state = [_Job(i, key) for i, key in enumerate(keys)]
     jobs = min(resolve_jobs(jobs), max(1, len(items)))
-    context = _fork_context()
-    report = MapReport(outcomes=[])
-    pending = deque(state)
-    rng = _jitter_rng()
-    if items and context is not None and jobs > 1:
-        pending = _run_pool(pending, func, jobs, context, timeout, retries,
-                            backoff, fault_plan, max_pool_respawns, report,
-                            on_result, rng)
-        if pending:
-            report.degraded_serial = True
-    _run_serial(pending, func, retries, backoff, fault_plan, report,
-                on_result, rng)
-    report.outcomes = sorted((j.outcome for j in state),
-                             key=lambda o: o.index)
-    return report
+    run = (resolve_retries(retries), backoff, fault_plan or FaultPlan(),
+           on_result, _jitter_rng())
+    if jobs > 1 and "fork" in mp.get_all_start_methods():
+        _run_workers(deque(state), func, items, jobs,
+                     resolve_job_timeout(timeout), *run)
+    else:
+        _run_serial(state, func, items, *run)
+    return MapReport(outcomes=[j.outcome for j in state])
 
 
-def _finish(job: _Job, report: MapReport, status: str, result=None,
-            error=None, on_result=None) -> None:
-    job.outcome = JobOutcome(key=job.key, index=job.index, status=status,
-                             attempts=job.attempts, result=result,
-                             error=error)
-    if on_result is not None and job.outcome.succeeded:
+def _succeed(job: _Job, result, on_result) -> None:
+    job.attempts += 1
+    status = OK if job.attempts == 1 else RETRIED
+    job.outcome = JobOutcome(job.key, job.index, status, job.attempts, result)
+    if on_result is not None:
         on_result(job.outcome)
 
 
-def _charge(job: _Job, error: str, retries: int, backoff: float,
-            report: MapReport, timed_out: bool, on_result, rng) -> bool:
+def _charge(job: _Job, error: str, retries: int, backoff: float, rng,
+            timed_out: bool = False) -> bool:
     """Record a failed attempt; return True if the job may retry."""
     job.attempts += 1
     if job.attempts > retries:
-        _finish(job, report, TIMEOUT if timed_out else FAILED, error=error,
-                on_result=on_result)
+        status = TIMEOUT if timed_out else FAILED
+        job.outcome = JobOutcome(job.key, job.index, status, job.attempts,
+                                 error=error)
         return False
     job.not_before = time.monotonic() + _backoff_delay(backoff, job.attempts,
                                                        rng)
     return True
 
 
-def _run_serial(pending, func, retries, backoff, fault_plan, report,
-                on_result, rng) -> None:
-    """In-process fallback: no isolation, no timeout preemption."""
-    for job in pending:
+def _run_serial(state, func, items, retries, backoff, fault_plan, on_result,
+                rng) -> None:
+    """In-process execution: no isolation, no timeout preemption."""
+    for job in state:
         while job.outcome is None:
-            directive = (fault_plan.directive(job.key, job.attempts)
-                         if fault_plan else None)
             try:
-                _apply_directive(directive, in_process=True)
-                result = func(job.item)
+                _apply_directive(fault_plan.directive(job.key, job.attempts),
+                                 in_process=True)
+                result = func(items[job.index])
             except Exception as exc:  # noqa: BLE001 — outcome, not crash
-                if _charge(job, repr(exc), retries, backoff, report,
-                           timed_out=False, on_result=on_result, rng=rng):
+                if _charge(job, repr(exc), retries, backoff, rng):
                     delay = job.not_before - time.monotonic()
                     if delay > 0:
                         time.sleep(delay)
                 continue
-            status = OK if job.attempts == 0 else RETRIED
-            job.attempts += 1
-            _finish(job, report, status, result=result, on_result=on_result)
+            _succeed(job, result, on_result)
 
 
-def _run_pool(pending, func, jobs, context, timeout, retries, backoff,
-              fault_plan, max_pool_respawns, report, on_result, rng):
-    """Pool generations until all jobs are terminal or respawns run out.
+def _run_workers(queue, func, items, jobs, timeout, retries, backoff,
+                 fault_plan, on_result, rng) -> None:
+    """Run ``queue`` on ``jobs`` forked workers until every job ends.
 
-    Returns jobs still pending (non-empty only when the respawn budget
-    is exhausted — the caller degrades them to serial execution).
-
-    Jobs charged in a breakage (crash or teardown after a hang) become
-    *suspects* and retry one at a time in single-worker quarantine
-    generations before any other work is dispatched.  A poison job can
-    therefore only break pools containing itself: an innocent sibling
-    pays at most one collateral attempt — for the mixed generation in
-    which the first breakage happened — and its quarantine rerun
-    settles it for good.
+    The parent sleeps in ``connection.wait`` until a busy worker replies
+    or dies, a busy job's deadline passes, or — while a worker is idle
+    — a queued job's backoff ends.
     """
-    while pending:
-        if report.pool_respawns > max_pool_respawns:
-            return pending
-        culprit = next((j for j in pending if j.suspect), None)
-        if culprit is not None:
-            queue = deque([culprit])
-            rest = deque(j for j in pending if j is not culprit)
-            window = 1
-        else:
-            queue, rest = pending, deque()
-            window = jobs
-        pool = ProcessPoolExecutor(max_workers=min(window, len(queue)),
-                                   mp_context=context)
-        broken = False
-        inflight: "dict[object, _Job]" = {}
-        try:
-            while queue or inflight:
-                now = time.monotonic()
-                # Windowed submission: at most `window` in flight, so
-                # the timeout clock starts at true dispatch, not enqueue.
-                while queue and len(inflight) < window:
-                    job = queue[0]
-                    if job.not_before > now:
-                        break
-                    queue.popleft()
-                    directive = (fault_plan.directive(job.key, job.attempts)
-                                 if fault_plan else None)
-                    future = pool.submit(_invoke, (func, job.item, directive))
-                    job.deadline = (now + timeout) if timeout else None
-                    inflight[future] = job
-                if not inflight:
-                    # Everything eligible is backing off; sleep it out.
-                    time.sleep(max(0.0, min(j.not_before for j in queue)
-                                   - time.monotonic()))
+    context = mp.get_context("fork")
+    workers: "list[_Worker]" = []
+
+    def fork():
+        return _Worker(context, func, items, [w.conn for w in workers])
+
+    def replace(i, kill=False):
+        workers[i].stop(kill=kill)
+        workers[i].process.join()
+        workers[i] = fork()
+
+    def charge(job, error, timed_out=False):
+        if _charge(job, error, retries, backoff, rng, timed_out):
+            queue.append(job)
+
+    try:
+        for _ in range(jobs):
+            workers.append(fork())
+        while queue or any(w.job is not None for w in workers):
+            now = time.monotonic()
+            for i, worker in enumerate(workers):
+                if worker.job is not None:
                     continue
-                tick = _next_tick(inflight, queue)
-                done, _ = wait(inflight, timeout=tick,
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    job = inflight.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        status = OK if job.attempts == 0 else RETRIED
-                        job.attempts += 1
-                        _finish(job, report, status, result=future.result(),
-                                on_result=on_result)
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken = True
-                        job.suspect = True
-                        if _charge(job, "worker process died (pool broken)",
-                                   retries, backoff, report, timed_out=False,
-                                   on_result=on_result, rng=rng):
-                            queue.append(job)
+                job = next((j for j in queue if j.not_before <= now), None)
+                if job is None:
+                    break
+                queue.remove(job)
+                message = (job.index, fault_plan.directive(job.key,
+                                                           job.attempts))
+                try:
+                    worker.conn.send(message)
+                except OSError:
+                    # Found dead while idle: it never held the job, so
+                    # it is replaced and the job is not charged.
+                    replace(i)
+                    workers[i].conn.send(message)
+                workers[i].job = job
+                workers[i].deadline = now + timeout if timeout else None
+            busy = [w for w in workers if w.job is not None]
+            marks = [w.deadline for w in busy if w.deadline is not None]
+            if len(busy) < jobs and queue:
+                marks.append(min(j.not_before for j in queue))
+            # With no busy worker this just sleeps out the backoff.
+            ready = connection.wait(
+                [w.conn for w in busy],
+                timeout=max(0.0, min(marks) - now) if marks else None)
+            now = time.monotonic()
+            for i, worker in enumerate(workers):
+                job = worker.job
+                if job is None:
+                    continue
+                if worker.conn in ready:
+                    worker.job = None
+                    reply = worker.receive()
+                    if reply is None:
+                        replace(i)
+                        charge(job, "worker process died (exit code "
+                                    f"{worker.process.exitcode})")
+                    elif reply[0]:
+                        _succeed(job, reply[1], on_result)
                     else:
-                        if _charge(job, repr(exc), retries, backoff, report,
-                                   timed_out=False, on_result=on_result,
-                                   rng=rng):
-                            queue.append(job)
-                if broken:
-                    _drain_broken(inflight, queue, retries, backoff,
-                                  report, on_result, rng)
-                    break
-                expired = [f for f, j in inflight.items()
-                           if j.deadline is not None
-                           and time.monotonic() >= j.deadline]
-                if expired:
-                    # A hung worker cannot be cancelled individually:
-                    # tear the generation down, charge only the expired
-                    # jobs (quarantining their reruns), and re-dispatch
-                    # the innocent in-flight ones uncharged.
-                    for future, job in inflight.items():
-                        if future in expired:
-                            job.suspect = True
-                            if _charge(job, f"timed out after {timeout}s",
-                                       retries, backoff, report,
-                                       timed_out=True, on_result=on_result,
-                                       rng=rng):
-                                queue.append(job)
-                        else:
-                            queue.append(job)
-                    inflight.clear()
-                    broken = True
-                    break
-        except BrokenProcessPool:
-            # Breakage surfaced through submit() rather than a future.
-            broken = True
-            _drain_broken(inflight, queue, retries, backoff, report,
-                          on_result, rng)
-        finally:
-            if broken:
-                report.pool_respawns += 1
-                _kill_pool(pool)
-            else:
-                pool.shutdown(wait=True)
-        queue.extend(rest)
-        pending = queue
-    return pending
-
-
-def _drain_broken(inflight, pending, retries, backoff, report,
-                  on_result, rng) -> None:
-    """Settle in-flight jobs after a pool breakage.
-
-    Jobs whose future completed cleanly before the breakage keep their
-    result; the rest are charged one attempt (the culprit is
-    unknowable from the parent) and re-dispatched if budget remains —
-    in quarantine, so only the true culprit can be charged twice.
-    """
-    for future, job in inflight.items():
-        if future.done() and future.exception() is None:
-            status = OK if job.attempts == 0 else RETRIED
-            job.attempts += 1
-            _finish(job, report, status, result=future.result(),
-                    on_result=on_result)
-        else:
-            job.suspect = True
-            if _charge(job, "worker process died (pool broken)", retries,
-                       backoff, report, timed_out=False, on_result=on_result,
-                       rng=rng):
-                pending.append(job)
-    inflight.clear()
-
-
-def _next_tick(inflight, pending) -> float:
-    """Sleep horizon: nearest job deadline or backoff expiry, capped."""
-    now = time.monotonic()
-    horizon = 0.25
-    marks = [j.deadline for j in inflight.values() if j.deadline is not None]
-    marks += [j.not_before for j in pending if j.not_before > now]
-    if marks:
-        horizon = min(horizon, max(0.0, min(marks) - now))
-    return max(0.01, horizon)
+                        charge(job, reply[1])
+                elif (worker.deadline is not None and now >= worker.deadline
+                      and not worker.conn.poll()):
+                    worker.job = None
+                    replace(i, kill=True)
+                    charge(job, f"timed out after {timeout}s", timed_out=True)
+    finally:
+        for worker in workers:
+            worker.stop(kill=worker.job is not None)
+        for worker in workers:
+            worker.process.join()
 
 
 # ---------------------------------------------------------------------------
@@ -868,5 +795,4 @@ def checkpointed_map(
             outcome = by_key[key]
             outcome.index = i
             merged.append(outcome)
-    return MapReport(outcomes=merged, pool_respawns=sub.pool_respawns,
-                     degraded_serial=sub.degraded_serial)
+    return MapReport(outcomes=merged)

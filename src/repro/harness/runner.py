@@ -15,29 +15,30 @@ orthogonal accelerators used by ``experiments.py``, ``sweeps.py``,
   version and SHA-256 of its payload, and a corrupt, truncated, or
   stale entry is quarantined to ``<cache>/corrupt/`` and recomputed
   (see :mod:`repro.harness.resilience`).
-* :func:`parallel_map` — an order-preserving ``ProcessPoolExecutor``
-  map with a ``fork`` start method, so worker functions defined in
-  non-importable modules (pytest benchmark files) still unpickle in
-  the children.  ``jobs <= 1`` or an unavailable ``fork`` degrades to
-  a serial in-process loop with identical semantics.  Built on
+* :func:`parallel_map` — an order-preserving map over forked workers
+  that inherit the function and the items, so worker functions defined
+  in non-importable modules (pytest benchmark files) just work.
+  ``jobs <= 1`` or an unavailable ``fork`` degrades to a serial
+  in-process loop with identical semantics.  Built on
   :func:`repro.harness.resilience.resilient_map`, it optionally
   enforces per-job timeouts and bounded retries, survives worker
-  crashes (``BrokenProcessPool``), and can return the structured
-  per-job outcome report instead of raising.
+  crashes (a crash charges only the job its worker held), and can
+  return the structured per-job outcome report instead of raising.
 
 On top of those, :func:`prefetch_workloads` warms a cache directory
 for a whole workload list across cores, and :func:`run_experiments`
 fans complete experiment ids (``fig05``, ``table2``, ...) out across
 processes with optional checkpoint/resume through a
-:class:`~repro.harness.resilience.RunManifest`.
+:class:`~repro.harness.resilience.RunManifest`.  Every experiment of
+one run shares one :class:`~repro.harness.experiments.WorkloadCache`,
+so preparations, replays and FaultSim campaigns run once per run, and
+forked workers inherit it warm.
 
 Fan-outs whose job items all carry the same prepared workloads (the
-capacity sweep is the canonical case) hand the arrays to workers
-zero-copy through :mod:`repro.harness.shm` (re-exported here):
-:func:`share_payload` hoists them into one shared-memory segment and
-:func:`resolve_payload` maps it read-only in each worker, gated by the
-``shm_handoff`` knob (``REPRO_SHM_HANDOFF``) with a transparent
-pickle fallback.
+capacity sweep is the canonical case) pass them through
+:mod:`repro.harness.shm` (re-exported here): :func:`share_payload`
+hoists their arrays into one shared-memory segment and
+:func:`resolve_payload` maps it read-only in each worker.
 
 Environment knobs (CLI flags take precedence where both exist):
 
@@ -51,10 +52,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from typing import Callable, Iterable, Sequence
 
-from repro.config import scaled_config
+from repro.config import knob_overrides, scaled_config
 from repro.harness.resilience import (
     CacheIntegrityError,
     FaultPlan,
@@ -123,8 +123,8 @@ def workload_cache_key(
     ``config`` and ``ser_model`` are dataclasses with value-style
     ``repr``; hashing the repr keys the cache on the full parameter
     set without inventing a parallel serialisation.  No knob is part
-    of the key: ``native`` and ``shm_handoff`` change how a prepared
-    workload is computed or travels, never its contents.
+    of the key: ``native`` changes how a prepared workload is
+    computed, never its contents.
     """
     payload = "|".join([
         f"v{CACHE_VERSION}",
@@ -140,29 +140,6 @@ def workload_cache_key(
 
 def _cache_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, f"prep-{key}.pkl")
-
-
-def _load_pickle(path: str):
-    """Load a raw pickle; a malformed file is deleted, not just skipped.
-
-    Malformed pickle streams raise far more than ``UnpicklingError``
-    (``ValueError``/``IndexError`` from bad opcodes, ``MemoryError``
-    from absurd length prefixes, ``AttributeError``/``ImportError``
-    from stale class paths); all of them mean the file is useless, and
-    leaving it in place would re-raise on every subsequent run.
-    """
-    try:
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    except FileNotFoundError:
-        return None
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, MemoryError, ValueError, IndexError, TypeError):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        return None
 
 
 def _load_cache_entry(path: str) -> "PreparedWorkload | None":
@@ -232,22 +209,21 @@ def parallel_map(
     fault_plan: "FaultPlan | None" = None,
     return_report: bool = False,
 ):
-    """Order-preserving map over a fault-tolerant process pool.
+    """Order-preserving map over fault-tolerant forked workers.
 
     Serial fallback when ``jobs <= 1``, when there is at most one
-    item, or when the platform has no ``fork`` start method (forking
-    is what lets workers unpickle functions from pytest-collected
-    modules).
+    item, or when the platform has no ``fork`` start method (workers
+    inherit ``func`` and the items at fork, so neither is pickled).
 
     Built on :func:`repro.harness.resilience.resilient_map`: each job
     gets a per-attempt ``timeout`` (``REPRO_JOB_TIMEOUT``) and
     ``retries`` retry budget (``REPRO_RETRIES``) with exponential
-    backoff, and a crashed worker breaks only its own job — the pool
-    is respawned and unfinished siblings re-dispatched.  By default
-    any job that still fails raises :class:`PartialResultError` (a
-    ``RuntimeError`` carrying the full per-job outcome report, so
-    completed results are never lost); with ``return_report=True`` the
-    :class:`MapReport` is returned instead and nothing raises.
+    backoff, and a crashed worker breaks only its own job — a fresh
+    fork takes its place.  By default any job that still fails raises
+    :class:`PartialResultError` (a ``RuntimeError`` carrying the full
+    per-job outcome report, so completed results are never lost);
+    with ``return_report=True`` the :class:`MapReport` is returned
+    instead and nothing raises.
     """
     report = resilient_map(func, items, jobs=jobs, timeout=timeout,
                            retries=retries, backoff=backoff, keys=keys,
@@ -296,36 +272,11 @@ def prefetch_workloads(
 # ---------------------------------------------------------------------------
 
 def _run_experiment_worker(item):
-    import inspect
+    """One experiment job: ``(name, cache)`` to ``(name, result)``."""
+    from repro.harness.experiments import run_experiment
 
-    (name, accesses, scale, seed, cache_dir, fault_trials,
-     telemetry, obs_dir) = item
-    # Imported lazily so forked workers reuse the parent's modules and
-    # fresh processes pay the import only once each.
-    from repro.config import knob_overrides
-    from repro.harness.experiments import EXPERIMENTS, WorkloadCache
-    from repro.obs import run_context
-
-    cache = WorkloadCache(accesses_per_core=accesses, scale=scale,
-                          seed=seed, cache_dir=cache_dir)
-    func = EXPERIMENTS[name]
-    kwargs = {}
-    if "cache" in inspect.signature(func).parameters:
-        kwargs["cache"] = cache
-    # Scoped overrides, not os.environ: each worker gets exactly the
-    # knobs the CLI passed for *this* run, and nothing leaks into later
-    # runs or sibling workers.
-    with knob_overrides(fault_trials=fault_trials):
-        with run_context(
-                name,
-                config={"experiment": name, "accesses": accesses,
-                        "scale": scale, "seed": seed},
-                obs_dir=obs_dir,
-                enabled=True if telemetry else None) as ctx:
-            result = func(**kwargs)
-            if ctx is not None and getattr(result, "summary", None):
-                ctx.add_metrics(result.summary)
-    return name, result
+    name, cache = item
+    return name, run_experiment(name, cache)
 
 
 def run_experiments(
@@ -346,9 +297,14 @@ def run_experiments(
 ):
     """Run experiment ids across cores; ``[(name, FigureResult)]``.
 
-    Results come back in the order of ``names``.  Experiments that
-    share workloads benefit from ``cache_dir``: the first worker to
-    prepare a workload persists it for every other worker and run.
+    Results come back in the order of ``names``.  Every experiment
+    shares one :class:`~repro.harness.experiments.WorkloadCache`,
+    built under the run's ``fault_trials``/``telemetry``/``obs_dir``
+    overrides: serial runs share its preparations, replays and
+    FaultSim campaigns, and when ``jobs`` resolves above 1 it is
+    prefetched across processes first, so forked workers inherit it
+    warm.  ``cache_dir`` also persists the preparations for later
+    runs.
 
     ``checkpoint_dir`` journals each completed experiment (a
     checksummed pickle per result) the moment it finishes; a later
@@ -360,10 +316,8 @@ def run_experiments(
     structured :class:`MapReport` (``.results`` holds the
     ``(name, FigureResult)`` tuples) without raising.
     """
-    cache_dir = resolve_cache_dir(cache_dir)
-    items = [(name, accesses_per_core, scale, seed, cache_dir, fault_trials,
-              telemetry, obs_dir)
-             for name in names]
+    from repro.harness.experiments import WorkloadCache
+
     manifest = None
     if checkpoint_dir is not None:
         manifest = RunManifest(
@@ -375,9 +329,20 @@ def run_experiments(
                             scale=scale, seed=seed,
                             fault_trials=fault_trials),
             resume=resume)
-    report = checkpointed_map(
-        _run_experiment_worker, items, keys=list(names), manifest=manifest,
-        store="pickle", jobs=jobs, timeout=job_timeout, retries=retries)
+    with knob_overrides(fault_trials=fault_trials,
+                        telemetry=True if telemetry else None,
+                        obs_dir=obs_dir):
+        cache = WorkloadCache(accesses_per_core=accesses_per_core,
+                              scale=scale, seed=seed,
+                              cache_dir=resolve_cache_dir(cache_dir),
+                              jobs=jobs)
+        if resolve_jobs(jobs) > 1 and any(
+                manifest is None or name not in manifest for name in names):
+            cache.prefetch()
+        report = checkpointed_map(
+            _run_experiment_worker, [(name, cache) for name in names],
+            keys=list(names), manifest=manifest, store="pickle", jobs=jobs,
+            timeout=job_timeout, retries=retries)
     if return_report:
         return report
     report.raise_if_failed()

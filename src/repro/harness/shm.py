@@ -1,23 +1,24 @@
-"""Zero-copy workload handoff for process-pool fan-out.
+"""Zero-copy workload handoff for process fan-out.
 
 Every :func:`~repro.harness.sweeps.capacity_sweep` job item carries the
-same prepared workloads, and a plain process-pool map re-pickles their
-trace arrays (tens of MB at full volume) into every job.  This module
-packs the large numpy arrays of an arbitrary picklable object graph
-into ONE :class:`multiprocessing.shared_memory.SharedMemory` segment
-and replaces them with tiny descriptors:
+same prepared workloads.  This module packs the large numpy arrays of
+an arbitrary picklable object graph into ONE
+:class:`multiprocessing.shared_memory.SharedMemory` segment and
+replaces them with tiny descriptors, so the handle can travel to any
+process (pickled, or inherited by a forked worker) without its
+arrays:
 
 * :func:`share_payload` (parent) — pickle the object graph with the
   big arrays hoisted into a fresh segment; returns a picklable
   :class:`SharedPayload` handle a few KB in size.  When shared memory
-  is unavailable, the ``shm_handoff`` knob is off, or the graph holds
-  no big arrays, the object itself is returned — callers treat both
-  shapes uniformly through :func:`resolve_payload`.
+  is unavailable or the graph holds no big arrays, the object itself
+  is returned — callers treat both shapes uniformly through
+  :func:`resolve_payload`.
 * :func:`resolve_payload` (worker) — reconstruct the object, mapping
   each hoisted array as a read-only view over the attached segment.
   Attachments are cached per process, so a worker that receives the
-  same handle for many jobs maps the segment once; pool respawns
-  simply re-attach in the fresh process.
+  same handle for many jobs maps the segment once; a worker forked
+  after a crash simply re-attaches.
 * :func:`release_payload` / :func:`shared_handoff` (parent) — unlink
   the segment once the map completes.  Creation registers an
   ``atexit`` hook, so segments do not outlive a parent that errors
@@ -40,15 +41,15 @@ shares ONE segment across *every* job of the sweep, not one per job:
    handle; a worker's first :func:`resolve_payload` maps the segment
    and the per-process cache serves every later job (and every sweep
    fraction inside a job) from the mapping, zero-copy.
-3. The segment must outlive the whole map, including pool respawns
-   after a worker crash (the fresh process just re-attaches), so the
+3. The segment must outlive the whole map, including the fresh
+   workers forked after a crash (they just re-attach), so the
    parent unlinks it only when the ``with`` block exits; the
    ``atexit`` hook and :func:`reap_orphaned_segments` backstop
    parents that die before that.
 
 The invariant callers rely on: a handle stays resolvable until the
 ``shared_handoff`` block that produced it closes, so job functions may
-be dispatched, retried, or re-run on a respawned pool at any point in
+be dispatched, retried, or re-run on a fresh worker at any point in
 between without re-pickling the arrays.
 """
 
@@ -96,12 +97,6 @@ def shm_available() -> bool:
     except ImportError:
         return False
     return True
-
-
-def _handoff_enabled() -> bool:
-    from repro.config import knob_value
-
-    return bool(knob_value("shm_handoff")) and shm_available()
 
 
 class _HoistingPickler(pickle.Pickler):
@@ -160,13 +155,13 @@ class SharedPayload:
 
 
 #: Worker-side cache: segment name -> (SharedMemory, views tuple).
-#: Pool workers receive the same handle for every job; the mapping
+#: Workers receive the same handle for every job; the mapping
 #: happens once per process and survives until process exit.
 _attached: "dict[str, tuple[object, tuple]]" = {}
 
 #: Parent-side registry of segments this process created and has not
 #: yet released, for idempotent release + atexit cleanup.  Values are
-#: ``(SharedMemory, owner pid)``: forked pool workers inherit this
+#: ``(SharedMemory, owner pid)``: forked workers inherit this
 #: dict (and the atexit hook), and only the owning pid may unlink —
 #: otherwise the first worker to exit would tear the segment out from
 #: under the parent and every sibling.
@@ -337,12 +332,12 @@ def share_payload(obj, threshold: int = DEFAULT_THRESHOLD):
     """Pack ``obj`` for zero-copy handoff; the object itself when not.
 
     Returns a :class:`SharedPayload` whose pickled size is independent
-    of the array payload, or ``obj`` unchanged when the ``shm_handoff``
-    knob is off, shared memory is unavailable, or nothing in the graph
-    clears ``threshold``.  Pass the result straight into pool job
-    items and call :func:`resolve_payload` in the worker.
+    of the array payload, or ``obj`` unchanged when shared memory is
+    unavailable or nothing in the graph clears ``threshold``.  Pass
+    the result straight into job items and call
+    :func:`resolve_payload` in the worker.
     """
-    if not _handoff_enabled():
+    if not shm_available():
         return obj
     from multiprocessing import shared_memory
 
@@ -398,7 +393,7 @@ class shared_handoff:
     """``with shared_handoff(obj) as item:`` — packed for the duration.
 
     ``item`` is whatever :func:`share_payload` returned; the segment
-    (if one was created) is unlinked on exit, after the pool map that
+    (if one was created) is unlinked on exit, after the map that
     consumed the items has completed.
     """
 

@@ -55,7 +55,6 @@ import os
 
 import numpy as np
 
-from repro.config import knob_overrides
 from repro.verify.cases import (
     DiffCase,
     build_config,
@@ -426,9 +425,8 @@ def check_shm_roundtrip(case: DiffCase) -> "str | None":
     obj = {"core": trace.core, "address": trace.address,
            "is_write": trace.is_write, "gap": trace.gap, "times": times,
            "meta": {"case": case.case_id, "accesses": case.accesses}}
-    with knob_overrides(shm_handoff=True):
-        # Low threshold so even shrunken cases hoist every array.
-        item = shm.share_payload(obj, threshold=8)
+    # Low threshold so even shrunken cases hoist every array.
+    item = shm.share_payload(obj, threshold=8)
     if not isinstance(item, shm.SharedPayload):
         return None  # no shared memory on this platform: nothing to diff
     try:

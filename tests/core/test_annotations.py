@@ -123,15 +123,13 @@ class TestToleranceRoundtrip:
     def test_annotation_plan_shm_roundtrip(self, prepared):
         import pickle
 
-        from repro.config import knob_overrides
         from repro.harness import shm
 
         plan = plan_annotations(prepared.workload_trace, prepared.stats,
                                 capacity_pages=64)
         payload = {"pinned": plan.pinned_pages,
                    "names": plan.structure_names}
-        with knob_overrides(shm_handoff=True):
-            item = shm.share_payload(payload, threshold=8)
+        item = shm.share_payload(payload, threshold=8)
         if not isinstance(item, shm.SharedPayload):
             pytest.skip("no shared memory on this platform")
         try:
@@ -148,7 +146,6 @@ class TestToleranceRoundtrip:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from repro.config import knob_overrides
         from repro.core.annotations import TOLERANCE_CLASSES, ToleranceMap
         from repro.harness import shm
 
@@ -158,9 +155,7 @@ class TestToleranceRoundtrip:
         def roundtrip(classes):
             tm = ToleranceMap(
                 page_class=np.array(classes, dtype=np.int8))
-            with knob_overrides(shm_handoff=True):
-                item = shm.share_payload({"cls": tm.page_class},
-                                         threshold=8)
+            item = shm.share_payload({"cls": tm.page_class}, threshold=8)
             if not isinstance(item, shm.SharedPayload):
                 return
             try:

@@ -66,3 +66,19 @@ class TestExportAll:
     def test_bad_format(self, tmp_path):
         with pytest.raises(ValueError):
             export_all(tmp_path, experiments=["table1"], fmt="xml")
+
+
+class TestExportTelemetry:
+    @pytest.mark.parametrize("run_dir", [False, True])
+    def test_one_registry_row_per_figure(self, tmp_path, run_dir):
+        from repro.harness.cli import main
+        from repro.obs.registry import RunRegistry, registry_path
+
+        obs_dir = str(tmp_path / "obs")
+        argv = ["export", str(tmp_path / "out"), "--experiments", "table1",
+                "fig03", "--telemetry", "--obs-dir", obs_dir]
+        if run_dir:
+            argv += ["--run-dir", str(tmp_path / "run")]
+        assert main(argv) == 0
+        runs = RunRegistry(registry_path(obs_dir)).list_runs()
+        assert sorted(run.label for run in runs) == ["fig03", "table1"]

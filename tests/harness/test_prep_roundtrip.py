@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.config import knob_overrides, scaled_config
+from repro.config import scaled_config
 from repro.core.migration import ToleranceTieredMigration
 from repro.core.placement import PerformanceFocusedPlacement
 from repro.faults.ecc import SCHEME_LADDER
@@ -120,7 +120,7 @@ def _restored(prep: PreparedWorkload, path: str, tmp_path):
         return
     if not shm_available():
         pytest.skip("no multiprocessing.shared_memory")
-    with knob_overrides(shm_handoff=True), shared_handoff(prep) as item:
+    with shared_handoff(prep) as item:
         assert isinstance(item, SharedPayload)
         # The handle travels to a worker pickled, as in a pool map.
         yield resolve_payload(pickle.loads(pickle.dumps(item)))

@@ -80,7 +80,6 @@ class TestWorkerCrash:
                                backoff=0, fault_plan=plan)
         assert report.results == [0, 2, 4, 6, 8]
         assert report.outcome("2").status == "retried"
-        assert report.pool_respawns >= 1
         assert report.ok
 
     def test_kill_every_attempt_is_structured_partial(self):
@@ -114,6 +113,22 @@ class TestWorkerCrash:
         assert [o.key for o in report.failed] == ["3"]
         assert [r for i, r in enumerate(report.results) if i != 3] == [
             2 * i for i in range(8) if i != 3]
+
+    def test_kill_charges_only_the_job_it_held(self):
+        # The innocent jobs sleep first, so they are in flight when job
+        # 3 kills its worker: only job 3 fails, everyone else succeeds
+        # on its first and only attempt.
+        plan = FaultPlan({str(i): ["kill" if i == 3 else "hang:0.5"]
+                          for i in range(8)})
+        report = resilient_map(_double, range(8), jobs=4, retries=0,
+                               backoff=0, fault_plan=plan)
+        assert [o.key for o in report.failed] == ["3"]
+        assert "died" in report.outcome("3").error
+        for i in range(8):
+            if i != 3:
+                outcome = report.outcome(str(i))
+                assert (outcome.status, outcome.attempts) == ("ok", 1)
+                assert outcome.result == 2 * i
 
     def test_injected_exception_retries(self):
         plan = FaultPlan({"0": ["fail", "fail"]})
@@ -151,6 +166,15 @@ class TestTimeout:
         assert outcome.status == "timeout"
         assert "timed out" in outcome.error
         assert report.outcome("1").result == 2  # innocent sibling intact
+
+    def test_overrun_kills_only_its_own_job(self):
+        plan = FaultPlan({"2": ["hang:30"]})
+        report = resilient_map(_double, range(6), jobs=3, timeout=0.5,
+                               retries=0, backoff=0, fault_plan=plan)
+        assert [o.key for o in report.failed] == ["2"]
+        assert report.outcome("2").status == "timeout"
+        assert [o.status for o in report.outcomes if o.key != "2"] == [
+            "ok"] * 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Single-job dispatch and seeded retry-backoff jitter.
+"""Single-job dispatch, inherited items and seeded retry-backoff jitter.
 
 A single job runs serially in the calling process: one job has nothing
-to fan out to, so ``resilient_map`` starts no pool for it.  The backoff
+to fan out to, so ``resilient_map`` forks no worker for it.  Forked
+workers inherit the items, so items need not pickle.  The backoff
 jitter is drawn from a stream seeded by the unified ``seed`` knob, so
 a chaos run replays with identical timing.
 """
 
 import os
+import threading
 
 from repro.config import knob_overrides
 from repro.harness.resilience import (
@@ -54,3 +56,24 @@ class TestSeededJitter:
             again = [_backoff_delay(0.5, n, _jitter_rng())
                      for n in (1, 2, 3)]
         assert first == again
+
+
+class _Locked:
+    """An item that cannot be pickled."""
+
+    def __init__(self, value):
+        self.value = value
+        self.lock = threading.Lock()
+
+
+def _double_locked(item):
+    with item.lock:
+        return 2 * item.value
+
+
+class TestForkedWorkers:
+    def test_items_are_inherited_not_pickled(self):
+        report = resilient_map(_double_locked,
+                               [_Locked(i) for i in range(4)], jobs=2)
+        assert report.ok
+        assert report.results == [0, 2, 4, 6]

@@ -1,7 +1,6 @@
 """Parallel runner and on-disk workload cache."""
 
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -107,27 +106,6 @@ class TestDiskCache:
         assert resolve_cache_dir(None) == str(tmp_path)
         prepare_workload_cached("mcf", accesses_per_core=ACCESSES, seed=4)
         assert os.listdir(tmp_path)
-
-    def test_load_pickle_deletes_malformed_file(self, tmp_path):
-        from repro.harness.runner import _load_pickle
-
-        path = str(tmp_path / "bad.pkl")
-        # A pickle stream with a bogus huge length prefix raises
-        # ValueError/MemoryError territory rather than UnpicklingError.
-        with open(path, "wb") as fh:
-            fh.write(pickle.dumps([1, 2, 3])[:-1] + b"\xff\xff")
-        assert _load_pickle(path) is None
-        assert not os.path.exists(path)  # deleted, not left to re-fail
-        assert _load_pickle(path) is None  # missing file stays a miss
-
-    def test_load_pickle_roundtrip(self, tmp_path):
-        from repro.harness.runner import _load_pickle
-
-        path = str(tmp_path / "ok.pkl")
-        with open(path, "wb") as fh:
-            pickle.dump({"x": 1}, fh)
-        assert _load_pickle(path) == {"x": 1}
-        assert os.path.exists(path)
 
 
 def _race_one(cache_dir, barrier, queue):
@@ -250,3 +228,41 @@ def test_run_experiments_fan_out(tmp_path):
     assert [name for name, _ in results] == ["table1", "table2"]
     for _name, figure in results:
         assert figure.rows
+
+
+class TestRunExperimentsSharedCache:
+    def test_fault_trials_reach_the_run_cache(self):
+        from repro.config import knob_overrides
+        from repro.harness.experiments import WorkloadCache, fig05_perf_focused
+
+        ((_name, figure),) = run_experiments(
+            ["fig05"], accesses_per_core=1000, jobs=1, fault_trials=2000)
+        with knob_overrides(fault_trials=2000):
+            expected = fig05_perf_focused(
+                cache=WorkloadCache(accesses_per_core=1000, seed=0))
+        assert figure.rows == expected.rows
+        assert figure.summary == expected.summary
+
+    def test_experiments_share_one_preparation_per_workload(
+            self, monkeypatch):
+        from repro.harness import runner
+        from repro.harness.experiments import ALL_WORKLOADS
+
+        prepared = []
+        original = runner.prepare_workload
+
+        def counting(workload, **kwargs):
+            prepared.append(workload)
+            return original(workload, **kwargs)
+
+        monkeypatch.setattr(runner, "prepare_workload", counting)
+        run_experiments(["fig05", "fig07"], accesses_per_core=300, jobs=1)
+        assert sorted(prepared) == sorted(ALL_WORKLOADS)
+
+    def test_nested_fan_out_inside_a_forked_job(self):
+        # sweep-capacity fans out workers of its own inside its job:
+        # the job's worker must be allowed to have children.
+        report = run_experiments(["sweep-capacity", "table1"],
+                                 accesses_per_core=300, jobs=2,
+                                 return_report=True)
+        assert [o.status for o in report.outcomes] == ["ok", "ok"]

@@ -5,7 +5,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.config import knob_overrides
 from repro.harness import shm as shm_module
 from repro.harness.runner import parallel_map
 from repro.harness.shm import (
@@ -121,11 +120,6 @@ class TestFallbacks:
         obj = {"tiny": np.arange(8, dtype=np.int64), "n": 3}
         assert share_payload(obj) is obj
 
-    def test_knob_off_passes_through(self):
-        obj = _payload_obj()
-        with knob_overrides(shm_handoff=False):
-            assert share_payload(obj) is obj
-
     def test_resolve_and_release_are_noops_on_plain_objects(self):
         obj = _payload_obj()
         assert resolve_payload(obj) is obj
@@ -181,8 +175,8 @@ class TestWorkerHandoff:
         expect = float(obj["mcf"]["address"].sum())
         with shared_handoff(obj) as payload:
             name = payload.segment
-            # SIGKILL one worker mid-job: the pool is respawned and the
-            # re-dispatched job must re-attach the still-live segment.
+            # SIGKILL one worker mid-job: a fresh worker is forked and
+            # the re-dispatched job must re-attach the still-live segment.
             results = parallel_map(
                 _sum_job, [(k, payload) for k in range(3)],
                 jobs=2, retries=1, keys=["j0", "j1", "j2"],

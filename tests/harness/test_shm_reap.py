@@ -14,7 +14,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro.config import knob_overrides
 from repro.harness.shm import (
     SEGMENT_PREFIX,
     _owner_pid,
@@ -34,11 +33,9 @@ pytestmark = pytest.mark.skipif(
 _OWNER_SCRIPT = """
 import os, signal, sys, time
 import numpy as np
-from repro.config import knob_overrides
 from repro.harness.shm import share_payload
 
-with knob_overrides(shm_handoff=True):
-    handle = share_payload({"big": np.arange(4096, dtype=np.int64)})
+handle = share_payload({"big": np.arange(4096, dtype=np.int64)})
 print(handle.segment, flush=True)
 if sys.argv[1] == "kill":
     os.kill(os.getpid(), signal.SIGKILL)
@@ -89,9 +86,7 @@ class TestReaper:
         assert segment in reap_orphaned_segments()
 
     def test_own_segments_survive_the_reaper(self):
-        with knob_overrides(shm_handoff=True):
-            handle = share_payload(
-                {"big": np.arange(4096, dtype=np.int64)})
+        handle = share_payload({"big": np.arange(4096, dtype=np.int64)})
         try:
             assert handle.segment.startswith(
                 f"{SEGMENT_PREFIX}{os.getpid()}-")

@@ -11,7 +11,7 @@ class TestConfigVerb:
         assert main(["config"]) == 0
         out = capsys.readouterr().out
         for env in ("REPRO_TELEMETRY", "REPRO_OBS_DIR", "REPRO_FAULT_TRIALS",
-                    "REPRO_NATIVE", "REPRO_SHM_HANDOFF"):
+                    "REPRO_NATIVE"):
             assert env in out
 
     def test_shows_env_source(self, capsys, monkeypatch):

@@ -198,12 +198,11 @@ class TestKnobs:
             assert "REPRO_NATIVE" not in os.environ
 
     def test_one_native_knob(self):
-        """Two implementation knobs remain: ``native`` gates every C
-        kernel, ``shm_handoff`` the worker transport."""
+        """One implementation knob remains: ``native`` gates every C
+        kernel."""
         assert list(KNOBS) == [
-            "native", "ckernel_dir", "shm_handoff", "fault_trials",
-            "seed", "jobs", "cache_dir", "job_timeout", "retries",
-            "telemetry", "obs_dir"]
+            "native", "ckernel_dir", "fault_trials", "seed", "jobs",
+            "cache_dir", "job_timeout", "retries", "telemetry", "obs_dir"]
         assert KNOBS["native"].env == "REPRO_NATIVE"
         assert KNOBS["native"].default is True
 

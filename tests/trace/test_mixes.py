@@ -92,7 +92,6 @@ class TestMixRoundtrip:
     def test_shm_handoff_roundtrip(self, name):
         import pickle
 
-        from repro.config import knob_overrides
         from repro.harness import shm
         from repro.trace.workloads import Workload
 
@@ -101,8 +100,7 @@ class TestMixRoundtrip:
         payload = {"address": wt.trace.address, "is_write": wt.trace.is_write,
                    "gap": wt.trace.gap, "core": wt.trace.core,
                    "times": wt.times}
-        with knob_overrides(shm_handoff=True):
-            item = shm.share_payload(payload, threshold=8)
+        item = shm.share_payload(payload, threshold=8)
         if not isinstance(item, shm.SharedPayload):
             pytest.skip("no shared memory on this platform")
         try:

@@ -10,17 +10,19 @@
 #    memo's figures still equal fresh ones when every miss replays
 #    through replay_reference, and replay's input checks hold on the
 #    reference path too.
-# 2. Re-runs the chaos suites verbosely (worker SIGKILL, hangs past
-#    timeout, corrupted cache entries, compile failure) so a resilience
-#    regression is named in the CI log, not buried in the dots.
+# 2. Re-runs the chaos suites verbosely (a worker SIGKILL or a hang
+#    past its timeout charging only the job that worker held, corrupted
+#    cache entries, compile failure) so a resilience regression is
+#    named in the CI log, not buried in the dots.
 # 3. Runs the workload-frontier smoke: one small server-workload
 #    generator per family (kvstore, webserver, compiler) through
 #    prepare + replay with the tolerance-tiered policy, gated on
 #    seeded determinism, plan parity with its reference mechanism,
 #    and a reliability win over the perf-focused baseline.
 # 4. Runs the kill/resume smoke: SIGKILLs a real checkpointed sweep
-#    mid-run, resumes it, and asserts bit-identical rows with only the
-#    unfinished workloads recomputed.
+#    mid-run (serially, then on two forked workers), resumes it, and
+#    asserts bit-identical rows with only the unfinished workloads
+#    recomputed, and that the killed sweep's workers exit within 10 s.
 # 5. Runs the replay (reference vs compiled), policy-layer,
 #    workload-generator and ECC-codec throughput benchmarks at a small
 #    scale with relaxed JSON output paths, so CI catches both
