@@ -8,8 +8,8 @@ FIT of the fast memory; the Wr^2 heuristic flattens the slope.
 from repro.harness.sweeps import fit_multiplier_sweep
 
 
-def test_sweep_fit_multiplier(run_once):
-    result = run_once(fit_multiplier_sweep, workload="mix1",
+def test_sweep_fit_multiplier(run_once, cache):
+    result = run_once(fit_multiplier_sweep, cache=cache, workload="mix1",
                       multipliers=(1.0, 2.0, 4.0, 7.0, 12.0))
     result.print()
     perf = [row[2] for row in result.rows]

@@ -8,8 +8,8 @@ toward the bare latency ratio.
 from repro.harness.sweeps import mlp_sensitivity
 
 
-def test_sweep_mlp(run_once):
-    result = run_once(mlp_sensitivity, workload="libquantum",
+def test_sweep_mlp(run_once, cache):
+    result = run_once(mlp_sensitivity, cache=cache, workload="libquantum",
                       windows=(1, 2, 4, 8, 16))
     result.print()
     speedups = [row[3] for row in result.rows]

@@ -23,7 +23,7 @@ import json
 import os
 import time
 
-from repro.harness.experiments import workload_frontier
+from repro.harness.experiments import WorkloadCache, workload_frontier
 from repro.workloads import FRONTIER_WORKLOADS, generate_frontier
 
 #: Default scale, default trace volume — the acceptance configuration.
@@ -78,8 +78,9 @@ def test_workload_benchmarks():
     fig = None
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        fig = workload_frontier(accesses_per_core=ACCESSES, scale=SCALE,
-                                seed=SEED, num_intervals=INTERVALS)
+        cache = WorkloadCache(accesses_per_core=ACCESSES, scale=SCALE,
+                              seed=SEED)
+        fig = workload_frontier(cache, num_intervals=INTERVALS)
         elapsed = time.perf_counter() - t0
         if best_fig is None or elapsed < best_fig:
             best_fig = elapsed

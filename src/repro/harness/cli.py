@@ -17,12 +17,8 @@ import argparse
 import os
 import sys
 
-from repro.config import knob_overrides, knob_value
-from repro.harness.experiments import (
-    EXPERIMENTS,
-    WorkloadCache,
-    run_experiment,
-)
+from repro.config import knob_value
+from repro.harness.experiments import EXPERIMENTS
 from repro.sim.system import DEFAULT_SCALE
 
 
@@ -68,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment ids (default: all)")
     export.add_argument("--format", choices=("json", "csv"),
                         default="json")
-    export.add_argument("--accesses", type=int, default=20_000)
-    export.add_argument("--scale", type=float, default=DEFAULT_SCALE)
-    export.add_argument("--seed", type=int, default=None,
-                    help="trace/fault-sim RNG seed "
-                         "(env REPRO_SEED; default 0)")
     _add_runner_args(export)
 
     scatter = sub.add_parser(
@@ -89,13 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", help="experiment id, e.g. fig05, or 'all'")
-    run.add_argument("--accesses", type=int, default=20_000,
-                     help="memory accesses per core (default 20000)")
-    run.add_argument("--scale", type=float, default=DEFAULT_SCALE,
-                     help="capacity/footprint scale (default 1/1024)")
-    run.add_argument("--seed", type=int, default=None,
-                 help="trace/fault-sim RNG seed "
-                      "(env REPRO_SEED; default 0)")
     _add_runner_args(run)
 
     sub.add_parser(
@@ -167,6 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_runner_args(sub) -> None:
+    """The flags of a run, shared by ``run`` and ``export``."""
+    sub.add_argument("--accesses", type=int, default=20_000,
+                     help="memory accesses per core (default 20000)")
+    sub.add_argument("--scale", type=float, default=DEFAULT_SCALE,
+                     help="capacity/footprint scale (default 1/1024)")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="trace/fault-sim RNG seed "
+                          "(env REPRO_SEED; default 0)")
     sub.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for experiment fan-out (default 1 = "
@@ -293,20 +285,10 @@ def main(argv: "list[str] | None" = None) -> int:
         if path and os.path.exists(path) and not os.path.isdir(path):
             parser.error(f"--{flag.replace('_', '-')} {path} exists and "
                          "is not a directory")
-    # Flags become scoped knob overrides (never os.environ mutations,
-    # which would leak into later runs in the same process); forked
-    # workers inherit them.  --seed resolves once (flag > REPRO_SEED >
-    # 0), so the run key and every registry row record the value used.
+    # --seed resolves once (flag > REPRO_SEED > 0), so the run key and
+    # every registry row record the value used.
     if hasattr(args, "seed"):
         args.seed = knob_value("seed", args.seed)
-    with knob_overrides(
-            fault_trials=getattr(args, "fault_trials", None),
-            telemetry=True if getattr(args, "telemetry", False) else None,
-            obs_dir=getattr(args, "obs_dir", None)):
-        return _dispatch(parser, args)
-
-
-def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     if args.command == "list":
         for name, func in EXPERIMENTS.items():
             doc = (func.__doc__ or "").strip().splitlines()[0]
@@ -344,60 +326,26 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
               f"of {quad.total_pages} pages")
         return 0
     if args.command == "export":
-        if args.run_dir:
-            from repro.harness.export import to_csv, to_json
-
-            names = (args.experiments if args.experiments
-                     else list(EXPERIMENTS))
-            for name in names:
-                if name not in EXPERIMENTS:
-                    print(f"unknown experiment {name!r}; try "
-                          "'repro-hma list'", file=sys.stderr)
-                    return 2
-            results, failed = _run_checkpointed(names, args)
-            os.makedirs(args.directory, exist_ok=True)
-            written = []
-            for name, result in results:
-                path = os.path.join(args.directory, f"{name}.{args.format}")
-                if args.format == "json":
-                    to_json(result, path)
-                else:
-                    to_csv(result, path)
-                written.append(path)
-            print(f"wrote {len(written)} files to {args.directory}")
-            return 1 if failed else 0
+        names = args.experiments or list(EXPERIMENTS)
+    elif args.experiment == "all":
+        names = list(EXPERIMENTS)
+    else:
+        names = [args.experiment]
+    for name in names:
+        if name not in EXPERIMENTS:
+            print(f"unknown experiment {name!r}; try 'repro-hma list'",
+                  file=sys.stderr)
+            return 2
+    results, failed = _run(names, args)
+    if args.command == "export":
         from repro.harness.export import export_all
 
-        cache = WorkloadCache(accesses_per_core=args.accesses,
-                              scale=args.scale, seed=args.seed,
-                              cache_dir=args.cache_dir,
-                              jobs=_effective_jobs(args))
-        if _effective_jobs(args) != 1:
-            cache.prefetch()
-        written = export_all(args.directory, cache=cache,
-                             experiments=args.experiments, fmt=args.format)
+        written = export_all(args.directory, results, fmt=args.format)
         print(f"wrote {len(written)} files to {args.directory}")
-        return 0
-
-    name = args.experiment
-    if name != "all" and name not in EXPERIMENTS:
-        print(f"unknown experiment {name!r}; try 'repro-hma list'",
-              file=sys.stderr)
-        return 2
-    jobs = _effective_jobs(args)
-    targets = list(EXPERIMENTS) if name == "all" else [name]
-    if args.run_dir or (jobs != 1 and len(targets) > 1):
-        results, failed = _run_checkpointed(targets, args)
-        for _target, result in results:
+    else:
+        for _name, result in results:
             result.print()
-        return 1 if failed else 0
-    cache = WorkloadCache(accesses_per_core=args.accesses, scale=args.scale,
-                          seed=args.seed, cache_dir=args.cache_dir, jobs=jobs)
-    if jobs != 1:
-        cache.prefetch()
-    for target in targets:
-        run_experiment(target, cache).print()
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_verify(args) -> int:
@@ -484,18 +432,19 @@ def _cmd_compare(args) -> int:
     return 1 if regressed else 0
 
 
-def _run_checkpointed(targets, args):
-    """Fan experiments out with checkpoint/retry/timeout handling.
+def _run(names, args):
+    """Run experiments through :func:`~repro.harness.runner.run_experiments`
+    with the flags' checkpoint/retry/timeout handling.
 
     Returns ``(results, failed)`` where ``results`` are the completed
     ``(name, FigureResult)`` pairs and ``failed`` the outcomes of jobs
-    that exhausted their retry budget — a partial run reports cleanly
-    instead of dying with a traceback.
+    that exhausted their retry budget — a partial run reports each
+    failure with its traceback and keeps every completed result.
     """
     from repro.harness.runner import run_experiments
 
     report = run_experiments(
-        targets, accesses_per_core=args.accesses, scale=args.scale,
+        names, accesses_per_core=args.accesses, scale=args.scale,
         seed=args.seed, cache_dir=args.cache_dir,
         jobs=_effective_jobs(args), checkpoint_dir=args.run_dir,
         resume=args.resume, job_timeout=args.job_timeout,

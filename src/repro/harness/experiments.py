@@ -7,14 +7,14 @@ expected to match (our substrate is a synthetic-trace simulator, not
 the authors' Pin/Ramulator testbed); the *shape* — who wins, by what
 rough factor, where crossovers fall — is the reproduction target.
 
-All functions accept ``accesses_per_core`` / ``scale`` / ``seed`` so
-benchmarks can trade fidelity for runtime; defaults match the test
-suite's scaled configuration (1 MB HBM : 16 MB DDR).
+Every function that reads workloads takes the run's
+:class:`WorkloadCache`: its trace volume, scale and seed set the
+fidelity, and its memos share preparations, replays and FaultSim
+campaigns across the experiments of one run.  The cache's defaults
+match the test suite's scaled configuration (1 MB HBM : 16 MB DDR).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,13 @@ from repro.core.placement import (
 )
 from repro.core.quadrant import quadrant_split
 from repro.faults.ser import SerModel
-from repro.harness.reporting import format_table, gmean
+from repro.harness.reporting import FigureResult, gmean
+from repro.harness.sweeps import (
+    _config_with_fast_pages,
+    capacity_sweep,
+    fit_multiplier_sweep,
+    mlp_sensitivity,
+)
 from repro.sim.system import (
     DEFAULT_SCALE,
     MigrationSpec,
@@ -54,7 +60,6 @@ from repro.sim.system import (
     evaluate_migration_multi,
     evaluate_static,
     evaluate_static_multi,
-    prepare_workload,
 )
 from repro.trace.mixes import MIX_NAMES, MIX_TABLE
 from repro.trace.workloads import HOMOGENEOUS_BENCHMARKS, PROFILES
@@ -71,36 +76,11 @@ DEFAULT_ACCESSES = 20_000
 DEFAULT_INTERVALS = 16
 
 
-@dataclass
-class FigureResult:
-    """Rows and headline numbers of one reproduced figure/table."""
-
-    figure: str
-    description: str
-    headers: "list[str]"
-    rows: "list[list]"
-    summary: "dict[str, float]" = field(default_factory=dict)
-    paper: "dict[str, float]" = field(default_factory=dict)
-
-    def format(self) -> str:
-        parts = [format_table(self.headers, self.rows,
-                              title=f"{self.figure}: {self.description}")]
-        if self.summary:
-            parts.append("")
-            for key, value in self.summary.items():
-                target = self.paper.get(key)
-                suffix = f"   (paper: {target})" if target is not None else ""
-                parts.append(f"  {key} = {value:.3g}{suffix}")
-        return "\n".join(parts)
-
-    def print(self) -> None:
-        print(self.format())
-        print()
-
-
 class WorkloadCache:
-    """Prepared-workload cache shared across experiment functions.
+    """A run's prepared workloads, shared by every experiment of the run.
 
+    Experiments receive their workloads only through :meth:`get`, so
+    the trace volume, scale and seed given here hold for the whole run.
     ``cache_dir`` adds a persistent on-disk layer underneath the
     in-memory dict (see :mod:`repro.harness.runner`), and
     :meth:`prefetch` warms both layers for a workload list across
@@ -147,9 +127,8 @@ class WorkloadCache:
             )
         return self._cache[name]
 
-    def prefetch(self, names=ALL_WORKLOADS, jobs: "int | None" = None
-                 ) -> "WorkloadCache":
-        """Prepare ``names`` across processes and absorb the results."""
+    def prefetch(self, names=ALL_WORKLOADS) -> "WorkloadCache":
+        """Prepare ``names`` across ``jobs`` processes and keep them."""
         from repro.harness.runner import prefetch_workloads
 
         missing = [n for n in names if n not in self._cache]
@@ -161,16 +140,9 @@ class WorkloadCache:
                 seed=self.seed,
                 ser_model=self._ser_model,
                 cache_dir=self.cache_dir,
-                jobs=self.jobs if jobs is None else jobs,
+                jobs=self.jobs,
             ))
         return self
-
-
-def _cache(cache, accesses_per_core, scale, seed) -> WorkloadCache:
-    if cache is not None:
-        return cache
-    return WorkloadCache(accesses_per_core=accesses_per_core, scale=scale,
-                         seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +204,12 @@ def table2_mixes() -> FigureResult:
 # ---------------------------------------------------------------------------
 
 def fig01_frontier(
+    cache: WorkloadCache,
     workloads=SWEEP_WORKLOADS,
     fractions=(0.0, 0.125, 0.25, 0.5, 0.75, 1.0),
-    cache: "WorkloadCache | None" = None,
-    accesses_per_core: int = DEFAULT_ACCESSES,
-    scale: float = DEFAULT_SCALE,
-    seed: "int | None" = None,
 ) -> FigureResult:
     """Fig. 1: each point places a different proportion of hot pages in
     the fast memory; performance rises while reliability collapses."""
-    cache = _cache(cache, accesses_per_core, scale, seed)
     rows = []
     for fraction in fractions:
         ipcs, sers = [], []
@@ -271,16 +239,9 @@ def fig01_frontier(
 # Figure 2: per-workload memory AVF
 # ---------------------------------------------------------------------------
 
-def fig02_avf(
-    workloads=ALL_WORKLOADS,
-    cache: "WorkloadCache | None" = None,
-    accesses_per_core: int = DEFAULT_ACCESSES,
-    scale: float = DEFAULT_SCALE,
-    seed: "int | None" = None,
-) -> FigureResult:
+def fig02_avf(cache: WorkloadCache, workloads=ALL_WORKLOADS) -> FigureResult:
     """Fig. 2: average memory AVF varies widely across applications
     (paper: 1.7% for astar up to 22.5% for milc)."""
-    cache = _cache(cache, accesses_per_core, scale, seed)
     stats = [(wl, cache.get(wl).stats.mean_avf() * 100) for wl in workloads]
     stats.sort(key=lambda kv: kv[1])
     rows = [[wl, avf] for wl, avf in stats]
@@ -342,16 +303,10 @@ def fig03_ace_cases() -> FigureResult:
 # Figure 4: hotness-risk quadrants
 # ---------------------------------------------------------------------------
 
-def fig04_quadrants(
-    workloads=ALL_WORKLOADS,
-    cache: "WorkloadCache | None" = None,
-    accesses_per_core: int = DEFAULT_ACCESSES,
-    scale: float = DEFAULT_SCALE,
-    seed: "int | None" = None,
-) -> FigureResult:
+def fig04_quadrants(cache: WorkloadCache,
+                    workloads=ALL_WORKLOADS) -> FigureResult:
     """Fig. 4: page distribution across the four hotness-risk
     quadrants; hot & low-risk pages are 9-39% of the footprint."""
-    cache = _cache(cache, accesses_per_core, scale, seed)
     rows = []
     hot_low = []
     for wl in workloads:
@@ -383,10 +338,8 @@ def fig04_quadrants(
 # ---------------------------------------------------------------------------
 
 def _static_figure(
-    figure, description, policy, workloads, cache, accesses_per_core,
-    scale, seed, relative_to_perf, paper,
+    figure, description, policy, workloads, cache, relative_to_perf, paper,
 ) -> FigureResult:
-    cache = _cache(cache, accesses_per_core, scale, seed)
     rows = []
     ipc_ratios, ser_ratios = [], []
     order = sorted(
@@ -425,67 +378,62 @@ def _static_figure(
     )
 
 
-def fig05_perf_focused(workloads=ALL_WORKLOADS, cache=None,
-                       accesses_per_core=DEFAULT_ACCESSES,
-                       scale=DEFAULT_SCALE, seed=None) -> FigureResult:
+def fig05_perf_focused(cache: WorkloadCache,
+                       workloads=ALL_WORKLOADS) -> FigureResult:
     """Fig. 5: performance-focused placement boosts IPC ~1.6x but
     inflates SER ~287x relative to DDR-only."""
     return _static_figure(
         "Figure 5", "Performance-focused static placement vs DDR-only",
-        PerformanceFocusedPlacement(), workloads, cache, accesses_per_core,
-        scale, seed, relative_to_perf=False,
+        PerformanceFocusedPlacement(), workloads, cache,
+        relative_to_perf=False,
         paper={"mean_ipc_ratio": 1.6, "mean_ser_ratio": 287.0},
     )
 
 
-def fig07_rel_focused(workloads=ALL_WORKLOADS, cache=None,
-                      accesses_per_core=DEFAULT_ACCESSES,
-                      scale=DEFAULT_SCALE, seed=None) -> FigureResult:
+def fig07_rel_focused(cache: WorkloadCache,
+                      workloads=ALL_WORKLOADS) -> FigureResult:
     """Fig. 7: reliability-focused placement cuts SER ~5x at ~17%
     performance loss relative to performance-focused placement."""
     return _static_figure(
         "Figure 7", "Reliability-focused placement vs performance-focused",
-        ReliabilityFocusedPlacement(), workloads, cache, accesses_per_core,
-        scale, seed, relative_to_perf=True,
+        ReliabilityFocusedPlacement(), workloads, cache,
+        relative_to_perf=True,
         paper={"mean_ipc_ratio": 0.83, "mean_ser_ratio": 1 / 5.0},
     )
 
 
-def fig08_balanced(workloads=ALL_WORKLOADS, cache=None,
-                   accesses_per_core=DEFAULT_ACCESSES,
-                   scale=DEFAULT_SCALE, seed=None) -> FigureResult:
+def fig08_balanced(cache: WorkloadCache,
+                   workloads=ALL_WORKLOADS) -> FigureResult:
     """Fig. 8: balanced (hot & low-risk quadrant) placement cuts SER
     ~3x at ~14% performance loss vs performance-focused."""
     return _static_figure(
         "Figure 8", "Balanced (hot & low-risk) placement vs perf-focused",
-        BalancedPlacement(), workloads, cache, accesses_per_core,
-        scale, seed, relative_to_perf=True,
+        BalancedPlacement(), workloads, cache,
+        relative_to_perf=True,
         paper={"mean_ipc_ratio": 0.86, "mean_ser_ratio": 1 / 3.0},
     )
 
 
-def fig10_wr_ratio(workloads=ALL_WORKLOADS, cache=None,
-                   accesses_per_core=DEFAULT_ACCESSES,
-                   scale=DEFAULT_SCALE, seed=None) -> FigureResult:
+def fig10_wr_ratio(cache: WorkloadCache,
+                   workloads=ALL_WORKLOADS) -> FigureResult:
     """Fig. 10: Wr-ratio heuristic placement cuts SER ~1.8x at ~8.1%
     performance loss vs performance-focused."""
     return _static_figure(
         "Figure 10", "Top Wr-ratio placement vs performance-focused",
-        WrRatioPlacement(), workloads, cache, accesses_per_core,
-        scale, seed, relative_to_perf=True,
+        WrRatioPlacement(), workloads, cache,
+        relative_to_perf=True,
         paper={"mean_ipc_ratio": 0.919, "mean_ser_ratio": 1 / 1.8},
     )
 
 
-def fig11_wr2_ratio(workloads=ALL_WORKLOADS, cache=None,
-                    accesses_per_core=DEFAULT_ACCESSES,
-                    scale=DEFAULT_SCALE, seed=None) -> FigureResult:
+def fig11_wr2_ratio(cache: WorkloadCache,
+                    workloads=ALL_WORKLOADS) -> FigureResult:
     """Fig. 11: Wr^2-ratio placement cuts SER ~1.6x at only ~1%
     performance loss vs performance-focused."""
     return _static_figure(
         "Figure 11", "Top Wr^2-ratio placement vs performance-focused",
-        Wr2RatioPlacement(), workloads, cache, accesses_per_core,
-        scale, seed, relative_to_perf=True,
+        Wr2RatioPlacement(), workloads, cache,
+        relative_to_perf=True,
         paper={"mean_ipc_ratio": 0.99, "mean_ser_ratio": 1 / 1.6},
     )
 
@@ -495,16 +443,12 @@ def fig11_wr2_ratio(workloads=ALL_WORKLOADS, cache=None,
 # ---------------------------------------------------------------------------
 
 def fig06_correlation(
+    cache: WorkloadCache,
     workload: str = "mix1",
     top_n: int = 1000,
-    cache=None,
-    accesses_per_core=DEFAULT_ACCESSES,
-    scale=DEFAULT_SCALE,
-    seed=None,
 ) -> FigureResult:
     """Fig. 6: hotness and AVF of the hottest pages correlate weakly
     (paper: rho = 0.08 over the full footprint of mix1)."""
-    cache = _cache(cache, accesses_per_core, scale, seed)
     stats = cache.get(workload).stats
     idx = top_hot_pages(stats, top_n)
     rho_all = hotness_avf_correlation(stats)
@@ -525,16 +469,10 @@ def fig06_correlation(
     )
 
 
-def fig09_write_ratio(
-    workload: str = "mix1",
-    cache=None,
-    accesses_per_core=DEFAULT_ACCESSES,
-    scale=DEFAULT_SCALE,
-    seed=None,
-) -> FigureResult:
+def fig09_write_ratio(cache: WorkloadCache,
+                      workload: str = "mix1") -> FigureResult:
     """Fig. 9: write ratio anti-correlates with AVF (paper rho = -0.32)
     and most pages are read-heavy, with a write-heavy tail."""
-    cache = _cache(cache, accesses_per_core, scale, seed)
     stats = cache.get(workload).stats
     rho = write_ratio_avf_correlation(stats)
     hist = write_ratio_histogram(stats)
@@ -557,16 +495,12 @@ def fig09_write_ratio(
 # ---------------------------------------------------------------------------
 
 def fig12_perf_migration(
+    cache: WorkloadCache,
     workloads=ALL_WORKLOADS,
-    cache=None,
-    accesses_per_core=DEFAULT_ACCESSES,
-    scale=DEFAULT_SCALE,
-    seed=None,
     num_intervals=DEFAULT_INTERVALS,
 ) -> FigureResult:
     """Fig. 12: performance-focused migration gets within ~6% of the
     static oracle's IPC while SER stays ~268x above DDR-only."""
-    cache = _cache(cache, accesses_per_core, scale, seed)
     rows, ipcs, sers, vs_static = [], [], [], []
     for wl in workloads:
         prep = cache.get(wl)
@@ -599,12 +533,9 @@ def fig12_perf_migration(
 
 
 def fig13_interval_sweep(
+    cache: WorkloadCache,
     workloads=SWEEP_WORKLOADS,
     intervals=(4, 8, 16, 32, 64),
-    cache=None,
-    accesses_per_core=DEFAULT_ACCESSES,
-    scale=DEFAULT_SCALE,
-    seed=None,
 ) -> FigureResult:
     """Fig. 13: sweep over the migration interval.
 
@@ -614,7 +545,6 @@ def fig13_interval_sweep(
     very frequent migration pays too much copy bandwidth, very rare
     migration reacts too slowly.
     """
-    cache = _cache(cache, accesses_per_core, scale, seed)
     # The sweep starts from an empty HBM (first-touch into DDR) so both
     # failure modes are visible: long intervals adapt too slowly to
     # ever exploit the fast memory, short ones drown in migration
@@ -651,9 +581,8 @@ def fig13_interval_sweep(
 
 def _migration_vs_perf(
     figure, description, mechanism_factory, workloads, cache,
-    accesses_per_core, scale, seed, num_intervals, paper,
+    num_intervals, paper,
 ) -> FigureResult:
-    cache = _cache(cache, accesses_per_core, scale, seed)
     rows, ipc_ratios, ser_ratios = [], [], []
     for wl in workloads:
         base, res = evaluate_migration_multi(cache.get(wl), [
@@ -681,31 +610,27 @@ def _migration_vs_perf(
     )
 
 
-def fig14_fc_migration(workloads=ALL_WORKLOADS, cache=None,
-                       accesses_per_core=DEFAULT_ACCESSES,
-                       scale=DEFAULT_SCALE, seed=None,
+def fig14_fc_migration(cache: WorkloadCache, workloads=ALL_WORKLOADS,
                        num_intervals=DEFAULT_INTERVALS) -> FigureResult:
     """Fig. 14: Full-Counter reliability-aware migration cuts SER ~1.8x
     at ~6% performance loss vs performance-focused migration."""
     return _migration_vs_perf(
         "Figure 14", "Reliability-aware FC migration vs perf migration",
-        ReliabilityAwareFCMigration, workloads, cache, accesses_per_core,
-        scale, seed, num_intervals,
+        ReliabilityAwareFCMigration, workloads, cache,
+        num_intervals,
         paper={"mean_ipc_ratio": 0.94, "mean_ser_ratio": 1 / 1.8},
     )
 
 
-def fig15_cc_migration(workloads=ALL_WORKLOADS, cache=None,
-                       accesses_per_core=DEFAULT_ACCESSES,
-                       scale=DEFAULT_SCALE, seed=None,
+def fig15_cc_migration(cache: WorkloadCache, workloads=ALL_WORKLOADS,
                        num_intervals=DEFAULT_INTERVALS) -> FigureResult:
     """Fig. 15: Cross-Counters migration cuts SER ~1.5x at ~4.9%
     performance loss vs performance-focused migration, with far less
     tracking hardware than FC."""
     return _migration_vs_perf(
         "Figure 15", "Cross-Counters migration vs perf migration",
-        CrossCountersMigration, workloads, cache, accesses_per_core,
-        scale, seed, num_intervals,
+        CrossCountersMigration, workloads, cache,
+        num_intervals,
         paper={"mean_ipc_ratio": 0.951, "mean_ser_ratio": 1 / 1.5},
     )
 
@@ -715,11 +640,8 @@ def fig15_cc_migration(workloads=ALL_WORKLOADS, cache=None,
 # ---------------------------------------------------------------------------
 
 def workload_frontier(
+    cache: WorkloadCache,
     workloads=FRONTIER_WORKLOADS,
-    cache=None,
-    accesses_per_core=DEFAULT_ACCESSES,
-    scale=DEFAULT_SCALE,
-    seed=None,
     num_intervals=DEFAULT_INTERVALS,
 ) -> FigureResult:
     """Extension: phase-aware server workloads under the migration
@@ -736,7 +658,6 @@ def workload_frontier(
 
         repro-hma run workload-frontier
     """
-    cache = _cache(cache, accesses_per_core, scale, seed)
     rows = []
     ipc_vs_cc, ser_vs_cc = [], []
     summary: "dict[str, float]" = {}
@@ -806,14 +727,11 @@ def _pareto_front(points: "list[tuple[float, float]]") -> "set[int]":
 
 
 def ecc_pareto(
+    cache: WorkloadCache,
     workloads=("mcf", "mix1"),
     fractions=(0.1, 0.4),
     fast_schemes=None,
     slow_schemes=("secded", "chipkill"),
-    cache=None,
-    accesses_per_core=DEFAULT_ACCESSES,
-    scale=DEFAULT_SCALE,
-    seed=None,
 ) -> FigureResult:
     """Extension: reliability vs protection cost across the scheme ladder.
 
@@ -843,11 +761,9 @@ def ecc_pareto(
 
     from repro.faults.cost import cost_of
     from repro.faults.ecc import SCHEME_LADDER
-    from repro.harness.sweeps import _config_with_fast_pages
 
     if fast_schemes is None:
         fast_schemes = SCHEME_LADDER
-    cache = _cache(cache, accesses_per_core, scale, seed)
     policy = PerformanceFocusedPlacement()
 
     assignments = [(fraction, fast_ecc, slow_ecc)
@@ -915,12 +831,10 @@ def ecc_pareto(
 # Figures 16-17: program annotations
 # ---------------------------------------------------------------------------
 
-def fig16_annotations(workloads=ALL_WORKLOADS, cache=None,
-                      accesses_per_core=DEFAULT_ACCESSES,
-                      scale=DEFAULT_SCALE, seed=None) -> FigureResult:
+def fig16_annotations(cache: WorkloadCache,
+                      workloads=ALL_WORKLOADS) -> FigureResult:
     """Fig. 16: annotation-pinned placement cuts SER ~1.3x at ~1.1%
     performance loss vs the performance-focused oracle."""
-    cache = _cache(cache, accesses_per_core, scale, seed)
     rows, ipc_ratios, ser_ratios = [], [], []
     for wl in workloads:
         prep = cache.get(wl)
@@ -945,12 +859,10 @@ def fig16_annotations(workloads=ALL_WORKLOADS, cache=None,
     )
 
 
-def fig17_annotation_counts(workloads=ALL_WORKLOADS, cache=None,
-                            accesses_per_core=DEFAULT_ACCESSES,
-                            scale=DEFAULT_SCALE, seed=None) -> FigureResult:
+def fig17_annotation_counts(cache: WorkloadCache,
+                            workloads=ALL_WORKLOADS) -> FigureResult:
     """Fig. 17: a handful of annotated structures covers the HBM
     capacity for most workloads (paper average ~8)."""
-    cache = _cache(cache, accesses_per_core, scale, seed)
     rows = []
     counts = []
     for wl in workloads:
@@ -976,13 +888,10 @@ def fig17_annotation_counts(workloads=ALL_WORKLOADS, cache=None,
 # Table 3 and hardware cost
 # ---------------------------------------------------------------------------
 
-def table3_summary(workloads=ALL_WORKLOADS, cache=None,
-                   accesses_per_core=DEFAULT_ACCESSES,
-                   scale=DEFAULT_SCALE, seed=None,
+def table3_summary(cache: WorkloadCache, workloads=ALL_WORKLOADS,
                    num_intervals=DEFAULT_INTERVALS) -> FigureResult:
     """Table 3: IPC degradation and SER improvement of every scheme,
     each normalised to its performance-focused counterpart."""
-    cache = _cache(cache, accesses_per_core, scale, seed)
     static_schemes = [
         ("Reliability-focused", ReliabilityFocusedPlacement(), 17.0, 5.0),
         ("Balanced", BalancedPlacement(), 14.0, 3.0),
@@ -1085,33 +994,15 @@ def hw_cost(scale: float = 1.0) -> FigureResult:
     )
 
 
-def _sweep(name):
-    """Lazy wrappers so the sweeps module stays import-light.
+def sweep_capacity(cache: WorkloadCache) -> FigureResult:
+    """Extension sweep: see repro.harness.sweeps.capacity_sweep.
 
-    Like the figures, a wrapper takes the shared ``cache``: the sweep
-    gets every :class:`WorkloadCache` setting it accepts (trace volume,
-    scale, seed, cache directory, jobs).  Explicit keyword arguments
-    win.
+    The sweep prepares and fans out its own workloads, so it gets the
+    run's settings rather than the cache itself.
     """
-    def runner(cache: "WorkloadCache | None" = None, **kwargs):
-        import inspect
-
-        from repro.harness import sweeps
-
-        func = getattr(sweeps, name)
-        if cache is not None:
-            params = inspect.signature(func).parameters
-            for key, value in (("accesses_per_core", cache.accesses_per_core),
-                               ("scale", cache.scale), ("seed", cache.seed),
-                               ("cache_dir", cache.cache_dir),
-                               ("jobs", cache.jobs)):
-                if key in params and value is not None:
-                    kwargs.setdefault(key, value)
-        return func(**kwargs)
-
-    runner.__doc__ = f"Extension sweep: see repro.harness.sweeps.{name}."
-    runner.__name__ = name
-    return runner
+    return capacity_sweep(accesses_per_core=cache.accesses_per_core,
+                          scale=cache.scale, seed=cache.seed,
+                          jobs=cache.jobs, cache_dir=cache.cache_dir)
 
 
 #: Registry used by the CLI and the benchmark harness.
@@ -1139,9 +1030,9 @@ EXPERIMENTS = {
     "hwcost": hw_cost,
     "workload-frontier": workload_frontier,
     "ecc-pareto": ecc_pareto,
-    "sweep-capacity": _sweep("capacity_sweep"),
-    "sweep-fit": _sweep("fit_multiplier_sweep"),
-    "sweep-mlp": _sweep("mlp_sensitivity"),
+    "sweep-capacity": sweep_capacity,
+    "sweep-fit": fit_multiplier_sweep,
+    "sweep-mlp": mlp_sensitivity,
 }
 
 
@@ -1150,10 +1041,9 @@ def run_experiment(name: str, cache: WorkloadCache) -> FigureResult:
 
     Experiments that take a ``cache`` get this one.  The run is
     recorded when the ``telemetry`` knob is on, into the registry under
-    the ``obs_dir`` knob.  The CLI,
-    :func:`~repro.harness.runner.run_experiments` and
-    :func:`~repro.harness.export.export_all` all run experiments
-    through here.
+    the ``obs_dir`` knob.  Every job of
+    :func:`~repro.harness.runner.run_experiments` (which the CLI's
+    ``run`` and ``export`` both use) runs through here.
     """
     import inspect
 

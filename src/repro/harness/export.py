@@ -5,8 +5,10 @@ own tooling can export any :class:`~repro.harness.experiments.FigureResult`:
 
 * :func:`to_csv` — the rows, with headers;
 * :func:`to_json` — rows plus the summary and paper-target metadata;
-* :func:`export_all` — run every registered experiment and write one
-  file per figure into a directory (what ``repro-hma export`` does).
+* :func:`export_all` — write one file per ``(name, FigureResult)``
+  pair into a directory.  ``repro-hma export`` runs the experiments
+  through :func:`~repro.harness.runner.run_experiments`, as
+  ``repro-hma run`` does, and hands the results here.
 """
 
 from __future__ import annotations
@@ -14,13 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+from typing import Iterable
 
-from repro.harness.experiments import (
-    EXPERIMENTS,
-    FigureResult,
-    WorkloadCache,
-    run_experiment,
-)
+from repro.harness.reporting import FigureResult
 
 
 def to_csv(result: FigureResult, path: "str | os.PathLike") -> None:
@@ -54,31 +52,20 @@ def to_json(result: FigureResult, path: "str | os.PathLike | None" = None
 
 def export_all(
     directory: "str | os.PathLike",
-    cache: "WorkloadCache | None" = None,
-    experiments: "list[str] | None" = None,
+    results: "Iterable[tuple[str, FigureResult]]",
     fmt: str = "json",
 ) -> "list[str]":
-    """Run experiments and write one file per figure into ``directory``.
+    """Write one ``<name>.<fmt>`` file per ``(name, FigureResult)`` pair.
 
-    Each experiment runs through :func:`run_experiment`, so it is
-    recorded in the run registry when telemetry is on.  Returns the
-    written paths.  ``fmt`` is ``json`` or ``csv``.
+    Returns the written paths; ``fmt`` is ``json`` or ``csv``.
     """
     if fmt not in ("json", "csv"):
         raise ValueError("fmt must be 'json' or 'csv'")
     os.makedirs(directory, exist_ok=True)
-    if cache is None:
-        cache = WorkloadCache()
-    names = experiments if experiments is not None else list(EXPERIMENTS)
+    write = to_json if fmt == "json" else to_csv
     written = []
-    for name in names:
-        if name not in EXPERIMENTS:
-            raise KeyError(f"unknown experiment {name!r}")
-        result = run_experiment(name, cache)
+    for name, result in results:
         path = os.path.join(str(directory), f"{name}.{fmt}")
-        if fmt == "json":
-            to_json(result, path)
-        else:
-            to_csv(result, path)
+        write(result, path)
         written.append(path)
     return written

@@ -8,6 +8,7 @@ against the paper side by side.
 from __future__ import annotations
 
 import unicodedata
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,3 +77,30 @@ def format_table(
 def print_table(headers, rows, title: str = "") -> None:
     print(format_table(headers, rows, title))
     print()
+
+
+@dataclass
+class FigureResult:
+    """Rows and headline numbers of one reproduced figure/table."""
+
+    figure: str
+    description: str
+    headers: "list[str]"
+    rows: "list[list]"
+    summary: "dict[str, float]" = field(default_factory=dict)
+    paper: "dict[str, float]" = field(default_factory=dict)
+
+    def format(self) -> str:
+        parts = [format_table(self.headers, self.rows,
+                              title=f"{self.figure}: {self.description}")]
+        if self.summary:
+            parts.append("")
+            for key, value in self.summary.items():
+                target = self.paper.get(key)
+                suffix = f"   (paper: {target})" if target is not None else ""
+                parts.append(f"  {key} = {value:.3g}{suffix}")
+        return "\n".join(parts)
+
+    def print(self) -> None:
+        print(self.format())
+        print()

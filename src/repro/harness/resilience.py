@@ -264,6 +264,15 @@ def _backoff_delay(backoff: float, attempts: int,
     return min(backoff * 2 ** (attempts - 1), 30.0) * (1 + 0.25 * rng.random())
 
 
+def _describe(exc: BaseException) -> str:
+    """A failed attempt's error: ``repr(exc)``, then its traceback, so a
+    failure reported after the run still shows where the job raised."""
+    import traceback  # only a failure pays for it
+
+    return repr(exc) + "\n" + "".join(traceback.format_exception(
+        type(exc), exc, exc.__traceback__))
+
+
 def _serve(conn, parent_end, siblings, func, items) -> None:
     """Worker loop: run each ``(index, directive)`` the parent sends and
     reply ``(ok, result | error)``, pickled inside the ``try`` so that an
@@ -282,7 +291,7 @@ def _serve(conn, parent_end, siblings, func, items) -> None:
             reply = pickle.dumps((True, func(items[index])),
                                  protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # noqa: BLE001 — outcome, not crash
-            reply = pickle.dumps((False, repr(exc)))
+            reply = pickle.dumps((False, _describe(exc)))
         try:
             conn.send_bytes(reply)
         except OSError:
@@ -347,6 +356,8 @@ def resilient_map(
       (the serial path cannot preempt in-process work).
     * ``retries`` failed or timed-out attempts are retried with
       exponential backoff (``backoff * 2**n``, 25% jitter).
+    * A job that raised records ``repr(exc)`` and its traceback as its
+      error, on either path.
     * ``on_result`` fires in the parent as each job *succeeds* —
       checkpointing hooks use it to journal results incrementally.
     """
@@ -403,7 +414,7 @@ def _run_serial(state, func, items, retries, backoff, fault_plan, on_result,
                                  in_process=True)
                 result = func(items[job.index])
             except Exception as exc:  # noqa: BLE001 — outcome, not crash
-                if _charge(job, repr(exc), retries, backoff, rng):
+                if _charge(job, _describe(exc), retries, backoff, rng):
                     delay = job.not_before - time.monotonic()
                     if delay > 0:
                         time.sleep(delay)

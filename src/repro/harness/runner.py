@@ -29,10 +29,12 @@ On top of those, :func:`prefetch_workloads` warms a cache directory
 for a whole workload list across cores, and :func:`run_experiments`
 fans complete experiment ids (``fig05``, ``table2``, ...) out across
 processes with optional checkpoint/resume through a
-:class:`~repro.harness.resilience.RunManifest`.  Every experiment of
-one run shares one :class:`~repro.harness.experiments.WorkloadCache`,
-so preparations, replays and FaultSim campaigns run once per run, and
-forked workers inherit it warm.
+:class:`~repro.harness.resilience.RunManifest`.  It is how the CLI's
+``run`` and ``export`` run experiments, and the one place a run builds
+its :class:`~repro.harness.experiments.WorkloadCache`: every
+experiment shares it, so preparations, replays and FaultSim campaigns
+run once per run.  Above one job it first prefetches exactly the
+workloads the experiments read, and forked workers inherit it warm.
 
 Fan-outs whose job items all carry the same prepared workloads (the
 capacity sweep is the canonical case) pass them through
@@ -279,6 +281,23 @@ def _run_experiment_worker(item):
     return name, run_experiment(name, cache)
 
 
+def _default_workloads(names: Sequence[str]) -> "list[str]":
+    """The union of the experiments' default ``workloads``/``workload``
+    arguments, in first-use order: what running ``names`` will read."""
+    import inspect
+
+    from repro.harness.experiments import EXPERIMENTS
+
+    union: "dict[str, None]" = {}
+    for name in names:
+        params = inspect.signature(EXPERIMENTS[name]).parameters
+        if "workloads" in params:
+            union.update(dict.fromkeys(params["workloads"].default))
+        if "workload" in params:
+            union[params["workload"].default] = None
+    return list(union)
+
+
 def run_experiments(
     names: Sequence[str],
     accesses_per_core: int = 20_000,
@@ -297,14 +316,15 @@ def run_experiments(
 ):
     """Run experiment ids across cores; ``[(name, FigureResult)]``.
 
-    Results come back in the order of ``names``.  Every experiment
-    shares one :class:`~repro.harness.experiments.WorkloadCache`,
-    built under the run's ``fault_trials``/``telemetry``/``obs_dir``
-    overrides: serial runs share its preparations, replays and
-    FaultSim campaigns, and when ``jobs`` resolves above 1 it is
-    prefetched across processes first, so forked workers inherit it
-    warm.  ``cache_dir`` also persists the preparations for later
-    runs.
+    Results come back in the order of ``names``.  This is the one
+    place a run builds its :class:`~repro.harness.experiments.WorkloadCache`,
+    under the run's ``fault_trials``/``telemetry``/``obs_dir``
+    overrides, and every experiment shares it: preparations, replays
+    and FaultSim campaigns run once per run.  When ``jobs`` resolves
+    above 1, the workloads the pending experiments read by default are
+    prefetched across processes first (none for experiments that read
+    none), so forked workers inherit the cache warm.  ``cache_dir``
+    also persists the preparations for later runs.
 
     ``checkpoint_dir`` journals each completed experiment (a
     checksummed pickle per result) the moment it finishes; a later
@@ -336,9 +356,10 @@ def run_experiments(
                               scale=scale, seed=seed,
                               cache_dir=resolve_cache_dir(cache_dir),
                               jobs=jobs)
-        if resolve_jobs(jobs) > 1 and any(
-                manifest is None or name not in manifest for name in names):
-            cache.prefetch()
+        if resolve_jobs(jobs) > 1:
+            cache.prefetch(_default_workloads(
+                [name for name in names
+                 if manifest is None or name not in manifest]))
         report = checkpointed_map(
             _run_experiment_worker, [(name, cache) for name in names],
             keys=list(names), manifest=manifest, store="pickle", jobs=jobs,

@@ -11,6 +11,11 @@ axes its evaluation holds fixed:
   gap (the trend Section 2.2 says "has continued to widen").
 * :func:`mlp_sensitivity` — how much of the HMA performance win
   depends on workload memory-level parallelism.
+
+The last two read the run's
+:class:`~repro.harness.experiments.WorkloadCache` like every figure;
+:func:`capacity_sweep` prepares and fans out its own workloads, so it
+takes the run's settings as plain arguments.
 """
 
 from __future__ import annotations
@@ -24,9 +29,8 @@ from repro.core.placement import (
     Wr2RatioPlacement,
 )
 from repro.faults.ser import SerModel
-from repro.harness.experiments import FigureResult
-from repro.harness.reporting import gmean
-from repro.sim.system import StaticSpec, evaluate_static_multi, prepare_workload
+from repro.harness.reporting import FigureResult, gmean
+from repro.sim.system import StaticSpec, evaluate_static_multi
 
 
 def _config_with_fast_pages(base: SystemConfig, pages: int) -> SystemConfig:
@@ -77,7 +81,6 @@ def capacity_sweep(
     resume: bool = False,
     job_timeout: "float | None" = None,
     retries: "int | None" = None,
-    preps: "dict | None" = None,
 ) -> FigureResult:
     """Sweep HBM capacity as a fraction of the workload footprint.
 
@@ -85,8 +88,7 @@ def capacity_sweep(
     placements converge in IPC (everything hot fits) while their SER
     gap narrows much more slowly — vulnerable data keeps flowing into
     the weak memory.  ``jobs``/``cache_dir`` parallelise and persist
-    the workload preparation (see :mod:`repro.harness.runner`);
-    ``preps`` injects already-prepared workloads and skips that step.
+    the workload preparation (see :mod:`repro.harness.runner`).
 
     Each *workload* is one fault-tolerant job whose fractions ride a
     single config-batched replay.  Finished jobs journal into
@@ -99,11 +101,10 @@ def capacity_sweep(
     from repro.harness.runner import prefetch_workloads
     from repro.harness.shm import shared_handoff
 
-    if preps is None:
-        preps = prefetch_workloads(
-            workloads, scale=scale, accesses_per_core=accesses_per_core,
-            seed=seed, cache_dir=cache_dir, jobs=jobs,
-        )
+    preps = prefetch_workloads(
+        workloads, scale=scale, accesses_per_core=accesses_per_core,
+        seed=seed, cache_dir=cache_dir, jobs=jobs,
+    )
     manifest = None
     if checkpoint_dir is not None:
         manifest = RunManifest(
@@ -150,19 +151,16 @@ def capacity_sweep(
 
 
 def fit_multiplier_sweep(
+    cache: "WorkloadCache",
     workload: str = "mix1",
     multipliers=(1.0, 2.0, 4.0, 7.0, 12.0),
-    scale: float = 1 / 1024,
-    accesses_per_core: int = 10_000,
-    seed: int = 0,
 ) -> FigureResult:
-    """Sweep the die-stacked raw-FIT multiplier.
+    """Extension sweep: the die-stacked raw-FIT multiplier vs SER.
 
     The SER blow-up of performance-focused placement scales linearly
     with the raw-FIT gap; reliability-aware placement flattens it.
     """
-    prep = prepare_workload(workload, scale=scale,
-                            accesses_per_core=accesses_per_core, seed=seed)
+    prep = cache.get(workload)
     configs = []
     for multiplier in multipliers:
         fast = replace(prep.config.fast_memory, fit_multiplier=multiplier)
@@ -171,13 +169,14 @@ def fit_multiplier_sweep(
     # and one batched replay pass: the multiplier only moves the fault
     # model, so every point shares the same two (policy, placement)
     # replays.
-    ser_models = SerModel.for_systems(configs)
+    ser_models = SerModel.for_systems(configs, seed=cache.seed,
+                                      campaigns=cache.campaigns)
     perf_p, wr2_p = PerformanceFocusedPlacement(), Wr2RatioPlacement()
     specs = []
     for config, ser_model in zip(configs, ser_models):
         specs.append(StaticSpec(perf_p, config=config, ser_model=ser_model))
         specs.append(StaticSpec(wr2_p, config=config, ser_model=ser_model))
-    results = evaluate_static_multi(prep, specs)
+    results = evaluate_static_multi(prep, specs, memo=cache.replays)
     rows = [[multiplier, ser_model.fit_ratio, results[2 * j].ser_vs_ddr,
              results[2 * j + 1].ser_vs_ddr]
             for j, (multiplier, ser_model) in enumerate(
@@ -192,14 +191,12 @@ def fit_multiplier_sweep(
 
 
 def mlp_sensitivity(
+    cache: "WorkloadCache",
     workload: str = "libquantum",
     windows=(1, 2, 4, 8, 16),
     policy: "PlacementPolicy | None" = None,
-    scale: float = 1 / 1024,
-    accesses_per_core: int = 10_000,
-    seed: int = 0,
 ) -> FigureResult:
-    """Sweep the per-core outstanding-miss window.
+    """Extension sweep: the per-core miss window (MLP) vs HMA speedup.
 
     Bandwidth-bound workloads need MLP to exploit the HBM's channel
     parallelism: with a window of 1 the HMA win shrinks toward the
@@ -210,8 +207,7 @@ def mlp_sensitivity(
 
     if policy is None:
         policy = PerformanceFocusedPlacement()
-    prep = prepare_workload(workload, scale=scale,
-                            accesses_per_core=accesses_per_core, seed=seed)
+    prep = cache.get(workload)
     wt = prep.workload_trace
     fast_pages = policy.select_fast_pages(prep.stats, prep.capacity_pages)
     # Specs differ only in the miss window, which is per-config state

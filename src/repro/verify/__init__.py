@@ -17,7 +17,13 @@ Three gates, in increasing scope (see ``docs/testing.md``):
 
 ``run_verify`` composes all three into one machine-readable
 :class:`~repro.verify.verdict.VerifyReport`, consumed by the
-``repro-hma verify`` CLI verb and ``tools/ci_smoke.sh``.
+``repro-hma verify`` CLI verb and ``tools/ci_smoke.sh``.  Gates 2 and
+3 read their workloads through one
+:class:`~repro.harness.experiments.WorkloadCache`
+(:func:`~repro.verify.invariants.gate_cache`), the handle every
+experiment of a ``repro-hma run`` uses: its replay memo scores each
+distinct scheme once for both gates, and ``REPRO_CACHE_DIR`` persists
+its preparations.
 
 :mod:`repro.verify.event_engine` is a reference of another kind: a
 discrete-event FR-FCFS replay that bounds the fast engine's timing
@@ -67,16 +73,13 @@ def run_verify(
         results.extend(differential.run_fuzz(
             num_cases=cases, seed=seed, artifact_dir=artifact_dir,
             checks={"ecc": differential.check_ecc}, progress=progress))
-    bundle = None
     if "invariants" in gates or "replication" in gates:
-        from repro.verify.bundle import EvalBundle
-
-        bundle = EvalBundle.build(quick=quick, progress=progress)
+        cache = invariants.gate_cache(quick=quick, progress=progress)
     if "invariants" in gates:
-        results.extend(invariants.run_invariants(bundle, quick=quick,
+        results.extend(invariants.run_invariants(cache, quick=quick,
                                                  progress=progress))
     if "replication" in gates:
-        results.extend(replication.run_replication(bundle, quick=quick,
+        results.extend(replication.run_replication(cache, quick=quick,
                                                    progress=progress))
     return VerifyReport(
         results=results,

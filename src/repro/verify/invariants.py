@@ -25,11 +25,37 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.verify.bundle import EvalBundle
+from repro.harness.experiments import WorkloadCache
 from repro.verify.verdict import CheckResult
 
 #: Multiplicative slack for cross-scheme orderings (small-scale noise).
 ORDER_SLACK = 0.97
+#: Workloads the gates evaluate: one homogeneous benchmark with a
+#: pronounced hot set and one heterogeneous Table 2 mix.
+GATE_WORKLOADS = ("astar", "mix1")
+#: Fixed gate seed — verdicts must not wander between CI runs.
+GATE_SEED = 1234
+#: Trace volume per core of the gate workloads under ``--quick``.
+QUICK_ACCESSES = 2_500
+
+
+def gate_cache(quick: bool = False, progress=None) -> WorkloadCache:
+    """The gate workloads, prepared once per ``repro-hma verify`` run.
+
+    Preparing a workload dominates gate runtime, and the invariant and
+    replication gates score the same schemes on the same preps, so
+    both take this one cache.  Its replay memo is keyed on what a
+    replay reads, so each distinct scheme replays once whichever gate
+    asks first.
+    """
+    accesses = QUICK_ACCESSES if quick else 6_000
+    cache = WorkloadCache(accesses_per_core=accesses, scale=1 / 1024,
+                          seed=GATE_SEED)
+    for name in GATE_WORKLOADS:
+        if progress is not None:
+            progress(f"preparing {name} ({accesses} accesses/core)")
+        cache.get(name)
+    return cache
 
 
 def _check(name: str, passed: bool, details: str) -> CheckResult:
@@ -47,12 +73,13 @@ def _gmean(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_ser_monotone_in_hot_fraction(bundle: EvalBundle) -> CheckResult:
+def check_ser_monotone_in_hot_fraction(cache: WorkloadCache) -> CheckResult:
     from repro.core.placement import HotFractionPlacement
 
     fractions = (0.0, 0.25, 0.5, 0.75, 1.0)
     violations = []
-    for name, prep in bundle.preps.items():
+    for name in GATE_WORKLOADS:
+        prep = cache.get(name)
         sers = []
         for fraction in fractions:
             pages = HotFractionPlacement(fraction).select_fast_pages(
@@ -69,7 +96,7 @@ def check_ser_monotone_in_hot_fraction(bundle: EvalBundle) -> CheckResult:
         not violations,
         "; ".join(violations) if violations else
         f"SER non-decreasing over fractions {fractions} on "
-        f"{list(bundle.preps)}")
+        f"{list(GATE_WORKLOADS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +104,13 @@ def check_ser_monotone_in_hot_fraction(bundle: EvalBundle) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_write_masked_avf(bundle: EvalBundle) -> CheckResult:
+def check_write_masked_avf(cache: WorkloadCache) -> CheckResult:
     """Metamorphic: rewriting a trace to all-stores zeroes its AVF."""
     from repro.avf.page import profile_trace
     from repro.trace.record import Trace
 
-    name, prep = next(iter(bundle.preps.items()))
+    name = GATE_WORKLOADS[0]
+    prep = cache.get(name)
     wt = prep.workload_trace
     trace = wt.trace
     all_writes = Trace(
@@ -108,12 +136,13 @@ def check_write_masked_avf(bundle: EvalBundle) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _migration_gains(bundle: EvalBundle) -> "dict[str, float]":
+def _migration_gains(cache: WorkloadCache) -> "dict[str, float]":
     from repro.core.migration import (
         CrossCountersMigration,
         PerformanceFocusedMigration,
         ReliabilityAwareFCMigration,
     )
+    from repro.sim.system import evaluate_migration
 
     factories = {
         "fc-migration": ReliabilityAwareFCMigration,
@@ -122,21 +151,22 @@ def _migration_gains(bundle: EvalBundle) -> "dict[str, float]":
     }
     gains = {}
     for name, factory in factories.items():
-        ratios = [bundle.migration(w, factory).ser_vs_ddr
-                  for w in bundle.workloads]
+        ratios = [evaluate_migration(cache.get(w), factory(),
+                                     memo=cache.replays).ser_vs_ddr
+                  for w in GATE_WORKLOADS]
         gains[name] = 1.0 / _gmean(ratios)  # SER gain vs the ddr baseline
     return gains
 
 
-def check_migration_ser_ordering(bundle: EvalBundle) -> CheckResult:
-    gains = _migration_gains(bundle)
+def check_migration_ser_ordering(cache: WorkloadCache) -> CheckResult:
+    gains = _migration_gains(cache)
     fc, cc, perf = (gains["fc-migration"], gains["cc-migration"],
                     gains["perf-migration"])
     ok = fc >= cc * ORDER_SLACK and cc >= perf * ORDER_SLACK
     return _check(
         "migration-ser-gain-ordering",
         ok,
-        f"SER gain vs ddr-only (gmean {list(bundle.workloads)}): "
+        f"SER gain vs ddr-only (gmean {list(GATE_WORKLOADS)}): "
         f"fc={fc:.3g} cc={cc:.3g} perf={perf:.3g}; "
         f"expected fc >= cc >= perf")
 
@@ -146,12 +176,13 @@ def check_migration_ser_ordering(bundle: EvalBundle) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_static_scheme_ordering(bundle: EvalBundle) -> CheckResult:
+def check_static_scheme_ordering(cache: WorkloadCache) -> CheckResult:
     from repro.core.placement import (
         BalancedPlacement,
         PerformanceFocusedPlacement,
         ReliabilityFocusedPlacement,
     )
+    from repro.sim.system import evaluate_static
 
     policies = {
         "perf": PerformanceFocusedPlacement(),
@@ -161,7 +192,8 @@ def check_static_scheme_ordering(bundle: EvalBundle) -> CheckResult:
     ipc = {}
     ser = {}
     for key, policy in policies.items():
-        results = [bundle.static(w, policy) for w in bundle.workloads]
+        results = [evaluate_static(cache.get(w), policy, memo=cache.replays)
+                   for w in GATE_WORKLOADS]
         ipc[key] = _gmean(r.ipc_vs_ddr for r in results)
         ser[key] = _gmean(r.ser_vs_ddr for r in results)
     problems = []
@@ -190,8 +222,12 @@ def check_static_scheme_ordering(bundle: EvalBundle) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_faultsim_convergence(bundle: EvalBundle) -> CheckResult:
-    """MC expectation approaches the analytic value as trials grow."""
+def check_faultsim_convergence(cache: WorkloadCache) -> CheckResult:
+    """MC expectation approaches the analytic value as trials grow.
+
+    The trial ladder follows the gate budget: a ``--quick`` gate cache
+    runs the short one.
+    """
     from repro.config import hbm_config
     from repro.faults.faultsim import FaultSimulator
     from repro.faults.fit import rates_for_memory
@@ -202,7 +238,8 @@ def check_faultsim_convergence(bundle: EvalBundle) -> CheckResult:
     rates = rates_for_memory(memory).scaled(2000)
     sim = FaultSimulator(memory, rates=rates, seed=5)
     analytic = sim.analytic_uncorrected_per_mission()
-    trial_counts = (500, 5_000, 50_000) if bundle.quick \
+    trial_counts = (500, 5_000, 50_000) \
+        if cache.accesses_per_core <= QUICK_ACCESSES \
         else (1_000, 10_000, 100_000)
     errors = []
     for trials in trial_counts:
@@ -229,14 +266,14 @@ INVARIANTS = (
 )
 
 
-def run_invariants(bundle: EvalBundle, quick: bool = False,
+def run_invariants(cache: WorkloadCache, quick: bool = False,
                    progress=None) -> "list[CheckResult]":
     results = []
     for check in INVARIANTS:
         if progress is not None:
             progress(f"invariant {check.__name__}")
         try:
-            results.append(check(bundle))
+            results.append(check(cache))
         except Exception as exc:
             results.append(CheckResult(
                 name=check.__name__.replace("check_", "").replace("_", "-"),

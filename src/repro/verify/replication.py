@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.verify.bundle import EvalBundle
-from repro.verify.invariants import ORDER_SLACK, _gmean
+from repro.harness.experiments import WorkloadCache
+from repro.verify.invariants import GATE_WORKLOADS, ORDER_SLACK, _gmean
 from repro.verify.verdict import CheckResult
 
 
@@ -37,7 +37,7 @@ class Measurements:
         return self.ipc[scheme] / self.ipc[baseline] - 1.0
 
 
-def measure(bundle: EvalBundle) -> Measurements:
+def measure(cache: WorkloadCache) -> Measurements:
     from repro.core.migration import (
         CrossCountersMigration,
         PerformanceFocusedMigration,
@@ -50,6 +50,7 @@ def measure(bundle: EvalBundle) -> Measurements:
         Wr2RatioPlacement,
         WrRatioPlacement,
     )
+    from repro.sim.system import evaluate_migration, evaluate_static
 
     statics = {
         "perf": PerformanceFocusedPlacement(),
@@ -66,11 +67,14 @@ def measure(bundle: EvalBundle) -> Measurements:
     ipc: "dict[str, float]" = {}
     ser: "dict[str, float]" = {}
     for key, policy in statics.items():
-        results = [bundle.static(w, policy) for w in bundle.workloads]
+        results = [evaluate_static(cache.get(w), policy, memo=cache.replays)
+                   for w in GATE_WORKLOADS]
         ipc[key] = _gmean(r.ipc_vs_ddr for r in results)
         ser[key] = _gmean(r.ser_vs_ddr for r in results)
     for key, factory in migrations.items():
-        results = [bundle.migration(w, factory) for w in bundle.workloads]
+        results = [evaluate_migration(cache.get(w), factory(),
+                                      memo=cache.replays)
+                   for w in GATE_WORKLOADS]
         ipc[key] = _gmean(r.ipc_vs_ddr for r in results)
         ser[key] = _gmean(r.ser_vs_ddr for r in results)
     return Measurements(ipc=ipc, ser=ser)
@@ -208,12 +212,12 @@ CLAIMS = (
 )
 
 
-def run_replication(bundle: EvalBundle, quick: bool = False,
+def run_replication(cache: WorkloadCache, quick: bool = False,
                     progress=None) -> "list[CheckResult]":
     if progress is not None:
         progress("measuring schemes for the replication gate")
     try:
-        m = measure(bundle)
+        m = measure(cache)
     except Exception as exc:
         return [CheckResult(
             name="replication-measurement", family="replication",

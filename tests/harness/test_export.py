@@ -5,7 +5,13 @@ import json
 
 import pytest
 
-from repro.harness.experiments import FigureResult, WorkloadCache
+from repro.harness.cli import main
+from repro.harness.experiments import (
+    FigureResult,
+    fig03_ace_cases,
+    table1_config,
+    table2_mixes,
+)
 from repro.harness.export import export_all, to_csv, to_json
 
 
@@ -46,9 +52,8 @@ class TestJson:
 
 class TestExportAll:
     def test_writes_selected_experiments(self, tmp_path):
-        cache = WorkloadCache(accesses_per_core=800, scale=1 / 4096, seed=1)
-        written = export_all(tmp_path, cache=cache,
-                             experiments=["table1", "fig03"])
+        written = export_all(tmp_path, [("table1", table1_config()),
+                                        ("fig03", fig03_ace_cases())])
         assert len(written) == 2
         names = {p.split("/")[-1] for p in written}
         assert names == {"table1.json", "fig03.json"}
@@ -56,16 +61,19 @@ class TestExportAll:
         assert doc["figure"] == "Figure 3"
 
     def test_csv_format(self, tmp_path):
-        written = export_all(tmp_path, experiments=["table2"], fmt="csv")
+        written = export_all(tmp_path, [("table2", table2_mixes())],
+                             fmt="csv")
         assert written[0].endswith("table2.csv")
 
     def test_unknown_experiment(self, tmp_path):
-        with pytest.raises(KeyError):
-            export_all(tmp_path, experiments=["fig99"])
+        out = tmp_path / "out"
+        assert main(["export", str(out), "--format", "csv",
+                     "--experiments", "fig99"]) == 2
+        assert not out.exists()
 
     def test_bad_format(self, tmp_path):
         with pytest.raises(ValueError):
-            export_all(tmp_path, experiments=["table1"], fmt="xml")
+            export_all(tmp_path, [("table1", table1_config())], fmt="xml")
 
 
 class TestExportTelemetry:

@@ -1,7 +1,6 @@
 """Error paths of the export pipeline and the bench-floor loader."""
 
 import json
-import os
 
 import pytest
 
@@ -22,13 +21,17 @@ class TestExportAll:
     def test_unknown_format_is_rejected_before_any_work(self, tmp_path):
         target = tmp_path / "out"
         with pytest.raises(ValueError, match="json.*csv|csv.*json"):
-            export_all(target, fmt="xml")
+            export_all(target, [("figX", _figure())], fmt="xml")
         assert not target.exists()
 
-    def test_unknown_experiment_is_rejected(self, tmp_path):
-        with pytest.raises(KeyError, match="no-such-figure"):
-            export_all(tmp_path, experiments=["no-such-figure"])
-        assert os.listdir(tmp_path) == []
+    def test_unknown_experiment_is_rejected(self, tmp_path, capsys):
+        # A known name before the unknown one: nothing runs, nothing is
+        # written.
+        rc = main(["export", str(tmp_path / "out"),
+                   "--experiments", "fig03", "no-such-figure"])
+        assert rc == 2
+        assert "unknown experiment 'no-such-figure'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestWriters:
@@ -57,11 +60,12 @@ class TestWriters:
 class TestCliErrorExits:
     def test_export_unknown_experiment_exits_2(self, tmp_path, capsys):
         rc = main(["export", str(tmp_path / "out"),
-                   "--experiments", "no-such-figure",
+                   "--experiments", "fig03", "no-such-figure",
                    "--run-dir", str(tmp_path / "run")])
         assert rc == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert "unknown experiment 'no-such-figure'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_report_missing_run_exits_2(self, tmp_path, capsys):
         rc = main(["report", "fig12-1", "--obs-dir", str(tmp_path)])

@@ -104,9 +104,9 @@ class TestWorkerCrash:
         assert err.value.report.results[2] == 4  # salvaged result
 
     def test_innocents_survive_repeated_poison_crashes(self):
-        # Jobs in flight with a crashing sibling are charged once for
-        # the mixed generation, then quarantined reruns settle them —
-        # so even retries=1 innocents must all survive, every time.
+        # A worker's death charges only the job it held, so the jobs
+        # in flight beside the repeatedly crashing job 3 are never
+        # charged: even with retries=1 they must all survive, every time.
         plan = FaultPlan({"3": ["kill"] * 8})
         report = resilient_map(_double, range(8), jobs=4, retries=1,
                                backoff=0, fault_plan=plan)

@@ -1,14 +1,18 @@
-"""Single-job dispatch, inherited items and seeded retry-backoff jitter.
+"""Single-job dispatch, inherited items, failure tracebacks and seeded
+retry-backoff jitter.
 
 A single job runs serially in the calling process: one job has nothing
 to fan out to, so ``resilient_map`` forks no worker for it.  Forked
-workers inherit the items, so items need not pickle.  The backoff
-jitter is drawn from a stream seeded by the unified ``seed`` knob, so
-a chaos run replays with identical timing.
+workers inherit the items, so items need not pickle.  A failed job's
+error carries the traceback of where it raised, on either path.  The
+backoff jitter is drawn from a stream seeded by the unified ``seed``
+knob, so a chaos run replays with identical timing.
 """
 
 import os
 import threading
+
+import pytest
 
 from repro.config import knob_overrides
 from repro.harness.resilience import (
@@ -26,6 +30,26 @@ class TestIsolate:
     def test_single_job_default_stays_in_process(self):
         report = resilient_map(_my_pid, [0], jobs=1)
         assert report.outcomes[0].result == os.getpid()
+
+
+def _raise_in_helper(x):
+    raise ValueError(f"item {x} is bad")
+
+
+def _job_calling_a_helper(x):
+    return x if x == 0 else _raise_in_helper(x)
+
+
+class TestFailureTraceback:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_names_the_helper_that_raised(self, jobs):
+        report = resilient_map(_job_calling_a_helper, [0, 1], jobs=jobs,
+                               retries=0, backoff=0)
+        assert report.results[0] == 0
+        error = report.outcome("1").error
+        assert error.startswith("ValueError('item 1 is bad')")
+        assert "Traceback" in error
+        assert "_raise_in_helper" in error
 
 
 class TestSeededJitter:

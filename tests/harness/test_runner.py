@@ -230,6 +230,39 @@ def test_run_experiments_fan_out(tmp_path):
         assert figure.rows
 
 
+class TestRunExperimentsPrefetch:
+    """Above one job, a run prefetches exactly the workloads its
+    pending experiments read by default, and nothing when they read
+    none."""
+
+    @pytest.mark.parametrize("names, expected", [
+        (["table1"], []),
+        (["fig06"], ["mix1"]),
+        (["workload-frontier"], ["kvstore", "webserver", "compiler"]),
+        (["fig05", "fig06"], "paper"),
+    ], ids=["table1", "fig06", "workload-frontier", "fig05+fig06"])
+    def test_prefetches_what_the_targets_read(self, monkeypatch, names,
+                                              expected):
+        from repro.harness import runner
+        from repro.harness.experiments import ALL_WORKLOADS
+        from repro.harness.resilience import MapReport
+
+        if expected == "paper":
+            expected = list(ALL_WORKLOADS)
+        prefetched = []
+
+        def counting_prefetch(workloads, **kwargs):
+            prefetched.extend(workloads)
+            return {}
+
+        monkeypatch.setattr(runner, "prefetch_workloads", counting_prefetch)
+        # Only the prefetch is under test: skip running the experiments.
+        monkeypatch.setattr(runner, "checkpointed_map",
+                            lambda *args, **kwargs: MapReport([]))
+        run_experiments(names, accesses_per_core=300, jobs=2)
+        assert prefetched == expected
+
+
 class TestRunExperimentsSharedCache:
     def test_fault_trials_reach_the_run_cache(self):
         from repro.config import knob_overrides

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.experiments import WorkloadCache
 from repro.harness.sweeps import (
     capacity_sweep,
     fit_multiplier_sweep,
@@ -9,6 +10,11 @@ from repro.harness.sweeps import (
 )
 
 SMALL = dict(scale=1 / 2048, accesses_per_core=1500, seed=4)
+
+
+@pytest.fixture(scope="module")
+def cache():
+    return WorkloadCache(**SMALL)
 
 
 class TestCapacitySweep:
@@ -24,40 +30,40 @@ class TestCapacitySweep:
 
 
 class TestFitMultiplierSweep:
-    def test_ser_scales_linearly_with_multiplier(self):
-        res = fit_multiplier_sweep(workload="mcf",
-                                   multipliers=(1.0, 4.0), **SMALL)
+    def test_ser_scales_linearly_with_multiplier(self, cache):
+        res = fit_multiplier_sweep(cache, workload="mcf",
+                                   multipliers=(1.0, 4.0))
         ser_1 = res.rows[0][2]
         ser_4 = res.rows[1][2]
         assert ser_4 == pytest.approx(4 * ser_1, rel=0.1)
 
-    def test_wr2_always_below_perf(self):
-        res = fit_multiplier_sweep(workload="mcf",
-                                   multipliers=(1.0, 7.0), **SMALL)
+    def test_wr2_always_below_perf(self, cache):
+        res = fit_multiplier_sweep(cache, workload="mcf",
+                                   multipliers=(1.0, 7.0))
         for row in res.rows:
             assert row[3] < row[2]
 
 
 class TestMlpSensitivity:
-    def test_speedup_grows_with_window(self):
-        res = mlp_sensitivity(workload="libquantum", windows=(1, 8),
-                              **SMALL)
+    def test_speedup_grows_with_window(self, cache):
+        res = mlp_sensitivity(cache, workload="libquantum", windows=(1, 8))
         assert res.rows[1][3] >= res.rows[0][3]
 
-    def test_ipc_monotone_in_window(self):
-        res = mlp_sensitivity(workload="libquantum", windows=(1, 4, 16),
-                              **SMALL)
+    def test_ipc_monotone_in_window(self, cache):
+        res = mlp_sensitivity(cache, workload="libquantum",
+                              windows=(1, 4, 16))
         ipcs = [row[2] for row in res.rows]
         assert ipcs == sorted(ipcs)
 
 
 class TestSweepExperiments:
-    """``repro-hma run sweep-*`` honours the trace flags."""
+    """``repro-hma run sweep-*`` reads the run's ``WorkloadCache``."""
 
     def test_cli_flags_reach_the_sweep(self, capsys):
         from repro.harness.cli import main
 
-        want = fit_multiplier_sweep(accesses_per_core=1500, seed=3).format()
+        want = fit_multiplier_sweep(
+            WorkloadCache(accesses_per_core=1500, seed=3)).format()
         assert main(["run", "sweep-fit", "--accesses", "1500",
                      "--seed", "3"]) == 0
         seed3 = capsys.readouterr().out
@@ -67,13 +73,30 @@ class TestSweepExperiments:
         seed4 = capsys.readouterr().out
         assert seed4 != seed3
 
-    def test_explicit_kwargs_win_over_the_cache(self):
-        from repro.harness.experiments import EXPERIMENTS, WorkloadCache
+    def test_cache_dir_reaches_the_fit_sweep(self, tmp_path, capsys):
+        from repro.harness.cli import main
+        from repro.harness.resilience import load_entry
 
-        cache = WorkloadCache(accesses_per_core=1500, scale=1 / 2048, seed=4)
-        got = EXPERIMENTS["sweep-fit"](cache=cache, workload="mcf",
-                                       multipliers=(1.0, 4.0), seed=3)
-        want = fit_multiplier_sweep(workload="mcf", multipliers=(1.0, 4.0),
-                                    scale=1 / 2048, accesses_per_core=1500,
-                                    seed=3)
-        assert got.rows == want.rows
+        assert main(["run", "sweep-fit", "--accesses", "1500", "--seed", "3",
+                     "--cache-dir", str(tmp_path)]) == 0
+        (entry,) = tmp_path.glob("prep-*.pkl")
+        assert load_entry(str(entry)).workload.name == "mix1"
+
+    def test_capacity_sweep_fans_out_itself(self, monkeypatch, capsys):
+        """``--jobs 0`` reaches the sweep as ``jobs=None``, and the run
+        prepares nothing for it: the sweep's own prefetch is the only
+        one."""
+        from repro.harness import runner
+        from repro.harness.cli import main
+
+        calls = []
+        real_prefetch = runner.prefetch_workloads
+
+        def recording_prefetch(names, **kwargs):
+            calls.append((list(names), kwargs.get("jobs")))
+            return real_prefetch(names, **kwargs)
+
+        monkeypatch.setattr(runner, "prefetch_workloads", recording_prefetch)
+        assert main(["run", "sweep-capacity", "--jobs", "0",
+                     "--accesses", "300"]) == 0
+        assert calls == [(["mcf", "milc", "mix1"], None)]

@@ -228,11 +228,13 @@ class TestSweepRegression:
         assert got.rows == want
 
     def test_fit_sweep_rows(self, prep):
+        from repro.harness.experiments import WorkloadCache
         from repro.harness.sweeps import fit_multiplier_sweep
 
         multipliers = (1.0, 7.0)
-        got = fit_multiplier_sweep(workload="mcf", multipliers=multipliers,
-                                   accesses_per_core=ACCESSES, seed=3)
+        got = fit_multiplier_sweep(
+            WorkloadCache(accesses_per_core=ACCESSES, seed=3),
+            workload="mcf", multipliers=multipliers)
         want = []
         for multiplier in multipliers:
             fast = dataclasses.replace(prep.config.fast_memory,
@@ -248,11 +250,13 @@ class TestSweepRegression:
         assert got.rows == want
 
     def test_mlp_sweep_rows(self, prep):
+        from repro.harness.experiments import WorkloadCache
         from repro.harness.sweeps import mlp_sensitivity
 
         windows = (1, 4)
-        got = mlp_sensitivity(workload="mcf", windows=windows,
-                              accesses_per_core=ACCESSES, seed=3)
+        got = mlp_sensitivity(
+            WorkloadCache(accesses_per_core=ACCESSES, seed=3),
+            workload="mcf", windows=windows)
         wt = prep.workload_trace
         fast_pages = PerformanceFocusedPlacement().select_fast_pages(
             prep.stats, prep.capacity_pages)

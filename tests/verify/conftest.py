@@ -1,14 +1,15 @@
 import pytest
 
-from repro.verify.bundle import EvalBundle
+from repro.harness.experiments import WorkloadCache
+from repro.verify.invariants import gate_cache
 
 
 @pytest.fixture(scope="session")
-def bundle() -> EvalBundle:
-    """One quick evaluation bundle shared by the gate tests.
+def bundle() -> WorkloadCache:
+    """One quick gate cache shared by the gate tests.
 
-    Building it replays every bundle workload once; the per-scheme
-    results are memoised inside, so sharing it across test files keeps
+    Building it prepares every gate workload once; the per-scheme
+    replays are memoised inside, so sharing it across test files keeps
     the invariant + replication suites to a few seconds total.
     """
-    return EvalBundle.build(quick=True)
+    return gate_cache(quick=True)

@@ -1,9 +1,10 @@
-"""The evaluation bundle: one replay memo shared by both gates."""
+"""The gate cache: one replay memo shared by both gates."""
 
-from repro.verify.bundle import EvalBundle
 from repro.verify.invariants import (
+    GATE_WORKLOADS,
     check_migration_ser_ordering,
     check_static_scheme_ordering,
+    gate_cache,
 )
 from repro.verify.replication import measure
 
@@ -11,14 +12,14 @@ from repro.verify.replication import measure
 def test_gates_replay_each_distinct_spec_once(replay_runs):
     """The invariant gate and the replication gate score the same
     schemes under different names ("perf-migration" vs "perf-mig");
-    each distinct spec still replays once per bundle."""
-    bundle = EvalBundle.build(quick=True)
+    each distinct spec still replays once per gate cache."""
+    cache = gate_cache(quick=True)
     start = len(replay_runs)
-    check_migration_ser_ordering(bundle)
-    check_static_scheme_ordering(bundle)
-    measure(bundle)
+    check_migration_ser_ordering(cache)
+    check_static_scheme_ordering(cache)
+    measure(cache)
     runs = replay_runs[start:]
     assert len(runs) == len(set(runs))
     migration = [run for run in runs if run[-1] is not None]
-    # perf, FC and CC migration on each bundle workload.
-    assert len(migration) == 3 * len(bundle.workloads)
+    # perf, FC and CC migration on each gate workload.
+    assert len(migration) == 3 * len(GATE_WORKLOADS)

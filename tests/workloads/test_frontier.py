@@ -308,11 +308,11 @@ class TestCli:
 
 class TestWorkloadFrontierExperiment:
     def test_headline_and_win(self):
-        from repro.harness.experiments import workload_frontier
+        from repro.harness.experiments import WorkloadCache, workload_frontier
 
-        fig = workload_frontier(workloads=("webserver",),
-                                accesses_per_core=2500, scale=SCALE,
-                                seed=0, num_intervals=6)
+        cache = WorkloadCache(accesses_per_core=2500, scale=SCALE, seed=0)
+        fig = workload_frontier(cache, workloads=("webserver",),
+                                num_intervals=6)
         schemes = {row[1] for row in fig.rows}
         assert schemes == {"perf-migration", "fc-migration",
                            "cc-migration", "tolerance-tiered"}

@@ -43,6 +43,9 @@
 #    ladder (`repro-hma verify --quick`: cross-kernel differential
 #    fuzzer, paper-invariant checks, EXPERIMENTS.md shape gate), and
 #    the line-coverage gate against tools/coverage_baseline.json.
+# 9. Checks that docs/api.md is what `python tools/gen_api.py` renders
+#    from the current public API, and names that command when it is
+#    stale.
 #
 # Environment:
 #   REPRO_SMOKE_ACCESSES  accesses/core for the kernel benchmark (default 4000)
@@ -58,6 +61,19 @@ trap 'rm -rf "$workdir"' EXIT
 
 echo "== tier-1 unit tests =="
 python -m pytest -x -q "$@"
+
+echo "== API reference is current (docs/api.md) =="
+python - <<'EOF'
+import sys
+
+sys.path.insert(0, "tools")
+import gen_api
+
+if gen_api.render() != gen_api.OUT.read_text():
+    sys.exit("docs/api.md is stale: regenerate it with "
+             "`python tools/gen_api.py`")
+print("docs/api.md matches tools/gen_api.py")
+EOF
 
 echo "== kernel parity without the C kernels (REPRO_NATIVE=0) =="
 REPRO_NATIVE=0 python -m pytest -x -q tests/sim/test_parity.py \

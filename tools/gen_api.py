@@ -6,6 +6,9 @@ signatures and first docstring lines.  Run after changing any public
 API:
 
     python tools/gen_api.py
+
+``tools/ci_smoke.sh`` fails when :func:`render` differs from the
+committed docs/api.md.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ def describe(module) -> "list[str]":
     return lines
 
 
-def main() -> None:
+def render() -> str:
+    """The API reference text, as ``main`` writes it to docs/api.md."""
     sections = []
     seen = set()
     for name, module in iter_modules():
@@ -91,11 +95,15 @@ def main() -> None:
         sections.append(
             f"## `{name}`\n\n{header}\n\n" + "\n".join(body) + "\n"
         )
-    OUT.write_text(
+    return (
         "# API reference\n\n"
         "Generated by `python tools/gen_api.py`; regenerate after any\n"
         "public-API change.\n\n" + "\n".join(sections)
     )
+
+
+def main() -> None:
+    OUT.write_text(render())
     print(f"wrote {OUT} ({OUT.stat().st_size // 1024} KB)")
 
 
