@@ -8,7 +8,10 @@ uncorrected errors then scales the AVF to produce the SER.
 
 This module reproduces that flow per *rank* of a memory device:
 
-1. Draw fault events ~ Poisson(rate x chips x mission) per component.
+1. Draw fault events ~ Poisson(rate x chips x mission) per component,
+   keeping only the nonzero draws (:func:`_poisson_events`: exactly
+   numpy's dense draw, at a cost that scales with the faults rather
+   than with trials x components).
 2. Classify each event alone through the ECC scheme.
 3. For multi-fault trials, test every pair of temporally-overlapping
    faults for combined uncorrectability (footprint intersection on
@@ -26,6 +29,7 @@ placements, which is insensitive to this constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,88 @@ from repro.faults.fit import (
 DEFAULT_OVERLAP_WINDOW_HOURS = 12.0
 #: Default mission length: the field study's 11 months.
 DEFAULT_MISSION_HOURS = 11 * 30 * 24.0
+#: Uniforms per block of :func:`_poisson_events`' rare-event path, which
+#: bounds its memory to one 8 MiB float64 buffer whatever the trial count.
+_BLOCK = 1 << 20
+#: Largest lambda the rare-event path serves.  Above it events are dense
+#: enough that numpy's own draw costs no more than scanning uniforms.
+_RARE_MAX_LAMBDA = 0.01
+
+
+def _poisson_events(
+    rng: np.random.Generator, lambdas: np.ndarray, trials: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The nonzero draws of ``rng.poisson(lambdas, size=(trials, k))``.
+
+    Returns ``(trial, component, count)`` arrays in the dense draw's C
+    order, and leaves ``rng`` in the state the dense draw leaves it, so
+    the draws that follow are unchanged too.
+
+    When every lambda is at most ``_RARE_MAX_LAMBDA`` it replays numpy's
+    small-lambda method on uniforms drawn with ``rng.random``: a draw
+    multiplies uniforms until the product falls to ``exp(-lambda)`` or
+    below and counts the factors that did not, so it is 0 exactly when
+    its first uniform is ``<= exp(-lambda)``, and a lambda 0 component
+    draws nothing.  Only a uniform above ``exp(-max lambda)`` can start
+    a fault; those are found vectorised, so the Python work scales with
+    the faults.  ``math.exp`` is the libm ``exp`` numpy's C sampler
+    calls (``np.exp`` may differ in the last bit).  Uniforms come in
+    blocks of ``_BLOCK``, none longer than the draws still owed (each
+    takes at least one uniform), so the stream is never over-drawn.  Denser rates, and any
+    lambda >= 10 (where numpy switches algorithm), take the dense draw.
+    Negative or NaN lambdas raise ``rng.poisson``'s ``ValueError``.
+    """
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    k = len(lambdas)
+    if not lambdas.max(initial=0.0) <= _RARE_MAX_LAMBDA:  # or NaN: raises
+        counts = rng.poisson(lambdas, size=(trials, k)).ravel()
+        flat = np.flatnonzero(counts)
+        return flat // k, flat % k, counts[flat]
+    rng.poisson(lambdas, size=(0, k))  # validates: draws nothing
+    active = np.flatnonzero(lambdas)
+    n = len(active)
+    enlam = [math.exp(-lam) for lam in lambdas[active].tolist()]
+    floor = min(enlam, default=1.0)
+    total = trials * n
+    draws: "list[int]" = []
+    counts: "list[int]" = []
+    # Every block refills one buffer in place: two live blocks would
+    # double the peak memory.
+    buf = np.empty(min(_BLOCK, total))
+    u = buf[:0]
+    done = 0  # index of the draw that starts at u[start]
+    start = 0
+    while done < total:
+        if start == len(u):
+            u, start = rng.random(out=buf[:min(_BLOCK, total - done)]), 0
+        hits = start + np.flatnonzero(u[start:] > floor)
+        moved = False
+        for p, prod in zip(hits.tolist(), u[hits].tolist()):
+            if p < start:
+                continue  # a factor of the previous fault's draw
+            d = done + p - start
+            e = enlam[d % n]
+            if prod <= e:
+                continue
+            x = 0
+            while prod > e:
+                x += 1
+                p += 1
+                if p == len(u):  # the draw runs past the block
+                    u, p = rng.random(out=buf[:min(_BLOCK, total - d)]), 0
+                    moved = True
+                prod *= float(u[p])
+            draws.append(d)
+            counts.append(x)
+            done, start = d + 1, p + 1
+            if moved:
+                break
+        else:
+            done += len(u) - start
+            start = len(u)
+    draw = np.array(draws, dtype=np.int64)
+    return draw // n, active[draw % n], np.array(counts, dtype=np.int64)
+
 
 def resolve_fault_trials(trials: "int | None" = None) -> int:
     """Monte-Carlo trial count for SER models via the ``fault_trials``
@@ -170,12 +256,13 @@ class FaultSimulator:
     def run(self, trials: int = 100_000) -> FaultSimResult:
         """Simulate ``trials`` rank-missions and classify the outcomes.
 
-        Draws all events for all trials at once, classifies singles
-        through lookup tables, and enumerates pairs only inside
-        time-sorted overlap windows.  Its oracle is the per-trial loop
-        with O(n^2) pair checks,
-        :func:`repro.verify.oracles.run_faultsim_reference`: both draw
-        the same Poisson event counts first, so corrected/detected
+        Draws only the fault events (:func:`_poisson_events`), so no
+        trials x components array is built, tallies singles per
+        component through lookup tables, and enumerates pairs only
+        inside time-sorted overlap windows.  Its oracle is the
+        per-trial loop with O(n^2) pair checks over the dense Poisson
+        draw, :func:`repro.verify.oracles.run_faultsim_reference`: both
+        draw the same Poisson event counts first, so corrected/detected
         totals and the single-fault term are identical for a given
         seed; the pair term is a statistically equivalent estimate of
         the same expectation (cross-checked against
@@ -200,25 +287,25 @@ class FaultSimulator:
     def _run_batched(self, trials: int) -> FaultSimResult:
         rng = self._rng
         n_comp = len(self._components)
-        counts = rng.poisson(self._lambdas, size=(trials, n_comp))
+        trial, comp, count = _poisson_events(rng, self._lambdas, trials)
 
-        # Singles: outcome depends only on the component, so the counts
-        # matrix classifies itself.
-        per_comp = counts.sum(axis=0)
+        # Singles: outcome depends only on the component.
+        per_comp = np.bincount(comp, weights=count,
+                               minlength=n_comp).astype(np.int64)
         corrected = int(per_comp[self._single_corrected].sum())
         detected = int(per_comp[self._single_detected].sum())
         expected_uncorrected = float(per_comp @ self._single_uncorrected)
 
         # Pairs exist only in trials with >= 2 events.
-        totals = counts.sum(axis=1)
-        multi = totals >= 2
-        mcounts = counts[multi]
-        if len(mcounts):
-            n_events = totals[multi]
-            comp_idx = np.repeat(
-                np.tile(np.arange(n_comp), len(mcounts)), mcounts.ravel()
-            )
-            trial_idx = np.repeat(np.arange(len(mcounts)), n_events)
+        _, inv = np.unique(trial, return_inverse=True)
+        multi = np.bincount(inv, weights=count) >= 2
+        keep = multi[inv]
+        if keep.any():
+            # Events of multi-fault trials, one per fault, each tagged
+            # with its trial's rank among them.
+            comp_idx = np.repeat(comp[keep], count[keep])
+            trial_idx = np.repeat((np.cumsum(multi) - 1)[inv[keep]],
+                                  count[keep])
             n_ev = len(comp_idx)
             chips = rng.integers(self.chips, size=n_ev)
             times = rng.random(n_ev) * self.mission_hours

@@ -196,7 +196,7 @@ def prepare_workload_cached(
 
 
 # ---------------------------------------------------------------------------
-# Process-pool map
+# Forked-worker map
 # ---------------------------------------------------------------------------
 
 def parallel_map(

@@ -41,8 +41,8 @@ def _config_with_fast_pages(base: SystemConfig, pages: int) -> SystemConfig:
 def _capacity_workload(item) -> "list[list[float]]":
     """One sweep job: every capacity fraction for one workload.
 
-    Module-level so process-pool workers can unpickle it.  The config
-    batch (two policies x all fractions) rides a single
+    Forked workers inherit it and its items, so nothing is pickled to
+    them.  The config batch (two policies x all fractions) rides a single
     :func:`~repro.sim.system.evaluate_static_multi` call, so the trace
     is replayed through one stacked kernel pass.  Returns one
     JSON-serialisable ``[perf_ipc, perf_ser, wr2_ipc, wr2_ser]`` quartet
@@ -114,11 +114,11 @@ def capacity_sweep(
                             seed=seed),
             resume=resume)
     # Every job carries the same prepared workloads; the shared handoff
-    # pickles their trace arrays into one shm segment for the whole
-    # sweep instead of once per job, and workers map it once per
-    # process.  The segment outlives pool respawns (resilient_map
-    # re-dispatches into fresh workers, which simply re-attach) and is
-    # unlinked here once the map has completed.
+    # hoists their trace arrays into one shm segment for the whole
+    # sweep, and workers map it once per process.  The segment outlives
+    # crashed workers (the fresh fork that takes a dead worker's slot
+    # re-attaches to it) and is unlinked here once the map has
+    # completed.
     names = list(preps)
     with shared_handoff(preps) as preps_item:
         report = checkpointed_map(

@@ -76,11 +76,9 @@ def run_verify(
     if "invariants" in gates or "replication" in gates:
         cache = invariants.gate_cache(quick=quick, progress=progress)
     if "invariants" in gates:
-        results.extend(invariants.run_invariants(cache, quick=quick,
-                                                 progress=progress))
+        results.extend(invariants.run_invariants(cache, progress=progress))
     if "replication" in gates:
-        results.extend(replication.run_replication(cache, quick=quick,
-                                                   progress=progress))
+        results.extend(replication.run_replication(cache, progress=progress))
     return VerifyReport(
         results=results,
         elapsed_seconds=time.perf_counter() - start,

@@ -22,9 +22,11 @@ pure-Python replay fallback that lives next to its kernel
   :class:`~repro.avf.page.IntervalProfileBuilder` vs their reference
   profiles, bit-exact, on page ids multiplied by ``2**k`` so the radix
   argsort runs one, two or three digit passes.
-* ``faultsim``         — the batched Monte-Carlo kernel vs the
-  per-trial reference loop (identical Poisson draws, so
-  corrected/detected tallies are exact), and a ragged config batch
+* ``faultsim``         — at field, x30 or x2000 FIT rates, the
+  fault-event sampler vs the dense Poisson draw (events and generator
+  state bit-exact), the batched Monte-Carlo kernel vs the per-trial
+  reference loop (identical Poisson draws, so corrected/detected
+  tallies are exact), and a ragged config batch
   through :meth:`~repro.faults.ser.SerModel.for_systems` with one
   shared campaign memo vs fresh per-memory campaigns, bit-exact.
 * ``shm-roundtrip``    — the shared-memory workload handoff
@@ -381,13 +383,47 @@ def _check_shared_campaigns(case: DiffCase) -> "str | None":
     return None
 
 
+#: FIT-rate multipliers of the ``faultsim`` family: field rates (the
+#: rare-event sampler), x30 (the dense draw, several uniforms per draw)
+#: and x2000 (lambdas >= 10, where numpy switches Poisson algorithm).
+FAULTSIM_RATE_SCALES = (1, 30, 2000)
+
+
+def faultsim_rate_scale(case: DiffCase) -> int:
+    """The case's FIT-rate multiplier, by seed."""
+    return FAULTSIM_RATE_SCALES[case.seed % len(FAULTSIM_RATE_SCALES)]
+
+
+def _check_poisson_events(lambdas: np.ndarray, trials: int,
+                          seed: int) -> "str | None":
+    """The fault-event sampler vs the dense draw it replaces: the same
+    nonzero counts, and the same generator state afterwards."""
+    from repro.faults.faultsim import _poisson_events
+
+    dense_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    dense = dense_rng.poisson(lambdas, size=(trials, len(lambdas))).ravel()
+    trial, comp, count = _poisson_events(rng, lambdas, trials)
+    flat = np.flatnonzero(dense)
+    got = trial * len(lambdas) + comp
+    if not (np.array_equal(got, flat) and np.array_equal(count, dense[flat])):
+        return (f"poisson events: sampler {len(got)} nonzero draws "
+                f"({int(count.sum())} faults), dense draw {len(flat)} "
+                f"({int(dense.sum())} faults)")
+    if rng.bit_generator.state != dense_rng.bit_generator.state:
+        return "poisson events: generator state differs from the dense draw"
+    return None
+
+
 def check_faultsim(case: DiffCase) -> "str | None":
     """Batched FaultSim vs its reference loop; shared vs fresh campaigns.
 
-    The batched kernel and the per-trial reference loop draw the same
-    Poisson fault-count matrix for a given seed, so the integer
-    corrected/detected tallies must match exactly; the fractional pair
-    term differs only in enumeration order and is compared loosely.
+    The rates are scaled by :func:`faultsim_rate_scale`, so both regimes
+    of the fault-event sampler run.  The sampler must return exactly
+    the nonzero entries of the dense Poisson draw the reference makes,
+    and leave the generator in the same state.  The integer
+    corrected/detected tallies must then match exactly; the fractional
+    pair term differs only in enumeration order and is compared loosely.
     A ragged config batch (:func:`_campaign_batch`)
     through :meth:`~repro.faults.ser.SerModel.for_systems` with one
     campaign memo must then equal fresh per-memory
@@ -395,15 +431,21 @@ def check_faultsim(case: DiffCase) -> "str | None":
     analytic and Monte-Carlo.
     """
     from repro.faults.faultsim import FaultSimulator
+    from repro.faults.fit import rates_for_memory
     from repro.verify.oracles import run_faultsim_reference
 
     config = build_config(case)
     memory = config.fast_memory
     memory = type(memory)(**{**memory.__dict__, "ecc": case.fault_ecc})
-    ref = run_faultsim_reference(FaultSimulator(memory, seed=case.seed),
-                                 case.fault_trials)
-    bat = FaultSimulator(memory, seed=case.seed).run(
-        trials=case.fault_trials)
+    rates = rates_for_memory(memory).scaled(faultsim_rate_scale(case))
+    ref = run_faultsim_reference(
+        FaultSimulator(memory, rates=rates, seed=case.seed),
+        case.fault_trials)
+    sim = FaultSimulator(memory, rates=rates, seed=case.seed)
+    error = _check_poisson_events(sim._lambdas, case.fault_trials, case.seed)
+    if error is not None:
+        return error
+    bat = sim.run(trials=case.fault_trials)
     for field in ("trials", "corrected", "detected"):
         a, b = getattr(ref, field), getattr(bat, field)
         if a != b:

@@ -266,8 +266,7 @@ INVARIANTS = (
 )
 
 
-def run_invariants(cache: WorkloadCache, quick: bool = False,
-                   progress=None) -> "list[CheckResult]":
+def run_invariants(cache: WorkloadCache, progress=None) -> "list[CheckResult]":
     results = []
     for check in INVARIANTS:
         if progress is not None:

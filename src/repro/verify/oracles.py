@@ -18,7 +18,8 @@ product it checks:
   oracle; :data:`REFERENCE_MECHANISMS` maps each product class to its
   reference.
 * :func:`run_faultsim_reference` — the per-trial Monte-Carlo loop of
-  :class:`~repro.faults.faultsim.FaultSimulator`.
+  :class:`~repro.faults.faultsim.FaultSimulator`, over the dense
+  Poisson draw that its fault-event sampler replaces.
 * :func:`profile_trace_reference` and :func:`profile_intervals_reference`
   — page AVF and interval AVF over a comparison-sorted line stream,
   with ``np.unique``/``np.add.at`` aggregation and a per-read dict
@@ -423,10 +424,12 @@ def run_faultsim_reference(sim: FaultSimulator,
                            trials: int) -> FaultSimResult:
     """``sim.run(trials)`` as the per-trial loop with O(n^2) pair checks.
 
-    Draws the same Poisson event counts from ``sim``'s generator as the
-    batched kernel, so for the same seed the corrected/detected tallies
-    are identical and the uncorrected term is a statistically
-    equivalent estimate.
+    Draws the dense trials x components Poisson count matrix with
+    ``rng.poisson``, which makes it the oracle of the batched kernel's
+    fault-event sampler (:func:`~repro.faults.faultsim._poisson_events`)
+    too: the sampler draws only the nonzero counts, so for the same seed
+    the corrected/detected tallies are identical and the uncorrected
+    term is a statistically equivalent estimate.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")

@@ -212,7 +212,7 @@ CLAIMS = (
 )
 
 
-def run_replication(cache: WorkloadCache, quick: bool = False,
+def run_replication(cache: WorkloadCache,
                     progress=None) -> "list[CheckResult]":
     if progress is not None:
         progress("measuring schemes for the replication gate")

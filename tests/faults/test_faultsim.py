@@ -1,9 +1,14 @@
 """Unit tests for the Monte-Carlo fault simulator."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.config import ddr3_config, hbm_config
+from repro.faults import faultsim
 from repro.faults.faultsim import (FaultSimulator,
+                                   _poisson_events,
                                    resolve_fault_trials,
                                    uncorrected_fit_per_page)
 from repro.verify.oracles import run_faultsim_reference
@@ -100,8 +105,8 @@ class TestBatchedKernel:
     :mod:`repro.verify.oracles`."""
 
     def test_same_seed_same_fault_counts(self):
-        """Both kernels draw the identical Poisson counts matrix, so
-        the corrected/detected tallies match exactly."""
+        """The batched kernel draws exactly the reference's dense
+        Poisson counts, so the corrected/detected tallies match."""
         ref = run_faultsim_reference(FaultSimulator(hbm_config(), seed=11),
                                      20_000)
         bat = FaultSimulator(hbm_config(), seed=11).run(trials=20_000)
@@ -137,6 +142,79 @@ class TestBatchedKernel:
         assert bat.expected_uncorrected_per_mission == pytest.approx(
             ref.expected_uncorrected_per_mission, rel=0.2
         )
+
+
+def assert_matches_dense_draw(lambdas, trials, seed=0):
+    """``_poisson_events`` returns the nonzero entries of the dense
+    ``rng.poisson`` draw and leaves the generator in the same state."""
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    dense_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    dense = dense_rng.poisson(lambdas, size=(trials, len(lambdas))).ravel()
+    trial, comp, count = _poisson_events(rng, lambdas, trials)
+    flat = np.flatnonzero(dense)
+    np.testing.assert_array_equal(trial * len(lambdas) + comp, flat)
+    np.testing.assert_array_equal(count, dense[flat])
+    assert rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+class TestPoissonEvents:
+    """The rare-event sampler is numpy's dense draw, bit for bit."""
+
+    LAMBDAS = {
+        "zeros": [0.0, 1e-3, 0.0, 1e-9, 0.0],
+        "all-zero": [0.0, 0.0, 0.0],
+        "field": [1.4e-3, 7.9e-4, 7.8e-5, 1.1e-5, 4.4e-5, 1e-9],
+        "at-cutoff": [0.01, 0.0, 1e-3],
+        "above-cutoff": [0.0101, 0.0, 1e-3],
+        "multi-uniform": [0.01, 0.5, 0.0, 3.0, 9.99],
+        "ptrs": [10.0, 1e-3, 0.0, 25.0],
+    }
+
+    @pytest.mark.parametrize("trials", [1, 7, 100_000])
+    @pytest.mark.parametrize("name", sorted(LAMBDAS))
+    def test_matches_dense_draw(self, name, trials):
+        assert_matches_dense_draw(self.LAMBDAS[name], trials)
+
+    @pytest.mark.parametrize("trials", [1, 7, 1000])
+    def test_rare_path_multi_uniform_draws(self, monkeypatch, trials):
+        """Raising the cutoff routes lambdas up to 9.99 through the
+        uniform-product loop, so long products run there."""
+        monkeypatch.setattr(faultsim, "_RARE_MAX_LAMBDA", 9.99)
+        for seed in range(3):
+            assert_matches_dense_draw(self.LAMBDAS["multi-uniform"], trials,
+                                      seed)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_draw_straddles_block_boundary(self, monkeypatch, block):
+        """Small blocks make fault draws run past a block's end (with
+        one-uniform blocks every one does); the draw must continue with
+        the next block's first uniform."""
+        monkeypatch.setattr(faultsim, "_BLOCK", block)
+        monkeypatch.setattr(faultsim, "_RARE_MAX_LAMBDA", 9.99)
+        for seed in range(3):
+            assert_matches_dense_draw([0.5, 0.0, 3.0, 1e-3], 50, seed)
+        assert_matches_dense_draw(self.LAMBDAS["field"], 2000)
+
+    @pytest.mark.parametrize("lambdas", [[-1e-3, 0.0], [np.nan, 1e-3],
+                                         [1e-3, -5.0, 0.02]])
+    def test_invalid_lambda_raises_like_dense_draw(self, lambdas):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).poisson(lambdas, size=(4, len(lambdas)))
+        with pytest.raises(ValueError):
+            _poisson_events(np.random.default_rng(0), lambdas, 4)
+
+    def test_million_trial_campaign_memory(self):
+        """A field-rate campaign holds one uniform block, not the
+        48 MiB trials x components count matrix."""
+        sim = FaultSimulator(ddr3_config(), seed=0)
+        tracemalloc.start()
+        try:
+            sim.run(1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestResolution:

@@ -263,6 +263,32 @@ class TestMutationSmoke:
         assert results and all(not r.passed for r in results)
         assert all("shared campaign" in r.details for r in results)
 
+    def test_fault_sampler_overdraw_is_caught(self, monkeypatch):
+        """A sampler that returns the right events but draws one uniform
+        too many shifts every later draw: the state check names it."""
+        from repro.faults import faultsim
+
+        orig = faultsim._poisson_events
+
+        def mutated(rng, lambdas, trials):
+            events = orig(rng, lambdas, trials)
+            rng.random()
+            return events
+
+        monkeypatch.setattr(faultsim, "_poisson_events", mutated)
+        results = run_fuzz(num_cases=2, seed=1,
+                           checks={"faultsim": differential.check_faultsim})
+        assert results and all(not r.passed for r in results)
+        assert all("generator state" in r.details for r in results)
+
+    def test_quick_ladder_runs_every_faultsim_rate_scale(self):
+        """``verify --quick``'s 25 seed-0 cases reach the rare-event
+        sampler, the dense draw and numpy's lambda >= 10 algorithm."""
+        rng = np.random.default_rng(0)
+        scales = {differential.faultsim_rate_scale(random_case(rng, i))
+                  for i in range(25)}
+        assert scales == set(differential.FAULTSIM_RATE_SCALES)
+
     def test_radix_sort_missing_its_last_digit_pass_is_caught(
             self, monkeypatch):
         """A radix argsort that drops its last 16-bit digit pass when

@@ -21,7 +21,7 @@ class TestGmean:
 
 class TestCleanTree:
     def test_every_invariant_passes(self, bundle):
-        results = run_invariants(bundle, quick=True)
+        results = run_invariants(bundle)
         assert len(results) == len(INVARIANTS)
         assert all(r.family == "invariant" for r in results)
         failed = [(r.name, r.details) for r in results if not r.passed]
@@ -40,7 +40,7 @@ class TestCleanTree:
 
 class TestFailurePlumbing:
     def test_broken_bundle_yields_failed_results_not_exceptions(self):
-        results = run_invariants(object(), quick=True)
+        results = run_invariants(object())
         assert len(results) == len(INVARIANTS)
         assert all(not r.passed for r in results)
         assert all("raised" in r.details for r in results)

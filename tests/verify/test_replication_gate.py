@@ -28,7 +28,7 @@ def _plausible_measurements(**overrides) -> Measurements:
 
 class TestCleanTree:
     def test_every_claim_passes_on_the_bundle(self, bundle):
-        results = run_replication(bundle, quick=True)
+        results = run_replication(bundle)
         assert len(results) == len(CLAIMS)
         assert all(r.family == "replication" for r in results)
         failed = [(r.name, r.details) for r in results if not r.passed]
@@ -69,7 +69,7 @@ class TestClaimsRejectTampering:
 
 class TestFailurePlumbing:
     def test_broken_bundle_yields_a_single_failed_measurement(self):
-        results = run_replication(object(), quick=True)
+        results = run_replication(object())
         assert len(results) == 1
         assert not results[0].passed
         assert results[0].name == "replication-measurement"
