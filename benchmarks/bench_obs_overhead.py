@@ -9,8 +9,10 @@ Times the default-scale migration replay twice:
 
 Asserts the dormant path is within ``OVERHEAD_CEILING`` of bare
 (default 2%), and that a telemetry-*on* replay still produces
-bit-identical simulation results.  Writes ``BENCH_obs.json``
-(override with ``REPRO_BENCH_OBS_JSON``).
+bit-identical simulation results.  Writes ``BENCH_obs.json`` to the
+working directory (override with ``REPRO_BENCH_OBS_JSON``;
+``tools/ci_smoke.sh`` writes it to a temp dir).  The file is a run
+output, not committed.
 """
 
 import json

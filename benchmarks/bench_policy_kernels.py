@@ -9,7 +9,9 @@ from :mod:`repro.verify.oracles` (``sparse``), and times the batched
 :class:`FaultSimulator` against the per-trial reference loop in the
 event-dense regime (x2000 FIT rates) and at field rates over one
 1M-trial ``frontier-mc`` campaign.  Numbers land in ``BENCH_policies.json``
-(override the location with ``REPRO_BENCH_POLICY_JSON``).
+in the working directory (override the location with
+``REPRO_BENCH_POLICY_JSON``; ``tools/ci_smoke.sh`` writes it to a temp
+dir).  The file is a run output, not committed.
 
 The cc-migration row is additionally compared against the textbook
 baseline: the reference mechanism driving a literal decrement-all MEA,

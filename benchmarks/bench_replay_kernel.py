@@ -4,8 +4,10 @@ Times the same default-scale workload replay through
 :func:`replay_reference` and through :func:`replay` (the compiled
 kernel whenever a C compiler exists), asserts the two are bit-identical
 AND that production replay is at least 5x the reference requests/second,
-and writes the numbers to ``BENCH_replay.json`` (override the location
-with ``REPRO_BENCH_REPLAY_JSON``).
+and writes the numbers to ``BENCH_replay.json`` in the working
+directory (override the location with ``REPRO_BENCH_REPLAY_JSON``;
+``tools/ci_smoke.sh`` writes it to a temp dir).  The file is a run
+output, not committed.
 """
 
 import json

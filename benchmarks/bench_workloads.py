@@ -15,8 +15,10 @@ Two timed regions per run:
   CC on SER somewhere) for the timing to count.
 
 Wall time is best-of-``REPEATS`` and the report lands in
-``BENCH_workloads.json`` (override with ``REPRO_BENCH_WORKLOADS_JSON``)
-where ``repro-hma compare --bench-root`` enforces the floor.
+``BENCH_workloads.json`` in the working directory (override with
+``REPRO_BENCH_WORKLOADS_JSON``; ``tools/ci_smoke.sh`` writes it to a
+temp dir) where ``repro-hma compare --bench-root`` enforces the floor.
+The file is a run output, not committed.
 """
 
 import json

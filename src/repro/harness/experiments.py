@@ -891,61 +891,30 @@ def fig17_annotation_counts(cache: WorkloadCache,
 def table3_summary(cache: WorkloadCache, workloads=ALL_WORKLOADS,
                    num_intervals=DEFAULT_INTERVALS) -> FigureResult:
     """Table 3: IPC degradation and SER improvement of every scheme,
-    each normalised to its performance-focused counterpart."""
-    static_schemes = [
-        ("Reliability-focused", ReliabilityFocusedPlacement(), 17.0, 5.0),
-        ("Balanced", BalancedPlacement(), 14.0, 3.0),
-        ("Wr ratio", WrRatioPlacement(), 8.1, 1.8),
-        ("Wr^2 ratio", Wr2RatioPlacement(), 1.0, 1.6),
+    each normalised to its performance-focused counterpart.
+
+    Each row restates the summary (and the paper values) of the figure
+    that evaluates its scheme, so the table cannot drift from the
+    figures; the cache's replay memo shares their replays.
+    """
+    dynamic = {"num_intervals": num_intervals}
+    schemes = [
+        ("Reliability-focused", fig07_rel_focused, {}),
+        ("Balanced", fig08_balanced, {}),
+        ("Wr ratio", fig10_wr_ratio, {}),
+        ("Wr^2 ratio", fig11_wr2_ratio, {}),
+        ("Reliability-aware (FC)", fig14_fc_migration, dynamic),
+        ("Reliability-aware (CC)", fig15_cc_migration, dynamic),
+        ("Program annotations", fig16_annotations, {}),
     ]
     rows = []
-    for label, policy, paper_ipc, paper_ser in static_schemes:
-        ipc_ratios, ser_ratios = [], []
-        for wl in workloads:
-            prep = cache.get(wl)
-            base = evaluate_static(prep, PerformanceFocusedPlacement(),
-                                   memo=cache.replays)
-            res = evaluate_static(prep, policy, memo=cache.replays)
-            ipc_ratios.append(res.ipc / base.ipc)
-            ser_ratios.append(base.ser / res.ser)
-        rows.append([label, f"{(1 - gmean(ipc_ratios)) * 100:.1f}%",
-                     f"{gmean(ser_ratios):.2f}x",
-                     f"{paper_ipc}%", f"{paper_ser}x"])
-
-    dyn_schemes = [
-        ("Reliability-aware (FC)", ReliabilityAwareFCMigration, 6.0, 1.8),
-        ("Reliability-aware (CC)", CrossCountersMigration, 4.9, 1.5),
-    ]
-    for label, factory, paper_ipc, paper_ser in dyn_schemes:
-        ipc_ratios, ser_ratios = [], []
-        for wl in workloads:
-            prep = cache.get(wl)
-            base = evaluate_migration(
-                prep, PerformanceFocusedMigration(),
-                num_intervals=num_intervals, memo=cache.replays,
-            )
-            res = evaluate_migration(
-                prep, factory(), num_intervals=num_intervals,
-                initial_policy=BalancedPlacement(), memo=cache.replays,
-            )
-            ipc_ratios.append(res.ipc / base.ipc)
-            ser_ratios.append(base.ser / res.ser)
-        rows.append([label, f"{(1 - gmean(ipc_ratios)) * 100:.1f}%",
-                     f"{gmean(ser_ratios):.2f}x",
-                     f"{paper_ipc}%", f"{paper_ser}x"])
-
-    ipc_ratios, ser_ratios = [], []
-    for wl in workloads:
-        prep = cache.get(wl)
-        base = evaluate_static(prep, PerformanceFocusedPlacement(),
-                               memo=cache.replays)
-        res, _plan = evaluate_annotations(prep, memo=cache.replays)
-        ipc_ratios.append(res.ipc / base.ipc)
-        ser_ratios.append(base.ser / res.ser)
-    rows.append(["Program annotations",
-                 f"{(1 - gmean(ipc_ratios)) * 100:.1f}%",
-                 f"{gmean(ser_ratios):.2f}x", "1.1%", "1.3x"])
-
+    for label, figure, kwargs in schemes:
+        res = figure(cache, workloads=workloads, **kwargs)
+        ours, paper = res.summary, res.paper
+        rows.append([label, f"{(1 - ours['mean_ipc_ratio']) * 100:.1f}%",
+                     f"{1 / ours['mean_ser_ratio']:.2f}x",
+                     f"{(1 - paper['mean_ipc_ratio']) * 100:.1f}%",
+                     f"{1 / paper['mean_ser_ratio']:.1f}x"])
     return FigureResult(
         figure="Table 3",
         description="Summary: IPC degradation / SER improvement vs the "

@@ -110,8 +110,8 @@ def capacity_sweep(
         manifest = RunManifest(
             checkpoint_dir,
             run_key=run_key(kind="capacity_sweep", workloads=list(workloads),
-                            scale=scale, accesses=accesses_per_core,
-                            seed=seed),
+                            fractions=list(fractions), scale=scale,
+                            accesses=accesses_per_core, seed=seed),
             resume=resume)
     # Every job carries the same prepared workloads; the shared handoff
     # hoists their trace arrays into one shm segment for the whole

@@ -1,12 +1,13 @@
 """Replication regression gate: EXPERIMENTS.md shape claims, enforced.
 
-Re-evaluates the scheme set behind the headline figures at a small
-scale and checks the *shape* claims the reproduction rests on —
-orderings, crossovers, and factor ranges with tolerances — never
-absolute magnitudes (the substrate is a synthetic-trace simulator; see
-EXPERIMENTS.md).  Factor ranges are deliberately wide: they are chosen
-to catch a sign flip, a lost ordering, or an order-of-magnitude drift,
-not to pin the third digit.
+Runs the headline figures on the gate workloads
+(:func:`~repro.verify.invariants.gate_summaries`) and checks the
+*shape* claims the reproduction rests on — orderings, crossovers, and
+factor ranges with tolerances — against the figures' own summaries,
+never absolute magnitudes (the substrate is a synthetic-trace
+simulator; see EXPERIMENTS.md).  Factor ranges are deliberately wide:
+they are chosen to catch a sign flip, a lost ordering, or an
+order-of-magnitude drift, not to pin the third digit.
 
 Each claim names the figure it guards so a CI failure reads straight
 back to EXPERIMENTS.md.
@@ -14,70 +15,22 @@ back to EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.harness.experiments import WorkloadCache
-from repro.verify.invariants import GATE_WORKLOADS, ORDER_SLACK, _gmean
+from repro.verify.invariants import ORDER_SLACK, gate_summaries
 from repro.verify.verdict import CheckResult
 
-
-@dataclass(frozen=True)
-class Measurements:
-    """Gmean IPC/SER ratios vs ddr-only for every scheme the gate uses."""
-
-    ipc: "dict[str, float]"
-    ser: "dict[str, float]"
-
-    def ser_gain_vs(self, scheme: str, baseline: str) -> float:
-        """How many times lower ``scheme``'s SER is than ``baseline``'s."""
-        return self.ser[baseline] / self.ser[scheme]
-
-    def ipc_cost_vs(self, scheme: str, baseline: str) -> float:
-        """Fractional IPC change of ``scheme`` vs ``baseline`` (<0 = loss)."""
-        return self.ipc[scheme] / self.ipc[baseline] - 1.0
+#: Figure summaries by experiment id, as :func:`gate_summaries` returns.
+Summaries = "dict[str, dict[str, float]]"
 
 
-def measure(cache: WorkloadCache) -> Measurements:
-    from repro.core.migration import (
-        CrossCountersMigration,
-        PerformanceFocusedMigration,
-        ReliabilityAwareFCMigration,
-    )
-    from repro.core.placement import (
-        BalancedPlacement,
-        PerformanceFocusedPlacement,
-        ReliabilityFocusedPlacement,
-        Wr2RatioPlacement,
-        WrRatioPlacement,
-    )
-    from repro.sim.system import evaluate_migration, evaluate_static
+def _gain(s: Summaries, fig: str) -> float:
+    """How many times lower ``fig``'s scheme's SER is than its baseline's."""
+    return 1.0 / s[fig]["mean_ser_ratio"]
 
-    statics = {
-        "perf": PerformanceFocusedPlacement(),
-        "rel": ReliabilityFocusedPlacement(),
-        "balanced": BalancedPlacement(),
-        "wr": WrRatioPlacement(),
-        "wr2": Wr2RatioPlacement(),
-    }
-    migrations = {
-        "perf-mig": PerformanceFocusedMigration,
-        "fc-mig": ReliabilityAwareFCMigration,
-        "cc-mig": CrossCountersMigration,
-    }
-    ipc: "dict[str, float]" = {}
-    ser: "dict[str, float]" = {}
-    for key, policy in statics.items():
-        results = [evaluate_static(cache.get(w), policy, memo=cache.replays)
-                   for w in GATE_WORKLOADS]
-        ipc[key] = _gmean(r.ipc_vs_ddr for r in results)
-        ser[key] = _gmean(r.ser_vs_ddr for r in results)
-    for key, factory in migrations.items():
-        results = [evaluate_migration(cache.get(w), factory(),
-                                      memo=cache.replays)
-                   for w in GATE_WORKLOADS]
-        ipc[key] = _gmean(r.ipc_vs_ddr for r in results)
-        ser[key] = _gmean(r.ser_vs_ddr for r in results)
-    return Measurements(ipc=ipc, ser=ser)
+
+def _cost(s: Summaries, fig: str) -> float:
+    """Relative IPC change of ``fig``'s scheme vs its baseline (<0 = loss)."""
+    return s[fig]["mean_ipc_ratio"] - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +43,9 @@ def _claim(name, passed, details) -> CheckResult:
                        details=details)
 
 
-def claim_fig05_perf_frontier(m: Measurements) -> CheckResult:
+def claim_fig05_perf_frontier(s: Summaries) -> CheckResult:
     """Fig. 5: perf-focused placement buys IPC at a huge SER blow-up."""
-    ipc, ser = m.ipc["perf"], m.ser["perf"]
+    ipc, ser = s["fig05"]["mean_ipc_ratio"], s["fig05"]["mean_ser_ratio"]
     passed = 1.05 <= ipc <= 2.5 and 30.0 <= ser <= 5000.0
     return _claim(
         "fig05-perf-placement-frontier", passed,
@@ -100,10 +53,9 @@ def claim_fig05_perf_frontier(m: Measurements) -> CheckResult:
         f"{ser:.3g}x SER vs ddr-only (claim ~320x, range 30-5000)")
 
 
-def claim_fig07_rel_focused(m: Measurements) -> CheckResult:
+def claim_fig07_rel_focused(s: Summaries) -> CheckResult:
     """Fig. 7: rel-focused divides SER by a large factor, costs IPC."""
-    gain = m.ser_gain_vs("rel", "perf")
-    cost = m.ipc_cost_vs("rel", "perf")
+    gain, cost = _gain(s, "fig07"), _cost(s, "fig07")
     passed = 2.0 <= gain <= 60.0 and -0.5 <= cost <= -0.02
     return _claim(
         "fig07-rel-focused-tradeoff", passed,
@@ -111,12 +63,10 @@ def claim_fig07_rel_focused(m: Measurements) -> CheckResult:
         f"2-60) at {cost:+.1%} IPC (claim -24%, range -50%..-2%)")
 
 
-def claim_fig08_balanced_between(m: Measurements) -> CheckResult:
+def claim_fig08_balanced_between(s: Summaries) -> CheckResult:
     """Fig. 8: balanced sits between perf and rel on both axes."""
-    gain = m.ser_gain_vs("balanced", "perf")
-    cost = m.ipc_cost_vs("balanced", "perf")
-    rel_gain = m.ser_gain_vs("rel", "perf")
-    rel_cost = m.ipc_cost_vs("rel", "perf")
+    gain, cost = _gain(s, "fig08"), _cost(s, "fig08")
+    rel_gain, rel_cost = _gain(s, "fig07"), _cost(s, "fig07")
     passed = (1.3 <= gain <= rel_gain / ORDER_SLACK
               and -0.35 <= cost <= 0.0
               and cost >= rel_cost * ORDER_SLACK)
@@ -127,12 +77,10 @@ def claim_fig08_balanced_between(m: Measurements) -> CheckResult:
         f"(rel: / {rel_gain:.3g} at {rel_cost:+.1%})")
 
 
-def claim_fig10_11_wr_ladder(m: Measurements) -> CheckResult:
+def claim_fig10_11_wr_ladder(s: Summaries) -> CheckResult:
     """Figs. 10/11: both Wr ratios gain SER; Wr2 is the cheaper one."""
-    wr_gain = m.ser_gain_vs("wr", "perf")
-    wr2_gain = m.ser_gain_vs("wr2", "perf")
-    wr_cost = m.ipc_cost_vs("wr", "perf")
-    wr2_cost = m.ipc_cost_vs("wr2", "perf")
+    wr_gain, wr_cost = _gain(s, "fig10"), _cost(s, "fig10")
+    wr2_gain, wr2_cost = _gain(s, "fig11"), _cost(s, "fig11")
     passed = (wr_gain >= 1.2 and wr2_gain >= 1.2
               and wr_gain >= wr2_gain * 0.85
               and wr2_cost >= wr_cost * ORDER_SLACK - 0.01)
@@ -143,10 +91,11 @@ def claim_fig10_11_wr_ladder(m: Measurements) -> CheckResult:
         f">= 1.2, Wr >~ Wr2 in SER gain, Wr2 no costlier in IPC")
 
 
-def claim_fig12_perf_migration(m: Measurements) -> CheckResult:
+def claim_fig12_perf_migration(s: Summaries) -> CheckResult:
     """Fig. 12: perf migration tracks the static oracle's IPC."""
-    ipc, ser = m.ipc["perf-mig"], m.ser["perf-mig"]
-    vs_oracle = m.ipc_cost_vs("perf-mig", "perf")
+    fig12 = s["fig12"]
+    ipc, ser = fig12["mean_ipc_vs_ddr"], fig12["mean_ser_vs_ddr"]
+    vs_oracle = fig12["ipc_vs_static_oracle"] - 1.0
     passed = (ipc >= 1.05 and ser >= 30.0
               and -0.25 <= vs_oracle <= 0.05)
     return _claim(
@@ -156,10 +105,9 @@ def claim_fig12_perf_migration(m: Measurements) -> CheckResult:
         f"range -25%..+5%)")
 
 
-def claim_fig14_fc_migration(m: Measurements) -> CheckResult:
+def claim_fig14_fc_migration(s: Summaries) -> CheckResult:
     """Fig. 14: FC migration divides perf-migration's SER, costs IPC."""
-    gain = m.ser_gain_vs("fc-mig", "perf-mig")
-    cost = m.ipc_cost_vs("fc-mig", "perf-mig")
+    gain, cost = _gain(s, "fig14"), _cost(s, "fig14")
     passed = 1.3 <= gain <= 60.0 and -0.4 <= cost <= 0.02
     return _claim(
         "fig14-fc-migration", passed,
@@ -167,12 +115,10 @@ def claim_fig14_fc_migration(m: Measurements) -> CheckResult:
         f"1.3-60) at {cost:+.1%} IPC (claim -9%, range -40%..+2%)")
 
 
-def claim_fig15_cc_crossover(m: Measurements) -> CheckResult:
+def claim_fig15_cc_crossover(s: Summaries) -> CheckResult:
     """Fig. 15: CC gains less SER than FC but keeps more IPC."""
-    cc_gain = m.ser_gain_vs("cc-mig", "perf-mig")
-    fc_gain = m.ser_gain_vs("fc-mig", "perf-mig")
-    cc_cost = m.ipc_cost_vs("cc-mig", "perf-mig")
-    fc_cost = m.ipc_cost_vs("fc-mig", "perf-mig")
+    cc_gain, cc_cost = _gain(s, "fig15"), _cost(s, "fig15")
+    fc_gain, fc_cost = _gain(s, "fig14"), _cost(s, "fig14")
     passed = (cc_gain >= 1.05
               and cc_gain <= fc_gain / ORDER_SLACK
               and cc_cost >= fc_cost * ORDER_SLACK - 0.01)
@@ -183,12 +129,10 @@ def claim_fig15_cc_crossover(m: Measurements) -> CheckResult:
         f"SER gain and CC >= FC in IPC")
 
 
-def claim_ser_gain_ladder(m: Measurements) -> CheckResult:
+def claim_ser_gain_ladder(s: Summaries) -> CheckResult:
     """EXPERIMENTS.md ladder: SER gain rel > balanced > Wr >~ Wr2."""
-    rel = m.ser_gain_vs("rel", "perf")
-    bal = m.ser_gain_vs("balanced", "perf")
-    wr = m.ser_gain_vs("wr", "perf")
-    wr2 = m.ser_gain_vs("wr2", "perf")
+    rel, bal = _gain(s, "fig07"), _gain(s, "fig08")
+    wr, wr2 = _gain(s, "fig10"), _gain(s, "fig11")
     passed = (rel >= bal * ORDER_SLACK
               and bal >= wr * ORDER_SLACK
               and wr >= wr2 * 0.85)
@@ -215,9 +159,9 @@ CLAIMS = (
 def run_replication(cache: WorkloadCache,
                     progress=None) -> "list[CheckResult]":
     if progress is not None:
-        progress("measuring schemes for the replication gate")
+        progress("running the gate figures for the replication gate")
     try:
-        m = measure(cache)
+        s = gate_summaries(cache)
     except Exception as exc:
         return [CheckResult(
             name="replication-measurement", family="replication",
@@ -228,7 +172,7 @@ def run_replication(cache: WorkloadCache,
         if progress is not None:
             progress(f"claim {claim.__name__}")
         try:
-            results.append(claim(m))
+            results.append(claim(s))
         except Exception as exc:
             results.append(CheckResult(
                 name=claim.__name__.replace("claim_", "").replace("_", "-"),

@@ -236,6 +236,35 @@ class TestSingleWorkloadFigures:
                              num_intervals=4)
         assert len(res.rows) == 7
 
+    def test_table3_restates_the_figures(self, cache):
+        """Every Table 3 row is the summary of the figure evaluating its
+        scheme, beside the paper's Table 3 values."""
+        from repro.harness import experiments as ex
+
+        workloads = ("mcf", "mix1")
+        dynamic = {"num_intervals": 4}
+        figures = [
+            ("Reliability-focused", ex.fig07_rel_focused, {}),
+            ("Balanced", ex.fig08_balanced, {}),
+            ("Wr ratio", ex.fig10_wr_ratio, {}),
+            ("Wr^2 ratio", ex.fig11_wr2_ratio, {}),
+            ("Reliability-aware (FC)", ex.fig14_fc_migration, dynamic),
+            ("Reliability-aware (CC)", ex.fig15_cc_migration, dynamic),
+            ("Program annotations", ex.fig16_annotations, {}),
+        ]
+        composed = []
+        for label, figure, kwargs in figures:
+            s = figure(cache, workloads=workloads, **kwargs).summary
+            composed.append([label, f"{(1 - s['mean_ipc_ratio']) * 100:.1f}%",
+                             f"{1 / s['mean_ser_ratio']:.2f}x"])
+        table = ex.table3_summary(cache, workloads=workloads,
+                                  num_intervals=4)
+        assert [row[:3] for row in table.rows] == composed
+        assert [row[3:] for row in table.rows] == [
+            ["17.0%", "5.0x"], ["14.0%", "3.0x"], ["8.1%", "1.8x"],
+            ["1.0%", "1.6x"], ["6.0%", "1.8x"], ["4.9%", "1.5x"],
+            ["1.1%", "1.3x"]]
+
 
 class TestCliScatter:
     def test_scatter(self, capsys):

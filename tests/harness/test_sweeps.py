@@ -28,6 +28,19 @@ class TestCapacitySweep:
                              **SMALL)
         assert len(res.rows) == 3
 
+    def test_resume_with_other_fractions_recomputes(self, tmp_path):
+        """A checkpoint holds the rows of the fractions it was written
+        with; a resume with other fractions must not serve them."""
+        d = str(tmp_path / "run")
+        capacity_sweep(workloads=("mcf",), fractions=(0.1, 0.2),
+                       checkpoint_dir=d, **SMALL)
+        for fractions in ((0.4, 0.8), (0.1, 0.2, 0.4)):
+            fresh = capacity_sweep(workloads=("mcf",), fractions=fractions,
+                                   **SMALL)
+            resumed = capacity_sweep(workloads=("mcf",), fractions=fractions,
+                                     checkpoint_dir=d, resume=True, **SMALL)
+            assert resumed.rows == fresh.rows
+
 
 class TestFitMultiplierSweep:
     def test_ser_scales_linearly_with_multiplier(self, cache):

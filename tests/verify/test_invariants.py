@@ -1,22 +1,11 @@
 """Metamorphic paper invariants: clean-tree pass + failure plumbing."""
 
-import pytest
-
 from repro.verify.invariants import (
     INVARIANTS,
-    _gmean,
     check_ser_monotone_in_hot_fraction,
     check_write_masked_avf,
     run_invariants,
 )
-
-
-class TestGmean:
-    def test_matches_closed_form(self):
-        assert _gmean([2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_single_value(self):
-        assert _gmean([3.5]) == pytest.approx(3.5)
 
 
 class TestCleanTree:

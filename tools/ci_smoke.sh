@@ -46,6 +46,11 @@
 # 9. Checks that docs/api.md is what `python tools/gen_api.py` renders
 #    from the current public API, and names that command when it is
 #    stale.
+# 10. Runs the benchmark's self-test (`python -m pytest bench/`): the
+#    smoke digests against bench/golden.json, every binding
+#    bench/tracing.py wraps still resolving, and the declared per-layer
+#    metrics, so a refactor that renames a bound function or changes a
+#    figure's output fails here rather than at the next benchmark run.
 #
 # Environment:
 #   REPRO_SMOKE_ACCESSES  accesses/core for the kernel benchmark (default 4000)
@@ -74,6 +79,9 @@ if gen_api.render() != gen_api.OUT.read_text():
              "`python tools/gen_api.py`")
 print("docs/api.md matches tools/gen_api.py")
 EOF
+
+echo "== benchmark self-test (bench/) =="
+python -m pytest bench/ -q -p no:cacheprovider
 
 echo "== kernel parity without the C kernels (REPRO_NATIVE=0) =="
 REPRO_NATIVE=0 python -m pytest -x -q tests/sim/test_parity.py \
