@@ -14,9 +14,8 @@ Outcome vectors and corrected payloads are asserted bit-identical
 between the two paths before any timing is trusted, wall time is
 best-of-``REPEATS``, and the report lands in ``BENCH_ecc.json`` in
 the working directory (override with ``REPRO_BENCH_ECC_JSON``;
-``tools/ci_smoke.sh`` writes it to a temp dir) where ``repro-hma
-compare --bench-root`` enforces the floor.  The file is a run output,
-not committed.
+``tools/ci_smoke.sh`` writes it to a temp dir); the floor is this
+module's own assertion.  The file is a run output, not committed.
 """
 
 import json

@@ -15,8 +15,9 @@ dir).  The file is a run output, not committed.
 
 The cc-migration row is additionally compared against the textbook
 baseline: the reference mechanism driving a literal decrement-all MEA,
-since the reference :class:`MeaTracker` is itself an offset-optimised
-tracker and would otherwise flatter the sparse reference.
+since the reference :class:`~repro.verify.oracles.MeaTracker` is itself
+an offset-optimised tracker and would otherwise flatter the sparse
+reference.
 """
 
 import json

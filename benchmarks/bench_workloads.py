@@ -17,8 +17,8 @@ Two timed regions per run:
 Wall time is best-of-``REPEATS`` and the report lands in
 ``BENCH_workloads.json`` in the working directory (override with
 ``REPRO_BENCH_WORKLOADS_JSON``; ``tools/ci_smoke.sh`` writes it to a
-temp dir) where ``repro-hma compare --bench-root`` enforces the floor.
-The file is a run output, not committed.
+temp dir); the floor is this module's own assertion.  The file is a
+run output, not committed.
 """
 
 import json

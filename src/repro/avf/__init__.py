@@ -1,12 +1,7 @@
 """AVF engine: ACE tracking, page aggregation, and proxy heuristics."""
 
 from repro.avf.tracker import AceTracker, line_ace_times
-from repro.avf.page import (
-    IntervalProfile,
-    PageStats,
-    profile_intervals,
-    profile_trace,
-)
+from repro.avf.page import PageStats, profile_intervals, profile_trace
 from repro.avf.heuristics import (
     WriteRatioHistogram,
     hotness_avf_correlation,
@@ -21,7 +16,6 @@ __all__ = [
     "AceTracker",
     "line_ace_times",
     "PageStats",
-    "IntervalProfile",
     "profile_trace",
     "profile_intervals",
     "pearson",

@@ -9,7 +9,7 @@ contributing zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,38 +119,26 @@ def profile_trace(
     )
 
 
-@dataclass
-class IntervalProfile:
-    """Per-interval page statistics for dynamic SER accounting.
-
-    ``interval_avf[i]`` maps page -> AVF accumulated during interval
-    ``i`` (ACE time attributed to the interval containing the read).
-    """
-
-    num_intervals: int
-    interval_avf: "list[dict[int, float]]" = field(default_factory=list)
-
-    def total_avf(self, page: int) -> float:
-        return sum(iv.get(page, 0.0) for iv in self.interval_avf)
-
-
 def profile_intervals(
     trace: Trace,
     times: np.ndarray,
     boundaries: np.ndarray,
     assume_live_at_start: bool = True,
-) -> IntervalProfile:
+) -> "list[tuple[np.ndarray, np.ndarray]]":
     """Split a trace at logical-time ``boundaries`` and compute each
     interval's per-page AVF contribution.
 
-    ACE spans crossing a boundary are attributed to the interval in
-    which the read occurs — the same attribution the streaming
-    tracker's :meth:`~repro.avf.tracker.AceTracker.reset_window` makes.
-    This is the one-shot form of :class:`IntervalProfileBuilder`; build
-    one directly to profile a trace at many boundary sets.
+    Returns one ``(pages, avf)`` array pair per interval (see
+    :meth:`IntervalProfileBuilder.intervals_arrays`), the form
+    :meth:`~repro.faults.ser.SerModel.ser_dynamic` consumes.  ACE spans
+    crossing a boundary are attributed to the interval in which the
+    read occurs — the same attribution the streaming tracker's
+    :meth:`~repro.avf.tracker.AceTracker.reset_window` makes.  This is
+    the one-shot form of :class:`IntervalProfileBuilder`; build one
+    directly to profile a trace at many boundary sets.
     """
     return IntervalProfileBuilder(
-        trace, times, assume_live_at_start).profile(boundaries)
+        trace, times, assume_live_at_start).intervals_arrays(boundaries)
 
 
 class IntervalProfileBuilder:
@@ -160,8 +148,8 @@ class IntervalProfileBuilder:
     read that commits ACE time, its trace position, its page's dense
     code and its page-AVF contribution, in stream order; it references
     ``times`` rather than copying them.  Each boundary set then costs
-    linear passes (:meth:`intervals_arrays`), and :meth:`profile`
-    returns the interval dicts of the per-read dict walk
+    linear passes (:meth:`intervals_arrays`), whose pages and values
+    are the interval dicts of the per-read dict walk
     (``profile_intervals_reference`` in :mod:`repro.verify.oracles`)
     with bit-identical values *and* iteration order.
     """
@@ -220,12 +208,3 @@ class IntervalProfileBuilder:
         splits = np.searchsorted(bins, np.arange(1, n_intervals) * n_codes)
         return list(zip(np.split(self._uniq_pages[bins % n_codes], splits),
                         np.split(sums[bins], splits)))
-
-    def profile(self, boundaries: np.ndarray) -> IntervalProfile:
-        """An :class:`IntervalProfile` of the trace at ``boundaries``."""
-        interval_avf = [
-            dict(zip(pages.tolist(), values.tolist()))
-            for pages, values in self.intervals_arrays(boundaries)
-        ]
-        return IntervalProfile(num_intervals=len(boundaries) + 1,
-                               interval_avf=interval_avf)

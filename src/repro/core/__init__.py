@@ -5,7 +5,7 @@ from repro.core.counters import (
     CounterCost,
     SaturatingCounter,
 )
-from repro.core.mea import MeaEntry, MeaTracker
+from repro.core.mea import ArrayMeaTracker
 from repro.core.placement import (
     STATIC_POLICIES,
     BalancedPlacement,
@@ -37,8 +37,7 @@ __all__ = [
     "SaturatingCounter",
     "ArrayFullCounters",
     "CounterCost",
-    "MeaTracker",
-    "MeaEntry",
+    "ArrayMeaTracker",
     "PlacementPolicy",
     "DdrOnlyPlacement",
     "PerformanceFocusedPlacement",

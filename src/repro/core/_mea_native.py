@@ -1,4 +1,4 @@
-"""Compiled Misra-Gries chunk kernels for the MEA trackers.
+"""Compiled Misra-Gries chunk kernels for the MEA tracker.
 
 The MEA update (:class:`repro.core.mea.ArrayMeaTracker.record_many`)
 is inherently sequential — membership changes on every insert and
@@ -7,9 +7,9 @@ module holds the C source of the textbook update loop over the
 tracker's (at most ``capacity``-entry) map, plus the fused
 cross-counters variant that also feeds the full-counter tables; the
 build, the ``native`` knob, and the memoised fallback are
-:class:`repro.sim._ckernel.NativeKernel`'s.  A linear scan over <= 32
-entries is a handful of cycles in C, so the kernel makes per-access
-cost negligible.
+:class:`repro.sim._ckernel.NativeKernel`'s.  A hashed member probe is a
+handful of cycles in C, so the kernel makes per-access cost
+negligible.
 
 With no compiler, a failed build, or ``REPRO_NATIVE=0``, :func:`load`
 and :func:`load_cc` return ``None`` and the tracker runs its list-loop
@@ -22,7 +22,14 @@ import ctypes
 
 from repro.sim._ckernel import NativeKernel
 
-_SOURCE = r"""
+#: Largest MEA map the kernel's on-stack member table holds; compiled
+#: into the source, and :class:`~repro.core.mea.ArrayMeaTracker`
+#: rejects larger capacities.  A power of two.
+MAX_CAPACITY = 4096
+
+_SOURCE = f"""
+#define MEA_MAX_CAPACITY {MAX_CAPACITY}
+""" + r"""
 #include <stdint.h>
 
 /* Misra-Gries over one chunk.  entry_pages/entry_counts hold the map
@@ -30,58 +37,16 @@ _SOURCE = r"""
  * residuals, always >= 1).  Semantics are the literal textbook
  * algorithm: a full-map miss decrements every entry and dead entries
  * compact in place, preserving order — exactly the dict semantics of
- * the Python tracker.
+ * the reference tracker.
  *
- * Two equivalent realisations (the members, residual counts, and
- * insertion order after any stream are identical):
- *
- * - a plain linear-scan loop, kept for outsized capacities;
- * - the offset formulation behind a linear-probing hash of the member
- *   set (the default): membership is O(1) instead of O(capacity), a
- *   decrement-all is one `off++`, and entries die only at a lazy
- *   compaction scan once `off` can have caught up with the smallest
- *   stored count.  This is the same amortisation the Python tracker
- *   uses, one level lower.
+ * It runs the offset formulation behind a linear-probing hash of the
+ * member set: membership is O(1) instead of O(capacity), a
+ * decrement-all is one `off++`, and entries die only at a lazy
+ * compaction scan once `off` can have caught up with the smallest
+ * stored count.  This is the same amortisation the reference tracker
+ * uses, one level lower.  The caller keeps capacity <=
+ * MEA_MAX_CAPACITY.
  */
-
-static void mea_chunk_scan(
-    int64_t n,
-    const int64_t *pages,
-    int64_t capacity,
-    int64_t *entry_pages,
-    int64_t *entry_counts,
-    int64_t *n_entries)
-{
-    int64_t k = *n_entries;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t p = pages[i];
-        int64_t j = -1;
-        for (int64_t e = 0; e < k; e++) {
-            if (entry_pages[e] == p) { j = e; break; }
-        }
-        if (j >= 0) {
-            entry_counts[j]++;
-        } else if (k < capacity) {
-            entry_pages[k] = p;
-            entry_counts[k] = 1;
-            k++;
-        } else {
-            int64_t w = 0;
-            for (int64_t e = 0; e < k; e++) {
-                int64_t c = entry_counts[e] - 1;
-                if (c > 0) {
-                    entry_pages[w] = entry_pages[e];
-                    entry_counts[w] = c;
-                    w++;
-                }
-            }
-            k = w;
-        }
-    }
-    *n_entries = k;
-}
-
-#define MEA_MAX_HASHED_CAPACITY 4096
 
 /* Open-addressing member table with the page key stored inline
  * (tpage) next to its entry index (tidx, -1 = empty) — the probe is a
@@ -107,17 +72,14 @@ void repro_mea_chunk(
     int64_t *entry_counts,
     int64_t *n_entries)
 {
-    if (capacity > MEA_MAX_HASHED_CAPACITY) {
-        mea_chunk_scan(n, pages, capacity, entry_pages, entry_counts,
-                       n_entries);
-        return;
-    }
+    /* The table's first tsize slots are used: the smallest power of
+     * two >= 64 and >= 4 * capacity. */
     int64_t tsize = 64;
     while (tsize < capacity * 4)
         tsize <<= 1;
     int64_t mask = tsize - 1;
-    int64_t tpage[tsize];
-    int32_t tidx[tsize];
+    int64_t tpage[4 * MEA_MAX_CAPACITY];
+    int32_t tidx[4 * MEA_MAX_CAPACITY];
 
     int64_t k = *n_entries;
     int64_t off = 0;

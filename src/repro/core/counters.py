@@ -144,31 +144,6 @@ class ArrayFullCounters:
         self._pending.append(
             (pages.copy(), np.asarray(is_write, dtype=bool).copy()))
 
-    def record_counts(self, pages_r: np.ndarray, counts_r: np.ndarray,
-                      pages_w: np.ndarray, counts_w: np.ndarray) -> None:
-        """Bulk update from pre-aggregated per-page tallies.
-
-        Saturating clips commute over non-negative adds, so applying a
-        chunk's unique-page counts directly (clipping per call) lands
-        the same tables as queueing the raw chunk through
-        :meth:`record_batch` and clipping at the deferred flush.
-        """
-        max_page = -1
-        for pages in (pages_r, pages_w):
-            if len(pages):
-                if int(pages.min()) < 0:
-                    raise ValueError("page numbers must be non-negative")
-                max_page = max(max_page, int(pages.max()))
-        if max_page < 0:
-            return
-        self._flush()
-        self._ensure(max_page)
-        for pages, counts, table in ((pages_w, counts_w, self._writes),
-                                     (pages_r, counts_r, self._reads)):
-            if len(pages):
-                table[pages] += counts
-                np.minimum(table, self.max_value, out=table)
-
     def tables_for_native(self, max_page: int) \
             -> "tuple[np.ndarray, np.ndarray]":
         """``(reads, writes)`` tables for in-place native accumulation.

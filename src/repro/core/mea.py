@@ -10,197 +10,31 @@ The classic guarantee holds: any element occurring more than
 ``n / (k + 1)`` times in a stream of length ``n`` is present in a
 ``k``-entry map at the end of the stream.
 
-Two trackers keep the same members, residual counts, and map order
-after any stream (pinned by property tests against a literal
-decrement-all reimplementation):
-
-* :class:`ArrayMeaTracker` — Cross Counters' tracker: the map lives in
-  two flat arrays that the compiled chunk kernel
-  (:mod:`repro.core._mea_native`) updates in place, with a list-loop
-  port of that kernel as the compile-failure fallback.
-* :class:`MeaTracker` — pure Python, MemPod's per-pod tracker and the
-  MEA of the Cross Counters oracle.  The textbook "decrement every
-  counter" step is O(k) per non-member access, so it stores counters
-  relative to a global offset (classic Misra-Gries optimisation): a
-  decrement-all becomes one ``offset += 1``, an insert stores
-  ``offset + 1``, and an entry is dead once its stored value falls to
-  the offset.  A lazily maintained lower bound on the minimum stored
-  value defers the dead-entry scan until a drop can actually occur,
-  and the leading run of member hits in each chunk lands in one
-  vectorised pass.
+:class:`ArrayMeaTracker` is the MEA map of Cross Counters and of every
+MemPod pod: the map lives in two flat arrays that the compiled chunk
+kernel (:mod:`repro.core._mea_native`) updates in place, with a
+list-loop port of that kernel as the compile-failure fallback.  The
+dict tracker that pins its semantics (members, residual counts and map
+order after any stream) lives with the other oracles in
+:mod:`repro.verify.oracles`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core import _mea_native
 
 
-@dataclass
-class MeaEntry:
-    page: int
-    count: int
-
-
-class MeaTracker:
-    """A k-entry Misra-Gries frequent-elements sketch over page ids."""
-
-    def __init__(self, capacity: int = 32) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        #: page -> stored count; the effective (residual) count is
-        #: ``stored - self._off``, always >= 1 for a live entry.
-        self._counters: "dict[int, int]" = {}
-        #: Global decrement offset (number of decrement-all steps).
-        self._off = 0
-        #: Lower bound on ``min(self._counters.values())``; exact after
-        #: every insert and dead-entry scan, possibly stale-low after
-        #: member hits (safe: scans trigger no later than needed).
-        self._min = 0
-        self.stream_length = 0
-
-    # -- streaming updates ---------------------------------------------------
-
-    def record(self, page: int) -> None:
-        """Process one access to ``page``."""
-        self.stream_length += 1
-        counters = self._counters
-        if page in counters:
-            counters[page] += 1
-        elif len(counters) < self.capacity:
-            counters[page] = self._off + 1
-            self._min = self._off + 1
-        else:
-            # Decrement-all step, amortised: bump the offset and scan
-            # for dead entries only when the minimum can have reached
-            # zero.
-            self._off += 1
-            if self._off >= self._min:
-                self._drop_dead()
-
-    def _drop_dead(self) -> None:
-        """Remove entries whose residual count reached zero."""
-        off = self._off
-        counters = self._counters
-        dead = [p for p, v in counters.items() if v <= off]
-        for p in dead:
-            del counters[p]
-        self._min = min(counters.values()) if counters else off
-
-    def _bump_members(self, member_pages: np.ndarray) -> None:
-        """Apply a batch of hits on current members (order-free)."""
-        if not len(member_pages):
-            return
-        counters = self._counters
-        unique, counts = np.unique(member_pages, return_counts=True)
-        for page, count in zip(unique.tolist(), counts.tolist()):
-            counters[page] += count
-
-    def _member_array(self) -> np.ndarray:
-        return np.fromiter(self._counters, np.int64, len(self._counters))
-
-    def record_many(self, pages) -> None:
-        """Process a chunk of accesses.
-
-        The maximal leading run of member hits cannot change the map
-        (hits never insert, drop, or move the offset), so it lands in
-        one ``np.isin`` + ``np.unique`` pass; the remainder runs
-        through a tuned offset-relative loop whose per-access work is
-        one dict probe — the decrement-all and dead-entry scans of the
-        textbook algorithm are amortised behind the lazy minimum.
-        """
-        arr = np.asarray(pages, dtype=np.int64).ravel()
-        n = int(arr.size)
-        if n == 0:
-            return
-        self.stream_length += n
-        counters = self._counters
-        start = 0
-        if n >= 32 and counters:
-            memb = np.isin(arr, self._member_array())
-            misses = np.flatnonzero(~memb)
-            start = int(misses[0]) if misses.size else n
-            if start:
-                self._bump_members(arr[:start])
-            if start >= n:
-                return
-        capacity = self.capacity
-        off = self._off
-        floor = self._min
-        get = counters.get
-        for page in arr[start:].tolist():
-            stored = get(page)
-            if stored is not None:
-                counters[page] = stored + 1
-            elif len(counters) < capacity:
-                counters[page] = off + 1
-                floor = off + 1
-            else:
-                off += 1
-                if off >= floor:
-                    dead = [p for p, v in counters.items() if v <= off]
-                    for p in dead:
-                        del counters[p]
-                    floor = min(counters.values()) if counters else off
-        self._off = off
-        self._min = floor
-
-    # -- queries -------------------------------------------------------------
-
-    def hot_pages(self, limit: "int | None" = None,
-                  min_count: int = 1) -> "list[int]":
-        """Tracked pages ordered by descending residual count.
-
-        ``min_count`` filters one-hit wonders: a page must retain at
-        least that residual count to be reported hot.
-        """
-        off = self._off
-        ranked = sorted(
-            ((p, v - off) for p, v in self._counters.items()
-             if v - off >= min_count),
-            key=lambda kv: -kv[1],
-        )
-        pages = [page for page, _count in ranked]
-        return pages[:limit] if limit is not None else pages
-
-    def count(self, page: int) -> int:
-        stored = self._counters.get(page)
-        return stored - self._off if stored is not None else 0
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def reset(self) -> None:
-        """Clear the map for the next MEA interval."""
-        self._counters.clear()
-        self._off = 0
-        self._min = 0
-        self.stream_length = 0
-
-    @staticmethod
-    def storage_cost_bytes(capacity: int = 32, entry_bits: int = 64,
-                           remap_table_bytes: int = 64 * 1024) -> int:
-        """Hardware budget of the MEA unit (Sec. 6.4.2: the tracking
-        structures stay under ~100 KB plus a 64 KB remap-table cache)."""
-        # Each entry stores a page number and a counter; the MemPod
-        # design also keeps per-pod bookkeeping, bounded at 100 KB.
-        tracking = min(100 * 1024, capacity * entry_bits // 8 * 64)
-        return tracking + remap_table_bytes
-
-
 class ArrayMeaTracker:
-    """Flat-array Misra-Gries sketch: Cross Counters' MEA map.
+    """Flat-array Misra-Gries sketch: the MEA map of CC and MemPod.
 
-    Behaviourally identical to :class:`MeaTracker` (same members, same
-    residual counts, same insertion order — pinned by the parity
-    suite), but the map lives permanently in two ``capacity``-slot
-    int64 arrays, which is the native chunk kernel's working format.
+    The map lives permanently in two ``capacity``-slot int64 arrays in
+    insertion order, which is the native chunk kernel's working format.
     :meth:`record_many` therefore hands the arrays straight to the
     compiled loop: no per-chunk conversion, no offset normalisation.
+    ``capacity`` is at most :data:`~repro.core._mea_native.MAX_CAPACITY`,
+    the largest map the kernel's member table holds.
 
     Without a compiler the same textbook loop runs over Python lists
     — the literal port of the C kernel, so the fallback stays
@@ -213,8 +47,9 @@ class ArrayMeaTracker:
     """
 
     def __init__(self, capacity: int = 32) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < capacity <= _mea_native.MAX_CAPACITY:
+            raise ValueError("capacity must be in "
+                             f"[1, {_mea_native.MAX_CAPACITY}]")
         self.capacity = capacity
         #: Map in insertion order; first ``_n`` slots valid, counts are
         #: residuals (always >= 1 for a live entry).
@@ -299,7 +134,7 @@ class ArrayMeaTracker:
 
     def _ranked(self) -> np.ndarray:
         """Slot indices by descending residual count, insertion-order
-        ties (= :class:`MeaTracker`'s stable sort over dict order)."""
+        ties."""
         return np.argsort(-self._counts[: self._n], kind="stable")
 
     def hot_arrays(self, min_count: int = 1) -> "tuple[np.ndarray, np.ndarray]":
@@ -330,4 +165,12 @@ class ArrayMeaTracker:
         self._n = 0
         self.stream_length = 0
 
-    storage_cost_bytes = staticmethod(MeaTracker.storage_cost_bytes)
+    @staticmethod
+    def storage_cost_bytes(capacity: int = 32, entry_bits: int = 64,
+                           remap_table_bytes: int = 64 * 1024) -> int:
+        """Hardware budget of the MEA unit (Sec. 6.4.2: the tracking
+        structures stay under ~100 KB plus a 64 KB remap-table cache)."""
+        # Each entry stores a page number and a counter; the MemPod
+        # design also keeps per-pod bookkeeping, bounded at 100 KB.
+        tracking = min(100 * 1024, capacity * entry_bits // 8 * 64)
+        return tracking + remap_table_bytes

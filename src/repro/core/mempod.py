@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.mea import MeaTracker
+from repro.core.mea import ArrayMeaTracker
 from repro.core.migration import MigrationMechanism, MigrationPlan
 from repro.dram.hma import FAST, HeterogeneousMemory
 
@@ -39,7 +39,7 @@ class MemPodMigration(MigrationMechanism):
         if subintervals_per_interval < 1:
             raise ValueError("subintervals_per_interval must be >= 1")
         self.num_pods = num_pods
-        self.trackers = [MeaTracker(capacity=mea_capacity)
+        self.trackers = [ArrayMeaTracker(capacity=mea_capacity)
                          for _ in range(num_pods)]
         self.subintervals_per_interval = subintervals_per_interval
         #: Residual per-page hotness used only to pick pod victims.
@@ -50,11 +50,18 @@ class MemPodMigration(MigrationMechanism):
 
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
                       times: "np.ndarray | None" = None) -> None:
+        """Feed each pod's MEA map its pages, in stream order.
+
+        One chunk update per pod the chunk touches.
+        """
+        pages = np.asarray(pages, dtype=np.int64)
+        pods = pages % self.num_pods
+        for pod in np.unique(pods).tolist():
+            self.trackers[pod].record_many(pages[pods == pod])
         recent = self._recent
-        for page in pages.tolist():
-            page = int(page)
-            self.trackers[page % self.num_pods].record(page)
-            recent[page] = recent.get(page, 0) + 1
+        uniq, counts = np.unique(pages, return_counts=True)
+        for page, count in zip(uniq.tolist(), counts.tolist()):
+            recent[page] = recent.get(page, 0) + count
 
     def plan_sub(self, hma: HeterogeneousMemory) -> MigrationPlan:
         """MEA interval: every pod promotes its own hot pages."""
@@ -93,6 +100,6 @@ class MemPodMigration(MigrationMechanism):
         return [], []
 
     def hardware_cost_bytes(self, total_pages: int, fast_pages: int) -> int:
-        return self.num_pods * MeaTracker.storage_cost_bytes(
+        return self.num_pods * ArrayMeaTracker.storage_cost_bytes(
             self.trackers[0].capacity
         )

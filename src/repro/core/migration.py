@@ -118,13 +118,6 @@ class MigrationMechanism(ABC):
     #: Fine-grained planning steps per coarse interval (1 = none).
     subintervals_per_interval: int = 1
 
-    #: Whether :meth:`observe_counts` may stand in for
-    #: :meth:`observe_chunk`.  True only for mechanisms whose
-    #: observation is order-free per-page tallying (FC-style counters);
-    #: stream-order trackers (MEA) and time-based trackers (ACE) must
-    #: keep the raw chunk.
-    supports_observe_counts: bool = False
-
     @abstractmethod
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
                       times: "np.ndarray | None" = None) -> None:
@@ -134,19 +127,6 @@ class MigrationMechanism(ABC):
         engine for mechanisms that need temporal information — the
         hardware-realisable mechanisms ignore it.
         """
-
-    def observe_counts(self, pages_r: np.ndarray, counts_r: np.ndarray,
-                       pages_w: np.ndarray, counts_w: np.ndarray) -> None:
-        """Feed pre-aggregated per-page chunk tallies into the counters.
-
-        Only valid when :attr:`supports_observe_counts` is true; the
-        multi-run engine aggregates each chunk once (``np.unique`` over
-        the read and write streams) and feeds every batched config from
-        the shared tallies, with counter state bit-identical to
-        :meth:`observe_chunk` on the raw chunk.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not accept aggregated counts")
 
     @abstractmethod
     def plan(self, hma: HeterogeneousMemory) -> MigrationPlan:
@@ -204,7 +184,6 @@ class PerformanceFocusedMigration(MigrationMechanism):
     """
 
     name = "perf-migration"
-    supports_observe_counts = True
 
     def __init__(self, counter_bits: int = 8,
                  max_swap_fraction: float = 0.1,
@@ -232,10 +211,6 @@ class PerformanceFocusedMigration(MigrationMechanism):
         check_parallel_arrays(f"{self.name}.observe_chunk",
                               pages, is_write, times)
         self.counters.record_batch(pages, is_write)
-
-    def observe_counts(self, pages_r: np.ndarray, counts_r: np.ndarray,
-                       pages_w: np.ndarray, counts_w: np.ndarray) -> None:
-        self.counters.record_counts(pages_r, counts_r, pages_w, counts_w)
 
     def plan(self, hma: HeterogeneousMemory) -> MigrationPlan:
         counters = self.counters
@@ -294,7 +269,6 @@ class ReliabilityAwareFCMigration(MigrationMechanism):
     """
 
     name = "fc-migration"
-    supports_observe_counts = True
 
     def __init__(self, counter_bits: int = 8,
                  max_swap_fraction: float = 0.1) -> None:
@@ -312,10 +286,6 @@ class ReliabilityAwareFCMigration(MigrationMechanism):
         check_parallel_arrays(f"{self.name}.observe_chunk",
                               pages, is_write, times)
         self.counters.record_batch(pages, is_write)
-
-    def observe_counts(self, pages_r: np.ndarray, counts_r: np.ndarray,
-                       pages_w: np.ndarray, counts_w: np.ndarray) -> None:
-        self.counters.record_counts(pages_r, counts_r, pages_w, counts_w)
 
     def plan(self, hma: HeterogeneousMemory) -> MigrationPlan:
         counters = self.counters
@@ -398,41 +368,30 @@ class CrossCountersMigration(MigrationMechanism):
 
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
                       times: "np.ndarray | None" = None) -> None:
+        """Feed the MEA map and the risk counters in one pass.
+
+        The MEA map sees every access; the risk counters are only
+        consulted for HBM residents (plan filters by residency).  One
+        call of the fused kernel walks the chunk once and feeds both
+        together, with no deferred bincount fold; without a compiler,
+        the map's list loop and the counters' bincount do the same
+        bit for bit.
+        """
         check_parallel_arrays(f"{self.name}.observe_chunk",
                               pages, is_write, times)
-        # The MEA map sees every access; the risk counters are only
-        # consulted for HBM residents (plan filters by residency).
-        if self._observe_chunk_fused(pages, is_write):
-            return
-        self.mea.record_many(pages)
-        self.counters.record_batch(pages, is_write)
-
-    def _observe_chunk_fused(self, pages, is_write) -> bool:
-        """Single-pass native MEA+FC update; False → two-call path.
-
-        One C call walks the chunk once, feeding the MEA map and the
-        risk counters' read/write tables together — no chunk copies,
-        no deferred bincount fold.  Only taken when the fused kernel
-        compiled and the chunk arrays are already in native layout;
-        results are bit-identical either way.
-        """
         mea = self.mea
         counters = self.counters
-        if not (type(pages) is np.ndarray
-                and pages.dtype == np.int64 and pages.ndim == 1
-                and pages.flags.c_contiguous
-                and type(is_write) is np.ndarray
-                and is_write.dtype == np.bool_
-                and is_write.flags.c_contiguous):
-            return False
         fused = _mea_native.load_cc()
         if fused is None:
-            return False
-        n = int(pages.size)
+            mea.record_many(pages)
+            counters.record_batch(pages, is_write)
+            return
+        n = len(pages)
         if n == 0:
-            return True
-        lo = int(pages.min())
-        if lo < 0:
+            return
+        pages = np.ascontiguousarray(pages, dtype=np.int64)
+        is_write = np.ascontiguousarray(is_write, dtype=bool)
+        if int(pages.min()) < 0:
             raise ValueError("page numbers must be non-negative")
         reads, writes = counters.tables_for_native(int(pages.max()))
         mea.stream_length += n
@@ -442,7 +401,6 @@ class CrossCountersMigration(MigrationMechanism):
               mea._c_n_ref, reads.ctypes.data, writes.ctypes.data,
               counters.max_value)
         mea._n = mea._c_n.value
-        return True
 
     def plan_sub(self, hma: HeterogeneousMemory) -> MigrationPlan:
         """MEA interval: bring in the globally hot pages.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.avf.page import IntervalProfile, PageStats
+from repro.avf.page import PageStats
 from repro.faults.faultsim import (
     DEFAULT_OVERLAP_WINDOW_HOURS,
     FaultSimulator,
@@ -124,55 +124,21 @@ class SerModel:
 
     # -- dynamic placements ------------------------------------------------------
 
-    def ser_dynamic(
+    def _interval_products(
         self,
-        intervals: IntervalProfile,
+        intervals: "list[tuple[np.ndarray, np.ndarray]]",
         fast_residency: "list[set[int]]",
-    ) -> float:
-        """System SER under migration.
-
-        ``fast_residency[i]`` is the set of pages resident in fast
-        memory during interval ``i``; each interval's AVF contribution
-        is charged to the device holding the page at that time.
-        """
-        if len(fast_residency) != intervals.num_intervals:
+    ) -> "list[np.ndarray]":
+        """Per interval, each page's AVF times the FIT of the device
+        holding the page during the interval, in page order."""
+        if len(fast_residency) != len(intervals):
             raise ValueError(
                 "need one residency set per interval "
-                f"({intervals.num_intervals}), got {len(fast_residency)}"
+                f"({len(intervals)}), got {len(fast_residency)}"
             )
-        total = 0.0
-        for avf_map, resident in zip(intervals.interval_avf, fast_residency):
-            for page, avf in avf_map.items():
-                if page in resident:
-                    total += avf * self.fit_fast_per_page
-                else:
-                    total += avf * self.fit_slow_per_page
-        return total
-
-    def ser_dynamic_arrays(
-        self,
-        interval_pairs: "list[tuple[np.ndarray, np.ndarray]]",
-        fast_residency: "list[set[int]]",
-    ) -> float:
-        """:meth:`ser_dynamic` over per-interval ``(pages, avf)`` arrays.
-
-        Consumes the array form produced by
-        :class:`~repro.avf.page.IntervalProfileBuilder` without ever
-        building interval dicts.  The per-page products are folded with
-        a strictly-sequential accumulation in the oracle's iteration
-        order, so the result is bit-identical to :meth:`ser_dynamic` on
-        the equivalent :class:`~repro.avf.page.IntervalProfile`.
-        """
-        if len(fast_residency) != len(interval_pairs):
-            raise ValueError(
-                "need one residency set per interval "
-                f"({len(interval_pairs)}), got {len(fast_residency)}"
-            )
-        products: "list[np.ndarray]" = []
-        for (pages, values), resident in zip(interval_pairs, fast_residency):
-            if not len(pages):
-                continue
-            if resident:
+        products = []
+        for (pages, values), resident in zip(intervals, fast_residency):
+            if resident and len(pages):
                 resident_arr = np.fromiter(resident, dtype=np.int64,
                                            count=len(resident))
                 in_fast = np.isin(pages, resident_arr)
@@ -180,40 +146,46 @@ class SerModel:
                 in_fast = np.zeros(len(pages), dtype=bool)
             products.append(values * np.where(
                 in_fast, self.fit_fast_per_page, self.fit_slow_per_page))
-        if not products:
-            return 0.0
-        # One value per (interval, page) in oracle order; accumulate
-        # sequentially so the float64 rounding matches the scalar loop.
-        flat = (products[0] if len(products) == 1
-                else np.concatenate(products))
-        seq = np.empty(len(flat) + 1)
-        seq[0] = 0.0
-        seq[1:] = flat
-        return float(np.add.accumulate(seq)[-1])
+        return products
+
+    def ser_dynamic(
+        self,
+        intervals: "list[tuple[np.ndarray, np.ndarray]]",
+        fast_residency: "list[set[int]]",
+    ) -> float:
+        """System SER under migration.
+
+        ``intervals`` holds one ``(pages, avf)`` array pair per interval
+        (:func:`~repro.avf.page.profile_intervals`), and
+        ``fast_residency[i]`` is the set of pages resident in fast
+        memory during interval ``i``; each interval's AVF contribution
+        is charged to the device holding the page at that time.  The
+        products are added one at a time from 0.0 in interval and page
+        order, so the result is bit-identical to the dict walk
+        ``ser_dynamic_reference`` in :mod:`repro.verify.oracles`.
+        """
+        products = self._interval_products(intervals, fast_residency)
+        return _sequential_sum(np.concatenate(products) if products
+                               else np.empty(0))
 
     def ser_dynamic_series(
         self,
-        intervals: IntervalProfile,
+        intervals: "list[tuple[np.ndarray, np.ndarray]]",
         fast_residency: "list[set[int]]",
     ) -> "list[float]":
         """Per-interval SER contributions under migration (telemetry).
 
-        Same accounting as :meth:`ser_dynamic` sliced by interval, for
-        epoch snapshot series; :meth:`ser_dynamic` keeps its own single
-        accumulation so its float rounding is untouched.
+        Same accounting as :meth:`ser_dynamic`, summed interval by
+        interval for epoch snapshot series.
         """
-        if len(fast_residency) != intervals.num_intervals:
-            raise ValueError(
-                "need one residency set per interval "
-                f"({intervals.num_intervals}), got {len(fast_residency)}"
-            )
-        series = []
-        for avf_map, resident in zip(intervals.interval_avf, fast_residency):
-            total = 0.0
-            for page, avf in avf_map.items():
-                if page in resident:
-                    total += avf * self.fit_fast_per_page
-                else:
-                    total += avf * self.fit_slow_per_page
-            series.append(total)
-        return series
+        return [_sequential_sum(products) for products in
+                self._interval_products(intervals, fast_residency)]
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """``values`` added one at a time from 0.0, in order: the float64
+    rounding of a scalar accumulation loop."""
+    seq = np.empty(len(values) + 1)
+    seq[0] = 0.0
+    seq[1:] = values
+    return float(np.add.accumulate(seq)[-1])

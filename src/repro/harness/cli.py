@@ -144,9 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="FRAC",
                          help="relative change that counts as a regression "
                               "(default 0.02 = 2%%)")
-    compare.add_argument("--bench-root", default=None, metavar="DIR",
-                         help="also check the candidate's metrics against "
-                              "the BENCH_*.json floors found under DIR")
     return parser
 
 
@@ -421,15 +418,8 @@ def _cmd_compare(args) -> int:
     diffs = obs_report.diff_metrics(registry.metrics(run_a.run_id),
                                     registry.metrics(run_b.run_id),
                                     threshold=args.threshold)
-    bench = []
-    if args.bench_root:
-        floors = obs_report.load_bench_floors(args.bench_root)
-        bench = obs_report.check_bench_floors(
-            registry.metrics(run_b.run_id), floors,
-            threshold=args.threshold)
-    print(obs_report.render_compare(run_a, run_b, diffs, bench))
-    regressed = obs_report.find_regressions(diffs) or bench
-    return 1 if regressed else 0
+    print(obs_report.render_compare(run_a, run_b, diffs))
+    return 1 if obs_report.find_regressions(diffs) else 0
 
 
 def _run(names, args):

@@ -46,7 +46,7 @@ from repro.faults.ser import SerModel
 from repro.harness.reporting import FigureResult, gmean
 from repro.harness.sweeps import (
     _config_with_fast_pages,
-    capacity_sweep,
+    capacity_sweep_on,
     fit_multiplier_sweep,
     mlp_sensitivity,
 )
@@ -964,14 +964,8 @@ def hw_cost(scale: float = 1.0) -> FigureResult:
 
 
 def sweep_capacity(cache: WorkloadCache) -> FigureResult:
-    """Extension sweep: see repro.harness.sweeps.capacity_sweep.
-
-    The sweep prepares and fans out its own workloads, so it gets the
-    run's settings rather than the cache itself.
-    """
-    return capacity_sweep(accesses_per_core=cache.accesses_per_core,
-                          scale=cache.scale, seed=cache.seed,
-                          jobs=cache.jobs, cache_dir=cache.cache_dir)
+    """Extension sweep: see repro.harness.sweeps.capacity_sweep_on."""
+    return capacity_sweep_on(cache)
 
 
 #: Registry used by the CLI and the benchmark harness.

@@ -12,10 +12,10 @@ axes its evaluation holds fixed:
 * :func:`mlp_sensitivity` — how much of the HMA performance win
   depends on workload memory-level parallelism.
 
-The last two read the run's
+Each reads its workloads from the run's
 :class:`~repro.harness.experiments.WorkloadCache` like every figure;
-:func:`capacity_sweep` prepares and fans out its own workloads, so it
-takes the run's settings as plain arguments.
+:func:`capacity_sweep` is the capacity sweep on a cache built from
+plain arguments.
 """
 
 from __future__ import annotations
@@ -82,13 +82,38 @@ def capacity_sweep(
     job_timeout: "float | None" = None,
     retries: "int | None" = None,
 ) -> FigureResult:
+    """:func:`capacity_sweep_on` a cache built from plain arguments.
+
+    The :class:`~repro.harness.experiments.WorkloadCache` takes
+    ``scale``, ``accesses_per_core``, ``seed``, ``cache_dir`` and
+    ``jobs``; the other arguments go to :func:`capacity_sweep_on`.
+    """
+    from repro.harness.experiments import WorkloadCache
+
+    cache = WorkloadCache(accesses_per_core=accesses_per_core, scale=scale,
+                          seed=seed, cache_dir=cache_dir, jobs=jobs)
+    return capacity_sweep_on(cache, workloads, fractions,
+                             checkpoint_dir=checkpoint_dir, resume=resume,
+                             job_timeout=job_timeout, retries=retries)
+
+
+def capacity_sweep_on(
+    cache: "WorkloadCache",
+    workloads=("mcf", "milc", "mix1"),
+    fractions=(0.05, 0.1, 0.2, 0.4, 0.8),
+    checkpoint_dir: "str | None" = None,
+    resume: bool = False,
+    job_timeout: "float | None" = None,
+    retries: "int | None" = None,
+) -> FigureResult:
     """Sweep HBM capacity as a fraction of the workload footprint.
 
     As capacity grows, the performance-focused and reliability-aware
     placements converge in IPC (everything hot fits) while their SER
     gap narrows much more slowly — vulnerable data keeps flowing into
-    the weak memory.  ``jobs``/``cache_dir`` parallelise and persist
-    the workload preparation (see :mod:`repro.harness.runner`).
+    the weak memory.  The workloads come from ``cache``, prefetched
+    across its ``jobs`` processes, so they share the run's
+    preparations and SER model.
 
     Each *workload* is one fault-tolerant job whose fractions ride a
     single config-batched replay.  Finished jobs journal into
@@ -98,20 +123,18 @@ def capacity_sweep(
     """
     from repro.harness.resilience import (RunManifest, checkpointed_map,
                                           run_key)
-    from repro.harness.runner import prefetch_workloads
     from repro.harness.shm import shared_handoff
 
-    preps = prefetch_workloads(
-        workloads, scale=scale, accesses_per_core=accesses_per_core,
-        seed=seed, cache_dir=cache_dir, jobs=jobs,
-    )
+    cache.prefetch(workloads)
+    preps = {name: cache.get(name) for name in workloads}
     manifest = None
     if checkpoint_dir is not None:
         manifest = RunManifest(
             checkpoint_dir,
             run_key=run_key(kind="capacity_sweep", workloads=list(workloads),
-                            fractions=list(fractions), scale=scale,
-                            accesses=accesses_per_core, seed=seed),
+                            fractions=list(fractions), scale=cache.scale,
+                            accesses=cache.accesses_per_core,
+                            seed=cache.seed),
             resume=resume)
     # Every job carries the same prepared workloads; the shared handoff
     # hoists their trace arrays into one shm segment for the whole
@@ -125,7 +148,7 @@ def capacity_sweep(
             _capacity_workload,
             [(name, tuple(fractions), preps_item) for name in names],
             keys=[f"workload-{name}" for name in names],
-            manifest=manifest, store="json", jobs=jobs,
+            manifest=manifest, store="json", jobs=cache.jobs,
             timeout=job_timeout, retries=retries)
     report.raise_if_failed()
     # Fold the per-workload quartets into per-fraction rows (gmean

@@ -4,16 +4,13 @@ Backs the ``repro-hma report <run>`` and ``repro-hma compare <a> <b>``
 CLI verbs.  Comparison flags a metric as a regression when it moves
 past a relative threshold in its *bad* direction — lower-is-better for
 costs (SER, migrations, seconds, ...), higher-is-better for throughput
-quantities — and can additionally check a run against the repo's
-``BENCH_*.json`` performance floors.
+quantities.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import json
 import math
-import os
 from dataclasses import dataclass
 
 from repro.harness.reporting import format_table
@@ -94,61 +91,6 @@ def _finite(value: float) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
-# -- bench floors ------------------------------------------------------------
-
-def load_bench_floors(root: str = ".") -> "dict[str, float]":
-    """Flatten every ``BENCH_*.json`` in ``root`` into metric floors.
-
-    Numeric leaves become ``bench.<file-stem>.<dotted.path>`` entries;
-    they act as lower bounds for higher-is-better quantities when a run
-    is checked with :func:`check_bench_floors`.
-    """
-    floors: "dict[str, float]" = {}
-    try:
-        names = sorted(os.listdir(root))
-    except OSError:
-        return floors
-    for fname in names:
-        if not (fname.startswith("BENCH_") and fname.endswith(".json")):
-            continue
-        stem = fname[len("BENCH_"):-len(".json")]
-        try:
-            with open(os.path.join(root, fname), encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        _flatten(data, f"bench.{stem}", floors)
-    return floors
-
-
-def _flatten(node, prefix: str, out: "dict[str, float]") -> None:
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _flatten(value, f"{prefix}.{key}", out)
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        out[prefix] = float(node)
-
-
-def check_bench_floors(metrics: "dict[str, float]",
-                       floors: "dict[str, float]",
-                       threshold: float = 0.02) -> "list[MetricDiff]":
-    """Flag run metrics that fall below a matching bench floor."""
-    diffs = []
-    for name, floor in sorted(floors.items()):
-        # strip the bench.<stem>. prefix when matching run metrics
-        short = name.split(".", 2)[-1]
-        value = metrics.get(name, metrics.get(short))
-        if value is None or not _finite(value) or not _finite(floor):
-            continue
-        rel = (value - floor) / abs(floor) if floor else 0.0
-        worse = rel > threshold if lower_is_better(short) \
-            else rel < -threshold
-        if worse:
-            diffs.append(MetricDiff(name=short, a=floor, b=value,
-                                    rel_change=rel, regression=True))
-    return diffs
-
-
 # -- rendering ---------------------------------------------------------------
 
 def render_run_report(registry: RunRegistry, run: RunRecord,
@@ -190,8 +132,7 @@ def render_run_report(registry: RunRegistry, run: RunRecord,
 
 
 def render_compare(run_a: RunRecord, run_b: RunRecord,
-                   diffs: "list[MetricDiff]",
-                   bench: "list[MetricDiff] | None" = None) -> str:
+                   diffs: "list[MetricDiff]") -> str:
     """Metric diff table for two runs, regressions flagged."""
     lines = [
         f"A: {run_a.run_id} ({run_a.label}, {run_a.created_at})",
@@ -209,17 +150,8 @@ def render_compare(run_a: RunRecord, run_b: RunRecord,
                      "REGRESSION" if d.regression else ""))
     lines.append(format_table(
         ("metric", "A", "B", "change", "direction", "flag"), rows))
-    regressions = find_regressions(diffs)
-    if bench:
-        lines.append("")
-        lines.append(format_table(
-            ("metric", "floor", "value", "change", "flag"),
-            [(d.name, d.a, d.b, f"{d.rel_change * 100:+.2f}%",
-              "BELOW FLOOR") for d in bench],
-            title="bench floors"))
     lines.append("")
-    total = len(regressions) + len(bench or [])
-    lines.append(f"{total} regression(s) "
+    lines.append(f"{len(find_regressions(diffs))} regression(s) "
                  f"across {len(diffs)} compared metric(s)")
     return "\n".join(lines)
 

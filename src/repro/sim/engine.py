@@ -323,35 +323,6 @@ def replay_reference(
 # The native path
 # ---------------------------------------------------------------------------
 
-class _ChunkCounts:
-    """Memoised per-chunk unique-page read/write tallies.
-
-    When several specs replay the same chunking, mechanisms that accept
-    pre-aggregated counts (``supports_observe_counts``) can share one
-    ``np.unique`` pass per chunk instead of re-counting per spec.
-    """
-
-    def __init__(self, pages: np.ndarray, is_write: np.ndarray,
-                 starts, stops) -> None:
-        self._pages = pages
-        self._is_write = is_write
-        self._starts = starts
-        self._stops = stops
-        self._memo: "dict[int, tuple]" = {}
-
-    def get(self, chunk: int) -> tuple:
-        got = self._memo.get(chunk)
-        if got is None:
-            start, stop = int(self._starts[chunk]), int(self._stops[chunk])
-            pages = self._pages[start:stop]
-            writes = self._is_write[start:stop]
-            pages_w, counts_w = np.unique(pages[writes], return_counts=True)
-            pages_r, counts_r = np.unique(pages[~writes], return_counts=True)
-            got = (pages_r, counts_r, pages_w, counts_w)
-            self._memo[chunk] = got
-        return got
-
-
 def _group_signature(spec: ReplaySpec) -> tuple:
     """Stacking compatibility key: specs whose state arrays share a
     shape (and whose cores share seconds per instruction) can ride one
@@ -525,7 +496,7 @@ def replay_multi(
     _check_trace(specs, trace, times)
     results: "list[ReplayResult | None]" = [None] * len(specs)
     static_groups: "dict[tuple, list[tuple[int, ReplaySpec]]]" = {}
-    by_chunks: "dict[int, list[tuple[int, ReplaySpec]]]" = {}
+    chunked: "list[tuple[int, ReplaySpec]]" = []
 
     fn = _ckernel.load_multi()
     with span("replay_multi", specs=len(specs), requests=len(trace)):
@@ -536,9 +507,8 @@ def replay_multi(
                 static_groups.setdefault(_group_signature(spec),
                                          []).append((i, spec))
             else:
-                by_chunks.setdefault(_total_chunks(spec),
-                                     []).append((i, spec))
-        if not (static_groups or by_chunks):
+                chunked.append((i, spec))
+        if not (static_groups or chunked):
             return results
         # Page of every request, for page-table faults and the planners;
         # the quotient is below 2**52, so the view as int64 is exact.
@@ -550,13 +520,8 @@ def replay_multi(
             for (i, _), res in zip(group, group_results):
                 results[i] = res
 
-        for total_chunks, members in by_chunks.items():
-            chunking = _chunk_bounds(len(trace), total_chunks, times)
-            counts = (_ChunkCounts(pages, trace.is_write, *chunking[:2])
-                      if len(members) > 1 else None)
-            for i, spec in members:
-                results[i] = _replay_chunked(fn, spec, trace, times, pages,
-                                             chunking, counts)
+        for i, spec in chunked:
+            results[i] = _replay_chunked(fn, spec, trace, times, pages)
     return results
 
 
@@ -609,7 +574,7 @@ def _replay_static(
 
 def _replay_chunked(
     fn, spec: ReplaySpec, trace: Trace, times: "np.ndarray | None",
-    pages: np.ndarray, chunking: tuple, counts_cache: "_ChunkCounts | None",
+    pages: np.ndarray,
 ) -> ReplayResult:
     """One spec replayed chunk by chunk, one kernel call per chunk.
 
@@ -619,11 +584,9 @@ def _replay_chunked(
     hma, mechanism = spec.hma, spec.mechanism
     sub = mechanism.subintervals_per_interval if mechanism else 1
     total_chunks = _total_chunks(spec)
-    starts, stops, bounds = chunking
+    starts, stops, bounds = _chunk_bounds(len(trace), total_chunks, times)
     sink = replay_sink(hma)
     state = _KernelState(fn, [spec], trace)
-    use_counts = (counts_cache is not None and mechanism is not None
-                  and mechanism.supports_observe_counts)
     residency: "list[set[int]]" = []
 
     for chunk in range(total_chunks):
@@ -632,13 +595,9 @@ def _replay_chunked(
 
         chunk_pages = pages[start:stop]
         if mechanism is not None and stop > start:
-            if use_counts:
-                mechanism.observe_counts(*counts_cache.get(chunk))
-            else:
-                chunk_times = times[start:stop] if times is not None else None
-                mechanism.observe_chunk(
-                    chunk_pages, trace.is_write[start:stop],
-                    times=chunk_times)
+            chunk_times = times[start:stop] if times is not None else None
+            mechanism.observe_chunk(chunk_pages, trace.is_write[start:stop],
+                                    times=chunk_times)
 
         if stop > start:
             hma.ensure_mapped(chunk_pages)

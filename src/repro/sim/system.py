@@ -319,11 +319,22 @@ def _experiment(prep: PreparedWorkload, scheme: str, replayed, ser: float,
     )
 
 
-def _annotate_ser(series, ser_series) -> None:
-    """Annotate an epoch series with per-epoch SER when the lengths
-    line up (one residency set per epoch)."""
-    if len(ser_series) == len(series):
-        series.annotate("ser", ser_series)
+def _migration_ser(ser_model: SerModel, intervals, result) -> float:
+    """The dynamic SER of one migration replay ``result``.
+
+    ``intervals`` is the trace's per-interval ``(pages, avf)`` arrays at
+    the replay's interval boundaries.  With telemetry recording, the
+    replay's epoch series is annotated with per-epoch SER when the
+    lengths line up (one residency set per epoch).
+    """
+    ser = ser_model.ser_dynamic(intervals, result.fast_residency)
+    series = result.snapshots
+    if series is not None:
+        ser_series = ser_model.ser_dynamic_series(intervals,
+                                                  result.fast_residency)
+        if len(ser_series) == len(series):
+            series.annotate("ser", ser_series)
+    return ser
 
 
 def _attach_run_series(tag: str, series) -> None:
@@ -439,31 +450,18 @@ def evaluate_migration_multi(
         if builder is None:
             builder = IntervalProfileBuilder(wt.trace, wt.times)
             prep._interval_builder = builder
-        pairs_memo: dict = {}
+        intervals_memo: dict = {}
         outcomes = []
         for result in replays:
             bounds = result.interval_boundaries
-            series = result.snapshots
-            if series is not None:
-                # Telemetry needs the dict-form profile for the epoch
-                # series; reuse the builder rather than re-profiling.
-                intervals = builder.profile(bounds)
-                ser = prep.ser_model.ser_dynamic(intervals,
-                                                 result.fast_residency)
-                _annotate_ser(series, prep.ser_model.ser_dynamic_series(
-                    intervals, result.fast_residency))
-            else:
-                key = bounds.tobytes()
-                pairs = pairs_memo.get(key)
-                if pairs is None:
-                    pairs = builder.intervals_arrays(bounds)
-                    pairs_memo[key] = pairs
-                ser = prep.ser_model.ser_dynamic_arrays(
-                    pairs, result.fast_residency)
+            key = bounds.tobytes()
+            if key not in intervals_memo:
+                intervals_memo[key] = builder.intervals_arrays(bounds)
+            ser = _migration_ser(prep.ser_model, intervals_memo[key], result)
             outcomes.append(_Outcome(
                 prep, result.ipc, result.mean_read_latency,
                 migrations=result.migrations.total, ser=ser,
-                series=series))
+                series=result.snapshots))
         return outcomes
 
     outcomes = _memoised({} if memo is None else memo, keys,
@@ -543,12 +541,9 @@ def evaluate_annotation_migration(
         core_windows=wt.core_mlp,
     )
     intervals = profile_intervals(wt.trace, wt.times, result.interval_boundaries)
-    ser = prep.ser_model.ser_dynamic(intervals, result.fast_residency)
+    ser = _migration_ser(prep.ser_model, intervals, result)
     scheme = f"annotations+{mechanism.name}"
-    if result.snapshots is not None:
-        _annotate_ser(result.snapshots, prep.ser_model.ser_dynamic_series(
-            intervals, result.fast_residency))
-        _attach_run_series(f"{prep.name}:{scheme}", result.snapshots)
+    _attach_run_series(f"{prep.name}:{scheme}", result.snapshots)
     return (_experiment(prep, scheme, result, ser,
                         migrations=hma.migration_stats.total), plan)
 

@@ -15,7 +15,7 @@ pure-Python replay fallback that lives next to its kernel
 * ``mea``              — Misra-Gries: the production
   :class:`~repro.core.mea.ArrayMeaTracker` (compiled chunk kernel, or
   its list loop without a compiler) vs the dict
-  :class:`~repro.core.mea.MeaTracker`.
+  :class:`~repro.verify.oracles.MeaTracker`.
 * ``ace``              — streaming :class:`AceTracker` vs chunk-batched
   :class:`WindowedAceTracker` vs the batch :func:`line_ace_times`, and
   :func:`~repro.avf.page.profile_trace` and
@@ -197,10 +197,11 @@ def check_mea(case: DiffCase) -> "str | None":
 
     :class:`~repro.core.mea.ArrayMeaTracker` runs the compiled chunk
     kernel when it built and its list loop otherwise; either way it
-    must keep :class:`~repro.core.mea.MeaTracker`'s members, residual
-    counts, and ranking after every chunk.
+    must keep :class:`~repro.verify.oracles.MeaTracker`'s members,
+    residual counts, and ranking after every chunk.
     """
-    from repro.core.mea import ArrayMeaTracker, MeaTracker
+    from repro.core.mea import ArrayMeaTracker
+    from repro.verify.oracles import MeaTracker
 
     trace, _times = build_trace(case)
     pages = (trace.address // 4096).astype(np.int64)
@@ -312,7 +313,9 @@ def _check_profiles(case: DiffCase, trace, times: np.ndarray,
                         f"(assume_live_at_start={live})")
         if got.footprint_pages != want.footprint_pages:
             return "profile_trace footprint_pages differs from the reference"
-        got_iv = IntervalProfileBuilder(spread, times, live).profile(boundaries)
+        got_iv = [dict(zip(pages.tolist(), values.tolist()))
+                  for pages, values in IntervalProfileBuilder(
+                      spread, times, live).intervals_arrays(boundaries)]
         want_iv = profile_intervals_reference(spread, times, boundaries, live)
         if _interval_bits(got_iv) != _interval_bits(want_iv):
             return (f"IntervalProfileBuilder differs from the reference "
@@ -320,10 +323,10 @@ def _check_profiles(case: DiffCase, trace, times: np.ndarray,
     return None
 
 
-def _interval_bits(profile) -> list:
+def _interval_bits(intervals: "list[dict[int, float]]") -> list:
     """Pages in order and the exact value bits of every interval."""
     return [(list(iv), np.array(list(iv.values()), dtype=np.float64).tobytes())
-            for iv in profile.interval_avf]
+            for iv in intervals]
 
 
 def _campaign_batch(case: DiffCase) -> "list":

@@ -9,9 +9,12 @@ product it checks:
 * :class:`FullCounters` — the sparse dict counter bank whose semantics
   :class:`~repro.core.counters.ArrayFullCounters` reproduces
   (saturation per recorded batch, ascending-page ``touched_pages``).
+* :class:`MeaTracker` — the dict Misra-Gries map whose members,
+  residual counts and map order
+  :class:`~repro.core.mea.ArrayMeaTracker` reproduces.
 * Reference mechanisms — subclasses of the five migration mechanisms
   whose ``plan``/``plan_sub`` are the canonical dict/sort walks over
-  :class:`FullCounters` and :class:`~repro.core.mea.MeaTracker`, and
+  :class:`FullCounters` and :class:`MeaTracker`, and
   whose ACE-driven variants feed a streaming
   :class:`~repro.avf.tracker.AceTracker` one request at a time.  Pass
   one as ``ReplaySpec(mechanism=...)`` to replay a case through the
@@ -25,7 +28,9 @@ product it checks:
   with ``np.unique``/``np.add.at`` aggregation and a per-read dict
   walk, which :func:`~repro.avf.page.profile_trace` and
   :class:`~repro.avf.page.IntervalProfileBuilder` reproduce bit for
-  bit.
+  bit; :func:`ser_dynamic_reference` — dynamic SER as a dict walk over
+  those interval dicts, which
+  :meth:`~repro.faults.ser.SerModel.ser_dynamic` reproduces.
 
 One reference stays next to its kernel because it is also the
 compile-failure fallback: :func:`repro.sim.engine.replay_reference`.
@@ -39,11 +44,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.avf.page import IntervalProfile, PageStats
+from repro.avf.page import PageStats
 from repro.avf.tracker import AceTracker
 from repro.config import LINES_PER_PAGE
 from repro.core.counters import check_parallel_arrays
-from repro.core.mea import MeaTracker
 from repro.core.migration import (
     CrossCountersMigration,
     MigrationPlan,
@@ -56,6 +60,7 @@ from repro.core.migration import (
 from repro.dram.hma import FAST
 from repro.faults.ecc import Outcome
 from repro.faults.faultsim import FaultSimResult, FaultSimulator
+from repro.faults.ser import SerModel
 from repro.trace.record import Trace
 
 
@@ -91,17 +96,6 @@ class FullCounters:
             for page, count in zip(unique, counts):
                 page = int(page)
                 table[page] = min(self.max_value, table.get(page, 0) + int(count))
-
-    def record_counts(self, pages_r: np.ndarray, counts_r: np.ndarray,
-                      pages_w: np.ndarray, counts_w: np.ndarray) -> None:
-        """Bulk update from pre-aggregated per-page tallies (the
-        ``np.unique(..., return_counts=True)`` of a chunk's read and
-        write streams)."""
-        for pages, counts, table in ((pages_w, counts_w, self._writes),
-                                     (pages_r, counts_r, self._reads)):
-            for page, count in zip(pages.tolist(), counts.tolist()):
-                table[page] = min(self.max_value,
-                                  table.get(page, 0) + count)
 
     def reads(self, page: int) -> int:
         return self._reads.get(page, 0)
@@ -149,6 +143,160 @@ class FullCounters:
         """Clear all counters (done at each migration interval)."""
         self._reads.clear()
         self._writes.clear()
+
+
+# ---------------------------------------------------------------------------
+# Reference MEA map
+# ---------------------------------------------------------------------------
+
+
+class MeaTracker:
+    """A k-entry Misra-Gries frequent-elements sketch over page ids.
+
+    The dict reference of :class:`~repro.core.mea.ArrayMeaTracker`:
+    same members, residual counts and map order after any stream.  The
+    textbook "decrement every counter" step is O(k) per non-member
+    access, so it stores counters relative to a global offset (classic
+    Misra-Gries optimisation): a decrement-all becomes one
+    ``offset += 1``, an insert stores ``offset + 1``, and an entry is
+    dead once its stored value falls to the offset.  A lazily
+    maintained lower bound on the minimum stored value defers the
+    dead-entry scan until a drop can actually occur, and the leading
+    run of member hits in each chunk lands in one vectorised pass.
+    """
+
+    def __init__(self, capacity: int = 32) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        #: page -> stored count; the effective (residual) count is
+        #: ``stored - self._off``, always >= 1 for a live entry.
+        self._counters: "dict[int, int]" = {}
+        #: Global decrement offset (number of decrement-all steps).
+        self._off = 0
+        #: Lower bound on ``min(self._counters.values())``; exact after
+        #: every insert and dead-entry scan, possibly stale-low after
+        #: member hits (safe: scans trigger no later than needed).
+        self._min = 0
+        self.stream_length = 0
+
+    # -- streaming updates ---------------------------------------------------
+
+    def record(self, page: int) -> None:
+        """Process one access to ``page``."""
+        self.stream_length += 1
+        counters = self._counters
+        if page in counters:
+            counters[page] += 1
+        elif len(counters) < self.capacity:
+            counters[page] = self._off + 1
+            self._min = self._off + 1
+        else:
+            # Decrement-all step, amortised: bump the offset and scan
+            # for dead entries only when the minimum can have reached
+            # zero.
+            self._off += 1
+            if self._off >= self._min:
+                self._drop_dead()
+
+    def _drop_dead(self) -> None:
+        """Remove entries whose residual count reached zero."""
+        off = self._off
+        counters = self._counters
+        dead = [p for p, v in counters.items() if v <= off]
+        for p in dead:
+            del counters[p]
+        self._min = min(counters.values()) if counters else off
+
+    def _bump_members(self, member_pages: np.ndarray) -> None:
+        """Apply a batch of hits on current members (order-free)."""
+        if not len(member_pages):
+            return
+        counters = self._counters
+        unique, counts = np.unique(member_pages, return_counts=True)
+        for page, count in zip(unique.tolist(), counts.tolist()):
+            counters[page] += count
+
+    def _member_array(self) -> np.ndarray:
+        return np.fromiter(self._counters, np.int64, len(self._counters))
+
+    def record_many(self, pages) -> None:
+        """Process a chunk of accesses.
+
+        The maximal leading run of member hits cannot change the map
+        (hits never insert, drop, or move the offset), so it lands in
+        one ``np.isin`` + ``np.unique`` pass; the remainder runs
+        through a tuned offset-relative loop whose per-access work is
+        one dict probe — the decrement-all and dead-entry scans of the
+        textbook algorithm are amortised behind the lazy minimum.
+        """
+        arr = np.asarray(pages, dtype=np.int64).ravel()
+        n = int(arr.size)
+        if n == 0:
+            return
+        self.stream_length += n
+        counters = self._counters
+        start = 0
+        if n >= 32 and counters:
+            memb = np.isin(arr, self._member_array())
+            misses = np.flatnonzero(~memb)
+            start = int(misses[0]) if misses.size else n
+            if start:
+                self._bump_members(arr[:start])
+            if start >= n:
+                return
+        capacity = self.capacity
+        off = self._off
+        floor = self._min
+        get = counters.get
+        for page in arr[start:].tolist():
+            stored = get(page)
+            if stored is not None:
+                counters[page] = stored + 1
+            elif len(counters) < capacity:
+                counters[page] = off + 1
+                floor = off + 1
+            else:
+                off += 1
+                if off >= floor:
+                    dead = [p for p, v in counters.items() if v <= off]
+                    for p in dead:
+                        del counters[p]
+                    floor = min(counters.values()) if counters else off
+        self._off = off
+        self._min = floor
+
+    # -- queries -------------------------------------------------------------
+
+    def hot_pages(self, limit: "int | None" = None,
+                  min_count: int = 1) -> "list[int]":
+        """Tracked pages ordered by descending residual count.
+
+        ``min_count`` filters one-hit wonders: a page must retain at
+        least that residual count to be reported hot.
+        """
+        off = self._off
+        ranked = sorted(
+            ((p, v - off) for p, v in self._counters.items()
+             if v - off >= min_count),
+            key=lambda kv: -kv[1],
+        )
+        pages = [page for page, _count in ranked]
+        return pages[:limit] if limit is not None else pages
+
+    def count(self, page: int) -> int:
+        stored = self._counters.get(page)
+        return stored - self._off if stored is not None else 0
+
+    def __len__(self) -> int:
+        return len(self._counters)
+
+    def reset(self) -> None:
+        """Clear the map for the next MEA interval."""
+        self._counters.clear()
+        self._off = 0
+        self._min = 0
+        self.stream_length = 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +408,7 @@ class ReferenceReliabilityAwareFCMigration(ReliabilityAwareFCMigration):
 
 class ReferenceCrossCountersMigration(CrossCountersMigration):
     """:class:`CrossCountersMigration` as dict walks over a
-    :class:`~repro.core.mea.MeaTracker` and :class:`FullCounters`."""
+    :class:`MeaTracker` and :class:`FullCounters`."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -269,6 +417,7 @@ class ReferenceCrossCountersMigration(CrossCountersMigration):
 
     def observe_chunk(self, pages: np.ndarray, is_write: np.ndarray,
                       times: "np.ndarray | None" = None) -> None:
+        """Feed the dict map, then the dict counters."""
         check_parallel_arrays(f"{self.name}.observe_chunk",
                               pages, is_write, times)
         self.mea.record_many(pages)
@@ -551,20 +700,43 @@ def profile_intervals_reference(
     times: np.ndarray,
     boundaries: np.ndarray,
     assume_live_at_start: bool = True,
-) -> IntervalProfile:
+) -> "list[dict[int, float]]":
     """:func:`~repro.avf.page.profile_intervals` as a dict walk over the
-    reads that commit ACE time, in line-sorted stream order."""
+    reads that commit ACE time, in line-sorted stream order: one
+    page -> AVF dict per interval."""
     sl, st, contrib = _line_sorted_contrib(trace, times,
                                            assume_live_at_start)
     interval_of = np.searchsorted(boundaries, st, side="right")
-    n_intervals = len(boundaries) + 1
     page_of = sl // LINES_PER_PAGE
 
-    profile = IntervalProfile(num_intervals=n_intervals,
-                              interval_avf=[{} for _ in range(n_intervals)])
+    intervals: "list[dict[int, float]]" = [
+        {} for _ in range(len(boundaries) + 1)]
     active = contrib > 0
     for iv, page, c in zip(interval_of[active], page_of[active],
                            contrib[active]):
-        bucket = profile.interval_avf[iv]
+        bucket = intervals[iv]
         bucket[int(page)] = bucket.get(int(page), 0.0) + c / LINES_PER_PAGE
-    return profile
+    return intervals
+
+
+def ser_dynamic_reference(
+    ser_model: SerModel,
+    intervals: "list[dict[int, float]]",
+    fast_residency: "list[set[int]]",
+) -> float:
+    """:meth:`~repro.faults.ser.SerModel.ser_dynamic` as a dict walk over
+    :func:`profile_intervals_reference`'s interval dicts: each page's
+    AVF charged to the device holding it during the interval."""
+    if len(fast_residency) != len(intervals):
+        raise ValueError(
+            "need one residency set per interval "
+            f"({len(intervals)}), got {len(fast_residency)}"
+        )
+    total = 0.0
+    for avf_map, resident in zip(intervals, fast_residency):
+        for page, avf in avf_map.items():
+            if page in resident:
+                total += avf * ser_model.fit_fast_per_page
+            else:
+                total += avf * ser_model.fit_slow_per_page
+    return total

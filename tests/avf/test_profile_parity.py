@@ -33,18 +33,16 @@ def assert_same_stats(got, want):
     assert got.avf.view(np.uint64).tolist() == want.avf.view(np.uint64).tolist()
 
 
-def interval_bits(profile):
-    return [(list(iv), np.array(list(iv.values()), dtype=np.float64).tobytes())
-            for iv in profile.interval_avf]
-
-
 def assert_same_intervals(trace, times, boundaries, live, builder=None):
+    """The builder's per-interval arrays hold the reference dicts' pages
+    in insertion order and their values' exact bits."""
     if builder is None:
         builder = IntervalProfileBuilder(trace, times, live)
-    got = builder.profile(boundaries)
+    got = builder.intervals_arrays(boundaries)
     want = profile_intervals_reference(trace, times, boundaries, live)
-    assert got.num_intervals == want.num_intervals
-    assert interval_bits(got) == interval_bits(want)
+    assert [(pages.tolist(), values.tobytes()) for pages, values in got] \
+        == [(list(iv), np.array(list(iv.values()), dtype=np.float64).tobytes())
+            for iv in want]
 
 
 def _trace(pages, lines, writes):

@@ -1,35 +1,38 @@
 """Unit and property tests for the Majority Element Algorithm tracker."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mea import MeaTracker
+from repro.core import _mea_native
+from repro.core.mea import ArrayMeaTracker
+from repro.verify.oracles import MeaTracker
 
 
 class TestBasics:
     def test_tracks_frequent_page(self):
-        mea = MeaTracker(capacity=4)
+        mea = ArrayMeaTracker(capacity=4)
         for _ in range(10):
             mea.record(7)
         assert 7 in mea.hot_pages()
         assert mea.count(7) == 10
 
     def test_capacity_bound(self):
-        mea = MeaTracker(capacity=4)
+        mea = ArrayMeaTracker(capacity=4)
         for page in range(100):
             mea.record(page)
         assert len(mea) <= 4
 
     def test_decrement_on_overflow(self):
-        mea = MeaTracker(capacity=2)
+        mea = ArrayMeaTracker(capacity=2)
         mea.record(0)
         mea.record(1)
         mea.record(2)  # decrements both, inserts nothing
         assert mea.count(0) == 0 or mea.count(0) == 1
 
     def test_hot_pages_ordered_by_count(self):
-        mea = MeaTracker(capacity=4)
+        mea = ArrayMeaTracker(capacity=4)
         for _ in range(5):
             mea.record(1)
         for _ in range(2):
@@ -37,26 +40,26 @@ class TestBasics:
         assert mea.hot_pages()[:2] == [1, 2]
 
     def test_limit(self):
-        mea = MeaTracker(capacity=8)
+        mea = ArrayMeaTracker(capacity=8)
         for page in range(5):
             mea.record(page)
         assert len(mea.hot_pages(limit=3)) == 3
 
     def test_min_count_filters(self):
-        mea = MeaTracker(capacity=8)
+        mea = ArrayMeaTracker(capacity=8)
         mea.record(1)
         mea.record(2)
         mea.record(2)
         assert mea.hot_pages(min_count=2) == [2]
 
     def test_record_many(self):
-        mea = MeaTracker(capacity=8)
+        mea = ArrayMeaTracker(capacity=8)
         mea.record_many([1, 1, 2])
         assert mea.count(1) == 2
         assert mea.stream_length == 3
 
     def test_reset(self):
-        mea = MeaTracker(capacity=4)
+        mea = ArrayMeaTracker(capacity=4)
         mea.record(1)
         mea.reset()
         assert len(mea) == 0
@@ -64,14 +67,22 @@ class TestBasics:
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            MeaTracker(capacity=0)
+            ArrayMeaTracker(capacity=0)
+
+    def test_rejects_capacity_above_the_kernel_bound(self):
+        """The compiled kernel's member table holds at most
+        ``MAX_CAPACITY`` entries; the tracker refuses more, with or
+        without a compiler."""
+        ArrayMeaTracker(capacity=_mea_native.MAX_CAPACITY)
+        with pytest.raises(ValueError, match="capacity"):
+            ArrayMeaTracker(capacity=_mea_native.MAX_CAPACITY + 1)
 
 
 class TestStorageCost:
     def test_paper_budget(self):
         """Sec. 6.4.2: MEA tracking <= ~100 KB plus the 64 KB remap
         table cache (total <= 164 KB)."""
-        cost = MeaTracker.storage_cost_bytes(capacity=32)
+        cost = ArrayMeaTracker.storage_cost_bytes(capacity=32)
         assert cost <= 164 * 1024
         assert cost >= 64 * 1024
 
@@ -83,7 +94,7 @@ class TestStorageCost:
 )
 def test_majority_element_guarantee(stream, capacity):
     """Misra-Gries: any element with frequency > n/(k+1) is tracked."""
-    mea = MeaTracker(capacity=capacity)
+    mea = ArrayMeaTracker(capacity=capacity)
     mea.record_many(stream)
     n = len(stream)
     threshold = n / (capacity + 1)
@@ -97,7 +108,7 @@ def test_majority_element_guarantee(stream, capacity):
 @settings(max_examples=40, deadline=None)
 @given(stream=st.lists(st.integers(0, 50), min_size=1, max_size=300))
 def test_capacity_never_exceeded(stream):
-    mea = MeaTracker(capacity=8)
+    mea = ArrayMeaTracker(capacity=8)
     for page in stream:
         mea.record(page)
         assert len(mea) <= 8
@@ -109,7 +120,7 @@ def test_residual_counts_underestimate_true_counts(stream):
     """Misra-Gries residual counts never exceed true frequencies."""
     from collections import Counter
 
-    mea = MeaTracker(capacity=4)
+    mea = ArrayMeaTracker(capacity=4)
     mea.record_many(stream)
     true = Counter(stream)
     for page in mea.hot_pages():
@@ -119,7 +130,8 @@ def test_residual_counts_underestimate_true_counts(stream):
 class TextbookMea:
     """Literal Misra-Gries reference: decrement *every* counter on a
     non-member access when the map is full — the O(k)-per-access
-    semantics that :class:`MeaTracker`'s offset formulation replaces.
+    semantics that the offset formulations (the oracle
+    :class:`MeaTracker` and the compiled kernel) replace.
     """
 
     def __init__(self, capacity=32):
@@ -144,8 +156,6 @@ class TextbookMea:
                 del counters[p]
 
     def record_many(self, pages):
-        import numpy as np
-
         for page in np.asarray(pages, dtype=np.int64).ravel().tolist():
             self.record(page)
 
@@ -188,6 +198,33 @@ def test_offset_formulation_equals_textbook(chunks, capacity):
     assert fast.stream_length == slow.stream_length
 
 
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), span=st.integers(2, 6),
+       chunks=st.integers(1, 3))
+def test_array_tracker_at_the_capacity_bound_equals_textbook(seed, span,
+                                                             chunks):
+    """At ``MAX_CAPACITY`` entries the hashed kernel (or its list loop)
+    is still the textbook algorithm, over miss-heavy streams that fill
+    the map and decrement it many times around a few hot pages."""
+    capacity = _mea_native.MAX_CAPACITY
+    rng = np.random.default_rng(seed)
+    tracker = ArrayMeaTracker(capacity=capacity)
+    textbook = TextbookMea(capacity=capacity)
+    for _ in range(chunks):
+        chunk = rng.permutation(np.concatenate([
+            rng.integers(0, 16, capacity // 8),
+            rng.integers(0, span * capacity, 2 * capacity),
+        ]))
+        tracker.record_many(chunk)
+        textbook.record_many(chunk)
+        assert tracker.hot_pages() == textbook.hot_pages()
+        assert tracker.hot_pages(min_count=2) == textbook.hot_pages(
+            min_count=2)
+        assert [tracker.count(p) for p in textbook.hot_pages()] == [
+            textbook.count(p) for p in textbook.hot_pages()]
+    assert tracker.stream_length == textbook.stream_length
+
+
 class TestNativeKernel:
     """The compiled chunk kernel vs the pure-Python paths."""
 
@@ -196,11 +233,7 @@ class TestNativeKernel:
             tracker.record_many(rng.integers(0, span, size=size))
 
     def test_native_equals_python_fallback(self):
-        import numpy as np
-
         from repro.config import knob_overrides
-        from repro.core import _mea_native
-        from repro.core.mea import ArrayMeaTracker
         from repro.sim import _ckernel
 
         if _mea_native.load() is None:
@@ -228,8 +261,6 @@ class TestNativeKernel:
             assert tracker.stream_length == reference.stream_length
 
     def test_disabled_by_env(self, monkeypatch):
-        from repro.core import _mea_native
-        from repro.core.mea import ArrayMeaTracker
         from repro.sim import _ckernel
 
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -246,7 +277,6 @@ class TestNativeKernel:
             _ckernel._reset_for_tests()
 
     def test_broken_compiler_degrades_once(self, tmp_path, monkeypatch):
-        from repro.core import _mea_native
         from repro.sim import _ckernel
 
         monkeypatch.setenv("CC", str(tmp_path / "does-not-exist"))
@@ -268,11 +298,6 @@ class TestNativeKernel:
 class TestArrayTracker:
     """ArrayMeaTracker (the production tracker) vs the dict MeaTracker."""
 
-    def _make(self):
-        from repro.core.mea import ArrayMeaTracker
-
-        return ArrayMeaTracker
-
     @settings(max_examples=60, deadline=None)
     @given(
         chunks=st.lists(
@@ -281,8 +306,6 @@ class TestArrayTracker:
         capacity=st.integers(2, 12),
     )
     def test_matches_dict_tracker(self, chunks, capacity):
-        from repro.core.mea import ArrayMeaTracker
-
         ref = MeaTracker(capacity=capacity)
         arr = ArrayMeaTracker(capacity=capacity)
         for chunk in chunks:
@@ -305,8 +328,6 @@ class TestArrayTracker:
     )
     def test_python_fallback_matches_native(self, chunks, capacity):
         from repro.config import knob_overrides
-        from repro.core import _mea_native
-        from repro.core.mea import ArrayMeaTracker
         from repro.sim import _ckernel
 
         if _mea_native.load() is None:
@@ -329,8 +350,6 @@ class TestArrayTracker:
                 == native._counts[: len(native)].tolist())
 
     def test_hot_arrays_rank_and_filter(self):
-        from repro.core.mea import ArrayMeaTracker
-
         mea = ArrayMeaTracker(capacity=8)
         mea.record_many([5, 5, 5, 9, 9, 2])
         pages, counts = mea.hot_arrays()
@@ -341,8 +360,6 @@ class TestArrayTracker:
         assert counts2.tolist() == [3, 2]
 
     def test_record_and_reset(self):
-        from repro.core.mea import ArrayMeaTracker
-
         mea = ArrayMeaTracker(capacity=4)
         mea.record(7)
         mea.record(7)

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import _mea_native
+from repro.core.mea import ArrayMeaTracker
 from repro.core.mempod import MemPodMigration
 from repro.dram.hma import FAST, HeterogeneousMemory
+from repro.verify.oracles import MeaTracker
 
 
 @pytest.fixture
@@ -31,6 +36,12 @@ class TestPods:
             MemPodMigration(num_pods=0)
         with pytest.raises(ValueError):
             MemPodMigration(subintervals_per_interval=0)
+        with pytest.raises(ValueError):
+            MemPodMigration(mea_capacity=_mea_native.MAX_CAPACITY + 1)
+
+    def test_pods_use_the_array_tracker(self):
+        mech = MemPodMigration(num_pods=3)
+        assert [type(t) for t in mech.trackers] == [ArrayMeaTracker] * 3
 
 
 class TestMigrationPolicy:
@@ -99,3 +110,64 @@ class TestEndToEnd:
                         num_intervals=4)
         assert result.total_seconds > 0
         assert hma.fast_occupancy() <= hma.fast_capacity_pages
+
+
+class _DictPodMemPod(MemPodMigration):
+    """MemPod whose pods are dict :class:`MeaTracker` oracles, fed one
+    access at a time in stream order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.trackers = [MeaTracker(capacity=t.capacity)
+                         for t in self.trackers]
+
+    def observe_chunk(self, pages, is_write, times=None):
+        recent = self._recent
+        for page in pages.tolist():
+            self.trackers[page % self.num_pods].record(page)
+            recent[page] = recent.get(page, 0) + 1
+
+
+def _pod_states(mech):
+    return [(len(t), t.hot_pages(), t.hot_pages(min_count=2),
+             [t.count(p) for p in t.hot_pages()], t.stream_length)
+            for t in mech.trackers]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    num_pods=st.sampled_from((1, 3, 4, 80)),
+    capacity=st.integers(2, 8),
+    steps=st.lists(
+        st.tuples(st.lists(st.integers(0, 63), max_size=120),
+                  st.sampled_from(("observe", "plan_sub", "plan"))),
+        min_size=1, max_size=6),
+)
+def test_array_pods_match_dict_pods(tiny_config, num_pods, capacity, steps):
+    """Each pod's one chunk update keeps the dict trackers' state and
+    plans after every chunk: one pod, several, and more pods than
+    pages (80 pods over 64)."""
+    mechs = [cls(num_pods=num_pods, mea_capacity=capacity)
+             for cls in (MemPodMigration, _DictPodMemPod)]
+    hmas = []
+    for _ in mechs:
+        hma = HeterogeneousMemory(tiny_config)
+        hma.install_placement(range(16), range(64))
+        hmas.append(hma)
+    for pages, step in steps:
+        for mech in mechs:
+            observe(mech, pages)
+        assert _pod_states(mechs[0]) == _pod_states(mechs[1])
+        assert mechs[0]._recent == mechs[1]._recent
+        if step == "observe":
+            continue
+        plans = []
+        for mech, hma in zip(mechs, hmas):
+            coarse = mech.plan(hma) if step == "plan" else ([], [])
+            plans.append((coarse, mech.plan_sub(hma)))
+        assert plans[0] == plans[1]
+        for ((to_fast, to_slow), (sub_fast, sub_slow)), hma in zip(plans,
+                                                                 hmas):
+            hma.migrate_pairs(to_fast + sub_fast, to_slow + sub_slow,
+                              now=0.0)

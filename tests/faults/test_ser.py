@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from repro.avf.page import IntervalProfile, PageStats
+from repro.avf.page import PageStats
 from repro.config import (
     DramTiming,
     MemoryConfig,
@@ -63,36 +63,29 @@ class TestSerModel:
         assert sers[0] == max(sers)
 
 
+def intervals(*maps):
+    """Per-interval ``(pages, avf)`` arrays from page -> AVF dicts."""
+    return [(np.array(list(m), dtype=np.int64),
+             np.array(list(m.values()), dtype=np.float64)) for m in maps]
+
+
 class TestDynamicSer:
     def test_residency_accounting(self):
-        iv = IntervalProfile(
-            num_intervals=2,
-            interval_avf=[{0: 0.2, 1: 0.1}, {0: 0.3}],
-        )
+        iv = intervals({0: 0.2, 1: 0.1}, {0: 0.3})
         # Page 0 in fast during interval 0 only.
         ser = MODEL.ser_dynamic(iv, [{0}, set()])
         expected = 0.2 * 100 + 0.1 * 1 + 0.3 * 1
         assert ser == pytest.approx(expected)
 
     def test_always_slow_matches_ddr_only_total(self):
-        iv = IntervalProfile(
-            num_intervals=2,
-            interval_avf=[{0: 0.25}, {0: 0.25, 1: 0.5}],
-        )
+        iv = intervals({0: 0.25}, {0: 0.25, 1: 0.5})
         ser = MODEL.ser_dynamic(iv, [set(), set()])
         assert ser == pytest.approx((0.25 + 0.25 + 0.5) * 1)
 
     def test_residency_length_mismatch(self):
-        iv = IntervalProfile(num_intervals=2, interval_avf=[{}, {}])
+        iv = intervals({}, {})
         with pytest.raises(ValueError):
             MODEL.ser_dynamic(iv, [set()])
-
-    def test_interval_profile_total(self):
-        iv = IntervalProfile(
-            num_intervals=2, interval_avf=[{7: 0.1}, {7: 0.2}]
-        )
-        assert iv.total_avf(7) == pytest.approx(0.3)
-        assert iv.total_avf(9) == 0.0
 
 
 SMALL = scaled_config(1 / 1024)

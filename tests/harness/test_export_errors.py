@@ -1,4 +1,4 @@
-"""Error paths of the export pipeline and the bench-floor loader."""
+"""Error paths of the export pipeline."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.harness.cli import main
 from repro.harness.experiments import FigureResult
 from repro.harness.export import export_all, to_csv, to_json
-from repro.obs.report import load_bench_floors
 
 
 def _figure() -> FigureResult:
@@ -71,19 +70,3 @@ class TestCliErrorExits:
         rc = main(["report", "fig12-1", "--obs-dir", str(tmp_path)])
         assert rc == 2
         assert "no run" in capsys.readouterr().err
-
-
-class TestBenchFloors:
-    def test_missing_root_is_empty_not_an_error(self, tmp_path):
-        assert load_bench_floors(str(tmp_path / "absent")) == {}
-
-    def test_malformed_bench_json_is_skipped(self, tmp_path):
-        (tmp_path / "BENCH_broken.json").write_text("{not json")
-        (tmp_path / "BENCH_ok.json").write_text(
-            json.dumps({"replay": {"throughput": 123.0}}))
-        floors = load_bench_floors(str(tmp_path))
-        assert floors == {"bench.ok.replay.throughput": 123.0}
-
-    def test_non_bench_files_are_ignored(self, tmp_path):
-        (tmp_path / "notes.json").write_text(json.dumps({"x": 1}))
-        assert load_bench_floors(str(tmp_path)) == {}

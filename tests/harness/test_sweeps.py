@@ -113,3 +113,27 @@ class TestSweepExperiments:
         assert main(["run", "sweep-capacity", "--jobs", "0",
                      "--accesses", "300"]) == 0
         assert calls == [(["mcf", "milc", "mix1"], None)]
+
+    def test_capacity_sweep_reads_the_runs_cache(self, tmp_path,
+                                                 monkeypatch):
+        """The sweep's workloads come from the run's cache: every
+        FaultSim campaign runs at the run's seed, and a workload that
+        another experiment of the run reads is prepared once."""
+        from repro.faults.faultsim import FaultSimulator
+        from repro.harness.runner import run_experiments
+
+        seeds = []
+        real = FaultSimulator.uncorrected_fit_per_rank
+
+        def recording(self, trials):
+            seeds.append(self.seed)
+            return real(self, trials)
+
+        monkeypatch.setattr(FaultSimulator, "uncorrected_fit_per_rank",
+                            recording)
+        run_experiments(["sweep-fit", "sweep-capacity"],
+                        accesses_per_core=300, seed=7, fault_trials=20_000,
+                        cache_dir=str(tmp_path), jobs=1)
+        assert seeds and set(seeds) == {7}
+        # mcf, milc and mix1; sweep-fit reads mix1 too.
+        assert len(list(tmp_path.glob("prep-*.pkl"))) == 3

@@ -65,11 +65,3 @@ class TestCompareVerb:
 
     def test_unknown_run_exits_2(self, seeded):
         assert main(["compare", "exp-1", "ghost", "--obs-dir", seeded]) == 2
-
-    def test_bench_floor_failure_exits_1(self, seeded, tmp_path, capsys):
-        bench_root = tmp_path / "floors"
-        bench_root.mkdir()
-        (bench_root / "BENCH_x.json").write_text('{"ipc": 2.0}')
-        assert main(["compare", "exp-1", "exp-2", "--obs-dir", seeded,
-                     "--bench-root", str(bench_root)]) == 1
-        assert "BELOW FLOOR" in capsys.readouterr().out

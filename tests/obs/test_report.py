@@ -1,16 +1,13 @@
-"""Unit tests for run reports, metric diffs, and bench floors."""
+"""Unit tests for run reports and metric diffs."""
 
-import json
 import math
 
 import pytest
 
 from repro.obs.registry import RunRegistry
 from repro.obs.report import (
-    check_bench_floors,
     diff_metrics,
     find_regressions,
-    load_bench_floors,
     lower_is_better,
     render_compare,
     render_run_report,
@@ -66,24 +63,6 @@ class TestDiffMetrics:
         assert not diffs[0].regression
 
 
-class TestBenchFloors:
-    def test_load_flattens_numeric_leaves(self, tmp_path):
-        (tmp_path / "BENCH_replay.json").write_text(json.dumps(
-            {"throughput": {"batched": 100.0}, "note": "text"}))
-        floors = load_bench_floors(str(tmp_path))
-        assert floors == {"bench.replay.throughput.batched": 100.0}
-
-    def test_missing_root_is_empty(self):
-        assert load_bench_floors("/nonexistent/nowhere") == {}
-
-    def test_check_flags_below_floor(self):
-        floors = {"bench.replay.throughput.batched": 100.0}
-        bad = check_bench_floors({"throughput.batched": 90.0}, floors)
-        assert len(bad) == 1 and bad[0].regression
-        ok = check_bench_floors({"throughput.batched": 99.5}, floors)
-        assert ok == []  # within 2%
-
-
 def _seed_registry(tmp_path):
     reg = RunRegistry(str(tmp_path / "registry.sqlite"))
     series = SnapshotSeries()
@@ -133,12 +112,3 @@ class TestRendering:
         out = render_compare(run_a, run_a, diffs)
         assert "REGRESSION" not in out
         assert "0 regression(s)" in out
-
-    def test_compare_renders_bench_section(self, tmp_path):
-        reg, run_a, run_b = _seed_registry(tmp_path)
-        bench = check_bench_floors({"throughput": 50.0},
-                                   {"bench.x.throughput": 100.0})
-        out = render_compare(run_a, run_b, [], bench)
-        assert "bench floors" in out
-        assert "BELOW FLOOR" in out
-        assert "1 regression(s)" in out

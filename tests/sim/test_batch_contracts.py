@@ -27,7 +27,10 @@ from repro.core.placement import (
 from repro.faults.ser import SerModel
 from repro.sim.system import prepare_workload
 from repro.trace.record import Trace
-from repro.verify.oracles import profile_intervals_reference
+from repro.verify.oracles import (
+    profile_intervals_reference,
+    ser_dynamic_reference,
+)
 
 POLICIES = (
     DdrOnlyPlacement(),
@@ -108,18 +111,21 @@ def test_interval_builder_matches_profile_intervals(seed, counts):
             np.repeat(rng.random(1), int(rng.integers(0, 3))),
         ]))
         want = profile_intervals_reference(trace, times, bounds)
-        got = builder.profile(bounds)
-        assert got.num_intervals == want.num_intervals
-        # Same pages, same insertion order, same float64 values.
-        assert ([list(iv.items()) for iv in got.interval_avf]
-                == [list(iv.items()) for iv in want.interval_avf])
-        pairs = builder.intervals_arrays(bounds)
-        assert ([(p.tolist(), v.tolist()) for p, v in pairs]
-                == [(list(iv), list(iv.values()))
-                    for iv in want.interval_avf])
+        got = builder.intervals_arrays(bounds)
+        # Same pages, same insertion order, same float64 bits.
+        assert ([(p.tolist(), v.tobytes()) for p, v in got]
+                == [(list(iv), np.array(list(iv.values()),
+                                        dtype=np.float64).tobytes())
+                    for iv in want])
         residency = [set(rng.choice(24, int(rng.integers(0, 12)),
                                     replace=False).tolist())
-                     for _ in range(want.num_intervals)]
-        assert (model.ser_dynamic_arrays(pairs, residency)
-                == model.ser_dynamic(want, residency))
+                     for _ in range(len(want))]
+        ser = model.ser_dynamic(got, residency)
+        assert (np.float64(ser).tobytes()
+                == np.float64(ser_dynamic_reference(model, want,
+                                                    residency)).tobytes())
+        # The epoch series: each interval's sum is its own dict walk.
+        assert (np.array(model.ser_dynamic_series(got, residency)).tobytes()
+                == np.array([ser_dynamic_reference(model, [iv], [res])
+                             for iv, res in zip(want, residency)]).tobytes())
 

@@ -230,7 +230,7 @@ class TestMutationSmoke:
     def test_mea_divergence_is_caught(self, monkeypatch, tmp_path):
         """A planted bug in the reference MEA loop diverges from the
         production tracker."""
-        from repro.core.mea import MeaTracker
+        from repro.verify.oracles import MeaTracker
 
         orig = MeaTracker.record_many
 

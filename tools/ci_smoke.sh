@@ -4,9 +4,10 @@
 # Usage: tools/ci_smoke.sh [extra pytest args...]
 #
 # 1. Runs the full tier-1 unit suite (tests/), failing fast, then
-#    reruns the kernel parity suites (replay, policy, MEA), the
-#    replay-memo suite and the replay edge cases with REPRO_NATIVE=0,
-#    so every compile-failure fallback stays tested end to end, the
+#    reruns the kernel parity suites (replay, policy, MEA, MemPod's
+#    pods), the replay-memo suite and the replay edge cases with
+#    REPRO_NATIVE=0, so every compile-failure fallback stays tested end
+#    to end (MemPod and Cross Counters run the MEA map's list loop), the
 #    memo's figures still equal fresh ones when every miss replays
 #    through replay_reference, and replay's input checks hold on the
 #    reference path too.
@@ -86,7 +87,8 @@ python -m pytest bench/ -q -p no:cacheprovider
 echo "== kernel parity without the C kernels (REPRO_NATIVE=0) =="
 REPRO_NATIVE=0 python -m pytest -x -q tests/sim/test_parity.py \
     tests/core/test_policy_parity.py tests/core/test_mea.py \
-    tests/sim/test_replay_memo.py tests/sim/test_engine_edge.py
+    tests/core/test_mempod.py tests/sim/test_replay_memo.py \
+    tests/sim/test_engine_edge.py
 
 echo "== chaos / fault-injection tests =="
 # The chaos suites are tagged slow+chaos and excluded from tier-1 by
