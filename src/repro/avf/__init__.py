@@ -1,6 +1,6 @@
 """AVF engine: ACE tracking, page aggregation, and proxy heuristics."""
 
-from repro.avf.tracker import AceTracker, line_ace_times
+from repro.avf.tracker import line_ace_times
 from repro.avf.page import PageStats, profile_intervals, profile_trace
 from repro.avf.heuristics import (
     WriteRatioHistogram,
@@ -13,7 +13,6 @@ from repro.avf.heuristics import (
 )
 
 __all__ = [
-    "AceTracker",
     "line_ace_times",
     "PageStats",
     "profile_trace",

@@ -78,7 +78,6 @@ def profile_trace(
     trace: Trace,
     times: np.ndarray,
     footprint_pages: int = 0,
-    assume_live_at_start: bool = True,
 ) -> PageStats:
     """Compute per-page hotness and AVF for a full trace.
 
@@ -93,7 +92,7 @@ def profile_trace(
     those of accumulating the same values with ``np.add.at``.
     """
     _order, sl, sw, first, span = _line_sorted_ace(
-        trace.lines, times, trace.is_write, assume_live_at_start)
+        trace.lines, times, trace.is_write)
     line_starts = np.flatnonzero(first)
     ace = np.bincount(np.cumsum(first) - 1, weights=span)
     line_pages = sl[line_starts] // LINES_PER_PAGE
@@ -123,7 +122,6 @@ def profile_intervals(
     trace: Trace,
     times: np.ndarray,
     boundaries: np.ndarray,
-    assume_live_at_start: bool = True,
 ) -> "list[tuple[np.ndarray, np.ndarray]]":
     """Split a trace at logical-time ``boundaries`` and compute each
     interval's per-page AVF contribution.
@@ -132,13 +130,12 @@ def profile_intervals(
     :meth:`IntervalProfileBuilder.intervals_arrays`), the form
     :meth:`~repro.faults.ser.SerModel.ser_dynamic` consumes.  ACE spans
     crossing a boundary are attributed to the interval in which the
-    read occurs — the same attribution the streaming tracker's
-    :meth:`~repro.avf.tracker.AceTracker.reset_window` makes.  This is
-    the one-shot form of :class:`IntervalProfileBuilder`; build one
+    read occurs, as across
+    :meth:`~repro.avf.tracker.WindowedAceTracker.clear_window`.  This
+    is the one-shot form of :class:`IntervalProfileBuilder`; build one
     directly to profile a trace at many boundary sets.
     """
-    return IntervalProfileBuilder(
-        trace, times, assume_live_at_start).intervals_arrays(boundaries)
+    return IntervalProfileBuilder(trace, times).intervals_arrays(boundaries)
 
 
 class IntervalProfileBuilder:
@@ -154,11 +151,10 @@ class IntervalProfileBuilder:
     with bit-identical values *and* iteration order.
     """
 
-    def __init__(self, trace: Trace, times: np.ndarray,
-                 assume_live_at_start: bool = True) -> None:
+    def __init__(self, trace: Trace, times: np.ndarray) -> None:
         self._times = np.asarray(times, dtype=np.float64)
         order, sl, _sw, _first, span = _line_sorted_ace(
-            trace.lines, self._times, trace.is_write, assume_live_at_start)
+            trace.lines, self._times, trace.is_write)
         active = span > 0
         #: Trace position, page code, and scaled contribution per
         #: active span, in line-sorted stream order.

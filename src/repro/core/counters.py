@@ -84,10 +84,8 @@ class ArrayFullCounters:
 
     Saturation per recorded batch and ascending-page ``touched_pages``,
     over two flat int64 arrays indexed by page number, grown
-    geometrically on demand.  ``record_batch`` queues its chunk;
-    pending chunks fold into the tables in one deferred ``np.bincount``
-    + clip pass at the next query, so the full-table cost is paid once
-    per interval rather than once per chunk.  ``touched_arrays`` is a
+    geometrically on demand.  ``record_batch`` folds its chunk into the
+    tables in one ``np.bincount`` + clip pass; ``touched_arrays`` is a
     ``flatnonzero`` — no per-page Python work anywhere.
 
     Page numbers from the trace generators are compact (0..footprint),
@@ -101,13 +99,6 @@ class ArrayFullCounters:
         self.max_value = (1 << counter_bits) - 1
         self._reads = np.zeros(1024, dtype=np.int64)
         self._writes = np.zeros(1024, dtype=np.int64)
-        #: Recorded-but-unapplied ``(pages, is_write)`` chunks.  Batches
-        #: accumulate here and fold into the dense tables in one
-        #: bincount pass at the first query — saturating clips commute
-        #: over non-negative adds (``clip(clip(a+b)+c) == clip(a+b+c)``),
-        #: so deferral is exactly the per-batch semantics while paying
-        #: the full-table pass once per interval instead of per chunk.
-        self._pending: "list[tuple[np.ndarray, np.ndarray]]" = []
 
     def _ensure(self, max_page: int) -> None:
         size = len(self._reads)
@@ -126,65 +117,44 @@ class ArrayFullCounters:
         page = int(page)
         if page < 0:
             raise ValueError("page numbers must be non-negative")
-        self._flush()
         self._ensure(page)
         table = self._writes if is_write else self._reads
         table[page] = min(self.max_value, int(table[page]) + 1)
 
     def record_batch(self, pages: np.ndarray, is_write: np.ndarray) -> None:
-        """Queue one chunk; folded in vectorially at the next query."""
+        """Fold one chunk into the tables (bincount + clip)."""
         check_parallel_arrays("record_batch", pages, is_write)
         if not len(pages):
             return
         pages = np.asarray(pages, dtype=np.int64)
-        # Copies: the caller is free to reuse its chunk buffers before
-        # the deferred flush runs.  Negative pages are rejected at the
-        # flush (one scan over the concatenated batch, not one per
-        # chunk).
-        self._pending.append(
-            (pages.copy(), np.asarray(is_write, dtype=bool).copy()))
-
-    def tables_for_native(self, max_page: int) \
-            -> "tuple[np.ndarray, np.ndarray]":
-        """``(reads, writes)`` tables for in-place native accumulation.
-
-        Drains any queued chunks and grows the tables to cover
-        ``max_page`` first, so a compiled kernel can apply saturating
-        per-access increments directly (bit-identical to
-        :meth:`record_batch` + the deferred flush).
-        """
-        self._flush()
-        self._ensure(max_page)
-        return self._reads, self._writes
-
-    def _flush(self) -> None:
-        """Fold pending chunks into the tables (bincount + clip)."""
-        if not self._pending:
-            return
-        chunks = self._pending
-        self._pending = []
-        pages = (chunks[0][0] if len(chunks) == 1
-                 else np.concatenate([c[0] for c in chunks]))
-        is_write = (chunks[0][1] if len(chunks) == 1
-                    else np.concatenate([c[1] for c in chunks]))
         if pages.min() < 0:
             raise ValueError("page numbers must be non-negative")
         self._ensure(int(pages.max()))
         size = len(self._reads)
-        writes_bc = np.bincount(pages[is_write], minlength=size)
+        writes_bc = np.bincount(pages[np.asarray(is_write, dtype=bool)],
+                                minlength=size)
         reads_bc = np.bincount(pages, minlength=size) - writes_bc
         for delta, table in ((writes_bc, self._writes),
                              (reads_bc, self._reads)):
             table += delta
             np.minimum(table, self.max_value, out=table)
 
+    def tables_for_native(self, max_page: int) \
+            -> "tuple[np.ndarray, np.ndarray]":
+        """``(reads, writes)`` tables for in-place native accumulation.
+
+        Grows the tables to cover ``max_page`` first, so a compiled
+        kernel can apply saturating per-access increments directly
+        (bit-identical to :meth:`record_batch`).
+        """
+        self._ensure(max_page)
+        return self._reads, self._writes
+
     def reads(self, page: int) -> int:
-        self._flush()
         page = int(page)
         return int(self._reads[page]) if page < len(self._reads) else 0
 
     def writes(self, page: int) -> int:
-        self._flush()
         page = int(page)
         return int(self._writes[page]) if page < len(self._writes) else 0
 
@@ -197,12 +167,10 @@ class ArrayFullCounters:
         return self.writes(page) / max(1, self.reads(page))
 
     def touched_pages(self) -> "list[int]":
-        self._flush()
         return np.flatnonzero(self._reads | self._writes).tolist()
 
     def touched_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """``(pages, reads, writes)`` arrays in ascending page order."""
-        self._flush()
         pages = np.flatnonzero(self._reads | self._writes)
         return pages, self._reads[pages], self._writes[pages]
 
@@ -218,12 +186,10 @@ class ArrayFullCounters:
 
     def reads_of(self, pages: np.ndarray) -> np.ndarray:
         """Per-page read counts for an int64 page array."""
-        self._flush()  # before grabbing the table: flush may grow it
         return self._lookup(self._reads, pages)
 
     def writes_of(self, pages: np.ndarray) -> np.ndarray:
         """Per-page write counts for an int64 page array."""
-        self._flush()
         return self._lookup(self._writes, pages)
 
     def hotness_of(self, pages: np.ndarray) -> np.ndarray:
@@ -238,7 +204,6 @@ class ArrayFullCounters:
 
     def reset(self) -> None:
         """Clear all counters (done at each migration interval)."""
-        self._pending.clear()
         self._reads[:] = 0
         self._writes[:] = 0
 

@@ -373,9 +373,8 @@ class CrossCountersMigration(MigrationMechanism):
         The MEA map sees every access; the risk counters are only
         consulted for HBM residents (plan filters by residency).  One
         call of the fused kernel walks the chunk once and feeds both
-        together, with no deferred bincount fold; without a compiler,
-        the map's list loop and the counters' bincount do the same
-        bit for bit.
+        together; without a compiler, the map's list loop and the
+        counters' bincount fold do the same bit for bit.
         """
         check_parallel_arrays(f"{self.name}.observe_chunk",
                               pages, is_write, times)

@@ -26,38 +26,35 @@ import numpy as np
 from repro.avf.page import PageStats
 
 
-def _take_top(stats: PageStats, score: np.ndarray, capacity: int) -> np.ndarray:
-    """Pages with the ``capacity`` highest scores (desc, stable)."""
-    if capacity <= 0:
-        return np.empty(0, dtype=np.int64)
+def _rank(stats: PageStats, score: np.ndarray) -> np.ndarray:
+    """Every page by descending score (stable: ties keep page order)."""
     order = np.argsort(-score, kind="stable")
-    return stats.pages[order[:capacity]].astype(np.int64)
+    return stats.pages[order].astype(np.int64)
 
 
 class PlacementPolicy(ABC):
-    """A static page-placement strategy."""
+    """A static page-placement strategy.
+
+    A policy is a preference order over the profiled pages
+    (:meth:`select_ranking`); a capacity takes a prefix of it
+    (:meth:`ranked_take`), so the multi-run engine ranks once per
+    policy and slices per capacity.
+    """
 
     #: Short identifier used in reports and experiment tables.
     name: str = "base"
 
     @abstractmethod
-    def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
-        """Pages to install in the fast memory (at most the capacity)."""
-
-    def select_ranking(self, stats: PageStats) -> "np.ndarray | None":
-        """Full preference order, when the policy has prefix structure.
-
-        When this returns an array, ``select_fast_pages(stats, c)`` is
-        exactly ``ranking[:self.ranked_take(c)]`` for every capacity —
-        the multi-run engine ranks once per policy and slices per
-        capacity instead of re-sorting per sweep point.  ``None`` means
-        no such structure; callers fall back to per-capacity calls.
-        """
-        return None
+    def select_ranking(self, stats: PageStats) -> np.ndarray:
+        """Every page the policy would place in HBM, best first."""
 
     def ranked_take(self, capacity_pages: int) -> int:
         """Ranking prefix length that a given capacity maps to."""
         return max(0, capacity_pages)
+
+    def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
+        """Pages to install in the fast memory (at most the capacity)."""
+        return self.select_ranking(stats)[: self.ranked_take(capacity_pages)]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -68,9 +65,6 @@ class DdrOnlyPlacement(PlacementPolicy):
 
     name = "ddr-only"
 
-    def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
-        return np.empty(0, dtype=np.int64)
-
     def select_ranking(self, stats: PageStats) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
 
@@ -80,11 +74,8 @@ class PerformanceFocusedPlacement(PlacementPolicy):
 
     name = "perf-focused"
 
-    def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
-        return _take_top(stats, stats.hotness.astype(np.float64), capacity_pages)
-
     def select_ranking(self, stats: PageStats) -> np.ndarray:
-        return _take_top(stats, stats.hotness.astype(np.float64), len(stats))
+        return _rank(stats, stats.hotness.astype(np.float64))
 
 
 class ReliabilityFocusedPlacement(PlacementPolicy):
@@ -92,11 +83,8 @@ class ReliabilityFocusedPlacement(PlacementPolicy):
 
     name = "rel-focused"
 
-    def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
-        return _take_top(stats, -stats.avf, capacity_pages)
-
     def select_ranking(self, stats: PageStats) -> np.ndarray:
-        return _take_top(stats, -stats.avf, len(stats))
+        return _rank(stats, -stats.avf)
 
 
 class BalancedPlacement(PlacementPolicy):
@@ -108,9 +96,6 @@ class BalancedPlacement(PlacementPolicy):
     """
 
     name = "balanced"
-
-    def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
-        return self.select_ranking(stats)[: max(0, capacity_pages)]
 
     def select_ranking(self, stats: PageStats) -> np.ndarray:
         hotness = stats.hotness.astype(np.float64)
@@ -126,11 +111,8 @@ class WrRatioPlacement(PlacementPolicy):
 
     name = "wr-ratio"
 
-    def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
-        return _take_top(stats, stats.write_ratio, capacity_pages)
-
     def select_ranking(self, stats: PageStats) -> np.ndarray:
-        return _take_top(stats, stats.write_ratio, len(stats))
+        return _rank(stats, stats.write_ratio)
 
 
 class Wr2RatioPlacement(PlacementPolicy):
@@ -138,11 +120,8 @@ class Wr2RatioPlacement(PlacementPolicy):
 
     name = "wr2-ratio"
 
-    def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
-        return _take_top(stats, stats.wr2_ratio, capacity_pages)
-
     def select_ranking(self, stats: PageStats) -> np.ndarray:
-        return _take_top(stats, stats.wr2_ratio, len(stats))
+        return _rank(stats, stats.wr2_ratio)
 
 
 class HotFractionPlacement(PlacementPolicy):
@@ -154,12 +133,8 @@ class HotFractionPlacement(PlacementPolicy):
         self.fraction = fraction
         self.name = f"hot-{fraction:.2f}"
 
-    def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
-        take = int(round(capacity_pages * self.fraction))
-        return _take_top(stats, stats.hotness.astype(np.float64), take)
-
     def select_ranking(self, stats: PageStats) -> np.ndarray:
-        return _take_top(stats, stats.hotness.astype(np.float64), len(stats))
+        return _rank(stats, stats.hotness.astype(np.float64))
 
     def ranked_take(self, capacity_pages: int) -> int:
         return max(0, int(round(capacity_pages * self.fraction)))

@@ -283,123 +283,56 @@ class HeterogeneousMemory:
         """Swap page sets between devices at time ``now``.
 
         Pages in ``to_slow`` leave HBM first (freeing frames), then
-        pages in ``to_fast`` move in.  Pinned pages are skipped, as is
-        any page named in *both* directions (it would be swapped out
-        and straight back in, double-counting migration stats and copy
-        bandwidth); duplicate entries within a list count once.  Each
-        moved page costs a 4 KB transfer on both devices; the method
-        returns the time the migration traffic drains.
-
-        Both directions are applied as batched array updates.  The
-        observable state transition is identical to migrating page by
-        page in list order: frames free and reallocate in the same
-        LIFO order (demotions drain the SLOW free list front-to-back
-        of the demotion list, promotions reuse the just-freed HBM
-        frames newest-first), the promotion budget counts only pages
-        that actually move, and the page table grows only as far as
-        the largest page actually admitted.
+        pages in ``to_fast`` move in, one page at a time in list order,
+        while HBM has free frames.  Pinned pages are skipped, as is any
+        page named in *both* directions (it would be swapped out and
+        straight back in, double-counting migration stats and copy
+        bandwidth); a repeated entry finds its page already moved.
+        Each moved page costs a 4 KB transfer on both devices; the
+        method returns the time the migration traffic drains.
         """
+        both = set(to_fast).intersection(to_slow)
         pinned = self.pinned
-        to_slow = [int(p) for p in to_slow]
-        to_fast = [int(p) for p in to_fast]
-        if pinned:
-            to_slow = [p for p in to_slow if p not in pinned]
-            to_fast = [p for p in to_fast if p not in pinned]
-        to_slow = list(dict.fromkeys(to_slow))
-        to_fast = list(dict.fromkeys(to_fast))
-        both = set(to_fast) & set(to_slow)
-        if both:
-            to_slow = [p for p in to_slow if p not in both]
-            to_fast = [p for p in to_fast if p not in both]
-
-        pt_device, pt_frame = self._pt_device, self._pt_frame
-        table_size = len(pt_device)
-        free_fast_frames, free_slow_frames = self._free_frames
         moved = 0
-
-        overflow = False
-        if to_slow:
-            arr = np.asarray(to_slow, dtype=np.int64)
-            sel = arr if max(to_slow) < table_size else arr[arr < table_size]
-            sel = sel[pt_device[sel] == FAST]
-            m = len(sel)
-            # SLOW headroom; a demotion beyond it raises CapacityError
-            # after the in-budget prefix has been applied and the
-            # failing page's HBM frame has been freed — exactly the
-            # intermediate state the per-page loop leaves behind.
-            headroom = (len(free_slow_frames) + self.slow_capacity_pages
-                        - self._next_frame[SLOW])
-            if m > headroom:
-                overflow = True
-                failing = int(sel[headroom])
-                sel, m = sel[:headroom], headroom
-            if m:
-                freed = pt_frame[sel].tolist()
-                take = min(m, len(free_slow_frames))
-                frames = free_slow_frames[-take:][::-1] if take else []
-                if take:
-                    del free_slow_frames[-take:]
-                if m > take:
-                    nf = self._next_frame[SLOW]
-                    frames += range(nf, nf + m - take)
-                    self._next_frame[SLOW] = nf + m - take
-                pt_device[sel] = SLOW
-                pt_frame[sel] = frames
-                free_fast_frames.extend(freed)
-                self._occupancy[FAST] -= m
-                self._occupancy[SLOW] += m
-                self._fast_set.difference_update(sel.tolist())
-                self.migration_stats.migrations_to_slow += m
-                moved += m
-            if overflow:
-                free_fast_frames.append(int(pt_frame[failing]))
-                raise CapacityError(
-                    f"device {SLOW} out of frames "
-                    f"({self.slow_capacity_pages} pages)"
-                )
+        for page in to_slow:
+            page = int(page)
+            if (page in both or page in pinned
+                    or page >= len(self._pt_device)
+                    or self._pt_device[page] != FAST):
+                continue
+            self._free_frames[FAST].append(int(self._pt_frame[page]))
+            self._pt_frame[page] = self._alloc_frame(SLOW)
+            self._pt_device[page] = SLOW
+            self._occupancy[FAST] -= 1
+            self._occupancy[SLOW] += 1
+            self._fast_set.discard(page)
+            self.migration_stats.migrations_to_slow += 1
+            moved += 1
 
         free_fast = (
             self.fast_capacity_pages - self._next_frame[FAST]
-            + len(free_fast_frames)
+            + len(self._free_frames[FAST])
         )
-        if to_fast and free_fast > 0:
-            arr = np.asarray(to_fast, dtype=np.int64)
-            in_table = max(to_fast) < table_size
-            if in_table:
-                dev = pt_device[arr]
-            else:
-                small = arr < table_size
-                dev = np.full(len(arr), _UNMAPPED, dtype=np.int16)
-                dev[small] = pt_device[arr[small]]
-            cand = arr[dev != FAST][:free_fast]
-            m = len(cand)
-            if m:
-                if not in_table:
-                    top = int(cand.max())
-                    if top >= table_size:
-                        self._ensure_table(top)
-                        pt_device, pt_frame = \
-                            self._pt_device, self._pt_frame
-                mapped = cand[pt_device[cand] != _UNMAPPED]
-                n_mapped = len(mapped)
-                free_slow_frames.extend(pt_frame[mapped].tolist())
-                take = min(m, len(free_fast_frames))
-                frames = free_fast_frames[-take:][::-1] if take else []
-                if take:
-                    del free_fast_frames[-take:]
-                if m > take:
-                    # Never exceeds HBM capacity: the budget already
-                    # bounds allocations by free frames + fresh frames.
-                    nf = self._next_frame[FAST]
-                    frames += range(nf, nf + m - take)
-                    self._next_frame[FAST] = nf + m - take
-                pt_device[cand] = FAST
-                pt_frame[cand] = frames
-                self._occupancy[SLOW] -= n_mapped
-                self._occupancy[FAST] += m
-                self._fast_set.update(cand.tolist())
-                self.migration_stats.migrations_to_fast += m
-                moved += m
+        for page in to_fast:
+            if free_fast <= 0:
+                break
+            page = int(page)
+            if page in both or page in pinned:
+                continue
+            self._ensure_table(page)
+            device = self._pt_device[page]
+            if device == FAST:
+                continue
+            if device != _UNMAPPED:
+                self._free_frames[SLOW].append(int(self._pt_frame[page]))
+                self._occupancy[SLOW] -= 1
+            self._pt_frame[page] = self._alloc_frame(FAST)
+            self._pt_device[page] = FAST
+            self._occupancy[FAST] += 1
+            self._fast_set.add(page)
+            self.migration_stats.migrations_to_fast += 1
+            free_fast -= 1
+            moved += 1
 
         if moved == 0:
             return now

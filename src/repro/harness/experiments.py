@@ -24,6 +24,7 @@ from repro.avf.heuristics import (
     write_ratio_avf_correlation,
     write_ratio_histogram,
 )
+from repro.avf.tracker import line_ace_times
 from repro.config import default_config, knob_value, scaled_config
 from repro.core.annotations import plan_annotations
 from repro.core.migration import (
@@ -42,6 +43,7 @@ from repro.core.placement import (
     WrRatioPlacement,
 )
 from repro.core.quadrant import quadrant_split
+from repro.faults.faultsim import resolve_fault_trials
 from repro.faults.ser import SerModel
 from repro.harness.reporting import FigureResult, gmean
 from repro.harness.sweeps import (
@@ -145,6 +147,26 @@ class WorkloadCache:
         return self
 
 
+def ddr_relative(cache: WorkloadCache, name: str) -> PreparedWorkload:
+    """``cache.get(name)`` for a figure that averages SER relative to
+    DDR-only.
+
+    A Monte-Carlo campaign that draws no uncorrected DDR error gives
+    the DDR tier a FIT of 0: the DDR-only SER is then 0, every
+    ``ser_vs_ddr`` reads 0, and no geometric mean of them exists.
+    Raises that cause, with its remedy, instead.
+    """
+    prep = cache.get(name)
+    if prep.ser_model.fit_slow_per_page == 0:
+        raise ValueError(
+            "the DDR tier's Monte-Carlo FIT is 0 at "
+            f"{resolve_fault_trials()} fault trials and seed {cache.seed} "
+            "(no trial drew an uncorrected DDR error), so SER relative to "
+            "DDR-only is undefined; use --fault-trials 0 for the analytic "
+            "FIT, or more trials")
+    return prep
+
+
 # ---------------------------------------------------------------------------
 # Tables 1 and 2
 # ---------------------------------------------------------------------------
@@ -214,7 +236,7 @@ def fig01_frontier(
     for fraction in fractions:
         ipcs, sers = [], []
         for wl in workloads:
-            prep = cache.get(wl)
+            prep = ddr_relative(cache, wl)
             res = evaluate_static(prep, HotFractionPlacement(fraction),
                                   memo=cache.replays)
             ipcs.append(res.ipc_vs_ddr)
@@ -265,11 +287,9 @@ def fig03_ace_cases() -> FigureResult:
     (a) WR..RD..RD..WR — ACE from the write to the last read;
     (b) WR....WR — a strike between two writes is masked;
     (c)/(d) equal access counts, very different AVF depending on when
-    the reads happen.  Each case is replayed through the streaming
-    tracker and its ACE time reported.
+    the reads happen.  Each case is one line's history; its ACE time
+    over the unit window is the line's AVF.
     """
-    from repro.avf.tracker import AceTracker
-
     cases = {
         "(a) WR rd rd WR": [(0.1, True), (0.4, False), (0.7, False),
                             (0.9, True)],
@@ -279,12 +299,12 @@ def fig03_ace_cases() -> FigureResult:
     }
     rows = []
     for label, events in cases.items():
-        tracker = AceTracker(assume_live_at_start=False)
+        times, writes = zip(*events)
+        _lines, (ace,) = line_ace_times(np.zeros(len(events), dtype=np.int64),
+                                        np.array(times), np.array(writes))
         timeline = ["."] * 40
         for time, is_write in events:
-            tracker.access(0, time, is_write)
             timeline[min(39, int(time * 40))] = "W" if is_write else "R"
-        ace = tracker.ace_time(0)
         rows.append([label, "".join(timeline), f"{ace * 100:.0f}%"])
     return FigureResult(
         figure="Figure 3",
@@ -350,8 +370,10 @@ def _static_figure(
         specs = [StaticSpec(policy)]
         if relative_to_perf:
             specs.append(StaticSpec(PerformanceFocusedPlacement()))
-        evals = evaluate_static_multi(cache.get(wl), specs,
-                                      memo=cache.replays)
+            prep = cache.get(wl)
+        else:
+            prep = ddr_relative(cache, wl)
+        evals = evaluate_static_multi(prep, specs, memo=cache.replays)
         res = evals[0]
         if relative_to_perf:
             base = evals[1]
@@ -503,7 +525,7 @@ def fig12_perf_migration(
     static oracle's IPC while SER stays ~268x above DDR-only."""
     rows, ipcs, sers, vs_static = [], [], [], []
     for wl in workloads:
-        prep = cache.get(wl)
+        prep = ddr_relative(cache, wl)
         static = evaluate_static(prep, PerformanceFocusedPlacement(),
                                  memo=cache.replays)
         res = evaluate_migration(

@@ -121,12 +121,13 @@ def capacity_sweep_on(
     ``resume=True`` recomputes only the unfinished workloads, and
     ``job_timeout``/``retries`` bound each job's execution.
     """
+    from repro.harness.experiments import ddr_relative
     from repro.harness.resilience import (RunManifest, checkpointed_map,
                                           run_key)
     from repro.harness.shm import shared_handoff
 
     cache.prefetch(workloads)
-    preps = {name: cache.get(name) for name in workloads}
+    preps = {name: ddr_relative(cache, name) for name in workloads}
     manifest = None
     if checkpoint_dir is not None:
         manifest = RunManifest(

@@ -2,7 +2,7 @@
 
 The subsystem has four layers, cheapest first:
 
-- :mod:`repro.obs.metrics` — counters/gauges/histograms behind a
+- :mod:`repro.obs.metrics` — named counters behind a
   process registry; a shared null backend makes telemetry-off cost one
   attribute lookup.
 - :mod:`repro.obs.tracing` — ``span("replay_epoch", ...)`` context

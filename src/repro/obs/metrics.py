@@ -1,9 +1,9 @@
-"""Process-wide metrics: counters, gauges, fixed-bucket histograms.
+"""Process-wide metrics: named counters.
 
 The design goal is *near-zero cost when telemetry is off*: every
 instrument lookup funnels through :func:`get_registry`, which returns
 the shared :data:`NULL_REGISTRY` when telemetry is disabled.  The null
-registry hands out one shared no-op instrument, so instrumented code
+registry hands out one shared no-op counter, so instrumented code
 pays one attribute lookup and an empty method call — it never branches
 on an "enabled" flag itself, and it never allocates.
 
@@ -21,15 +21,9 @@ Enablement, in precedence order:
 
 from __future__ import annotations
 
-import bisect
 import threading
 
 from repro.config import knob_value
-
-#: Default histogram bucket upper bounds (seconds-flavoured).
-DEFAULT_BUCKETS = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0, 600.0
-)
 
 
 class Counter:
@@ -45,138 +39,44 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-class Histogram:
-    """Fixed-bucket histogram with sum/count for mean recovery."""
-
-    __slots__ = ("name", "bounds", "counts", "total", "count")
-
-    def __init__(self, name: str, bounds=DEFAULT_BUCKETS) -> None:
-        self.name = name
-        self.bounds = tuple(sorted(float(b) for b in bounds))
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.counts = [0] * (len(self.bounds) + 1)  # +1 overflow bucket
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.total += value
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "sum": self.total,
-            "count": self.count,
-        }
-
-
 class _NullInstrument:
-    """Shared no-op stand-in for every instrument type."""
+    """Shared no-op stand-in for a counter."""
 
     __slots__ = ()
     name = "null"
     value = 0.0
-    total = 0.0
-    count = 0
-    mean = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def as_dict(self) -> dict:
-        return {}
 
 
 NULL_INSTRUMENT = _NullInstrument()
 
 
 class MetricsRegistry:
-    """Name-keyed instrument store; get-or-create, thread-safe."""
+    """Name-keyed counter store; get-or-create, thread-safe."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._instruments: "dict[str, object]" = {}
+        self._instruments: "dict[str, Counter]" = {}
 
-    def _get(self, name: str, factory):
+    def counter(self, name: str) -> Counter:
         instrument = self._instruments.get(name)
         if instrument is None:
             with self._lock:
-                instrument = self._instruments.get(name)
-                if instrument is None:
-                    instrument = factory()
-                    self._instruments[name] = instrument
+                instrument = self._instruments.setdefault(name,
+                                                          Counter(name))
         return instrument
 
-    def counter(self, name: str) -> Counter:
-        instrument = self._get(name, lambda: Counter(name))
-        if not isinstance(instrument, Counter):
-            raise TypeError(f"{name!r} is registered as "
-                            f"{type(instrument).__name__}, not Counter")
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._get(name, lambda: Gauge(name))
-        if not isinstance(instrument, Gauge):
-            raise TypeError(f"{name!r} is registered as "
-                            f"{type(instrument).__name__}, not Gauge")
-        return instrument
-
-    def histogram(self, name: str, bounds=DEFAULT_BUCKETS) -> Histogram:
-        instrument = self._get(name, lambda: Histogram(name, bounds))
-        if not isinstance(instrument, Histogram):
-            raise TypeError(f"{name!r} is registered as "
-                            f"{type(instrument).__name__}, not Histogram")
-        return instrument
-
-    def snapshot(self) -> "dict[str, object]":
-        """``{name: value}`` — floats for counters/gauges, dicts for
-        histograms — in sorted name order."""
-        out: "dict[str, object]" = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                out[name] = instrument.as_dict()
-            else:
-                out[name] = instrument.value  # type: ignore[union-attr]
-        return out
+    def snapshot(self) -> "dict[str, float]":
+        """``{name: value}`` in sorted name order."""
+        return {name: self._instruments[name].value
+                for name in sorted(self._instruments)}
 
     def scalars(self) -> "dict[str, float]":
-        """Counter/gauge values plus histogram sum/count, all flat floats."""
-        out: "dict[str, float]" = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                out[f"{name}.sum"] = instrument.total
-                out[f"{name}.count"] = float(instrument.count)
-            else:
-                out[name] = float(instrument.value)  # type: ignore
-        return out
+        """Counter values as flat floats, in sorted name order."""
+        return {name: float(value)
+                for name, value in self.snapshot().items()}
 
     def clear(self) -> None:
         with self._lock:
@@ -184,17 +84,11 @@ class MetricsRegistry:
 
 
 class _NullRegistry:
-    """Registry stand-in whose instruments never record anything."""
+    """Registry stand-in whose counters never record anything."""
 
     __slots__ = ()
 
     def counter(self, name: str):
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str):
-        return NULL_INSTRUMENT
-
-    def histogram(self, name: str, bounds=DEFAULT_BUCKETS):
         return NULL_INSTRUMENT
 
     def snapshot(self) -> dict:

@@ -186,23 +186,13 @@ class MigrationSpec:
 
 def _select_fast_pages(policy, stats, capacity_pages, memo):
     """``policy.select_fast_pages`` with the ranking shared across
-    capacities.
-
-    Policies exposing a capacity-independent ranking
-    (:meth:`~repro.core.placement.PlacementPolicy.select_ranking`) rank
-    once per (policy, workload) and answer every capacity with a prefix
-    slice — by the policies' prefix contract that slice is exactly what
-    ``select_fast_pages`` returns.
-    """
-    got = memo.get(id(policy))
-    if got is None:
-        ranking = policy.select_ranking(stats)
-        got = (False, None) if ranking is None else (True, ranking)
-        memo[id(policy)] = got
-    ranked, ranking = got
-    if ranked:
-        return ranking[: policy.ranked_take(capacity_pages)]
-    return policy.select_fast_pages(stats, capacity_pages)
+    capacities: each policy ranks once per workload
+    (:meth:`~repro.core.placement.PlacementPolicy.select_ranking`) and
+    every capacity takes a prefix of it."""
+    ranking = memo.get(id(policy))
+    if ranking is None:
+        ranking = memo[id(policy)] = policy.select_ranking(stats)
+    return ranking[: policy.ranked_take(capacity_pages)]
 
 
 def _page_set(pages) -> bytes:

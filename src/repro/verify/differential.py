@@ -16,8 +16,10 @@ pure-Python replay fallback that lives next to its kernel
   :class:`~repro.core.mea.ArrayMeaTracker` (compiled chunk kernel, or
   its list loop without a compiler) vs the dict
   :class:`~repro.verify.oracles.MeaTracker`.
-* ``ace``              — streaming :class:`AceTracker` vs chunk-batched
-  :class:`WindowedAceTracker` vs the batch :func:`line_ace_times`, and
+* ``ace``              — the chunk-batched
+  :class:`~repro.avf.tracker.WindowedAceTracker` (window by window)
+  and the batch :func:`~repro.avf.tracker.line_ace_times` vs the
+  streaming :class:`~repro.verify.oracles.AceTracker`, and
   :func:`~repro.avf.page.profile_trace` and
   :class:`~repro.avf.page.IntervalProfileBuilder` vs their reference
   profiles, bit-exact, on page ids multiplied by ``2**k`` so the radix
@@ -223,13 +225,10 @@ def check_mea(case: DiffCase) -> "str | None":
 
 
 def check_ace_trackers(case: DiffCase) -> "str | None":
-    """Streaming vs windowed vs batch ACE accounting, then the page and
-    interval AVF profiles vs their references."""
-    from repro.avf.tracker import (
-        AceTracker,
-        WindowedAceTracker,
-        line_ace_times,
-    )
+    """Windowed and batch ACE accounting vs the streaming oracle, then
+    the page and interval AVF profiles vs their references."""
+    from repro.avf.tracker import WindowedAceTracker, line_ace_times
+    from repro.verify.oracles import AceTracker
 
     trace, times = build_trace(case)
     lines = (trace.address // 64).astype(np.int64)
@@ -244,12 +243,13 @@ def check_ace_trackers(case: DiffCase) -> "str | None":
             streaming.access(int(lines[i]), float(times[i]), bool(writes[i]))
         windowed.observe_chunk(lines[lo:hi], times[lo:hi], writes[lo:hi])
         s_win = streaming.reset_window()
-        w_win = windowed.reset_window()
+        w_win = windowed.line_ace_times()
+        windowed.clear_window()
         if s_win != w_win:
             missing = set(s_win) ^ set(w_win)
             return (f"window {w}: streaming and windowed ACE differ "
                     f"(lines {sorted(missing)[:5]} or values)")
-    # Batch one-shot variant over the whole stream, fresh trackers.
+    # Batch one-shot variant over the whole stream, fresh oracle.
     batch_lines, batch_ace = line_ace_times(lines, times, writes)
     oracle = AceTracker()
     for i in range(len(lines)):
@@ -302,24 +302,20 @@ def _check_profiles(case: DiffCase, trace, times: np.ndarray,
         is_write=trace.is_write,
         gap=trace.gap,
     )
-    for live in (True, False):
-        got = profile_trace(spread, times, case.footprint_pages, live)
-        want = profile_trace_reference(spread, times, case.footprint_pages,
-                                       live)
-        for field in ("pages", "reads", "writes", "avf"):
-            a, b = getattr(got, field), getattr(want, field)
-            if a.dtype != b.dtype or a.tobytes() != b.tobytes():
-                return (f"profile_trace {field} differs from the reference "
-                        f"(assume_live_at_start={live})")
-        if got.footprint_pages != want.footprint_pages:
-            return "profile_trace footprint_pages differs from the reference"
-        got_iv = [dict(zip(pages.tolist(), values.tolist()))
-                  for pages, values in IntervalProfileBuilder(
-                      spread, times, live).intervals_arrays(boundaries)]
-        want_iv = profile_intervals_reference(spread, times, boundaries, live)
-        if _interval_bits(got_iv) != _interval_bits(want_iv):
-            return (f"IntervalProfileBuilder differs from the reference "
-                    f"(assume_live_at_start={live})")
+    got = profile_trace(spread, times, case.footprint_pages)
+    want = profile_trace_reference(spread, times, case.footprint_pages)
+    for field in ("pages", "reads", "writes", "avf"):
+        a, b = getattr(got, field), getattr(want, field)
+        if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+            return f"profile_trace {field} differs from the reference"
+    if got.footprint_pages != want.footprint_pages:
+        return "profile_trace footprint_pages differs from the reference"
+    got_iv = [dict(zip(pages.tolist(), values.tolist()))
+              for pages, values in IntervalProfileBuilder(
+                  spread, times).intervals_arrays(boundaries)]
+    want_iv = profile_intervals_reference(spread, times, boundaries)
+    if _interval_bits(got_iv) != _interval_bits(want_iv):
+        return "IntervalProfileBuilder differs from the reference"
     return None
 
 

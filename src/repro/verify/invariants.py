@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.harness.experiments import EXPERIMENTS, WorkloadCache
+from repro.harness.experiments import EXPERIMENTS, WorkloadCache, ddr_relative
 from repro.harness.reporting import gmean
 from repro.verify.verdict import CheckResult
 
@@ -164,7 +164,7 @@ def _migration_gains(cache: WorkloadCache) -> "dict[str, float]":
     }
     gains = {}
     for name, factory in factories.items():
-        ratios = [evaluate_migration(cache.get(w), factory(),
+        ratios = [evaluate_migration(ddr_relative(cache, w), factory(),
                                      memo=cache.replays).ser_vs_ddr
                   for w in GATE_WORKLOADS]
         gains[name] = 1.0 / gmean(ratios)  # SER gain vs the ddr baseline

@@ -12,12 +12,15 @@ product it checks:
 * :class:`MeaTracker` — the dict Misra-Gries map whose members,
   residual counts and map order
   :class:`~repro.core.mea.ArrayMeaTracker` reproduces.
+* :class:`AceTracker` — the streaming per-line ACE accumulator whose
+  sums the line-sorted ACE pass reproduces bit for bit, in
+  :func:`~repro.avf.tracker.line_ace_times` and
+  :class:`~repro.avf.tracker.WindowedAceTracker`.
 * Reference mechanisms — subclasses of the five migration mechanisms
   whose ``plan``/``plan_sub`` are the canonical dict/sort walks over
-  :class:`FullCounters` and :class:`MeaTracker`, and
-  whose ACE-driven variants feed a streaming
-  :class:`~repro.avf.tracker.AceTracker` one request at a time.  Pass
-  one as ``ReplaySpec(mechanism=...)`` to replay a case through the
+  :class:`FullCounters` and :class:`MeaTracker`, and whose ACE-driven
+  variants feed a streaming :class:`AceTracker` one request at a time.
+  Pass one as ``ReplaySpec(mechanism=...)`` to replay a case through the
   oracle; :data:`REFERENCE_MECHANISMS` maps each product class to its
   reference.
 * :func:`run_faultsim_reference` — the per-trial Monte-Carlo loop of
@@ -42,10 +45,11 @@ therefore breaks toward the lower page number.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.avf.page import PageStats
-from repro.avf.tracker import AceTracker
 from repro.config import LINES_PER_PAGE
 from repro.core.counters import check_parallel_arrays
 from repro.core.migration import (
@@ -300,6 +304,90 @@ class MeaTracker:
 
 
 # ---------------------------------------------------------------------------
+# Reference ACE tracker
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _LineState:
+    """Streaming state for one line."""
+
+    #: Time the current potential-ACE interval started: the line's
+    #: last access (a write opens one, a read commits up to itself).
+    ace_start: float
+    #: Accumulated ACE time already committed by reads.
+    ace_time: float
+
+
+class AceTracker:
+    """Exact streaming ACE-time accumulator over cache lines.
+
+    The per-access reference semantics of the line-sorted ACE pass
+    (:func:`~repro.avf.tracker.line_ace_times`, page and interval AVF
+    in :mod:`repro.avf.page`) and of
+    :class:`~repro.avf.tracker.WindowedAceTracker`.
+
+    Parameters
+    ----------
+    assume_live_at_start:
+        When True (the default, matching a measurement window cut from
+        the middle of execution) a line whose first access is a read is
+        treated as live since the window start, so ``[0, first read]``
+        counts as ACE.
+    """
+
+    def __init__(self, assume_live_at_start: bool = True) -> None:
+        self.assume_live_at_start = assume_live_at_start
+        self._lines: "dict[int, _LineState]" = {}
+        self._last_time = 0.0
+
+    def access(self, line: int, time: float, is_write: bool) -> None:
+        """Record one access. ``time`` must be non-decreasing."""
+        if time < self._last_time:
+            raise ValueError("accesses must be fed in time order")
+        self._last_time = time
+
+        state = self._lines.get(line)
+        if state is None:
+            live = self.assume_live_at_start and not is_write
+            self._lines[line] = _LineState(ace_start=time,
+                                           ace_time=time if live else 0.0)
+        elif is_write:
+            # Whatever lay between the last read and this write is dead.
+            state.ace_start = time
+        else:
+            # The span since the last committed point is all ACE: it
+            # either extends a write->read interval or chains reads.
+            state.ace_time += time - state.ace_start
+            state.ace_start = time
+
+    def ace_time(self, line: int) -> float:
+        """Committed ACE time of ``line`` so far."""
+        state = self._lines.get(line)
+        return state.ace_time if state else 0.0
+
+    def line_ace_times(self) -> "dict[int, float]":
+        """All per-line committed ACE times."""
+        return {line: s.ace_time for line, s in self._lines.items()}
+
+    def touched_lines(self) -> "list[int]":
+        return list(self._lines)
+
+    def reset_window(self) -> "dict[int, float]":
+        """Close the current measurement window.
+
+        Returns per-line ACE time accumulated in the window and starts
+        a new window: committed ACE resets to zero, while the liveness
+        state (a pending write) carries over, so ACE spans crossing the
+        boundary are attributed to the window in which the read occurs.
+        """
+        out = self.line_ace_times()
+        for state in self._lines.values():
+            state.ace_time = 0.0
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Reference migration mechanisms
 # ---------------------------------------------------------------------------
 
@@ -478,8 +566,7 @@ class ReferenceCrossCountersMigration(CrossCountersMigration):
 
 class ReferenceOracleRiskMigration(OracleRiskMigration):
     """:class:`OracleRiskMigration` as a dict walk, with ACE time from
-    a streaming :class:`~repro.avf.tracker.AceTracker` fed one request
-    at a time."""
+    a streaming :class:`AceTracker` fed one request at a time."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -638,7 +725,7 @@ def run_faultsim_reference(sim: FaultSimulator,
 
 
 def _line_sorted_contrib(
-    trace: Trace, times: np.ndarray, assume_live_at_start: bool
+    trace: Trace, times: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """``(lines, times, ace_contribution)`` per access, comparison-sorted
     by line (time order within a line)."""
@@ -654,8 +741,6 @@ def _line_sorted_contrib(
     prev[1:] = st[:-1]
     prev[first] = 0.0
     contrib = np.where(~sw, st - prev, 0.0)
-    if not assume_live_at_start:
-        contrib[first & ~sw] = 0.0
     return sl, st, contrib
 
 
@@ -663,13 +748,11 @@ def profile_trace_reference(
     trace: Trace,
     times: np.ndarray,
     footprint_pages: int = 0,
-    assume_live_at_start: bool = True,
 ) -> PageStats:
     """:func:`~repro.avf.page.profile_trace` by sorting twice: per-line
     ACE through ``np.unique`` + ``np.add.at``, pages through
     ``np.unique`` of the trace's pages and ``np.searchsorted``."""
-    sl, _st, contrib = _line_sorted_contrib(trace, times,
-                                            assume_live_at_start)
+    sl, _st, contrib = _line_sorted_contrib(trace, times)
     uline, inverse = np.unique(sl, return_inverse=True)
     ace = np.zeros(len(uline))
     np.add.at(ace, inverse, contrib)
@@ -699,13 +782,11 @@ def profile_intervals_reference(
     trace: Trace,
     times: np.ndarray,
     boundaries: np.ndarray,
-    assume_live_at_start: bool = True,
 ) -> "list[dict[int, float]]":
     """:func:`~repro.avf.page.profile_intervals` as a dict walk over the
     reads that commit ACE time, in line-sorted stream order: one
     page -> AVF dict per interval."""
-    sl, st, contrib = _line_sorted_contrib(trace, times,
-                                           assume_live_at_start)
+    sl, st, contrib = _line_sorted_contrib(trace, times)
     interval_of = np.searchsorted(boundaries, st, side="right")
     page_of = sl // LINES_PER_PAGE
 

@@ -33,13 +33,13 @@ def assert_same_stats(got, want):
     assert got.avf.view(np.uint64).tolist() == want.avf.view(np.uint64).tolist()
 
 
-def assert_same_intervals(trace, times, boundaries, live, builder=None):
+def assert_same_intervals(trace, times, boundaries, builder=None):
     """The builder's per-interval arrays hold the reference dicts' pages
     in insertion order and their values' exact bits."""
     if builder is None:
-        builder = IntervalProfileBuilder(trace, times, live)
+        builder = IntervalProfileBuilder(trace, times)
     got = builder.intervals_arrays(boundaries)
-    want = profile_intervals_reference(trace, times, boundaries, live)
+    want = profile_intervals_reference(trace, times, boundaries)
     assert [(pages.tolist(), values.tobytes()) for pages, values in got] \
         == [(list(iv), np.array(list(iv.values()), dtype=np.float64).tobytes())
             for iv in want]
@@ -75,21 +75,21 @@ def traces(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=traces(), live=st.booleans(), footprint=st.integers(0, 8))
-def test_profile_trace_matches_reference(case, live, footprint):
+@given(case=traces(), footprint=st.integers(0, 8))
+def test_profile_trace_matches_reference(case, footprint):
     trace, times = case
-    assert_same_stats(profile_trace(trace, times, footprint, live),
-                      profile_trace_reference(trace, times, footprint, live))
+    assert_same_stats(profile_trace(trace, times, footprint),
+                      profile_trace_reference(trace, times, footprint))
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=traces(), live=st.booleans(), data=st.data())
-def test_interval_builder_matches_reference(case, live, data):
+@given(case=traces(), data=st.data())
+def test_interval_builder_matches_reference(case, data):
     trace, times = case
     grid = np.arange(18) / 17  # hits access times exactly
     boundaries = np.sort(np.array(data.draw(
         st.lists(st.sampled_from(grid.tolist()), max_size=5))))
-    assert_same_intervals(trace, times, boundaries, live)
+    assert_same_intervals(trace, times, boundaries)
 
 
 @pytest.mark.fuzz
@@ -99,13 +99,10 @@ def test_workload_profiles_match_reference(name, seed):
     """Every paper workload and frontier generator, product vs oracle."""
     wt = resolve_workload(name).generate(
         scale=DEFAULT_SCALE, accesses_per_core=2000, seed=seed)
-    for live in (True, False):
-        assert_same_stats(
-            profile_trace(wt.trace, wt.times, wt.footprint_pages, live),
-            profile_trace_reference(wt.trace, wt.times, wt.footprint_pages,
-                                    live))
-        builder = IntervalProfileBuilder(wt.trace, wt.times, live)
-        for count in (4, 16, 64):
-            boundaries = np.arange(1, count) / count
-            assert_same_intervals(wt.trace, wt.times, boundaries, live,
-                                  builder)
+    assert_same_stats(
+        profile_trace(wt.trace, wt.times, wt.footprint_pages),
+        profile_trace_reference(wt.trace, wt.times, wt.footprint_pages))
+    builder = IntervalProfileBuilder(wt.trace, wt.times)
+    for count in (4, 16, 64):
+        boundaries = np.arange(1, count) / count
+        assert_same_intervals(wt.trace, wt.times, boundaries, builder)

@@ -1,17 +1,21 @@
 """Unit and property tests for ACE interval tracking.
 
 The class-level tests reproduce the four didactic cases of the paper's
-Figure 3; the hypothesis test cross-validates the streaming tracker
-against the vectorised batch implementation.
+Figure 3 on the streaming reference tracker
+(:class:`~repro.verify.oracles.AceTracker`); the hypothesis tests
+cross-validate the product's line-sorted ACE pass — the batch
+:func:`line_ace_times` and the chunk-batched
+:class:`WindowedAceTracker` — against it.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.avf.tracker import (AceTracker, WindowedAceTracker,
-                               line_ace_times, stable_int_argsort)
+from repro.avf.tracker import (WindowedAceTracker, line_ace_times,
+                               stable_int_argsort)
+from repro.verify.oracles import AceTracker
 
 
 def run_stream(events, assume_live_at_start=True):
@@ -150,17 +154,15 @@ class TestVectorised:
         st.tuples(st.integers(0, 5), st.floats(0.0, 1.0), st.booleans()),
         min_size=1, max_size=60,
     ),
-    live=st.booleans(),
 )
-def test_streaming_equals_vectorised(events, live):
+def test_streaming_equals_vectorised(events):
     """Reference streaming tracker == vectorised batch, always."""
     events = sorted(events, key=lambda e: e[1])
-    stream = run_stream(events, assume_live_at_start=live)
+    stream = run_stream(events)
     lines = np.array([e[0] for e in events])
     times = np.array([e[1] for e in events])
     writes = np.array([e[2] for e in events])
-    ulines, ace = line_ace_times(lines, times, writes,
-                                 assume_live_at_start=live)
+    ulines, ace = line_ace_times(lines, times, writes)
     batch = dict(zip(ulines.tolist(), ace.tolist()))
     for line in stream.touched_lines():
         assert batch.get(line, 0.0) == pytest.approx(
@@ -201,16 +203,15 @@ def _feed_chunked(tracker, events, cuts):
         )
 
 
-class TestWindowedTracker:
-    def test_scalar_access_matches_stream(self):
-        events = [(0, 0.1, True), (0, 0.3, False), (1, 0.4, False),
-                  (0, 0.6, False), (1, 0.7, True), (0, 0.9, True)]
-        stream = run_stream(events)
-        windowed = WindowedAceTracker()
-        for line, time, w in events:
-            windowed.access(line, time, w)
-        assert windowed.line_ace_times() == stream.line_ace_times()
+def _close_window(tracker):
+    """The windowed tracker's per-line window ACE, then a new window:
+    what the streaming tracker's ``reset_window`` returns."""
+    window = tracker.line_ace_times()
+    tracker.clear_window()
+    return window
 
+
+class TestWindowedTracker:
     def test_rejects_out_of_order_chunks(self):
         t = WindowedAceTracker()
         t.observe_chunk(np.array([0]), np.array([0.5]), np.array([True]))
@@ -240,7 +241,7 @@ class TestWindowedTracker:
         t = WindowedAceTracker()
         t.observe_chunk(np.empty(0, dtype=np.int64), np.empty(0),
                         np.empty(0, dtype=bool))
-        assert t.touched_lines() == []
+        assert t.line_ace_times() == {}
 
     def test_grows_past_initial_capacity(self):
         t = WindowedAceTracker()
@@ -248,7 +249,8 @@ class TestWindowedTracker:
                         np.array([True]))
         t.observe_chunk(np.array([50_000]), np.array([0.6]),
                         np.array([False]))
-        assert t.ace_time(50_000) == pytest.approx(0.5)
+        assert t.window_ace_of(np.array([50_000])).tolist() \
+            == [pytest.approx(0.5)]
 
     def test_window_reset_carries_liveness(self):
         """A write before the boundary + read after it lands the whole
@@ -258,12 +260,12 @@ class TestWindowedTracker:
         stream = run_stream(events_a)
         windowed = WindowedAceTracker()
         _feed_chunked(windowed, events_a, [])
-        assert windowed.reset_window() == stream.reset_window()
+        assert _close_window(windowed) == stream.reset_window()
         for line, time, w in events_b:
             stream.access(line, time, w)
         _feed_chunked(windowed, events_b, [])
         assert windowed.line_ace_times() == stream.line_ace_times()
-        assert windowed.ace_time(0) == pytest.approx(0.6)
+        assert windowed.line_ace_times() == {0: pytest.approx(0.6)}
 
     def test_window_ace_of_untouched_is_zero(self):
         t = WindowedAceTracker()
@@ -280,15 +282,23 @@ class TestWindowedTracker:
     ),
     cuts=st.lists(st.integers(0, 60), max_size=4),
     resets=st.integers(0, 2),
-    live=st.booleans(),
 )
-def test_windowed_equals_streaming(events, cuts, resets, live):
+# One line read and written across two chunks of each of two windows:
+# its carried last access opens every chunk and window after the first.
+@example(events=[(0, 0.1, False), (1, 0.2, True), (0, 0.3, True),
+                 (0, 0.4, False), (1, 0.5, False), (0, 0.6, False),
+                 (0, 0.7, True), (0, 0.8, False)],
+         cuts=[1], resets=1)
+@example(events=[(2, 0.1, True), (2, 0.2, False), (2, 0.3, False),
+                 (2, 0.4, True), (2, 0.5, False), (2, 0.6, False)],
+         cuts=[1, 2], resets=2)
+def test_windowed_equals_streaming(events, cuts, resets):
     """Chunk-batched tracker == streaming reference, bit for bit,
     across arbitrary chunking and window resets."""
     events = sorted(events, key=lambda e: e[1])
     cuts = [min(c, len(events)) for c in cuts]
-    stream = AceTracker(assume_live_at_start=live)
-    windowed = WindowedAceTracker(assume_live_at_start=live)
+    stream = AceTracker()
+    windowed = WindowedAceTracker()
 
     # Split the trace into `resets + 1` measurement windows, each fed
     # to the windowed tracker in the chunk pattern given by `cuts`.
@@ -302,7 +312,7 @@ def test_windowed_equals_streaming(events, cuts, resets, live):
         _feed_chunked(windowed, window,
                       [min(c, len(window)) for c in cuts])
         # Exact equality: the committed sums must be bit-identical.
-        assert windowed.reset_window() == stream.reset_window()
+        assert _close_window(windowed) == stream.reset_window()
         lo = hi
 
 

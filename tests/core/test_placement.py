@@ -146,3 +146,14 @@ class TestRegistry:
             chosen = policy.select_fast_pages(stats(), 2)
             assert len(chosen) <= 2
             assert len(np.unique(chosen)) == len(chosen)
+
+    @pytest.mark.parametrize(
+        "policy_class",
+        sorted({type(p) for p in STATIC_POLICIES.values()}
+               | {HotFractionPlacement}, key=lambda cls: cls.__name__))
+    def test_policies_only_rank(self, policy_class):
+        """A policy defines its ranking; the capacity prefix is the base
+        class's one ``select_fast_pages``, so no policy can answer a
+        capacity differently from the engine's ranking slice."""
+        assert "select_fast_pages" not in vars(policy_class)
+        assert "select_ranking" in vars(policy_class)

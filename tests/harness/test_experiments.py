@@ -148,6 +148,21 @@ class TestCli:
         assert "is not a directory" in capsys.readouterr().err
         assert existing.read_text() == ""
 
+    @pytest.mark.parametrize("experiment", ["fig05", "sweep-capacity"])
+    def test_zero_ddr_fit_fails_with_its_cause(self, experiment, capsys):
+        """At 2,000 trials and seed 3 the DDR campaign draws no
+        uncorrected error: a figure that averages SER relative to
+        DDR-only names that cause and its remedy."""
+        rc = cli_main(["run", experiment, "--seed", "3",
+                       "--fault-trials", "2000", "--accesses", "300"])
+        captured = capsys.readouterr()
+        report = captured.out + captured.err
+        assert rc == 1
+        assert ("the DDR tier's Monte-Carlo FIT is 0 at 2000 fault trials "
+                "and seed 3") in report
+        assert "--fault-trials 0" in report
+        assert "geometric mean" not in report
+
 
 class TestCliTools:
     def test_workloads_listing(self, capsys):

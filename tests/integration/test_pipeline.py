@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.avf.page import profile_trace
-from repro.avf.tracker import AceTracker
 from repro.core.migration import (
     CrossCountersMigration,
     PerformanceFocusedMigration,
@@ -28,6 +27,7 @@ from repro.sim.system import (
     evaluate_static,
     prepare_workload,
 )
+from repro.verify.oracles import AceTracker
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,10 @@
-"""Unit tests for the metrics core (counters/gauges/histograms)."""
-
-import pytest
+"""Unit tests for the metrics core (counters)."""
 
 from repro.obs import metrics
 from repro.obs.metrics import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
 )
 
@@ -20,69 +16,20 @@ class TestInstruments:
         c.inc(2.5)
         assert c.value == 3.5
 
-    def test_gauge_last_write_wins(self):
-        g = Gauge("x")
-        g.set(1)
-        g.set(7.0)
-        assert g.value == 7.0
-
-    def test_histogram_buckets(self):
-        h = Histogram("x", bounds=(1.0, 10.0))
-        for v in (0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.counts == [1, 1, 1]  # under, mid, overflow
-        assert h.count == 3
-        assert h.mean == pytest.approx((0.5 + 5.0 + 50.0) / 3)
-
-    def test_histogram_boundary_lands_in_lower_bucket(self):
-        h = Histogram("x", bounds=(1.0, 10.0))
-        h.observe(1.0)
-        assert h.counts == [1, 0, 0]
-
-    def test_histogram_rejects_empty_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("x", bounds=())
-
-    def test_histogram_as_dict(self):
-        h = Histogram("x", bounds=(2.0, 1.0))  # sorted internally
-        h.observe(1.5)
-        d = h.as_dict()
-        assert d["bounds"] == [1.0, 2.0]
-        assert d["counts"] == [0, 1, 0]
-        assert d["sum"] == 1.5
-        assert d["count"] == 1
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
 
-    def test_type_collision_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError):
-            reg.gauge("a")
-        with pytest.raises(TypeError):
-            reg.histogram("a")
-
     def test_snapshot_sorted_and_typed(self):
         reg = MetricsRegistry()
         reg.counter("b").inc(2)
-        reg.gauge("a").set(1)
-        reg.histogram("c", bounds=(1.0,)).observe(0.5)
+        reg.counter("a").inc()
         snap = reg.snapshot()
-        assert list(snap) == ["a", "b", "c"]
-        assert snap["a"] == 1.0
-        assert snap["b"] == 2.0
-        assert isinstance(snap["c"], dict)
-
-    def test_scalars_flattens_histograms(self):
-        reg = MetricsRegistry()
-        reg.histogram("h", bounds=(1.0,)).observe(0.25)
-        reg.histogram("h", bounds=(1.0,)).observe(0.75)
-        scalars = reg.scalars()
-        assert scalars == {"h.sum": 1.0, "h.count": 2.0}
+        assert list(snap) == ["a", "b"]
+        assert snap == {"a": 1.0, "b": 2.0}
+        assert reg.scalars() == snap
 
     def test_clear(self):
         reg = MetricsRegistry()
@@ -94,13 +41,10 @@ class TestRegistry:
 class TestNullBackend:
     def test_null_registry_hands_out_shared_noop(self):
         assert NULL_REGISTRY.counter("x") is NULL_INSTRUMENT
-        assert NULL_REGISTRY.gauge("y") is NULL_INSTRUMENT
-        assert NULL_REGISTRY.histogram("z") is NULL_INSTRUMENT
+        assert NULL_REGISTRY.counter("y") is NULL_INSTRUMENT
 
     def test_null_instrument_records_nothing(self):
         NULL_INSTRUMENT.inc(5)
-        NULL_INSTRUMENT.set(5)
-        NULL_INSTRUMENT.observe(5)
         assert NULL_INSTRUMENT.value == 0.0
         assert NULL_REGISTRY.snapshot() == {}
         assert NULL_REGISTRY.scalars() == {}
