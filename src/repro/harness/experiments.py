@@ -147,6 +147,16 @@ class WorkloadCache:
         return self
 
 
+def _zero_fit(cache: WorkloadCache, fit: str, why: str,
+              undefined: str) -> ValueError:
+    """The refusal of a figure whose SER ratios a zero Monte-Carlo FIT
+    leaves undefined: the cause, what it leaves undefined, the remedy."""
+    return ValueError(
+        f"{fit} at {resolve_fault_trials()} fault trials and seed "
+        f"{cache.seed} ({why}), so {undefined} is undefined; use "
+        "--fault-trials 0 for the analytic FIT, or more trials")
+
+
 def ddr_relative(cache: WorkloadCache, name: str) -> PreparedWorkload:
     """``cache.get(name)`` for a figure that averages SER relative to
     DDR-only.
@@ -158,12 +168,29 @@ def ddr_relative(cache: WorkloadCache, name: str) -> PreparedWorkload:
     """
     prep = cache.get(name)
     if prep.ser_model.fit_slow_per_page == 0:
-        raise ValueError(
-            "the DDR tier's Monte-Carlo FIT is 0 at "
-            f"{resolve_fault_trials()} fault trials and seed {cache.seed} "
-            "(no trial drew an uncorrected DDR error), so SER relative to "
-            "DDR-only is undefined; use --fault-trials 0 for the analytic "
-            "FIT, or more trials")
+        raise _zero_fit(cache, "the DDR tier's Monte-Carlo FIT is 0",
+                        "no trial drew an uncorrected DDR error",
+                        "SER relative to DDR-only")
+    return prep
+
+
+def scheme_relative(cache: WorkloadCache, name: str) -> PreparedWorkload:
+    """``cache.get(name)`` for a figure that averages one scheme's SER
+    relative to another's (performance-focused placement or migration,
+    or Cross Counters).
+
+    A scheme's SER charges each page the FIT of the tier holding it, so
+    it is 0 for every scheme only when neither tier's Monte-Carlo
+    campaign draws an uncorrected error; then no ratio of SERs, and no
+    geometric mean of them, exists.  Raises that cause, with its
+    remedy, instead; one nonzero FIT is enough.
+    """
+    prep = cache.get(name)
+    model = prep.ser_model
+    if model.fit_fast_per_page == 0 and model.fit_slow_per_page == 0:
+        raise _zero_fit(cache, "both tiers' Monte-Carlo FITs are 0",
+                        "no trial drew an uncorrected error on either tier",
+                        "every SER is 0 and SER relative to another scheme")
     return prep
 
 
@@ -370,7 +397,7 @@ def _static_figure(
         specs = [StaticSpec(policy)]
         if relative_to_perf:
             specs.append(StaticSpec(PerformanceFocusedPlacement()))
-            prep = cache.get(wl)
+            prep = scheme_relative(cache, wl)
         else:
             prep = ddr_relative(cache, wl)
         evals = evaluate_static_multi(prep, specs, memo=cache.replays)
@@ -607,7 +634,7 @@ def _migration_vs_perf(
 ) -> FigureResult:
     rows, ipc_ratios, ser_ratios = [], [], []
     for wl in workloads:
-        base, res = evaluate_migration_multi(cache.get(wl), [
+        base, res = evaluate_migration_multi(scheme_relative(cache, wl), [
             MigrationSpec(PerformanceFocusedMigration(),
                           num_intervals=num_intervals),
             MigrationSpec(mechanism_factory(), num_intervals=num_intervals,
@@ -684,7 +711,7 @@ def workload_frontier(
     ipc_vs_cc, ser_vs_cc = [], []
     summary: "dict[str, float]" = {}
     for wl in workloads:
-        prep = cache.get(wl)
+        prep = scheme_relative(cache, wl)
         tol = getattr(prep.workload_trace, "tolerance", None)
         specs = [
             MigrationSpec(PerformanceFocusedMigration(),
@@ -859,7 +886,7 @@ def fig16_annotations(cache: WorkloadCache,
     performance loss vs the performance-focused oracle."""
     rows, ipc_ratios, ser_ratios = [], [], []
     for wl in workloads:
-        prep = cache.get(wl)
+        prep = scheme_relative(cache, wl)
         base = evaluate_static(prep, PerformanceFocusedPlacement(),
                                memo=cache.replays)
         res, plan = evaluate_annotations(prep, memo=cache.replays)

@@ -31,7 +31,7 @@ Workers that need to mutate make an explicit ``np.array(...)`` copy.
 Sweep lifecycle — one segment per workload set, not per job
 -----------------------------------------------------------
 
-A config-batched sweep (:func:`~repro.harness.sweeps.capacity_sweep`)
+A multi-point sweep (:func:`~repro.harness.sweeps.capacity_sweep`)
 shares ONE segment across *every* job of the sweep, not one per job:
 
 1. The parent prepares the workloads once and enters

@@ -42,9 +42,9 @@ def _capacity_workload(item) -> "list[list[float]]":
     """One sweep job: every capacity fraction for one workload.
 
     Forked workers inherit it and its items, so nothing is pickled to
-    them.  The config batch (two policies x all fractions) rides a single
-    :func:`~repro.sim.system.evaluate_static_multi` call, so the trace
-    is replayed through one stacked kernel pass.  Returns one
+    them.  The points (two policies x all fractions) ride a single
+    :func:`~repro.sim.system.evaluate_static_multi` call, which ranks
+    each policy once and replays each point on its own.  Returns one
     JSON-serialisable ``[perf_ipc, perf_ser, wr2_ipc, wr2_ser]`` quartet
     per fraction (rows journal inline into a resume manifest) for the
     parent to fold across workloads.
@@ -116,10 +116,11 @@ def capacity_sweep_on(
     preparations and SER model.
 
     Each *workload* is one fault-tolerant job whose fractions ride a
-    single config-batched replay.  Finished jobs journal into
-    ``checkpoint_dir`` immediately, so a killed sweep restarted with
-    ``resume=True`` recomputes only the unfinished workloads, and
-    ``job_timeout``/``retries`` bound each job's execution.
+    single :func:`~repro.sim.system.evaluate_static_multi` call.
+    Finished jobs journal into ``checkpoint_dir`` immediately, so a
+    killed sweep restarted with ``resume=True`` recomputes only the
+    unfinished workloads, and ``job_timeout``/``retries`` bound each
+    job's execution.
     """
     from repro.harness.experiments import ddr_relative
     from repro.harness.resilience import (RunManifest, checkpointed_map,
@@ -184,15 +185,16 @@ def fit_multiplier_sweep(
     The SER blow-up of performance-focused placement scales linearly
     with the raw-FIT gap; reliability-aware placement flattens it.
     """
-    prep = cache.get(workload)
+    from repro.harness.experiments import ddr_relative
+
+    prep = ddr_relative(cache, workload)
     configs = []
     for multiplier in multipliers:
         fast = replace(prep.config.fast_memory, fit_multiplier=multiplier)
         configs.append(replace(prep.config, fast_memory=fast))
     # One HBM campaign per multiplier, one DDR campaign for all points,
-    # and one batched replay pass: the multiplier only moves the fault
-    # model, so every point shares the same two (policy, placement)
-    # replays.
+    # and two replays: the multiplier only moves the fault model, so
+    # every point shares the same two (policy, placement) replays.
     ser_models = SerModel.for_systems(configs, seed=cache.seed,
                                       campaigns=cache.campaigns)
     perf_p, wr2_p = PerformanceFocusedPlacement(), Wr2RatioPlacement()
@@ -234,9 +236,9 @@ def mlp_sensitivity(
     prep = cache.get(workload)
     wt = prep.workload_trace
     fast_pages = policy.select_fast_pages(prep.stats, prep.capacity_pages)
-    # Specs differ only in the miss window, which is per-config state
-    # in the stacked kernel: all (window, memory) points ride one
-    # replay_multi pass.
+    # Specs differ only in the miss window, which each spec's kernel
+    # state carries: all (window, memory) points ride one replay_multi
+    # call.
     specs = []
     for window in windows:
         windows_vec = [window] * prep.config.num_cores

@@ -55,7 +55,7 @@ _MULTI_SOURCE = f"""
 """ + r"""
 #include <stdint.h>
 
-/* One chunk of the config-batched replay loop.
+/* One chunk of one configuration's replay.
  *
  * Mirrors the reference path (ReplayCore + HeterogeneousMemory.service
  * + MemoryDevice.service) float-operation for float-operation; compiled
@@ -63,24 +63,20 @@ _MULTI_SOURCE = f"""
  * exactly like CPython's (gap * spi is rounded before it is added).
  * Page/line decomposition, page-table translation and channel/bank/row
  * routing are pure integer arithmetic on non-negative operands, so C's
- * / and % match Python's.  An outer loop walks nspec system
- * configurations stacked along the leading axis of every state array,
- * so one call replays the shared request chunk against N page tables /
- * capacities / latency tables.  The request arrays (address, core,
- * is_write, gap) are the trace's own columns, shared by every config
- * and spanning the whole trace; the chunk is the index range
- * [start, stop), so callers pass full-trace pointers once and move
- * only the bounds between chunks.  Everything else is per-config with
- * the config index as the leading dimension.
+ * / and % match Python's.  The request arrays (address, core,
+ * is_write, gap) are the trace's own columns, spanning the whole
+ * trace; the chunk is the index range [start, stop), so callers pass
+ * full-trace pointers once and move only the bounds between chunks.
  *
- * instructions layout per config: [ncores] retired instructions (every
- * gap plus the access itself), and dev_counts: [reads_fast,
- * reads_slow, writes_fast, writes_slow]; both incremented in place.
+ * instructions holds per-core retired instructions (every gap plus the
+ * access itself), and dev_counts [reads_fast, reads_slow, writes_fast,
+ * writes_slow]; both are incremented in place.
  */
 void repro_multi_chunk(
-    int64_t nspec,
     int64_t start,
     int64_t stop,
+    const int16_t *pt_device,     /* [pages] */
+    const int64_t *pt_frame,      /* [pages] */
     const uint64_t *address,
     const uint16_t *core,
     const uint8_t *is_write,      /* numpy bool: one byte, 0 or 1 */
@@ -91,130 +87,104 @@ void repro_multi_chunk(
     int64_t f_nc, int64_t s_nc,
     int64_t f_bpc, int64_t s_bpc,
     int64_t n_fast_banks,
-    const int16_t *pt_device,     /* [nspec][pt_len] */
-    const int64_t *pt_frame,      /* [nspec][pt_len] */
-    int64_t pt_len,
-    const double *latconst,       /* [nspec][8] */
-    double *core_time,            /* [nspec][ncores] */
-    int64_t *instructions,        /* [nspec][ncores] */
-    const int32_t *windows,       /* [nspec][ncores] */
-    double *ring,                 /* [nspec][ncores][ringcap] */
-    int32_t *ring_head,           /* [nspec][ncores] */
-    int32_t *ring_len,            /* [nspec][ncores] */
     int32_t ringcap,
-    int64_t ncores,
-    double *bank_busy,            /* [nspec][nbanks] */
-    int64_t *bank_open,           /* [nspec][nbanks] */
+    const double *latconst,       /* [8] */
+    double *core_time,            /* [ncores] */
+    int64_t *instructions,        /* [ncores] */
+    const int32_t *windows,       /* [ncores] */
+    double *ring,                 /* [ncores][ringcap] */
+    int32_t *ring_head,           /* [ncores] */
+    int32_t *ring_len,            /* [ncores] */
+    double *bank_busy,            /* [nbanks] */
+    int64_t *bank_open,           /* [nbanks] */
     int64_t *bank_hits,
     int64_t *bank_misses,
     int64_t *bank_conflicts,
-    double *chan_busy,            /* [nspec][nchan] */
-    int64_t nbanks,
-    int64_t nchan,
-    double *read_lat,             /* [nspec][2] */
-    double *busy_acc,             /* [nspec][2] */
-    double *read_total,           /* [nspec] */
-    int64_t *dev_counts)          /* [nspec][4] */
+    double *chan_busy,            /* [nchan] */
+    double *read_lat,             /* [2] */
+    double *busy_acc,             /* [2] */
+    double *read_total,           /* [1] */
+    int64_t *dev_counts)          /* [4] */
 {
-    for (int64_t k = 0; k < nspec; k++) {
-        const int16_t *ptd = pt_device + k * pt_len;
-        const int64_t *ptf = pt_frame + k * pt_len;
-        const double *lconst = latconst + k * 8;
-        double *ctime = core_time + k * ncores;
-        int64_t *instr = instructions + k * ncores;
-        const int32_t *wins = windows + k * ncores;
-        double *kring = ring + k * ncores * ringcap;
-        int32_t *khead = ring_head + k * ncores;
-        int32_t *klen = ring_len + k * ncores;
-        double *bbusy = bank_busy + k * nbanks;
-        int64_t *bopen = bank_open + k * nbanks;
-        int64_t *bhits = bank_hits + k * nbanks;
-        int64_t *bmiss = bank_misses + k * nbanks;
-        int64_t *bconf = bank_conflicts + k * nbanks;
-        double *cbusy = chan_busy + k * nchan;
-        double *rlat = read_lat + k * 2;
-        double *bacc = busy_acc + k * 2;
-        int64_t *counts = dev_counts + k * 4;
-        double rtotal = read_total[k];
-        for (int64_t i = start; i < stop; i++) {
-            /* -- translation + routing (pure integer, matches numpy) -- */
-            uint64_t a = address[i];
-            int64_t p = (int64_t)(a / PAGE_SIZE);
-            int64_t d = (int64_t)ptd[p];
-            int64_t local = ptf[p] * lines_per_page
-                            + (int64_t)((a % PAGE_SIZE) / LINE_SIZE);
-            int64_t nc = d ? s_nc : f_nc;
-            int64_t bpc = d ? s_bpc : f_bpc;
-            int64_t channel = local % nc;
-            int64_t row_global = (local / nc) / lines_per_row;
-            int64_t bank = row_global % bpc;
-            int64_t rw = row_global / bpc;
-            int64_t g = d ? n_fast_banks + channel * s_bpc + bank
-                          : channel * f_bpc + bank;
-            int64_t cd = d ? f_nc + channel : channel;
-            counts[d ? (is_write[i] ? 3 : 1) : (is_write[i] ? 2 : 0)]++;
+    double rtotal = *read_total;
+    for (int64_t i = start; i < stop; i++) {
+        /* -- translation + routing (pure integer, matches numpy) -- */
+        uint64_t a = address[i];
+        int64_t p = (int64_t)(a / PAGE_SIZE);
+        int64_t d = (int64_t)pt_device[p];
+        int64_t local = pt_frame[p] * lines_per_page
+                        + (int64_t)((a % PAGE_SIZE) / LINE_SIZE);
+        int64_t nc = d ? s_nc : f_nc;
+        int64_t bpc = d ? s_bpc : f_bpc;
+        int64_t channel = local % nc;
+        int64_t row_global = (local / nc) / lines_per_row;
+        int64_t bank = row_global % bpc;
+        int64_t rw = row_global / bpc;
+        int64_t g = d ? n_fast_banks + channel * s_bpc + bank
+                      : channel * f_bpc + bank;
+        int64_t cd = d ? f_nc + channel : channel;
+        dev_counts[d ? (is_write[i] ? 3 : 1) : (is_write[i] ? 2 : 0)]++;
 
-            /* -- busy-until resolution; ring is a per-core circular
-             * buffer of in-flight finish times (ReplayCore's deque) -- */
-            int32_t c = core[i];
-            double t = ctime[c] + (double)gap[i] * spi;
-            instr[c] += (int64_t)gap[i] + 1;
-            double *r = kring + (int64_t)c * ringcap;
-            int32_t head = khead[c];
-            int32_t len = klen[c];
+        /* -- busy-until resolution; ring is a per-core circular
+         * buffer of in-flight finish times (ReplayCore's deque) -- */
+        int32_t c = core[i];
+        double t = core_time[c] + (double)gap[i] * spi;
+        instructions[c] += (int64_t)gap[i] + 1;
+        double *r = ring + (int64_t)c * ringcap;
+        int32_t head = ring_head[c];
+        int32_t len = ring_len[c];
+        while (len > 0 && r[head] <= t) {
+            head++; if (head == ringcap) head = 0;
+            len--;
+        }
+        if (len >= windows[c]) {
+            double oldest = r[head];
+            head++; if (head == ringcap) head = 0;
+            len--;
+            if (oldest > t) t = oldest;
             while (len > 0 && r[head] <= t) {
                 head++; if (head == ringcap) head = 0;
                 len--;
             }
-            if (len >= wins[c]) {
-                double oldest = r[head];
-                head++; if (head == ringcap) head = 0;
-                len--;
-                if (oldest > t) t = oldest;
-                while (len > 0 && r[head] <= t) {
-                    head++; if (head == ringcap) head = 0;
-                    len--;
-                }
-            }
-            double bb = bbusy[g];
-            double begin = t > bb ? t : bb;
-            int64_t open_row = bopen[g];
-            const double *lc = lconst + d * 4;
-            double access_done;
-            if (open_row == rw) {
-                bhits[g]++;
-                access_done = begin + lc[0];
-            } else if (open_row < 0) {
-                bmiss[g]++;
-                access_done = begin + lc[1];
-            } else {
-                bconf[g]++;
-                access_done = begin + lc[2];
-            }
-            bopen[g] = rw;
-            double b = lc[3];
-            double burst_start = access_done - b;
-            double cb = cbusy[cd];
-            if (cb > burst_start) burst_start = cb;
-            double finish = burst_start + b;
-            cbusy[cd] = finish;
-            bbusy[g] = finish;
-            if (!is_write[i]) {
-                double latency = finish - t;
-                rlat[d] += latency;
-                rtotal += latency;
-            }
-            bacc[d] += b;
-            int32_t tail = head + len;
-            if (tail >= ringcap) tail -= ringcap;
-            r[tail] = finish;
-            len++;
-            khead[c] = head;
-            klen[c] = len;
-            ctime[c] = t;
         }
-        read_total[k] = rtotal;
+        double bb = bank_busy[g];
+        double begin = t > bb ? t : bb;
+        int64_t open_row = bank_open[g];
+        const double *lc = latconst + d * 4;
+        double access_done;
+        if (open_row == rw) {
+            bank_hits[g]++;
+            access_done = begin + lc[0];
+        } else if (open_row < 0) {
+            bank_misses[g]++;
+            access_done = begin + lc[1];
+        } else {
+            bank_conflicts[g]++;
+            access_done = begin + lc[2];
+        }
+        bank_open[g] = rw;
+        double b = lc[3];
+        double burst_start = access_done - b;
+        double cb = chan_busy[cd];
+        if (cb > burst_start) burst_start = cb;
+        double finish = burst_start + b;
+        chan_busy[cd] = finish;
+        bank_busy[g] = finish;
+        if (!is_write[i]) {
+            double latency = finish - t;
+            read_lat[d] += latency;
+            rtotal += latency;
+        }
+        busy_acc[d] += b;
+        int32_t tail = head + len;
+        if (tail >= ringcap) tail -= ringcap;
+        r[tail] = finish;
+        len++;
+        ring_head[c] = head;
+        ring_len[c] = len;
+        core_time[c] = t;
     }
+    *read_total = rtotal;
 }
 """
 
@@ -341,19 +311,19 @@ def _bind_multi(so_path: str):
     ptr = ctypes.c_void_p
     c_i64 = ctypes.c_int64
     fn.argtypes = [
-        c_i64, c_i64, c_i64,                   # nspec, start, stop
+        c_i64, c_i64,                          # start, stop
+        ptr, ptr,                              # pt_device, pt_frame
         ptr, ptr, ptr, ptr,                    # address, core, write, gap
         ctypes.c_double,                       # spi
         c_i64, c_i64,                          # lines_per_page, lines_per_row
         c_i64, c_i64, c_i64, c_i64, c_i64,     # f_nc, s_nc, f_bpc, s_bpc,
                                                # n_fast_banks
-        ptr, ptr, c_i64,                       # pt_device, pt_frame, pt_len
+        ctypes.c_int32,                        # ringcap
         ptr,                                   # latconst
         ptr, ptr, ptr,                         # core_time, instr, windows
-        ptr, ptr, ptr, ctypes.c_int32,         # ring, head, len, ringcap
-        c_i64,                                 # ncores
+        ptr, ptr, ptr,                         # ring, head, len
         ptr, ptr, ptr, ptr, ptr,               # bank state
-        ptr, c_i64, c_i64,                     # chan_busy, nbanks, nchan
+        ptr,                                   # chan_busy
         ptr, ptr, ptr,                         # read_lat, busy_acc, read_total
         ptr,                                   # dev_counts
     ]
@@ -377,65 +347,3 @@ def load_multi():
 def multi_build_error() -> "str | None":
     """The replay kernel's build/load failure, if any."""
     return _MULTI.build_error()
-
-
-class MultiCall:
-    """A pre-bound replay-kernel invocation.
-
-    Chunked replays call the kernel once per interval with the same
-    request and state arrays every time; re-deriving ~20 ctypes
-    pointers per call costs more than some chunks' C work.  This caches
-    every pointer at construction (holding array references so the
-    memory stays alive) and per call passes only the request range and
-    the page-table columns, which migrations may reallocate between
-    chunks.  The request arrays are the trace's own columns, read in
-    place: ``address`` uint64, ``core`` uint16, ``is_write`` bool and
-    ``gap`` uint32, each C-contiguous; the kernel derives pages, lines
-    and ``gap * spi`` per request.  Every per-config array must be
-    stacked ``[nspec, ...]`` C-contiguously (``nspec`` is taken from
-    ``read_total``), and every page a call references must be mapped in
-    every config's page table.
-    """
-
-    def __init__(self, fn, address, core, is_write, gap, spi,
-                 lines_per_page, lines_per_row,
-                 f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-                 latconst, core_time, instructions, windows,
-                 ring, ring_head, ring_len, ringcap, ncores,
-                 bank_busy, bank_open, bank_hits, bank_misses,
-                 bank_conflicts, chan_busy, nbanks, nchan,
-                 read_lat, busy_acc, read_total, dev_counts) -> None:
-        self._fn = fn
-        self._nspec = len(read_total)
-        self._keep = (address, core, is_write, gap, latconst, core_time,
-                      instructions, windows, ring, ring_head, ring_len,
-                      bank_busy, bank_open, bank_hits, bank_misses,
-                      bank_conflicts, chan_busy, read_lat, busy_acc,
-                      read_total, dev_counts)
-        self._request = (
-            _ptr(address), _ptr(core), _ptr(is_write), _ptr(gap),
-            float(spi), int(lines_per_page), int(lines_per_row),
-            int(f_nc), int(s_nc), int(f_bpc), int(s_bpc),
-            int(n_fast_banks),
-        )
-        self._state = (
-            _ptr(latconst), _ptr(core_time), _ptr(instructions),
-            _ptr(windows), _ptr(ring), _ptr(ring_head), _ptr(ring_len),
-            int(ringcap), int(ncores),
-            _ptr(bank_busy), _ptr(bank_open), _ptr(bank_hits),
-            _ptr(bank_misses), _ptr(bank_conflicts),
-            _ptr(chan_busy), int(nbanks), int(nchan),
-            _ptr(read_lat), _ptr(busy_acc), _ptr(read_total),
-            _ptr(dev_counts),
-        )
-
-    def run(self, start, stop, pt_device, pt_frame, pt_len) -> None:
-        """Replay requests ``[start, stop)`` against the bound state."""
-        self._fn(self._nspec, int(start), int(stop), *self._request,
-                 _ptr(pt_device), _ptr(pt_frame), int(pt_len),
-                 *self._state)
-
-
-def _ptr(a) -> int:
-    """The address of numpy array ``a``'s first element."""
-    return a.ctypes.data

@@ -16,11 +16,9 @@ Two implementations of the same timing model:
 * the native path (the default) — page-table translation,
   channel/bank/row routing and the core/bank/channel busy-until
   resolution run in the compiled loop of :mod:`repro.sim._ckernel`,
-  which reads the trace's own columns in place.
-  Static specs that share core count, clocking and device geometry are
-  stacked along a config axis and replayed in one call; chunked specs
-  (a migration mechanism, or multi-interval residency sampling) replay
-  one at a time, one call per chunk.
+  which reads the trace's own columns in place.  Each spec replays on
+  its own, one kernel call per chunk; a static spec (no mechanism, one
+  interval) is a one-chunk run.
 * :func:`replay_reference` — the per-request call chain
   (``hma.service`` → ``MemoryDevice.service`` → ``Bank.service``),
   written directly against the component models.  It is the fuzz
@@ -323,142 +321,125 @@ def replay_reference(
 # The native path
 # ---------------------------------------------------------------------------
 
-def _group_signature(spec: ReplaySpec) -> tuple:
-    """Stacking compatibility key: specs whose state arrays share a
-    shape (and whose cores share seconds per instruction) can ride one
-    kernel call."""
-    fast, slow = spec.hma.fast, spec.hma.slow
-    return (
-        spec.config.num_cores,
-        spec.config.core.issue_width,
-        spec.config.core.frequency_hz,
-        fast.num_channels, slow.num_channels,
-        fast.banks_per_channel, slow.banks_per_channel,
-        fast.num_banks_total, slow.num_banks_total,
-    )
-
-
 class _KernelState:
-    """Native-kernel state of K specs stacked along a leading axis.
+    """One spec's native-kernel state, bound to the compiled kernel.
 
-    Every array is ``[K, ...]`` and C-contiguous, seeded from the specs'
-    device objects and bound once into a :class:`~repro.sim._ckernel.
-    MultiCall` together with the trace's own columns.  The specs must
-    share one :func:`_group_signature`.  Tier request counts and
-    per-core instruction tallies start at zero; the request counts add
-    to each device's own.
+    The arrays are seeded from the spec's device objects, C-contiguous,
+    and cast to ctypes pointers once, together with the trace's own
+    columns: re-deriving ~20 pointers per call costs more than some
+    chunks' C work.  Per call only the request range and the page-table
+    columns, which migrations may reallocate between chunks, are passed.
+    Tier request counts and per-core instruction tallies start at zero;
+    the request counts add to each device's own.
     """
 
-    def __init__(self, fn, specs: "list[ReplaySpec]", trace: Trace) -> None:
-        self.specs = specs
-        K = len(specs)
-        config0 = specs[0].config
-        self.num_cores = num_cores = config0.num_cores
-        spi = 1.0 / (config0.core.issue_width * config0.core.frequency_hz)
-        fast0, slow0 = specs[0].hma.fast, specs[0].hma.slow
-        self.f_nc = f_nc = fast0.num_channels
-        n_fast_banks = fast0.num_banks_total
-        nbanks = n_fast_banks + slow0.num_banks_total
-        nchan = f_nc + slow0.num_channels
-
-        windows = np.empty((K, num_cores), dtype=np.int32)
-        for k, spec in enumerate(specs):
-            windows[k] = _spec_windows(spec)
+    def __init__(self, fn, spec: ReplaySpec, trace: Trace) -> None:
+        self.fn = fn
+        self.spec = spec
+        config = spec.config
+        spi = 1.0 / (config.core.issue_width * config.core.frequency_hz)
+        fast, slow = spec.hma.fast, spec.hma.slow
+        self.f_nc = fast.num_channels
+        num_cores = config.num_cores
+        windows = np.array(_spec_windows(spec), dtype=np.int32)
         self.ringcap = ringcap = int(windows.max())
-        self.core_time = np.zeros((K, num_cores))
-        self.instructions = np.zeros((K, num_cores), dtype=np.int64)
-        self.ring = np.zeros((K, num_cores, ringcap))
-        self.ring_head = np.zeros((K, num_cores), dtype=np.int32)
-        self.ring_len = np.zeros((K, num_cores), dtype=np.int32)
-        latconst = np.empty((K, 8))
-        self.bank_busy = np.empty((K, nbanks))
-        self.bank_open = np.empty((K, nbanks), dtype=np.int64)
-        self.bank_hits = np.empty((K, nbanks), dtype=np.int64)
-        self.bank_misses = np.empty((K, nbanks), dtype=np.int64)
-        self.bank_conflicts = np.empty((K, nbanks), dtype=np.int64)
-        self.chan_busy = np.empty((K, nchan))
-        self.read_lat = np.empty((K, 2))
-        self.busy_acc = np.empty((K, 2))
-        self.read_total = np.zeros(K)
-        #: Per spec: [reads_fast, reads_slow, writes_fast, writes_slow].
-        self.dev_counts = np.zeros((K, 4), dtype=np.int64)
-        self.seed_counts = []
-        for k, spec in enumerate(specs):
-            fast, slow = spec.hma.fast, spec.hma.slow
-            latconst[k] = (
-                fast.hit_seconds, fast.miss_seconds, fast.conflict_seconds,
-                fast.burst_seconds,
-                slow.hit_seconds, slow.miss_seconds, slow.conflict_seconds,
-                slow.burst_seconds,
-            )
-            (self.bank_open[k], self.bank_busy[k], self.bank_hits[k],
-             self.bank_misses[k], self.bank_conflicts[k]) = \
-                flatten_bank_state(fast, slow)
-            self.chan_busy[k] = (list(fast.channel_busy_until)
-                                 + list(slow.channel_busy_until))
-            self.read_lat[k] = (fast.stats.total_read_latency,
-                                slow.stats.total_read_latency)
-            self.busy_acc[k] = (fast.stats.busy_time, slow.stats.busy_time)
-            self.seed_counts.append((fast.stats.reads, slow.stats.reads,
-                                     fast.stats.writes, slow.stats.writes))
-        self.call = _ckernel.MultiCall(
-            fn, np.ascontiguousarray(trace.address, dtype=np.uint64),
-            np.ascontiguousarray(trace.core, dtype=np.uint16),
-            np.ascontiguousarray(trace.is_write, dtype=bool),
-            np.ascontiguousarray(trace.gap, dtype=np.uint32), spi,
+        self.core_time = np.zeros(num_cores)
+        self.instructions = np.zeros(num_cores, dtype=np.int64)
+        self.ring = np.zeros((num_cores, ringcap))
+        self.ring_head = np.zeros(num_cores, dtype=np.int32)
+        self.ring_len = np.zeros(num_cores, dtype=np.int32)
+        latconst = np.array([
+            fast.hit_seconds, fast.miss_seconds, fast.conflict_seconds,
+            fast.burst_seconds,
+            slow.hit_seconds, slow.miss_seconds, slow.conflict_seconds,
+            slow.burst_seconds,
+        ])
+        bank_open, bank_busy, hits, misses, conflicts = flatten_bank_state(
+            fast, slow)
+        self.bank_open = np.array(bank_open, dtype=np.int64)
+        self.bank_busy = np.array(bank_busy, dtype=np.float64)
+        self.bank_hits = np.array(hits, dtype=np.int64)
+        self.bank_misses = np.array(misses, dtype=np.int64)
+        self.bank_conflicts = np.array(conflicts, dtype=np.int64)
+        self.chan_busy = np.array(list(fast.channel_busy_until)
+                                  + list(slow.channel_busy_until),
+                                  dtype=np.float64)
+        self.read_lat = np.array([fast.stats.total_read_latency,
+                                  slow.stats.total_read_latency])
+        self.busy_acc = np.array([fast.stats.busy_time,
+                                  slow.stats.busy_time])
+        self.read_total = np.zeros(1)
+        #: [reads_fast, reads_slow, writes_fast, writes_slow].
+        self.dev_counts = np.zeros(4, dtype=np.int64)
+        self.seed_counts = (fast.stats.reads, slow.stats.reads,
+                            fast.stats.writes, slow.stats.writes)
+        columns = (np.ascontiguousarray(trace.address, dtype=np.uint64),
+                   np.ascontiguousarray(trace.core, dtype=np.uint16),
+                   np.ascontiguousarray(trace.is_write, dtype=bool),
+                   np.ascontiguousarray(trace.gap, dtype=np.uint32))
+        state = (latconst, self.core_time, self.instructions, windows,
+                 self.ring, self.ring_head, self.ring_len,
+                 self.bank_busy, self.bank_open, self.bank_hits,
+                 self.bank_misses, self.bank_conflicts, self.chan_busy,
+                 self.read_lat, self.busy_acc, self.read_total,
+                 self.dev_counts)
+        #: Holds the arrays whose addresses ``_args`` carries.
+        self._arrays = columns + state
+        self._args = (
+            *(a.ctypes.data for a in columns), spi,
             LINES_PER_PAGE, LINES_PER_ROW,
-            f_nc, slow0.num_channels, fast0.banks_per_channel,
-            slow0.banks_per_channel, n_fast_banks,
-            latconst, self.core_time, self.instructions, windows,
-            self.ring, self.ring_head, self.ring_len, ringcap, num_cores,
-            self.bank_busy, self.bank_open, self.bank_hits, self.bank_misses,
-            self.bank_conflicts, self.chan_busy, nbanks, nchan,
-            self.read_lat, self.busy_acc, self.read_total, self.dev_counts,
+            self.f_nc, slow.num_channels, fast.banks_per_channel,
+            slow.banks_per_channel, fast.num_banks_total, ringcap,
+            *(a.ctypes.data for a in state),
         )
 
-    def tier_counts(self, k: int) -> "tuple[int, int, int, int]":
-        """Spec ``k``'s cumulative (fast reads, fast writes, slow reads,
-        slow writes), the :meth:`ReplaySink.on_epoch` order."""
+    def run(self, start: int, stop: int, pt_device: np.ndarray,
+            pt_frame: np.ndarray) -> None:
+        """Replay requests ``[start, stop)``; every page they reference
+        must be mapped in the page-table columns."""
+        self.fn(start, stop, pt_device.ctypes.data, pt_frame.ctypes.data,
+                *self._args)
+
+    def tier_counts(self) -> "tuple[int, int, int, int]":
+        """Cumulative (fast reads, fast writes, slow reads, slow writes),
+        the :meth:`ReplaySink.on_epoch` order."""
         reads_f, reads_s, writes_f, writes_s = (
-            s + int(c) for s, c in zip(self.seed_counts[k],
-                                       self.dev_counts[k]))
+            s + int(c) for s, c in zip(self.seed_counts, self.dev_counts))
         return reads_f, writes_f, reads_s, writes_s
 
-    def sync(self, k: int) -> None:
-        """Hand spec ``k``'s channel and counter state to its devices."""
-        fast, slow = self.specs[k].hma.fast, self.specs[k].hma.slow
+    def sync(self) -> None:
+        """Hand the channel and counter state to the devices."""
+        fast, slow = self.spec.hma.fast, self.spec.hma.slow
         f_nc = self.f_nc
-        fast.channel_busy_until = self.chan_busy[k, :f_nc].tolist()
-        slow.channel_busy_until = self.chan_busy[k, f_nc:].tolist()
+        fast.channel_busy_until = self.chan_busy[:f_nc].tolist()
+        slow.channel_busy_until = self.chan_busy[f_nc:].tolist()
         (fast.stats.reads, fast.stats.writes,
-         slow.stats.reads, slow.stats.writes) = self.tier_counts(k)
-        fast.stats.total_read_latency = float(self.read_lat[k, 0])
-        slow.stats.total_read_latency = float(self.read_lat[k, 1])
-        fast.stats.busy_time = float(self.busy_acc[k, 0])
-        slow.stats.busy_time = float(self.busy_acc[k, 1])
+         slow.stats.reads, slow.stats.writes) = self.tier_counts()
+        fast.stats.total_read_latency = float(self.read_lat[0])
+        slow.stats.total_read_latency = float(self.read_lat[1])
+        fast.stats.busy_time = float(self.busy_acc[0])
+        slow.stats.busy_time = float(self.busy_acc[1])
 
-    def reload(self, k: int) -> None:
-        """Pick up the bandwidth a migration charged to spec ``k``'s
-        devices (in place: the kernel binding holds these pointers)."""
-        fast, slow = self.specs[k].hma.fast, self.specs[k].hma.slow
-        self.chan_busy[k, :self.f_nc] = fast.channel_busy_until
-        self.chan_busy[k, self.f_nc:] = slow.channel_busy_until
-        self.busy_acc[k] = (fast.stats.busy_time, slow.stats.busy_time)
+    def reload(self) -> None:
+        """Pick up the bandwidth a migration charged to the devices (in
+        place: the bound arguments hold these pointers)."""
+        fast, slow = self.spec.hma.fast, self.spec.hma.slow
+        self.chan_busy[:self.f_nc] = fast.channel_busy_until
+        self.chan_busy[self.f_nc:] = slow.channel_busy_until
+        self.busy_acc[:] = (fast.stats.busy_time, slow.stats.busy_time)
 
-    def finish(self, k: int, trace: Trace, bounds: np.ndarray,
+    def finish(self, trace: Trace, bounds: np.ndarray,
                residency: "list[set[int]]") -> ReplayResult:
-        """Drain spec ``k``'s cores, write its state back, build its
-        result."""
-        spec = self.specs[k]
+        """Drain the cores, write the state back, build the result."""
+        spec = self.spec
         ringcap = self.ringcap
-        core_times = self.core_time[k].tolist()
+        core_times = self.core_time.tolist()
         final = 0.0
-        for c in range(self.num_cores):
-            t = core_times[c]
-            live_n = int(self.ring_len[k, c])
+        for c, t in enumerate(core_times):
+            live_n = int(self.ring_len[c])
             if live_n:
-                h = int(self.ring_head[k, c])
-                last = max(float(self.ring[k, c, (h + j) % ringcap])
+                h = int(self.ring_head[c])
+                last = max(float(self.ring[c, (h + j) % ringcap])
                            for j in range(live_n))
                 if last > t:
                     t = last
@@ -466,15 +447,15 @@ class _KernelState:
             if t > final:
                 final = t
         restore_bank_state(
-            spec.hma.fast, spec.hma.slow, self.bank_open[k].tolist(),
-            self.bank_busy[k].tolist(), self.bank_hits[k].tolist(),
-            self.bank_misses[k].tolist(), self.bank_conflicts[k].tolist())
-        self.sync(k)
-        reads = int(self.dev_counts[k, 0] + self.dev_counts[k, 1])
+            spec.hma.fast, spec.hma.slow, self.bank_open.tolist(),
+            self.bank_busy.tolist(), self.bank_hits.tolist(),
+            self.bank_misses.tolist(), self.bank_conflicts.tolist())
+        self.sync()
+        reads = int(self.dev_counts[0] + self.dev_counts[1])
         return _build_result(
             spec.config, spec.hma, trace, final, core_times,
-            float(self.read_total[k]), reads, residency, bounds,
-            self.instructions[k].tolist())
+            float(self.read_total[0]), reads, residency, bounds,
+            self.instructions.tolist())
 
 
 def replay_multi(
@@ -494,35 +475,15 @@ def replay_multi(
     replaying anything.
     """
     _check_trace(specs, trace, times)
-    results: "list[ReplayResult | None]" = [None] * len(specs)
-    static_groups: "dict[tuple, list[tuple[int, ReplaySpec]]]" = {}
-    chunked: "list[tuple[int, ReplaySpec]]" = []
-
     fn = _ckernel.load_multi()
     with span("replay_multi", specs=len(specs), requests=len(trace)):
-        for i, spec in enumerate(specs):
-            if fn is None or not hasattr(spec.hma, "page_tables"):
-                results[i] = replay_reference(spec, trace, times)
-            elif spec.mechanism is None and spec.num_intervals == 1:
-                static_groups.setdefault(_group_signature(spec),
-                                         []).append((i, spec))
-            else:
-                chunked.append((i, spec))
-        if not (static_groups or chunked):
-            return results
         # Page of every request, for page-table faults and the planners;
         # the quotient is below 2**52, so the view as int64 is exact.
         pages = (trace.address // PAGE_SIZE).view(np.int64)
-
-        for group in static_groups.values():
-            group_results = _replay_static(
-                fn, [spec for _, spec in group], trace, pages)
-            for (i, _), res in zip(group, group_results):
-                results[i] = res
-
-        for i, spec in chunked:
-            results[i] = _replay_chunked(fn, spec, trace, times, pages)
-    return results
+        return [replay_reference(spec, trace, times)
+                if fn is None or not hasattr(spec.hma, "page_tables")
+                else _replay_native(fn, spec, trace, times, pages)
+                for spec in specs]
 
 
 def _check_trace(specs: "list[ReplaySpec]", trace: Trace,
@@ -538,45 +499,12 @@ def _check_trace(specs: "list[ReplaySpec]", trace: Trace,
                              f"{spec.config.num_cores}-core config")
 
 
-def _replay_static(
-    fn, specs: "list[ReplaySpec]", trace: Trace, pages: np.ndarray,
-) -> "list[ReplayResult]":
-    """Stacked single-chunk replay for static (no-migration) specs: the
-    kernel walks the trace's columns once per config in one call."""
-    residency = [[_residency_snapshot(spec.hma)] for spec in specs]
-    sinks = [replay_sink(spec.hma) for spec in specs]
-    state = _KernelState(fn, specs, trace)
-    n = len(trace)
-    if n:
-        pt_len = int(pages.max()) + 1
-        ptd = np.empty((len(specs), pt_len), dtype=np.int16)
-        ptf = np.empty((len(specs), pt_len), dtype=np.int64)
-        for k, spec in enumerate(specs):
-            # Fault unmapped pages into DDR in first-touch order, as the
-            # per-request lookup would; the table copy then covers
-            # every page the trace references.
-            spec.hma.ensure_mapped(pages)
-            d_col, f_col = spec.hma.page_tables()
-            ptd[k] = d_col[:pt_len]
-            ptf[k] = f_col[:pt_len]
-        state.call.run(0, n, ptd, ptf, pt_len)
-
-    bounds = np.empty(0)
-    out: "list[ReplayResult]" = []
-    for k, sink in enumerate(sinks):
-        result = state.finish(k, trace, bounds, residency[k])
-        if sink is not None:
-            sink.on_epoch(0, *state.tier_counts(k), 0.0)
-        _record_telemetry(result, sink, n, 1)
-        out.append(result)
-    return out
-
-
-def _replay_chunked(
+def _replay_native(
     fn, spec: ReplaySpec, trace: Trace, times: "np.ndarray | None",
     pages: np.ndarray,
 ) -> ReplayResult:
-    """One spec replayed chunk by chunk, one kernel call per chunk.
+    """One spec replayed chunk by chunk, one kernel call per chunk; a
+    static spec is one chunk.
 
     The page table is re-fetched per chunk because migrations mutate
     it in place and faults may grow it.
@@ -586,7 +514,7 @@ def _replay_chunked(
     total_chunks = _total_chunks(spec)
     starts, stops, bounds = _chunk_bounds(len(trace), total_chunks, times)
     sink = replay_sink(hma)
-    state = _KernelState(fn, [spec], trace)
+    state = _KernelState(fn, spec, trace)
     residency: "list[set[int]]" = []
 
     for chunk in range(total_chunks):
@@ -601,9 +529,7 @@ def _replay_chunked(
 
         if stop > start:
             hma.ensure_mapped(chunk_pages)
-            d_col, f_col = hma.page_tables()
-            state.call.run(start, stop, d_col, f_col,
-                           int(chunk_pages.max()) + 1)
+            state.run(start, stop, *hma.page_tables())
 
         # -- migration at the boundary --
         window_ace = 0.0
@@ -611,18 +537,18 @@ def _replay_chunked(
             # Sampled before the plan: planning resets the window.
             window_ace = mechanism.window_ace_total()
         if mechanism is not None and chunk < total_chunks - 1:
-            now = float(state.core_time[0].max())
+            now = float(state.core_time.max())
             to_fast, to_slow = _plan_migration(mechanism, hma, chunk, sub)
             if to_fast or to_slow:
                 # Migration charges channel bandwidth on the device
                 # objects; hand the state over, then reload it.
-                state.sync(0)
+                state.sync()
                 hma.migrate_pairs(to_fast, to_slow, now)
-                state.reload(0)
+                state.reload()
 
         if sink is not None:
-            sink.on_epoch(chunk, *state.tier_counts(0), window_ace)
+            sink.on_epoch(chunk, *state.tier_counts(), window_ace)
 
-    result = state.finish(0, trace, bounds, residency)
+    result = state.finish(trace, bounds, residency)
     _record_telemetry(result, sink, len(trace), total_chunks)
     return result

@@ -157,7 +157,7 @@ def evaluate_migration(
 
 
 # ---------------------------------------------------------------------------
-# Config-batched evaluation
+# Multi-point evaluation
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -201,7 +201,7 @@ def _page_set(pages) -> bytes:
 
 
 def _replay_key(prep: PreparedWorkload, config: SystemConfig, fast_pages,
-                pinned=(), mechanism: "MigrationMechanism | None" = None,
+                mechanism: "MigrationMechanism | None" = None,
                 num_intervals: int = 1):
     """Hashable identity of one replay of ``prep``'s trace, or ``None``.
 
@@ -213,8 +213,8 @@ def _replay_key(prep: PreparedWorkload, config: SystemConfig, fast_pages,
       and ``ecc``) neutralised, so sweeps that vary nothing else (the
       FIT sweep, the ECC-Pareto scheme sweep) collapse to one replay;
       every other config field may affect timing and stays in the key;
-    * the fast-page and pinned *sets* (``install_placement`` reads only
-      the set; frames follow ``prep.stats.pages``) and the core windows;
+    * the fast-page *set* (``install_placement`` reads only the set;
+      frames follow ``prep.stats.pages``) and the core windows;
     * whether telemetry is recording: an entry made with telemetry off
       has no epoch series, so it must not serve a recording call;
     * for a migration spec, the interval count and the mechanism's
@@ -242,7 +242,7 @@ def _replay_key(prep: PreparedWorkload, config: SystemConfig, fast_pages,
         hash(cfg_key)
     except (TypeError, ValueError):
         return None
-    return (id(prep), cfg_key, _page_set(fast_pages), _page_set(pinned),
+    return (id(prep), cfg_key, _page_set(fast_pages),
             tuple(prep.workload_trace.core_mlp), metrics.enabled(),
             num_intervals, mech_key)
 
@@ -334,6 +334,30 @@ def _attach_run_series(tag: str, series) -> None:
         ctx.add_series(tag, series)
 
 
+def _static_outcomes(prep: PreparedWorkload, placements: list,
+                     memo: "dict | None") -> "list[_Outcome]":
+    """The static replay of each ``(config, fast_pages)`` placement of
+    ``prep``, looked up in ``memo`` (``None``: a fresh one); each miss
+    is one :func:`replay`."""
+    wt = prep.workload_trace
+
+    def replay_static(indices):
+        outcomes = []
+        for i in indices:
+            config, fast_pages = placements[i]
+            hma = HeterogeneousMemory(config)
+            hma.install_placement(fast_pages, prep.stats.pages)
+            result = replay(config, hma, wt.trace, wt.times,
+                            core_windows=wt.core_mlp)
+            outcomes.append(_Outcome(prep, result.ipc,
+                                     result.mean_read_latency))
+        return outcomes
+
+    keys = [_replay_key(prep, config, fast_pages)
+            for config, fast_pages in placements]
+    return _memoised({} if memo is None else memo, keys, replay_static)
+
+
 def evaluate_static_multi(
     prep: PreparedWorkload, specs: "list[StaticSpec]",
     memo: "dict | None" = None,
@@ -345,37 +369,18 @@ def evaluate_static_multi(
     that an earlier call on the same memo replayed, share one replay.
     Pass a :class:`~repro.harness.experiments.WorkloadCache`'s
     ``replays`` to share replays across a run; ``None`` means a fresh
-    memo for this call.  The misses are batched through one
-    :func:`repro.sim.engine.replay_multi` call (none when every spec
-    hits), and each result is composed with the spec's SER model.  Each
-    result equals evaluating its spec alone on a prep carrying the
-    spec's config and SER model.
+    memo for this call.  Each miss is one :func:`replay` (none when
+    every spec hits), and each result is composed with the spec's SER
+    model.  Each result equals evaluating its spec alone on a prep
+    carrying the spec's config and SER model.
     """
-    from repro.sim.engine import ReplaySpec, replay_multi
-
-    wt = prep.workload_trace
     rankings: dict = {}
     placements = []
-    keys = []
     for spec in specs:
         config = spec.config if spec.config is not None else prep.config
-        fast_pages = _select_fast_pages(
-            spec.policy, prep.stats, config.fast_memory.num_pages, rankings)
-        placements.append((config, fast_pages))
-        keys.append(_replay_key(prep, config, fast_pages))
-
-    def replay_static(indices):
-        replay_specs = []
-        for i in indices:
-            config, fast_pages = placements[i]
-            hma = HeterogeneousMemory(config)
-            hma.install_placement(fast_pages, prep.stats.pages)
-            replay_specs.append(ReplaySpec(
-                config=config, hma=hma, core_windows=wt.core_mlp))
-        return [_Outcome(prep, result.ipc, result.mean_read_latency)
-                for result in replay_multi(replay_specs, wt.trace, wt.times)]
-
-    outcomes = _memoised({} if memo is None else memo, keys, replay_static)
+        placements.append((config, _select_fast_pages(
+            spec.policy, prep.stats, config.fast_memory.num_pages, rankings)))
+    outcomes = _static_outcomes(prep, placements, memo)
     out = []
     for spec, (config, fast_pages), outcome in zip(specs, placements,
                                                    outcomes):
@@ -471,27 +476,16 @@ def evaluate_annotations(
 ) -> "tuple[ExperimentResult, AnnotationPlan]":
     """IPC/SER of the program-annotation placement (paper Section 7).
 
-    The pinned replay is looked up in ``memo`` as in
-    :func:`evaluate_static_multi`; a miss runs :func:`replay`.
+    The pinned placement replays as a static one, looked up in
+    ``memo`` as in :func:`evaluate_static_multi`: pinning only exempts
+    pages from migration, and a static replay migrates nothing.
     """
     plan = plan_annotations(
         prep.workload_trace, prep.stats, prep.capacity_pages,
         avf_quantile=avf_quantile,
     )
     pinned = plan.pinned_pages
-
-    def replay_pinned(_indices):
-        hma = HeterogeneousMemory(prep.config)
-        hma.install_placement(pinned, prep.stats.pages)
-        hma.pin(pinned)
-        wt = prep.workload_trace
-        result = replay(prep.config, hma, wt.trace, wt.times,
-                        core_windows=wt.core_mlp)
-        return [_Outcome(prep, result.ipc, result.mean_read_latency)]
-
-    key = _replay_key(prep, prep.config, pinned, pinned=pinned)
-    (outcome,) = _memoised({} if memo is None else memo, [key],
-                           replay_pinned)
+    (outcome,) = _static_outcomes(prep, [(prep.config, pinned)], memo)
     ser = prep.ser_model.ser_static(prep.stats, pinned)
     return _experiment(prep, "annotations", outcome, ser), plan
 

@@ -34,9 +34,9 @@ pure-Python replay fallback that lives next to its kernel
 * ``shm-roundtrip``    — the shared-memory workload handoff
   (:mod:`repro.harness.shm`): arrays must come back bit-exact, with
   dtype and shape intact, through a pickled handle.
-* ``replay-multi``     — the config-batched engine
-  (:func:`~repro.sim.engine.replay_multi`): a ragged config batch of
-  static placements plus a migration spec must match per-spec
+* ``replay-multi``     — the multi-spec engine
+  (:func:`~repro.sim.engine.replay_multi`): static placements plus a
+  migration spec, replayed in one call, must match per-spec
   :func:`~repro.sim.engine.replay_reference` digests.
 * ``frontier``         — the frontier server-workload generators:
   seeded determinism, then the ``tolerance-tiered`` planner with the
@@ -706,14 +706,14 @@ def check_ecc(case: DiffCase) -> "str | None":
 
 
 def check_replay_multi(case: DiffCase) -> "str | None":
-    """Config-batched ``replay_multi`` vs per-spec ``replay_reference``.
+    """Multi-spec ``replay_multi`` vs per-spec ``replay_reference``.
 
-    The case becomes a ragged config batch — the case's placement, a
+    The case becomes a batch of specs — the case's placement, a
     half-capacity variant, DDR-only, and (when the case carries one) a
     migration spec — replayed in one :func:`replay_multi` call and
     compared digest-by-digest against fresh reference replays.  The
-    batch mixes static (stacked) and chunked specs, so the grouping,
-    dispatch, and both native paths all participate.
+    batch mixes static (one-chunk) and chunked specs, so the dispatch
+    and the per-spec state of consecutive native replays are checked.
     """
     from repro.dram.hma import HeterogeneousMemory
     from repro.sim.engine import ReplaySpec, replay_multi, replay_reference

@@ -6,7 +6,7 @@ This module models three server workload families as *statistical
 generators* in the same vocabulary the SPEC profiles use
 (:class:`~repro.trace.synthetic.RegionSpec` regions, epoch-based
 expansion), so everything downstream — the flat-memory profiler, the
-replay kernels, and the config-batched multi-run engine — consumes
+replay kernel, and the multi-spec ``replay_multi`` engine — consumes
 them unchanged:
 
 * ``kvstore``   — a memcached-like key-value store: Zipf-skewed key

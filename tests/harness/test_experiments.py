@@ -148,20 +148,39 @@ class TestCli:
         assert "is not a directory" in capsys.readouterr().err
         assert existing.read_text() == ""
 
-    @pytest.mark.parametrize("experiment", ["fig05", "sweep-capacity"])
-    def test_zero_ddr_fit_fails_with_its_cause(self, experiment, capsys):
-        """At 2,000 trials and seed 3 the DDR campaign draws no
-        uncorrected error: a figure that averages SER relative to
-        DDR-only names that cause and its remedy."""
-        rc = cli_main(["run", experiment, "--seed", "3",
+    @pytest.mark.parametrize("experiment,seed,cause", [
+        pytest.param(name, 3, "the DDR tier's Monte-Carlo FIT is 0",
+                     id=name)
+        for name in ("fig05", "sweep-capacity", "sweep-fit")
+    ] + [
+        pytest.param(name, 1, "both tiers' Monte-Carlo FITs are 0", id=name)
+        for name in ("fig07", "fig14", "fig16", "table3",
+                     "workload-frontier")
+    ])
+    def test_zero_ddr_fit_fails_with_its_cause(self, experiment, seed,
+                                               cause, capsys):
+        """At 2,000 trials the DDR campaign draws no uncorrected error at
+        seed 3, and neither tier's does at seed 1: a figure that
+        averages SER relative to DDR-only (seed 3), or one scheme's SER
+        relative to another's (seed 1), names that cause and its
+        remedy."""
+        rc = cli_main(["run", experiment, "--seed", str(seed),
                        "--fault-trials", "2000", "--accesses", "300"])
         captured = capsys.readouterr()
         report = captured.out + captured.err
         assert rc == 1
-        assert ("the DDR tier's Monte-Carlo FIT is 0 at 2000 fault trials "
-                "and seed 3") in report
+        assert f"{cause} at 2000 fault trials and seed {seed}" in report
         assert "--fault-trials 0" in report
         assert "geometric mean" not in report
+
+    def test_one_nonzero_fit_keeps_scheme_ratios(self, capsys):
+        """At 2,000 trials and seed 2 only the HBM campaign draws an
+        uncorrected error: SER relative to performance-focused
+        placement stays defined, so fig07 prints."""
+        rc = cli_main(["run", "fig07", "--seed", "2",
+                       "--fault-trials", "2000", "--accesses", "300"])
+        assert rc == 0
+        assert "mean_ser_ratio = " in capsys.readouterr().out
 
 
 class TestCliTools:

@@ -1,4 +1,4 @@
-"""Parity: config-batched evaluation vs a per-point oracle loop.
+"""Parity: multi-point evaluation vs a per-point oracle loop.
 
 ``evaluate_static_multi`` / ``evaluate_migration_multi`` (and the
 sweeps and figures built on them) must be *bit-identical* to

@@ -235,7 +235,7 @@ class TestTelemetry:
     """Each spec of a batch gets its own epoch series and counts."""
 
     def _specs(self, prep):
-        """Two static specs (one stacked call) and one chunked spec."""
+        """Two static (one-chunk) specs and one chunked spec."""
         ddr = HeterogeneousMemory(prep.config)
         ddr.install_placement([], prep.stats.pages)
         return [_spec(prep, "static"),

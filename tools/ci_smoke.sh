@@ -30,8 +30,8 @@
 #    correctness drift (the benchmarks assert bit-exact parity of
 #    replay results, migration plans, fault-simulator tallies, and
 #    seeded generator determinism) and gross performance regressions
-#    without a long wall-clock bill.  The config-batched sweep and the
-#    shm handoff are measured end to end by the bench/ benchmark
+#    without a long wall-clock bill.  The capacity sweep's fan-out and
+#    the shm handoff are measured end to end by the bench/ benchmark
 #    (workload capacity-fanout).
 # 6. Runs the telemetry smoke: a tiny migration experiment twice with
 #    REPRO_TELEMETRY on, asserting the run registry holds both rows
