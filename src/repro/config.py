@@ -304,8 +304,8 @@ def _knob_table(*knobs: Knob) -> "dict[str, Knob]":
 #: The full knob table, in display order.
 KNOBS: "dict[str, Knob]" = _knob_table(
     Knob("native", "REPRO_NATIVE", "bool", True,
-         "compile the C kernels: replay, MEA "
-         "(0 = their pure-Python fallbacks)"),
+         "compile the C kernels: synthesis, replay, MEA "
+         "(0 = their numpy and pure-Python fallbacks)"),
     Knob("ckernel_dir", "REPRO_CKERNEL_DIR", "str", None,
          "cache directory for compiled kernels"),
     Knob("fault_trials", "REPRO_FAULT_TRIALS", "int", 0,

@@ -796,7 +796,10 @@ def ecc_pareto(
     are flagged; IPC varies only with capacity, giving the third axis
     across fronts.  The per-page FIT rates come from one FaultSim
     campaign per (tier, scheme), shared through ``cache.campaigns``
-    with every workload, capacity and the cache's own SER model.
+    with every workload, capacity and the cache's own SER model.  A
+    pairing whose SER is 0 — its tiers' campaigns drew no uncorrected
+    error — has no place on a front: the figure raises that cause,
+    naming the pairing, instead.
 
     Hand-checkable claim: every front contains the cheapest assignment
     (fast tier unprotected — nothing has lower cost) and the lowest-SER
@@ -842,7 +845,16 @@ def ecc_pareto(
             StaticSpec(policy, config=config, ser_model=model)
             for config, model in zip(configs, models)], memo=cache.replays)
         for i, res in enumerate(results):
-            sers[i].append(max(res.ser, 1e-30))
+            if res.ser == 0:
+                _, fast_ecc, slow_ecc = assignments[i]
+                raise _zero_fit(
+                    cache,
+                    f"the ({fast_ecc}, {slow_ecc}) pairing's SER on {wl} "
+                    "is 0",
+                    "no trial drew an uncorrected error on a tier it "
+                    "charges",
+                    "its place on the SER/cost Pareto front")
+            sers[i].append(res.ser)
             ipcs[i].append(res.ipc_vs_ddr)
 
     agg_ser = [gmean(values) for values in sers]

@@ -1,23 +1,28 @@
 """Compiled C kernels and the one helper that builds them.
 
-Two loops of the simulator are inherently sequential, so their cost
-is pure interpreter dispatch: the per-request core/bank/channel
-resolution of the replay engine (:mod:`repro.sim.engine`) and the
-Misra-Gries MEA update.  The first is written in C here, the MEA loop
-in :mod:`repro.core._mea_native` — operation for operation, in the
-same order, on IEEE-754 doubles — and :class:`NativeKernel` builds
-both: the system C compiler turns a source and its flags into a tiny
-shared library, once per revision of either, in one kernel directory,
-and :mod:`ctypes` binds it.  No third-party packages and no build
-step.  The replay kernel reads a ``Trace``'s own columns in place, so
-a replay makes no per-request copy of the trace.
+Three loops of the simulator cost pure interpreter dispatch: the
+per-request core/bank/channel resolution of the replay engine
+(:mod:`repro.sim.engine`), the Misra-Gries MEA update, and trace
+synthesis's per-epoch expansion and time sorts
+(:mod:`repro.trace.synthetic`).  The replay and synthesis kernels are
+written in C here, in one source, the MEA loop in
+:mod:`repro.core._mea_native` — operation for operation, in the same
+order, on IEEE-754 doubles — and :class:`NativeKernel` builds them:
+the system C compiler turns a source and its flags into a tiny shared
+library, once per revision of either, in one kernel directory, and
+:mod:`ctypes` binds it.  No third-party packages and no build step.
+The replay kernel reads a ``Trace``'s own columns in place, so a
+replay makes no per-request copy of the trace; the synthesis kernel
+writes a workload's ``Trace`` columns and times in one pass.
 
 Everything degrades gracefully: with no C compiler, a failed build, or
 ``REPRO_NATIVE=0`` (the ``native`` knob), a kernel's ``load`` returns
-``None`` and its caller runs the bit-identical pure-Python fallback —
-:func:`repro.sim.engine.replay_reference` or the list loop of
+``None`` and its caller runs the bit-identical fallback —
+:func:`repro.sim.engine.replay_reference`, the numpy synthesis pass
+of :mod:`repro.trace.synthetic`, or the list loop of
 :class:`repro.core.mea.ArrayMeaTracker` (see
-``tests/sim/test_parity.py`` and ``tests/sim/test_ckernel_fallback.py``).
+``tests/sim/test_parity.py``, ``tests/trace/test_synthetic.py`` and
+``tests/sim/test_ckernel_fallback.py``).
 
 Build *failure* is memoised per process exactly like success: the
 first failed attempt of a kernel emits one
@@ -54,6 +59,7 @@ _MULTI_SOURCE = f"""
 #define LINE_SIZE {LINE_SIZE}u
 """ + r"""
 #include <stdint.h>
+#include <string.h>
 
 /* One chunk of one configuration's replay.
  *
@@ -185,6 +191,180 @@ void repro_multi_chunk(
         core_time[c] = t;
     }
     *read_total = rtotal;
+}
+
+/* Whether request a (window-time bits ka, index ja) goes before
+ * request b: by window time, then generator (generators own ascending
+ * index ranges), then local time, then index. */
+static int before(uint64_t ka, int32_t ja, uint64_t kb, int32_t jb,
+                  const double *lt, const int32_t *gen)
+{
+    if (ka != kb) return ka < kb;
+    if (gen[ja] == gen[jb] && lt[ja] != lt[jb]) return lt[ja] < lt[jb];
+    return ja < jb;
+}
+
+/* One workload's trace synthesis (repro.trace.synthetic).
+ *
+ * A generator is one seeded page plan: its pages are the contiguous
+ * range [gen_page[g], gen_page[g + 1]) of the per-page arrays, with
+ * page ids from gen_first[g] on.  Each generator's pages are expanded
+ * float operation for float operation like the numpy pass: a page's
+ * accesses and writes split evenly over min(lines, count) lines,
+ * remainder to the first lines; each line gets max(writes, 1) epochs
+ * over the page's window (a bursty page's phase / phases, else
+ * [0, 1)), a write opening each epoch when the line has writes, and
+ * its reads spread over the epochs, remainder to the first, each at
+ * start + (0.02 + 0.98 * u * spread) * len with the next u.  A
+ * generator's requests are indexed writes first, then reads, each in
+ * (page, line, epoch) order, and its local time t maps into its
+ * window at start + t * span.
+ *
+ * The workload is then ordered by (window time, generator, local
+ * time, index): a stable counting scatter into nb buckets of window
+ * time (floor(time * nb), exact for a power of two nb, and monotone),
+ * then an insertion sort of each bucket by before().  Every time is a
+ * nonnegative finite double, so its bits order like its value.  A
+ * crowded bucket is mostly a pile of equal times (writes opening
+ * epochs at the same start) that the scatter leaves in index order,
+ * so its insertion sort moves few requests.  In that order each
+ * generator's requests run in local-time order, and take its gaps
+ * (drawn_gap, generator after generator) in turn.  Request indices
+ * are int32: the caller keeps n below 2**31.
+ */
+void repro_synth(
+    int64_t n_gen,
+    const int64_t *gen_page,      /* [n_gen + 1] */
+    const int64_t *gen_first,     /* [n_gen] */
+    const int64_t *gen_phases,    /* [n_gen] */
+    const double *gen_start,      /* [n_gen] */
+    const double *gen_span,       /* [n_gen] */
+    const uint16_t *gen_core,     /* [n_gen] */
+    const int64_t *count,         /* [pages] accesses */
+    const int64_t *writes,        /* [pages] writes, <= count */
+    const int64_t *lines,         /* [pages] lines touched */
+    const double *spread,         /* [pages] read spread */
+    const int64_t *phase,         /* [pages] bursty phase, -1 = none */
+    const double *u,              /* [reads] read offsets */
+    const uint32_t *drawn_gap,    /* [n] gaps, generator after generator */
+    int64_t n,
+    int64_t nb,                   /* buckets, a power of two */
+    double *lt,                   /* [n] scratch: local times */
+    uint64_t *line_w,             /* [n] scratch: address | is_write */
+    int32_t *gen,                 /* [n] scratch: generator */
+    int32_t *order,               /* [n] scratch */
+    int32_t *bucket,              /* [nb] scratch */
+    int64_t *cursor,              /* [n_gen] scratch */
+    uint64_t *times,              /* [n] out: float64 window times */
+    uint64_t *address,            /* [n] out */
+    uint8_t *is_write,            /* [n] out */
+    uint16_t *core,               /* [n] out */
+    uint32_t *gap)                /* [n] out */
+{
+    /* Expand; address holds the window-time bits until the scatter. */
+    int64_t base = 0;
+    for (int64_t g = 0; g < n_gen; g++) {
+        int64_t p0 = gen_page[g], p1 = gen_page[g + 1];
+        int64_t nw = 0;
+        for (int64_t p = p0; p < p1; p++) nw += writes[p];
+        int64_t wpos = base, rpos = base + nw;
+        double phases = (double)gen_phases[g];
+        double gstart = gen_start[g], gspan = gen_span[g];
+        for (int64_t p = p0; p < p1; p++) {
+            int64_t c = count[p];
+            if (c <= 0) continue;
+            uint64_t page = (uint64_t)(gen_first[g] + (p - p0));
+            double w0 = 0.0, w1 = 1.0;
+            if (phase[p] >= 0) {
+                w0 = (double)phase[p] / phases;
+                w1 = (double)(phase[p] + 1) / phases;
+            }
+            double span = w1 - w0, sp = spread[p];
+            int64_t nl = lines[p] < c ? lines[p] : c;
+            int64_t bc = c / nl, ec = c - bc * nl;
+            int64_t bw = writes[p] / nl, ew = writes[p] - bw * nl;
+            for (int64_t l = 0; l < nl; l++) {
+                int64_t lw = bw + (l < ew);
+                int64_t lr = bc + (l < ec) - lw;
+                int64_t ne = lw > 0 ? lw : 1;
+                double len = span / (double)ne;
+                int64_t br = lr / ne, er = lr - br * ne;
+                uint64_t a = page * PAGE_SIZE + (uint64_t)l * LINE_SIZE;
+                for (int64_t e = 0; e < ne; e++) {
+                    double start = w0 + (double)e * len;
+                    if (lw > 0) {
+                        double w = gstart + start * gspan;
+                        lt[wpos] = start;
+                        memcpy(address + wpos, &w, 8);
+                        line_w[wpos] = a | 1;
+                        gen[wpos++] = (int32_t)g;
+                    }
+                    for (int64_t r = br + (e < er); r > 0; r--) {
+                        double t = start + (0.02 + 0.98 * *u++ * sp) * len;
+                        double w = gstart + t * gspan;
+                        lt[rpos] = t;
+                        memcpy(address + rpos, &w, 8);
+                        line_w[rpos] = a;
+                        gen[rpos++] = (int32_t)g;
+                    }
+                }
+            }
+        }
+        cursor[g] = base;
+        base = rpos;
+    }
+
+    /* Scatter into buckets of window time: times gets the sorted bits,
+     * order the request indices. */
+    double scale = (double)nb;
+    memset(bucket, 0, (size_t)nb * sizeof *bucket);
+    for (int64_t i = 0; i < n; i++) {
+        double w;
+        memcpy(&w, address + i, 8);
+        int64_t b = (int64_t)(w * scale);
+        bucket[b < nb ? b : nb - 1]++;
+    }
+    int32_t sum = 0;
+    for (int64_t b = 0; b < nb; b++) {
+        int32_t c = bucket[b];
+        bucket[b] = sum;
+        sum += c;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        double w;
+        memcpy(&w, address + i, 8);
+        int64_t b = (int64_t)(w * scale);
+        int32_t pos = bucket[b < nb ? b : nb - 1]++;
+        times[pos] = address[i];
+        order[pos] = (int32_t)i;
+    }
+
+    int64_t lo = 0;
+    for (int64_t b = 0; b < nb; b++) {
+        int64_t hi = bucket[b];
+        for (int64_t i = lo + 1; i < hi; i++) {
+            uint64_t k = times[i];
+            int32_t j = order[i];
+            int64_t h = i;
+            while (h > lo
+                   && before(k, j, times[h - 1], order[h - 1], lt, gen)) {
+                times[h] = times[h - 1];
+                order[h] = order[h - 1];
+                h--;
+            }
+            times[h] = k;
+            order[h] = j;
+        }
+        lo = hi;
+    }
+
+    for (int64_t i = 0; i < n; i++) {
+        int32_t j = order[i], g = gen[j];
+        address[i] = line_w[j] & ~(uint64_t)1;
+        is_write[i] = (uint8_t)(line_w[j] & 1);
+        core[i] = gen_core[g];
+        gap[i] = drawn_gap[cursor[g]++];
+    }
 }
 """
 
@@ -328,22 +508,48 @@ def _bind_multi(so_path: str):
         ptr,                                   # dev_counts
     ]
     fn.restype = None
-    return fn
+    synth = lib.repro_synth
+    synth.argtypes = [
+        c_i64,                                 # n_gen
+        ptr, ptr, ptr, ptr, ptr, ptr,          # gen_page, first, phases,
+                                               # start, span, core
+        ptr, ptr, ptr, ptr, ptr,               # count, writes, lines,
+                                               # spread, phase
+        ptr, ptr,                              # u, drawn_gap
+        c_i64, c_i64,                          # n, nb
+        ptr, ptr, ptr, ptr, ptr, ptr,          # lt, line_w, gen, order,
+                                               # bucket, cursor
+        ptr, ptr, ptr, ptr, ptr,               # times, address, write,
+                                               # core, gap
+    ]
+    synth.restype = None
+    return fn, synth
 
 
-#: -ffp-contract=off: the kernel computes ``ctime + gap * spi`` inline,
-#: and a fused multiply-add (aarch64, or x86-64 with -mfma) would round
-#: once where the reference rounds twice.
+#: -ffp-contract=off: the replay kernel computes ``ctime + gap * spi``
+#: and the synthesis kernel ``start + t * span`` inline, and a fused
+#: multiply-add (aarch64, or x86-64 with -mfma) would round once where
+#: the reference rounds twice.
 _MULTI = NativeKernel("multi", _MULTI_SOURCE, ("-O2", "-ffp-contract=off"),
                       _bind_multi, "replay",
-                      "the pure-Python reference replay")
+                      "the pure-Python reference replay and the numpy "
+                      "synthesis pass")
 
 
 def load_multi():
     """The compiled replay kernel, or ``None`` when unavailable."""
-    return _MULTI.load()
+    fns = _MULTI.load()
+    return fns[0] if fns is not None else None
+
+
+def load_synth():
+    """The compiled synthesis kernel, or ``None`` when unavailable.
+
+    It shares the replay kernel's source, build and memo."""
+    fns = _MULTI.load()
+    return fns[1] if fns is not None else None
 
 
 def multi_build_error() -> "str | None":
-    """The replay kernel's build/load failure, if any."""
+    """The replay and synthesis kernels' build/load failure, if any."""
     return _MULTI.build_error()

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from repro.config import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE
+from repro.config import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, knob_value
 from repro.trace.record import Trace
 
 
@@ -208,209 +208,265 @@ class TraceGenerator:
         self.layouts = layout_regions(regions, footprint_pages, first_page)
         self._rng = np.random.default_rng(params.seed)
 
-    # -- page-level plan ---------------------------------------------------
-
-    def _page_plan(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-        """Distribute the access budget over pages.
-
-        Returns parallel per-page arrays: page id, access count, write
-        fraction, read spread, lines touched, and the activity phase
-        (-1 for pages active over the whole window).
-        """
-        rng = self._rng
-        page_ids = []
-        weights = []
-        write_frac = []
-        read_spread = []
-        lines_touched = []
-        phase = []
-        for layout in self.layouts:
-            spec = layout.spec
-            ids = np.arange(
-                layout.first_page, layout.first_page + layout.num_pages, dtype=np.int64
-            )
-            # Zipf weights are normalised to the region, so scale by the
-            # page count to make ``hotness`` a *per-page* rate: a small
-            # region is not hotter per page than a large one of equal
-            # hotness.
-            w = (
-                _zipf_weights(layout.num_pages, spec.zipf_alpha)
-                * layout.num_pages
-                * spec.hotness
-            )
-            # Shuffle so hot pages are not always at the low addresses.
-            rng.shuffle(w)
-            page_ids.append(ids)
-            weights.append(w)
-            write_frac.append(np.full(layout.num_pages, spec.write_frac))
-            # Jitter the spread slightly so AVF varies inside a region.
-            spread = np.clip(
-                spec.read_spread + rng.normal(0.0, 0.05, layout.num_pages), 0.0, 1.0
-            )
-            read_spread.append(spread)
-            lines_touched.append(np.full(layout.num_pages, spec.lines_touched))
-            ph = np.full(layout.num_pages, -1, dtype=np.int64)
-            if spec.churn > 0 and self.params.phases > 1:
-                bursty = rng.random(layout.num_pages) < spec.churn
-                ph[bursty] = rng.integers(
-                    0, self.params.phases, size=int(bursty.sum())
-                )
-            phase.append(ph)
-
-        ids = np.concatenate(page_ids)
-        w = np.concatenate(weights)
-        w = w / w.sum()
-        counts = rng.multinomial(self.params.target_accesses, w).astype(np.int64)
-        return (
-            ids,
-            counts,
-            np.concatenate(write_frac),
-            np.concatenate(read_spread),
-            np.concatenate(lines_touched).astype(np.int64),
-            np.concatenate(phase),
-        )
-
-    # -- epoch expansion ---------------------------------------------------
-
     def generate(self) -> GeneratedCoreTrace:
         """Emit the core's trace, time-sorted, with instruction gaps.
 
-        Expansion is per *line*: each touched page spreads its access
-        budget over its ``lines_touched`` lines, and every line gets an
-        independent epoch structure (a write opening each epoch, reads
-        spread over the epoch's first ``read_spread`` fraction).  Lines
-        that receive no write are read-only — their data was live
-        before the window.
-        """
-        rng = self._rng
-        ids, counts, wf, spread, lines_limit, phase = self._page_plan()
-
-        touched = counts > 0
-        ids, counts, wf = ids[touched], counts[touched], wf[touched]
-        spread, lines_limit, phase = (
-            spread[touched], lines_limit[touched], phase[touched],
-        )
-
-        # --- line-level arrays (one entry per touched line) ---
-        lines_used = np.minimum(lines_limit, np.maximum(1, counts)).astype(np.int64)
-        line_page_idx = np.repeat(np.arange(len(ids)), lines_used)
-        n_lines = len(line_page_idx)
-        line_local = np.arange(n_lines) - np.repeat(
-            np.cumsum(lines_used) - lines_used, lines_used
-        )
-        # Spread the page's accesses and writes evenly over its lines.
-        base_count = counts // lines_used
-        extra_count = counts - base_count * lines_used
-        line_count = base_count[line_page_idx] + (line_local < extra_count[line_page_idx])
-        writes_total = np.round(counts * wf).astype(np.int64)
-        writes_total = np.minimum(writes_total, counts)
-        base_writes = writes_total // lines_used
-        extra_writes = writes_total - base_writes * lines_used
-        line_writes = base_writes[line_page_idx] + (
-            line_local < extra_writes[line_page_idx]
-        )
-        line_writes = np.minimum(line_writes, line_count)
-        line_reads = line_count - line_writes
-
-        # --- epoch-level arrays (one entry per line-epoch) ---
-        epochs = np.maximum(line_writes, 1)
-        epoch_line_idx = np.repeat(np.arange(n_lines), epochs)
-        n_epochs = len(epoch_line_idx)
-        epoch_local = np.arange(n_epochs) - np.repeat(
-            np.cumsum(epochs) - epochs, epochs
-        )
-        epochs_of = epochs[epoch_line_idx].astype(np.float64)
-
-        # Each page's activity spans a window [w0, w1) in logical time.
-        w0 = np.zeros(len(ids))
-        w1 = np.ones(len(ids))
-        bursty = phase >= 0
-        if bursty.any():
-            w0[bursty] = phase[bursty] / self.params.phases
-            w1[bursty] = (phase[bursty] + 1) / self.params.phases
-        epoch_page = line_page_idx[epoch_line_idx]
-        span = (w1 - w0)[epoch_page]
-        epoch_len = span / epochs_of
-        epoch_start = w0[epoch_page] + epoch_local * epoch_len
-
-        # Whether the epoch opens with a real write (read-only lines
-        # have a single epoch that starts pre-written).
-        has_write = np.repeat(line_writes > 0, epochs)
-
-        # Reads per epoch: each line's read budget split evenly over
-        # its epochs, remainder to the earliest epochs.
-        base_reads = line_reads // epochs
-        extra_reads = line_reads - base_reads * epochs
-        reads_per_epoch = base_reads[epoch_line_idx] + (
-            epoch_local < extra_reads[epoch_line_idx]
-        )
-
-        # --- expand to request-level arrays ---
-        spread_e = spread[epoch_page]
-
-        wr_page = epoch_page[has_write]
-        wr_time = epoch_start[has_write]
-        wr_line = line_local[epoch_line_idx[has_write]]
-
-        rd_epoch = np.repeat(np.arange(n_epochs), reads_per_epoch)
-        n_reads = len(rd_epoch)
-        rd_page = epoch_page[rd_epoch]
-        # Reads land uniformly within [start, start + spread * len) of
-        # their epoch; a tiny offset keeps them after the write.
-        u = rng.random(n_reads)
-        rd_time = (
-            epoch_start[rd_epoch]
-            + (0.02 + 0.98 * u * spread_e[rd_epoch]) * epoch_len[rd_epoch]
-        )
-        rd_line = line_local[epoch_line_idx[rd_epoch]]
-
-        page = np.concatenate([ids[wr_page], ids[rd_page]])
-        line = np.concatenate([wr_line, rd_line])
-        time = np.concatenate([wr_time, rd_time])
-        is_write = np.concatenate(
-            [np.ones(len(wr_page), dtype=bool), np.zeros(n_reads, dtype=bool)]
-        )
-
-        order = _stable_time_argsort(time)
-        page, line, time, is_write = page[order], line[order], time[order], is_write[order]
-
-        address = page.astype(np.uint64) * PAGE_SIZE + line.astype(np.uint64) * LINE_SIZE
-
-        n = len(address)
-        mean_gap = max(0.0, 1000.0 / self.params.mpki - 1.0)
-        if mean_gap > 0:
-            gap = rng.geometric(1.0 / (1.0 + mean_gap), size=n) - 1
-        else:
-            gap = np.zeros(n, dtype=np.int64)
-
-        trace = Trace(
-            core=np.zeros(n, dtype=np.uint16),
-            address=address,
-            is_write=is_write,
-            gap=gap.astype(np.uint32),
-        )
-        return GeneratedCoreTrace(trace=trace, layouts=self.layouts, times=time)
+        This is the one-generator case of :class:`_Synthesis`."""
+        synthesis = _Synthesis()
+        synthesis.add(self._rng, self.layouts, self.params.target_accesses,
+                      self.params.mpki, self.params.phases)
+        trace, times = synthesis.run()
+        return GeneratedCoreTrace(trace=trace, layouts=self.layouts,
+                                  times=times)
 
 
-def _stable_time_argsort(times: np.ndarray) -> np.ndarray:
-    """Stable argsort of a nonnegative float64 time array.
+class _Synthesis:
+    """One workload's trace synthesis: per-generator draws, one pass.
 
-    For nonnegative finite IEEE-754 doubles the raw bit pattern is
-    monotonic in the value and equal values share one pattern, so a
-    stable argsort of the ``uint64`` view orders exactly like a stable
-    argsort of the floats while using numpy's integer sort path
-    (measured ~10% faster on both random times and the concatenated
-    per-core runs :func:`interleave_cores` merges; the e2e pipeline
-    benchmark's ``synthesis`` stage picks the gain up).  Anything
-    outside that domain — negatives, ``-0.0``, NaN/inf, other dtypes,
-    non-contiguous views — falls back to the float sort.
+    A generator is one seeded page plan over contiguous regions: a core
+    of :meth:`repro.trace.workloads.Workload.generate`, or one (core,
+    phase, region) of
+    :meth:`repro.workloads.frontier.FrontierWorkload.generate`.
+    :meth:`add` makes its page draws with its own ``rng``, and
+    :meth:`run` its read and gap draws, in the order the epoch model
+    has always drawn them.  :meth:`run` then expands, orders and
+    interleaves every generator in one pass: the compiled
+    ``repro_synth`` kernel (:mod:`repro.sim._ckernel`), or
+    :func:`_expand_numpy` when the kernel is unavailable or the
+    ``native`` knob is off at the call.
+
+    Expansion is per *line*: each touched page spreads its access
+    budget over its ``lines_touched`` lines, and every line gets an
+    independent epoch structure (a write opening each epoch, reads
+    spread over the epoch's first ``read_spread`` fraction).  Lines
+    that receive no write are read-only — their data was live before
+    the window.  A generator's requests are ordered stably by local
+    time (its writes first, then its reads, each in page, line, epoch
+    order), take its gaps in that order, and are mapped into its window
+    ``start + t * span``; the workload is then ordered stably by window
+    time, ties in generator order.
     """
-    if (times.dtype == np.float64 and times.flags.c_contiguous
-            and len(times)
-            and not np.signbit(times).any()
-            and np.isfinite(times).all()):
-        return np.argsort(times.view(np.uint64), kind="stable")
-    return np.argsort(times, kind="stable")
+
+    def __init__(self) -> None:
+        #: Zipf weights per (pages, alpha, hotness).
+        self._zipf: "dict[tuple, np.ndarray]" = {}
+        #: Per generator: (rng, accesses, mpki, phases, core, start,
+        #: span, first page, pages).
+        self._gens: "list[tuple]" = []
+        #: Per generator: its pages' access counts.
+        self._counts: "list[np.ndarray]" = []
+        #: Per region: (pages, write_frac, lines_touched, read_spread),
+        #: and its pages' spread jitter.
+        self._regions: "list[tuple[int, float, int, float]]" = []
+        self._jitter: "list[np.ndarray]" = []
+        #: (index of its first page, each page's phase) of each region
+        #: with bursty pages.
+        self._bursty: "list[tuple[int, np.ndarray]]" = []
+        self._pages = 0
+
+    def add(self, rng: np.random.Generator, layouts: "list[RegionLayout]",
+            accesses: int, mpki: float, phases: int = 1, core: int = 0,
+            start: float = 0.0, span: float = 1.0) -> None:
+        """Make one generator's page draws: ``accesses`` requests over
+        ``layouts`` (contiguous), issued by ``core`` in the window
+        ``[start, start + span)``."""
+        first = self._pages
+        weights = []
+        for layout in layouts:
+            spec, n = layout.spec, layout.num_pages
+            key = (n, spec.zipf_alpha, spec.hotness)
+            zipf = self._zipf.get(key)
+            if zipf is None:
+                # Zipf weights are normalised to the region, so scale by
+                # the page count to make ``hotness`` a *per-page* rate:
+                # a small region is not hotter per page than a large one
+                # of equal hotness.
+                zipf = _zipf_weights(n, spec.zipf_alpha) * n * spec.hotness
+                self._zipf[key] = zipf
+            # Shuffle so hot pages are not always at the low addresses.
+            weights.append(rng.permutation(zipf))
+            # Jitter the spread slightly so AVF varies inside a region.
+            self._jitter.append(rng.normal(0.0, 0.05, n))
+            if spec.churn > 0 and phases > 1:
+                bursty = rng.random(n) < spec.churn
+                phase = np.full(n, -1, dtype=np.int64)
+                phase[bursty] = rng.integers(0, phases,
+                                             size=int(bursty.sum()))
+                self._bursty.append((self._pages, phase))
+            self._regions.append((n, spec.write_frac, spec.lines_touched,
+                                  spec.read_spread))
+            self._pages += n
+        w = np.concatenate(weights)
+        self._counts.append(rng.multinomial(accesses, w / w.sum()))
+        self._gens.append((rng, accesses, mpki, phases, core, start, span,
+                           layouts[0].first_page, self._pages - first))
+
+    def run(self) -> "tuple[Trace, np.ndarray]":
+        """Make every generator's read and gap draws, then expand, order
+        and interleave the workload; returns its trace and the logical
+        time of each request."""
+        if not self._gens:
+            return Trace.empty(), np.empty(0)
+        (rngs, accesses, mpkis, phases, cores, starts, spans, firsts,
+         pages) = zip(*self._gens)
+        counts = np.concatenate(self._counts)
+        region_pages, write_frac, lines, read_spread = zip(*self._regions)
+        lines = np.repeat(np.array(lines, dtype=np.int64), region_pages)
+        spread = np.clip(np.repeat(read_spread, region_pages)
+                         + np.concatenate(self._jitter), 0.0, 1.0)
+        # A line's writes never exceed its accesses, so a page's read
+        # total is known before expanding.
+        writes = np.minimum(
+            np.round(counts * np.repeat(write_frac, region_pages))
+            .astype(np.int64), counts)
+        gen_page = np.zeros(len(pages) + 1, dtype=np.int64)
+        np.cumsum(pages, out=gen_page[1:])
+        reads = np.add.reduceat(counts - writes, gen_page[:-1]).tolist()
+        n = sum(accesses)
+        u = np.empty(sum(reads))
+        gap = np.empty(n, dtype=np.uint32)
+        r0 = g0 = 0
+        for rng, n_reads, budget, mpki in zip(rngs, reads, accesses, mpkis):
+            # Reads land uniformly within [start, start + spread * len)
+            # of their epoch; a tiny offset keeps them after the write.
+            rng.random(out=u[r0:r0 + n_reads])
+            mean_gap = max(0.0, 1000.0 / mpki - 1.0)
+            if mean_gap > 0:
+                np.subtract(rng.geometric(1.0 / (1.0 + mean_gap),
+                                          size=budget),
+                            1, out=gap[g0:g0 + budget], casting="unsafe")
+            else:
+                gap[g0:g0 + budget] = 0
+            r0 += n_reads
+            g0 += budget
+        phase = np.full(len(counts), -1, dtype=np.int64)
+        for at, bursty in self._bursty:
+            phase[at:at + len(bursty)] = bursty
+        args = (gen_page, np.array(firsts, dtype=np.int64),
+                np.array(phases, dtype=np.int64),
+                np.array(starts, dtype=np.float64),
+                np.array(spans, dtype=np.float64),
+                np.array(cores, dtype=np.uint16),
+                counts, writes, lines, spread, phase, u, gap)
+        fn = None
+        if knob_value("native") and n < 2 ** 31:  # int32 request indices
+            # Imported here: repro.sim imports this module.
+            from repro.sim._ckernel import load_synth
+
+            fn = load_synth()
+        if fn is None:
+            return _expand_numpy(*args)
+        return _expand_native(fn, n, *args)
+
+
+def _expand_native(fn, n: int, gen_page, first, phases, start, span,
+                   gen_core, counts, writes, lines, spread, phase, u,
+                   drawn_gap) -> "tuple[Trace, np.ndarray]":
+    """The synthesis pass in the compiled ``repro_synth`` kernel."""
+    nb = 1 << max(0, n.bit_length() - 1)  # about one request a bucket
+    times = np.empty(n)
+    out = (np.empty(n, dtype=np.uint64), np.empty(n, dtype=bool),
+           np.empty(n, dtype=np.uint16), np.empty(n, dtype=np.uint32))
+    scratch = (np.empty(n), np.empty(n, dtype=np.uint64),
+               np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32),
+               np.empty(nb, dtype=np.int32),
+               np.empty(len(first), dtype=np.int64))
+    fn(len(first), *(a.ctypes.data for a in (
+        gen_page, first, phases, start, span, gen_core,
+        counts, writes, lines, spread, phase, u, drawn_gap)),
+       n, nb, *(a.ctypes.data for a in (*scratch, times, *out)))
+    address, is_write, core, gap = out
+    return Trace(core=core, address=address, is_write=is_write,
+                 gap=gap), times
+
+
+def _expand_numpy(gen_page, first, phases, start, span, gen_core, counts,
+                  writes, lines, spread, phase, u,
+                  drawn_gap) -> "tuple[Trace, np.ndarray]":
+    """The synthesis pass in numpy: the kernel's fallback and the fuzz
+    oracle.  The epoch expansion runs vectorised over every generator's
+    pages; every generator's writes come first, then every generator's
+    reads, and three stable sorts order them by (window time,
+    generator, local time, position).  Every time is nonnegative and
+    finite, so the time sorts read its ``uint64`` bits."""
+    # Imported here: repro.avf imports repro.trace.
+    from repro.avf.tracker import stable_int_argsort
+
+    page_gen = np.repeat(np.arange(len(first)), np.diff(gen_page))
+    page_id = first[page_gen] + (np.arange(len(page_gen))
+                                 - gen_page[page_gen])
+    touched = counts > 0
+    page_gen, page_id, counts, writes = (
+        page_gen[touched], page_id[touched], counts[touched],
+        writes[touched])
+    lines, spread, phase = lines[touched], spread[touched], phase[touched]
+
+    # --- line-level arrays (one entry per touched line) ---
+    lines_used = np.minimum(lines, counts)
+    line_page_idx = np.repeat(np.arange(len(counts)), lines_used)
+    n_lines = len(line_page_idx)
+    line_local = np.arange(n_lines) - np.repeat(
+        np.cumsum(lines_used) - lines_used, lines_used)
+    # Spread the page's accesses and writes evenly over its lines.
+    base_count = counts // lines_used
+    extra_count = counts - base_count * lines_used
+    line_count = (base_count[line_page_idx]
+                  + (line_local < extra_count[line_page_idx]))
+    base_writes = writes // lines_used
+    extra_writes = writes - base_writes * lines_used
+    line_writes = (base_writes[line_page_idx]
+                   + (line_local < extra_writes[line_page_idx]))
+    line_reads = line_count - line_writes
+
+    # --- epoch-level arrays (one entry per line-epoch) ---
+    epochs = np.maximum(line_writes, 1)
+    epoch_line_idx = np.repeat(np.arange(n_lines), epochs)
+    n_epochs = len(epoch_line_idx)
+    epoch_local = np.arange(n_epochs) - np.repeat(
+        np.cumsum(epochs) - epochs, epochs)
+    epochs_of = epochs[epoch_line_idx].astype(np.float64)
+    # Each page's activity spans a window [w0, w1) in logical time.
+    w0 = np.zeros(len(counts))
+    w1 = np.ones(len(counts))
+    bursty = phase >= 0
+    page_phases = phases[page_gen[bursty]]
+    w0[bursty] = phase[bursty] / page_phases
+    w1[bursty] = (phase[bursty] + 1) / page_phases
+    epoch_page = line_page_idx[epoch_line_idx]
+    epoch_len = (w1 - w0)[epoch_page] / epochs_of
+    epoch_start = w0[epoch_page] + epoch_local * epoch_len
+    # Reads per epoch: each line's read budget split evenly over its
+    # epochs, remainder to the earliest epochs.
+    base_reads = line_reads // epochs
+    extra_reads = line_reads - base_reads * epochs
+    reads_per_epoch = (base_reads[epoch_line_idx]
+                       + (epoch_local < extra_reads[epoch_line_idx]))
+
+    # --- request-level arrays: every write, then every read ---
+    writes_at = np.flatnonzero(np.repeat(line_writes > 0, epochs))
+    rd_epoch = np.repeat(np.arange(n_epochs), reads_per_epoch)
+    epoch_of = np.concatenate([writes_at, rd_epoch])
+    local = np.concatenate([
+        epoch_start[writes_at],
+        epoch_start[rd_epoch] + (0.02 + 0.98 * u * spread[
+            epoch_page[rd_epoch]]) * epoch_len[rd_epoch]])
+    gen = page_gen[epoch_page[epoch_of]]
+    # Each generator's requests in local-time order, generator after
+    # generator: the order its gaps were drawn in.
+    order = stable_int_argsort(local.view(np.uint64))
+    order = order[stable_int_argsort(gen[order])]
+    gen = gen[order]
+    window = start[gen] + local[order] * span[gen]
+    # One ascending run per generator: numpy's stable sort merges runs.
+    final = np.argsort(window.view(np.uint64), kind="stable")
+    src = order[final]
+    epoch = epoch_of[src]
+    address = (page_id[epoch_page[epoch]].astype(np.uint64) * PAGE_SIZE
+               + line_local[epoch_line_idx[epoch]].astype(np.uint64)
+               * LINE_SIZE)
+    trace = Trace(core=gen_core[gen[final]], address=address,
+                  is_write=src < len(writes_at), gap=drawn_gap[final])
+    return trace, window[final]
 
 
 def interleave_cores(cores: "list[GeneratedCoreTrace]") -> "tuple[Trace, np.ndarray]":
@@ -428,7 +484,7 @@ def interleave_cores(cores: "list[GeneratedCoreTrace]") -> "tuple[Trace, np.ndar
     core_ids = np.concatenate(
         [np.full(len(c.trace), i, dtype=np.uint16) for i, c in enumerate(cores)]
     )
-    order = _stable_time_argsort(times)
+    order = np.argsort(times, kind="stable")
     merged = Trace(
         core=core_ids[order],
         address=addresses[order],

@@ -27,12 +27,11 @@ import numpy as np
 from repro.config import PAGE_SIZE, knob_value
 from repro.trace.record import Trace
 from repro.trace.synthetic import (
-    GeneratedCoreTrace,
     GeneratorParams,
     RegionLayout,
     RegionSpec,
-    TraceGenerator,
-    interleave_cores,
+    _Synthesis,
+    layout_regions,
 )
 
 MB = 1024 * 1024
@@ -434,9 +433,9 @@ class Workload:
         ``seed`` knob (``REPRO_SEED``, else 0).
         """
         seed = knob_value("seed", seed)
-        cores: "list[GeneratedCoreTrace]" = []
+        synthesis = _Synthesis()
+        core_layouts: "list[list[RegionLayout]]" = []
         next_page = 0
-        total_pages = 0
         # Co-running cores share one time window, so each core's access
         # budget scales with its benchmark's MPKI: a bandwidth hog
         # issues proportionally more requests than a latency-bound
@@ -453,22 +452,19 @@ class Workload:
                 phases=phases,
                 seed=seed * 131 + idx,
             )
-            gen = TraceGenerator(
-                regions=list(profile.regions),
-                footprint_pages=pages,
-                params=params,
-                first_page=next_page,
-            )
-            cores.append(gen.generate())
+            layouts = layout_regions(list(profile.regions), pages, next_page)
+            synthesis.add(np.random.default_rng(params.seed), layouts,
+                          params.target_accesses, params.mpki, params.phases,
+                          core=idx)
+            core_layouts.append(layouts)
             next_page += pages
-            total_pages += pages
 
-        merged, times = interleave_cores(cores)
+        trace, times = synthesis.run()
         return WorkloadTrace(
             workload_name=self.name,
-            trace=merged,
+            trace=trace,
             times=times,
-            core_layouts=[c.layouts for c in cores],
+            core_layouts=core_layouts,
             core_benchmarks=list(self.cores),
-            footprint_pages=total_pages,
+            footprint_pages=next_page,
         )

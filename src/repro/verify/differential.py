@@ -488,13 +488,31 @@ def check_shm_roundtrip(case: DiffCase) -> "str | None":
     return None
 
 
+def _trace_diff(a, b) -> "str | None":
+    """The first of two generated workloads' trace columns, times or
+    tolerance map that differ byte for byte, or None."""
+    for fld in ("core", "address", "is_write", "gap"):
+        if getattr(a.trace, fld).tobytes() != getattr(b.trace, fld).tobytes():
+            return fld
+    if a.times.tobytes() != b.times.tobytes():
+        return "times"
+    if (a.tolerance is None) != (b.tolerance is None) or (
+            a.tolerance is not None and a.tolerance.page_class.tobytes()
+            != b.tolerance.page_class.tobytes()):
+        return "tolerance map"
+    return None
+
+
 def check_frontier(case: DiffCase) -> "str | None":
     """Frontier server-workload generators: determinism + parity.
 
     Three gates per case, rotating through the generator families:
 
     1. *Seeded determinism*: generating the same frontier workload
-       twice must be byte-identical, array for array.
+       twice must be byte-identical, array for array, and so must
+       generating it with the ``native`` knob off — the numpy synthesis
+       pass against the compiled one.  Rotating through the SPEC mixes,
+       one mix takes the same native-vs-numpy gate.
     2. *Tolerance-weighted parity*: the generated trace replayed under
        the ``tolerance-tiered`` mechanism holding the workload's own
        tolerance map — the vectorised planner through
@@ -508,28 +526,40 @@ def check_frontier(case: DiffCase) -> "str | None":
        hide.
     """
     from repro.avf.page import profile_trace
-    from repro.config import scaled_config
+    from repro.config import knob_overrides, scaled_config
     from repro.core.placement import PerformanceFocusedPlacement
     from repro.dram.hma import HeterogeneousMemory
     from repro.sim.engine import ReplaySpec, replay_multi, replay_reference
+    from repro.trace.mixes import MIX_NAMES
     from repro.trace.record import Trace
+    from repro.trace.workloads import Workload
     from repro.workloads import FRONTIER_WORKLOADS, generate_frontier
 
     name = FRONTIER_WORKLOADS[case.case_id % len(FRONTIER_WORKLOADS)]
+    mix = MIX_NAMES[case.case_id % len(MIX_NAMES)]
     accesses = max(60, min(case.accesses, 400))
     scale = 1 / 16384  # tiny footprints keep the fuzz loop cheap
-    wt = generate_frontier(name, scale=scale, accesses_per_core=accesses,
-                           seed=case.seed)
-    twin = generate_frontier(name, scale=scale, accesses_per_core=accesses,
-                             seed=case.seed)
-    for fld in ("core", "address", "is_write", "gap"):
-        if (getattr(wt.trace, fld).tobytes()
-                != getattr(twin.trace, fld).tobytes()):
-            return f"{name}: non-deterministic generation ({fld})"
-    if wt.times.tobytes() != twin.times.tobytes():
-        return f"{name}: non-deterministic generation (times)"
-    if wt.tolerance.page_class.tobytes() != twin.tolerance.page_class.tobytes():
-        return f"{name}: non-deterministic tolerance map"
+
+    def frontier():
+        return generate_frontier(name, scale=scale,
+                                 accesses_per_core=accesses, seed=case.seed)
+
+    def spec_mix():
+        return Workload.mix(mix).generate(
+            scale=scale, accesses_per_core=accesses, seed=case.seed)
+
+    wt = frontier()
+    diff = _trace_diff(wt, frontier())
+    if diff:
+        return f"{name}: non-deterministic generation ({diff})"
+    with knob_overrides(native=False):
+        numpy_wt, numpy_mix = frontier(), spec_mix()
+    diff = _trace_diff(wt, numpy_wt)
+    if diff:
+        return f"{name}: numpy synthesis differs from native ({diff})"
+    diff = _trace_diff(spec_mix(), numpy_mix)
+    if diff:
+        return f"{mix}: numpy synthesis differs from native ({diff})"
 
     # A fast tier of most of the footprint (64 of 80-96 pages) and
     # eight intervals give the planner enough exchanges that a wrong

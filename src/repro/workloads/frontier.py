@@ -41,14 +41,10 @@ import numpy as np
 
 from repro.config import PAGE_SIZE, knob_value
 from repro.core.annotations import tolerance_map
-from repro.trace.record import Trace
 from repro.trace.synthetic import (
-    GeneratedCoreTrace,
-    GeneratorParams,
+    RegionLayout,
     RegionSpec,
-    TraceGenerator,
-    _stable_time_argsort,
-    interleave_cores,
+    _Synthesis,
     layout_regions,
 )
 from repro.trace.workloads import MB, WorkloadTrace
@@ -333,82 +329,6 @@ def _apportion(budget: int, weights: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _generate_core(
-    profile: FrontierProfile,
-    schedule: "list[PhaseSpec]",
-    footprint_pages: int,
-    first_page: int,
-    accesses: int,
-    core_seed: int,
-) -> GeneratedCoreTrace:
-    """One core's trace: per-(phase, region) epoch passes, time-merged.
-
-    Every region keeps one fixed page range (from ``layout_regions``,
-    identical across phases); each phase runs an independent epoch
-    expansion over that range whose times are remapped into the
-    phase's window.  A churn region draws a fresh per-phase RNG, so
-    its Zipf hot set rotates phase to phase; a stable region reuses
-    its phase-0 RNG seed, so its popular pages persist.
-    """
-    layouts = layout_regions(list(profile.regions), footprint_pages,
-                             first_page)
-    phase_budgets = _apportion(
-        accesses, np.array([p.load_weight for p in schedule]))
-
-    pages_parts: "list[np.ndarray]" = []
-    addr_parts: "list[np.ndarray]" = []
-    write_parts: "list[np.ndarray]" = []
-    gap_parts: "list[np.ndarray]" = []
-    time_parts: "list[np.ndarray]" = []
-    for phase, phase_budget in zip(schedule, phase_budgets):
-        if phase_budget <= 0:
-            continue
-        region_w = np.array([
-            layout.num_pages * layout.spec.hotness
-            * phase.emphasis.get(layout.spec.name, 1.0)
-            for layout in layouts
-        ])
-        region_budgets = _apportion(int(phase_budget), region_w)
-        for r_idx, (layout, budget) in enumerate(
-                zip(layouts, region_budgets)):
-            if budget <= 0:
-                continue
-            salt = (phase.index + 1 if layout.spec.name in phase.reshuffle
-                    else 0)
-            sub_seed = (core_seed + 7919 * (r_idx + 1)
-                        + 104729 * salt) % (2 ** 63)
-            gen = TraceGenerator(
-                regions=[layout.spec],
-                footprint_pages=layout.num_pages,
-                params=GeneratorParams(
-                    target_accesses=int(budget), mpki=profile.mpki,
-                    phases=1, seed=sub_seed),
-                first_page=layout.first_page,
-            )
-            sub = gen.generate()
-            addr_parts.append(sub.trace.address)
-            write_parts.append(sub.trace.is_write)
-            gap_parts.append(sub.trace.gap)
-            time_parts.append(phase.start + sub.times * phase.span)
-
-    if not addr_parts:
-        raise ValueError(
-            f"{profile.name}: no accesses generated (budget {accesses})")
-    address = np.concatenate(addr_parts)
-    is_write = np.concatenate(write_parts)
-    gap = np.concatenate(gap_parts)
-    times = np.concatenate(time_parts)
-    order = _stable_time_argsort(times)
-    trace = Trace(
-        core=np.zeros(len(address), dtype=np.uint16),
-        address=address[order],
-        is_write=is_write[order],
-        gap=gap[order],
-    )
-    return GeneratedCoreTrace(trace=trace, layouts=layouts,
-                              times=times[order])
-
-
 @dataclass(frozen=True)
 class FrontierWorkload:
     """A named frontier workload; API-compatible with
@@ -444,24 +364,58 @@ class FrontierWorkload:
         profile = self.profile
         schedule = phase_schedule(profile, seed, phases)
         name_salt = zlib.crc32(profile.name.encode())
-        cores: "list[GeneratedCoreTrace]" = []
-        next_page = 0
-        for idx in range(profile.num_cores):
-            pages = profile.footprint_pages(scale)
-            core_seed = (seed * 131 + idx * 17 + name_salt) % (2 ** 63)
-            cores.append(_generate_core(
-                profile, schedule, pages, next_page,
-                accesses_per_core, core_seed))
-            next_page += pages
+        pages = profile.footprint_pages(scale)
+        # Every region keeps one fixed page range (identical across
+        # phases, and of one size on every core), so each phase's
+        # region budgets are the same for every core.
+        core0 = layout_regions(list(profile.regions), pages)
+        plan = []
+        for phase, phase_budget in zip(schedule, _apportion(
+                accesses_per_core,
+                np.array([p.load_weight for p in schedule]))):
+            if phase_budget > 0:
+                plan.append((phase, _apportion(int(phase_budget), np.array([
+                    layout.num_pages * layout.spec.hotness
+                    * phase.emphasis.get(layout.spec.name, 1.0)
+                    for layout in core0]))))
+        if not any(budgets.any() for _, budgets in plan):
+            raise ValueError(f"{profile.name}: no accesses generated "
+                             f"(budget {accesses_per_core})")
 
-        merged, times = interleave_cores(cores)
+        # One generator per (core, phase, region): an independent epoch
+        # pass over the region's pages whose times map into the phase's
+        # window.  A churn region draws a fresh per-phase RNG, so its
+        # Zipf hot set rotates phase to phase; a stable region reuses
+        # its phase-0 RNG seed, so its popular pages persist.
+        synthesis = _Synthesis()
+        core_layouts: "list[list[RegionLayout]]" = []
+        for idx in range(profile.num_cores):
+            layouts = layout_regions(list(profile.regions), pages,
+                                     idx * pages)
+            core_seed = (seed * 131 + idx * 17 + name_salt) % (2 ** 63)
+            for phase, budgets in plan:
+                for r_idx, (layout, budget) in enumerate(
+                        zip(layouts, budgets)):
+                    if budget <= 0:
+                        continue
+                    salt = (phase.index + 1
+                            if layout.spec.name in phase.reshuffle else 0)
+                    sub_seed = (core_seed + 7919 * (r_idx + 1)
+                                + 104729 * salt) % (2 ** 63)
+                    synthesis.add(np.random.default_rng(sub_seed),
+                                  [layout], int(budget), profile.mpki,
+                                  core=idx, start=phase.start,
+                                  span=phase.span)
+            core_layouts.append(layouts)
+
+        trace, times = synthesis.run()
         wt = WorkloadTrace(
             workload_name=self.name,
-            trace=merged,
+            trace=trace,
             times=times,
-            core_layouts=[c.layouts for c in cores],
+            core_layouts=core_layouts,
             core_benchmarks=[self.name] * profile.num_cores,
-            footprint_pages=next_page,
+            footprint_pages=pages * profile.num_cores,
             core_mlps=[profile.mlp] * profile.num_cores,
         )
         wt.tolerance = tolerance_map(wt, profile.tolerance)

@@ -156,6 +156,10 @@ class TestCli:
         pytest.param(name, 1, "both tiers' Monte-Carlo FITs are 0", id=name)
         for name in ("fig07", "fig14", "fig16", "table3",
                      "workload-frontier")
+    ] + [
+        pytest.param("ecc-pareto", 1,
+                     "the (secded, secded) pairing's SER on mcf is 0",
+                     id="ecc-pareto"),
     ])
     def test_zero_ddr_fit_fails_with_its_cause(self, experiment, seed,
                                                cause, capsys):
@@ -163,7 +167,8 @@ class TestCli:
         seed 3, and neither tier's does at seed 1: a figure that
         averages SER relative to DDR-only (seed 3), or one scheme's SER
         relative to another's (seed 1), names that cause and its
-        remedy."""
+        remedy, and the ECC Pareto sweep names the first protected
+        pairing whose SER that leaves at 0 (seed 1)."""
         rc = cli_main(["run", experiment, "--seed", str(seed),
                        "--fault-trials", "2000", "--accesses", "300"])
         captured = capsys.readouterr()

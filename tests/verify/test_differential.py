@@ -115,6 +115,29 @@ class TestFrontierFamily:
         assert finding is not None
         assert "non-deterministic" in finding
 
+    @pytest.mark.parametrize("workload", ["frontier", "mix"])
+    def test_numpy_synthesis_drift_is_caught(self, monkeypatch, workload):
+        # The numpy synthesis pass flips one request's write bit, on the
+        # frontier workload or on the SPEC mix (its 16 generators are
+        # its cores); the compiled pass is the other side of the gate.
+        from repro.trace import synthetic
+
+        if _ckernel.load_synth() is None:
+            pytest.skip("no compiled synthesis kernel to compare against")
+        expand = synthetic._expand_numpy
+
+        def drifting(*args):
+            trace, times = expand(*args)
+            if (len(args[1]) == 16) == (workload == "mix"):
+                trace.is_write[0] = ~trace.is_write[0]
+            return trace, times
+
+        monkeypatch.setattr(synthetic, "_expand_numpy", drifting)
+        finding = differential.check_frontier(_some_case(4))
+        assert finding is not None
+        assert "numpy synthesis differs from native (is_write)" in finding
+        assert finding.startswith("mix") == (workload == "mix")
+
     @pytest.mark.parametrize("case_id", [0, 1, 2])
     def test_reversed_tolerance_weights_are_caught(self, monkeypatch,
                                                    case_id):

@@ -16,6 +16,7 @@ from repro.sim.system import (
     prepare_workload,
     resolve_workload,
 )
+from repro.trace.synthetic import _Synthesis
 from repro.workloads import (
     FRONTIER_PROFILES,
     FRONTIER_WORKLOADS,
@@ -182,6 +183,20 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_frontier("kvstore", scale=SCALE,
                               accesses_per_core=0, seed=0)
+
+    def test_one_synthesis_pass_per_workload(self, monkeypatch):
+        """Every (core, phase, region) generator joins one synthesis
+        pass: the workload expands, orders and interleaves once."""
+        runs = []
+        run = _Synthesis.run
+        monkeypatch.setattr(_Synthesis, "run",
+                            lambda self: runs.append(len(self._gens))
+                            or run(self))
+        generate_frontier("compiler", scale=SCALE,
+                          accesses_per_core=ACCESSES, seed=0)
+        profile = FRONTIER_PROFILES["compiler"]
+        assert len(runs) == 1
+        assert runs[0] > profile.num_cores * len(profile.regions)
 
 
 class TestToleranceMap:

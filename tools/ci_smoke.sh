@@ -5,12 +5,13 @@
 #
 # 1. Runs the full tier-1 unit suite (tests/), failing fast, then
 #    reruns the kernel parity suites (replay, policy, MEA, MemPod's
-#    pods), the replay-memo suite and the replay edge cases with
-#    REPRO_NATIVE=0, so every compile-failure fallback stays tested end
-#    to end (MemPod and Cross Counters run the MEA map's list loop), the
-#    memo's figures still equal fresh ones when every miss replays
-#    through replay_reference, and replay's input checks hold on the
-#    reference path too.
+#    pods), the replay-memo suite, the replay edge cases and the
+#    synthesis suite with REPRO_NATIVE=0, so every compile-failure
+#    fallback stays tested end to end (MemPod and Cross Counters run the
+#    MEA map's list loop), the memo's figures still equal fresh ones
+#    when every miss replays through replay_reference, replay's input
+#    checks hold on the reference path too, and the numpy synthesis
+#    pass still reproduces the pinned trace digests.
 # 2. Re-runs the chaos suites verbosely (a worker SIGKILL or a hang
 #    past its timeout charging only the job that worker held, corrupted
 #    cache entries, compile failure) so a resilience regression is
@@ -28,11 +29,11 @@
 #    workload-generator and ECC-codec throughput benchmarks at a small
 #    scale with relaxed JSON output paths, so CI catches both
 #    correctness drift (the benchmarks assert bit-exact parity of
-#    replay results, migration plans, fault-simulator tallies, and
-#    seeded generator determinism) and gross performance regressions
-#    without a long wall-clock bill.  The capacity sweep's fan-out and
-#    the shm handoff are measured end to end by the bench/ benchmark
-#    (workload capacity-fanout).
+#    replay results, migration plans, fault-simulator tallies, seeded
+#    generator determinism, and native vs numpy synthesis) and gross
+#    performance regressions without a long wall-clock bill.  The
+#    capacity sweep's fan-out and the shm handoff are measured end to
+#    end by the bench/ benchmark (workload capacity-fanout).
 # 6. Runs the telemetry smoke: a tiny migration experiment twice with
 #    REPRO_TELEMETRY on, asserting the run registry holds both rows
 #    with non-empty epoch series, that `report` renders, and that a
@@ -88,7 +89,7 @@ echo "== kernel parity without the C kernels (REPRO_NATIVE=0) =="
 REPRO_NATIVE=0 python -m pytest -x -q tests/sim/test_parity.py \
     tests/core/test_policy_parity.py tests/core/test_mea.py \
     tests/core/test_mempod.py tests/sim/test_replay_memo.py \
-    tests/sim/test_engine_edge.py
+    tests/sim/test_engine_edge.py tests/trace/test_synthetic.py
 
 echo "== chaos / fault-injection tests =="
 # The chaos suites are tagged slow+chaos and excluded from tier-1 by
