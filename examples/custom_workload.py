@@ -4,84 +4,56 @@ Shows the full user-facing workflow on a custom application instead of
 a bundled benchmark:
 
 1. describe the program's data structures as regions (size, hotness,
-   write ratio, data lifetime),
-2. generate a multi-core trace and profile hotness + AVF,
+   write ratio, data lifetime) in a benchmark profile,
+2. prepare a 16-core workload of it (trace, hotness + AVF profile and
+   DDR-only baseline) exactly as a bundled benchmark is prepared,
 3. see which structures the annotation planner would pin into HBM, and
 4. compare the annotation placement against the performance oracle.
 
     python examples/custom_workload.py
 """
 
-import numpy as np
-
-from repro.avf.page import profile_trace
-from repro.config import scaled_config
 from repro.core.annotations import plan_annotations, profile_structures
 from repro.core.placement import PerformanceFocusedPlacement
-from repro.dram.hma import HeterogeneousMemory
-from repro.faults.ser import SerModel
 from repro.harness.reporting import print_table
-from repro.sim.engine import replay
-from repro.trace.synthetic import (
-    GeneratorParams,
-    RegionSpec,
-    TraceGenerator,
-    interleave_cores,
+from repro.sim.system import (
+    evaluate_annotations,
+    evaluate_static,
+    prepare_workload,
 )
-from repro.trace.workloads import WorkloadTrace
+from repro.trace.synthetic import RegionSpec
+from repro.trace.workloads import BenchmarkProfile, Workload
 
 # -- 1. Describe the application's structures -------------------------------
 # A toy in-memory key-value store: a hash index that is read-heavy and
 # long-lived (risky!), a log that is written then rarely read (safe),
 # hot per-request scratch buffers (safe), and a cold value heap.
-REGIONS = [
-    RegionSpec(name="hash_index", footprint_share=0.25, hotness=4.0,
-               write_frac=0.05, read_spread=0.7, lines_touched=32),
-    RegionSpec(name="append_log", footprint_share=0.20, hotness=2.5,
-               write_frac=0.85, read_spread=0.05, lines_touched=48),
-    RegionSpec(name="request_scratch", footprint_share=0.05, hotness=9.0,
-               write_frac=0.55, read_spread=0.08, lines_touched=64,
-               churn=0.3),
-    RegionSpec(name="value_heap", footprint_share=0.50, hotness=0.3,
-               write_frac=0.10, read_spread=0.4, zipf_alpha=0.9,
-               lines_touched=8),
-]
-
-NUM_CORES = 16
-PAGES_PER_CORE = 120
-
-
-def generate_workload() -> WorkloadTrace:
-    cores = []
-    next_page = 0
-    for core in range(NUM_CORES):
-        gen = TraceGenerator(
-            REGIONS, PAGES_PER_CORE,
-            GeneratorParams(target_accesses=15_000, mpki=12.0,
-                            seed=42 + core),
-            first_page=next_page,
-        )
-        cores.append(gen.generate())
-        next_page += PAGES_PER_CORE
-    trace, times = interleave_cores(cores)
-    return WorkloadTrace(
-        workload_name="kvstore",
-        trace=trace,
-        times=times,
-        core_layouts=[c.layouts for c in cores],
-        core_benchmarks=["kvstore"] * NUM_CORES,
-        footprint_pages=next_page,
-    )
+KVSTORE = BenchmarkProfile(
+    name="kvstore",
+    # 120 pages per process at the default 1/1024 scale.
+    footprint_mb=480,
+    mpki=12.0,
+    mlp=6,
+    regions=(
+        RegionSpec(name="hash_index", footprint_share=0.25, hotness=4.0,
+                   write_frac=0.05, read_spread=0.7, lines_touched=32),
+        RegionSpec(name="append_log", footprint_share=0.20, hotness=2.5,
+                   write_frac=0.85, read_spread=0.05, lines_touched=48),
+        RegionSpec(name="request_scratch", footprint_share=0.05,
+                   hotness=9.0, write_frac=0.55, read_spread=0.08,
+                   lines_touched=64, churn=0.3),
+        RegionSpec(name="value_heap", footprint_share=0.50, hotness=0.3,
+                   write_frac=0.10, read_spread=0.4, zipf_alpha=0.9,
+                   lines_touched=8),
+    ),
+)
 
 
 def main() -> None:
-    config = scaled_config(1 / 1024)
-    wt = generate_workload()
-
-    # -- 2. Profile --
-    stats = profile_trace(wt.trace, wt.times,
-                          footprint_pages=wt.footprint_pages)
-    profiles = profile_structures(wt, stats)
+    # -- 2. Prepare: 16 processes of the application --
+    prep = prepare_workload(Workload("kvstore", (KVSTORE,) * 16),
+                            accesses_per_core=15_000, seed=42)
+    profiles = profile_structures(prep.workload_trace, prep.stats)
     print_table(
         ["structure", "pages", "mean hotness", "mean AVF %"],
         [[p.name, p.pages, f"{p.mean_hotness:.0f}",
@@ -90,33 +62,24 @@ def main() -> None:
     )
 
     # -- 3. Plan annotations --
-    capacity = config.fast_memory.num_pages
-    plan = plan_annotations(wt, stats, capacity)
+    plan = plan_annotations(prep.workload_trace, prep.stats,
+                            prep.capacity_pages)
     print(f"annotations chosen ({plan.num_annotations}): "
           f"{', '.join(plan.structure_names)}")
-    print(f"pinned pages: {len(plan.pinned_pages)} / {capacity} HBM frames")
+    print(f"pinned pages: {len(plan.pinned_pages)} / {prep.capacity_pages} "
+          "HBM frames")
     print()
 
     # -- 4. Compare against the performance oracle --
-    ser_model = SerModel.for_system(config)
-    rows = []
-    for label, fast_pages, pinned in (
-        ("perf-focused oracle",
-         PerformanceFocusedPlacement().select_fast_pages(stats, capacity),
-         False),
-        ("annotation-pinned", plan.pinned_pages, True),
-    ):
-        hma = HeterogeneousMemory(config)
-        hma.install_placement(fast_pages, stats.pages)
-        if pinned:
-            hma.pin(fast_pages)
-        result = replay(config, hma, wt.trace, wt.times,
-                        core_windows=[6] * NUM_CORES)
-        ser = ser_model.ser_static(stats, fast_pages)
-        rows.append([label, f"{result.ipc:.2f}",
-                     f"{ser / ser_model.ser_ddr_only(stats):.0f}x"])
-    print_table(["placement", "IPC", "SER vs DDR-only"], rows,
-                title="kvstore: annotation placement vs performance oracle")
+    oracle = evaluate_static(prep, PerformanceFocusedPlacement())
+    annotated, _plan = evaluate_annotations(prep)
+    print_table(
+        ["placement", "IPC", "SER vs DDR-only"],
+        [["perf-focused oracle", f"{oracle.ipc:.2f}",
+          f"{oracle.ser_vs_ddr:.0f}x"],
+         ["annotation-pinned", f"{annotated.ipc:.2f}",
+          f"{annotated.ser_vs_ddr:.0f}x"]],
+        title="kvstore: annotation placement vs performance oracle")
     print("Pinning the log and scratch buffers (hot, short-lived data)")
     print("captures the bandwidth win while the risky hash index stays")
     print("in the strongly-protected memory.")

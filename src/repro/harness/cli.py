@@ -277,6 +277,8 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error("--resume requires --run-dir")
     if getattr(args, "fault_trials", None) is not None and args.fault_trials < 0:
         parser.error("--fault-trials must be >= 0")
+    if getattr(args, "accesses", 1) < 1:
+        parser.error("--accesses must be >= 1")
     for flag in ("cache_dir", "run_dir", "obs_dir"):
         path = getattr(args, flag, None)
         if path and os.path.exists(path) and not os.path.isdir(path):

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.harness.experiments import WorkloadCache
 from repro.sim.system import DEFAULT_SCALE, PreparedWorkload
 
 
@@ -55,12 +56,9 @@ class Replication:
 
 def _replicate_seed(item) -> float:
     workload, metric, scale, accesses_per_core, seed, cache_dir = item
-    from repro.harness.runner import prepare_workload_cached
-
-    prep = prepare_workload_cached(workload, scale=scale,
-                                   accesses_per_core=accesses_per_core,
-                                   seed=seed, cache_dir=cache_dir)
-    return float(metric(prep))
+    cache = WorkloadCache(accesses_per_core, scale, seed=seed,
+                          cache_dir=cache_dir)
+    return float(metric(cache.get(workload)))
 
 
 def replicate(
@@ -78,6 +76,11 @@ def replicate(
     retries: "int | None" = None,
 ) -> Replication:
     """Evaluate ``metric`` on fresh workload draws, one per seed.
+
+    Each seed reads its workload through a
+    :class:`~repro.harness.experiments.WorkloadCache` of that seed, so
+    its trace and its SER model's FaultSim campaign are the ones a run
+    at that seed gets, and they share its ``cache_dir`` entries.
 
     ``jobs`` fans the seeds out across forked workers, which inherit
     ``metric``, so any callable works (a lambda or closure included);

@@ -92,8 +92,10 @@ __all__ = [
 
 #: Bump to invalidate every on-disk entry when the pickle layout changes.
 #: v2: entries carry an integrity header (schema version + checksum).
-#: v3: WorkloadTrace gained core_mlps + tolerance (frontier workloads).
-CACHE_VERSION = 3
+#: v3: WorkloadTrace gained per-core MLPs + tolerance (frontier workloads).
+#: v4: Workload.cores holds BenchmarkProfiles instead of names, and the
+#: per-core MLPs are WorkloadTrace's required core_mlp field.
+CACHE_VERSION = 4
 
 
 # ---------------------------------------------------------------------------

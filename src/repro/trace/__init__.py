@@ -1,14 +1,7 @@
 """Workload substrate: trace records, synthetic generation, benchmarks."""
 
 from repro.trace.record import Trace, TraceRecord
-from repro.trace.synthetic import (
-    GeneratorParams,
-    RegionLayout,
-    RegionSpec,
-    TraceGenerator,
-    interleave_cores,
-    layout_regions,
-)
+from repro.trace.synthetic import RegionLayout, RegionSpec, layout_regions
 from repro.trace.workloads import (
     HOMOGENEOUS_BENCHMARKS,
     PROFILES,
@@ -18,12 +11,6 @@ from repro.trace.workloads import (
 )
 from repro.trace.mixes import MIX_NAMES, MIX_TABLE, MIXES
 from repro.trace.io import load_npz, load_text, save_npz, save_text
-from repro.trace.profiles_io import (
-    load_profile,
-    register_profile,
-    save_profile,
-    unregister_profile,
-)
 from repro.trace.simpoints import (
     KMeans,
     SimPoint,
@@ -37,10 +24,7 @@ __all__ = [
     "TraceRecord",
     "RegionSpec",
     "RegionLayout",
-    "GeneratorParams",
-    "TraceGenerator",
     "layout_regions",
-    "interleave_cores",
     "BenchmarkProfile",
     "Workload",
     "WorkloadTrace",
@@ -53,10 +37,6 @@ __all__ = [
     "load_npz",
     "save_text",
     "load_text",
-    "save_profile",
-    "load_profile",
-    "register_profile",
-    "unregister_profile",
     "SimPoint",
     "KMeans",
     "interval_vectors",

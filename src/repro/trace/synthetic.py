@@ -25,7 +25,7 @@ and the access count remain independently controllable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from repro.config import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, knob_value
@@ -102,37 +102,6 @@ class RegionLayout:
         return self.first_page <= page < self.first_page + self.num_pages
 
 
-@dataclass
-class GeneratorParams:
-    """Scale-independent knobs of a generation run."""
-
-    #: Total memory requests to emit for this core.
-    target_accesses: int
-    #: Misses per kilo-instruction; sets the instruction gaps.
-    mpki: float
-    #: Number of bursty-activity phases the trace window is split into.
-    phases: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.target_accesses > 0:
-            raise ValueError("target_accesses must be positive")
-        if not self.mpki > 0 or not np.isfinite(self.mpki):
-            raise ValueError("mpki must be a positive finite number")
-        if not self.phases >= 1:
-            raise ValueError("phases must be >= 1")
-
-
-@dataclass
-class GeneratedCoreTrace:
-    """Trace of one core plus the layout metadata needed downstream."""
-
-    trace: Trace
-    layouts: "list[RegionLayout]"
-    #: Logical time of each request in [0, 1), aligned with the trace.
-    times: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-
-
 def _zipf_weights(n: int, alpha: float) -> np.ndarray:
     """Zipf-like weights 1/rank^alpha over ``n`` items, normalised."""
     ranks = np.arange(1, n + 1, dtype=np.float64)
@@ -190,34 +159,6 @@ def layout_regions(
         layouts.append(RegionLayout(spec=spec, first_page=cursor, num_pages=int(size)))
         cursor += int(size)
     return layouts
-
-
-class TraceGenerator:
-    """Epoch-based synthetic trace generator for one core."""
-
-    def __init__(
-        self,
-        regions: "list[RegionSpec]",
-        footprint_pages: int,
-        params: GeneratorParams,
-        first_page: int = 0,
-    ) -> None:
-        if footprint_pages <= 0:
-            raise ValueError("footprint_pages must be positive")
-        self.params = params
-        self.layouts = layout_regions(regions, footprint_pages, first_page)
-        self._rng = np.random.default_rng(params.seed)
-
-    def generate(self) -> GeneratedCoreTrace:
-        """Emit the core's trace, time-sorted, with instruction gaps.
-
-        This is the one-generator case of :class:`_Synthesis`."""
-        synthesis = _Synthesis()
-        synthesis.add(self._rng, self.layouts, self.params.target_accesses,
-                      self.params.mpki, self.params.phases)
-        trace, times = synthesis.run()
-        return GeneratedCoreTrace(trace=trace, layouts=self.layouts,
-                                  times=times)
 
 
 class _Synthesis:
@@ -384,15 +325,56 @@ def _expand_numpy(gen_page, first, phases, start, span, gen_core, counts,
                   writes, lines, spread, phase, u,
                   drawn_gap) -> "tuple[Trace, np.ndarray]":
     """The synthesis pass in numpy: the kernel's fallback and the fuzz
-    oracle.  The epoch expansion runs vectorised over every generator's
-    pages; every generator's writes come first, then every generator's
-    reads, and three stable sorts order them by (window time,
-    generator, local time, position).  Every time is nonnegative and
-    finite, so the time sorts read its ``uint64`` bits."""
+    oracle.  The epoch expansion (:func:`_epoch_requests`) runs
+    vectorised over every generator's pages; every generator's writes
+    come first, then every generator's reads, and three stable sorts
+    order them by (window time, generator, local time, position).
+    Every time is nonnegative and finite, so the time sorts read its
+    ``uint64`` bits.
+
+    A touched page, line and epoch each hold at least one request, so
+    below 2**31 requests every index fits an ``int32``; each
+    request-level array is released after its last use."""
     # Imported here: repro.avf imports repro.trace.
     from repro.avf.tracker import stable_int_argsort
 
-    page_gen = np.repeat(np.arange(len(first)), np.diff(gen_page))
+    index = np.int32 if len(drawn_gap) < 2 ** 31 else np.int64
+    epoch_of, local, n_writes, epoch_gen, epoch_address = _epoch_requests(
+        index, gen_page, first, phases, counts, writes, lines, spread,
+        phase, u)
+    gen = epoch_gen[epoch_of]
+    # Each generator's requests in local-time order, generator after
+    # generator: the order its gaps were drawn in.
+    order = stable_int_argsort(local.view(np.uint64)).astype(index)
+    order = order[stable_int_argsort(gen[order])]
+    gen = gen[order]
+    # start + local * span, in place: IEEE sums and products commute.
+    window = local[order]
+    del local
+    window *= span[gen]
+    window += start[gen]
+    # One ascending run per generator: numpy's stable sort merges runs.
+    final = np.argsort(window.view(np.uint64), kind="stable").astype(index)
+    times = window[final]
+    del window
+    core = gen_core[gen[final]]
+    del gen
+    src = order[final]
+    del order
+    gap = drawn_gap[final]
+    del final
+    return Trace(core=core, address=epoch_address[epoch_of[src]],
+                 is_write=src < n_writes, gap=gap), times
+
+
+def _epoch_requests(index, gen_page, first, phases, counts, writes, lines,
+                    spread, phase, u) -> "tuple":
+    """The epoch expansion of :func:`_expand_numpy`: each request's
+    epoch and local time, every write first, then every read, the
+    number of writes, and each epoch's generator and address.  Its
+    page-, line- and epoch-level temporaries end with the call."""
+    page_gen = np.repeat(np.arange(len(first), dtype=index),
+                         np.diff(gen_page))
     page_id = first[page_gen] + (np.arange(len(page_gen))
                                  - gen_page[page_gen])
     touched = counts > 0
@@ -403,10 +385,11 @@ def _expand_numpy(gen_page, first, phases, start, span, gen_core, counts,
 
     # --- line-level arrays (one entry per touched line) ---
     lines_used = np.minimum(lines, counts)
-    line_page_idx = np.repeat(np.arange(len(counts)), lines_used)
+    line_page_idx = np.repeat(np.arange(len(counts), dtype=index),
+                              lines_used)
     n_lines = len(line_page_idx)
-    line_local = np.arange(n_lines) - np.repeat(
-        np.cumsum(lines_used) - lines_used, lines_used)
+    line_local = np.arange(n_lines, dtype=index) - np.repeat(
+        (np.cumsum(lines_used) - lines_used).astype(index), lines_used)
     # Spread the page's accesses and writes evenly over its lines.
     base_count = counts // lines_used
     extra_count = counts - base_count * lines_used
@@ -420,10 +403,10 @@ def _expand_numpy(gen_page, first, phases, start, span, gen_core, counts,
 
     # --- epoch-level arrays (one entry per line-epoch) ---
     epochs = np.maximum(line_writes, 1)
-    epoch_line_idx = np.repeat(np.arange(n_lines), epochs)
+    epoch_line_idx = np.repeat(np.arange(n_lines, dtype=index), epochs)
     n_epochs = len(epoch_line_idx)
-    epoch_local = np.arange(n_epochs) - np.repeat(
-        np.cumsum(epochs) - epochs, epochs)
+    epoch_local = np.arange(n_epochs, dtype=index) - np.repeat(
+        (np.cumsum(epochs) - epochs).astype(index), epochs)
     epochs_of = epochs[epoch_line_idx].astype(np.float64)
     # Each page's activity spans a window [w0, w1) in logical time.
     w0 = np.zeros(len(counts))
@@ -441,54 +424,25 @@ def _expand_numpy(gen_page, first, phases, start, span, gen_core, counts,
     extra_reads = line_reads - base_reads * epochs
     reads_per_epoch = (base_reads[epoch_line_idx]
                        + (epoch_local < extra_reads[epoch_line_idx]))
+    epoch_address = (page_id[epoch_page].astype(np.uint64) * PAGE_SIZE
+                     + line_local[epoch_line_idx].astype(np.uint64)
+                     * LINE_SIZE)
 
     # --- request-level arrays: every write, then every read ---
-    writes_at = np.flatnonzero(np.repeat(line_writes > 0, epochs))
-    rd_epoch = np.repeat(np.arange(n_epochs), reads_per_epoch)
-    epoch_of = np.concatenate([writes_at, rd_epoch])
-    local = np.concatenate([
-        epoch_start[writes_at],
-        epoch_start[rd_epoch] + (0.02 + 0.98 * u * spread[
-            epoch_page[rd_epoch]]) * epoch_len[rd_epoch]])
-    gen = page_gen[epoch_page[epoch_of]]
-    # Each generator's requests in local-time order, generator after
-    # generator: the order its gaps were drawn in.
-    order = stable_int_argsort(local.view(np.uint64))
-    order = order[stable_int_argsort(gen[order])]
-    gen = gen[order]
-    window = start[gen] + local[order] * span[gen]
-    # One ascending run per generator: numpy's stable sort merges runs.
-    final = np.argsort(window.view(np.uint64), kind="stable")
-    src = order[final]
-    epoch = epoch_of[src]
-    address = (page_id[epoch_page[epoch]].astype(np.uint64) * PAGE_SIZE
-               + line_local[epoch_line_idx[epoch]].astype(np.uint64)
-               * LINE_SIZE)
-    trace = Trace(core=gen_core[gen[final]], address=address,
-                  is_write=src < len(writes_at), gap=drawn_gap[final])
-    return trace, window[final]
-
-
-def interleave_cores(cores: "list[GeneratedCoreTrace]") -> "tuple[Trace, np.ndarray]":
-    """Merge per-core traces into one global, time-ordered trace.
-
-    Returns the merged trace and the merged logical-time array.  Core
-    ids are assigned by list position.
-    """
-    if not cores:
-        return Trace.empty(), np.empty(0)
-    addresses = np.concatenate([c.trace.address for c in cores])
-    is_write = np.concatenate([c.trace.is_write for c in cores])
-    gaps = np.concatenate([c.trace.gap for c in cores])
-    times = np.concatenate([c.times for c in cores])
-    core_ids = np.concatenate(
-        [np.full(len(c.trace), i, dtype=np.uint16) for i, c in enumerate(cores)]
-    )
-    order = np.argsort(times, kind="stable")
-    merged = Trace(
-        core=core_ids[order],
-        address=addresses[order],
-        is_write=is_write[order],
-        gap=gaps[order],
-    )
-    return merged, times[order]
+    writes_at = np.flatnonzero(np.repeat(line_writes > 0, epochs)
+                               ).astype(index)
+    n_writes = len(writes_at)
+    epoch_of = np.concatenate([
+        writes_at,
+        np.repeat(np.arange(n_epochs, dtype=index), reads_per_epoch)])
+    local = np.empty(len(epoch_of))
+    np.take(epoch_start, writes_at, out=local[:n_writes])
+    # start + (0.02 + 0.98 * u * spread) * len, in place: IEEE sums and
+    # products commute.
+    rd_epoch, reads = epoch_of[n_writes:], local[n_writes:]
+    np.multiply(u, 0.98, out=reads)
+    reads *= spread[epoch_page[rd_epoch]]
+    reads += 0.02
+    reads *= epoch_len[rd_epoch]
+    reads += epoch_start[rd_epoch]
+    return epoch_of, local, n_writes, page_gen[epoch_page], epoch_address

@@ -15,7 +15,10 @@ per-benchmark quantities the paper reports:
 * annotation counts: a handful of structures for most benchmarks, tens
   for cactusADM — Fig. 17.
 
-The region names double as annotation targets for Section 7.
+The region names double as annotation targets for Section 7.  A
+user's own application is described the same way: a
+:class:`BenchmarkProfile` of its structures, run as a :class:`Workload`
+of one profile per core.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 from repro.config import PAGE_SIZE, knob_value
 from repro.trace.record import Trace
 from repro.trace.synthetic import (
-    GeneratorParams,
     RegionLayout,
     RegionSpec,
     _Synthesis,
@@ -53,6 +55,23 @@ class BenchmarkProfile:
     #: libquantum) keep the full miss window busy.  This is what makes
     #: a workload latency-sensitive vs. bandwidth-intensive.
     mlp: int = 4
+
+    def __post_init__(self) -> None:
+        # Phrased to also reject NaN, as RegionSpec's checks are.
+        if not 0 < self.footprint_mb < np.inf:
+            raise ValueError(f"{self.name}: footprint_mb must be a positive "
+                             f"finite number (got {self.footprint_mb!r})")
+        if not 0 < self.mpki < np.inf:
+            raise ValueError(f"{self.name}: mpki must be a positive finite "
+                             f"number (got {self.mpki!r})")
+        if not self.mlp >= 1:
+            raise ValueError(f"{self.name}: mlp must be >= 1 "
+                             f"(got {self.mlp!r})")
+        if not self.regions:
+            raise ValueError(f"{self.name}: at least one region is required")
+        if not any(r.hotness > 0 for r in self.regions):
+            raise ValueError(f"{self.name}: every region has hotness 0, so "
+                             "no page can draw an access")
 
     def footprint_pages(self, scale: float = 1.0) -> int:
         pages = int(self.footprint_mb * MB * scale) // PAGE_SIZE
@@ -361,19 +380,11 @@ class WorkloadTrace:
     core_benchmarks: "list[str]"
     #: Total footprint in pages (sum over cores).
     footprint_pages: int
-    #: Explicit per-core MLP for workloads whose benchmarks are not in
-    #: PROFILES (the frontier server generators); None -> look up.
-    core_mlps: "list[int] | None" = None
+    #: Per-core outstanding-miss windows (each core's profile MLP).
+    core_mlp: "list[int]"
     #: Optional per-page error-tolerance classes
     #: (:class:`repro.core.annotations.ToleranceMap`).
     tolerance: "object | None" = None
-
-    @property
-    def core_mlp(self) -> "list[int]":
-        """Per-core outstanding-miss windows from the profiles."""
-        if self.core_mlps is not None:
-            return list(self.core_mlps)
-        return [PROFILES[b].mlp for b in self.core_benchmarks]
 
     def structures(self) -> "dict[str, list[RegionLayout]]":
         """All annotatable structures, keyed by ``benchmark.region``.
@@ -391,22 +402,30 @@ class WorkloadTrace:
 
 @dataclass(frozen=True)
 class Workload:
-    """A named 16-core workload: one benchmark per core."""
+    """A named multi-core workload: one benchmark profile per core.
+
+    :meth:`spec` and :meth:`mix` build the bundled workloads from
+    :data:`PROFILES`; a custom application is a profile of its own,
+    e.g. ``Workload("kvstore", (app,) * 16)``.
+    """
 
     name: str
-    cores: "tuple[str, ...]"
+    cores: "tuple[BenchmarkProfile, ...]"
 
     def __post_init__(self) -> None:
-        unknown = [b for b in self.cores if b not in PROFILES]
-        if unknown:
-            raise KeyError(f"unknown benchmarks: {unknown}")
+        wrong = [c for c in self.cores if not isinstance(c, BenchmarkProfile)]
+        if wrong:
+            raise TypeError(
+                f"{self.name}: every core must be a BenchmarkProfile "
+                f"(got {wrong!r}); Workload.spec and Workload.mix build "
+                "bundled workloads from benchmark names")
 
     @classmethod
     def spec(cls, benchmark: str, num_cores: int = 16) -> "Workload":
         """A homogeneous workload: ``num_cores`` copies of ``benchmark``."""
         if benchmark not in PROFILES:
             raise KeyError(f"unknown benchmark: {benchmark}")
-        return cls(name=benchmark, cores=(benchmark,) * num_cores)
+        return cls(name=benchmark, cores=(PROFILES[benchmark],) * num_cores)
 
     @classmethod
     def mix(cls, name: str) -> "Workload":
@@ -415,7 +434,7 @@ class Workload:
 
         if name not in MIXES:
             raise KeyError(f"unknown mix: {name}")
-        return cls(name=name, cores=MIXES[name])
+        return cls(name=name, cores=tuple(PROFILES[b] for b in MIXES[name]))
 
     def generate(
         self,
@@ -432,6 +451,10 @@ class Workload:
         keeps the hot/cold contrast intact.  ``seed`` defaults to the
         ``seed`` knob (``REPRO_SEED``, else 0).
         """
+        if not accesses_per_core > 0:
+            raise ValueError("accesses_per_core must be positive")
+        if not phases >= 1:
+            raise ValueError("phases must be >= 1")
         seed = knob_value("seed", seed)
         synthesis = _Synthesis()
         core_layouts: "list[list[RegionLayout]]" = []
@@ -441,21 +464,14 @@ class Workload:
         # issues proportionally more requests than a latency-bound
         # pointer chaser.  The workload total stays at
         # ``accesses_per_core * num_cores``.
-        mpkis = np.array([PROFILES[b].mpki for b in self.cores])
+        mpkis = np.array([p.mpki for p in self.cores])
         budgets = accesses_per_core * len(self.cores) * mpkis / mpkis.sum()
-        for idx, bench in enumerate(self.cores):
-            profile = PROFILES[bench]
+        for idx, profile in enumerate(self.cores):
             pages = profile.footprint_pages(scale)
-            params = GeneratorParams(
-                target_accesses=max(1, int(round(budgets[idx]))),
-                mpki=profile.mpki,
-                phases=phases,
-                seed=seed * 131 + idx,
-            )
             layouts = layout_regions(list(profile.regions), pages, next_page)
-            synthesis.add(np.random.default_rng(params.seed), layouts,
-                          params.target_accesses, params.mpki, params.phases,
-                          core=idx)
+            synthesis.add(np.random.default_rng(seed * 131 + idx), layouts,
+                          max(1, int(round(budgets[idx]))), profile.mpki,
+                          phases, core=idx)
             core_layouts.append(layouts)
             next_page += pages
 
@@ -465,6 +481,7 @@ class Workload:
             trace=trace,
             times=times,
             core_layouts=core_layouts,
-            core_benchmarks=list(self.cores),
+            core_benchmarks=[p.name for p in self.cores],
             footprint_pages=next_page,
+            core_mlp=[p.mlp for p in self.cores],
         )

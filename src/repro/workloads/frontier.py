@@ -47,15 +47,7 @@ from repro.trace.synthetic import (
     _Synthesis,
     layout_regions,
 )
-from repro.trace.workloads import MB, WorkloadTrace
-
-
-def _r(name, share, hot, wf, spread, alpha=0.6, lines=64, churn=0.0):
-    return RegionSpec(
-        name=name, footprint_share=share, hotness=hot, write_frac=wf,
-        read_spread=spread, zipf_alpha=alpha, lines_touched=lines,
-        churn=churn,
-    )
+from repro.trace.workloads import MB, WorkloadTrace, _r
 
 
 @dataclass(frozen=True)
@@ -341,10 +333,6 @@ class FrontierWorkload:
     def profile(self) -> FrontierProfile:
         return frontier_profile(self.name)
 
-    @property
-    def cores(self) -> "tuple[str, ...]":
-        return (self.name,) * self.profile.num_cores
-
     def generate(
         self,
         scale: float = 1.0,
@@ -416,7 +404,7 @@ class FrontierWorkload:
             core_layouts=core_layouts,
             core_benchmarks=[self.name] * profile.num_cores,
             footprint_pages=pages * profile.num_cores,
-            core_mlps=[profile.mlp] * profile.num_cores,
+            core_mlp=[profile.mlp] * profile.num_cores,
         )
         wt.tolerance = tolerance_map(wt, profile.tolerance)
         return wt

@@ -148,6 +148,19 @@ class TestCli:
         assert "is not a directory" in capsys.readouterr().err
         assert existing.read_text() == ""
 
+    @pytest.mark.parametrize("accesses", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig02"], ["export", "out"], ["trace", "mcf", "t.npz"],
+        ["scatter", "mcf"]], ids=lambda argv: argv[0])
+    def test_non_positive_accesses_is_a_usage_error(
+            self, argv, accesses, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--accesses", accesses])
+        assert exc.value.code == 2
+        assert "--accesses must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("experiment,seed,cause", [
         pytest.param(name, 3, "the DDR tier's Monte-Carlo FIT is 0",
                      id=name)

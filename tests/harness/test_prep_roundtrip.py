@@ -9,7 +9,7 @@ reaches pool workers only through the shared-memory handoff
 the prep field for field — dataclass fields recursively, arrays by
 dtype, shape and bytes, floats exactly — and the restored prep must
 evaluate bit-identically.  The inputs set every optional field: a
-mix, each frontier generator (``tolerance``, ``core_mlps``), every
+mix (per-core MLPs), each frontier generator (``tolerance``), every
 ECC scheme on both tiers, and an ECC budget.
 """
 
@@ -68,7 +68,7 @@ PINNED_FIELDS = {
     PreparedWorkload: ("workload", "config", "workload_trace", "stats",
                        "ser_model", "ddr_baseline"),
     WorkloadTrace: ("workload_name", "trace", "times", "core_layouts",
-                    "core_benchmarks", "footprint_pages", "core_mlps",
+                    "core_benchmarks", "footprint_pages", "core_mlp",
                     "tolerance"),
 }
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import knob_overrides
+from repro.harness.experiments import WorkloadCache
 from repro.harness.replication import Replication, replicate
 
 
@@ -55,3 +57,20 @@ class TestReplicate:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             replicate("astar", metric=lambda p: 0.0, seeds=())
+
+    def test_each_seed_reads_a_cache_of_its_seed(self, tmp_path):
+        """A seed's SER model comes from a WorkloadCache of that seed, so
+        its FaultSim campaign runs at that seed: at 2,000 trials seeds 1
+        and 4 draw no uncorrected HBM error, where seed 0 does.  A
+        shared cache_dir then holds one entry per seed."""
+        def fit(prep):
+            return prep.ser_model.fit_fast_per_page
+
+        with knob_overrides(fault_trials=2000):
+            rep = replicate("astar", fit, seeds=(1, 4),
+                            accesses_per_core=300, cache_dir=str(tmp_path))
+            cached = [fit(WorkloadCache(300, seed=seed,
+                                        cache_dir=str(tmp_path)).get("astar"))
+                      for seed in (1, 4)]
+        assert list(rep.values) == cached
+        assert len(list(tmp_path.glob("prep-*.pkl"))) == 2

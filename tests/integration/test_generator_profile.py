@@ -11,11 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.avf.page import profile_trace
-from repro.trace.synthetic import (
-    GeneratorParams,
-    RegionSpec,
-    TraceGenerator,
-)
+from repro.trace.synthetic import RegionSpec
+from repro.trace.workloads import BenchmarkProfile, Workload
 
 
 def run_region(wf=0.3, spread=0.5, hot=1.0, lines=64, alpha=0.3,
@@ -28,18 +25,19 @@ def run_region(wf=0.3, spread=0.5, hot=1.0, lines=64, alpha=0.3,
         regions.append(RegionSpec(name="pad", footprint_share=0.2,
                                   hotness=0.01, write_frac=0.1,
                                   read_spread=0.1))
-    gen = TraceGenerator(regions, pages,
-                         GeneratorParams(target_accesses=accesses,
-                                         mpki=10.0, seed=seed))
-    out = gen.generate()
+    # One core of ``pages`` pages: footprint_mb = pages / 256 at scale 1.
+    app = BenchmarkProfile("app", footprint_mb=pages / 256, mpki=10.0,
+                           regions=tuple(regions))
+    out = Workload("app", (app,)).generate(
+        scale=1, accesses_per_core=accesses, seed=seed)
     stats = profile_trace(out.trace, out.times, footprint_pages=pages)
-    return out, stats
+    return out.core_layouts[0], stats
 
 
 class TestWriteFraction:
     @pytest.mark.parametrize("wf", [0.05, 0.3, 0.7])
     def test_recovered_from_profile(self, wf):
-        _out, stats = run_region(wf=wf)
+        _layouts, stats = run_region(wf=wf)
         measured = stats.writes.sum() / (stats.reads.sum()
                                          + stats.writes.sum())
         assert measured == pytest.approx(wf, abs=0.06)
@@ -50,16 +48,16 @@ class TestSpreadControlsAvf:
         """The core generator contract: read_spread dials AVF."""
         avfs = []
         for spread in (0.1, 0.4, 0.8):
-            out, stats = run_region(spread=spread, wf=0.3, seed=5)
-            layout = out.layouts[0]
+            layouts, stats = run_region(spread=spread, wf=0.3, seed=5)
+            layout = layouts[0]
             sel = ((stats.pages >= layout.first_page)
                    & (stats.pages <= layout.last_page))
             avfs.append(float(stats.avf[sel].mean()))
         assert avfs[0] < avfs[1] < avfs[2]
 
     def test_avf_roughly_tracks_spread(self):
-        out, stats = run_region(spread=0.6, wf=0.3, lines=64, seed=2)
-        layout = out.layouts[0]
+        layouts, stats = run_region(spread=0.6, wf=0.3, lines=64, seed=2)
+        layout = layouts[0]
         sel = ((stats.pages >= layout.first_page)
                & (stats.pages <= layout.last_page))
         hot_pages = sel & (stats.hotness > np.median(stats.hotness))
@@ -70,8 +68,8 @@ class TestSpreadControlsAvf:
 
 class TestLinesTouchedScalesAvf:
     def test_half_lines_roughly_halves_avf(self):
-        _out32, stats32 = run_region(lines=32, spread=0.6, seed=3)
-        _out64, stats64 = run_region(lines=64, spread=0.6, seed=3)
+        _layouts32, stats32 = run_region(lines=32, spread=0.6, seed=3)
+        _layouts64, stats64 = run_region(lines=64, spread=0.6, seed=3)
         ratio = stats32.avf.mean() / stats64.avf.mean()
         assert 0.3 < ratio < 0.8
 
@@ -80,8 +78,8 @@ class TestHotnessOrdering:
     def test_hot_region_beats_cold_region(self):
         cold = RegionSpec(name="cold", footprint_share=0.2, hotness=0.05,
                           write_frac=0.2, read_spread=0.3)
-        out, stats = run_region(hot=5.0, extra_regions=(cold,))
-        main_layout, cold_layout = out.layouts[0], out.layouts[-1]
+        layouts, stats = run_region(hot=5.0, extra_regions=(cold,))
+        main_layout, cold_layout = layouts[0], layouts[-1]
         main_sel = ((stats.pages >= main_layout.first_page)
                     & (stats.pages <= main_layout.last_page))
         cold_sel = ((stats.pages >= cold_layout.first_page)
@@ -99,7 +97,7 @@ class TestHotnessOrdering:
 def test_profile_bounds_always_hold(wf, spread, seed):
     """Whatever the knobs, profiling a generated trace yields bounded,
     finite statistics."""
-    _out, stats = run_region(wf=wf, spread=spread, seed=seed,
+    _layouts, stats = run_region(wf=wf, spread=spread, seed=seed,
                              accesses=2500, pages=24)
     assert np.all(stats.avf >= 0.0)
     assert np.all(stats.avf <= 1.0)

@@ -16,6 +16,8 @@ from repro.sim.system import (
     run_migration_experiment,
     run_placement_experiment,
 )
+from repro.trace.synthetic import RegionSpec
+from repro.trace.workloads import PROFILES, BenchmarkProfile, Workload
 
 
 class TestPrepareWorkload:
@@ -44,6 +46,28 @@ class TestPrepareWorkload:
         prep = prepare_workload("mix3", scale=test_scale,
                                 accesses_per_core=500)
         assert prep.name == "mix3"
+
+    def test_custom_profile_under_a_bundled_name(self, test_scale):
+        """A custom application is prepared from its own profile, even
+        under a bundled benchmark's name."""
+        bundled = PROFILES["astar"]
+        app = BenchmarkProfile(
+            "astar", footprint_mb=2 * bundled.footprint_mb, mpki=6.0, mlp=3,
+            regions=(RegionSpec("index", 0.3, 4.0, 0.05, 0.7,
+                                lines_touched=32),
+                     RegionSpec("log", 0.7, 2.0, 0.85, 0.05,
+                                lines_touched=48)))
+        prep = prepare_workload(Workload("astar", (app,) * 16),
+                                scale=test_scale, accesses_per_core=1000)
+        wt = prep.workload_trace
+        assert wt.footprint_pages == 16 * app.footprint_pages(test_scale)
+        assert wt.footprint_pages != 16 * bundled.footprint_pages(test_scale)
+        assert wt.core_mlp == [3] * 16
+        assert set(wt.structures()) == {"astar.index", "astar.log"}
+        assert evaluate_static(prep, PerformanceFocusedPlacement()).ipc > 0
+        result, plan = evaluate_annotations(prep)
+        assert result.ipc > 0
+        assert set(plan.structure_names) <= {"astar.index", "astar.log"}
 
 
 class TestEvaluateStatic:

@@ -1,6 +1,8 @@
 """Unit and property tests for the synthetic trace generator."""
 
+import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +14,12 @@ from repro.config import LINES_PER_PAGE, knob_overrides, knob_value
 from repro.sim._ckernel import load_synth
 from repro.trace.mixes import MIXES
 from repro.trace.synthetic import (
-    GeneratorParams,
     RegionSpec,
-    TraceGenerator,
     _Synthesis,
     _zipf_weights,
-    interleave_cores,
     layout_regions,
 )
-from repro.trace.workloads import Workload
+from repro.trace.workloads import BenchmarkProfile, Workload
 from repro.workloads import FRONTIER_WORKLOADS, generate_frontier
 
 
@@ -132,28 +131,57 @@ class TestLayoutRegions:
         assert layouts[0].last_page == 14
 
 
+def profile(regions=None, pages=64, mpki=10.0):
+    """A custom profile of ``pages`` pages at ``scale=1``."""
+    return BenchmarkProfile(name="app", footprint_mb=pages / 256, mpki=mpki,
+                            regions=tuple(regions or [region()]))
+
+
 class TestGeneratorParams:
+    """What a generation refuses: a profile's MPKI (and its footprint,
+    MLP and regions) in :class:`BenchmarkProfile`, the trace volume and
+    phase count in ``Workload.generate``."""
+
     @pytest.mark.parametrize("kwargs", [
-        dict(target_accesses=0, mpki=1.0),
-        dict(target_accesses=-5, mpki=1.0),
-        dict(target_accesses=10, mpki=0.0),
-        dict(target_accesses=10, mpki=-2.0),
-        dict(target_accesses=10, mpki=float("nan")),
-        dict(target_accesses=10, mpki=float("inf")),
-        dict(target_accesses=10, mpki=1.0, phases=0),
+        dict(accesses_per_core=0),
+        dict(accesses_per_core=-5),
+        dict(mpki=0.0),
+        dict(mpki=-2.0),
+        dict(mpki=float("nan")),
+        dict(mpki=float("inf")),
+        dict(phases=0),
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            GeneratorParams(**kwargs)
+        with pytest.raises(ValueError, match="must be"):
+            if "mpki" in kwargs:
+                profile(**kwargs)
+            else:
+                Workload.spec("mcf").generate(scale=1 / 1024, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(footprint_mb=0.0),
+        dict(footprint_mb=float("nan")),
+        dict(mlp=0),
+        dict(regions=()),
+    ])
+    def test_profile_validation(self, kwargs):
+        with pytest.raises(ValueError, match="app: "):
+            dataclasses.replace(profile(), **kwargs)
+
+    def test_profile_without_a_hot_region_rejected(self):
+        """Zipf weights over regions that are all at hotness 0 sum to 0,
+        so no page could draw an access: the profile is refused, by
+        name, before any draw."""
+        with pytest.raises(ValueError,
+                           match="app: every region has hotness 0"):
+            profile([region("cold", 0.5, hot=0.0),
+                     region("idle", 0.5, hot=0.0)])
 
 
 def generate(regions, pages=64, accesses=5000, seed=0, mpki=10.0, phases=8):
-    gen = TraceGenerator(
-        regions, pages,
-        GeneratorParams(target_accesses=accesses, mpki=mpki, seed=seed,
-                        phases=phases),
-    )
-    return gen.generate()
+    """One core of a custom profile through ``Workload.generate``."""
+    return Workload("app", (profile(regions, pages, mpki),)).generate(
+        scale=1, accesses_per_core=accesses, seed=seed, phases=phases)
 
 
 class TestTraceGenerator:
@@ -210,7 +238,7 @@ class TestTraceGenerator:
             [region("hot", 0.5, hot=10.0), region("cold", 0.5, hot=0.1)],
             pages=100, accesses=20000,
         )
-        hot_layout, cold_layout = out.layouts
+        hot_layout, cold_layout = out.core_layouts[0]
         pages = out.trace.pages
         hot_count = ((pages >= hot_layout.first_page)
                      & (pages <= hot_layout.last_page)).sum()
@@ -235,23 +263,28 @@ class TestTraceGenerator:
 
 
 class TestInterleaveCores:
+    """``Workload.generate`` interleaves its cores into one trace."""
+
     def test_merged_sorted_by_time(self):
-        a = generate([region()], seed=1)
-        b = generate([region()], seed=2)
-        merged, times = interleave_cores([a, b])
-        assert len(merged) == len(a.trace) + len(b.trace)
-        assert np.all(np.diff(times) >= 0)
+        wt = Workload("app", (profile(), profile(mpki=20.0))).generate(
+            scale=1, accesses_per_core=2000, seed=1)
+        assert len(wt.trace) == 4000
+        assert np.all(np.diff(wt.times) >= 0)
 
     def test_core_ids_assigned_by_position(self):
-        a = generate([region()], seed=1)
-        b = generate([region()], seed=2)
-        merged, _ = interleave_cores([a, b])
-        assert set(np.unique(merged.core)) == {0, 1}
+        wt = Workload("app", (profile(), profile(mpki=20.0))).generate(
+            scale=1, accesses_per_core=2000, seed=2)
+        # Budgets follow MPKI: 4,000 requests split 1:2.
+        assert np.bincount(wt.trace.core).tolist() == [1333, 2667]
+        for core, layouts in enumerate(wt.core_layouts):
+            pages = wt.trace.pages[wt.trace.core == core]
+            assert pages.min() >= layouts[0].first_page
+            assert pages.max() <= layouts[-1].last_page
 
     def test_empty(self):
-        merged, times = interleave_cores([])
-        assert len(merged) == 0
-        assert len(times) == 0
+        wt = Workload("app", ()).generate()
+        assert len(wt.trace) == 0
+        assert len(wt.times) == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -357,6 +390,23 @@ def test_pinned_traces(case, native):
     assert digest == PINNED[case]
 
 
+def test_numpy_pass_peak_memory():
+    """The numpy pass holds ``int32`` indices below 2**31 requests and
+    drops each request-level array after its last use: mcf's 320k
+    requests peak at about 20 MiB (42 MiB with ``int64`` indices all
+    alive until the final gathers)."""
+    workload = Workload.spec("mcf")
+    with knob_overrides(native=False):
+        tracemalloc.start()
+        try:
+            workload.generate(scale=1 / 1024, accesses_per_core=20_000,
+                              seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
+
+
 _SPECS = st.builds(
     RegionSpec,
     name=st.just("r"),
@@ -371,8 +421,8 @@ _SPECS = st.builds(
 
 
 class TestNativeMatchesNumpy:
-    """The compiled synthesis pass against the numpy pass, through the
-    public ``TraceGenerator``, byte for byte."""
+    """The compiled synthesis pass against the numpy pass, byte for
+    byte."""
 
     @settings(max_examples=60, deadline=None)
     @given(regions=st.lists(_SPECS, min_size=1, max_size=4),
@@ -393,11 +443,7 @@ class TestNativeMatchesNumpy:
     def test_trace_generator(self, regions, pages, accesses, mpki, phases,
                              seed):
         def make():
-            out = TraceGenerator(
-                regions, pages,
-                GeneratorParams(target_accesses=accesses, mpki=mpki,
-                                phases=phases, seed=seed),
-                first_page=3).generate()
+            out = generate(regions, pages, accesses, seed, mpki, phases)
             return _columns(out.trace, out.times)
 
         assert _synthesise(True, make) == _synthesise(False, make)

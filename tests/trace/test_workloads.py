@@ -59,7 +59,7 @@ class TestProfiles:
 class TestWorkload:
     def test_spec_homogeneous(self):
         wl = Workload.spec("astar")
-        assert wl.cores == ("astar",) * 16
+        assert wl.cores == (PROFILES["astar"],) * 16
 
     def test_spec_unknown(self):
         with pytest.raises(KeyError):
@@ -67,7 +67,7 @@ class TestWorkload:
 
     def test_mix_known(self):
         wl = Workload.mix("mix1")
-        assert len(wl.cores) == 16
+        assert wl.cores == tuple(PROFILES[b] for b in MIXES["mix1"])
         assert wl.name == "mix1"
 
     def test_mix_unknown(self):
@@ -75,7 +75,8 @@ class TestWorkload:
             Workload.mix("mix9")
 
     def test_rejects_unknown_core_benchmark(self):
-        with pytest.raises(KeyError):
+        # Cores are profiles; names go through Workload.spec/mix.
+        with pytest.raises(TypeError, match="Workload.spec and Workload.mix"):
             Workload(name="bad", cores=("astar", "nope"))
 
     def test_all_homogeneous_generate(self):
