@@ -7,7 +7,9 @@ AND that production replay is at least 5x the reference requests/second,
 and writes the numbers to ``BENCH_replay.json`` in the working
 directory (override the location with ``REPRO_BENCH_REPLAY_JSON``;
 ``tools/ci_smoke.sh`` writes it to a temp dir).  The file is a run
-output, not committed.
+output, not committed.  It then replays the workload once more on both
+paths with only the fast pages installed, so the rest fault in during
+the replay, and asserts the two bit-identical, frames included.
 """
 
 import json
@@ -39,22 +41,32 @@ def _best_of(func, repeats=REPEATS):
     return result, best
 
 
-def _make_run(prep, reference):
+def _make_run(prep, reference, fast_only=False):
+    """A replay of the perf-focused placement; ``fast_only`` installs
+    just its fast pages, and the rest fault in as the trace reaches
+    them.  The run returns the result and the memory."""
     wt = prep.workload_trace
     fast_pages = PerformanceFocusedPlacement().select_fast_pages(
         prep.stats, prep.capacity_pages)
+    installed = fast_pages if fast_only else prep.stats.pages
 
     def run():
         hma = HeterogeneousMemory(prep.config)
-        hma.install_placement(fast_pages, prep.stats.pages)
+        hma.install_placement(fast_pages, installed)
         if reference:
             return replay_reference(
                 ReplaySpec(prep.config, hma, core_windows=wt.core_mlp),
-                wt.trace, wt.times)
+                wt.trace, wt.times), hma
         return replay(prep.config, hma, wt.trace, times=wt.times,
-                      core_windows=wt.core_mlp)
+                      core_windows=wt.core_mlp), hma
 
     return run
+
+
+def _assert_identical(ref, got):
+    assert got.total_seconds == ref.total_seconds
+    assert got.mean_read_latency == ref.mean_read_latency
+    assert got.per_core_ipc == ref.per_core_ipc
 
 
 def test_replay_kernel_speedup():
@@ -66,18 +78,24 @@ def test_replay_kernel_speedup():
               "requests": 0, "paths": {}}
     results = {}
     for path in ("reference", "replay"):
-        result, seconds = _best_of(_make_run(prep, path == "reference"))
+        (result, _hma), seconds = _best_of(
+            _make_run(prep, path == "reference"))
         results[path] = result
         report["requests"] = result.requests
         report["paths"][path] = {
             "seconds": seconds,
             "requests_per_second": result.requests / seconds,
         }
+    _assert_identical(results["reference"], results["replay"])
 
-    ref, got = results["reference"], results["replay"]
-    assert got.total_seconds == ref.total_seconds
-    assert got.mean_read_latency == ref.mean_read_latency
-    assert got.per_core_ipc == ref.per_core_ipc
+    (ref, ref_hma), (got, got_hma) = (
+        _make_run(prep, path == "reference", fast_only=True)()
+        for path in ("reference", "replay"))
+    _assert_identical(ref, got)
+    assert list(got_hma.page_entries()) == list(ref_hma.page_entries())
+    report["faulted_pages"] = (len(list(got_hma.page_entries()))
+                               - got_hma.fast_occupancy())
+    assert report["faulted_pages"] > 0
 
     speedup = (report["paths"]["replay"]["requests_per_second"]
                / report["paths"]["reference"]["requests_per_second"])
@@ -90,7 +108,8 @@ def test_replay_kernel_speedup():
     rps = {k: f"{v['requests_per_second']:,.0f} req/s"
            for k, v in report["paths"].items()}
     print(f"\nreplay throughput ({report['requests']} requests): {rps}; "
-          f"replay at {speedup:.1f}x the reference -> {out}")
+          f"replay at {speedup:.1f}x the reference; "
+          f"{report['faulted_pages']} pages faulted in bit-exactly -> {out}")
     assert speedup >= SPEEDUP_FLOOR, (
         f"replay only {speedup:.2f}x the reference "
         f"(floor {SPEEDUP_FLOOR}x)")

@@ -6,14 +6,16 @@ per-request core/bank/channel resolution of the replay engine
 synthesis's per-epoch expansion and time sorts
 (:mod:`repro.trace.synthetic`).  The replay and synthesis kernels are
 written in C here, in one source, the MEA loop in
-:mod:`repro.core._mea_native` — operation for operation, in the same
-order, on IEEE-754 doubles — and :class:`NativeKernel` builds them:
-the system C compiler turns a source and its flags into a tiny shared
-library, once per revision of either, in one kernel directory, and
-:mod:`ctypes` binds it.  No third-party packages and no build step.
-The replay kernel reads a ``Trace``'s own columns in place, so a
-replay makes no per-request copy of the trace; the synthesis kernel
-writes a workload's ``Trace`` columns and times in one pass.
+:mod:`repro.core._mea_native` — every IEEE-754 double computed by the
+same operations in the same order as its fallback — and
+:class:`NativeKernel` builds them: the system C compiler turns a source
+and its flags into a tiny shared library, once per revision of either,
+in one kernel directory, and :mod:`ctypes` binds it.  No third-party
+packages and no build step.  The replay kernel reads a ``Trace``'s own
+columns in place, so a replay makes no per-request copy of the trace,
+and it checks every page against the page table, stopping at the first
+one to fault in; the synthesis kernel writes a workload's ``Trace``
+columns and times in one pass.
 
 Everything degrades gracefully: with no C compiler, a failed build, or
 ``REPRO_NATIVE=0`` (the ``native`` knob), a kernel's ``load`` returns
@@ -61,6 +63,21 @@ _MULTI_SOURCE = f"""
 #include <stdint.h>
 #include <string.h>
 
+/* A route table row per device (uint64): its first global channel and
+ * bank, then three divisors, each followed by its reciprocal (m, s):
+ * channels, channels * lines_per_row and banks per channel. */
+enum { R_CHAN0, R_BANK0, R_NC, R_NC_M, R_NC_S, R_ROW, R_ROW_M, R_ROW_S,
+       R_BPC, R_BPC_M, R_BPC_S, R_STRIDE };
+
+/* n / d for n < 2**63, as (n * m) >> s with m = ceil(2**s / d) and
+ * s = 63 + ceil(log2 d): exact for every such n (see reciprocal()).
+ * The 128-bit product is shifted by the constant 63 first, which
+ * leaves a 64-bit value, then by s - 63. */
+static inline uint64_t divide(uint64_t n, uint64_t m, uint64_t s)
+{
+    return (uint64_t)(((unsigned __int128)n * m) >> 63) >> (s - 63);
+}
+
 /* One chunk of one configuration's replay.
  *
  * Mirrors the reference path (ReplayCore + HeterogeneousMemory.service
@@ -68,106 +85,113 @@ _MULTI_SOURCE = f"""
  * without -ffast-math and with -ffp-contract=off so the doubles round
  * exactly like CPython's (gap * spi is rounded before it is added).
  * Page/line decomposition, page-table translation and channel/bank/row
- * routing are pure integer arithmetic on non-negative operands, so C's
- * / and % match Python's.  The request arrays (address, core,
- * is_write, gap) are the trace's own columns, spanning the whole
- * trace; the chunk is the index range [start, stop), so callers pass
- * full-trace pointers once and move only the bounds between chunks.
+ * routing are integer arithmetic on non-negative operands: the page
+ * and line split are shifts, and the three routing divisions exact
+ * reciprocal multiplies from the route table, so they match Python's
+ * // and %.  The request arrays (address, core, is_write, gap) are the
+ * trace's own columns, spanning the whole trace; the chunk is the
+ * index range [start, stop), so callers pass full-trace pointers once
+ * and move only the bounds between chunks.
+ *
+ * Each core's MLP window is a ring of running maxima: once the core
+ * has issued request k (counting from 0), slot k & ringmask holds the
+ * latest finish time of its first k + 1 requests.  Every request
+ * ReplayCore has retired finished
+ * by the core's time t, so the requests its deque still holds are
+ * exactly those whose running maximum exceeds t: a suffix, never
+ * longer than the window.  The window is full exactly when the slot
+ * `window` requests back exceeds t, and the stall then waits for that
+ * request, whose finish is that slot's value; so the stall is
+ * t = max(t, ring[tail - window]), with unwritten slots (before the
+ * core's first `window` requests) at 0.  Ring capacity is a power of
+ * two at or above every window, and tails are uint32 (slot arithmetic
+ * wraps consistently).
+ *
+ * The kernel stops before the first request whose page the table
+ * cannot translate (past its end or unmapped) and returns its index,
+ * so the caller can fault in the rest of the chunk and resume; it
+ * returns stop when the chunk is done.
  *
  * instructions holds per-core retired instructions (every gap plus the
  * access itself), and dev_counts [reads_fast, reads_slow, writes_fast,
  * writes_slow]; both are incremented in place.
  */
-void repro_multi_chunk(
+int64_t repro_multi_chunk(
     int64_t start,
     int64_t stop,
-    const int16_t *pt_device,     /* [pages] */
-    const int64_t *pt_frame,      /* [pages] */
-    const uint64_t *address,
-    const uint16_t *core,
-    const uint8_t *is_write,      /* numpy bool: one byte, 0 or 1 */
-    const uint32_t *gap,
-    double spi,                   /* seconds per instruction */
-    int64_t lines_per_page,
-    int64_t lines_per_row,
-    int64_t f_nc, int64_t s_nc,
-    int64_t f_bpc, int64_t s_bpc,
-    int64_t n_fast_banks,
-    int32_t ringcap,
-    const double *latconst,       /* [8] */
-    double *core_time,            /* [ncores] */
-    int64_t *instructions,        /* [ncores] */
-    const int32_t *windows,       /* [ncores] */
-    double *ring,                 /* [ncores][ringcap] */
-    int32_t *ring_head,           /* [ncores] */
-    int32_t *ring_len,            /* [ncores] */
-    double *bank_busy,            /* [nbanks] */
-    int64_t *bank_open,           /* [nbanks] */
-    int64_t *bank_hits,
-    int64_t *bank_misses,
-    int64_t *bank_conflicts,
-    double *chan_busy,            /* [nchan] */
-    double *read_lat,             /* [2] */
-    double *busy_acc,             /* [2] */
-    double *read_total,           /* [1] */
-    int64_t *dev_counts)          /* [4] */
+    const int16_t *restrict pt_device,     /* [pt_len] */
+    const int64_t *restrict pt_frame,      /* [pt_len] */
+    uint64_t pt_len,
+    const uint64_t *restrict address,
+    const uint16_t *restrict core,
+    const uint8_t *restrict is_write,      /* numpy bool: 0 or 1 */
+    const uint32_t *restrict gap,
+    double spi,                            /* seconds per instruction */
+    uint64_t lines_per_page,
+    const uint64_t *restrict route,        /* [2][R_STRIDE] */
+    uint32_t ringmask,
+    const double *restrict latconst,       /* [2][4] */
+    double *restrict core_time,            /* [ncores] */
+    int64_t *restrict instructions,        /* [ncores] */
+    const uint32_t *restrict windows,      /* [ncores] */
+    double *restrict ring,                 /* [ncores][ringmask + 1] */
+    uint32_t *restrict ring_tail,          /* [ncores] */
+    double *restrict bank_busy,            /* [nbanks] */
+    int64_t *restrict bank_open,           /* [nbanks] */
+    int64_t *restrict bank_hits,
+    int64_t *restrict bank_misses,
+    int64_t *restrict bank_conflicts,
+    double *restrict chan_busy,            /* [nchan] */
+    double *restrict read_lat,             /* [2] */
+    double *restrict busy_acc,             /* [2] */
+    double *restrict read_total,           /* [1] */
+    int64_t *restrict dev_counts)          /* [4] */
 {
     double rtotal = *read_total;
-    for (int64_t i = start; i < stop; i++) {
-        /* -- translation + routing (pure integer, matches numpy) -- */
+    double rlat[2] = {read_lat[0], read_lat[1]};
+    double busy[2] = {busy_acc[0], busy_acc[1]};
+    int64_t counts[4] = {dev_counts[0], dev_counts[1], dev_counts[2],
+                         dev_counts[3]};
+    int64_t *rowbuf[3] = {bank_hits, bank_misses, bank_conflicts};
+    int64_t i;
+    for (i = start; i < stop; i++) {
+        /* -- translation + routing -- */
         uint64_t a = address[i];
-        int64_t p = (int64_t)(a / PAGE_SIZE);
-        int64_t d = (int64_t)pt_device[p];
-        int64_t local = pt_frame[p] * lines_per_page
-                        + (int64_t)((a % PAGE_SIZE) / LINE_SIZE);
-        int64_t nc = d ? s_nc : f_nc;
-        int64_t bpc = d ? s_bpc : f_bpc;
-        int64_t channel = local % nc;
-        int64_t row_global = (local / nc) / lines_per_row;
-        int64_t bank = row_global % bpc;
-        int64_t rw = row_global / bpc;
-        int64_t g = d ? n_fast_banks + channel * s_bpc + bank
-                      : channel * f_bpc + bank;
-        int64_t cd = d ? f_nc + channel : channel;
-        dev_counts[d ? (is_write[i] ? 3 : 1) : (is_write[i] ? 2 : 0)]++;
+        uint64_t p = a / PAGE_SIZE;
+        if (p >= pt_len || pt_device[p] < 0)
+            break;
+        int64_t d = pt_device[p];
+        const uint64_t *rt = route + d * R_STRIDE;
+        uint64_t local = (uint64_t)pt_frame[p] * lines_per_page
+                         + (a % PAGE_SIZE) / LINE_SIZE;
+        uint64_t channel = local
+            - divide(local, rt[R_NC_M], rt[R_NC_S]) * rt[R_NC];
+        uint64_t row_global = divide(local, rt[R_ROW_M], rt[R_ROW_S]);
+        uint64_t rq = divide(row_global, rt[R_BPC_M], rt[R_BPC_S]);
+        int64_t rw = (int64_t)rq;
+        uint64_t g = rt[R_BANK0] + channel * rt[R_BPC]
+                     + (row_global - rq * rt[R_BPC]);
+        uint64_t cd = rt[R_CHAN0] + channel;
+        int64_t w = is_write[i];
+        counts[d + 2 * w]++;
 
-        /* -- busy-until resolution; ring is a per-core circular
-         * buffer of in-flight finish times (ReplayCore's deque) -- */
-        int32_t c = core[i];
+        /* -- busy-until resolution -- */
+        uint32_t c = core[i];
         double t = core_time[c] + (double)gap[i] * spi;
         instructions[c] += (int64_t)gap[i] + 1;
-        double *r = ring + (int64_t)c * ringcap;
-        int32_t head = ring_head[c];
-        int32_t len = ring_len[c];
-        while (len > 0 && r[head] <= t) {
-            head++; if (head == ringcap) head = 0;
-            len--;
-        }
-        if (len >= windows[c]) {
-            double oldest = r[head];
-            head++; if (head == ringcap) head = 0;
-            len--;
-            if (oldest > t) t = oldest;
-            while (len > 0 && r[head] <= t) {
-                head++; if (head == ringcap) head = 0;
-                len--;
-            }
-        }
+        double *r = ring + (uint64_t)c * ((uint64_t)ringmask + 1);
+        uint32_t tail = ring_tail[c];
+        double oldest = r[(tail - windows[c]) & ringmask];
+        if (oldest > t) t = oldest;
         double bb = bank_busy[g];
         double begin = t > bb ? t : bb;
         int64_t open_row = bank_open[g];
         const double *lc = latconst + d * 4;
-        double access_done;
-        if (open_row == rw) {
-            bank_hits[g]++;
-            access_done = begin + lc[0];
-        } else if (open_row < 0) {
-            bank_misses[g]++;
-            access_done = begin + lc[1];
-        } else {
-            bank_conflicts[g]++;
-            access_done = begin + lc[2];
-        }
+        /* 0: row hit, 1: miss (bank closed), 2: conflict. */
+        int64_t other = open_row != rw;
+        int64_t k = other + (other & (open_row >= 0));
+        rowbuf[k][g]++;
+        double access_done = begin + lc[k];
         bank_open[g] = rw;
         double b = lc[3];
         double burst_start = access_done - b;
@@ -176,21 +200,23 @@ void repro_multi_chunk(
         double finish = burst_start + b;
         chan_busy[cd] = finish;
         bank_busy[g] = finish;
-        if (!is_write[i]) {
-            double latency = finish - t;
-            read_lat[d] += latency;
-            rtotal += latency;
-        }
-        busy_acc[d] += b;
-        int32_t tail = head + len;
-        if (tail >= ringcap) tail -= ringcap;
-        r[tail] = finish;
-        len++;
-        ring_head[c] = head;
-        ring_len[c] = len;
+        /* A write adds +0.0, which leaves both sums' bits as they are. */
+        double latency = (finish - t) * (double)(1 - w);
+        rlat[d] += latency;
+        rtotal += latency;
+        busy[d] += b;
+        double prev = r[(tail - 1) & ringmask];
+        r[tail & ringmask] = finish > prev ? finish : prev;
+        ring_tail[c] = tail + 1;
         core_time[c] = t;
     }
     *read_total = rtotal;
+    read_lat[0] = rlat[0];
+    read_lat[1] = rlat[1];
+    busy_acc[0] = busy[0];
+    busy_acc[1] = busy[1];
+    for (int k = 0; k < 4; k++) dev_counts[k] = counts[k];
+    return i;
 }
 
 /* Whether request a (window-time bits ka, index ja) goes before
@@ -368,6 +394,26 @@ void repro_synth(
 }
 """
 
+
+def reciprocal(divisor: int) -> "tuple[int, int]":
+    """The replay kernel's reciprocal ``(m, s)`` of ``divisor``.
+
+    ``s = 63 + ceil(log2 divisor)`` and ``m = ceil(2**s / divisor)``,
+    so ``(n * m) >> s == n // divisor`` for every ``0 <= n < 2**63``:
+    with ``m * divisor = 2**s + e`` and ``0 <= e < divisor``, the
+    product overshoots ``n / divisor`` by ``n * e / (divisor * 2**s)``,
+    less than ``1 / divisor``, which cannot carry it past the next
+    integer.  ``m`` stays below ``2**64`` and ``n * m`` below
+    ``2**127``, one ``unsigned __int128`` product in the kernel (a
+    compiler without that type fails the build, and replay falls back
+    to the reference).
+    """
+    if divisor < 1:
+        raise ValueError("divisor must be >= 1")
+    shift = 63 + (divisor - 1).bit_length()
+    return -(-(1 << shift) // divisor), shift
+
+
 _lock = threading.Lock()
 #: Every kernel built through :class:`NativeKernel`.
 _KERNELS: "list[NativeKernel]" = []
@@ -490,24 +536,24 @@ def _bind_multi(so_path: str):
     fn = lib.repro_multi_chunk
     ptr = ctypes.c_void_p
     c_i64 = ctypes.c_int64
+    c_u64 = ctypes.c_uint64
     fn.argtypes = [
         c_i64, c_i64,                          # start, stop
-        ptr, ptr,                              # pt_device, pt_frame
+        ptr, ptr, c_u64,                       # pt_device, pt_frame, pt_len
         ptr, ptr, ptr, ptr,                    # address, core, write, gap
         ctypes.c_double,                       # spi
-        c_i64, c_i64,                          # lines_per_page, lines_per_row
-        c_i64, c_i64, c_i64, c_i64, c_i64,     # f_nc, s_nc, f_bpc, s_bpc,
-                                               # n_fast_banks
-        ctypes.c_int32,                        # ringcap
+        c_u64,                                 # lines_per_page
+        ptr,                                   # route
+        ctypes.c_uint32,                       # ringmask
         ptr,                                   # latconst
         ptr, ptr, ptr,                         # core_time, instr, windows
-        ptr, ptr, ptr,                         # ring, head, len
+        ptr, ptr,                              # ring, ring_tail
         ptr, ptr, ptr, ptr, ptr,               # bank state
         ptr,                                   # chan_busy
         ptr, ptr, ptr,                         # read_lat, busy_acc, read_total
         ptr,                                   # dev_counts
     ]
-    fn.restype = None
+    fn.restype = c_i64
     synth = lib.repro_synth
     synth.argtypes = [
         c_i64,                                 # n_gen

@@ -16,9 +16,11 @@ Two implementations of the same timing model:
 * the native path (the default) — page-table translation,
   channel/bank/row routing and the core/bank/channel busy-until
   resolution run in the compiled loop of :mod:`repro.sim._ckernel`,
-  which reads the trace's own columns in place.  Each spec replays on
-  its own, one kernel call per chunk; a static spec (no mechanism, one
-  interval) is a one-chunk run.
+  which reads the trace's own columns in place and stops at the first
+  page it cannot translate, so the engine faults pages in only when
+  one is missing.  Each spec replays on its own, one kernel call per
+  chunk; a static spec (no mechanism, one interval) is a one-chunk
+  run, with no per-request array built at all.
 * :func:`replay_reference` — the per-request call chain
   (``hma.service`` → ``MemoryDevice.service`` → ``Bank.service``),
   written directly against the component models.  It is the fuzz
@@ -207,7 +209,7 @@ def _build_result(
         for device in (hma.fast, hma.slow)
     ]
     return ReplayResult(
-        instructions=trace.total_instructions,
+        instructions=sum(core_instructions),
         requests=len(trace),
         total_seconds=final,
         core_frequency_hz=config.core.frequency_hz,
@@ -321,6 +323,18 @@ def replay_reference(
 # The native path
 # ---------------------------------------------------------------------------
 
+def _route_row(device, chan0: int, bank0: int) -> "list[int]":
+    """One device's route-table row: its first global channel and bank,
+    then channels, channels x lines per row and banks per channel, each
+    followed by its :func:`~repro.sim._ckernel.reciprocal`."""
+    row = [chan0, bank0]
+    for divisor in (device.num_channels,
+                    device.num_channels * LINES_PER_ROW,
+                    device.banks_per_channel):
+        row += [divisor, *_ckernel.reciprocal(divisor)]
+    return row
+
+
 class _KernelState:
     """One spec's native-kernel state, bound to the compiled kernel.
 
@@ -328,26 +342,32 @@ class _KernelState:
     and cast to ctypes pointers once, together with the trace's own
     columns: re-deriving ~20 pointers per call costs more than some
     chunks' C work.  Per call only the request range and the page-table
-    columns, which migrations may reallocate between chunks, are passed.
+    columns, which migrations and faults may reallocate, are passed.
     Tier request counts and per-core instruction tallies start at zero;
-    the request counts add to each device's own.
+    the request counts add to each device's own.  Each core's MLP ring
+    holds running maxima of its finish times (see the kernel source),
+    in a power-of-two capacity at or above the widest window.
     """
 
     def __init__(self, fn, spec: ReplaySpec, trace: Trace) -> None:
         self.fn = fn
         self.spec = spec
+        self.address = trace.address
         config = spec.config
         spi = 1.0 / (config.core.issue_width * config.core.frequency_hz)
         fast, slow = spec.hma.fast, spec.hma.slow
         self.f_nc = fast.num_channels
         num_cores = config.num_cores
-        windows = np.array(_spec_windows(spec), dtype=np.int32)
-        self.ringcap = ringcap = int(windows.max())
+        windows = np.array(_spec_windows(spec), dtype=np.uint32)
+        ringcap = 1 << (int(windows.max()) - 1).bit_length()
+        self.ringmask = ringcap - 1
         self.core_time = np.zeros(num_cores)
         self.instructions = np.zeros(num_cores, dtype=np.int64)
         self.ring = np.zeros((num_cores, ringcap))
-        self.ring_head = np.zeros(num_cores, dtype=np.int32)
-        self.ring_len = np.zeros(num_cores, dtype=np.int32)
+        self.ring_tail = np.zeros(num_cores, dtype=np.uint32)
+        route = np.array([_route_row(fast, 0, 0),
+                          _route_row(slow, self.f_nc, fast.num_banks_total)],
+                         dtype=np.uint64)
         latconst = np.array([
             fast.hit_seconds, fast.miss_seconds, fast.conflict_seconds,
             fast.burst_seconds,
@@ -378,27 +398,36 @@ class _KernelState:
                    np.ascontiguousarray(trace.is_write, dtype=bool),
                    np.ascontiguousarray(trace.gap, dtype=np.uint32))
         state = (latconst, self.core_time, self.instructions, windows,
-                 self.ring, self.ring_head, self.ring_len,
+                 self.ring, self.ring_tail,
                  self.bank_busy, self.bank_open, self.bank_hits,
                  self.bank_misses, self.bank_conflicts, self.chan_busy,
                  self.read_lat, self.busy_acc, self.read_total,
                  self.dev_counts)
         #: Holds the arrays whose addresses ``_args`` carries.
-        self._arrays = columns + state
+        self._arrays = columns + (route,) + state
         self._args = (
-            *(a.ctypes.data for a in columns), spi,
-            LINES_PER_PAGE, LINES_PER_ROW,
-            self.f_nc, slow.num_channels, fast.banks_per_channel,
-            slow.banks_per_channel, fast.num_banks_total, ringcap,
+            *(a.ctypes.data for a in columns), spi, LINES_PER_PAGE,
+            route.ctypes.data, self.ringmask,
             *(a.ctypes.data for a in state),
         )
 
-    def run(self, start: int, stop: int, pt_device: np.ndarray,
-            pt_frame: np.ndarray) -> None:
-        """Replay requests ``[start, stop)``; every page they reference
-        must be mapped in the page-table columns."""
-        self.fn(start, stop, pt_device.ctypes.data, pt_frame.ctypes.data,
-                *self._args)
+    def run(self, start: int, stop: int) -> None:
+        """Replay requests ``[start, stop)``.
+
+        The kernel stops at the first request whose page is not mapped;
+        the rest of the range is then faulted in, in first-touch order
+        (frames as the reference's per-request faults assign them), and
+        the kernel resumes there.
+        """
+        hma = self.spec.hma
+        while True:
+            pt_device, pt_frame = hma.page_tables()
+            start = self.fn(start, stop, pt_device.ctypes.data,
+                            pt_frame.ctypes.data, len(pt_device),
+                            *self._args)
+            if start == stop:
+                return
+            hma.ensure_mapped(self.address[start:stop] // PAGE_SIZE)
 
     def tier_counts(self) -> "tuple[int, int, int, int]":
         """Cumulative (fast reads, fast writes, slow reads, slow writes),
@@ -430,22 +459,14 @@ class _KernelState:
 
     def finish(self, trace: Trace, bounds: np.ndarray,
                residency: "list[set[int]]") -> ReplayResult:
-        """Drain the cores, write the state back, build the result."""
+        """Drain the cores, write the state back, build the result.
+
+        A core drains at its last slot, the latest finish of all its
+        requests."""
         spec = self.spec
-        ringcap = self.ringcap
-        core_times = self.core_time.tolist()
-        final = 0.0
-        for c, t in enumerate(core_times):
-            live_n = int(self.ring_len[c])
-            if live_n:
-                h = int(self.ring_head[c])
-                last = max(float(self.ring[c, (h + j) % ringcap])
-                           for j in range(live_n))
-                if last > t:
-                    t = last
-                core_times[c] = t
-            if t > final:
-                final = t
+        last = self.ring[np.arange(len(self.ring)),
+                         (self.ring_tail - 1) & self.ringmask]
+        core_times = np.maximum(self.core_time, last).tolist()
         restore_bank_state(
             spec.hma.fast, spec.hma.slow, self.bank_open.tolist(),
             self.bank_busy.tolist(), self.bank_hits.tolist(),
@@ -453,9 +474,9 @@ class _KernelState:
         self.sync()
         reads = int(self.dev_counts[0] + self.dev_counts[1])
         return _build_result(
-            spec.config, spec.hma, trace, final, core_times,
-            float(self.read_total[0]), reads, residency, bounds,
-            self.instructions.tolist())
+            spec.config, spec.hma, trace, max(core_times, default=0.0),
+            core_times, float(self.read_total[0]), reads, residency,
+            bounds, self.instructions.tolist())
 
 
 def replay_multi(
@@ -477,9 +498,11 @@ def replay_multi(
     _check_trace(specs, trace, times)
     fn = _ckernel.load_multi()
     with span("replay_multi", specs=len(specs), requests=len(trace)):
-        # Page of every request, for page-table faults and the planners;
-        # the quotient is below 2**52, so the view as int64 is exact.
-        pages = (trace.address // PAGE_SIZE).view(np.int64)
+        # Page of every request, for the mechanisms to observe; the
+        # quotient is below 2**52, so the view as int64 is exact.
+        pages = ((trace.address // PAGE_SIZE).view(np.int64)
+                 if any(spec.mechanism is not None for spec in specs)
+                 else None)
         return [replay_reference(spec, trace, times)
                 if fn is None or not hasattr(spec.hma, "page_tables")
                 else _replay_native(fn, spec, trace, times, pages)
@@ -489,7 +512,8 @@ def replay_multi(
 def _check_trace(specs: "list[ReplaySpec]", trace: Trace,
                  times: "np.ndarray | None") -> None:
     """Reject trace-side input that would index past the state arrays
-    (the compiled kernel does not bounds-check)."""
+    (the compiled kernel checks each page against the page table, but
+    not core ids against the per-core state)."""
     if times is not None:
         check_parallel_arrays("replay times", trace.address, times)
     top = int(trace.core.max()) if len(trace) else -1
@@ -501,13 +525,12 @@ def _check_trace(specs: "list[ReplaySpec]", trace: Trace,
 
 def _replay_native(
     fn, spec: ReplaySpec, trace: Trace, times: "np.ndarray | None",
-    pages: np.ndarray,
+    pages: "np.ndarray | None",
 ) -> ReplayResult:
-    """One spec replayed chunk by chunk, one kernel call per chunk; a
-    static spec is one chunk.
-
-    The page table is re-fetched per chunk because migrations mutate
-    it in place and faults may grow it.
+    """One spec replayed chunk by chunk, one kernel call per chunk
+    (plus one per chunk that faults pages in); a static spec is one
+    chunk.  ``pages`` is the trace's page column, read only by a
+    mechanism.
     """
     hma, mechanism = spec.hma, spec.mechanism
     sub = mechanism.subintervals_per_interval if mechanism else 1
@@ -521,15 +544,14 @@ def _replay_native(
         start, stop = int(starts[chunk]), int(stops[chunk])
         residency.append(_residency_snapshot(hma))
 
-        chunk_pages = pages[start:stop]
         if mechanism is not None and stop > start:
             chunk_times = times[start:stop] if times is not None else None
-            mechanism.observe_chunk(chunk_pages, trace.is_write[start:stop],
+            mechanism.observe_chunk(pages[start:stop],
+                                    trace.is_write[start:stop],
                                     times=chunk_times)
 
         if stop > start:
-            hma.ensure_mapped(chunk_pages)
-            state.run(start, stop, *hma.page_tables())
+            state.run(start, stop)
 
         # -- migration at the boundary --
         window_ace = 0.0

@@ -221,28 +221,26 @@ def _replay_key(prep: PreparedWorkload, config: SystemConfig, fast_pages,
       :meth:`~repro.core.migration.MigrationMechanism.replay_key`.
 
     Returns ``None`` (replay, and remember nothing) for a mechanism
-    without a key or an exotic config that does not tuplify.
+    without a key or an exotic config that does not hash.
     """
     mech_key = None
     if mechanism is not None:
         mech_key = mechanism.replay_key()
         if mech_key is None:
             return None
+    # Frozen all the way down, so the config itself is the key.
+    neutral = dataclasses.replace(
+        config,
+        fast_memory=dataclasses.replace(config.fast_memory,
+                                        fit_multiplier=1.0, ecc="none"),
+        slow_memory=dataclasses.replace(config.slow_memory,
+                                        fit_multiplier=1.0, ecc="none"),
+    )
     try:
-        neutral = dataclasses.replace(
-            config,
-            fast_memory=dataclasses.replace(config.fast_memory,
-                                            fit_multiplier=1.0,
-                                            ecc="none"),
-            slow_memory=dataclasses.replace(config.slow_memory,
-                                            fit_multiplier=1.0,
-                                            ecc="none"),
-        )
-        cfg_key = dataclasses.astuple(neutral)
-        hash(cfg_key)
-    except (TypeError, ValueError):
+        hash(neutral)
+    except TypeError:
         return None
-    return (id(prep), cfg_key, _page_set(fast_pages),
+    return (id(prep), neutral, _page_set(fast_pages),
             tuple(prep.workload_trace.core_mlp), metrics.enabled(),
             num_intervals, mech_key)
 

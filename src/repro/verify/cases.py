@@ -157,14 +157,25 @@ def build_trace(case: DiffCase) -> "tuple[Trace, np.ndarray]":
 
 
 def build_placement(case: DiffCase) -> "tuple[list[int], list[int]]":
-    """``(fast_pages, all_pages)`` for the case's initial placement."""
+    """``(fast_pages, installed_pages)`` for the case's initial placement.
+
+    In about half the cases (by case seed) only a seeded subset of the
+    footprint is installed, with the fast pages drawn from it.  The
+    rest faults into DDR on first touch, so both replay paths fault
+    pages in: per request on the reference, and on the native path
+    wherever the compiled kernel stops at an unmapped page.
+    """
+    pages = np.arange(case.footprint_pages)
+    subset = np.random.default_rng(case.seed + 4)
+    if subset.random() < 0.5:
+        share = subset.uniform(0.2, 0.9)
+        pages = pages[subset.random(len(pages)) < share]
     rng = np.random.default_rng(case.seed + 1)
-    all_pages = list(range(case.footprint_pages))
-    capacity = min(case.fast_pages, case.footprint_pages)
+    capacity = min(case.fast_pages, len(pages))
     count = int(round(capacity * case.placed_fraction))
-    fast = sorted(int(p) for p in
-                  rng.choice(case.footprint_pages, size=count, replace=False))
-    return fast, all_pages
+    fast = sorted(int(p) for p in rng.choice(pages, size=count,
+                                             replace=False))
+    return fast, pages.tolist()
 
 
 def core_windows(case: DiffCase) -> "list[int] | None":

@@ -1,6 +1,7 @@
 """Unit tests for the trace-replay engine."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from repro.config import PAGE_SIZE
 from repro.core.migration import PerformanceFocusedMigration
 from repro.core.placement import PerformanceFocusedPlacement
+from repro.dram.device import LINES_PER_ROW
 from repro.dram.hma import FAST, HeterogeneousMemory
-from repro.sim import _ckernel
+from repro.sim import _ckernel, engine
 from repro.sim.engine import (
     ReplaySpec,
     interval_boundaries,
@@ -140,11 +142,13 @@ class TestReplay:
 @pytest.mark.skipif(_ckernel.load_multi() is None,
                     reason="no compiled replay kernel")
 class TestNoPerCallTraceCopies:
-    """A native ``replay_multi`` call reads the ``Trace``'s own columns:
-    its peak allocation is the int64 page column plus page-table
-    faulting, not a per-request copy of every column (about 45 B per
-    request when the call built page, line, core, write and
-    ``gap * spi`` arrays)."""
+    """A native ``replay_multi`` call reads the ``Trace``'s own columns,
+    not a per-request copy of every column (about 45 B per request when
+    the call built page, line, core, write and ``gap * spi`` arrays).
+    Static specs allocate nothing per request: the kernel checks pages
+    against the table itself, so there is no page column (8 B per
+    request) and no faulting pass.  A migration spec builds the page
+    column for its mechanism to observe."""
 
     @pytest.fixture(scope="class")
     def prep(self):
@@ -176,4 +180,45 @@ class TestNoPerCallTraceCopies:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / len(wt.trace) <= 20.0
+        per_request = peak / len(wt.trace)
+        if spec_set == "perf-migration":
+            assert per_request <= 20.0
+        else:
+            assert per_request < 1.0
+
+
+def _divisors():
+    """1-4,096, and 2**k - 1, 2**k and 2**k + 1 up to 2**40."""
+    edges = {v for k in range(1, 41) for v in (2**k - 1, 2**k, 2**k + 1)}
+    return sorted(set(range(1, 4097)) | edges)
+
+
+class TestRouteTable:
+    """The kernel routes by reciprocal multiplies: each divisor of a
+    device's route-table row is followed by ``(m, s)`` with
+    ``(n * m) >> s == n // divisor`` for every int64 index ``n``."""
+
+    def test_reciprocals_are_exact(self):
+        rng = np.random.default_rng(0)
+        randoms = rng.integers(0, 2**63, size=16, dtype=np.uint64).tolist()
+        for d in _divisors():
+            device = SimpleNamespace(num_channels=d, banks_per_channel=d)
+            row = engine._route_row(device, 0, 0)
+            # channels, channels x lines per row, banks per channel
+            for divisor, m, s in (row[2:5], row[5:8], row[8:11]):
+                assert 0 < m < 2**64 and divisor in (d, d * LINES_PER_ROW)
+                for n in (0, 1, divisor - 1, divisor, divisor + 1, 2**31,
+                          2**32, 2**62, 2**63 - 1, *randoms):
+                    assert (n * m) >> s == n // divisor, (n, divisor)
+
+    def test_rows_follow_the_global_bank_and_channel_order(self, tiny_config):
+        hma = HeterogeneousMemory(tiny_config)
+        fast, slow = hma.fast, hma.slow
+        rows = (engine._route_row(fast, 0, 0),
+                engine._route_row(slow, fast.num_channels,
+                                  fast.num_banks_total))
+        for row, device in zip(rows, (fast, slow)):
+            assert row[2::3] == [device.num_channels,
+                                 device.num_channels * LINES_PER_ROW,
+                                 device.banks_per_channel]
+        assert rows[1][:2] == [fast.num_channels, fast.num_banks_total]

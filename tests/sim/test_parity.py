@@ -140,6 +140,43 @@ def test_annotation_pinned_matches_reference(prep, case):
     _assert_identical(ref, ref_hma, got, got_hma)
 
 
+def _pair(prep, config, trace, core_windows, installed=None,
+          case="static"):
+    """The reference and the production replay of ``trace`` under a
+    ``case`` spec on ``config``, each as ``(result, hma)`` on a fresh
+    memory holding ``installed`` (default: every page of the prep) with
+    the perf-focused placement's pages among them in HBM."""
+    fast = PerformanceFocusedPlacement().select_fast_pages(
+        prep.stats, prep.capacity_pages)
+    if installed is None:
+        installed = prep.stats.pages
+    else:
+        keep = set(installed.tolist())
+        fast = [p for p in fast if p in keep]
+    factory, num_intervals = CASES[case]
+    runs = []
+    for reference in (True, False):
+        hma = HeterogeneousMemory(config)
+        hma.install_placement(fast, installed)
+        spec = ReplaySpec(config, hma, factory(prep) if factory else None,
+                          num_intervals, core_windows)
+        times = prep.workload_trace.times
+        result = (replay_reference(spec, trace, times) if reference
+                  else replay_multi([spec], trace, times)[0])
+        runs.append((result, hma))
+    return runs
+
+
+def _wide_gaps(trace, seed):
+    """``trace`` with a fifth of its gaps drawn from the whole uint32
+    range."""
+    rng = np.random.default_rng(seed)
+    gap = trace.gap.copy()
+    wide = rng.random(len(gap)) < 0.2
+    gap[wide] = rng.integers(0, 2**32, int(wide.sum()), dtype=np.uint32)
+    return Trace(trace.core, trace.address, trace.is_write, gap)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_odd_geometry_and_wide_gaps_match_reference(prep, seed):
     """3 HBM channels, 6 banks per rank, issue width 3, and a fifth of
@@ -152,22 +189,79 @@ def test_odd_geometry_and_wide_gaps_match_reference(prep, seed):
         base, core=replace(base.core, issue_width=3),
         fast_memory=replace(base.fast_memory, channels=3, banks_per_rank=6))
     wt = prep.workload_trace
-    rng = np.random.default_rng(seed)
-    gap = wt.trace.gap.copy()
-    wide = rng.random(len(gap)) < 0.2
-    gap[wide] = rng.integers(0, 2**32, int(wide.sum()), dtype=np.uint32)
-    trace = Trace(wt.trace.core, wt.trace.address, wt.trace.is_write, gap)
-    fast = PerformanceFocusedPlacement().select_fast_pages(
-        prep.stats, prep.capacity_pages)
-    runs = []
-    for reference in (True, False):
-        hma = HeterogeneousMemory(config)
-        hma.install_placement(fast, prep.stats.pages)
-        spec = ReplaySpec(config, hma, core_windows=wt.core_mlp)
-        result = (replay_reference(spec, trace, wt.times) if reference
-                  else replay_multi([spec], trace, wt.times)[0])
-        runs.append((result, hma))
-    _assert_identical(*runs[0], *runs[1])
+    ref, got = _pair(prep, config, _wide_gaps(wt.trace, seed), wt.core_mlp)
+    _assert_identical(*ref, *got)
+
+
+@pytest.mark.parametrize("channels,banks", [(1, 1), (5, 3)])
+def test_route_geometries_match_reference(prep, channels, banks):
+    """Both tiers at 1 channel x 1 bank (two of the three routing
+    divisors are 1, the reciprocal with the narrowest shift) or at 5
+    channels x 3 banks (no divisor a power of two)."""
+    base = prep.config
+    config = replace(
+        base,
+        fast_memory=replace(base.fast_memory, channels=channels,
+                            banks_per_rank=banks),
+        slow_memory=replace(base.slow_memory, channels=channels,
+                            banks_per_rank=banks))
+    wt = prep.workload_trace
+    ref, got = _pair(prep, config, _wide_gaps(wt.trace, 0), wt.core_mlp)
+    _assert_identical(*ref, *got)
+
+
+@pytest.mark.parametrize("windows", ["mixed", "all-one"])
+def test_ring_above_window_matches_reference(prep, windows):
+    """A 12-request miss cap makes a 16-slot ring, above every window:
+    the per-core windows mix 1, 2, 5 and 12; or every window is 1 (a
+    one-slot ring)."""
+    base = prep.config
+    config = replace(base, core=replace(base.core,
+                                        max_outstanding_misses=12))
+    core_windows = ([(1, 2, 5, 12)[c % 4] for c in range(base.num_cores)]
+                    if windows == "mixed" else [1] * base.num_cores)
+    ref, got = _pair(prep, config, prep.workload_trace.trace, core_windows)
+    _assert_identical(*ref, *got)
+
+
+@pytest.mark.parametrize("case", ["static", "fc-mig"])
+def test_first_touch_faults_match_reference(prep, case, monkeypatch):
+    """Only every other page of the prep is installed, and the requests
+    of the first page to fault move to the first page past the page
+    table's end.  The kernel stops mid-chunk at that page, the engine
+    faults in the rest of the chunk in first-touch order (growing the
+    table), and the kernel resumes; each later chunk stops at its first
+    unmapped page.  Frames, and so bank state, must follow the
+    reference's per-request faults."""
+    wt = prep.workload_trace
+    installed = prep.stats.pages[::2]
+    probe = HeterogeneousMemory(prep.config)
+    probe.install_placement([], installed)
+    end = len(probe.page_tables()[0])
+    pages = wt.trace.address // PAGE_SIZE
+    first_fault = int(np.flatnonzero(~np.isin(pages, installed))[0])
+    assert first_fault > 0
+    moved = pages == pages[first_fault]
+    address = wt.trace.address.copy()
+    address[moved] = (np.uint64(end * PAGE_SIZE)
+                      + address[moved] % PAGE_SIZE)
+    trace = Trace(wt.trace.core, address, wt.trace.is_write, wt.trace.gap)
+
+    faults = []
+    ensure_mapped = HeterogeneousMemory.ensure_mapped
+
+    def spy(self, chunk_pages):
+        faults.append(int(chunk_pages[0]))
+        ensure_mapped(self, chunk_pages)
+
+    monkeypatch.setattr(HeterogeneousMemory, "ensure_mapped", spy)
+    ref, got = _pair(prep, prep.config, trace, wt.core_mlp, installed, case)
+    _assert_identical(*ref, *got)
+    assert {page for page, _, _ in got[1].page_entries()} == set(
+        (address // PAGE_SIZE).tolist()) | set(installed.tolist())
+    if _ckernel.load_multi() is not None:
+        assert faults[0] == end
+        assert (len(faults) == 1) == (case == "static"), faults
 
 
 @native_only

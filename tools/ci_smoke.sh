@@ -32,8 +32,12 @@
 #    replay results, migration plans, fault-simulator tallies, seeded
 #    generator determinism, and native vs numpy synthesis) and gross
 #    performance regressions without a long wall-clock bill.  The
-#    capacity sweep's fan-out and the shm handoff are measured end to
-#    end by the bench/ benchmark (workload capacity-fanout).
+#    replay benchmark also replays with only the fast pages installed,
+#    so the rest fault in during the replay (the compiled kernel stops
+#    at each unmapped page and resumes), bit-exact, frames included,
+#    against the reference.  The capacity sweep's fan-out and the shm
+#    handoff are measured end to end by the bench/ benchmark (workload
+#    capacity-fanout).
 # 6. Runs the telemetry smoke: a tiny migration experiment twice with
 #    REPRO_TELEMETRY on, asserting the run registry holds both rows
 #    with non-empty epoch series, that `report` renders, and that a
