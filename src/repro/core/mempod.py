@@ -65,7 +65,7 @@ class MemPodMigration(MigrationMechanism):
 
     def plan_sub(self, hma: HeterogeneousMemory) -> MigrationPlan:
         """MEA interval: every pod promotes its own hot pages."""
-        in_fast = set(hma.pages_in(FAST))
+        in_fast = set(hma.pages_in(FAST).tolist())
         pod_capacity = max(1, hma.fast_capacity_pages // self.num_pods)
         residents_by_pod: "dict[int, list[int]]" = {}
         for page in in_fast:

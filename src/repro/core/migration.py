@@ -221,7 +221,7 @@ class PerformanceFocusedMigration(MigrationMechanism):
         else:
             threshold = _mean_threshold(hot)
 
-        in_fast = hma.pages_in_array(FAST)
+        in_fast = hma.pages_in(FAST)
         budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
         cand_mask = (hot > threshold) & ~hma.fast_mask(pages)
         sel = _top_hot_desc(pages[cand_mask], hot[cand_mask], budget)
@@ -295,7 +295,7 @@ class ReliabilityAwareFCMigration(MigrationMechanism):
         hot_threshold = _mean_threshold(hot)
         risk_threshold = _mean_threshold(risk)
 
-        in_fast = hma.pages_in_array(FAST)
+        in_fast = hma.pages_in(FAST)
         budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
 
         good = (hot > hot_threshold) & (risk >= risk_threshold)
@@ -413,13 +413,13 @@ class CrossCountersMigration(MigrationMechanism):
         confident about (residual count >= 2).
 
         The whole tiering pass is a handful of numpy calls over the
-        MEA map (at most ``capacity`` ~32 entries): one residency
-        gather answers for the whole map, a stable argsort ranks it
-        (descending count, insertion-order ties — identical to the
-        reference walk), boolean selection builds the weak and strong
-        promotion tiers, ``fast_occupancy`` replaces the resident scan
-        for the free-frame count, and the (large) resident array is
-        only materialised when cold victims are actually needed.
+        MEA map (at most ``capacity`` ~32 entries): one ``fast_mask``
+        call answers residency for the whole map, a stable argsort
+        ranks it (descending count, insertion-order ties — identical to
+        the reference walk), boolean selection builds the weak and
+        strong promotion tiers, ``fast_occupancy`` gives the free-frame
+        count, and the (large) resident array is only materialised when
+        cold victims are actually needed.
         """
         mea = self.mea
         k = len(mea)
@@ -435,13 +435,7 @@ class CrossCountersMigration(MigrationMechanism):
 
         # Rank nonresident entries: descending residual count with
         # insertion-order ties (stable sort on negated counts).
-        # Residency via a direct page-table gather — MEA pages are
-        # validated non-negative on record, and a page beyond the
-        # table (never mapped) raises IndexError -> checked fallback.
-        try:
-            nonres = hma._pt_device[pages_arr] != FAST
-        except (IndexError, AttributeError):
-            nonres = ~hma.fast_mask(pages_arr)
+        nonres = ~hma.fast_mask(pages_arr)
         order = np.argsort(-counts_arr, kind="stable")
         ranked = order[nonres[order]]
         mp = self.max_promotions
@@ -469,7 +463,7 @@ class CrossCountersMigration(MigrationMechanism):
             # ``extra`` survivors inside the first ``extra + q``
             # positions, so this matches filtering the pool first
             # without an ``isin`` pass over all of HBM.
-            in_fast_arr = hma.pages_in_array(FAST)
+            in_fast_arr = hma.pages_in(FAST)
             vic_hot = self.counters.hotness_of(in_fast_arr)
             vsel = _bottom_hot_asc(in_fast_arr, vic_hot,
                                    extra + len(to_slow))
@@ -492,7 +486,7 @@ class CrossCountersMigration(MigrationMechanism):
         only as victims of the performance unit's promotions.
         """
         counters = self.counters
-        in_fast = hma.pages_in_array(FAST)
+        in_fast = hma.pages_in(FAST)
         reads = counters.reads_of(in_fast)
         writes = counters.writes_of(in_fast)
         active = (reads + writes) > 0
@@ -570,7 +564,7 @@ class OracleRiskMigration(MigrationMechanism):
         pages, reads, writes = counters.touched_arrays()
         hot = reads + writes
         risk = self._risk_of(pages)
-        in_fast = hma.pages_in_array(FAST)
+        in_fast = hma.pages_in(FAST)
         r_risk = self._risk_of(in_fast)
         self.tracker.clear_window()
 

@@ -83,11 +83,10 @@ class MemoryDevice:
         row granularity within a channel.
         """
         channel = line % self.num_channels
-        banks_per_channel = len(self.banks[0])
         line_in_channel = line // self.num_channels
         row_global = line_in_channel // LINES_PER_ROW
-        bank = row_global % banks_per_channel
-        row = row_global // banks_per_channel
+        bank = row_global % self.banks_per_channel
+        row = row_global // self.banks_per_channel
         return channel, bank, row
 
     # -- request service ---------------------------------------------------

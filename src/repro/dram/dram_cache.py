@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.config import LINES_PER_PAGE, SystemConfig
 from repro.dram.device import MemoryDevice
 from repro.dram.hma import MigrationStats
@@ -80,9 +82,9 @@ class DramCacheSystem:
         if len(list(fast_pages)):
             raise ValueError("a DRAM cache takes no explicit placement")
 
-    def pages_in(self, device: int) -> "list[int]":
+    def pages_in(self, device: int) -> np.ndarray:
         """Residency is line-granular and transient; report none."""
-        return []
+        return np.empty(0, dtype=np.int64)
 
     def service(self, page: int, line_in_page: int, arrival: float,
                 is_write: bool) -> float:

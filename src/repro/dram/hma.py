@@ -13,7 +13,10 @@ number hold the owning device and frame, so the compiled replay kernel
 translates requests straight from :meth:`page_tables` instead of
 through a per-request dict lookup.  Page numbers produced by the trace
 generators are compact (0..footprint), which keeps the arrays small;
-they grow geometrically on demand.
+they grow geometrically on demand.  The device column is the only
+record of residency: :meth:`~HeterogeneousMemory.pages_in`,
+:meth:`~HeterogeneousMemory.fast_occupancy` and
+:meth:`~HeterogeneousMemory.fast_mask` all read it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ class CapacityError(Exception):
     """Raised when a placement exceeds a device's frame capacity."""
 
 
+def _check_pages(pages: np.ndarray) -> None:
+    """Refuse negative page numbers (they would index the table's end)."""
+    if len(pages) and int(pages.min()) < 0:
+        raise ValueError("page numbers must be non-negative")
+
+
 class HeterogeneousMemory:
     """Fast + slow memories behind a migratable page table."""
 
@@ -65,11 +74,6 @@ class HeterogeneousMemory:
         self._pt_frame = np.zeros(1024, dtype=np.int64)
         self._free_frames: "tuple[list[int], list[int]]" = ([], [])
         self._next_frame = [0, 0]
-        self._occupancy = [0, 0]
-        #: Pages currently resident in the fast device, maintained
-        #: incrementally so residency snapshots are O(|HBM|), not
-        #: O(footprint).
-        self._fast_set: "set[int]" = set()
         self.migration_stats = MigrationStats()
         #: Pages exempt from migration (program annotations, Sec. 7).
         self.pinned: "set[int]" = set()
@@ -116,81 +120,52 @@ class HeterogeneousMemory:
         frame = self._alloc_frame(device)
         self._pt_device[page] = device
         self._pt_frame[page] = frame
-        self._occupancy[device] += 1
-        if device == FAST:
-            self._fast_set.add(page)
 
     def install_placement(self, fast_pages, all_pages) -> None:
-        """Map ``fast_pages`` into HBM and the rest of ``all_pages``
-        into DDR.
+        """Map ``all_pages``: those in ``fast_pages`` to HBM, the rest to DDR.
 
-        The common case — distinct, non-negative, previously unmapped
-        pages installed within capacity on a table whose free lists are
-        empty — is applied as a handful of array writes with frames
-        assigned in ``all_pages`` appearance order per device, exactly
-        as the per-page loop would.  Any other case (duplicates,
-        already-mapped pages, overflow, recycled frames) falls back to
-        the scalar loop so partial state on the error paths stays
-        identical.
+        Frames are assigned in ``all_pages`` order on each device.
+        Everything is checked before the table changes: a negative or
+        repeated page, a page already mapped, a table whose free lists a
+        migration has filled, and (:class:`CapacityError`) more pages
+        than a device has frames left for each raise, leaving the table
+        as it was.
         """
-        fast_set = set(int(p) for p in fast_pages)
-        if len(fast_set) > self.fast_capacity_pages:
-            raise CapacityError(
-                f"placement has {len(fast_set)} pages for "
-                f"{self.fast_capacity_pages} HBM frames"
-            )
-        if not isinstance(all_pages, (np.ndarray, list, tuple, range)):
-            all_pages = list(all_pages)
-        if self._install_bulk(fast_set, all_pages):
-            return
-        for page in all_pages:
-            self.map_page(int(page), FAST if int(page) in fast_set else SLOW)
-
-    def _install_bulk(self, fast_set, all_pages) -> bool:
-        """Vectorised :meth:`install_placement` body; False → use loop."""
         if self._free_frames[FAST] or self._free_frames[SLOW]:
-            return False
-        try:
-            pages = np.asarray(all_pages, dtype=np.int64).ravel()
-        except (TypeError, ValueError):
-            return False
-        if not len(pages):
-            return True
-        if int(pages.min()) < 0:
-            return False
-        uniq = np.unique(pages)
-        if len(uniq) != len(pages):
-            return False
-        self._ensure_table(int(pages.max()))
-        if (self._pt_device[pages] != _UNMAPPED).any():
-            return False
-        if fast_set:
-            is_fast = np.isin(pages, np.fromiter(
-                fast_set, dtype=np.int64, count=len(fast_set)))
-        else:
-            is_fast = np.zeros(len(pages), dtype=bool)
-        n_fast = int(np.count_nonzero(is_fast))
-        n_slow = len(pages) - n_fast
-        if (self._next_frame[FAST] + n_fast > self.fast_capacity_pages
-                or self._next_frame[SLOW] + n_slow > self.slow_capacity_pages):
-            return False  # overflow mid-loop: replicate partial state
-        for device, sel, count in ((FAST, is_fast, n_fast),
-                                   (SLOW, ~is_fast, n_slow)):
-            chosen = pages[sel]
+            raise ValueError("install_placement after a migration")
+        pages = np.asarray(all_pages, dtype=np.int64).ravel()
+        _check_pages(pages)
+        ordered = np.sort(pages)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("install_placement got a repeated page")
+        table = self._pt_device
+        if (table[pages[pages < len(table)]] != _UNMAPPED).any():
+            raise ValueError("install_placement got an already-mapped page")
+        is_fast = np.isin(pages, np.asarray(fast_pages, dtype=np.int64))
+        placed = ((FAST, pages[is_fast]), (SLOW, pages[~is_fast]))
+        for device, chosen in placed:
+            capacity = (self.fast_capacity_pages,
+                        self.slow_capacity_pages)[device]
+            free = capacity - self._next_frame[device]
+            if len(chosen) > free:
+                raise CapacityError(
+                    f"placement has {len(chosen)} pages for {free} free "
+                    f"{self._devices[device].config.name} frames")
+        if len(pages):
+            self._ensure_table(int(pages.max()))
+        for device, chosen in placed:
             base = self._next_frame[device]
             self._pt_device[chosen] = device
-            self._pt_frame[chosen] = base + np.arange(count, dtype=np.int64)
-            self._next_frame[device] = base + count
-            self._occupancy[device] += count
-        self._fast_set.update(pages[is_fast].tolist())
-        return True
+            self._pt_frame[chosen] = np.arange(base, base + len(chosen))
+            self._next_frame[device] = base + len(chosen)
 
     def lookup(self, page: int) -> "tuple[int, int]":
         """``(device, frame)`` of ``page``, faulting it in on demand."""
         page = int(page)
-        if page >= len(self._pt_device) or self._pt_device[page] == _UNMAPPED:
+        if (page < 0 or page >= len(self._pt_device)
+                or self._pt_device[page] == _UNMAPPED):
             # First touch of an unplaced page: it faults into DDR, like
-            # the paper's default backing store.
+            # the paper's default backing store (a negative page raises).
             self.map_page(page, SLOW)
         return int(self._pt_device[page]), int(self._pt_frame[page])
 
@@ -206,9 +181,10 @@ class HeterogeneousMemory:
         of each page in ``pages``, so frame assignment is identical to
         servicing the requests one at a time.
         """
+        pages = np.asarray(pages, dtype=np.int64)
         if not len(pages):
             return
-        pages = np.asarray(pages, dtype=np.int64)
+        _check_pages(pages)
         self._ensure_table(int(pages.max()))
         unmapped = pages[self._pt_device[pages] == _UNMAPPED]
         if not len(unmapped):
@@ -217,28 +193,21 @@ class HeterogeneousMemory:
         for page in unmapped[np.sort(first)].tolist():
             self.map_page(page, SLOW)
 
-    def pages_in(self, device: int) -> "list[int]":
-        return np.flatnonzero(self._pt_device == device).tolist()
-
-    def pages_in_array(self, device: int) -> np.ndarray:
+    def pages_in(self, device: int) -> np.ndarray:
         """Pages resident in ``device`` as an ascending int64 array."""
-        return np.flatnonzero(self._pt_device == device).astype(np.int64)
+        return np.flatnonzero(self._pt_device == device).astype(
+            np.int64, copy=False)
 
     def fast_mask(self, pages: np.ndarray) -> np.ndarray:
         """Boolean mask: is each of ``pages`` resident in fast memory?
 
-        Vectorised residency test against the flat device column —
-        pages beyond the table (never mapped) are not resident.
+        A negative page, or one past the table (never mapped), is not
+        resident.
         """
         pages = np.asarray(pages, dtype=np.int64)
         table = self._pt_device
-        if pages.size and int(pages.min()) >= 0 \
-                and int(pages.max()) < len(table):
-            return table[pages] == FAST
-        mask = np.zeros(len(pages), dtype=bool)
-        valid = (pages >= 0) & (pages < len(table))
-        mask[valid] = table[pages[valid]] == FAST
-        return mask
+        inside = (pages >= 0) & (pages < len(table))
+        return inside & (table[np.where(inside, pages, 0)] == FAST)
 
     def page_entries(self) -> "Iterator[tuple[int, int, int]]":
         """Iterate ``(page, device, frame)`` over every mapped page."""
@@ -246,11 +215,8 @@ class HeterogeneousMemory:
             yield page, int(self._pt_device[page]), int(self._pt_frame[page])
 
     def fast_occupancy(self) -> int:
-        return self._occupancy[FAST]
-
-    def fast_pages_snapshot(self) -> "set[int]":
-        """A copy of the current fast-device residency set."""
-        return set(self._fast_set)
+        """Pages resident in fast memory."""
+        return int(np.count_nonzero(self._pt_device == FAST))
 
     def page_tables(self) -> "tuple[np.ndarray, np.ndarray]":
         """The live dense page-table columns ``(device, frame)``.
@@ -289,8 +255,11 @@ class HeterogeneousMemory:
         straight back in, double-counting migration stats and copy
         bandwidth); a repeated entry finds its page already moved.
         Each moved page costs a 4 KB transfer on both devices; the
-        method returns the time the migration traffic drains.
+        method returns the time the migration traffic drains.  A
+        negative page raises before anything moves.
         """
+        _check_pages(np.asarray(to_fast, dtype=np.int64))
+        _check_pages(np.asarray(to_slow, dtype=np.int64))
         both = set(to_fast).intersection(to_slow)
         pinned = self.pinned
         moved = 0
@@ -303,9 +272,6 @@ class HeterogeneousMemory:
             self._free_frames[FAST].append(int(self._pt_frame[page]))
             self._pt_frame[page] = self._alloc_frame(SLOW)
             self._pt_device[page] = SLOW
-            self._occupancy[FAST] -= 1
-            self._occupancy[SLOW] += 1
-            self._fast_set.discard(page)
             self.migration_stats.migrations_to_slow += 1
             moved += 1
 
@@ -325,11 +291,8 @@ class HeterogeneousMemory:
                 continue
             if device != _UNMAPPED:
                 self._free_frames[SLOW].append(int(self._pt_frame[page]))
-                self._occupancy[SLOW] -= 1
             self._pt_frame[page] = self._alloc_frame(FAST)
             self._pt_device[page] = FAST
-            self._occupancy[FAST] += 1
-            self._fast_set.add(page)
             self.migration_stats.migrations_to_fast += 1
             free_fast -= 1
             moved += 1

@@ -185,8 +185,6 @@ class ChannelScheduler:
             chosen.start = start
             chosen.finish = finish
             self.requests_served += 1
-            if bank.row_hits and bank.state.open_row == chosen.row:
-                pass  # hit accounting lives in the bank already
             queue.remove(chosen)
             now = start
 

@@ -103,17 +103,9 @@ class SerModel:
 
         Membership is an ``np.isin`` against the profile's page array —
         the same booleans (and therefore the same masked-sum rounding)
-        as the original per-page set-membership loop.
+        as a per-page set-membership loop.
         """
-        fast_arr = np.asarray(
-            fast_pages if isinstance(fast_pages, np.ndarray)
-            else [int(p) for p in fast_pages],
-            dtype=np.int64,
-        )
-        if len(fast_arr):
-            in_fast = np.isin(stats.pages, fast_arr)
-        else:
-            in_fast = np.zeros(len(stats), dtype=bool)
+        in_fast = np.isin(stats.pages, np.asarray(fast_pages, dtype=np.int64))
         avf_fast = float(stats.avf[in_fast].sum())
         avf_slow = float(stats.avf[~in_fast].sum())
         return avf_fast * self.fit_fast_per_page + avf_slow * self.fit_slow_per_page
@@ -127,37 +119,31 @@ class SerModel:
     def _interval_products(
         self,
         intervals: "list[tuple[np.ndarray, np.ndarray]]",
-        fast_residency: "list[set[int]]",
+        fast_residency: "list[np.ndarray]",
     ) -> "list[np.ndarray]":
         """Per interval, each page's AVF times the FIT of the device
         holding the page during the interval, in page order."""
         if len(fast_residency) != len(intervals):
             raise ValueError(
-                "need one residency set per interval "
+                "need one residency array per interval "
                 f"({len(intervals)}), got {len(fast_residency)}"
             )
-        products = []
-        for (pages, values), resident in zip(intervals, fast_residency):
-            if resident and len(pages):
-                resident_arr = np.fromiter(resident, dtype=np.int64,
-                                           count=len(resident))
-                in_fast = np.isin(pages, resident_arr)
-            else:
-                in_fast = np.zeros(len(pages), dtype=bool)
-            products.append(values * np.where(
-                in_fast, self.fit_fast_per_page, self.fit_slow_per_page))
-        return products
+        return [values * np.where(
+                    np.isin(pages, np.asarray(resident, dtype=np.int64)),
+                    self.fit_fast_per_page, self.fit_slow_per_page)
+                for (pages, values), resident in zip(intervals,
+                                                     fast_residency)]
 
     def ser_dynamic(
         self,
         intervals: "list[tuple[np.ndarray, np.ndarray]]",
-        fast_residency: "list[set[int]]",
+        fast_residency: "list[np.ndarray]",
     ) -> float:
         """System SER under migration.
 
         ``intervals`` holds one ``(pages, avf)`` array pair per interval
         (:func:`~repro.avf.page.profile_intervals`), and
-        ``fast_residency[i]`` is the set of pages resident in fast
+        ``fast_residency[i]`` is the array of pages resident in fast
         memory during interval ``i``; each interval's AVF contribution
         is charged to the device holding the page at that time.  The
         products are added one at a time from 0.0 in interval and page
@@ -171,7 +157,7 @@ class SerModel:
     def ser_dynamic_series(
         self,
         intervals: "list[tuple[np.ndarray, np.ndarray]]",
-        fast_residency: "list[set[int]]",
+        fast_residency: "list[np.ndarray]",
     ) -> "list[float]":
         """Per-interval SER contributions under migration (telemetry).
 

@@ -105,12 +105,6 @@ def replay(
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _residency_snapshot(hma) -> "set[int]":
-    if hasattr(hma, "fast_pages_snapshot"):
-        return hma.fast_pages_snapshot()
-    return set(hma.pages_in(FAST))
-
-
 def _page_list(seq) -> "list[int]":
     """Normalise a planner's page sequence (list or ndarray) to a list."""
     return seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
@@ -188,7 +182,7 @@ def _build_result(
     core_times: "list[float]",
     read_latency_total: float,
     read_count: int,
-    residency: "list[set[int]]",
+    residency: "list[np.ndarray]",
     bounds: np.ndarray,
     core_instructions: "list[int]",
 ) -> ReplayResult:
@@ -259,12 +253,12 @@ def replay_reference(
     pages_arr = (trace.address // PAGE_SIZE).astype(np.int64)
     lines_arr = ((trace.address % PAGE_SIZE) // LINE_SIZE).astype(np.int64)
 
-    residency: "list[set[int]]" = []
+    residency: "list[np.ndarray]" = []
     read_latency_total = 0.0
     read_count = 0
 
     for chunk, (start, stop) in enumerate(zip(starts, stops)):
-        residency.append(_residency_snapshot(hma))
+        residency.append(hma.pages_in(FAST))
 
         chunk_pages = pages_arr[start:stop]
         chunk_writes = trace.is_write[start:stop]
@@ -458,7 +452,7 @@ class _KernelState:
         self.busy_acc[:] = (fast.stats.busy_time, slow.stats.busy_time)
 
     def finish(self, trace: Trace, bounds: np.ndarray,
-               residency: "list[set[int]]") -> ReplayResult:
+               residency: "list[np.ndarray]") -> ReplayResult:
         """Drain the cores, write the state back, build the result.
 
         A core drains at its last slot, the latest finish of all its
@@ -538,11 +532,11 @@ def _replay_native(
     starts, stops, bounds = _chunk_bounds(len(trace), total_chunks, times)
     sink = replay_sink(hma)
     state = _KernelState(fn, spec, trace)
-    residency: "list[set[int]]" = []
+    residency: "list[np.ndarray]" = []
 
     for chunk in range(total_chunks):
         start, stop = int(starts[chunk]), int(stops[chunk])
-        residency.append(_residency_snapshot(hma))
+        residency.append(hma.pages_in(FAST))
 
         if mechanism is not None and stop > start:
             chunk_times = times[start:stop] if times is not None else None

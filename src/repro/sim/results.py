@@ -47,8 +47,9 @@ class ReplayResult:
     )
     #: Per-core IPC over each core's own busy time.
     per_core_ipc: "list[float]" = field(default_factory=list)
-    #: Pages resident in fast memory at the start of each interval.
-    fast_residency: "list[set[int]]" = field(default_factory=list)
+    #: Pages resident in fast memory at the start of each interval
+    #: (ascending int64 arrays).
+    fast_residency: "list[np.ndarray]" = field(default_factory=list)
     #: Logical-time boundaries separating the intervals.
     interval_boundaries: np.ndarray = field(
         default_factory=lambda: np.empty(0)

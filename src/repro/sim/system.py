@@ -184,23 +184,22 @@ class MigrationSpec:
     initial_policy: "PlacementPolicy | None" = None
 
 
-def _select_fast_pages(policy, stats, capacity_pages, memo):
-    """``policy.select_fast_pages`` with the ranking shared across
-    capacities: each policy ranks once per workload
-    (:meth:`~repro.core.placement.PlacementPolicy.select_ranking`) and
-    every capacity takes a prefix of it."""
+def _select_fast_pages(policy, stats, capacity_pages, memo) -> np.ndarray:
+    """The pages ``policy`` places in HBM, as a sorted int64 array.
+
+    The ranking is shared across capacities: each policy ranks once per
+    workload (:meth:`~repro.core.placement.PlacementPolicy.select_ranking`)
+    and every capacity takes a prefix of it.  The array is the one form
+    of the placement that the replay key, ``install_placement`` and
+    ``ser_static`` read."""
     ranking = memo.get(id(policy))
     if ranking is None:
         ranking = memo[id(policy)] = policy.select_ranking(stats)
-    return ranking[: policy.ranked_take(capacity_pages)]
+    return np.unique(ranking[: policy.ranked_take(capacity_pages)])
 
 
-def _page_set(pages) -> bytes:
-    """The distinct pages of ``pages``, ascending, as bytes."""
-    return np.unique(np.asarray(pages, dtype=np.int64)).tobytes()
-
-
-def _replay_key(prep: PreparedWorkload, config: SystemConfig, fast_pages,
+def _replay_key(prep: PreparedWorkload, config: SystemConfig,
+                fast_pages: np.ndarray,
                 mechanism: "MigrationMechanism | None" = None,
                 num_intervals: int = 1):
     """Hashable identity of one replay of ``prep``'s trace, or ``None``.
@@ -213,8 +212,9 @@ def _replay_key(prep: PreparedWorkload, config: SystemConfig, fast_pages,
       and ``ecc``) neutralised, so sweeps that vary nothing else (the
       FIT sweep, the ECC-Pareto scheme sweep) collapse to one replay;
       every other config field may affect timing and stays in the key;
-    * the fast-page *set* (``install_placement`` reads only the set;
-      frames follow ``prep.stats.pages``) and the core windows;
+    * the fast pages, a sorted int64 array (``install_placement`` reads
+      only which pages are fast; frames follow ``prep.stats.pages``),
+      and the core windows;
     * whether telemetry is recording: an entry made with telemetry off
       has no epoch series, so it must not serve a recording call;
     * for a migration spec, the interval count and the mechanism's
@@ -240,7 +240,7 @@ def _replay_key(prep: PreparedWorkload, config: SystemConfig, fast_pages,
         hash(neutral)
     except TypeError:
         return None
-    return (id(prep), neutral, _page_set(fast_pages),
+    return (id(prep), neutral, fast_pages.tobytes(),
             tuple(prep.workload_trace.core_mlp), metrics.enabled(),
             num_intervals, mech_key)
 
@@ -251,7 +251,7 @@ class _Outcome:
 
     The numbers a result is composed from, never the
     :class:`~repro.sim.results.ReplayResult`: its per-chunk residency
-    sets are most of its memory.  ``prep`` is held so that the ``id``
+    arrays are most of its memory.  ``prep`` is held so that the ``id``
     in the key is never reused.
     """
 
@@ -313,7 +313,7 @@ def _migration_ser(ser_model: SerModel, intervals, result) -> float:
     ``intervals`` is the trace's per-interval ``(pages, avf)`` arrays at
     the replay's interval boundaries.  With telemetry recording, the
     replay's epoch series is annotated with per-epoch SER when the
-    lengths line up (one residency set per epoch).
+    lengths line up (one residency array per epoch).
     """
     ser = ser_model.ser_dynamic(intervals, result.fast_residency)
     series = result.snapshots

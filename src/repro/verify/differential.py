@@ -91,8 +91,7 @@ def _digest(result) -> dict:
                        result.migrations.migrations_to_slow,
                        float(result.migrations.migration_seconds)),
         "fast_residency": tuple(
-            tuple(sorted(int(p) for p in resident))
-            for resident in result.fast_residency),
+            tuple(resident.tolist()) for resident in result.fast_residency),
         "interval_boundaries": tuple(
             int(b) for b in result.interval_boundaries),
         "devices": tuple(

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import LINE_SIZE, PAGE_SIZE, SystemConfig
-from repro.dram.device import LINES_PER_ROW
+from repro.config import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, SystemConfig
 from repro.dram.hma import HeterogeneousMemory
 from repro.sim.results import ReplayResult
 from repro.trace.record import Trace
@@ -159,22 +158,18 @@ class EventDrivenReplay:
 
         self.channels: "dict[tuple[int, int], _Channel]" = {}
         for device_id, device in ((0, hma.fast), (1, hma.slow)):
-            banks = len(device.banks[0])
             for ch in range(device.num_channels):
                 self.channels[(device_id, ch)] = _Channel(
                     device.config.timing, device.clock_period,
-                    device.burst_seconds, banks,
+                    device.burst_seconds, device.banks_per_channel,
                 )
 
     def _route(self, page: int, line_in_page: int) -> "tuple[tuple[int, int], int, int]":
         device_id, frame = self.hma.lookup(page)
-        local_line = frame * 64 + line_in_page
         device = self.hma.fast if device_id == 0 else self.hma.slow
-        channel = local_line % device.num_channels
-        banks = len(device.banks[0])
-        line_in_channel = local_line // device.num_channels
-        row_global = line_in_channel // LINES_PER_ROW
-        return (device_id, channel), row_global % banks, row_global // banks
+        line = frame * LINES_PER_PAGE + line_in_page
+        channel, bank, row = device.route(line)
+        return (device_id, channel), bank, row
 
     def run(self, trace: Trace) -> ReplayResult:
         n = len(trace)

@@ -408,7 +408,7 @@ class ReferencePerformanceFocusedMigration(PerformanceFocusedMigration):
         else:
             threshold = _mean_threshold(list(hotness.values()))
 
-        in_fast_list = hma.pages_in(FAST)
+        in_fast_list = hma.pages_in(FAST).tolist()
         in_fast = set(in_fast_list)
         budget = max(1, int(hma.fast_capacity_pages * self.max_swap_fraction))
         # Hot pages currently off-package, hottest first.
@@ -456,7 +456,7 @@ class ReferenceReliabilityAwareFCMigration(ReliabilityAwareFCMigration):
         # Low Wr/Rd means long live intervals, i.e. high risk.
         risk_threshold = _mean_threshold(list(risk.values()))
 
-        in_fast_list = hma.pages_in(FAST)
+        in_fast_list = hma.pages_in(FAST).tolist()
         in_fast = set(in_fast_list)
 
         def is_good(page: int) -> bool:
@@ -516,7 +516,7 @@ class ReferenceCrossCountersMigration(CrossCountersMigration):
         hot_strong = self.mea.hot_pages(min_count=2)
         self.mea.reset()
 
-        in_fast_list = hma.pages_in(FAST)
+        in_fast_list = hma.pages_in(FAST).tolist()
         in_fast = set(in_fast_list)
         weak = [p for p in hot_all
                 if p not in in_fast][: self.max_promotions]
@@ -550,7 +550,7 @@ class ReferenceCrossCountersMigration(CrossCountersMigration):
 
     def plan(self, hma) -> MigrationPlan:
         counters = self.counters
-        in_fast = hma.pages_in(FAST)
+        in_fast = hma.pages_in(FAST).tolist()
         risks = {p: counters.write_ratio(p) for p in in_fast
                  if counters.hotness(p) > 0}
         threshold = _mean_threshold(list(risks.values()))
@@ -604,7 +604,7 @@ class ReferenceOracleRiskMigration(OracleRiskMigration):
         hot_threshold = _mean_threshold(list(hotness.values()))
         risk_threshold = _mean_threshold([risk_of(p) for p in touched])
 
-        in_fast_list = hma.pages_in(FAST)
+        in_fast_list = hma.pages_in(FAST).tolist()
         in_fast = set(in_fast_list)
 
         def is_good(page: int) -> bool:
@@ -803,18 +803,19 @@ def profile_intervals_reference(
 def ser_dynamic_reference(
     ser_model: SerModel,
     intervals: "list[dict[int, float]]",
-    fast_residency: "list[set[int]]",
+    fast_residency: "list[np.ndarray]",
 ) -> float:
     """:meth:`~repro.faults.ser.SerModel.ser_dynamic` as a dict walk over
     :func:`profile_intervals_reference`'s interval dicts: each page's
     AVF charged to the device holding it during the interval."""
     if len(fast_residency) != len(intervals):
         raise ValueError(
-            "need one residency set per interval "
+            "need one residency array per interval "
             f"({len(intervals)}), got {len(fast_residency)}"
         )
     total = 0.0
-    for avf_map, resident in zip(intervals, fast_residency):
+    for avf_map, resident_pages in zip(intervals, fast_residency):
+        resident = set(resident_pages.tolist())
         for page, avf in avf_map.items():
             if page in resident:
                 total += avf * ser_model.fit_fast_per_page

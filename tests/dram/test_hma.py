@@ -1,5 +1,6 @@
 """Unit and property tests for the heterogeneous memory + page table."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,22 +229,95 @@ def _tiny_system():
     )
 
 
+def _assert_one_record(hma):
+    """``pages_in(FAST)``, ``fast_occupancy()``, ``fast_mask`` and the
+    FAST entries of ``page_entries()`` tell the same residency."""
+    fast = hma.pages_in(FAST)
+    assert fast.dtype == np.int64
+    assert fast.tolist() == [page for page, device, _frame
+                             in hma.page_entries() if device == FAST]
+    assert hma.fast_occupancy() == len(fast)
+    probe = np.concatenate([np.arange(-4, 40), [1023, 5000]])
+    resident = set(fast.tolist())
+    assert (hma.fast_mask(probe).tolist()
+            == [page in resident for page in probe.tolist()])
+
+
+def _refuses_negative(hma, page):
+    """Every entry point refuses a negative page, changing nothing."""
+    before = list(hma.page_entries())
+    stats = (hma.migration_stats.total, hma.migration_stats.migration_seconds)
+    for call in (lambda: hma.migrate_pairs([page], [], now=0.0),
+                 lambda: hma.migrate_pairs([], [page], now=0.0),
+                 lambda: hma.lookup(page),
+                 lambda: hma.device_of(page),
+                 lambda: hma.service(page, 0, 0.0, False),
+                 lambda: hma.ensure_mapped(np.array([page]))):
+        with pytest.raises(ValueError):
+            call()
+    assert list(hma.page_entries()) == before
+    assert (hma.migration_stats.total,
+            hma.migration_stats.migration_seconds) == stats
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 30), st.booleans()),
+@given(st.lists(st.tuples(st.integers(-4, 30), st.booleans()),
                 min_size=1, max_size=60))
 def test_frames_stay_unique_per_device(moves):
-    """After arbitrary migrations, no two pages share a frame."""
+    """After arbitrary migrations, no two pages share a frame; a
+    negative page is refused, and residency has one record throughout.
+
+    Page 1023 is mapped, so a negative page that wrapped round to the
+    table's last slot would find a mapped page there."""
     hma = HeterogeneousMemory(_tiny_system())
-    hma.install_placement(range(8), range(31))
+    hma.install_placement(range(8), [*range(31), 1023])
+    _assert_one_record(hma)
     for page, to_fast in moves:
-        if to_fast:
+        if page < 0:
+            _refuses_negative(hma, page)
+        elif to_fast:
             victims = hma.pages_in(FAST)[:1]
             hma.migrate_pairs([page], victims, now=0.0)
         else:
             hma.migrate_pairs([], [page], now=0.0)
+        _assert_one_record(hma)
     seen = set()
     for _page, device, frame in hma.page_entries():
         key = (device, frame)
         assert key not in seen
         seen.add(key)
     assert hma.fast_occupancy() <= hma.fast_capacity_pages
+
+
+def _after_migration(hma):
+    hma.install_placement([0], range(4))
+    hma.migrate_pairs([1], [0], now=0.0)
+
+
+@pytest.mark.parametrize("setup,fast,pages,error", [
+    pytest.param(None, [0], [0, 1, 2, 1], ValueError, id="repeated"),
+    pytest.param(None, [], [0, 1, -1], ValueError, id="negative"),
+    pytest.param(lambda hma: hma.map_page(5, SLOW), [], [4, 5, 6],
+                 ValueError, id="already-mapped"),
+    pytest.param(lambda hma: hma.map_page(100, FAST), range(16), range(20),
+                 CapacityError, id="fast-overflow"),
+    pytest.param(lambda hma: hma.map_page(1000, SLOW), [0], range(257),
+                 CapacityError, id="slow-overflow"),
+    pytest.param(_after_migration, [], [10, 11], ValueError,
+                 id="after-migration"),
+])
+def test_install_refusals_are_atomic(tiny_config, setup, fast, pages, error):
+    """A refused install leaves the table, the occupancy and the frame
+    the next ``map_page`` takes as they were."""
+    tried, untouched = (HeterogeneousMemory(tiny_config) for _ in range(2))
+    for hma in (tried, untouched):
+        if setup is not None:
+            setup(hma)
+    with pytest.raises(error):
+        tried.install_placement(fast, pages)
+    assert list(tried.page_entries()) == list(untouched.page_entries())
+    assert tried.fast_occupancy() == untouched.fast_occupancy()
+    for hma in (tried, untouched):
+        hma.map_page(2000, FAST)
+        hma.map_page(2001, SLOW)
+    assert list(tried.page_entries()) == list(untouched.page_entries())

@@ -69,23 +69,28 @@ def intervals(*maps):
              np.array(list(m.values()), dtype=np.float64)) for m in maps]
 
 
+def resident(*pages):
+    """A residency snapshot: ascending int64 pages."""
+    return np.array(sorted(pages), dtype=np.int64)
+
+
 class TestDynamicSer:
     def test_residency_accounting(self):
         iv = intervals({0: 0.2, 1: 0.1}, {0: 0.3})
         # Page 0 in fast during interval 0 only.
-        ser = MODEL.ser_dynamic(iv, [{0}, set()])
+        ser = MODEL.ser_dynamic(iv, [resident(0), resident()])
         expected = 0.2 * 100 + 0.1 * 1 + 0.3 * 1
         assert ser == pytest.approx(expected)
 
     def test_always_slow_matches_ddr_only_total(self):
         iv = intervals({0: 0.25}, {0: 0.25, 1: 0.5})
-        ser = MODEL.ser_dynamic(iv, [set(), set()])
+        ser = MODEL.ser_dynamic(iv, [resident(), resident()])
         assert ser == pytest.approx((0.25 + 0.25 + 0.5) * 1)
 
     def test_residency_length_mismatch(self):
         iv = intervals({}, {})
         with pytest.raises(ValueError):
-            MODEL.ser_dynamic(iv, [set()])
+            MODEL.ser_dynamic(iv, [resident()])
 
 
 SMALL = scaled_config(1 / 1024)

@@ -117,8 +117,8 @@ def test_interval_builder_matches_profile_intervals(seed, counts):
                 == [(list(iv), np.array(list(iv.values()),
                                         dtype=np.float64).tobytes())
                     for iv in want])
-        residency = [set(rng.choice(24, int(rng.integers(0, 12)),
-                                    replace=False).tolist())
+        residency = [np.sort(rng.choice(24, int(rng.integers(0, 12)),
+                                        replace=False))
                      for _ in range(len(want))]
         ser = model.ser_dynamic(got, residency)
         assert (np.float64(ser).tobytes()

@@ -150,7 +150,8 @@ class TestBitExactFallback:
             assert got.total_seconds == want.total_seconds
             assert got.mean_read_latency == want.mean_read_latency
             assert got.per_core_ipc == want.per_core_ipc
-            assert got.fast_residency == want.fast_residency
+            assert ([r.tolist() for r in got.fast_residency]
+                    == [r.tolist() for r in want.fast_residency])
             assert got.migrations == want.migrations
             assert np.array_equal(got.interval_boundaries,
                                   want.interval_boundaries)

@@ -103,7 +103,7 @@ class TestReplay:
                         mechanism=PerformanceFocusedMigration(),
                         num_intervals=4)
         assert len(result.fast_residency) == 4
-        assert result.fast_residency[0] == set(range(4))
+        assert result.fast_residency[0].tolist() == list(range(4))
         assert len(result.interval_boundaries) == 3
 
     def test_migration_mechanism_invoked(self, tiny_config):

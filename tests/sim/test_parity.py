@@ -99,7 +99,8 @@ def _assert_identical(ref, ref_hma, got, got_hma):
     assert got.per_core_ipc == ref.per_core_ipc
     assert got.ipc == ref.ipc
     assert np.array_equal(got.interval_boundaries, ref.interval_boundaries)
-    assert got.fast_residency == ref.fast_residency
+    assert ([r.tolist() for r in got.fast_residency]
+            == [r.tolist() for r in ref.fast_residency])
     assert ((got.migrations.migrations_to_fast,
              got.migrations.migrations_to_slow)
             == (ref.migrations.migrations_to_fast,
@@ -123,7 +124,7 @@ def _assert_identical(ref, ref_hma, got, got_hma):
                     for ch in ref_dev.banks])
     # Same pages in the same frames: faults and migrations agree.
     assert list(got_hma.page_entries()) == list(ref_hma.page_entries())
-    assert sorted(got_hma.pages_in(FAST)) == sorted(ref_hma.pages_in(FAST))
+    assert got_hma.pages_in(FAST).tolist() == ref_hma.pages_in(FAST).tolist()
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -355,7 +356,8 @@ class TestTelemetry:
             assert got.total_seconds == want.total_seconds
             assert got.mean_read_latency == want.mean_read_latency
             assert got.per_core_ipc == want.per_core_ipc
-            assert got.fast_residency == want.fast_residency
+            assert ([r.tolist() for r in got.fast_residency]
+                    == [r.tolist() for r in want.fast_residency])
         # Per-epoch tier deltas add up to the run's device totals.
         for result in traced:
             fast, slow = result.device_utilisation

@@ -239,7 +239,7 @@ class TestConfigKey:
     def test_every_field_changes_the_key(self, prep, path):
         other = _with_change(prep.config, path)
         assert other != prep.config
-        pages = [0, 1, 2]
+        pages = np.arange(3)
         assert (_replay_key(prep, prep.config, pages)
                 != _replay_key(prep, other, pages))
 

@@ -5,13 +5,14 @@
 #
 # 1. Runs the full tier-1 unit suite (tests/), failing fast, then
 #    reruns the kernel parity suites (replay, policy, MEA, MemPod's
-#    pods), the replay-memo suite, the replay edge cases and the
-#    synthesis suite with REPRO_NATIVE=0, so every compile-failure
-#    fallback stays tested end to end (MemPod and Cross Counters run the
-#    MEA map's list loop), the memo's figures still equal fresh ones
-#    when every miss replays through replay_reference, replay's input
-#    checks hold on the reference path too, and the numpy synthesis
-#    pass still reproduces the pinned trace digests.
+#    pods), the replay-memo suite, the engine suite, the replay edge
+#    cases and the synthesis suite with REPRO_NATIVE=0, so every
+#    compile-failure fallback stays tested end to end (MemPod and Cross
+#    Counters run the MEA map's list loop), the memo's figures still
+#    equal fresh ones when every miss replays through replay_reference,
+#    replay_reference records one residency snapshot per interval,
+#    replay's input checks hold on the reference path too, and the
+#    numpy synthesis pass still reproduces the pinned trace digests.
 # 2. Re-runs the chaos suites verbosely (a worker SIGKILL or a hang
 #    past its timeout charging only the job that worker held, corrupted
 #    cache entries, compile failure) so a resilience regression is
@@ -93,7 +94,8 @@ echo "== kernel parity without the C kernels (REPRO_NATIVE=0) =="
 REPRO_NATIVE=0 python -m pytest -x -q tests/sim/test_parity.py \
     tests/core/test_policy_parity.py tests/core/test_mea.py \
     tests/core/test_mempod.py tests/sim/test_replay_memo.py \
-    tests/sim/test_engine_edge.py tests/trace/test_synthetic.py
+    tests/sim/test_engine.py tests/sim/test_engine_edge.py \
+    tests/trace/test_synthetic.py
 
 echo "== chaos / fault-injection tests =="
 # The chaos suites are tagged slow+chaos and excluded from tier-1 by
