@@ -3,7 +3,7 @@
 Combines two extension substrates:
 
 1. seed replication — how stable the headline IPC/SER numbers are
-   across independent workload draws, with confidence intervals, and
+   across independent workload draws (mean and standard deviation), and
 2. the aging model — how permanent-fault page retirement erodes the
    HMA's usable capacity (and with it the speedup) over a deployment.
 
@@ -12,9 +12,11 @@ Combines two extension substrates:
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.core.placement import PerformanceFocusedPlacement
 from repro.faults.aging import AgingModel, lifetime_capacity_schedule
-from repro.harness.replication import replicate
+from repro.harness.experiments import WorkloadCache
 from repro.harness.reporting import print_table
 from repro.sim.system import evaluate_static, prepare_workload
 
@@ -22,17 +24,15 @@ from repro.sim.system import evaluate_static, prepare_workload
 def main() -> None:
     # -- 1. replication --
     print("Replicating the Fig. 5 headline over five workload draws...")
-    for name, metric in (
-        ("IPC gain vs DDR-only",
-         lambda prep: evaluate_static(
-             prep, PerformanceFocusedPlacement()).ipc_vs_ddr),
-        ("SER blow-up vs DDR-only",
-         lambda prep: evaluate_static(
-             prep, PerformanceFocusedPlacement()).ser_vs_ddr),
+    draws = [evaluate_static(WorkloadCache(8_000, seed=seed).get("mix1"),
+                             PerformanceFocusedPlacement())
+             for seed in (0, 1, 2, 3, 4)]
+    for name, values in (
+        ("IPC gain vs DDR-only", [res.ipc_vs_ddr for res in draws]),
+        ("SER blow-up vs DDR-only", [res.ser_vs_ddr for res in draws]),
     ):
-        rep = replicate("mix1", metric, metric_name=name,
-                        seeds=(0, 1, 2, 3, 4), accesses_per_core=8_000)
-        print(f"  {rep}")
+        print(f"  {name}: {np.mean(values):.3g} +- "
+              f"{np.std(values, ddof=1):.3g} (n={len(values)})")
     print()
 
     # -- 2. aging --

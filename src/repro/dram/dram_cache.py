@@ -58,15 +58,17 @@ class DramCacheSystem:
 
     Drop-in compatible with :class:`HeterogeneousMemory` for the replay
     engine's static path (``service``, ``pages_in``,
-    ``migration_stats``, ``fast``, ``slow``).
+    ``migration_stats``, ``fast``, ``slow``) and its epoch snapshots
+    (``fast_occupancy``, ``fast_capacity_pages``).
     """
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.fast = MemoryDevice(config.fast_memory)
         self.slow = MemoryDevice(config.slow_memory)
+        self.fast_capacity_pages = config.fast_memory.num_pages
         #: One direct-mapped set per fast-memory line.
-        self.num_sets = config.fast_memory.num_pages * LINES_PER_PAGE
+        self.num_sets = self.fast_capacity_pages * LINES_PER_PAGE
         #: set index -> (tag, dirty); absent = invalid.
         self._tags: "dict[int, tuple[int, bool]]" = {}
         self.stats = DramCacheStats()
@@ -85,6 +87,10 @@ class DramCacheSystem:
     def pages_in(self, device: int) -> np.ndarray:
         """Residency is line-granular and transient; report none."""
         return np.empty(0, dtype=np.int64)
+
+    def fast_occupancy(self) -> int:
+        """Filled line frames of the stacked DRAM, in whole pages."""
+        return len(self._tags) // LINES_PER_PAGE
 
     def service(self, page: int, line_in_page: int, arrival: float,
                 is_write: bool) -> float:

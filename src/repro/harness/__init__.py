@@ -9,7 +9,6 @@ from repro.harness.experiments import (
     run_experiment,
 )
 from repro.harness.plots import ascii_bars, ascii_scatter, ascii_series
-from repro.harness.replication import Replication, replicate
 from repro.harness.reporting import format_table, gmean, print_table
 
 __all__ = [
@@ -25,6 +24,4 @@ __all__ = [
     "ascii_scatter",
     "ascii_bars",
     "ascii_series",
-    "Replication",
-    "replicate",
 ]

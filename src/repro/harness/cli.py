@@ -90,12 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="run the verification ladder: cross-kernel "
                        "differential fuzz, paper invariants, and the "
-                       "EXPERIMENTS.md replication shape gate; exits "
-                       "nonzero on any divergence or regression"
+                       "EXPERIMENTS.md claims over seeds 0-4 x "
+                       "{4k, 20k, 60k} accesses/core; exits nonzero "
+                       "on any divergence or regression"
     )
     verify.add_argument(
         "--quick", action="store_true",
-        help="CI budget: 25 fuzz cases and small gate workloads "
+        help="CI budget: 25 fuzz cases, small invariant workloads, "
+             "and the claims at seed 0 and 20k accesses/core only "
              "(the full ladder defaults to 50 cases)")
     verify.add_argument(
         "--cases", type=int, default=None, metavar="N",

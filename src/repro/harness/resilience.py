@@ -12,8 +12,8 @@ that keeps those runs alive when individual pieces misbehave:
   that dies or overruns its timeout charges only the job it held.
 * :class:`RunManifest` — an append-only JSON journal of completed job
   keys and result locations, fsynced per entry, so an interrupted
-  ``replicate`` / ``capacity_sweep`` / ``run_experiments`` resumes
-  with ``--resume`` and reruns only unfinished work.
+  ``capacity_sweep`` / ``run_experiments`` resumes with ``--resume``
+  and reruns only unfinished work.
 * :func:`checkpointed_map` — :func:`resilient_map` behind a manifest:
   completed keys are served from the journal, fresh completions are
   journaled the moment they finish.

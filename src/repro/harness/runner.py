@@ -4,8 +4,8 @@ The expensive part of every figure run is :func:`prepare_workload`:
 trace synthesis, flat-memory profiling, and the all-DDR baseline
 replay.  All of it is deterministic in ``(workload, scale,
 accesses_per_core, seed, config)``, so this module adds two
-orthogonal accelerators used by ``experiments.py``, ``sweeps.py``,
-``replication.py``, and the ``benchmarks/`` harness:
+orthogonal accelerators used by ``experiments.py``, ``sweeps.py``
+and the ``benchmarks/`` harness:
 
 * :func:`prepare_workload_cached` — a cache of checksummed pickles on
   disk keyed by a digest of the preparation inputs (including a hash

@@ -11,19 +11,18 @@ Three gates, in increasing scope (see ``docs/testing.md``):
 2. :mod:`repro.verify.invariants` — metamorphic checks of the paper's
    laws (SER monotonicity, write-masked AVF, scheme orderings,
    Monte-Carlo convergence) on small prepared workloads.
-3. :mod:`repro.verify.replication` — a shape gate re-running the
-   small-scale EXPERIMENTS.md figures and checking orderings,
-   crossovers, and factor ranges with tolerances.
+3. :mod:`repro.verify.replication` — the EXPERIMENTS.md claims table,
+   each claim's value scored against its range at every seed and trace
+   volume of a grid (one seed at the default volume under ``--quick``).
 
 ``run_verify`` composes all three into one machine-readable
 :class:`~repro.verify.verdict.VerifyReport`, consumed by the
-``repro-hma verify`` CLI verb and ``tools/ci_smoke.sh``.  Gates 2 and
-3 read their workloads through one
+``repro-hma verify`` CLI verb and ``tools/ci_smoke.sh``.  Gate 2 reads
+its workloads through one
 :class:`~repro.harness.experiments.WorkloadCache`
 (:func:`~repro.verify.invariants.gate_cache`), the handle every
-experiment of a ``repro-hma run`` uses: its replay memo scores each
-distinct scheme once for both gates, and ``REPRO_CACHE_DIR`` persists
-its preparations.
+experiment of a ``repro-hma run`` uses; gate 3 builds one such cache
+per grid point, one at a time.
 
 :mod:`repro.verify.event_engine` is a reference of another kind: a
 discrete-event FR-FCFS replay that bounds the fast engine's timing
@@ -53,10 +52,11 @@ def run_verify(
 ) -> VerifyReport:
     """Run the requested verification gates and collect one report.
 
-    ``quick`` shrinks the workload volume of the invariant/replication
-    gates (CI budget: the full quick ladder stays under five minutes);
-    the differential fuzzer always runs ``cases`` seeded cases
-    (default 25 quick / 50 full) across every kernel pair.
+    ``quick`` shrinks the invariant gate's workload volume and scores
+    the claims at one grid point (CI budget: the quick ladder stays
+    under ten seconds; the full claims grid takes about a minute); the
+    differential fuzzer always runs ``cases`` seeded cases (default 25
+    quick / 50 full) across every kernel pair.
     """
     from repro.verify import differential, invariants, replication
 
@@ -73,12 +73,12 @@ def run_verify(
         results.extend(differential.run_fuzz(
             num_cases=cases, seed=seed, artifact_dir=artifact_dir,
             checks={"ecc": differential.check_ecc}, progress=progress))
-    if "invariants" in gates or "replication" in gates:
-        cache = invariants.gate_cache(quick=quick, progress=progress)
     if "invariants" in gates:
+        cache = invariants.gate_cache(quick=quick, progress=progress)
         results.extend(invariants.run_invariants(cache, progress=progress))
     if "replication" in gates:
-        results.extend(replication.run_replication(cache, progress=progress))
+        results.extend(replication.run_replication(quick=quick,
+                                                   progress=progress))
     return VerifyReport(
         results=results,
         elapsed_seconds=time.perf_counter() - start,

@@ -38,19 +38,16 @@ GATE_WORKLOADS = ("astar", "mix1")
 GATE_SEED = 1234
 #: Trace volume per core of the gate workloads under ``--quick``.
 QUICK_ACCESSES = 2_500
-#: The figures whose summaries the gates judge.
-GATE_FIGURES = ("fig05", "fig07", "fig08", "fig10", "fig11", "fig12",
-                "fig14", "fig15")
 
 
 def gate_cache(quick: bool = False, progress=None) -> WorkloadCache:
     """The gate workloads, prepared once per ``repro-hma verify`` run.
 
-    Preparing a workload dominates gate runtime, and the invariant and
-    replication gates score the same schemes on the same preps, so
-    both take this one cache.  Its replay memo is keyed on what a
-    replay reads, so each distinct scheme replays once whichever gate
-    asks first.
+    Preparing a workload dominates gate runtime, and the invariant
+    checks score overlapping schemes on the same preps, so they all
+    take this one cache.  Its replay memo is keyed on what a replay
+    reads, so each distinct scheme replays once whichever check asks
+    first.
     """
     accesses = QUICK_ACCESSES if quick else 6_000
     cache = WorkloadCache(accesses_per_core=accesses, scale=1 / 1024,
@@ -60,18 +57,6 @@ def gate_cache(quick: bool = False, progress=None) -> WorkloadCache:
             progress(f"preparing {name} ({accesses} accesses/core)")
         cache.get(name)
     return cache
-
-
-def gate_summaries(cache: WorkloadCache,
-                   figures=GATE_FIGURES) -> "dict[str, dict[str, float]]":
-    """Each figure's ``summary`` on the gate workloads of ``cache``.
-
-    The gates judge what the figures themselves report, so a claim
-    cannot drift from the figure it guards; the cache's replay memo
-    runs each of their replays once for both gates.
-    """
-    return {name: EXPERIMENTS[name](cache, workloads=GATE_WORKLOADS).summary
-            for name in figures}
 
 
 def _check(name: str, passed: bool, details: str) -> CheckResult:
@@ -190,8 +175,10 @@ def check_migration_ser_ordering(cache: WorkloadCache) -> CheckResult:
 
 
 def check_static_scheme_ordering(cache: WorkloadCache) -> CheckResult:
-    s = gate_summaries(cache, ("fig05", "fig07", "fig08"))
-    # fig05 is perf-focused vs DDR-only; fig07/fig08 are relative to it.
+    # The figures' own summaries on the gate workloads: fig05 is
+    # perf-focused vs DDR-only; fig07/fig08 are relative to it.
+    s = {fig: EXPERIMENTS[fig](cache, workloads=GATE_WORKLOADS).summary
+         for fig in ("fig05", "fig07", "fig08")}
     ipc = {"perf": s["fig05"]["mean_ipc_ratio"]}
     ser = {"perf": s["fig05"]["mean_ser_ratio"]}
     for key, fig in (("balanced", "fig08"), ("rel", "fig07")):

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.harness import replication, sweeps
+from repro.harness import sweeps
 from repro.harness.resilience import (
     CACHED,
     CacheIntegrityError,
@@ -40,10 +40,6 @@ ACCESSES = 600
 
 def _double(x):
     return 2 * x
-
-
-def _metric(prep):
-    return prep.ddr_baseline.ipc
 
 
 # ---------------------------------------------------------------------------
@@ -336,41 +332,6 @@ class TestCheckpointedMap:
                     if '"outcome"' in line]
         assert {o["key"]: o["status"] for o in outcomes} == {
             "a": "ok", "b": "failed"}
-
-
-class TestReplicateResume:
-    def test_interrupted_replication_resumes_identically(self, tmp_path,
-                                                         monkeypatch):
-        d = str(tmp_path / "run")
-        baseline = replication.replicate(
-            "mcf", _metric, seeds=(0, 1, 2), accesses_per_core=ACCESSES)
-        partial = replication.replicate(
-            "mcf", _metric, seeds=(0, 1), accesses_per_core=ACCESSES,
-            checkpoint_dir=d)
-        assert partial.values == baseline.values[:2]
-        executed = []
-        original = replication._replicate_seed
-
-        def spy(item):
-            executed.append(item[4])  # the seed position
-            return original(item)
-
-        monkeypatch.setattr(replication, "_replicate_seed", spy)
-        resumed = replication.replicate(
-            "mcf", _metric, seeds=(0, 1, 2), accesses_per_core=ACCESSES,
-            checkpoint_dir=d, resume=True)
-        assert executed == [2]  # finished seeds were skipped
-        assert resumed.values == baseline.values
-
-    def test_failing_seed_is_partial_not_traceback(self, tmp_path):
-        def sometimes(prep):
-            raise ValueError("metric blew up")
-
-        with pytest.raises(PartialResultError) as err:
-            replication.replicate("mcf", sometimes, seeds=(0,),
-                                  accesses_per_core=ACCESSES,
-                                  checkpoint_dir=str(tmp_path / "r"))
-        assert "seed-0" in str(err.value)
 
 
 class TestCapacitySweepResume:

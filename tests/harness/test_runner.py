@@ -206,21 +206,6 @@ class TestWorkloadCacheIntegration:
         assert cache.get("mcf").ddr_baseline.ipc > 0
 
 
-class TestReplicateJobs:
-    def test_parallel_matches_serial(self):
-        from repro.harness.replication import replicate
-
-        serial = replicate("mcf", _metric, seeds=(0, 1, 2),
-                           accesses_per_core=ACCESSES, jobs=1)
-        fanned = replicate("mcf", _metric, seeds=(0, 1, 2),
-                           accesses_per_core=ACCESSES, jobs=3)
-        assert serial.values == fanned.values
-
-
-def _metric(prep):
-    return prep.ddr_baseline.ipc
-
-
 def test_run_experiments_fan_out(tmp_path):
     results = run_experiments(["table1", "table2"],
                               accesses_per_core=ACCESSES,

@@ -6,10 +6,10 @@ from repro.verify.invariants import gate_cache
 
 @pytest.fixture(scope="session")
 def bundle() -> WorkloadCache:
-    """One quick gate cache shared by the gate tests.
+    """One quick gate cache shared by the invariant gate tests.
 
     Building it prepares every gate workload once; the per-scheme
     replays are memoised inside, so sharing it across test files keeps
-    the invariant + replication suites to a few seconds total.
+    the invariant suites to a few seconds total.
     """
     return gate_cache(quick=True)

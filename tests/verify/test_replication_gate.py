@@ -1,120 +1,159 @@
-"""Replication gate: EXPERIMENTS.md shape claims pass, tampering fails."""
+"""Replication gate: the claims table, its scorer and its grid."""
 
-from repro.harness.experiments import fig14_fc_migration, fig15_cc_migration
-from repro.verify.invariants import (
-    GATE_FIGURES,
-    GATE_WORKLOADS,
-    gate_summaries,
-)
+import math
+
+import pytest
+
+from repro.harness.experiments import EXPERIMENTS
+from repro.harness.reporting import FigureResult
+from repro.verify import replication
 from repro.verify.replication import (
     CLAIMS,
-    claim_fig05_perf_frontier,
-    claim_fig07_rel_focused,
-    claim_fig08_balanced_between,
-    claim_ser_gain_ladder,
+    EXPERIMENT_IDS,
+    QUICK_POINT,
+    VOLUMES,
+    Claim,
+    measure,
     run_replication,
+    score,
 )
 
 
-def _plausible_summaries(**overrides) -> dict:
-    """Hand-built figure summaries consistent with every shape claim.
-
-    Each scheme gets a gmean IPC and SER vs DDR-only (``overrides``
-    replaces some); every figure's summary is then derived from them the
-    way the figure computes it: relative to its performance-focused
-    counterpart.
-    """
-    ipc = {"perf": 1.4, "balanced": 1.3, "rel": 1.15, "wr": 1.25,
-           "wr2": 1.3, "perf-mig": 1.35, "fc-mig": 1.25, "cc-mig": 1.3}
-    ser = {"perf": 320.0, "balanced": 60.0, "rel": 23.0, "wr": 100.0,
-           "wr2": 120.0, "perf-mig": 330.0, "fc-mig": 75.0,
-           "cc-mig": 160.0}
-    ipc.update(overrides.get("ipc", {}))
-    ser.update(overrides.get("ser", {}))
-
-    def vs(scheme, base):
-        return {"mean_ipc_ratio": ipc[scheme] / ipc[base],
-                "mean_ser_ratio": ser[scheme] / ser[base]}
-
-    return {
-        "fig05": {"mean_ipc_ratio": ipc["perf"],
-                  "mean_ser_ratio": ser["perf"]},
-        "fig07": vs("rel", "perf"),
-        "fig08": vs("balanced", "perf"),
-        "fig10": vs("wr", "perf"),
-        "fig11": vs("wr2", "perf"),
-        "fig12": {"mean_ipc_vs_ddr": ipc["perf-mig"],
-                  "mean_ser_vs_ddr": ser["perf-mig"],
-                  "ipc_vs_static_oracle": ipc["perf-mig"] / ipc["perf"]},
-        "fig14": vs("fc-mig", "perf-mig"),
-        "fig15": vs("cc-mig", "perf-mig"),
-    }
+@pytest.fixture(scope="session")
+def quick_point() -> "dict[str, float]":
+    """Every claim's value at the ``--quick`` grid point, measured once."""
+    return measure(QUICK_POINT)
 
 
-def _details(results, name) -> str:
-    return next(r.details for r in results if r.name == name)
+def _claim(name) -> Claim:
+    return next(c for c in CLAIMS if c.name == name)
+
+
+def _verdict(values, name):
+    return next(r for r in score(values) if r.name == name)
 
 
 class TestCleanTree:
-    def test_every_claim_passes_on_the_bundle(self, bundle):
-        results = run_replication(bundle)
-        assert len(results) == len(CLAIMS)
+    def test_every_claim_passes_on_the_bundle(self, quick_point):
+        """The quick point: every claim holds at seed 0, 20k accesses."""
+        results = score({QUICK_POINT: quick_point})
+        assert [r.name for r in results] == [c.name for c in CLAIMS]
         assert all(r.family == "replication" for r in results)
         failed = [(r.name, r.details) for r in results if not r.passed]
         assert not failed, failed
 
-    def test_measure_covers_every_scheme_the_claims_use(self, bundle):
-        s = gate_summaries(bundle)
-        assert set(s) == set(GATE_FIGURES)
-        assert not [c.__name__ for c in CLAIMS if not c(s).passed]
-        # The paper's headline direction: rel placement trades IPC for SER.
-        assert s["fig07"]["mean_ser_ratio"] < 1.0
-        assert s["fig07"]["mean_ipc_ratio"] < 1.0
+    def test_measure_covers_every_scheme_the_claims_use(self, quick_point):
+        """Every entry resolves on real results: a renamed summary key
+        or row layout fails here, not only in the full grid."""
+        assert list(quick_point) == [c.name for c in CLAIMS]
+        bad = {k: v for k, v in quick_point.items() if not math.isfinite(v)}
+        assert not bad, bad
+        assert set(EXPERIMENT_IDS) <= set(EXPERIMENTS)
 
-    def test_migration_claims_judge_figs_14_and_15(self, bundle):
-        """The FC/CC claims read what fig14/fig15 report on the gate
-        workloads, FC and CC starting from the balanced placement."""
-        fc = fig14_fc_migration(bundle, workloads=GATE_WORKLOADS).summary
-        cc = fig15_cc_migration(bundle, workloads=GATE_WORKLOADS).summary
-        fc_part = (f"SER / {1 / fc['mean_ser_ratio']:.3g}",
-                   f"at {fc['mean_ipc_ratio'] - 1:+.1%} IPC")
-        cc_part = (f"SER / {1 / cc['mean_ser_ratio']:.3g} "
-                   f"at {cc['mean_ipc_ratio'] - 1:+.1%};")
-        results = run_replication(bundle)
-        fig14 = _details(results, "fig14-fc-migration")
-        fig15 = _details(results, "fig15-cc-crossover")
-        assert all(part in fig14 for part in fc_part), (fig14, fc_part)
-        assert cc_part in fig15, (fig15, cc_part)
-        assert f"FC: / {1 / fc['mean_ser_ratio']:.3g}" in fig15, fig15
+    def test_migration_claims_judge_figs_14_and_15(self):
+        """The FC/CC claims derive SER gain and IPC change from the
+        summaries fig14/fig15 report, and the orderings compare them."""
+        results = {
+            "fig14": FigureResult("", "", [], [], summary={
+                "mean_ser_ratio": 0.25, "mean_ipc_ratio": 0.9}),
+            "fig15": FigureResult("", "", [], [], summary={
+                "mean_ser_ratio": 0.5, "mean_ipc_ratio": 0.99}),
+        }
+        value = {name: _claim(name).value(results) for name in (
+            "fig14-ser-gain", "fig14-ipc", "fig15-ser-gain", "fig15-ipc",
+            "order-fc-cc-ser", "order-cc-fc-ipc")}
+        assert value == pytest.approx({
+            "fig14-ser-gain": 4.0, "fig14-ipc": -10.0,
+            "fig15-ser-gain": 2.0, "fig15-ipc": -1.0,
+            "order-fc-cc-ser": 2.0, "order-cc-fc-ipc": 1.1})
+
+
+def _plausible(volume) -> "dict[str, float]":
+    """Every claim's value inside its range at ``volume``, each ordering
+    derived from its two schemes' values the way the table derives it."""
+    def inside(claim):
+        lo, hi = claim.ranges.get(volume, next(iter(claim.ranges.values())))
+        return lo if math.isinf(hi) else (lo + hi) / 2
+
+    values = {c.name: inside(c) for c in CLAIMS}
+    results = {fig: FigureResult("", "", [], [], summary={
+        "mean_ser_ratio": 1 / values[f"{fig}-ser-gain"],
+        "mean_ipc_ratio": 1 + values[f"{fig}-ipc"] / 100})
+        for fig in ("fig07", "fig08", "fig10", "fig11", "fig14", "fig15")}
+    for claim in CLAIMS:
+        if claim.name.startswith("order-"):
+            values[claim.name] = claim.value(results)
+    return values
 
 
 class TestClaimsRejectTampering:
     def test_plausible_fixture_passes_everything(self):
-        s = _plausible_summaries()
-        failed = [c.__name__ for c in CLAIMS if not c(s).passed]
+        """Values inside every range pass every claim at every volume, so
+        the table's ranges do not contradict its orderings."""
+        results = score({(v, 0): _plausible(v) for v in VOLUMES})
+        failed = [(r.name, r.details) for r in results if not r.passed]
         assert not failed, failed
 
-    def test_perf_ipc_below_ddr_fails_the_frontier(self):
-        s = _plausible_summaries(ipc={"perf": 0.95})
-        assert not claim_fig05_perf_frontier(s).passed
 
-    def test_rel_worse_than_perf_fails_the_tradeoff_claims(self):
-        s = _plausible_summaries(ser={"rel": 400.0})
-        assert not claim_fig07_rel_focused(s).passed
-        assert not claim_fig08_balanced_between(s).passed
-        assert not claim_ser_gain_ladder(s).passed
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.name)
+def test_range_edges_decide_the_verdict(claim):
+    """At every volume a claim names, its range's edges pass and a value
+    just outside either edge fails."""
+    for volume, (lo, hi) in claim.ranges.items():
+        others = {c.name: 0.0 for c in CLAIMS}
+        for x, ok in ((lo, True), (hi, True),
+                      (lo - 1e-6 * max(1.0, abs(lo)), False),
+                      (hi + 1e-6 * max(1.0, abs(hi)), False)):
+            if math.isinf(x):
+                continue
+            verdict = _verdict({(volume, 0): {**others, claim.name: x}},
+                               claim.name)
+            assert verdict.passed is ok, (volume, x, verdict.details)
 
-    def test_free_lunch_reliability_fails(self):
-        # SER gain with zero IPC cost would contradict Fig. 7's claim
-        # that reliability-focused placement is a *tradeoff*.
-        s = _plausible_summaries(ipc={"rel": 1.4})
-        assert not claim_fig07_rel_focused(s).passed
+
+class TestScore:
+    CLAIM = Claim("c", (), None, {20_000: (1.0, 2.0)})
+
+    def test_details_give_each_volume_its_statistics(self, monkeypatch):
+        monkeypatch.setattr(replication, "CLAIMS", (self.CLAIM,))
+        (result,) = score({(4_000, 0): {"c": 3.0}, (4_000, 1): {"c": 3.2},
+                           (20_000, 0): {"c": 1.5}, (20_000, 1): {"c": 1.7}})
+        assert result.passed
+        four, twenty = result.details.split("; 20k: ")
+        assert four.startswith("4k: mean 3.1, 95% CI [")
+        assert "min-max [3, 3.2], n=2; not claimed; does not hold" in four
+        assert twenty.startswith("mean 1.6, 95% CI [")
+        assert twenty.endswith("n=2; range [1, 2] holds")
+
+    def test_one_seed_outside_fails_the_claim(self, monkeypatch):
+        monkeypatch.setattr(replication, "CLAIMS", (self.CLAIM,))
+        (result,) = score({(20_000, 0): {"c": 1.5}, (20_000, 1): {"c": 2.5}})
+        assert not result.passed
+        assert "range [1, 2] FAILS" in result.details
+
+    def test_unclaimed_volume_alone_passes_and_says_whether_it_holds(
+            self, monkeypatch):
+        monkeypatch.setattr(replication, "CLAIMS", (self.CLAIM,))
+        (result,) = score({(60_000, 0): {"c": 1.5}})
+        assert result.passed
+        assert result.details == (
+            "60k: mean 1.5, no CI at n=1, min-max [1.5, 1.5], n=1; "
+            "not claimed; holds")
 
 
 class TestFailurePlumbing:
-    def test_broken_bundle_yields_a_single_failed_measurement(self):
-        results = run_replication(object())
+    def test_broken_bundle_yields_a_single_failed_measurement(
+            self, monkeypatch):
+        """A claim whose value raises in the forked measurement fails the
+        gate once, naming the point and the error."""
+        broken = Claim("c", ("hwcost",),
+                       lambda r: r["hwcost"].summary["mean_ser_ratio"],
+                       {20_000: (0.0, 1.0)})
+        monkeypatch.setattr(replication, "CLAIMS", (broken,))
+        monkeypatch.setattr(replication, "EXPERIMENT_IDS", ("hwcost",))
+        results = run_replication(quick=True)
         assert len(results) == 1
         assert not results[0].passed
         assert results[0].name == "replication-measurement"
-        assert "raised" in results[0].details
+        assert results[0].details == (
+            "at 20000 accesses/core, seed 0: KeyError: 'mean_ser_ratio'")

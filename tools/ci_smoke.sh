@@ -48,8 +48,11 @@
 #    engine and that telemetry never perturbs simulation results.
 # 8. Runs the fuzz-marked property suites, the full verification
 #    ladder (`repro-hma verify --quick`: cross-kernel differential
-#    fuzzer, paper-invariant checks, EXPERIMENTS.md shape gate), and
-#    the line-coverage gate against tools/coverage_baseline.json.
+#    fuzzer, paper-invariant checks, and every EXPERIMENTS.md claim at
+#    one grid point, seed 0 at 20k accesses/core), then the claims over
+#    the whole grid (`verify --gates replication`: seeds 0-4 x {4k,
+#    20k, 60k} accesses/core, about 70 s), and the line-coverage gate
+#    against tools/coverage_baseline.json.
 # 9. Checks that docs/api.md is what `python tools/gen_api.py` renders
 #    from the current public API, and names that command when it is
 #    stale.
@@ -111,6 +114,9 @@ echo "== verification ladder (repro-hma verify --quick) =="
 python -m repro.harness.cli verify --quick \
     --artifact-dir "$workdir/artifacts" \
     --json "$workdir/verify.json"
+
+echo "== EXPERIMENTS.md claims over seeds and volumes (verify --gates replication) =="
+python -m repro.harness.cli verify --gates replication
 
 echo "== coverage gate =="
 python tools/coverage_gate.py
