@@ -313,13 +313,12 @@ KNOBS: "dict[str, Knob]" = _knob_table(
     Knob("seed", "REPRO_SEED", "int", 0,
          "global RNG seed: trace synthesis and fault-sim Monte-Carlo"),
     Knob("jobs", "REPRO_JOBS", "int", None,
-         "worker processes for experiment fan-out (unset = one per CPU)"),
+         "worker processes for experiment fan-out "
+         "(unset = one per usable CPU)"),
     Knob("cache_dir", "REPRO_CACHE_DIR", "str", None,
          "on-disk prepared-workload cache directory"),
     Knob("job_timeout", "REPRO_JOB_TIMEOUT", "float", None,
          "per-job timeout in seconds (unset = no timeout)"),
-    Knob("retries", "REPRO_RETRIES", "int", 0,
-         "retry budget per failed or timed-out job"),
     Knob("telemetry", "REPRO_TELEMETRY", "bool", False,
          "enable metrics, tracing spans, epoch snapshots, run registry"),
     Knob("obs_dir", "REPRO_OBS_DIR", "str", None,

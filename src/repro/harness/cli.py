@@ -161,7 +161,7 @@ def _add_runner_args(sub) -> None:
     sub.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for experiment fan-out (default 1 = "
-             "serial; 0 = one per CPU; env REPRO_JOBS)")
+             "serial; 0 = one per usable CPU; env REPRO_JOBS)")
     sub.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist prepared workloads (traces, profiles, baselines) "
@@ -179,12 +179,8 @@ def _add_runner_args(sub) -> None:
     sub.add_argument(
         "--job-timeout", type=float, default=None, metavar="SEC",
         help="per-experiment timeout in seconds; a hung job is killed "
-             "and retried (env REPRO_JOB_TIMEOUT; enforced under "
-             "process fan-out)")
-    sub.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retry budget per failed or timed-out experiment, with "
-             "exponential backoff (env REPRO_RETRIES; default 0)")
+             "and reported as timed out (env REPRO_JOB_TIMEOUT; enforced "
+             "under process fan-out)")
     sub.add_argument(
         "--fault-trials", type=int, default=None, metavar="N",
         help="Monte-Carlo trials for the fault simulator; 0 (default) "
@@ -428,12 +424,12 @@ def _cmd_compare(args) -> int:
 
 def _run(names, args):
     """Run experiments through :func:`~repro.harness.runner.run_experiments`
-    with the flags' checkpoint/retry/timeout handling.
+    with the flags' checkpoint/timeout handling.
 
     Returns ``(results, failed)`` where ``results`` are the completed
     ``(name, FigureResult)`` pairs and ``failed`` the outcomes of jobs
-    that exhausted their retry budget — a partial run reports each
-    failure with its traceback and keeps every completed result.
+    that failed or timed out — a partial run reports each failure with
+    its traceback and keeps every completed result.
     """
     from repro.harness.runner import run_experiments
 
@@ -442,15 +438,13 @@ def _run(names, args):
         seed=args.seed, cache_dir=args.cache_dir,
         jobs=_effective_jobs(args), checkpoint_dir=args.run_dir,
         resume=args.resume, job_timeout=args.job_timeout,
-        retries=args.retries, fault_trials=args.fault_trials,
-        telemetry=args.telemetry,
-        obs_dir=args.obs_dir, return_report=True)
+        fault_trials=args.fault_trials, telemetry=args.telemetry,
+        obs_dir=args.obs_dir)
     failed = report.failed
     if failed:
         print(f"warning: {report.summary()}", file=sys.stderr)
         for outcome in failed:
-            print(f"  {outcome.key}: {outcome.status} after "
-                  f"{outcome.attempts} attempt(s): {outcome.error}",
+            print(f"  {outcome.key}: {outcome.status}: {outcome.error}",
                   file=sys.stderr)
     results = [outcome.result for outcome in report.outcomes
                if outcome.succeeded]
@@ -458,7 +452,7 @@ def _run(names, args):
 
 
 def _effective_jobs(args) -> "int | None":
-    """CLI jobs flag: 0 means "one per CPU" (i.e. let the runner pick)."""
+    """CLI jobs flag: 0 means "one per usable CPU" (the runner picks)."""
     return None if args.jobs == 0 else args.jobs
 
 

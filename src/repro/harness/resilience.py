@@ -1,19 +1,22 @@
 """Fault-tolerant execution primitives for the experiment harness.
 
-The parallel runner (:mod:`repro.harness.runner`) fans multi-hour
-figure runs across forked workers; this module supplies the machinery
-that keeps those runs alive when individual pieces misbehave:
+The harness fans three kinds of job across forked workers: a prepared
+workload, an experiment, and one workload of the capacity sweep.  Each
+is a deterministic simulation, so a job that raised would raise again
+on a retry: every job runs once, and a killed run resumes from its
+journal instead.  This module keeps a fan-out alive when single jobs
+misbehave:
 
 * :func:`resilient_map` — an order-preserving map over forked workers
-  that inherit the function and the items, with per-job timeouts,
-  bounded retries (exponential backoff + jitter), and a structured
-  :class:`JobOutcome` per job instead of all-or-nothing results.
-  Each worker owns a pipe and holds one job at a time, so a worker
-  that dies or overruns its timeout charges only the job it held.
+  that inherit the function and the items, with per-job timeouts and a
+  structured :class:`JobOutcome` per job instead of all-or-nothing
+  results.  Each worker owns a pipe and holds one job at a time, so a
+  worker that dies or overruns its timeout charges only the job it
+  held.
 * :class:`RunManifest` — an append-only JSON journal of completed job
-  keys and result locations, fsynced per entry, so an interrupted
-  ``capacity_sweep`` / ``run_experiments`` resumes with ``--resume``
-  and reruns only unfinished work.
+  keys, each pointing at its result's checksummed pickle, fsynced per
+  entry, so an interrupted ``capacity_sweep`` / ``run_experiments``
+  resumes with ``--resume`` and reruns only unfinished work.
 * :func:`checkpointed_map` — :func:`resilient_map` behind a manifest:
   completed keys are served from the journal, fresh completions are
   journaled the moment they finish.
@@ -22,14 +25,9 @@ that keeps those runs alive when individual pieces misbehave:
   pickled payload).  Corrupt or stale entries are quarantined to a
   ``corrupt/`` sibling directory instead of crashing or silently
   poisoning a run.
-* :class:`FaultPlan` — a deterministic fault-injection hook used by
-  the chaos suite (``tests/harness/test_resilience.py``) to SIGKILL
-  workers mid-job, hang jobs past their timeout, or raise in-job.
 
-Environment knobs (CLI flags take precedence where both exist):
-
-* ``REPRO_JOB_TIMEOUT`` — default per-job timeout in seconds
-* ``REPRO_RETRIES`` — default retry budget per job
+Environment knob (the CLI's ``--job-timeout`` takes precedence):
+``REPRO_JOB_TIMEOUT``, the default per-job timeout in seconds.
 """
 
 from __future__ import annotations
@@ -39,21 +37,18 @@ import json
 import multiprocessing as mp
 import os
 import pickle
-import random
 import re
-import signal
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 #: Job outcome statuses.
-OK = "ok"                # succeeded on the first attempt
-RETRIED = "retried"      # succeeded after at least one failed attempt
-TIMEOUT = "timeout"      # exhausted retries, last attempt timed out
-FAILED = "failed"        # exhausted retries, last attempt raised/crashed
+OK = "ok"                # ran and returned
+TIMEOUT = "timeout"      # overran its timeout; its worker was killed
+FAILED = "failed"        # raised, or its worker died
 CACHED = "cached"        # served from a resume manifest, not re-executed
 
 #: Schema version embedded in every checksummed on-disk entry.
@@ -70,12 +65,15 @@ MANIFEST_VERSION = 1
 
 def resolve_jobs(jobs: "int | None" = None) -> int:
     """Worker count via the ``jobs`` knob (argument > scoped override >
-    ``REPRO_JOBS``), else CPU count."""
+    ``REPRO_JOBS``), else one per CPU this process may run on."""
     from repro.config import knob_value
 
     jobs = knob_value("jobs", jobs)
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:
+            jobs = os.cpu_count() or 1
     return max(1, int(jobs))
 
 
@@ -93,85 +91,22 @@ def resolve_job_timeout(timeout: "float | None" = None) -> "float | None":
     return timeout
 
 
-def resolve_retries(retries: "int | None" = None) -> int:
-    """Retry budget via the ``retries`` knob (argument > scoped
-    override > ``REPRO_RETRIES``), else 0."""
-    from repro.config import knob_value
-
-    retries = knob_value("retries", retries)
-    return max(0, int(retries or 0))
-
-
-# ---------------------------------------------------------------------------
-# Fault injection (chaos-test hook)
-# ---------------------------------------------------------------------------
-
-class FaultInjected(RuntimeError):
-    """Raised (or simulated) by a :class:`FaultPlan` directive."""
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Deterministic fault schedule for chaos tests.
-
-    ``plan`` maps a job key to a sequence of per-attempt directives,
-    consumed in attempt order; attempts past the end of the sequence
-    run clean.  Directives:
-
-    * ``"kill"`` — SIGKILL the worker process mid-job;
-    * ``"fail"`` — raise :class:`FaultInjected` inside the job;
-    * ``"hang:<seconds>"`` — sleep that long before running the job,
-      so a configured timeout fires first.
-
-    In serial (in-process) execution ``kill``/``hang`` are converted
-    to :class:`FaultInjected` failures — killing or stalling the
-    caller's own process would defeat the harness under test.
-    """
-
-    plan: "Mapping[str, Sequence[str]]" = field(default_factory=dict)
-
-    def directive(self, key: str, attempt: int) -> "str | None":
-        seq = self.plan.get(key)
-        if seq is None or attempt >= len(seq):
-            return None
-        return seq[attempt] or None
-
-
-def _apply_directive(directive: "str | None", in_process: bool) -> None:
-    if not directive:
-        return
-    if directive == "fail":
-        raise FaultInjected("injected failure")
-    if directive == "kill":
-        if in_process:
-            raise FaultInjected("injected kill (serial mode)")
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif directive.startswith("hang:"):
-        if in_process:
-            raise FaultInjected("injected hang (serial mode)")
-        time.sleep(float(directive.split(":", 1)[1]))
-    else:
-        raise ValueError(f"unknown fault directive {directive!r}")
-
-
 # ---------------------------------------------------------------------------
 # Structured job outcomes
 # ---------------------------------------------------------------------------
 
 @dataclass
 class JobOutcome:
-    """Terminal record of one job's execution."""
+    """Terminal record of one job."""
 
     key: str
-    index: int
-    status: str              # ok | retried | timeout | failed | cached
-    attempts: int
+    status: str              # ok | timeout | failed | cached
     result: object = None
     error: "str | None" = None
 
     @property
     def succeeded(self) -> bool:
-        return self.status in (OK, RETRIED, CACHED)
+        return self.status in (OK, CACHED)
 
 
 @dataclass
@@ -203,8 +138,8 @@ class MapReport:
         counts: "dict[str, int]" = {}
         for o in self.outcomes:
             counts[o.status] = counts.get(o.status, 0) + 1
-        parts = [f"{counts[s]} {s}" for s in (OK, CACHED, RETRIED, TIMEOUT,
-                                              FAILED) if s in counts]
+        parts = [f"{counts[s]} {s}" for s in (OK, CACHED, TIMEOUT, FAILED)
+                 if s in counts]
         return f"{len(self.outcomes)} jobs: " + ", ".join(parts)
 
     def raise_if_failed(self) -> None:
@@ -213,7 +148,7 @@ class MapReport:
 
 
 class PartialResultError(RuntimeError):
-    """Some jobs failed after retries; completed results are preserved.
+    """Some jobs failed; completed results are preserved.
 
     ``.report`` holds the full :class:`MapReport` — callers can salvage
     every successful job instead of losing the whole run.
@@ -221,9 +156,8 @@ class PartialResultError(RuntimeError):
 
     def __init__(self, report: MapReport):
         self.report = report
-        failed = "; ".join(
-            f"{o.key} [{o.status} after {o.attempts} attempt(s)]: {o.error}"
-            for o in report.failed)
+        failed = "; ".join(f"{o.key} [{o.status}]: {o.error}"
+                           for o in report.failed)
         done = len(report.outcomes) - len(report.failed)
         super().__init__(
             f"{len(report.failed)} of {len(report.outcomes)} jobs failed "
@@ -234,38 +168,8 @@ class PartialResultError(RuntimeError):
 # Resilient map over forked workers
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class _Job:
-    index: int
-    key: str
-    attempts: int = 0
-    outcome: "JobOutcome | None" = None
-    not_before: float = 0.0
-
-
-def _jitter_rng() -> random.Random:
-    """A backoff-jitter stream seeded from the unified ``seed`` knob.
-
-    One private stream per :func:`resilient_map` invocation, seeded via
-    ``repro.config`` rather than drawn from the process-global
-    ``random`` module: chaos runs replay with identical backoff timing
-    (same ``--seed`` / ``REPRO_SEED``), and the harness never perturbs
-    the global stream that trace synthesis may be consuming.
-    """
-    from repro.config import knob_value
-
-    return random.Random(int(knob_value("seed") or 0))
-
-
-def _backoff_delay(backoff: float, attempts: int,
-                   rng: random.Random) -> float:
-    if backoff <= 0:
-        return 0.0
-    return min(backoff * 2 ** (attempts - 1), 30.0) * (1 + 0.25 * rng.random())
-
-
 def _describe(exc: BaseException) -> str:
-    """A failed attempt's error: ``repr(exc)``, then its traceback, so a
+    """A failed job's error: ``repr(exc)``, then its traceback, so a
     failure reported after the run still shows where the job raised."""
     import traceback  # only a failure pays for it
 
@@ -274,20 +178,19 @@ def _describe(exc: BaseException) -> str:
 
 
 def _serve(conn, parent_end, siblings, func, items) -> None:
-    """Worker loop: run each ``(index, directive)`` the parent sends and
-    reply ``(ok, result | error)``, pickled inside the ``try`` so that an
-    unpicklable result is a failed attempt.  The parent's ends of every
+    """Worker loop: run each item index the parent sends and reply
+    ``(ok, result | error)``, pickled inside the ``try`` so that an
+    unpicklable result is a failed job.  The parent's ends of every
     pipe are closed first, so the parent's exit (or death) is EOF here.
     """
     for end in (parent_end, *siblings):
         end.close()
     while True:
         try:
-            index, directive = conn.recv()
+            index = conn.recv()
         except (EOFError, OSError):
             return
         try:
-            _apply_directive(directive, in_process=False)
             reply = pickle.dumps((True, func(items[index])),
                                  protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # noqa: BLE001 — outcome, not crash
@@ -308,7 +211,7 @@ class _Worker:
             target=_serve, args=(child_end, self.conn, siblings, func, items))
         self.process.start()
         child_end.close()
-        self.job: "_Job | None" = None
+        self.job: "int | None" = None  # index of the item it holds
         self.deadline: "float | None" = None
 
     def receive(self):
@@ -333,16 +236,13 @@ def resilient_map(
     *,
     jobs: "int | None" = None,
     timeout: "float | None" = None,
-    retries: "int | None" = None,
-    backoff: float = 0.5,
     keys: "Sequence[str] | None" = None,
-    fault_plan: "FaultPlan | None" = None,
     on_result: "Callable[[JobOutcome], None] | None" = None,
 ) -> MapReport:
     """Order-preserving map that survives crashes, hangs, and errors.
 
-    Never raises for job-level failures: every job ends in a terminal
-    :class:`JobOutcome` (``ok``/``retried``/``timeout``/``failed``)
+    Never raises for job-level failures: every job runs once and ends
+    in a terminal :class:`JobOutcome` (``ok``/``timeout``/``failed``),
     and the caller decides what a partial result means (see
     :meth:`MapReport.raise_if_failed`).
 
@@ -351,11 +251,9 @@ def resilient_map(
       a job's index goes out and its result comes back.  A worker that
       dies charges only the one job it held; a fresh fork replaces it.
       Otherwise jobs run serially in-process.
-    * ``timeout`` bounds each attempt from the moment a worker takes
-      it; an overrunning worker is killed and only its job is charged
-      (the serial path cannot preempt in-process work).
-    * ``retries`` failed or timed-out attempts are retried with
-      exponential backoff (``backoff * 2**n``, 25% jitter).
+    * ``timeout`` bounds each job from the moment a worker takes it;
+      an overrunning worker is killed and only its job is charged (the
+      serial path cannot preempt in-process work).
     * A job that raised records ``repr(exc)`` and its traceback as its
       error, on either path.
     * ``on_result`` fires in the parent as each job *succeeds* —
@@ -370,67 +268,36 @@ def resilient_map(
             raise ValueError("keys and items length mismatch")
         if len(set(keys)) != len(keys):
             raise ValueError("job keys must be unique")
-    state = [_Job(i, key) for i, key in enumerate(keys)]
+    outcomes: "list[JobOutcome | None]" = [None] * len(items)
+
+    def finish(index, status, result=None, error=None) -> None:
+        outcomes[index] = JobOutcome(keys[index], status, result, error)
+        if status == OK and on_result is not None:
+            on_result(outcomes[index])
+
     jobs = min(resolve_jobs(jobs), max(1, len(items)))
-    run = (resolve_retries(retries), backoff, fault_plan or FaultPlan(),
-           on_result, _jitter_rng())
     if jobs > 1 and "fork" in mp.get_all_start_methods():
-        _run_workers(deque(state), func, items, jobs,
-                     resolve_job_timeout(timeout), *run)
+        _run_workers(func, items, jobs, resolve_job_timeout(timeout), finish)
     else:
-        _run_serial(state, func, items, *run)
-    return MapReport(outcomes=[j.outcome for j in state])
-
-
-def _succeed(job: _Job, result, on_result) -> None:
-    job.attempts += 1
-    status = OK if job.attempts == 1 else RETRIED
-    job.outcome = JobOutcome(job.key, job.index, status, job.attempts, result)
-    if on_result is not None:
-        on_result(job.outcome)
-
-
-def _charge(job: _Job, error: str, retries: int, backoff: float, rng,
-            timed_out: bool = False) -> bool:
-    """Record a failed attempt; return True if the job may retry."""
-    job.attempts += 1
-    if job.attempts > retries:
-        status = TIMEOUT if timed_out else FAILED
-        job.outcome = JobOutcome(job.key, job.index, status, job.attempts,
-                                 error=error)
-        return False
-    job.not_before = time.monotonic() + _backoff_delay(backoff, job.attempts,
-                                                       rng)
-    return True
-
-
-def _run_serial(state, func, items, retries, backoff, fault_plan, on_result,
-                rng) -> None:
-    """In-process execution: no isolation, no timeout preemption."""
-    for job in state:
-        while job.outcome is None:
+        for index, item in enumerate(items):
             try:
-                _apply_directive(fault_plan.directive(job.key, job.attempts),
-                                 in_process=True)
-                result = func(items[job.index])
+                result = func(item)
             except Exception as exc:  # noqa: BLE001 — outcome, not crash
-                if _charge(job, _describe(exc), retries, backoff, rng):
-                    delay = job.not_before - time.monotonic()
-                    if delay > 0:
-                        time.sleep(delay)
-                continue
-            _succeed(job, result, on_result)
+                finish(index, FAILED, error=_describe(exc))
+            else:
+                finish(index, OK, result)
+    return MapReport(outcomes=outcomes)
 
 
-def _run_workers(queue, func, items, jobs, timeout, retries, backoff,
-                 fault_plan, on_result, rng) -> None:
-    """Run ``queue`` on ``jobs`` forked workers until every job ends.
+def _run_workers(func, items, jobs, timeout, finish) -> None:
+    """Run each item once on ``jobs`` forked workers.
 
-    The parent sleeps in ``connection.wait`` until a busy worker replies
-    or dies, a busy job's deadline passes, or — while a worker is idle
-    — a queued job's backoff ends.
+    Idle workers take item indices from a FIFO queue.  The parent
+    sleeps in ``connection.wait`` until a busy worker replies or dies,
+    or a busy job's deadline passes.
     """
     context = mp.get_context("fork")
+    queue = deque(range(len(items)))
     workers: "list[_Worker]" = []
 
     def fork():
@@ -441,62 +308,52 @@ def _run_workers(queue, func, items, jobs, timeout, retries, backoff,
         workers[i].process.join()
         workers[i] = fork()
 
-    def charge(job, error, timed_out=False):
-        if _charge(job, error, retries, backoff, rng, timed_out):
-            queue.append(job)
-
     try:
         for _ in range(jobs):
             workers.append(fork())
         while queue or any(w.job is not None for w in workers):
             now = time.monotonic()
             for i, worker in enumerate(workers):
+                if not queue:
+                    break
                 if worker.job is not None:
                     continue
-                job = next((j for j in queue if j.not_before <= now), None)
-                if job is None:
-                    break
-                queue.remove(job)
-                message = (job.index, fault_plan.directive(job.key,
-                                                           job.attempts))
+                index = queue.popleft()
                 try:
-                    worker.conn.send(message)
+                    worker.conn.send(index)
                 except OSError:
                     # Found dead while idle: it never held the job, so
                     # it is replaced and the job is not charged.
                     replace(i)
-                    workers[i].conn.send(message)
-                workers[i].job = job
+                    workers[i].conn.send(index)
+                workers[i].job = index
                 workers[i].deadline = now + timeout if timeout else None
             busy = [w for w in workers if w.job is not None]
             marks = [w.deadline for w in busy if w.deadline is not None]
-            if len(busy) < jobs and queue:
-                marks.append(min(j.not_before for j in queue))
-            # With no busy worker this just sleeps out the backoff.
             ready = connection.wait(
                 [w.conn for w in busy],
                 timeout=max(0.0, min(marks) - now) if marks else None)
             now = time.monotonic()
             for i, worker in enumerate(workers):
-                job = worker.job
-                if job is None:
+                index = worker.job
+                if index is None:
                     continue
                 if worker.conn in ready:
                     worker.job = None
                     reply = worker.receive()
                     if reply is None:
                         replace(i)
-                        charge(job, "worker process died (exit code "
-                                    f"{worker.process.exitcode})")
+                        finish(index, FAILED, error="worker process died "
+                               f"(exit code {worker.process.exitcode})")
                     elif reply[0]:
-                        _succeed(job, reply[1], on_result)
+                        finish(index, OK, reply[1])
                     else:
-                        charge(job, reply[1])
+                        finish(index, FAILED, error=reply[1])
                 elif (worker.deadline is not None and now >= worker.deadline
                       and not worker.conn.poll()):
                     worker.job = None
                     replace(i, kill=True)
-                    charge(job, f"timed out after {timeout}s", timed_out=True)
+                    finish(index, TIMEOUT, error=f"timed out after {timeout}s")
     finally:
         for worker in workers:
             worker.stop(kill=worker.job is not None)
@@ -587,20 +444,19 @@ def quarantine_entry(path: str, reason: str = "") -> "str | None":
         return None
 
 
-def load_entry(path: str, quarantine: bool = True):
+def load_entry(path: str):
     """Load a checksummed entry; quarantine and re-raise on corruption.
 
     Raises :class:`FileNotFoundError` for a missing entry and
-    :class:`CacheIntegrityError` for a damaged one (after moving the
-    file to ``<dir>/corrupt/`` when ``quarantine`` is set).
+    :class:`CacheIntegrityError` for a damaged one, after moving the
+    file to ``<dir>/corrupt/``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
         return loads_entry(blob)
     except CacheIntegrityError:
-        if quarantine:
-            quarantine_entry(path)
+        quarantine_entry(path)
         raise
 
 
@@ -629,9 +485,9 @@ class RunManifest:
     * ``meta`` — run parameters digest; a resume against a manifest
       written with different parameters starts fresh instead of mixing
       incompatible results.
-    * ``done`` — a completed job key plus its result, inline JSON
-      (``value``) or a checksummed pickle path (``path``).
-    * ``outcome`` — execution audit trail (status + attempts) for every
+    * ``done`` — a completed job key plus the ``path`` of its result,
+      a checksummed pickle written by :meth:`record_result`.
+    * ``outcome`` — execution audit trail (status and error) for every
       job actually run, so a resumed run can prove it skipped finished
       work.
     """
@@ -681,7 +537,8 @@ class RunManifest:
                 if record.get("run_key") != self.run_key:
                     return None  # parameters changed: start fresh
                 saw_meta = True
-            elif kind == "done" and isinstance(record.get("key"), str):
+            elif (kind == "done" and isinstance(record.get("key"), str)
+                  and isinstance(record.get("path"), str)):
                 entries[record["key"]] = record
         return entries if saw_meta else None
 
@@ -692,12 +549,6 @@ class RunManifest:
             os.fsync(fh.fileno())
 
     # -- recording -----------------------------------------------------
-
-    def record_value(self, key: str, value) -> None:
-        """Journal an inline JSON-serialisable result."""
-        record = {"type": "done", "key": key, "value": value}
-        self._append(record)
-        self._completed[key] = record
 
     def record_result(self, key: str, obj) -> None:
         """Journal a result stored as a checksummed pickle on disk."""
@@ -710,9 +561,7 @@ class RunManifest:
     def record_outcome(self, outcome: JobOutcome) -> None:
         """Journal an execution audit record (no result payload)."""
         self._append({"type": "outcome", "key": outcome.key,
-                      "status": outcome.status,
-                      "attempts": outcome.attempts,
-                      "error": outcome.error})
+                      "status": outcome.status, "error": outcome.error})
 
     # -- queries -------------------------------------------------------
 
@@ -724,10 +573,8 @@ class RunManifest:
 
     def result(self, key: str):
         """Load a journaled result; raises on a damaged result file."""
-        record = self._completed[key]
-        if "path" in record:
-            return load_entry(os.path.join(self.directory, record["path"]))
-        return record["value"]
+        return load_entry(os.path.join(self.directory,
+                                       self._completed[key]["path"]))
 
     def forget(self, key: str) -> None:
         """Drop a key (e.g. its result file went bad) so it reruns."""
@@ -744,66 +591,35 @@ def checkpointed_map(
     *,
     keys: "Sequence[str]",
     manifest: "RunManifest | None",
-    store: str = "pickle",
     jobs: "int | None" = None,
     timeout: "float | None" = None,
-    retries: "int | None" = None,
-    backoff: float = 0.5,
-    fault_plan: "FaultPlan | None" = None,
 ) -> MapReport:
     """:func:`resilient_map` with journaled results and resume.
 
     Keys already completed in ``manifest`` are served from the journal
-    (outcome status ``cached``) without re-executing; fresh completions
-    are journaled the moment they finish, so a kill at any point loses
-    at most the jobs still in flight.  ``store`` selects the result
-    encoding: ``"json"`` inlines the value into the journal,
-    ``"pickle"`` writes a checksummed sidecar file.  A journaled result
-    that fails its integrity check is quarantined and the job simply
-    reruns.
+    (outcome status ``cached``) without re-executing; each fresh
+    completion is journaled as a checksummed pickle the moment it
+    finishes, so a kill at any point loses at most the jobs still in
+    flight.  A journaled result that fails its integrity check is
+    quarantined and the job simply reruns.
     """
-    if store not in ("json", "pickle"):
-        raise ValueError("store must be 'json' or 'pickle'")
     keys = [str(k) for k in keys]
     if manifest is None:
         return resilient_map(func, items, jobs=jobs, timeout=timeout,
-                             retries=retries, backoff=backoff, keys=keys,
-                             fault_plan=fault_plan)
-    cached: "dict[int, JobOutcome]" = {}
-    todo: "list[int]" = []
-    for i, key in enumerate(keys):
+                             keys=keys)
+    done: "dict[str, JobOutcome]" = {}
+    for key in keys:
         if key in manifest:
             try:
-                value = manifest.result(key)
+                done[key] = JobOutcome(key, CACHED, manifest.result(key))
             except (OSError, CacheIntegrityError):
                 manifest.forget(key)
-                todo.append(i)
-                continue
-            cached[i] = JobOutcome(key=key, index=i, status=CACHED,
-                                   attempts=0, result=value)
-        else:
-            todo.append(i)
-
-    def journal(outcome: JobOutcome) -> None:
-        if store == "json":
-            manifest.record_value(outcome.key, outcome.result)
-        else:
-            manifest.record_result(outcome.key, outcome.result)
-
+    todo = [i for i, key in enumerate(keys) if key not in done]
     sub = resilient_map(
         func, [items[i] for i in todo], jobs=jobs, timeout=timeout,
-        retries=retries, backoff=backoff, keys=[keys[i] for i in todo],
-        fault_plan=fault_plan, on_result=journal,
-    )
+        keys=[keys[i] for i in todo],
+        on_result=lambda o: manifest.record_result(o.key, o.result))
     for outcome in sub.outcomes:
         manifest.record_outcome(outcome)
-    merged: "list[JobOutcome]" = []
-    by_key = {o.key: o for o in sub.outcomes}
-    for i, key in enumerate(keys):
-        if i in cached:
-            merged.append(cached[i])
-        else:
-            outcome = by_key[key]
-            outcome.index = i
-            merged.append(outcome)
-    return MapReport(outcomes=merged)
+        done[outcome.key] = outcome
+    return MapReport(outcomes=[done[key] for key in keys])

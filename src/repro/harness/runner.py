@@ -1,65 +1,47 @@
-"""Parallel experiment fan-out and on-disk workload caching.
+"""Experiment fan-out and on-disk workload caching.
 
 The expensive part of every figure run is :func:`prepare_workload`:
 trace synthesis, flat-memory profiling, and the all-DDR baseline
 replay.  All of it is deterministic in ``(workload, scale,
-accesses_per_core, seed, config)``, so this module adds two
-orthogonal accelerators used by ``experiments.py``, ``sweeps.py``
-and the ``benchmarks/`` harness:
+accesses_per_core, seed, config)``, so :func:`prepare_workload_cached`
+keeps a cache of checksummed pickles on disk keyed by a digest of the
+preparation inputs (including a hash of the system config), and
+repeated figure runs skip synthesis entirely.  Writes are atomic
+(`os.replace`), so concurrent workers racing on the same key are safe;
+every entry embeds a schema version and SHA-256 of its payload, and a
+corrupt, truncated, or stale entry is quarantined to
+``<cache>/corrupt/`` and recomputed (see
+:mod:`repro.harness.resilience`).
 
-* :func:`prepare_workload_cached` — a cache of checksummed pickles on
-  disk keyed by a digest of the preparation inputs (including a hash
-  of the system config), so repeated figure runs skip synthesis
-  entirely.  Writes are atomic (`os.replace`), so concurrent workers
-  racing on the same key are safe; every entry embeds a schema
-  version and SHA-256 of its payload, and a corrupt, truncated, or
-  stale entry is quarantined to ``<cache>/corrupt/`` and recomputed
-  (see :mod:`repro.harness.resilience`).
-* :func:`parallel_map` — an order-preserving map over forked workers
-  that inherit the function and the items, so worker functions defined
-  in non-importable modules (pytest benchmark files) just work.
-  ``jobs <= 1`` or an unavailable ``fork`` degrades to a serial
-  in-process loop with identical semantics.  Built on
-  :func:`repro.harness.resilience.resilient_map`, it optionally
-  enforces per-job timeouts and bounded retries, survives worker
-  crashes (a crash charges only the job its worker held), and can
-  return the structured per-job outcome report instead of raising.
-
-On top of those, :func:`prefetch_workloads` warms a cache directory
-for a whole workload list across cores, and :func:`run_experiments`
-fans complete experiment ids (``fig05``, ``table2``, ...) out across
-processes with optional checkpoint/resume through a
-:class:`~repro.harness.resilience.RunManifest`.  It is how the CLI's
-``run`` and ``export`` run experiments, and the one place a run builds
-its :class:`~repro.harness.experiments.WorkloadCache`: every
-experiment shares it, so preparations, replays and FaultSim campaigns
-run once per run.  Above one job it first prefetches exactly the
-workloads the experiments read, and forked workers inherit it warm.
-
-Fan-outs whose job items all carry the same prepared workloads (the
-capacity sweep is the canonical case) pass them through
-:mod:`repro.harness.shm` (re-exported here): :func:`share_payload`
-hoists their arrays into one shared-memory segment and
-:func:`resolve_payload` maps it read-only in each worker.
+On top of that cache, :func:`prefetch_workloads` prepares a whole
+workload list on forked workers
+(:func:`~repro.harness.resilience.resilient_map`), and
+:func:`run_experiments` fans complete experiment ids (``fig05``,
+``table2``, ...) out across processes with optional checkpoint/resume
+through a :class:`~repro.harness.resilience.RunManifest`.  It is how
+the CLI's ``run`` and ``export`` run experiments, and the one place a
+run builds its :class:`~repro.harness.experiments.WorkloadCache`:
+every experiment shares it, so preparations, replays and FaultSim
+campaigns run once per run.  Above one job it first prefetches exactly
+the workloads the experiments read, and forked workers inherit it
+warm.
 
 Environment knobs (CLI flags take precedence where both exist):
 
-* ``REPRO_JOBS`` — default worker count for ``parallel_map``
+* ``REPRO_JOBS`` — default worker count
 * ``REPRO_CACHE_DIR`` — default on-disk cache directory
 * ``REPRO_JOB_TIMEOUT`` — default per-job timeout in seconds
-* ``REPRO_RETRIES`` — default retry budget per job
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from repro.config import knob_overrides, scaled_config
 from repro.harness.resilience import (
     CacheIntegrityError,
-    FaultPlan,
     MapReport,
     PartialResultError,
     RunManifest,
@@ -69,24 +51,15 @@ from repro.harness.resilience import (
     resilient_map,
     resolve_job_timeout,
     resolve_jobs,
-    resolve_retries,
     run_key,
     store_entry,
-)
-from repro.harness.shm import (
-    release_payload,
-    resolve_payload,
-    share_payload,
-    shared_handoff,
 )
 from repro.sim.system import DEFAULT_SCALE, PreparedWorkload, prepare_workload
 
 __all__ = [
-    "CACHE_VERSION", "FaultPlan", "MapReport", "PartialResultError",
-    "parallel_map", "prefetch_workloads", "prepare_workload_cached",
-    "release_payload", "resolve_cache_dir", "resolve_job_timeout",
-    "resolve_jobs", "resolve_payload", "resolve_retries",
-    "run_experiments", "share_payload", "shared_handoff",
+    "CACHE_VERSION", "MapReport", "PartialResultError",
+    "prefetch_workloads", "prepare_workload_cached", "resolve_cache_dir",
+    "resolve_job_timeout", "resolve_jobs", "run_experiments",
     "workload_cache_key",
 ]
 
@@ -198,47 +171,6 @@ def prepare_workload_cached(
 
 
 # ---------------------------------------------------------------------------
-# Forked-worker map
-# ---------------------------------------------------------------------------
-
-def parallel_map(
-    func: Callable,
-    items: Iterable,
-    jobs: "int | None" = None,
-    *,
-    timeout: "float | None" = None,
-    retries: "int | None" = None,
-    backoff: float = 0.5,
-    keys: "Sequence[str] | None" = None,
-    fault_plan: "FaultPlan | None" = None,
-    return_report: bool = False,
-):
-    """Order-preserving map over fault-tolerant forked workers.
-
-    Serial fallback when ``jobs <= 1``, when there is at most one
-    item, or when the platform has no ``fork`` start method (workers
-    inherit ``func`` and the items at fork, so neither is pickled).
-
-    Built on :func:`repro.harness.resilience.resilient_map`: each job
-    gets a per-attempt ``timeout`` (``REPRO_JOB_TIMEOUT``) and
-    ``retries`` retry budget (``REPRO_RETRIES``) with exponential
-    backoff, and a crashed worker breaks only its own job — a fresh
-    fork takes its place.  By default any job that still fails raises
-    :class:`PartialResultError` (a ``RuntimeError`` carrying the full
-    per-job outcome report, so completed results are never lost);
-    with ``return_report=True`` the :class:`MapReport` is returned
-    instead and nothing raises.
-    """
-    report = resilient_map(func, items, jobs=jobs, timeout=timeout,
-                           retries=retries, backoff=backoff, keys=keys,
-                           fault_plan=fault_plan)
-    if return_report:
-        return report
-    report.raise_if_failed()
-    return report.results
-
-
-# ---------------------------------------------------------------------------
 # Workload prefetch (ALL_WORKLOADS x one parameter set)
 # ---------------------------------------------------------------------------
 
@@ -263,12 +195,15 @@ def prefetch_workloads(
     """Prepare many workloads across cores; returns ``{name: prep}``.
 
     With a cache directory, the children also warm it on disk so the
-    work is never repeated in later runs.
+    work is never repeated in later runs.  A workload that fails to
+    prepare raises :class:`PartialResultError`.
     """
     cache_dir = resolve_cache_dir(cache_dir)
     items = [(name, scale, accesses_per_core, seed, ser_model, cache_dir)
              for name in names]
-    return dict(parallel_map(_prefetch_one, items, jobs=jobs))
+    report = resilient_map(_prefetch_one, items, jobs=jobs)
+    report.raise_if_failed()
+    return dict(report.results)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +245,15 @@ def run_experiments(
     checkpoint_dir: "str | None" = None,
     resume: bool = False,
     job_timeout: "float | None" = None,
-    retries: "int | None" = None,
-    return_report: bool = False,
     fault_trials: "int | None" = None,
     telemetry: bool = False,
     obs_dir: "str | None" = None,
-):
-    """Run experiment ids across cores; ``[(name, FigureResult)]``.
+) -> MapReport:
+    """Run experiment ids across cores; one outcome per experiment.
 
-    Results come back in the order of ``names``.  This is the one
+    The :class:`MapReport`'s outcomes come in the order of ``names``,
+    and each succeeded one's result is ``(name, FigureResult)``; a
+    failed experiment's outcome carries its traceback.  This is the one
     place a run builds its :class:`~repro.harness.experiments.WorkloadCache`,
     under the run's ``fault_trials``/``telemetry``/``obs_dir``
     overrides, and every experiment shares it: preparations, replays
@@ -331,12 +266,9 @@ def run_experiments(
     ``checkpoint_dir`` journals each completed experiment (a
     checksummed pickle per result) the moment it finishes; a later
     call with ``resume=True`` serves finished experiments from the
-    journal and reruns only the rest.  ``job_timeout``/``retries``
-    bound each experiment's execution (see :func:`parallel_map`).
-    A failing experiment raises :class:`PartialResultError` carrying
-    every completed result — or set ``return_report=True`` to get the
-    structured :class:`MapReport` (``.results`` holds the
-    ``(name, FigureResult)`` tuples) without raising.
+    journal and reruns only the rest.  ``job_timeout`` bounds each
+    experiment's execution under process fan-out (see
+    :func:`~repro.harness.resilience.resilient_map`).
     """
     from repro.harness.experiments import WorkloadCache
 
@@ -362,11 +294,7 @@ def run_experiments(
             cache.prefetch(_default_workloads(
                 [name for name in names
                  if manifest is None or name not in manifest]))
-        report = checkpointed_map(
+        return checkpointed_map(
             _run_experiment_worker, [(name, cache) for name in names],
-            keys=list(names), manifest=manifest, store="pickle", jobs=jobs,
-            timeout=job_timeout, retries=retries)
-    if return_report:
-        return report
-    report.raise_if_failed()
-    return report.results
+            keys=list(names), manifest=manifest, jobs=jobs,
+            timeout=job_timeout)

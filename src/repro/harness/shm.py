@@ -49,8 +49,8 @@ shares ONE segment across *every* job of the sweep, not one per job:
 
 The invariant callers rely on: a handle stays resolvable until the
 ``shared_handoff`` block that produced it closes, so job functions may
-be dispatched, retried, or re-run on a fresh worker at any point in
-between without re-pickling the arrays.
+be dispatched, or run on a fresh worker that replaced a dead one, at
+any point in between without re-pickling the arrays.
 """
 
 from __future__ import annotations
@@ -249,6 +249,9 @@ def _release_segment(name: str) -> None:
         # its views may be referenced by callers, so never close it —
         # park it like any other live-view handle.
         _zombies.append(cached[0])
+    # Drop the cached views, or they alone would keep the mapping from
+    # closing whenever the creating process resolved its own payload.
+    cached = None
     if os.getpid() != owner:
         return  # fork child: the creating process unlinks, not us
     _retrack(shm)

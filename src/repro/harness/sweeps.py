@@ -45,9 +45,8 @@ def _capacity_workload(item) -> "list[list[float]]":
     them.  The points (two policies x all fractions) ride a single
     :func:`~repro.sim.system.evaluate_static_multi` call, which ranks
     each policy once and replays each point on its own.  Returns one
-    JSON-serialisable ``[perf_ipc, perf_ser, wr2_ipc, wr2_ser]`` quartet
-    per fraction (rows journal inline into a resume manifest) for the
-    parent to fold across workloads.
+    ``[perf_ipc, perf_ser, wr2_ipc, wr2_ser]`` quartet per fraction for
+    the parent to fold across workloads.
     """
     from repro.harness.shm import resolve_payload
 
@@ -80,7 +79,6 @@ def capacity_sweep(
     checkpoint_dir: "str | None" = None,
     resume: bool = False,
     job_timeout: "float | None" = None,
-    retries: "int | None" = None,
 ) -> FigureResult:
     """:func:`capacity_sweep_on` a cache built from plain arguments.
 
@@ -94,7 +92,7 @@ def capacity_sweep(
                           seed=seed, cache_dir=cache_dir, jobs=jobs)
     return capacity_sweep_on(cache, workloads, fractions,
                              checkpoint_dir=checkpoint_dir, resume=resume,
-                             job_timeout=job_timeout, retries=retries)
+                             job_timeout=job_timeout)
 
 
 def capacity_sweep_on(
@@ -104,7 +102,6 @@ def capacity_sweep_on(
     checkpoint_dir: "str | None" = None,
     resume: bool = False,
     job_timeout: "float | None" = None,
-    retries: "int | None" = None,
 ) -> FigureResult:
     """Sweep HBM capacity as a fraction of the workload footprint.
 
@@ -119,8 +116,8 @@ def capacity_sweep_on(
     single :func:`~repro.sim.system.evaluate_static_multi` call.
     Finished jobs journal into ``checkpoint_dir`` immediately, so a
     killed sweep restarted with ``resume=True`` recomputes only the
-    unfinished workloads, and ``job_timeout``/``retries`` bound each
-    job's execution.
+    unfinished workloads, and ``job_timeout`` bounds each job's
+    execution.
     """
     from repro.harness.experiments import ddr_relative
     from repro.harness.resilience import (RunManifest, checkpointed_map,
@@ -150,8 +147,7 @@ def capacity_sweep_on(
             _capacity_workload,
             [(name, tuple(fractions), preps_item) for name in names],
             keys=[f"workload-{name}" for name in names],
-            manifest=manifest, store="json", jobs=cache.jobs,
-            timeout=job_timeout, retries=retries)
+            manifest=manifest, jobs=cache.jobs, timeout=job_timeout)
     report.raise_if_failed()
     # Fold the per-workload quartets into per-fraction rows (gmean
     # across workloads, in workload order).

@@ -470,20 +470,26 @@ def check_shm_roundtrip(case: DiffCase) -> "str | None":
     if not isinstance(item, shm.SharedPayload):
         return None  # no shared memory on this platform: nothing to diff
     try:
-        clone = pickle.loads(pickle.dumps(item)).load()
-        for key in ("core", "address", "is_write", "gap", "times"):
-            a, b = obj[key], clone[key]
-            if a.dtype != b.dtype or a.shape != b.shape:
-                return (f"{key}: sent {a.dtype}{a.shape} got "
-                        f"{b.dtype}{b.shape} through the shm handoff")
-            if not np.array_equal(a, b):
-                first = int(np.flatnonzero(a != b)[0])
-                return (f"{key}: values differ after the shm round-trip "
-                        f"(first at index {first})")
-        if clone["meta"] != obj["meta"]:
-            return "non-array remainder differs after the shm round-trip"
+        # The clone's views into the segment die with the helper's frame,
+        # before the release, so the segment's mapping can close.
+        return _shm_clone_diff(obj, pickle.loads(pickle.dumps(item)).load())
     finally:
         shm.release_payload(item)
+
+
+def _shm_clone_diff(obj, clone) -> "str | None":
+    """How ``clone`` differs from the ``obj`` sent through shm, or None."""
+    for key in ("core", "address", "is_write", "gap", "times"):
+        a, b = obj[key], clone[key]
+        if a.dtype != b.dtype or a.shape != b.shape:
+            return (f"{key}: sent {a.dtype}{a.shape} got "
+                    f"{b.dtype}{b.shape} through the shm handoff")
+        if not np.array_equal(a, b):
+            first = int(np.flatnonzero(a != b)[0])
+            return (f"{key}: values differ after the shm round-trip "
+                    f"(first at index {first})")
+    if clone["meta"] != obj["meta"]:
+        return "non-array remainder differs after the shm round-trip"
     return None
 
 

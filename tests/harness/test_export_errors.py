@@ -66,6 +66,12 @@ class TestCliErrorExits:
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "run").exists()
 
+    def test_run_retries_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "fig03", "--retries", "1"])
+        assert exit_.value.code == 2
+        assert "--retries" in capsys.readouterr().err
+
     def test_report_missing_run_exits_2(self, tmp_path, capsys):
         rc = main(["report", "fig12-1", "--obs-dir", str(tmp_path)])
         assert rc == 2

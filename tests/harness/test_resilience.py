@@ -1,15 +1,17 @@
 """Chaos suite: every injected fault ends in correct results or a
 clean, structured partial-result report — never an unhandled traceback.
 
-Faults exercised (via the :class:`FaultPlan` hook and direct file
-surgery): worker SIGKILL mid-job, jobs hung past their timeout,
-in-job exceptions, truncated and bit-flipped cache pickles, damaged
-resume journals, and kill/resume of checkpointed runs.  C-kernel
+Faults exercised (through :func:`_faulty`-wrapped job functions and
+direct file surgery): worker SIGKILL mid-job, jobs hung past their
+timeout, in-job exceptions, truncated and bit-flipped cache pickles,
+damaged resume journals, and kill/resume of checkpointed runs.  C-kernel
 compile failure lives in ``tests/sim/test_ckernel_fallback.py``.
 """
 
 import json
 import os
+import signal
+import time
 
 import pytest
 
@@ -17,7 +19,6 @@ from repro.harness import sweeps
 from repro.harness.resilience import (
     CACHED,
     CacheIntegrityError,
-    FaultPlan,
     PartialResultError,
     RunManifest,
     checkpointed_map,
@@ -26,20 +27,41 @@ from repro.harness.resilience import (
     loads_entry,
     resilient_map,
     resolve_job_timeout,
-    resolve_retries,
+    resolve_jobs,
     run_key,
     store_entry,
 )
-from repro.harness.runner import parallel_map, prepare_workload_cached
+from repro.harness.runner import prepare_workload_cached
 from repro.sim.system import prepare_workload
 
-pytestmark = [pytest.mark.chaos, pytest.mark.slow]
+pytestmark = pytest.mark.chaos
 
 ACCESSES = 600
 
 
 def _double(x):
     return 2 * x
+
+
+def _faulty(faults):
+    """:func:`_double` with a fault injected before the job, by item.
+
+    ``faults`` maps an item to ``"kill"`` (SIGKILL the process running
+    the job), ``"fail"`` (raise) or a number of seconds to sleep first.
+    Forked workers inherit the closure, so no fault passes through the
+    map.
+    """
+    def job(x):
+        fault = faults.get(x)
+        if fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif fault == "fail":
+            raise RuntimeError(f"injected failure on item {x}")
+        elif fault is not None:
+            time.sleep(fault)
+        return _double(x)
+
+    return job
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +78,14 @@ class TestKnobs:
         assert resolve_job_timeout(None) == 7.5
         assert resolve_job_timeout(1.0) == 1.0  # explicit wins
 
-    def test_retries(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert resolve_retries(None) == 0
-        assert resolve_retries(3) == 3
-        monkeypatch.setenv("REPRO_RETRIES", "4")
-        assert resolve_retries(None) == 4
-        assert resolve_retries(1) == 1
+    def test_jobs_default_to_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert resolve_jobs(None) == 1  # pinned to one of eight CPUs
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_jobs(None) == 8  # no affinity call: every CPU
 
 
 # ---------------------------------------------------------------------------
@@ -70,76 +93,54 @@ class TestKnobs:
 # ---------------------------------------------------------------------------
 
 class TestWorkerCrash:
-    def test_kill_once_recovers_bit_exact(self):
-        plan = FaultPlan({"2": ["kill"]})
-        report = resilient_map(_double, range(5), jobs=2, retries=2,
-                               backoff=0, fault_plan=plan)
-        assert report.results == [0, 2, 4, 6, 8]
-        assert report.outcome("2").status == "retried"
-        assert report.ok
-
-    def test_kill_every_attempt_is_structured_partial(self):
-        plan = FaultPlan({"1": ["kill"] * 8})
-        report = resilient_map(_double, range(3), jobs=2, retries=1,
-                               backoff=0, fault_plan=plan)
+    def test_kill_is_a_structured_partial(self):
+        report = resilient_map(_faulty({1: "kill"}), range(3), jobs=2)
         poisoned = report.outcome("1")
         assert poisoned.status == "failed"
         assert poisoned.result is None
         assert "died" in poisoned.error
-        # Completed siblings survive the crash storm.
+        # Completed siblings survive the crash.
         assert report.results[0] == 0 and report.results[2] == 4
         assert not report.ok
 
-    def test_parallel_map_raises_partial_result_error(self):
-        plan = FaultPlan({"1": ["kill"] * 8})
+    def test_raise_if_failed_raises_partial_result_error(self):
+        report = resilient_map(_faulty({1: "kill"}), range(3), jobs=2)
         with pytest.raises(PartialResultError) as err:
-            parallel_map(_double, range(3), jobs=2, retries=1, backoff=0,
-                         fault_plan=plan)
-        assert isinstance(err.value, RuntimeError)  # legacy contract
+            report.raise_if_failed()
+        assert isinstance(err.value, RuntimeError)
         assert "1 of 3 jobs failed" in str(err.value)
         assert err.value.report.results[2] == 4  # salvaged result
 
     def test_innocents_survive_repeated_poison_crashes(self):
         # A worker's death charges only the job it held, so the jobs
-        # in flight beside the repeatedly crashing job 3 are never
-        # charged: even with retries=1 they must all survive, every time.
-        plan = FaultPlan({"3": ["kill"] * 8})
-        report = resilient_map(_double, range(8), jobs=4, retries=1,
-                               backoff=0, fault_plan=plan)
-        assert [o.key for o in report.failed] == ["3"]
-        assert [r for i, r in enumerate(report.results) if i != 3] == [
-            2 * i for i in range(8) if i != 3]
+        # in flight beside the crashing jobs are never charged.
+        poison = {1: "kill", 3: "kill", 5: "kill"}
+        report = resilient_map(_faulty(poison), range(8), jobs=4)
+        assert [o.key for o in report.failed] == ["1", "3", "5"]
+        assert [r for i, r in enumerate(report.results)
+                if i not in poison] == [2 * i for i in range(8)
+                                        if i not in poison]
 
     def test_kill_charges_only_the_job_it_held(self):
         # The innocent jobs sleep first, so they are in flight when job
-        # 3 kills its worker: only job 3 fails, everyone else succeeds
-        # on its first and only attempt.
-        plan = FaultPlan({str(i): ["kill" if i == 3 else "hang:0.5"]
-                          for i in range(8)})
-        report = resilient_map(_double, range(8), jobs=4, retries=0,
-                               backoff=0, fault_plan=plan)
+        # 3 kills its worker: only job 3 fails, everyone else succeeds.
+        faults = {i: "kill" if i == 3 else 0.5 for i in range(8)}
+        report = resilient_map(_faulty(faults), range(8), jobs=4)
         assert [o.key for o in report.failed] == ["3"]
         assert "died" in report.outcome("3").error
         for i in range(8):
             if i != 3:
                 outcome = report.outcome(str(i))
-                assert (outcome.status, outcome.attempts) == ("ok", 1)
+                assert outcome.status == "ok"
                 assert outcome.result == 2 * i
 
-    def test_injected_exception_retries(self):
-        plan = FaultPlan({"0": ["fail", "fail"]})
-        report = resilient_map(_double, range(2), jobs=2, retries=2,
-                               backoff=0, fault_plan=plan)
-        assert report.results == [0, 2]
+    def test_in_process_exception_is_a_failed_job(self):
+        report = resilient_map(_faulty({0: "fail"}), range(2), jobs=1)
         outcome = report.outcome("0")
-        assert outcome.status == "retried" and outcome.attempts == 3
-
-    def test_serial_mode_converts_kill_to_failure(self):
-        plan = FaultPlan({"0": ["kill"], "1": ["hang:30"]})
-        report = resilient_map(_double, range(2), jobs=1, retries=0,
-                               backoff=0, fault_plan=plan)
-        assert [o.status for o in report.outcomes] == ["failed", "failed"]
-        assert all("injected" in o.error for o in report.outcomes)
+        assert outcome.status == "failed"
+        assert "injected failure on item 0" in outcome.error
+        assert "Traceback" in outcome.error
+        assert report.outcome("1").result == 2
 
 
 # ---------------------------------------------------------------------------
@@ -147,26 +148,17 @@ class TestWorkerCrash:
 # ---------------------------------------------------------------------------
 
 class TestTimeout:
-    def test_hung_job_times_out_then_retries(self):
-        plan = FaultPlan({"0": ["hang:60"]})
-        report = resilient_map(_double, range(3), jobs=2, timeout=0.8,
-                               retries=1, backoff=0, fault_plan=plan)
-        assert report.results == [0, 2, 4]
-        assert report.outcome("0").status == "retried"
-
-    def test_hang_exhausting_retries_reports_timeout(self):
-        plan = FaultPlan({"0": ["hang:60", "hang:60"]})
-        report = resilient_map(_double, range(2), jobs=2, timeout=0.5,
-                               retries=1, backoff=0, fault_plan=plan)
+    def test_hang_reports_timeout(self):
+        report = resilient_map(_faulty({0: 60.0}), range(2), jobs=2,
+                               timeout=0.5)
         outcome = report.outcome("0")
         assert outcome.status == "timeout"
         assert "timed out" in outcome.error
         assert report.outcome("1").result == 2  # innocent sibling intact
 
     def test_overrun_kills_only_its_own_job(self):
-        plan = FaultPlan({"2": ["hang:30"]})
-        report = resilient_map(_double, range(6), jobs=3, timeout=0.5,
-                               retries=0, backoff=0, fault_plan=plan)
+        report = resilient_map(_faulty({2: 30.0}), range(6), jobs=3,
+                               timeout=0.5)
         assert [o.key for o in report.failed] == ["2"]
         assert report.outcome("2").status == "timeout"
         assert [o.status for o in report.outcomes if o.key != "2"] == [
@@ -248,8 +240,8 @@ class TestRunManifest:
     def test_truncated_tail_line_is_skipped(self, tmp_path):
         d = str(tmp_path)
         manifest = RunManifest(d, run_key="k")
-        manifest.record_value("a", 1.0)
-        manifest.record_value("b", 2.0)
+        manifest.record_result("a", 1.0)
+        manifest.record_result("b", 2.0)
         with open(manifest.path, "a") as fh:
             fh.write('{"type": "done", "key": "c", "val')  # mid-write kill
         resumed = RunManifest(d, run_key="k", resume=True)
@@ -258,7 +250,7 @@ class TestRunManifest:
 
     def test_parameter_change_invalidates(self, tmp_path):
         d = str(tmp_path)
-        RunManifest(d, run_key="k1").record_value("a", 1.0)
+        RunManifest(d, run_key="k1").record_result("a", 1.0)
         resumed = RunManifest(d, run_key="k2", resume=True)
         assert not resumed.completed_keys()
         assert os.path.exists(os.path.join(d, "manifest.jsonl.old"))
@@ -267,9 +259,23 @@ class TestRunManifest:
         resumed = RunManifest(str(tmp_path / "new"), run_key="k",
                               resume=True)
         assert not resumed.completed_keys()
-        resumed.record_value("a", 1.0)
+        resumed.record_result("a", 1.0)
         again = RunManifest(str(tmp_path / "new"), run_key="k", resume=True)
         assert again.completed_keys() == {"a"}
+
+    def test_done_record_without_path_reruns(self, tmp_path):
+        d = str(tmp_path)
+        manifest = RunManifest(d, run_key="k")
+        manifest.record_result("a", 2)
+        with open(manifest.path, "a") as fh:  # an inline-value record
+            fh.write(json.dumps({"type": "done", "key": "b",
+                                 "value": 99}) + "\n")
+        resumed = RunManifest(d, run_key="k", resume=True)
+        assert resumed.completed_keys() == {"a"}
+        report = checkpointed_map(_double, [1, 2], keys=["a", "b"],
+                                  manifest=resumed, jobs=1)
+        assert [o.status for o in report.outcomes] == ["cached", "ok"]
+        assert report.results == [2, 4]
 
     def test_run_key_stable_and_sensitive(self):
         assert run_key(a=1, b="x") == run_key(b="x", a=1)
@@ -279,7 +285,7 @@ class TestRunManifest:
         d = str(tmp_path)
         manifest = RunManifest(d, run_key="k")
         report = checkpointed_map(_double, [5], keys=["j"],
-                                  manifest=manifest, store="pickle", jobs=1)
+                                  manifest=manifest, jobs=1)
         assert report.results == [10]
         (result_file,) = os.listdir(os.path.join(d, "results"))
         path = os.path.join(d, "results", result_file)
@@ -287,7 +293,7 @@ class TestRunManifest:
             fh.write(b"garbage")
         resumed = RunManifest(d, run_key="k", resume=True)
         report = checkpointed_map(_double, [5], keys=["j"],
-                                  manifest=resumed, store="pickle", jobs=1)
+                                  manifest=resumed, jobs=1)
         assert report.results == [10]
         assert report.outcome("j").status == "ok"  # re-executed, not cached
 
@@ -307,11 +313,11 @@ class TestCheckpointedMap:
 
         manifest = RunManifest(d, run_key="k")
         checkpointed_map(traced, [1, 2], keys=["a", "b"], manifest=manifest,
-                         store="json", jobs=1)
+                         jobs=1)
         assert calls == [1, 2]
         resumed = RunManifest(d, run_key="k", resume=True)
         report = checkpointed_map(traced, [1, 2, 3], keys=["a", "b", "c"],
-                                  manifest=resumed, store="json", jobs=1)
+                                  manifest=resumed, jobs=1)
         assert calls == [1, 2, 3]  # only the new key executed
         assert report.results == [2, 4, 6]
         assert [o.status for o in report.outcomes] == ["cached", "cached",
@@ -321,9 +327,8 @@ class TestCheckpointedMap:
         d = str(tmp_path)
         manifest = RunManifest(d, run_key="k")
         report = checkpointed_map(
-            _double, [1, 2], keys=["a", "b"], manifest=manifest,
-            store="json", jobs=1, retries=0,
-            fault_plan=FaultPlan({"b": ["fail"]}))
+            _faulty({2: "fail"}), [1, 2], keys=["a", "b"],
+            manifest=manifest, jobs=1)
         assert report.outcome("b").status == "failed"
         assert manifest.completed_keys() == {"a"}
         # The journal audit trail names the failure.
@@ -385,7 +390,7 @@ class TestRunExperimentsResume:
 
         d = str(tmp_path / "run")
         first = runner.run_experiments(["fig03"], accesses_per_core=ACCESSES,
-                                       checkpoint_dir=d)
+                                       checkpoint_dir=d).results
         assert first[0][0] == "fig03"
 
         def boom(item):
@@ -394,7 +399,7 @@ class TestRunExperimentsResume:
         monkeypatch.setattr(runner, "_run_experiment_worker", boom)
         report = runner.run_experiments(
             ["fig03"], accesses_per_core=ACCESSES, checkpoint_dir=d,
-            resume=True, return_report=True)
+            resume=True)
         assert report.outcome("fig03").status == CACHED
         name, figure = report.results[0]
         assert name == "fig03" and figure.rows == first[0][1].rows

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.config import scaled_config
+from repro.harness.resilience import PartialResultError, resilient_map
 from repro.harness.runner import (
-    parallel_map,
     prefetch_workloads,
     prepare_workload_cached,
     resolve_cache_dir,
@@ -22,10 +22,6 @@ ACCESSES = 1_500
 
 def _square(x):
     return x * x
-
-
-def _boom(_x):
-    raise RuntimeError("worker failure")
 
 
 class TestCacheKey:
@@ -146,22 +142,25 @@ class TestConcurrentWriters:
 
 
 class TestParallelMap:
+    """The forked-worker map the runner fans out on."""
+
     def test_serial_path(self):
-        assert parallel_map(_square, range(10), jobs=1) == [
+        assert resilient_map(_square, range(10), jobs=1).results == [
             x * x for x in range(10)]
 
     def test_parallel_preserves_order(self):
-        assert parallel_map(_square, range(20), jobs=4) == [
+        assert resilient_map(_square, range(20), jobs=4).results == [
             x * x for x in range(20)]
 
     def test_empty(self):
-        assert parallel_map(_square, [], jobs=4) == []
+        assert resilient_map(_square, [], jobs=4).results == []
 
     def test_worker_exception_propagates(self):
-        with pytest.raises(RuntimeError):
-            parallel_map(_boom, range(4), jobs=2)
-        with pytest.raises(RuntimeError):
-            parallel_map(_boom, range(4), jobs=1)
+        for jobs in (2, 1):
+            with pytest.raises(PartialResultError,
+                               match="2 of 2 jobs failed"):
+                prefetch_workloads(["no-such-a", "no-such-b"],
+                                   accesses_per_core=ACCESSES, jobs=jobs)
 
     def test_resolve_jobs(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -209,7 +208,7 @@ class TestWorkloadCacheIntegration:
 def test_run_experiments_fan_out(tmp_path):
     results = run_experiments(["table1", "table2"],
                               accesses_per_core=ACCESSES,
-                              cache_dir=str(tmp_path), jobs=2)
+                              cache_dir=str(tmp_path), jobs=2).results
     assert [name for name, _ in results] == ["table1", "table2"]
     for _name, figure in results:
         assert figure.rows
@@ -254,7 +253,8 @@ class TestRunExperimentsSharedCache:
         from repro.harness.experiments import WorkloadCache, fig05_perf_focused
 
         ((_name, figure),) = run_experiments(
-            ["fig05"], accesses_per_core=1000, jobs=1, fault_trials=2000)
+            ["fig05"], accesses_per_core=1000, jobs=1,
+            fault_trials=2000).results
         with knob_overrides(fault_trials=2000):
             expected = fig05_perf_focused(
                 cache=WorkloadCache(accesses_per_core=1000, seed=0))
@@ -274,13 +274,13 @@ class TestRunExperimentsSharedCache:
             return original(workload, **kwargs)
 
         monkeypatch.setattr(runner, "prepare_workload", counting)
-        run_experiments(["fig05", "fig07"], accesses_per_core=300, jobs=1)
+        assert run_experiments(["fig05", "fig07"], accesses_per_core=300,
+                               jobs=1).ok
         assert sorted(prepared) == sorted(ALL_WORKLOADS)
 
     def test_nested_fan_out_inside_a_forked_job(self):
         # sweep-capacity fans out workers of its own inside its job:
         # the job's worker must be allowed to have children.
         report = run_experiments(["sweep-capacity", "table1"],
-                                 accesses_per_core=300, jobs=2,
-                                 return_report=True)
+                                 accesses_per_core=300, jobs=2)
         assert [o.status for o in report.outcomes] == ["ok", "ok"]

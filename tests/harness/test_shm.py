@@ -1,12 +1,15 @@
 """Zero-copy shared-memory workload handoff (repro.harness.shm)."""
 
+import os
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.harness import shm as shm_module
-from repro.harness.runner import parallel_map
+from repro.harness.resilience import resilient_map
 from repro.harness.shm import (
     SharedPayload,
     release_payload,
@@ -164,34 +167,47 @@ class TestWorkerHandoff:
         obj = _payload_obj()
         expect = float(obj["mcf"]["address"].sum())
         with shared_handoff(obj) as payload:
-            results = parallel_map(
+            report = resilient_map(
                 _sum_job, [(k, payload) for k in range(4)], jobs=2)
-        assert results == [(k, expect) for k in range(4)]
+        assert report.results == [(k, expect) for k in range(4)]
 
     def test_segment_survives_worker_crash_and_respawn(self):
-        from repro.harness.resilience import FaultPlan
-
         obj = _payload_obj()
         expect = float(obj["mcf"]["address"].sum())
+
+        def job(item):
+            # Job 0 holds the first worker while job 1 SIGKILLs the
+            # second, so job 2 runs on the fork that replaced it.
+            if item[0] == 0:
+                time.sleep(1.0)
+            elif item[0] == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _sum_job(item) + (os.getpid(),)
+
         with shared_handoff(obj) as payload:
             name = payload.segment
-            # SIGKILL one worker mid-job: a fresh worker is forked and
-            # the re-dispatched job must re-attach the still-live segment.
-            results = parallel_map(
-                _sum_job, [(k, payload) for k in range(3)],
-                jobs=2, retries=1, keys=["j0", "j1", "j2"],
-                fault_plan=FaultPlan({"j1": ("kill",)}))
-            assert results == [(k, expect) for k in range(3)]
+            report = resilient_map(job, [(k, payload) for k in range(3)],
+                                   jobs=2)
+            assert "died" in report.outcome("1").error
+            first, _, third = report.results
+            assert first[:2] == (0, expect) and third[:2] == (2, expect)
+            assert third[2] != first[2]  # job 2 ran on the fresh fork
         # ... and the parent still owns cleanup once the map is done.
         with pytest.raises(FileNotFoundError):
             shm_module._attach(name)
 
-    def test_capacity_sweep_fans_out_through_shm(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_capacity_sweep_fans_out_through_shm(self, jobs):
         from repro.harness.sweeps import capacity_sweep
 
-        res = capacity_sweep(workloads=("mcf",), fractions=(0.05, 0.5),
-                             scale=1 / 2048, accesses_per_core=1500,
-                             seed=4, jobs=2)
+        zombies = len(shm_module._zombies)
+        res = capacity_sweep(workloads=("mcf", "milc"),
+                             fractions=(0.05, 0.5), scale=1 / 2048,
+                             accesses_per_core=1500, seed=4, jobs=jobs)
         assert len(res.rows) == 2
         assert res.rows[1][1] > res.rows[0][1]
         assert not shm_module._owned  # nothing leaked past the sweep
+        # The segment's mapping closed, even where this process
+        # resolved the payload itself (jobs=1: the map runs in process).
+        assert not shm_module._attached
+        assert len(shm_module._zombies) == zombies

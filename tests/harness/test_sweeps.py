@@ -131,9 +131,10 @@ class TestSweepExperiments:
 
         monkeypatch.setattr(FaultSimulator, "uncorrected_fit_per_rank",
                             recording)
-        run_experiments(["sweep-fit", "sweep-capacity"],
-                        accesses_per_core=300, seed=7, fault_trials=20_000,
-                        cache_dir=str(tmp_path), jobs=1)
+        assert run_experiments(["sweep-fit", "sweep-capacity"],
+                               accesses_per_core=300, seed=7,
+                               fault_trials=20_000, cache_dir=str(tmp_path),
+                               jobs=1).ok
         assert seeds and set(seeds) == {7}
         # mcf, milc and mix1; sweep-fit reads mix1 too.
         assert len(list(tmp_path.glob("prep-*.pkl"))) == 3

@@ -202,7 +202,7 @@ class TestKnobs:
         kernel."""
         assert list(KNOBS) == [
             "native", "ckernel_dir", "fault_trials", "seed", "jobs",
-            "cache_dir", "job_timeout", "retries", "telemetry", "obs_dir"]
+            "cache_dir", "job_timeout", "telemetry", "obs_dir"]
         assert KNOBS["native"].env == "REPRO_NATIVE"
         assert KNOBS["native"].default is True
 

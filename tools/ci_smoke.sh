@@ -14,9 +14,12 @@
 #    replay's input checks hold on the reference path too, and the
 #    numpy synthesis pass still reproduces the pinned trace digests.
 # 2. Re-runs the chaos suites verbosely (a worker SIGKILL or a hang
-#    past its timeout charging only the job that worker held, corrupted
-#    cache entries, compile failure) so a resilience regression is
-#    named in the CI log, not buried in the dots.
+#    past its timeout failing only the job that worker held, each job
+#    run once with no retry, corrupted cache entries and journals,
+#    checkpoint/resume, compile failure) so a resilience regression is
+#    named in the CI log, not buried in the dots.  tier-1 already runs
+#    tests/harness/test_resilience.py (marked chaos, not slow); the
+#    compile-failure suite runs only here.
 # 3. Runs the workload-frontier smoke: one small server-workload
 #    generator per family (kvstore, webserver, compiler) through
 #    prepare + replay with the tolerance-tiered policy, gated on
@@ -101,9 +104,9 @@ REPRO_NATIVE=0 python -m pytest -x -q tests/sim/test_parity.py \
     tests/trace/test_synthetic.py
 
 echo "== chaos / fault-injection tests =="
-# The chaos suites are tagged slow+chaos and excluded from tier-1 by
-# the default addopts marker filter; the explicit -m here (last -m
-# wins) opts back in.
+# The compile-failure suite is tagged slow+chaos and excluded from
+# tier-1 by the default addopts marker filter; the explicit -m here
+# (last -m wins) opts back in.
 python -m pytest -q -m chaos tests/harness/test_resilience.py \
     tests/sim/test_ckernel_fallback.py
 
